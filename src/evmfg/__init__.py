@@ -31,7 +31,6 @@ from .oracle import (
     PhevMdp,
     dp_best_response,
     ev_mdp,
-    fold_reflect,
     mc_population,
     phev_mdp,
     sample_density,
@@ -109,7 +108,6 @@ __all__ = [
     "phev_mdp",
     "dp_best_response",
     "mc_population",
-    "fold_reflect",
     "sample_density",
     "ScenarioConfig",
     "load_scenario",

@@ -42,6 +42,8 @@ from .solver import MfeSolution, solve_mfe, verify_solution
 
 DP_THRESHOLD = 0.02
 MC_THRESHOLD = 0.1
+# The field files each model's oracle audits; verify reads them all.
+ORACLE_FIELDS = {"ev": {"m", "v", "alpha"}, "phev": {"v"}}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,7 +87,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 2
 
 
-def _load_run(run_dir: Path) -> tuple[MfeSolution, object, ScenarioConfig, dict]:
+def _load_run(
+    run_dir: Path, fields: dict[str, set[str]] | None = None
+) -> tuple[MfeSolution, object, ScenarioConfig, dict]:
+    """Rebuild a run's problem and solution from its directory.
+
+    ``fields`` maps the model to the field files (stems) to read; the others
+    are left None. By default every field is read. Series files are always
+    read.
+    """
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise ScenarioError("run_dir", f"manifest not found: {manifest_path}")
@@ -94,16 +104,22 @@ def _load_run(run_dir: Path) -> tuple[MfeSolution, object, ScenarioConfig, dict]
     config = ScenarioConfig(data=validate_config(manifest["scenario"]), base_dir=Path.cwd())
     problem, options, _ = build_problem(config)
     shape = (problem.tgrid.n_nodes,) + problem.sgrid.shape
+
+    def field(stem: str):
+        if fields is not None and stem not in fields[config.model]:
+            return None
+        return read_field_csv(run_dir / f"{stem}.csv", shape)
+
     try:
-        m = read_field_csv(run_dir / "m.csv", shape)
-        v = read_field_csv(run_dir / "v.csv", shape)
+        m = field("m")
+        v = field("v")
         if config.model == "ev":
             p = read_series_csv(run_dir / "price.csv")
-            alpha = read_field_csv(run_dir / "alpha.csv", shape)
+            alpha = field("alpha")
         else:
             r1 = read_series_csv(run_dir / "r1.csv")
             p = PhevPriceSeries(r1=r1, r2=config.data["price"]["r2"])
-            alpha = (read_field_csv(run_dir / "mu1.csv", shape), read_field_csv(run_dir / "mu2.csv", shape))
+            alpha = (field("mu1"), field("mu2"))
     except OSError as exc:
         raise ScenarioError("run_dir", f"missing run artifact: {exc}") from exc
     conv = manifest.get("convergence", {})
@@ -125,7 +141,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    sol, problem, config, _ = _load_run(Path(args.run_dir))
+    sol, problem, config, _ = _load_run(Path(args.run_dir), ORACLE_FIELDS)
     if config.model == "ev":
         mdp = ev_mdp(problem.params, problem.tgrid, np.asarray(sol.p), n_states=args.states)
         value, _ = dp_best_response(mdp)

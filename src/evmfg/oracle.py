@@ -3,14 +3,13 @@
 Neither path touches the PDE sweeps. The DP solves a small discrete-state,
 discrete-action best response against a FROZEN price series by exact
 backward induction (semi-Lagrangian: the value table is interpolated
-linearly at the candidate next states). The 1D DP projects next states onto
+linearly at the candidate next states). Both DPs project next states onto
 [0, 1], the projected Euler step of the reflected dynamics: an agent that
 drives into a wall stays at it. Folding an overshoot back instead would
 hand an agent draining into the empty wall (g - a) dt of free charge on
-every step, a gain that grows as the step shrinks. The 2D DP still folds.
-The Monte Carlo simulator integrates the agent dynamics directly with
-Gaussian increments and fold reflection, and bins the population on the
-solver grid.
+every step, a gain that grows as the step shrinks. The Monte Carlo
+simulator integrates the agent dynamics directly with Gaussian increments,
+projects the same way, and bins the population on the solver grid.
 
 Both use the right-endpoint coefficient convention of the value sweep
 (stage cost and dynamics of the step [t_i, t_{i+1}] evaluated at t_{i+1}
@@ -32,12 +31,6 @@ import numpy as np
 from .ev import EvParams
 from .grids import SpaceGrid1D, SpaceGrid2D, TimeGrid
 from .phev import PhevParams, PhevPriceSeries, beta
-
-
-def fold_reflect(x: np.ndarray) -> np.ndarray:
-    """Reflect positions into [0, 1] (triangle-wave fold, any overshoot)."""
-    z = np.abs(np.asarray(x, dtype=float)) % 2.0
-    return 1.0 - np.abs(1.0 - z)
 
 
 def _coarse_series(series: np.ndarray, fine: TimeGrid, coarse: TimeGrid) -> np.ndarray:
@@ -247,8 +240,8 @@ def _dp_phev(mdp: PhevMdp):
     for i in range(mdp.tgrid.n_steps - 1, -1, -1):
         j = i + 1
         g = mdp.g[j]
-        n1 = fold_reflect(z1[None] + dt * (a1 - b[None] * g))
-        n2 = fold_reflect(z2[None] + dt * (a2 - (1.0 - b[None]) * g))
+        n1 = np.clip(z1[None] + dt * (a1 - b[None] * g), 0.0, 1.0)
+        n2 = np.clip(z2[None] + dt * (a2 - (1.0 - b[None]) * g), 0.0, 1.0)
         expected = _bilinear(value[j], mdp.states1, mdp.states2, n1, n2)
         stage = (
             a1 * mdp.r1[j]
@@ -316,7 +309,7 @@ def mc_population(
         noise = params.sigma[i] * params.g[i]
         if noise != 0.0:
             x = x + noise * sqrt_dt * rng.standard_normal(n_agents)
-        x = fold_reflect(x)
+        x = np.clip(x, 0.0, 1.0)
         hist[i + 1] = _bin_population(x, sgrid, n_agents)
     return hist
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -576,36 +577,31 @@ def build_problem(config: ScenarioConfig):
     return problem, options, resampled
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+def _fmt_all(values) -> list[str]:
+    """17-significant-digit strings, one per value (``format(x, ".17g")``)."""
+    return ["%.17g" % x for x in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+def _write_rows(path: Path, header: str, coords: list[str], slices) -> None:
+    """Write ``header``, then one row ``lead + coords[j] + values[j]`` per coordinate for each slice.
+
+    ``slices`` yields ``(lead, values)`` with ``values`` of shape (len(coords),)
+    or (len(coords), columns); a field file has one slice per time node, led
+    by its time. Coordinates and leads arrive formatted, so each slice is one
+    ``%``-template over its values and the file is written slice by slice,
+    never held whole.
+    """
+    with open(path, "w") as handle:
+        handle.write(header + "\n")
+        for lead, values in slices:
+            values = np.asarray(values, dtype=float)
+            cell = ",%.17g" * (values.size // len(coords)) + "\n"
+            template = lead + (cell + lead).join(coords) + cell
+            handle.write(template % tuple(values.ravel().tolist()))
 
 
 def _write_series_csv(path: Path, header: str, t: np.ndarray, columns: list[np.ndarray]) -> None:
-    with open(path, "w") as handle:
-        handle.write(header + "\n")
-        for i in range(len(t)):
-            row = [_fmt(t[i])] + [_fmt(col[i]) for col in columns]
-            handle.write(",".join(row) + "\n")
-
-
-def _write_field_csv_1d(path: Path, t: np.ndarray, x: np.ndarray, values: np.ndarray) -> None:
-    with open(path, "w") as handle:
-        handle.write("t,x,value\n")
-        for i in range(len(t)):
-            ti = _fmt(t[i])
-            for j in range(len(x)):
-                handle.write(f"{ti},{_fmt(x[j])},{_fmt(values[i, j])}\n")
-
-
-def _write_field_csv_2d(path: Path, t: np.ndarray, z1: np.ndarray, z2: np.ndarray, values: np.ndarray) -> None:
-    with open(path, "w") as handle:
-        handle.write("t,z1,z2,value\n")
-        for i in range(len(t)):
-            ti = _fmt(t[i])
-            for j in range(len(z1)):
-                zj = _fmt(z1[j])
-                for k in range(len(z2)):
-                    handle.write(f"{ti},{zj},{_fmt(z2[k])},{_fmt(values[i, j, k])}\n")
+    _write_rows(path, header, _fmt_all(t), [("", np.column_stack(columns))])
 
 
 def export_results(
@@ -665,9 +661,10 @@ def _export_ev(sol: MfeSolution, problem: EvProblem, out: Path, t: np.ndarray) -
     purchases = ev_purchases(sol.m, problem)
     regulated = purchases + problem.params.d
     baseline = float(purchases.mean()) + problem.params.d
-    _write_field_csv_1d(out / "m.csv", t, x, sol.m)
-    _write_field_csv_1d(out / "v.csv", t, x, sol.v)
-    _write_field_csv_1d(out / "alpha.csv", t, x, sol.alpha)
+    leads = [ti + "," for ti in _fmt_all(t)]
+    coords = _fmt_all(x)
+    for name, values in (("m.csv", sol.m), ("v.csv", sol.v), ("alpha.csv", sol.alpha)):
+        _write_rows(out / name, "t,x,value", coords, zip(leads, values))
     _write_series_csv(out / "price.csv", "t,value", t, [np.asarray(sol.p)])
     _write_series_csv(out / "purchases.csv", "t,value", t, [purchases])
     _write_series_csv(out / "total_consumption.csv", "t,regulated,baseline", t, [regulated, baseline])
@@ -678,27 +675,34 @@ def _export_phev(sol: MfeSolution, problem: PhevProblem, out: Path, t: np.ndarra
     z1 = problem.sgrid.nodes1
     z2 = problem.sgrid.nodes2
     mu1, mu2 = sol.alpha
-    _write_field_csv_2d(out / "m.csv", t, z1, z2, sol.m)
-    _write_field_csv_2d(out / "v.csv", t, z1, z2, sol.v)
-    _write_field_csv_2d(out / "mu1.csv", t, z1, z2, mu1)
-    _write_field_csv_2d(out / "mu2.csv", t, z1, z2, mu2)
+    leads = [ti + "," for ti in _fmt_all(t)]
+    s1, s2 = _fmt_all(z1), _fmt_all(z2)
+    coords = [f"{a},{b}" for a in s1 for b in s2]
+    for name, values in (("m.csv", sol.m), ("v.csv", sol.v), ("mu1.csv", mu1), ("mu2.csv", mu2)):
+        _write_rows(out / name, "t,z1,z2,value", coords, zip(leads, values))
     _write_series_csv(out / "r1.csv", "t,value", t, [sol.p.r1])
-    with open(out / "control_sections.csv", "w") as handle:
-        handle.write("z2,z1,mu1,mu2\n")
-        for target in (0.5, 0.9):
-            k = int(np.argmin(np.abs(z2 - target)))
-            zk = _fmt(z2[k])
-            for j in range(len(z1)):
-                handle.write(f"{zk},{_fmt(z1[j])},{_fmt(mu1[0, j, k])},{_fmt(mu2[0, j, k])}\n")
+    ks = [int(np.argmin(np.abs(z2 - target))) for target in (0.5, 0.9)]
+    sections = [(s2[k] + ",", np.stack([mu1[0, :, k], mu2[0, :, k]], axis=1)) for k in ks]
+    _write_rows(out / "control_sections.csv", "z2,z1,mu1,mu2", s1, sections)
     return ["m.csv", "v.csv", "mu1.csv", "mu2.csv", "r1.csv", "control_sections.csv"]
 
 
 def read_field_csv(path: str | Path, shape: tuple[int, ...]) -> np.ndarray:
-    """Read a long-format field CSV back into (n_nodes, *space_shape)."""
-    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return table[:, -1].reshape(shape)
+    """Read a long-format field CSV back into (n_nodes, *space_shape).
+
+    Only the value column, the last, is parsed; the coordinate columns are
+    fixed by the grid.
+    """
+    path = Path(path)
+    try:
+        values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=-1, ndmin=1)
+    except ValueError as exc:
+        raise ScenarioError(path.name, f"could not parse {path}: {exc}") from exc
+    expected = math.prod(shape)
+    if values.size != expected:
+        raise ScenarioError(path.name, f"expected {expected} rows, found {values.size}")
+    return values.reshape(shape)
 
 
 def read_series_csv(path: str | Path) -> np.ndarray:
-    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return table[:, 1]
+    return np.loadtxt(path, delimiter=",", skiprows=1, usecols=1, ndmin=1)

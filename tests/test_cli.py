@@ -85,6 +85,21 @@ def test_verify_fails_on_tampered_values(quick_run, tmp_path, capsys):
     assert captured.out.startswith("FAIL")
 
 
+def test_verify_names_a_short_field_csv(quick_run, tmp_path, capsys):
+    copy = tmp_path / "short"
+    copy.mkdir()
+    for item in quick_run.iterdir():
+        (copy / item.name).write_bytes(item.read_bytes())
+    lines = (copy / "m.csv").read_text().splitlines(keepends=True)
+    rows = len(lines) - 1
+    (copy / "m.csv").write_text("".join(lines[:-7]))
+    code = cli.main(["verify", str(copy)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "m.csv" in captured.err
+    assert f"expected {rows} rows, found {rows - 7}" in captured.err
+
+
 def test_verify_missing_dir_exit_1(tmp_path, capsys):
     code = cli.main(["verify", str(tmp_path / "nowhere")])
     captured = capsys.readouterr()

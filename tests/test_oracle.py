@@ -10,7 +10,6 @@ from evmfg import (
     TimeGrid,
     dp_best_response,
     ev_mdp,
-    fold_reflect,
     integrate,
     mc_population,
     phev_mdp,
@@ -18,33 +17,6 @@ from evmfg import (
 )
 from evmfg.ev import EvParams
 from evmfg.oracle import DiscreteMdp, PhevMdp
-
-
-# ---------------------------------------------------------------------------
-# fold_reflect
-
-
-def test_fold_reflect_point_values():
-    x = np.array([1.2, -0.3, 2.5, 2.0, -1.5, 0.0, 1.0, 0.4])
-    expected = np.array([0.8, 0.3, 0.5, 0.0, 0.5, 0.0, 1.0, 0.4])
-    np.testing.assert_allclose(fold_reflect(x), expected, atol=1e-14)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))
-def test_fold_reflect_range_and_symmetries(x):
-    y = float(fold_reflect(np.array([x]))[0])
-    assert 0.0 <= y <= 1.0
-    # even and 2-periodic, like the reflected line
-    y_neg = float(fold_reflect(np.array([-x]))[0])
-    y_per = float(fold_reflect(np.array([x + 2.0]))[0])
-    assert abs(y - y_neg) < 1e-9
-    assert abs(y - y_per) < 1e-9
-
-
-def test_fold_reflect_identity_inside():
-    x = np.linspace(0.0, 1.0, 17)
-    np.testing.assert_array_equal(fold_reflect(x), x)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +318,9 @@ def test_phev_dp_matches_pair_enumeration():
     dt = mdp.tgrid.dt
 
     def snap(x):
+        # next states are projected onto [0, 1]; the table interpolation is
+        # constant beyond the cell-centred lattice, so a wall reads its nearest node
+        x = min(max(x, s[0]), s[-1])
         hits = np.nonzero(np.isclose(s, x, atol=1e-12))[0]
         assert hits.size == 1
         return int(hits[0])
@@ -365,8 +340,8 @@ def test_phev_dp_matches_pair_enumeration():
                 best = np.inf
                 for a1 in mdp.actions1:
                     for a2 in mdp.actions2:
-                        n1 = float(fold_reflect(np.array([z1 + dt * (a1 - b * mdp.g[j])]))[0])
-                        n2 = float(fold_reflect(np.array([z2 + dt * (a2 - (1.0 - b) * mdp.g[j])]))[0])
+                        n1 = min(max(z1 + dt * (a1 - b * mdp.g[j]), 0.0), 1.0)
+                        n2 = min(max(z2 + dt * (a2 - (1.0 - b) * mdp.g[j]), 0.0), 1.0)
                         stage = (
                             a1 * mdp.r1[j]
                             + a2 * mdp.r2

@@ -404,3 +404,85 @@ def test_export_is_deterministic(ev_run, tmp_path):
         )
     for name in sorted(EV_FILES):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# Values whose shortest repr differs from their 17-digit form, or that sit at
+# the edges of the format: signed zero, the smallest subnormal, an inexact
+# decimal, an exact integer, a repeating fraction, a huge power and 2**53 + 1
+# (which rounds to 2**53).
+AWKWARD = [-0.0, 5e-324, 0.1, 1.0, 1.0 / 3.0, 1e300, 2.0 ** 53 + 1]
+
+
+def _awkward(shape, shift=0):
+    values = AWKWARD + [-x for x in AWKWARD[1:]]
+    return np.resize(np.roll(values, shift), shape).astype(float)
+
+
+def _reference_csv_set(sol, problem, model) -> dict[str, str]:
+    """The CSV set written row by row with format(x, ".17g"), one call per number."""
+
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    t = problem.tgrid.nodes
+
+    def series(header, columns):
+        rows = [header] + [",".join([fmt(t[i])] + [fmt(c[i]) for c in columns]) for i in range(len(t))]
+        return "\n".join(rows) + "\n"
+
+    def field(header, coords, values):
+        rows = [header]
+        for i in range(len(t)):
+            for coord, value in zip(coords, values[i].ravel()):
+                rows.append(",".join([fmt(t[i]), *map(fmt, coord), fmt(value)]))
+        return "\n".join(rows) + "\n"
+
+    if model == "ev":
+        coords = [(x,) for x in problem.sgrid.nodes]
+        purchases = ev_purchases(sol.m, problem)
+        d = problem.params.d
+        return {
+            "m.csv": field("t,x,value", coords, sol.m),
+            "v.csv": field("t,x,value", coords, sol.v),
+            "alpha.csv": field("t,x,value", coords, sol.alpha),
+            "price.csv": series("t,value", [sol.p]),
+            "purchases.csv": series("t,value", [purchases]),
+            "total_consumption.csv": series("t,regulated,baseline", [purchases + d, purchases.mean() + d]),
+        }
+    z1, z2 = problem.sgrid.nodes1, problem.sgrid.nodes2
+    coords = [(a, b) for a in z1 for b in z2]
+    mu1, mu2 = sol.alpha
+    sections = ["z2,z1,mu1,mu2"]
+    for target in (0.5, 0.9):
+        k = int(np.argmin(np.abs(z2 - target)))
+        sections += [",".join(map(fmt, (z2[k], z1[j], mu1[0, j, k], mu2[0, j, k]))) for j in range(len(z1))]
+    return {
+        "m.csv": field("t,z1,z2,value", coords, sol.m),
+        "v.csv": field("t,z1,z2,value", coords, sol.v),
+        "mu1.csv": field("t,z1,z2,value", coords, mu1),
+        "mu2.csv": field("t,z1,z2,value", coords, mu2),
+        "r1.csv": series("t,value", [sol.p.r1]),
+        "control_sections.csv": "\n".join(sections) + "\n",
+    }
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("ev_weekend", ["time_steps=3", "space.cells=4"]),
+    ("phev_flat", ["time_steps=2", "space.cells=[4,5]"]),
+])
+def test_export_bytes_match_per_number_format(name, overrides, tmp_path):
+    from evmfg import MfeSolution, PhevPriceSeries, export_results
+
+    config = apply_overrides(load_scenario(name), overrides)
+    problem, _, _ = build_problem(config)
+    shape = (problem.tgrid.n_nodes,) + problem.sgrid.shape
+    n = problem.tgrid.n_nodes
+    if config.model == "ev":
+        p, alpha = _awkward(n, 3), _awkward(shape, 2)
+    else:
+        p = PhevPriceSeries(r1=_awkward(n, 3), r2=config.data["price"]["r2"])
+        alpha = (_awkward(shape, 2), _awkward(shape, 5))
+    sol = MfeSolution(v=_awkward(shape, 1), m=_awkward(shape), p=p, alpha=alpha, converged=True)
+    export_results(sol, problem, config, tmp_path)
+    for fname, text in _reference_csv_set(sol, problem, config.model).items():
+        assert (tmp_path / fname).read_bytes() == text.encode(), fname
