@@ -48,10 +48,10 @@ with tempfile.TemporaryDirectory() as tmp:
     coupled = evmfg.solve_mfe(problem, options)
     print(f"coupled run: {coupled.iterations} iterations, residual {coupled.residuals[-1]:.2e}")
 
-    frozen_cfg = evmfg.apply_overrides(config, ["price.coupled=false", "damping=1.0"])
+    frozen_cfg = evmfg.apply_overrides(config, ["price.coupled=false"])
     problem_f, options_f, _ = evmfg.build_problem(frozen_cfg)
     frozen = evmfg.solve_mfe(problem_f, options_f)
-    print(f"decoupled run: {frozen.iterations} iterations (no feedback, one pass settles it)")
+    print(f"decoupled run: {frozen.iterations} iterations (no feedback: the second pass repeats the first)")
 
     print()
     print("  time   price (coupled)   price (demand only)")

@@ -42,6 +42,8 @@ from .solver import MfeSolution, solve_mfe, verify_solution
 
 DP_THRESHOLD = 0.02
 MC_THRESHOLD = 0.1
+# The 2D DP enumerates every pair of states and of actions, so its lattice is capped.
+PHEV_MAX_STATES = 10
 # The field files each model's oracle audits; verify reads them all.
 ORACLE_FIELDS = {"ev": {"m", "v", "alpha"}, "phev": {"v"}}
 
@@ -62,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="cross-check a run with DP and Monte Carlo")
     p_oracle.add_argument("run_dir", help="directory of a prior run")
-    p_oracle.add_argument("--states", type=int, default=20, help="DP state lattice size (default 20)")
+    p_oracle.add_argument("--states", type=int, default=20,
+                          help=f"DP state lattice size (default 20; at most {PHEV_MAX_STATES} per axis on the 2D model)")
     p_oracle.add_argument("--agents", type=int, default=100_000, help="Monte Carlo agents (default 100000)")
     p_oracle.add_argument("--seed", type=int, default=0, help="Monte Carlo seed (default 0)")
 
@@ -114,10 +117,10 @@ def _load_run(
         m = field("m")
         v = field("v")
         if config.model == "ev":
-            p = read_series_csv(run_dir / "price.csv")
+            p = read_series_csv(run_dir / "price.csv", problem.tgrid.n_nodes)
             alpha = field("alpha")
         else:
-            r1 = read_series_csv(run_dir / "r1.csv")
+            r1 = read_series_csv(run_dir / "r1.csv", problem.tgrid.n_nodes)
             p = PhevPriceSeries(r1=r1, r2=config.data["price"]["r2"])
             alpha = (field("mu1"), field("mu2"))
     except OSError as exc:
@@ -154,7 +157,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         print(f"dp value deviation: {dp_dev:.6g} (threshold {DP_THRESHOLD})")
         print(f"mc density distance: {mc_dist:.6g} (threshold {MC_THRESHOLD})")
         return 0 if dp_dev <= DP_THRESHOLD and mc_dist <= MC_THRESHOLD else 1
-    n_states = min(args.states, 10)
+    n_states = min(args.states, PHEV_MAX_STATES)
+    if n_states < args.states:
+        print(f"note: the 2D DP audit uses a {n_states}x{n_states} state lattice "
+              f"(--states {args.states} is capped at {PHEV_MAX_STATES})", file=sys.stderr)
     mdp = phev_mdp(problem.params, problem.tgrid, sol.p, n_states=n_states)
     value, _ = dp_best_response(mdp)
     z1, z2 = np.meshgrid(mdp.states1, mdp.states2, indexing="ij")

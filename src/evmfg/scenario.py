@@ -82,7 +82,7 @@ initial_density:           # normalized to unit mass on the grid
 solver:                    # optional block, defaults below
   max_iters: 200
   tol: 1.0e-06
-  damping: 0.5
+  damping: 0.5             # weight of the plain (unaccelerated) step
 
 # Overrides (--set) use dotted paths into this document, e.g.
 #   --set solver.max_iters=50   --set price.coupled=false
@@ -704,5 +704,13 @@ def read_field_csv(path: str | Path, shape: tuple[int, ...]) -> np.ndarray:
     return values.reshape(shape)
 
 
-def read_series_csv(path: str | Path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", skiprows=1, usecols=1, ndmin=1)
+def read_series_csv(path: str | Path, n_nodes: int) -> np.ndarray:
+    """Read a per-time-node series CSV (columns t, value) of ``n_nodes`` rows."""
+    path = Path(path)
+    try:
+        values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=1, ndmin=1)
+    except ValueError as exc:
+        raise ScenarioError(path.name, f"could not parse {path}: {exc}") from exc
+    if values.size != n_nodes:
+        raise ScenarioError(path.name, f"expected {n_nodes} rows, found {values.size}")
+    return values

@@ -1,27 +1,51 @@
-"""Damped fixed-point iteration coupling the HJB and FPK sweeps.
+"""Anderson-accelerated fixed point coupling the HJB and FPK sweeps.
 
-The density iterate starts as the initial density held constant in time.
-Each pass recomputes price -> value -> control -> density; the iterate is
-relaxed toward the new density with weight ``damping``. Convergence is
-measured as the time-sup of the per-slice L1 change, which is scale free
-because every slice has unit mass. Non-convergence is an outcome, not an
-exception: the best available fields are still returned.
+The equilibrium is a fixed point of price -> value -> control -> density ->
+price. The map depends on the density only through the price, so the
+iterate is the price series: the ev price, or the phev grid price ``r1``
+(the fuel price ``r2`` is fixed). It has one entry per time node, which
+keeps the acceleration history small.
+
+The first price is that of the initial density held constant in time. Each
+pass computes value, control and density from the current price; the
+residual is the time-sup of the per-slice L1 change between this density
+and the previous pass's (the initial iterate on the first pass), which is
+scale free because every slice has unit mass. The next price comes from
+type-II Anderson acceleration (Walker & Ni, SIAM J. Numer. Anal. 49(4),
+2011) over the last ``ANDERSON_DEPTH`` pairs of price and price update
+``f = price(density) - price``. With fewer than two pairs it takes the
+plain step ``price + damping * f``; whenever the residual grows, the
+history is dropped, so the next step is a plain one. Non-convergence is an
+outcome, not an exception: the best available fields are still returned.
 
 The stored solution is always self-consistent: price, value and control are
 recomputed once from the final density, so audits that recompute the chain
 see zero deviation on price and control, and one extra density pass moves
-the solution by at most the final residual.
+the solution by about the final residual.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+# Pairs (price, price update) the acceleration keeps: up to four difference
+# columns in a least-squares problem with one row per time node.
+ANDERSON_DEPTH = 5
 
 
 @dataclass
 class SolverOptions:
+    """Fixed-point settings.
+
+    ``max_iters`` caps the density passes, ``tol`` is the residual (sup-t L1
+    density change between passes) that counts as converged, and ``damping``
+    weights the plain step ``price + damping * f`` taken on the first pass
+    and after each history reset. ``record_history`` keeps the residual of
+    every pass in ``MfeSolution.residuals``.
+    """
+
     max_iters: int = 200
     tol: float = 1e-6
     damping: float = 0.5
@@ -73,26 +97,40 @@ def _sup_l1(a: np.ndarray, b: np.ndarray, cell_volume: float) -> float:
 
 
 def solve_mfe(model, options: SolverOptions | None = None) -> MfeSolution:
-    """Iterate price/HJB/control/FPK to a mean field equilibrium."""
+    """Iterate price/HJB/control/FPK to a mean field equilibrium.
+
+    The iterate is the price series, accelerated as the module docstring
+    describes; the solve stops when two successive density passes differ
+    by at most ``options.tol`` or after ``options.max_iters`` passes.
+    """
     options = options or SolverOptions()
     vol = model.cell_volume
-    m_iter = model.initial_iterate()
+    m_prev = model.initial_iterate()
+    p = model.price(m_prev)
+    x = _price_vector(p)
+    history: list[tuple[np.ndarray, np.ndarray]] = []
     residuals: list[float] = []
+    last_residual = np.inf
     converged = False
     iterations = 0
-    m_new = m_iter
+    m_new = m_prev
     for iterations in range(1, options.max_iters + 1):
-        p = model.price(m_iter)
         v = model.hjb(p)
-        alpha = model.control(v, p)
-        m_new = model.fpk(alpha)
-        residual = _sup_l1(m_new, m_iter, vol)
+        m_new = model.fpk(model.control(v, p))
+        residual = _sup_l1(m_new, m_prev, vol)
         if options.record_history:
             residuals.append(residual)
         if residual <= options.tol:
             converged = True
             break
-        m_iter = (1.0 - options.damping) * m_iter + options.damping * m_new
+        if residual > last_residual:
+            history.clear()
+        last_residual = residual
+        history.append((x, _price_vector(model.price(m_new)) - x))
+        del history[:-ANDERSON_DEPTH]
+        x = _anderson_step(history, options.damping)
+        p = _with_price_vector(p, x)
+        m_prev = m_new
     # Final consistency pass: all stored fields derive from the final density.
     m_final = m_new
     p_final = model.price(m_final)
@@ -108,6 +146,58 @@ def solve_mfe(model, options: SolverOptions | None = None) -> MfeSolution:
         iterations=iterations,
         tol=options.tol,
     )
+
+
+def _price_vector(p) -> np.ndarray:
+    """The accelerated part of a price: the ev series, or the phev ``r1``."""
+    return p if isinstance(p, np.ndarray) else p.r1
+
+
+def _with_price_vector(p, x: np.ndarray):
+    return x if isinstance(p, np.ndarray) else replace(p, r1=x)
+
+
+def _anderson_step(history: list[tuple[np.ndarray, np.ndarray]], damping: float) -> np.ndarray:
+    """Next price from the (price, update) history, newest pair last.
+
+    Type II: gamma minimises |f - dF gamma| over the differences of
+    successive pairs, and the step is x + f - (dX + dF) gamma.
+    """
+    x, f = history[-1]
+    if len(history) < 2:
+        return x + damping * f
+    dx = np.column_stack([b[0] - a[0] for a, b in zip(history, history[1:])])
+    df = np.column_stack([b[1] - a[1] for a, b in zip(history, history[1:])])
+    gamma = _least_squares(df, f)
+    return x + f - ((dx + df) * gamma).sum(axis=1)
+
+
+def _least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A minimiser of |b - a g| by modified Gram-Schmidt on the few columns of a.
+
+    A column that is numerically dependent on the earlier ones gets g = 0.
+    Elementwise numpy on purpose: the package makes no BLAS or LAPACK call,
+    and the first one (``np.linalg.lstsq`` here) adds about 1 MB of
+    resident memory.
+    """
+    n = a.shape[1]
+    q = np.zeros_like(a)
+    r = np.zeros((n, n))
+    kept = []
+    for j in range(n):
+        w = a[:, j].copy()
+        for i in kept:
+            r[i, j] = (q[:, i] * w).sum()
+            w -= r[i, j] * q[:, i]
+        norm = np.sqrt((w * w).sum())
+        if norm > 1e-12 * np.sqrt((a[:, j] ** 2).sum()):
+            r[j, j] = norm
+            q[:, j] = w / norm
+            kept.append(j)
+    g = np.zeros(n)
+    for j in reversed(kept):
+        g[j] = ((q[:, j] * b).sum() - (r[j, j + 1:] * g[j + 1:]).sum()) / r[j, j]
+    return g
 
 
 def verify_solution(sol: MfeSolution, model, tol: float | None = None) -> VerifyReport:

@@ -100,6 +100,22 @@ def test_verify_names_a_short_field_csv(quick_run, tmp_path, capsys):
     assert f"expected {rows} rows, found {rows - 7}" in captured.err
 
 
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_short_series_csv_is_named(quick_run, tmp_path, capsys, command):
+    copy = tmp_path / "short"
+    copy.mkdir()
+    for item in quick_run.iterdir():
+        (copy / item.name).write_bytes(item.read_bytes())
+    lines = (copy / "price.csv").read_text().splitlines(keepends=True)
+    rows = len(lines) - 1
+    (copy / "price.csv").write_text("".join(lines[:-3]))
+    code = cli.main([command, str(copy), *(["--states", "5"] if command == "oracle" else [])])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "price.csv" in captured.err
+    assert f"expected {rows} rows, found {rows - 3}" in captured.err
+
+
 def test_verify_missing_dir_exit_1(tmp_path, capsys):
     code = cli.main(["verify", str(tmp_path / "nowhere")])
     captured = capsys.readouterr()
@@ -142,6 +158,16 @@ def test_oracle_phev_skips_monte_carlo(phev_run_dir, capsys):
     assert "mc density distance: not applicable (2D model)" in captured.out
     dp, _ = _parse_oracle(captured.out)
     assert code == (0 if dp <= cli.DP_THRESHOLD else 1)
+
+
+def test_oracle_phev_says_when_it_caps_the_lattice(phev_run_dir, capsys):
+    cli.main(["oracle", str(phev_run_dir), "--states", "12"])
+    capped = capsys.readouterr()
+    assert "10x10 state lattice" in capped.err
+    assert "--states 12" in capped.err
+    assert "dp value deviation:" in capped.out
+    cli.main(["oracle", str(phev_run_dir), "--states", "4"])
+    assert capsys.readouterr().err == ""
 
 
 def test_schema_prints_schema(capsys):

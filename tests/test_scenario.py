@@ -352,7 +352,7 @@ def test_ev_csv_round_trip(ev_run, ev_run_dir):
     np.testing.assert_array_equal(read_field_csv(out / "m.csv", shape), sol.m)
     np.testing.assert_array_equal(read_field_csv(out / "v.csv", shape), sol.v)
     np.testing.assert_array_equal(read_field_csv(out / "alpha.csv", shape), sol.alpha)
-    np.testing.assert_array_equal(read_series_csv(out / "price.csv"), sol.p)
+    np.testing.assert_array_equal(read_series_csv(out / "price.csv", sol.p.size), sol.p)
 
 
 def test_phev_csv_round_trip(phev_run, phev_run_dir):
@@ -361,13 +361,13 @@ def test_phev_csv_round_trip(phev_run, phev_run_dir):
     out = Path(phev_run_dir)
     np.testing.assert_array_equal(read_field_csv(out / "m.csv", shape), sol.m)
     np.testing.assert_array_equal(read_field_csv(out / "mu1.csv", shape), sol.alpha[0])
-    np.testing.assert_array_equal(read_series_csv(out / "r1.csv"), sol.p.r1)
+    np.testing.assert_array_equal(read_series_csv(out / "r1.csv", sol.p.r1.size), sol.p.r1)
 
 
 def test_purchases_series_definition(ev_run, ev_run_dir):
     sol = ev_run["solution"]
     problem = ev_run["problem"]
-    purchases = read_series_csv(Path(ev_run_dir) / "purchases.csv")
+    purchases = read_series_csv(Path(ev_run_dir) / "purchases.csv", 144)
     assert purchases.shape == (144,)
     expected = problem.params.g + mean_rate(sol.m, problem.sgrid, problem.tgrid)
     np.testing.assert_array_equal(purchases, ev_purchases(sol.m, problem))

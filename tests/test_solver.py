@@ -13,6 +13,9 @@ from evmfg import (
     SolverOptions,
     SpaceGrid1D,
     TimeGrid,
+    apply_overrides,
+    build_problem,
+    load_scenario,
     solve_mfe,
     verify_solution,
 )
@@ -147,3 +150,41 @@ def test_bundled_runs_converge(ev_run, phev_run):
     assert phev_run["solution"].converged
     assert verify_solution(ev_run["solution"], ev_run["problem"]).passed
     assert verify_solution(phev_run["solution"], phev_run["problem"]).passed
+    assert ev_run["solution"].iterations <= 8
+    assert phev_run["solution"].iterations <= 8
+
+
+@pytest.mark.parametrize(
+    "overrides, max_iterations",
+    [
+        # cheap control: a plain damped iteration runs out 200 iterations here
+        (["series.H=1.0"], 20),
+        # stiff price at full step: a plain iteration 2-cycles at residual 0.13
+        (["series.H=3.0", "price.exponent=4.0", "damping=1.0"], 200),
+    ],
+)
+def test_accelerated_iteration_converges_where_picard_does_not(overrides, max_iterations):
+    problem, options, _ = build_problem(apply_overrides(load_scenario("ev_weekend"), overrides))
+    sol = solve_mfe(problem, options)
+    assert sol.converged
+    assert sol.iterations <= max_iterations
+    assert verify_solution(sol, problem).passed
+
+
+def test_least_squares_matches_lapack_and_skips_dependent_columns():
+    from evmfg.solver import _least_squares
+
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal(144)
+    for n in range(1, 5):
+        a = rng.standard_normal((144, n))
+        np.testing.assert_allclose(
+            _least_squares(a, b), np.linalg.lstsq(a, b, rcond=None)[0], atol=1e-12
+        )
+    a = rng.standard_normal((144, 4))
+    a[:, 2] = 2.0 * a[:, 0] - a[:, 1]
+    a[:, 3] = 0.0
+    g = _least_squares(a, b)
+    assert g[2] == 0.0 and g[3] == 0.0
+    best = np.linalg.lstsq(a, b, rcond=None)[0]
+    assert np.linalg.norm(b - a @ g) == pytest.approx(np.linalg.norm(b - a @ best), rel=1e-12)
