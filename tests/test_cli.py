@@ -1,7 +1,10 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -175,6 +178,18 @@ def test_schema_prints_schema(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out == SCHEMA_TEXT
+
+
+def test_python_dash_m_reaches_the_cli(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "evmfg", "schema"], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == SCHEMA_TEXT
 
 
 def test_version_flag(capsys):

@@ -1,5 +1,8 @@
 """Dynamic-programming and Monte Carlo cross-checks: the audit tools themselves."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,13 @@ from evmfg import (
     sample_density,
 )
 from evmfg.ev import EvParams
-from evmfg.oracle import DiscreteMdp, PhevMdp
+from evmfg.oracle import (
+    DiscreteMdp,
+    PhevMdp,
+    _bin_population,
+    _half_cell_index,
+    _interp_half_cells,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -532,3 +541,127 @@ def test_mc_tracks_pde_density(ev_run):
     )
     dist = np.abs(hist - sol.m).sum(axis=1) * problem.sgrid.dx
     assert dist.max() < 0.12
+
+
+# ---------------------------------------------------------------------------
+# the half-cell kernel against the np.interp / np.histogram loop it replaced
+
+
+def _reference_mc_population(control, m0, params, tgrid, sgrid, n_agents, seed):
+    """Per step: np.interp for each agent's control, np.histogram for the slice."""
+    rng = np.random.default_rng(seed)
+    x = sample_density(m0, sgrid, n_agents)
+
+    def bin_slice(x):
+        counts, _ = np.histogram(x, bins=sgrid.n_cells, range=(0.0, 1.0))
+        return counts / (n_agents * sgrid.dx)
+
+    hist = np.empty((tgrid.n_nodes, sgrid.n_cells))
+    hist[0] = bin_slice(x)
+    sqrt_dt = math.sqrt(tgrid.dt)
+    for i in range(tgrid.n_steps):
+        if callable(control):
+            a = np.asarray(control(tgrid.nodes[i], x), dtype=float)
+        else:
+            a = np.interp(x, sgrid.nodes, control[i])
+        x = x + tgrid.dt * (a - params.g[i])
+        noise = params.sigma[i] * params.g[i]
+        if noise != 0.0:
+            x = x + noise * sqrt_dt * rng.standard_normal(n_agents)
+        x = np.clip(x, 0.0, 1.0)
+        hist[i + 1] = bin_slice(x)
+    return hist
+
+
+def _wall_bound_field(tg, sg, g):
+    # drift 4 (x - 1/2) away from the middle, with a moving ripple: agents
+    # pile up at both walls
+    t, x = np.meshgrid(tg.nodes, sg.nodes, indexing="ij")
+    return g + 4.0 * (x - 0.5) + 0.3 * np.sin(2.0 * np.pi * (x + t))
+
+
+@pytest.mark.parametrize("n_cells", [4, 25, 100, 400])
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+def test_mc_matches_reference_loop_on_a_wall_bound_field(n_cells, sigma):
+    tg = TimeGrid(t1=0.5, n_steps=30)
+    sg = SpaceGrid1D(n_cells)
+    params = _ev_params(tg, g=0.5, sigma=sigma)
+    m0 = np.full(n_cells, 1.0)
+    field = _wall_bound_field(tg, sg, 0.5)
+    hist = mc_population(field, m0, params, tg, sg, n_agents=20_000, seed=11)
+    ref = _reference_mc_population(field, m0, params, tg, sg, n_agents=20_000, seed=11)
+    np.testing.assert_array_equal(hist, ref)
+    assert ref[-1][0] > ref[0][0] and ref[-1][-1] > ref[0][-1]
+
+
+def test_mc_matches_reference_loop_with_a_callable_control():
+    tg = TimeGrid(t1=0.4, n_steps=25)
+    sg = SpaceGrid1D(30)
+    params = _ev_params(tg, g=0.4, sigma=0.3)
+    m0 = _tent_density(sg, center=0.3, width=0.25)
+    control = lambda t, x: 0.4 + 3.0 * (x - 0.5) * np.cos(5.0 * t)
+    hist = mc_population(control, m0, params, tg, sg, n_agents=15_000, seed=4)
+    ref = _reference_mc_population(control, m0, params, tg, sg, n_agents=15_000, seed=4)
+    np.testing.assert_array_equal(hist, ref)
+
+
+def test_mc_matches_reference_loop_on_the_weekend_equilibrium(ev_run):
+    # the criterion-4 audit: 100k agents, seed 0
+    sol, problem = ev_run["solution"], ev_run["problem"]
+    args = (sol.alpha, sol.m[0], problem.params, problem.tgrid, problem.sgrid)
+    hist = mc_population(*args, n_agents=100_000, seed=0)
+    np.testing.assert_array_equal(hist, _reference_mc_population(*args, n_agents=100_000, seed=0))
+
+
+def _histogram_bin(x, n_cells):
+    """The bin np.histogram assigns each point: x in [edge_j, edge_j+1), 1.0 in the last."""
+    edges = np.linspace(0.0, 1.0, n_cells + 1)
+    return np.minimum(np.searchsorted(edges, x, side="right") - 1, n_cells - 1)
+
+
+@pytest.mark.parametrize("n_cells", [4, 25, 100, 400])
+def test_half_cell_index_matches_histogram_and_interp_at_random_points(n_cells):
+    sg = SpaceGrid1D(n_cells)
+    rng = np.random.default_rng(n_cells)
+    x = rng.random(50_000)
+    fp = rng.standard_normal(n_cells)
+    k = _half_cell_index(x, n_cells)
+    np.testing.assert_array_equal(k >> 1, _histogram_bin(x, n_cells))
+    counts, _ = np.histogram(x, bins=n_cells, range=(0.0, 1.0))
+    np.testing.assert_array_equal(_bin_population(k, sg), counts / (x.size * sg.dx))
+    control = _interp_half_cells(sg.nodes, fp, k, x)
+    np.testing.assert_array_equal(control, np.interp(x, sg.nodes, fp))
+
+
+@pytest.mark.parametrize("n_cells", [4, 25, 100, 400])
+def test_half_cell_index_edge_rule_at_edges_and_centers(n_cells):
+    # within one ulp of a cell edge or a center the index may land one half
+    # cell over: one bin off, and the field's continuity error in the control
+    sg = SpaceGrid1D(n_cells)
+    fp = np.random.default_rng(n_cells + 1).standard_normal(n_cells)
+    marks = np.concatenate([np.linspace(0.0, 1.0, n_cells + 1), sg.nodes])
+    x = np.clip(np.concatenate([marks, np.nextafter(marks, -1.0), np.nextafter(marks, 2.0)]), 0.0, 1.0)
+    k = _half_cell_index(x, n_cells)
+    assert np.abs((k >> 1) - _histogram_bin(x, n_cells)).max() <= 1
+    control = _interp_half_cells(sg.nodes, fp, k, x)
+    assert np.abs(control - np.interp(x, sg.nodes, fp)).max() <= 1e-12
+
+
+def test_half_cell_index_walls_read_the_end_cells_and_values():
+    sg = SpaceGrid1D(25)
+    fp = np.linspace(-1.0, 2.0, 25) ** 3
+    x = np.array([0.0, 1.0])
+    k = _half_cell_index(x, 25)
+    np.testing.assert_array_equal(k >> 1, [0, 24])
+    control = _interp_half_cells(sg.nodes, fp, k, x)
+    np.testing.assert_array_equal(control, [fp[0], fp[-1]])
+
+
+@pytest.mark.parametrize("shape", [(11, 19), (11, 21), (5, 20)], ids=["cells-1", "cells+1", "few-rows"])
+def test_mc_names_a_mis_shaped_control_field(shape):
+    tg = TimeGrid(t1=0.2, n_steps=10)
+    sg = SpaceGrid1D(20)
+    params = _ev_params(tg)
+    expected = re.escape(f"(n_nodes, n_cells) = (11, 20), found {shape}")
+    with pytest.raises(ValueError, match=expected):
+        mc_population(np.zeros(shape), _tent_density(sg), params, tg, sg, n_agents=100, seed=0)
