@@ -25,8 +25,8 @@ wall = time.perf_counter() - start
 
 print(f"scenario: {config.name} ({problem.tgrid.n_steps} steps x {problem.sgrid.n1}x{problem.sgrid.n2} cells)")
 print(f"converged: {sol.converged} after {sol.iterations} iterations in {wall:.1f}s")
-print(f"r1 at t=0+: {sol.p.r1[0]:.4f}   (flat outside option r2 = {problem.params.r2})")
-print(f"r1 range over the horizon: [{sol.p.r1.min():.4f}, {sol.p.r1.max():.4f}]")
+print(f"r1 at t=0+: {sol.p[0]:.4f}   (flat outside option r2 = {problem.params.r2})")
+print(f"r1 range over the horizon: [{sol.p.min():.4f}, {sol.p.max():.4f}]")
 
 z1, z2 = problem.sgrid.meshes()
 

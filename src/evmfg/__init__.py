@@ -37,7 +37,6 @@ from .oracle import (
 )
 from .phev import (
     PhevParams,
-    PhevPriceSeries,
     PhevProblem,
     beta,
     beta_divergence,
@@ -88,7 +87,6 @@ __all__ = [
     "fpk_forward_sweep",
     "ev_cost",
     "PhevParams",
-    "PhevPriceSeries",
     "PhevProblem",
     "beta",
     "beta_divergence",

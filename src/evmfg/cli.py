@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .errors import DivergenceError, ScenarioError
 from .oracle import _bilinear, dp_best_response, ev_mdp, mc_population, phev_mdp
-from .phev import PhevPriceSeries
 from .scenario import (
     SCHEMA_TEXT,
     ScenarioConfig,
@@ -97,14 +96,20 @@ def _load_run(
 
     ``fields`` maps the model to the field files (stems) to read; the others
     are left None. By default every field is read. Series files are always
-    read.
+    read. Scenario CSV paths resolve against the manifest's
+    ``scenario_dir``, or the working directory for a manifest without one.
     """
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise ScenarioError("run_dir", f"manifest not found: {manifest_path}")
     with open(manifest_path) as handle:
         manifest = json.load(handle)
-    config = ScenarioConfig(data=validate_config(manifest["scenario"]), base_dir=Path.cwd())
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("scenario"), dict):
+        raise ScenarioError("manifest.json", f"no 'scenario' mapping in {manifest_path}")
+    scenario_dir = manifest.get("scenario_dir", ".")
+    if not isinstance(scenario_dir, str):
+        raise ScenarioError("manifest.json", f"'scenario_dir' is not a path in {manifest_path}")
+    config = ScenarioConfig(data=validate_config(manifest["scenario"]), base_dir=Path.cwd() / scenario_dir)
     problem, options, _ = build_problem(config)
     shape = (problem.tgrid.n_nodes,) + problem.sgrid.shape
 
@@ -120,8 +125,7 @@ def _load_run(
             p = read_series_csv(run_dir / "price.csv", problem.tgrid.n_nodes)
             alpha = field("alpha")
         else:
-            r1 = read_series_csv(run_dir / "r1.csv", problem.tgrid.n_nodes)
-            p = PhevPriceSeries(r1=r1, r2=config.data["price"]["r2"])
+            p = read_series_csv(run_dir / "r1.csv", problem.tgrid.n_nodes)
             alpha = (field("mu1"), field("mu2"))
     except OSError as exc:
         raise ScenarioError("run_dir", f"missing run artifact: {exc}") from exc
@@ -146,7 +150,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     sol, problem, config, _ = _load_run(Path(args.run_dir), ORACLE_FIELDS)
     if config.model == "ev":
-        mdp = ev_mdp(problem.params, problem.tgrid, np.asarray(sol.p), n_states=args.states)
+        mdp = ev_mdp(problem.params, problem.tgrid, sol.p, n_states=args.states)
         value, _ = dp_best_response(mdp)
         v0 = np.interp(mdp.states, problem.sgrid.nodes, sol.v[0])
         dp_dev = float(np.abs(value[0] - v0).max() / np.abs(v0).max())

@@ -185,7 +185,7 @@ def fpk_forward_sweep(
     """Explicit forward density transport under the drift alpha - g."""
     params.check_nodes(tgrid)
     mass = integrate(np.asarray(m0, dtype=float), sgrid)
-    if abs(mass - 1.0) > MASS_TOLERANCE:
+    if not abs(mass - 1.0) <= MASS_TOLERANCE:
         raise ValueError(f"initial density mass {mass} deviates from 1 beyond {MASS_TOLERANCE}")
     dx = sgrid.dx
     m = np.empty((tgrid.n_nodes, sgrid.n_cells))
@@ -248,7 +248,7 @@ class EvProblem:
             raise ValueError("m0 does not match the space grid")
         self.params.check_nodes(self.tgrid)
         mass = integrate(self.m0, self.sgrid)
-        if abs(mass - 1.0) > MASS_TOLERANCE:
+        if not abs(mass - 1.0) <= MASS_TOLERANCE:
             raise ValueError(f"initial density mass {mass} deviates from 1")
 
     @property
@@ -269,9 +269,3 @@ class EvProblem:
 
     def fpk(self, alpha: np.ndarray) -> np.ndarray:
         return fpk_forward_sweep(alpha, self.m0, self.params, self.tgrid, self.sgrid)
-
-    def cost(self, alpha: np.ndarray, m: np.ndarray, p: np.ndarray) -> float:
-        return ev_cost(alpha, m, p, self.params, self.tgrid, self.sgrid)
-
-    def price_deviation(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.abs(np.asarray(a) - np.asarray(b)).max())

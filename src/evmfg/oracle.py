@@ -34,7 +34,7 @@ import numpy as np
 
 from .ev import EvParams
 from .grids import SpaceGrid1D, SpaceGrid2D, TimeGrid
-from .phev import PhevParams, PhevPriceSeries, beta
+from .phev import PhevParams, beta
 
 
 def _coarse_series(series: np.ndarray, fine: TimeGrid, coarse: TimeGrid) -> np.ndarray:
@@ -146,7 +146,7 @@ class PhevMdp:
 def phev_mdp(
     params: PhevParams,
     tgrid: TimeGrid,
-    prices: PhevPriceSeries,
+    r1: np.ndarray,
     n_states: int = 10,
     n_steps: int | None = None,
     n_actions: int = 21,
@@ -162,7 +162,7 @@ def phev_mdp(
         g=_coarse_series(params.g, tgrid, coarse),
         Q1=_coarse_series(params.Q1, tgrid, coarse),
         Q2=_coarse_series(params.Q2, tgrid, coarse),
-        r1=_coarse_series(prices.r1, tgrid, coarse),
+        r1=_coarse_series(r1, tgrid, coarse),
         r2=params.r2,
         s_cost=params.s_cost,
         xi=params.xi,

@@ -19,6 +19,10 @@ and the grid price reacts to the aggregate battery draw:
 
     r1 = [g int beta dm + d/dt int z1 m]+ + offset.
 
+The price series r1, one value per time node, is the only coupling between
+the vehicles, so it is what the operators pass around as a plain array. The
+fuel price r2 is an exogenous constant and lives only in ``PhevParams.r2``.
+
 Same explicit sweep structure as the 1D model; both directional term blocks
 of a (sub)step are evaluated on the entering slice, so the update treats z1
 and z2 symmetrically.
@@ -86,43 +90,30 @@ class PhevParams:
             raise ValueError(f"series length {len(self.g)} does not match {tgrid.n_nodes} time nodes")
 
 
-@dataclass
-class PhevPriceSeries:
-    """Grid price per time node plus the flat fuel price."""
-
-    r1: np.ndarray
-    r2: float
-
-    def __post_init__(self) -> None:
-        self.r1 = np.atleast_1d(np.asarray(self.r1, dtype=float))
-        self.r2 = float(self.r2)
-
-
-def phev_price(m: np.ndarray, params: PhevParams, sgrid: SpaceGrid2D, tgrid: TimeGrid) -> PhevPriceSeries:
-    """Grid price r1 = [g int beta dm + d/dt int z1 m]+ + offset."""
+def phev_price(m: np.ndarray, params: PhevParams, sgrid: SpaceGrid2D, tgrid: TimeGrid) -> np.ndarray:
+    """Grid price series r1 = [g int beta dm + d/dt int z1 m]+ + offset."""
     params.check_nodes(tgrid)
     z1, z2 = sgrid.meshes()
     b = beta(z1, z2)
     draw = (np.asarray(m, dtype=float) * b).reshape(m.shape[0], -1).sum(axis=1) * sgrid.cell_volume
     rates = mean_rate(m, sgrid, tgrid)
-    r1 = np.maximum(params.g * draw + rates, 0.0) + params.price_offset
-    return PhevPriceSeries(r1=r1, r2=params.r2)
+    return np.maximum(params.g * draw + rates, 0.0) + params.price_offset
 
 
 def phev_optimal_controls(
-    v: np.ndarray, prices: PhevPriceSeries, params: PhevParams, sgrid: SpaceGrid2D
+    v: np.ndarray, r1: np.ndarray, params: PhevParams, sgrid: SpaceGrid2D
 ) -> tuple[np.ndarray, np.ndarray]:
     """Recharge rates mu_k* = -(r_k + dv/dz_k) / Q_k, one field per pack."""
     mu1 = np.empty_like(v)
     mu2 = np.empty_like(v)
     for i in range(v.shape[0]):
-        mu1[i] = -(prices.r1[i] + diff_central(v[i], sgrid, axis=0)) / params.Q1[i]
-        mu2[i] = -(prices.r2 + diff_central(v[i], sgrid, axis=1)) / params.Q2[i]
+        mu1[i] = -(r1[i] + diff_central(v[i], sgrid, axis=0)) / params.Q1[i]
+        mu2[i] = -(params.r2 + diff_central(v[i], sgrid, axis=1)) / params.Q2[i]
     return mu1, mu2
 
 
 def phev_hjb_backward_sweep(
-    prices: PhevPriceSeries, params: PhevParams, tgrid: TimeGrid, sgrid: SpaceGrid2D
+    r1: np.ndarray, params: PhevParams, tgrid: TimeGrid, sgrid: SpaceGrid2D
 ) -> np.ndarray:
     """Explicit backward value sweep, v(T, .) = xi.
 
@@ -136,17 +127,17 @@ def phev_hjb_backward_sweep(
     v = np.empty((tgrid.n_nodes,) + sgrid.shape)
     v[-1] = params.xi(z1, z2)
     t_nodes = tgrid.nodes
+    r2 = params.r2
     for i in range(tgrid.n_steps - 1, -1, -1):
         j = i + 1
         g = params.g[j]
         q1 = params.Q1[j]
         q2 = params.Q2[j]
-        r1 = prices.r1[j]
-        r2 = prices.r2
+        price = r1[j]
         s_slice = params.s_cost(t_nodes[j], z1, z2)
         w1 = diff_central(v[j], sgrid, axis=0)
         w2 = diff_central(v[j], sgrid, axis=1)
-        speed1 = float(np.abs(b * g + (r1 + w1) / q1).max())
+        speed1 = float(np.abs(b * g + (price + w1) / q1).max())
         speed2 = float(np.abs((1.0 - b) * g + (r2 + w2) / q2).max())
         rate = speed1 / sgrid.dz1 + speed2 / sgrid.dz2
         if not np.isfinite(rate):
@@ -158,7 +149,7 @@ def phev_hjb_backward_sweep(
             w1 = diff_central(cur, sgrid, axis=0)
             w2 = diff_central(cur, sgrid, axis=1)
             rhs = (
-                (r1 + w1) ** 2 / (2.0 * q1)
+                (price + w1) ** 2 / (2.0 * q1)
                 + b * g * w1
                 + (r2 + w2) ** 2 / (2.0 * q2)
                 + (1.0 - b) * g * w2
@@ -182,7 +173,7 @@ def phev_fpk_forward_sweep(
     params.check_nodes(tgrid)
     mu1, mu2 = mu
     mass = integrate(np.asarray(m0, dtype=float), sgrid)
-    if abs(mass - 1.0) > MASS_TOLERANCE:
+    if not abs(mass - 1.0) <= MASS_TOLERANCE:
         raise ValueError(f"initial density mass {mass} deviates from 1 beyond {MASS_TOLERANCE}")
     z1, z2 = sgrid.meshes()
     b = beta(z1, z2)
@@ -216,7 +207,7 @@ def _outflow_rate(drift: np.ndarray, axis: int, sgrid: SpaceGrid2D) -> float:
 def phev_cost(
     mu: tuple[np.ndarray, np.ndarray],
     m: np.ndarray,
-    prices: PhevPriceSeries,
+    r1: np.ndarray,
     params: PhevParams,
     tgrid: TimeGrid,
     sgrid: SpaceGrid2D,
@@ -230,8 +221,8 @@ def phev_cost(
     total = 0.0
     for i in range(tgrid.n_steps):
         stage = (
-            mu1[i] * prices.r1[i]
-            + mu2[i] * prices.r2
+            mu1[i] * r1[i]
+            + mu2[i] * params.r2
             + 0.5 * params.Q1[i] * mu1[i] ** 2
             + 0.5 * params.Q2[i] * mu2[i] ** 2
             + params.s_cost(t_nodes[i], z1, z2)
@@ -257,7 +248,7 @@ class PhevProblem:
             raise ValueError("m0 does not match the space grid")
         self.params.check_nodes(self.tgrid)
         mass = integrate(self.m0, self.sgrid)
-        if abs(mass - 1.0) > MASS_TOLERANCE:
+        if not abs(mass - 1.0) <= MASS_TOLERANCE:
             raise ValueError(f"initial density mass {mass} deviates from 1")
 
     @property
@@ -267,20 +258,14 @@ class PhevProblem:
     def initial_iterate(self) -> np.ndarray:
         return np.tile(self.m0, (self.tgrid.n_nodes, 1, 1))
 
-    def price(self, m: np.ndarray) -> PhevPriceSeries:
+    def price(self, m: np.ndarray) -> np.ndarray:
         return phev_price(m, self.params, self.sgrid, self.tgrid)
 
-    def hjb(self, p: PhevPriceSeries) -> np.ndarray:
-        return phev_hjb_backward_sweep(p, self.params, self.tgrid, self.sgrid)
+    def hjb(self, r1: np.ndarray) -> np.ndarray:
+        return phev_hjb_backward_sweep(r1, self.params, self.tgrid, self.sgrid)
 
-    def control(self, v: np.ndarray, p: PhevPriceSeries) -> tuple[np.ndarray, np.ndarray]:
-        return phev_optimal_controls(v, p, self.params, self.sgrid)
+    def control(self, v: np.ndarray, r1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return phev_optimal_controls(v, r1, self.params, self.sgrid)
 
     def fpk(self, mu: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         return phev_fpk_forward_sweep(mu, self.m0, self.params, self.tgrid, self.sgrid)
-
-    def cost(self, mu: tuple[np.ndarray, np.ndarray], m: np.ndarray, p: PhevPriceSeries) -> float:
-        return phev_cost(mu, m, p, self.params, self.tgrid, self.sgrid)
-
-    def price_deviation(self, a: PhevPriceSeries, b: PhevPriceSeries) -> float:
-        return max(float(np.abs(a.r1 - b.r1).max()), abs(a.r2 - b.r2))

@@ -9,9 +9,10 @@ battery packs).
 
 Exports are long-format CSV with a fixed column order and 17-significant-
 digit floats, so identical runs produce byte-identical CSV files. The run
-manifest records the scenario (resolved form and hash), solver version,
-grid sizes, convergence history and wall time; the wall time necessarily
-varies between runs, so bit-reproducibility is a property of the CSV set.
+manifest records the scenario (resolved form, hash and directory), solver
+version, grid sizes, convergence history and wall time; the wall time
+necessarily varies between runs, so bit-reproducibility is a property of
+the CSV set.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from importlib import resources
 from pathlib import Path
 
@@ -437,84 +440,46 @@ def _materialize_series(spec, tgrid: TimeGrid, base_dir: Path, fld: str) -> tupl
     return np.interp(tgrid.nodes, times, values), True
 
 
-def _make_cost_1d(spec: dict):
+def _make_cost(spec: dict):
+    """(running, terminal) cost of the state levels (x, or z1, z2)."""
     if spec["kind"] == "zero":
-        def running(t, x):
-            return np.zeros_like(x)
-
-        def terminal(x):
-            return np.zeros_like(x)
+        def terminal(*z):
+            return np.zeros_like(z[0])
     else:
         weight = spec["weight"]
         target = spec["target"]
 
-        def running(t, x):
-            return weight * (target - x) ** 2
+        def terminal(*z):
+            return weight * reduce(operator.sub, z, target) ** 2  # target - z1 - z2, in order
 
-        def terminal(x):
-            return weight * (target - x) ** 2
+    def running(t, *z):
+        return terminal(*z)
     return running, terminal
 
 
-def _make_cost_2d(spec: dict):
-    if spec["kind"] == "zero":
-        def running(t, z1, z2):
-            return np.zeros_like(z1)
-
-        def terminal(z1, z2):
-            return np.zeros_like(z1)
-    else:
-        weight = spec["weight"]
-        target = spec["target"]
-
-        def running(t, z1, z2):
-            return weight * (target - z1 - z2) ** 2
-
-        def terminal(z1, z2):
-            return weight * (target - z1 - z2) ** 2
-    return running, terminal
-
-
-def _normalize(values: np.ndarray, cell_volume: float, fld: str) -> np.ndarray:
-    total = values.sum() * cell_volume
-    if not total > 0.0:
-        raise ScenarioError(fld, "density has no mass on the grid")
-    return values / total
-
-
-def _initial_density_1d(spec: dict, sgrid: SpaceGrid1D, base_dir: Path) -> np.ndarray:
-    x = sgrid.nodes
+def _initial_density(spec: dict, sgrid: SpaceGrid1D | SpaceGrid2D, base_dir: Path) -> np.ndarray:
+    """Initial density on either grid, normalized to unit mass."""
+    axes = (sgrid.nodes,) if len(sgrid.shape) == 1 else sgrid.meshes()
     if spec["kind"] == "triangle":
-        values = np.maximum(0.0, 1.0 - np.abs(x - spec["center"]) / spec["halfwidth"])
+        values = np.maximum(0.0, 1.0 - np.abs(axes[0] - spec["center"]) / spec["halfwidth"])
     elif spec["kind"] == "truncated_gaussian":
-        values = np.exp(-((x - spec["mean"]) ** 2) / (2.0 * spec["variance"]))
+        mean = np.atleast_1d(spec["mean"])
+        values = np.exp(-sum((z - c) ** 2 for z, c in zip(axes, mean)) / (2.0 * spec["variance"]))
     else:
         path = base_dir / spec["csv"]
         if not path.exists():
             raise ScenarioError("initial_density.csv", f"file not found: {path}")
-        values = np.loadtxt(path, delimiter=",", ndmin=1)
-        if values.shape != sgrid.shape:
-            raise ScenarioError("initial_density.csv", f"expected {sgrid.n_cells} values, got {values.shape}")
-        if values.min() < 0.0:
-            raise ScenarioError("initial_density.csv", "histogram values must be nonnegative")
-    return _normalize(values, sgrid.cell_volume, "initial_density")
-
-
-def _initial_density_2d(spec: dict, sgrid: SpaceGrid2D, base_dir: Path) -> np.ndarray:
-    z1, z2 = sgrid.meshes()
-    if spec["kind"] == "truncated_gaussian":
-        m1, m2 = spec["mean"]
-        values = np.exp(-((z1 - m1) ** 2 + (z2 - m2) ** 2) / (2.0 * spec["variance"]))
-    else:
-        path = base_dir / spec["csv"]
-        if not path.exists():
-            raise ScenarioError("initial_density.csv", f"file not found: {path}")
-        values = np.loadtxt(path, delimiter=",", ndmin=2)
+        values = np.loadtxt(path, delimiter=",", ndmin=len(sgrid.shape))
         if values.shape != sgrid.shape:
             raise ScenarioError("initial_density.csv", f"expected shape {sgrid.shape}, got {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ScenarioError("initial_density.csv", "histogram values must be finite")
         if values.min() < 0.0:
             raise ScenarioError("initial_density.csv", "histogram values must be nonnegative")
-    return _normalize(values, sgrid.cell_volume, "initial_density")
+    total = values.sum() * sgrid.cell_volume
+    if not total > 0.0:
+        raise ScenarioError("initial_density", "density has no mass on the grid")
+    return values / total
 
 
 def build_problem(config: ScenarioConfig):
@@ -541,14 +506,14 @@ def build_problem(config: ScenarioConfig):
             raise ScenarioError("series.H", "must be positive everywhere")
         if np.any(sigma < 0.0):
             raise ScenarioError("series.sigma", "must be nonnegative")
-        f_run, _ = _make_cost_1d(data["costs"]["f"])
-        _, kappa = _make_cost_1d(data["costs"]["kappa"])
+        f_run, _ = _make_cost(data["costs"]["f"])
+        _, kappa = _make_cost(data["costs"]["kappa"])
         params = EvParams(
             g=g, sigma=sigma, H=h, d=d, f_cost=f_run, kappa=kappa,
             price_exponent=data["price"]["exponent"],
             demand_coupled=data["price"]["coupled"],
         )
-        m0 = _initial_density_1d(data["initial_density"], sgrid, config.base_dir)
+        m0 = _initial_density(data["initial_density"], sgrid, config.base_dir)
         problem = EvProblem(params=params, tgrid=tgrid, sgrid=sgrid, m0=m0, name=data["name"])
     else:
         n1, n2 = data["space"]["cells"]
@@ -560,13 +525,13 @@ def build_problem(config: ScenarioConfig):
             raise ScenarioError("series.Q1", "must be positive everywhere")
         if np.any(q2 <= 0.0):
             raise ScenarioError("series.Q2", "must be positive everywhere")
-        s_run, _ = _make_cost_2d(data["costs"]["s"])
-        _, xi = _make_cost_2d(data["costs"]["xi"])
+        s_run, _ = _make_cost(data["costs"]["s"])
+        _, xi = _make_cost(data["costs"]["xi"])
         params = PhevParams(
             g=g, Q1=q1, Q2=q2, r2=data["price"]["r2"],
             s_cost=s_run, xi=xi, price_offset=data["price"]["offset"],
         )
-        m0 = _initial_density_2d(data["initial_density"], sgrid, config.base_dir)
+        m0 = _initial_density(data["initial_density"], sgrid, config.base_dir)
         problem = PhevProblem(params=params, tgrid=tgrid, sgrid=sgrid, m0=m0, name=data["name"])
 
     options = SolverOptions(
@@ -623,6 +588,7 @@ def export_results(
     manifest = {
         "scenario": config.data,
         "scenario_hash": scenario_hash(config.data),
+        "scenario_dir": str(Path(config.base_dir).resolve()),
         "solver_version": _solver_version(),
         "model": config.model,
         "grid": {
@@ -665,7 +631,7 @@ def _export_ev(sol: MfeSolution, problem: EvProblem, out: Path, t: np.ndarray) -
     coords = _fmt_all(x)
     for name, values in (("m.csv", sol.m), ("v.csv", sol.v), ("alpha.csv", sol.alpha)):
         _write_rows(out / name, "t,x,value", coords, zip(leads, values))
-    _write_series_csv(out / "price.csv", "t,value", t, [np.asarray(sol.p)])
+    _write_series_csv(out / "price.csv", "t,value", t, [sol.p])
     _write_series_csv(out / "purchases.csv", "t,value", t, [purchases])
     _write_series_csv(out / "total_consumption.csv", "t,regulated,baseline", t, [regulated, baseline])
     return ["m.csv", "v.csv", "alpha.csv", "price.csv", "purchases.csv", "total_consumption.csv"]
@@ -680,7 +646,7 @@ def _export_phev(sol: MfeSolution, problem: PhevProblem, out: Path, t: np.ndarra
     coords = [f"{a},{b}" for a in s1 for b in s2]
     for name, values in (("m.csv", sol.m), ("v.csv", sol.v), ("mu1.csv", mu1), ("mu2.csv", mu2)):
         _write_rows(out / name, "t,z1,z2,value", coords, zip(leads, values))
-    _write_series_csv(out / "r1.csv", "t,value", t, [sol.p.r1])
+    _write_series_csv(out / "r1.csv", "t,value", t, [sol.p])
     ks = [int(np.argmin(np.abs(z2 - target))) for target in (0.5, 0.9)]
     sections = [(s2[k] + ",", np.stack([mu1[0, :, k], mu2[0, :, k]], axis=1)) for k in ks]
     _write_rows(out / "control_sections.csv", "z2,z1,mu1,mu2", s1, sections)

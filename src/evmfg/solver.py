@@ -26,7 +26,7 @@ the solution by about the final residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,7 +64,7 @@ class SolverOptions:
 class MfeSolution:
     v: np.ndarray
     m: np.ndarray
-    p: object
+    p: np.ndarray
     alpha: object
     residuals: list[float] = field(default_factory=list)
     converged: bool = False
@@ -107,7 +107,6 @@ def solve_mfe(model, options: SolverOptions | None = None) -> MfeSolution:
     vol = model.cell_volume
     m_prev = model.initial_iterate()
     p = model.price(m_prev)
-    x = _price_vector(p)
     history: list[tuple[np.ndarray, np.ndarray]] = []
     residuals: list[float] = []
     last_residual = np.inf
@@ -126,10 +125,9 @@ def solve_mfe(model, options: SolverOptions | None = None) -> MfeSolution:
         if residual > last_residual:
             history.clear()
         last_residual = residual
-        history.append((x, _price_vector(model.price(m_new)) - x))
+        history.append((p, model.price(m_new) - p))
         del history[:-ANDERSON_DEPTH]
-        x = _anderson_step(history, options.damping)
-        p = _with_price_vector(p, x)
+        p = _anderson_step(history, options.damping)
         m_prev = m_new
     # Final consistency pass: all stored fields derive from the final density.
     m_final = m_new
@@ -146,15 +144,6 @@ def solve_mfe(model, options: SolverOptions | None = None) -> MfeSolution:
         iterations=iterations,
         tol=options.tol,
     )
-
-
-def _price_vector(p) -> np.ndarray:
-    """The accelerated part of a price: the ev series, or the phev ``r1``."""
-    return p if isinstance(p, np.ndarray) else p.r1
-
-
-def _with_price_vector(p, x: np.ndarray):
-    return x if isinstance(p, np.ndarray) else replace(p, r1=x)
 
 
 def _anderson_step(history: list[tuple[np.ndarray, np.ndarray]], damping: float) -> np.ndarray:
@@ -211,7 +200,7 @@ def verify_solution(sol: MfeSolution, model, tol: float | None = None) -> Verify
     tol = sol.tol if tol is None else tol
     threshold = 10.0 * tol
     p_re = model.price(sol.m)
-    price_dev = model.price_deviation(p_re, sol.p)
+    price_dev = _max_field_dev(p_re, sol.p)
     alpha_re = model.control(sol.v, p_re)
     control_dev = _max_field_dev(alpha_re, sol.alpha)
     m_re = model.fpk(alpha_re)

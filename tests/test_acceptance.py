@@ -28,7 +28,7 @@ from evmfg import (
     verify_solution,
 )
 from evmfg.ev import EvParams
-from evmfg.phev import PhevParams, PhevPriceSeries
+from evmfg.phev import PhevParams
 
 from test_oracle import _enumerate_value, _flat_mdp
 
@@ -100,7 +100,7 @@ def _phev_closed_form_error(n_steps: int, n_cells: int) -> float:
         s_cost=lambda t, z1, z2: np.zeros_like(z1),
         xi=lambda z1, z2: -c * (z1 + z2),
     )
-    v = phev_hjb_backward_sweep(PhevPriceSeries(r1=r1, r2=r2), params, tg, sg)
+    v = phev_hjb_backward_sweep(r1, params, tg, sg)
     fine = np.linspace(0.0, 1.0, 20001)
     dens = (
         (np.interp(fine, tg.nodes, r1) - c) ** 2 / (2.0 * q1)
@@ -208,7 +208,7 @@ def test_criterion_05_peak_shaving(ev_run):
 
 
 def test_criterion_06_phev_price_level(phev_run):
-    r1_start = float(phev_run["solution"].p.r1[0])
+    r1_start = float(phev_run["solution"].p[0])
     wall = phev_run["wall_time"]
     ok = 0.65 <= r1_start <= 0.75 and wall < 120.0
     assert _report(
@@ -299,7 +299,7 @@ def test_criterion_09_hamiltonian_minimality(ev_run, phev_run):
         w2 = diff_central(sol2.v[i], problem2.sgrid, axis=1)
         q1 = problem2.params.Q1[i]
         q2 = problem2.params.Q2[i]
-        r1_i = sol2.p.r1[i]
+        r1_i = sol2.p[i]
         r2 = problem2.params.r2
 
         def ham2(a1, a2):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from evmfg import SCHEMA_TEXT, cli
+from evmfg import SCHEMA_TEXT, apply_overrides, cli, load_scenario, write_scenario
 
 
 QUICK_ARGS = ["--set", "time_steps=24", "--set", "space.cells=40"]
@@ -124,6 +124,62 @@ def test_verify_missing_dir_exit_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "manifest not found" in captured.err
+
+
+@pytest.fixture
+def csv_scenario_run(tmp_path, monkeypatch):
+    """A run of ``scn/s.yaml``, whose ``series.d`` is ``scn/d.csv``, made from tmp_path."""
+    scn = tmp_path / "scn"
+    scn.mkdir()
+    (scn / "d.csv").write_text("t,value\n0.0,0.6\n0.1,0.9\n0.2,0.7\n")
+    config = apply_overrides(load_scenario("ev_weekend"),
+                             ["time_steps=24", "space.cells=40", "series.d={csv: d.csv}"])
+    write_scenario(config, scn / "s.yaml")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", "scn/s.yaml", "--out", "out"]) == 0
+    return tmp_path / "out"
+
+
+def test_verify_and_oracle_read_scenario_csvs_from_the_scenario_dir(csv_scenario_run, capsys):
+    capsys.readouterr()
+    oracle = ["oracle", str(csv_scenario_run), "--agents", "20000"]
+    code = cli.main(oracle)
+    clean = capsys.readouterr().out
+    assert clean.startswith("dp value deviation:")
+    # a decoy d.csv in the working directory must not be read
+    Path("d.csv").write_text("t,value\n0.0,9.0\n0.2,9.0\n")
+    assert cli.main(["verify", str(csv_scenario_run)]) == 0
+    assert capsys.readouterr().out.startswith("PASS")
+    assert cli.main(oracle) == code
+    assert capsys.readouterr().out == clean
+
+
+def test_manifest_without_scenario_dir_reads_from_the_cwd(csv_scenario_run, capsys, monkeypatch):
+    manifest_path = csv_scenario_run / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert Path(manifest.pop("scenario_dir")) == (csv_scenario_run.parent / "scn").resolve()
+    manifest_path.write_text(json.dumps(manifest))
+    assert cli.main(["verify", str(csv_scenario_run)]) == 1
+    assert "series.d: file not found" in capsys.readouterr().err
+    monkeypatch.chdir(csv_scenario_run.parent / "scn")
+    assert cli.main(["verify", str(csv_scenario_run)]) == 0
+    assert capsys.readouterr().out.startswith("PASS")
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+@pytest.mark.parametrize("manifest", [{}, {"scenario": "ev_weekend"}, [], {"scenario": {}, "scenario_dir": 3}],
+                         ids=["no-scenario", "scenario-not-a-mapping", "not-an-object", "scenario_dir-not-a-path"])
+def test_malformed_manifest_is_named(quick_run, tmp_path, capsys, command, manifest):
+    copy = tmp_path / "run"
+    copy.mkdir()
+    for item in quick_run.iterdir():
+        (copy / item.name).write_bytes(item.read_bytes())
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    code = cli.main([command, str(copy)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: manifest.json: ")
+    assert captured.out == ""
 
 
 def _parse_oracle(out_text):

@@ -326,6 +326,19 @@ def test_fpk_rejects_unnormalized_m0():
         fpk_forward_sweep(np.zeros((6, 20)), m0, params, tgrid, sgrid)
 
 
+def test_non_finite_m0_is_rejected():
+    tgrid = TimeGrid(1.0, 5)
+    sgrid = SpaceGrid1D(20)
+    params = make_params(tgrid)
+    m0 = tent_density(sgrid, 0.5, 0.2)
+    for bad in (np.nan, np.inf):
+        m0[3] = bad
+        with pytest.raises(ValueError, match=f"initial density mass {bad}"):
+            EvProblem(params, tgrid, sgrid, m0)
+        with pytest.raises(ValueError, match=f"initial density mass {bad}"):
+            fpk_forward_sweep(np.zeros((6, 20)), m0, params, tgrid, sgrid)
+
+
 def test_fpk_divergence_reports_time_node():
     tgrid = TimeGrid(1.0, 5)
     sgrid = SpaceGrid1D(20)

@@ -390,7 +390,7 @@ def test_phev_dp_symmetric_under_axis_swap():
 def test_phev_mdp_uses_cell_centered_states():
     tg = TimeGrid(t1=0.5, n_steps=11)
     n = tg.n_nodes
-    from evmfg.phev import PhevParams, PhevPriceSeries
+    from evmfg.phev import PhevParams
 
     params = PhevParams(
         g=np.full(n, 0.2),
@@ -400,8 +400,7 @@ def test_phev_mdp_uses_cell_centered_states():
         s_cost=lambda t, z1, z2: 20.0 * (2.0 - z1 - z2) ** 2,
         xi=lambda z1, z2: 10.0 * (2.0 - z1 - z2) ** 2,
     )
-    prices = PhevPriceSeries(r1=np.full(n, 0.7), r2=0.7)
-    mdp = phev_mdp(params, tg, prices, n_states=8)
+    mdp = phev_mdp(params, tg, np.full(n, 0.7), n_states=8)
     assert mdp.states1[0] > 0.0 and mdp.states1[-1] < 1.0
     assert len(mdp.states1) == 8
     np.testing.assert_array_equal(mdp.states1, mdp.states2)

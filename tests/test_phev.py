@@ -1,4 +1,4 @@
-"""Two-pack (battery + range extender) model: split fraction, prices, 2D sweeps."""
+"""Two-pack (battery + range extender) model: split fraction, r1, 2D sweeps."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from evmfg import (
     PhevParams,
-    PhevPriceSeries,
+    PhevProblem,
     SpaceGrid2D,
     TimeGrid,
     beta,
@@ -87,9 +87,9 @@ def test_phev_price_stationary_symmetric():
     sgrid = SpaceGrid2D(16, 16)
     params = make_params(tgrid, g=0.2, offset=0.5)
     m = np.tile(gaussian_density(sgrid, (0.5, 0.5), 0.02), (tgrid.n_nodes, 1, 1))
-    prices = phev_price(m, params, sgrid, tgrid)
-    np.testing.assert_allclose(prices.r1, 0.6, rtol=1e-12)
-    assert prices.r2 == 0.7
+    r1 = phev_price(m, params, sgrid, tgrid)
+    assert r1.shape == (tgrid.n_nodes,)
+    np.testing.assert_allclose(r1, 0.6, rtol=1e-12)
 
 
 def test_phev_price_clamps_negative_demand():
@@ -97,8 +97,8 @@ def test_phev_price_clamps_negative_demand():
     sgrid = SpaceGrid2D(16, 16)
     params = make_params(tgrid, g=-0.2, offset=0.5)
     m = np.tile(gaussian_density(sgrid, (0.5, 0.5), 0.02), (tgrid.n_nodes, 1, 1))
-    prices = phev_price(m, params, sgrid, tgrid)
-    np.testing.assert_allclose(prices.r1, 0.5, rtol=1e-12)
+    r1 = phev_price(m, params, sgrid, tgrid)
+    np.testing.assert_allclose(r1, 0.5, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +109,10 @@ def test_controls_gradient_cancels_price():
     tgrid = TimeGrid(1.0, 3)
     sgrid = SpaceGrid2D(12, 12)
     params = make_params(tgrid, r2=0.7)
-    prices = PhevPriceSeries(np.full(tgrid.n_nodes, 0.9), 0.7)
+    r1 = np.full(tgrid.n_nodes, 0.9)
     z1, z2 = sgrid.meshes()
     v = np.tile(-0.7 * z2, (tgrid.n_nodes, 1, 1))
-    mu1, mu2 = phev_optimal_controls(v, prices, params, sgrid)
+    mu1, mu2 = phev_optimal_controls(v, r1, params, sgrid)
     np.testing.assert_allclose(mu2, 0.0, atol=1e-13)
 
 
@@ -120,9 +120,9 @@ def test_controls_flat_value():
     tgrid = TimeGrid(1.0, 3)
     sgrid = SpaceGrid2D(12, 12)
     params = make_params(tgrid, Q2=125.0, r2=0.7)
-    prices = PhevPriceSeries(np.full(tgrid.n_nodes, 0.7), 0.7)
+    r1 = np.full(tgrid.n_nodes, 0.7)
     v = np.zeros((tgrid.n_nodes, 12, 12))
-    mu1, mu2 = phev_optimal_controls(v, prices, params, sgrid)
+    mu1, mu2 = phev_optimal_controls(v, r1, params, sgrid)
     np.testing.assert_allclose(mu2, -0.0056, rtol=1e-12)
 
 
@@ -130,10 +130,10 @@ def test_controls_linear_value():
     tgrid = TimeGrid(1.0, 3)
     sgrid = SpaceGrid2D(12, 12)
     params = make_params(tgrid, Q1=125.0)
-    prices = PhevPriceSeries(np.full(tgrid.n_nodes, 0.7), 0.7)
+    r1 = np.full(tgrid.n_nodes, 0.7)
     z1, z2 = sgrid.meshes()
     v = np.tile(-1.2 * z1, (tgrid.n_nodes, 1, 1))
-    mu1, mu2 = phev_optimal_controls(v, prices, params, sgrid)
+    mu1, mu2 = phev_optimal_controls(v, r1, params, sgrid)
     np.testing.assert_allclose(mu1, 0.004, rtol=1e-12)
 
 
@@ -145,9 +145,8 @@ def test_phev_hjb_constant_solution():
     tgrid = TimeGrid(1.0, 6)
     sgrid = SpaceGrid2D(12, 12)
     c = 1.5
-    params = make_params(tgrid, g=0.2, xi=lambda z1, z2: np.full_like(z1, c))
-    prices = PhevPriceSeries(np.zeros(tgrid.n_nodes), 0.0)
-    v = phev_hjb_backward_sweep(prices, params, tgrid, sgrid)
+    params = make_params(tgrid, g=0.2, r2=0.0, xi=lambda z1, z2: np.full_like(z1, c))
+    v = phev_hjb_backward_sweep(np.zeros(tgrid.n_nodes), params, tgrid, sgrid)
     np.testing.assert_allclose(v, c, rtol=1e-13)
 
 
@@ -155,8 +154,8 @@ def test_phev_hjb_terminal_condition_exact():
     tgrid = TimeGrid(1.0, 4)
     sgrid = SpaceGrid2D(12, 12)
     params = make_params(tgrid, xi=lambda z1, z2: 10.0 * (2.0 - z1 - z2) ** 2)
-    prices = PhevPriceSeries(np.full(tgrid.n_nodes, 0.7), 0.7)
-    v = phev_hjb_backward_sweep(prices, params, tgrid, sgrid)
+    r1 = np.full(tgrid.n_nodes, 0.7)
+    v = phev_hjb_backward_sweep(r1, params, tgrid, sgrid)
     z1, z2 = sgrid.meshes()
     assert np.array_equal(v[-1], 10.0 * (2.0 - z1 - z2) ** 2)
 
@@ -170,8 +169,7 @@ def test_phev_hjb_linear_terminal_closed_form():
     params = make_params(
         tgrid, g=0.0, Q1=Q1, Q2=Q2, r2=r2, xi=lambda z1, z2: -c * (z1 + z2)
     )
-    prices = PhevPriceSeries(np.full(tgrid.n_nodes, r1), r2)
-    v = phev_hjb_backward_sweep(prices, params, tgrid, sgrid)
+    v = phev_hjb_backward_sweep(np.full(tgrid.n_nodes, r1), params, tgrid, sgrid)
     z1, z2 = sgrid.meshes()
     tail = (r1 - c) ** 2 / (2 * Q1) + (r2 - c) ** 2 / (2 * Q2)
     exact = -c * (z1 + z2)[None] - (T - tgrid.nodes)[:, None, None] * tail
@@ -192,8 +190,8 @@ def test_phev_hjb_symmetry():
         s_cost=lambda t, z1, z2: 20.0 * (2.0 - z1 - z2) ** 2,
         xi=lambda z1, z2: 10.0 * (2.0 - z1 - z2) ** 2,
     )
-    prices = PhevPriceSeries(np.full(tgrid.n_nodes, 0.7), 0.7)
-    v = phev_hjb_backward_sweep(prices, params, tgrid, sgrid)
+    r1 = np.full(tgrid.n_nodes, 0.7)
+    v = phev_hjb_backward_sweep(r1, params, tgrid, sgrid)
     for i in range(tgrid.n_nodes):
         assert float(np.abs(v[i] - v[i].T).max()) <= 1e-8
 
@@ -282,6 +280,20 @@ def test_phev_fpk_rejects_unnormalized_m0():
         phev_fpk_forward_sweep((np.zeros(shape), np.zeros(shape)), m0, params, tgrid, sgrid)
 
 
+def test_phev_non_finite_m0_is_rejected():
+    tgrid = TimeGrid(1.0, 4)
+    sgrid = SpaceGrid2D(12, 12)
+    params = make_params(tgrid)
+    m0 = gaussian_density(sgrid, (0.5, 0.5), 0.02)
+    shape = (tgrid.n_nodes, 12, 12)
+    for bad in (np.nan, np.inf):
+        m0[3, 4] = bad
+        with pytest.raises(ValueError, match=f"initial density mass {bad}"):
+            PhevProblem(params, tgrid, sgrid, m0)
+        with pytest.raises(ValueError, match=f"initial density mass {bad}"):
+            phev_fpk_forward_sweep((np.zeros(shape), np.zeros(shape)), m0, params, tgrid, sgrid)
+
+
 def test_conservative_form_matches_expanded_form():
     # one RHS evaluation: conservative upwind divergence vs the expanded
     # advective + zeroth-order form (with the beta divergence identity),
@@ -321,13 +333,13 @@ def test_phev_cost_terminal_only():
     tgrid = TimeGrid(1.0, 4)
     sgrid = SpaceGrid2D(16, 16)
     params = make_params(tgrid, xi=lambda z1, z2: 10.0 * (2.0 - z1 - z2) ** 2)
-    prices = PhevPriceSeries(np.full(tgrid.n_nodes, 0.7), 0.7)
+    r1 = np.full(tgrid.n_nodes, 0.7)
     m = np.tile(gaussian_density(sgrid, (0.4, 0.6), 0.02), (tgrid.n_nodes, 1, 1))
     shape = (tgrid.n_nodes, 16, 16)
     zero = (np.zeros(shape), np.zeros(shape))
     z1, z2 = sgrid.meshes()
     expected = float((params.xi(z1, z2) * m[-1]).sum() * sgrid.cell_volume)
-    assert phev_cost(zero, m, prices, params, tgrid, sgrid) == pytest.approx(
+    assert phev_cost(zero, m, r1, params, tgrid, sgrid) == pytest.approx(
         expected, rel=1e-12
     )
 
@@ -338,12 +350,12 @@ def test_phev_cost_full_reserves_corner():
     tgrid = TimeGrid(1.0, 4)
     sgrid = SpaceGrid2D(16, 16)
     params = make_params(tgrid, xi=lambda z1, z2: 10.0 * (2.0 - (z1 + z2)) ** 2)
-    prices = PhevPriceSeries(np.full(tgrid.n_nodes, 0.7), 0.7)
+    r1 = np.full(tgrid.n_nodes, 0.7)
     m = np.zeros((tgrid.n_nodes, 16, 16))
     m[:, -1, -1] = 1.0 / sgrid.cell_volume
     shape = (tgrid.n_nodes, 16, 16)
     zero = (np.zeros(shape), np.zeros(shape))
-    cost = phev_cost(zero, m, prices, params, tgrid, sgrid)
+    cost = phev_cost(zero, m, r1, params, tgrid, sgrid)
     corner = float(params.xi(sgrid.nodes1[-1], sgrid.nodes2[-1]))
     assert cost == pytest.approx(corner, rel=1e-12)
     assert cost < 0.05

@@ -20,6 +20,7 @@ from evmfg import (
     read_field_csv,
     read_series_csv,
     scenario_hash,
+    solve_mfe,
     validate_config,
     write_scenario,
 )
@@ -266,6 +267,70 @@ def test_histogram_density_from_csv(tmp_path):
     assert problem.m0[-1] == pytest.approx(3.0 * problem.m0[0])
 
 
+def _phev_histogram(tmp_path, values):
+    np.savetxt(tmp_path / "m0.csv", values, delimiter=",")
+    doc = _minimal_phev(initial_density={"kind": "histogram", "csv": "m0.csv"})
+    return ScenarioConfig(data=validate_config(doc), base_dir=tmp_path)
+
+
+def test_histogram_density_2d(tmp_path):
+    values = np.arange(64.0).reshape(8, 8) % 7
+    problem, _, _ = build_problem(_phev_histogram(tmp_path, values))
+    assert np.array_equal(problem.m0, values / (values.sum() * problem.sgrid.cell_volume))
+    assert integrate(problem.m0, problem.sgrid) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("values, message", [
+    (np.ones((8, 7)), r"expected shape \(8, 8\), got \(8, 7\)"),
+    (np.ones((8, 1)), r"expected shape \(8, 8\), got \(8, 1\)"),
+    (np.where(np.eye(8) > 0, -1.0, 1.0), "must be nonnegative"),
+    (np.where(np.eye(8) > 0, np.inf, 1.0), "must be finite"),
+    (np.where(np.eye(8) > 0, np.nan, 1.0), "must be finite"),
+])
+def test_histogram_density_2d_errors(tmp_path, values, message):
+    with pytest.raises(ScenarioError, match=rf"initial_density.csv: .*{message}"):
+        build_problem(_phev_histogram(tmp_path, values))
+
+
+def test_gaussian_density_matches_closed_form(tmp_path):
+    ev = _minimal_ev(initial_density={"kind": "truncated_gaussian", "mean": 0.37, "variance": 0.013})
+    problem, _, _ = build_problem(ScenarioConfig(data=validate_config(ev), base_dir=tmp_path))
+    x = problem.sgrid.nodes
+    values = np.exp(-((x - 0.37) ** 2) / (2.0 * 0.013))
+    assert np.array_equal(problem.m0, values / (values.sum() * problem.sgrid.dx))
+    problem, _, _ = build_problem(ScenarioConfig(data=validate_config(_minimal_phev()), base_dir=tmp_path))
+    z1, z2 = problem.sgrid.meshes()
+    values = np.exp(-((z1 - 0.4) ** 2 + (z2 - 0.6) ** 2) / (2.0 * 0.02))
+    assert np.array_equal(problem.m0, values / (values.sum() * problem.sgrid.cell_volume))
+
+
+def test_cost_presets_match_closed_forms(tmp_path):
+    problem, _, _ = build_problem(ScenarioConfig(data=validate_config(_minimal_ev()), base_dir=tmp_path))
+    x = problem.sgrid.nodes
+    assert np.array_equal(problem.params.f_cost(0.1, x), 1.0 * (1.0 - x) ** 2)
+    assert np.array_equal(problem.params.kappa(x), 1.0 * (1.0 - x) ** 2)
+    problem, _, _ = build_problem(ScenarioConfig(data=validate_config(_minimal_phev()), base_dir=tmp_path))
+    z1, z2 = problem.sgrid.meshes()
+    assert np.array_equal(problem.params.s_cost(0.1, z1, z2), 20.0 * (2.0 - z1 - z2) ** 2)
+    assert np.array_equal(problem.params.xi(z1, z2), 10.0 * (2.0 - z1 - z2) ** 2)
+
+
+def test_zero_cost_preset_on_both_grids(tmp_path):
+    zero = {"kind": "zero"}
+    ev = _minimal_ev(costs={"f": zero, "kappa": zero})
+    problem, options, _ = build_problem(ScenarioConfig(data=validate_config(ev), base_dir=tmp_path))
+    x = problem.sgrid.nodes
+    for values in (problem.params.f_cost(0.1, x), problem.params.kappa(x)):
+        assert values.shape == x.shape and not values.any()
+    assert solve_mfe(problem, options).converged
+    phev = _minimal_phev(costs={"s": zero, "xi": zero})
+    problem, options, _ = build_problem(ScenarioConfig(data=validate_config(phev), base_dir=tmp_path))
+    z1, z2 = problem.sgrid.meshes()
+    for values in (problem.params.s_cost(0.1, z1, z2), problem.params.xi(z1, z2)):
+        assert values.shape == z1.shape and not values.any()
+    assert solve_mfe(problem, options).converged
+
+
 # ---------------------------------------------------------------------------
 # overrides
 
@@ -361,7 +426,7 @@ def test_phev_csv_round_trip(phev_run, phev_run_dir):
     out = Path(phev_run_dir)
     np.testing.assert_array_equal(read_field_csv(out / "m.csv", shape), sol.m)
     np.testing.assert_array_equal(read_field_csv(out / "mu1.csv", shape), sol.alpha[0])
-    np.testing.assert_array_equal(read_series_csv(out / "r1.csv", sol.p.r1.size), sol.p.r1)
+    np.testing.assert_array_equal(read_series_csv(out / "r1.csv", sol.p.size), sol.p)
 
 
 def test_purchases_series_definition(ev_run, ev_run_dir):
@@ -461,7 +526,7 @@ def _reference_csv_set(sol, problem, model) -> dict[str, str]:
         "v.csv": field("t,z1,z2,value", coords, sol.v),
         "mu1.csv": field("t,z1,z2,value", coords, mu1),
         "mu2.csv": field("t,z1,z2,value", coords, mu2),
-        "r1.csv": series("t,value", [sol.p.r1]),
+        "r1.csv": series("t,value", [sol.p]),
         "control_sections.csv": "\n".join(sections) + "\n",
     }
 
@@ -471,18 +536,17 @@ def _reference_csv_set(sol, problem, model) -> dict[str, str]:
     ("phev_flat", ["time_steps=2", "space.cells=[4,5]"]),
 ])
 def test_export_bytes_match_per_number_format(name, overrides, tmp_path):
-    from evmfg import MfeSolution, PhevPriceSeries, export_results
+    from evmfg import MfeSolution, export_results
 
     config = apply_overrides(load_scenario(name), overrides)
     problem, _, _ = build_problem(config)
     shape = (problem.tgrid.n_nodes,) + problem.sgrid.shape
     n = problem.tgrid.n_nodes
     if config.model == "ev":
-        p, alpha = _awkward(n, 3), _awkward(shape, 2)
+        alpha = _awkward(shape, 2)
     else:
-        p = PhevPriceSeries(r1=_awkward(n, 3), r2=config.data["price"]["r2"])
         alpha = (_awkward(shape, 2), _awkward(shape, 5))
-    sol = MfeSolution(v=_awkward(shape, 1), m=_awkward(shape), p=p, alpha=alpha, converged=True)
+    sol = MfeSolution(v=_awkward(shape, 1), m=_awkward(shape), p=_awkward(n, 3), alpha=alpha, converged=True)
     export_results(sol, problem, config, tmp_path)
     for fname, text in _reference_csv_set(sol, problem, config.model).items():
         assert (tmp_path / fname).read_bytes() == text.encode(), fname
