@@ -27,9 +27,8 @@ from .numerics import (
     substep_count,
 )
 from .oracle import (
-    DiscreteMdp,
-    PhevMdp,
     dp_best_response,
+    dp_deviation,
     ev_mdp,
     mc_population,
     phev_mdp,
@@ -62,7 +61,7 @@ from .scenario import (
     validate_config,
     write_scenario,
 )
-from .solver import MfeSolution, SolverOptions, VerifyReport, solve_mfe, verify_solution
+from .solver import MfeSolution, SolverOptions, solve_mfe, verify_solution
 
 __version__ = "0.1.0"
 
@@ -97,14 +96,12 @@ __all__ = [
     "phev_cost",
     "SolverOptions",
     "MfeSolution",
-    "VerifyReport",
     "solve_mfe",
     "verify_solution",
-    "DiscreteMdp",
-    "PhevMdp",
     "ev_mdp",
     "phev_mdp",
     "dp_best_response",
+    "dp_deviation",
     "mc_population",
     "sample_density",
     "ScenarioConfig",

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DivergenceError, ScenarioError
-from .oracle import _bilinear, dp_best_response, ev_mdp, mc_population, phev_mdp
+from .oracle import dp_best_response, dp_deviation, ev_mdp, mc_population, phev_mdp
 from .scenario import (
     SCHEMA_TEXT,
     ScenarioConfig,
@@ -151,28 +151,23 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     sol, problem, config, _ = _load_run(Path(args.run_dir), ORACLE_FIELDS)
     if config.model == "ev":
         mdp = ev_mdp(problem.params, problem.tgrid, sol.p, n_states=args.states)
-        value, _ = dp_best_response(mdp)
-        v0 = np.interp(mdp.states, problem.sgrid.nodes, sol.v[0])
-        dp_dev = float(np.abs(value[0] - v0).max() / np.abs(v0).max())
-        hist = mc_population(sol.alpha, problem.m0, problem.params, problem.tgrid, problem.sgrid,
-                             n_agents=args.agents, seed=args.seed)
-        l1 = np.abs(hist - sol.m).sum(axis=1) * problem.sgrid.dx
-        mc_dist = float(l1.max())
-        print(f"dp value deviation: {dp_dev:.6g} (threshold {DP_THRESHOLD})")
-        print(f"mc density distance: {mc_dist:.6g} (threshold {MC_THRESHOLD})")
-        return 0 if dp_dev <= DP_THRESHOLD and mc_dist <= MC_THRESHOLD else 1
-    n_states = min(args.states, PHEV_MAX_STATES)
-    if n_states < args.states:
-        print(f"note: the 2D DP audit uses a {n_states}x{n_states} state lattice "
-              f"(--states {args.states} is capped at {PHEV_MAX_STATES})", file=sys.stderr)
-    mdp = phev_mdp(problem.params, problem.tgrid, sol.p, n_states=n_states)
+    else:
+        n_states = min(args.states, PHEV_MAX_STATES)
+        if n_states < args.states:
+            print(f"note: the 2D DP audit uses a {n_states}x{n_states} state lattice "
+                  f"(--states {args.states} is capped at {PHEV_MAX_STATES})", file=sys.stderr)
+        mdp = phev_mdp(problem.params, problem.tgrid, sol.p, n_states=n_states)
     value, _ = dp_best_response(mdp)
-    z1, z2 = np.meshgrid(mdp.states1, mdp.states2, indexing="ij")
-    v0 = _bilinear(sol.v[0], problem.sgrid.nodes1, problem.sgrid.nodes2, z1, z2)
-    dp_dev = float(np.abs(value[0] - v0).max() / np.abs(v0).max())
+    dp_dev = float(dp_deviation(mdp, value, sol.v, problem.sgrid).max())
     print(f"dp value deviation: {dp_dev:.6g} (threshold {DP_THRESHOLD})")
-    print("mc density distance: not applicable (2D model)")
-    return 0 if dp_dev <= DP_THRESHOLD else 1
+    if config.model != "ev":
+        print("mc density distance: not applicable (2D model)")
+        return 0 if dp_dev <= DP_THRESHOLD else 1
+    hist = mc_population(sol.alpha, problem.m0, problem.params, problem.tgrid, problem.sgrid,
+                         n_agents=args.agents, seed=args.seed)
+    mc_dist = float((np.abs(hist - sol.m).sum(axis=1) * problem.sgrid.dx).max())
+    print(f"mc density distance: {mc_dist:.6g} (threshold {MC_THRESHOLD})")
+    return 0 if dp_dev <= DP_THRESHOLD and mc_dist <= MC_THRESHOLD else 1
 
 
 def cmd_schema(_: argparse.Namespace) -> int:

@@ -22,6 +22,9 @@ reads the forward difference where the drift alpha - g is positive and the
 backward one where it is negative, and the wall ghost cells copy their
 neighbour, so a drift into a wall moves nothing and the walls reflect as in
 the zero-flux density sweep.
+
+The two-pack model in ``phev`` runs through the same sweep core below, which
+takes per-axis coefficients and returns the control with the value.
 """
 
 from __future__ import annotations
@@ -101,25 +104,125 @@ def ev_price(m: np.ndarray, params: EvParams, sgrid: SpaceGrid1D, tgrid: TimeGri
     return (inner + params.d) ** params.price_exponent
 
 
-def _hamiltonian(v, p, g, h, dx: float) -> tuple[np.ndarray, np.ndarray]:
-    """Monotone upwind Hamiltonian and its minimiser along the last axis.
+def _faces(axis: int) -> tuple[tuple, tuple]:
+    """Index tuples of the cells below and above each interior face along ``axis`` (>= 0)."""
+    return (slice(None),) * axis + (slice(None, -1),), (slice(None),) * axis + (slice(1, None),)
+
+
+def _hamiltonian(v, p, g, h, dx: float, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monotone upwind Hamiltonian and its minimiser along ``axis`` (>= 0).
 
     F = min_a [(a-g)+ D+v + (a-g)- D-v + a p + h a^2 / 2]. The wall ghost
     cells copy their neighbour (as in ``diff2``), so D-v is zero in the
     first cell and D+v in the last: the walls reflect. On a >= g only D+v
     enters, on a <= g only D-v, so each branch is a clipped quadratic and F
-    is the smaller of the two branch minima.
+    is the smaller of the two branch minima. The coefficients broadcast
+    against ``v``.
     """
+    lo, hi = _faces(axis)
     fwd = np.zeros_like(v)
-    fwd[..., :-1] = (v[..., 1:] - v[..., :-1]) / dx
+    fwd[lo] = (v[hi] - v[lo]) / dx
     bwd = np.zeros_like(v)
-    bwd[..., 1:] = fwd[..., :-1]
+    bwd[hi] = fwd[lo]
     a_up = np.maximum(-(fwd + p) / h, g)
     a_dn = np.minimum(-(bwd + p) / h, g)
     f_up = (a_up - g) * fwd + a_up * p + 0.5 * h * a_up ** 2
     f_dn = (a_dn - g) * bwd + a_dn * p + 0.5 * h * a_dn ** 2
     up = f_up < f_dn
     return np.where(up, f_up, f_dn), np.where(up, a_up, a_dn)
+
+
+def _hamiltonian_sum(v, axes, sgrid) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Sum of ``_hamiltonian`` over the axes, one ``(p, g, h)`` per axis, and each minimiser."""
+    ham, minimisers = None, []
+    for axis, (p, g, h) in enumerate(axes):
+        f, a = _hamiltonian(v, p, g, h, sgrid.spacing(axis), axis)
+        ham = f if ham is None else ham + f
+        minimisers.append(a)
+    return ham, minimisers
+
+
+def _backward_sweep(terminal, tgrid: TimeGrid, sgrid, coefficients) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Explicit backward value sweep of either model: (v, control).
+
+    ``coefficients(j)`` gives ``(axes, running, diff)`` at node j: the
+    ``_hamiltonian_sum`` terms, the running cost and sigma^2 g^2 (1D only).
+    Each step takes the right endpoint's coefficients and equal substeps
+    within the stability bound of the rate sum max|a - g| / dx + diff / dx^2,
+    so every substep is monotone. ``control[k][j]`` is axis k's minimiser on v[j].
+    """
+    v = np.empty((tgrid.n_nodes,) + sgrid.shape)
+    # One array per axis, not one block: freeing a block larger than a field
+    # lifts glibc's mmap threshold above the field size, later fields then
+    # come from the heap, and the 2D benchmark's peak RSS rose by 5%.
+    control = tuple(np.empty_like(v) for _ in sgrid.shape)
+    v[-1] = terminal
+    for i in range(tgrid.n_steps - 1, -1, -1):
+        j = i + 1
+        axes, running, diff = coefficients(j)
+        cur = v[j]
+        ham, minimisers = _hamiltonian_sum(cur, axes, sgrid)
+        rate = diff / sgrid.spacing(0) ** 2
+        for axis, ((_, g, _), a) in enumerate(zip(axes, minimisers)):
+            control[axis][j] = a
+            rate += float(np.abs(a - g).max()) / sgrid.spacing(axis)
+        if not np.isfinite(rate):
+            raise DivergenceError("non-finite coefficients in backward sweep", i)
+        n_sub = substep_count(tgrid.dt, rate)
+        dt_sub = tgrid.dt / n_sub
+        for k in range(n_sub):
+            if k:
+                ham, _ = _hamiltonian_sum(cur, axes, sgrid)
+            upd = ham + running
+            if diff > 0.0:
+                upd = upd + 0.5 * diff * diff2(cur, sgrid)
+            cur = cur + dt_sub * upd
+        if not np.all(np.isfinite(cur)):
+            raise DivergenceError("value slice is not finite", i)
+        v[i] = cur
+    for out, a in zip(control, _hamiltonian_sum(v[0], coefficients(0)[0], sgrid)[1]):
+        out[0] = a
+    return v, control
+
+
+def _outflow_rate(drift: np.ndarray, axis: int, sgrid) -> float:
+    """Worst-case per-cell outflow rate of the upwind flux along one axis."""
+    lo, hi = _faces(axis)
+    faces = 0.5 * (drift[lo] + drift[hi])
+    out = float(np.maximum(faces, 0.0).max(initial=0.0) + np.maximum(-faces, 0.0).max(initial=0.0))
+    return out / sgrid.spacing(axis)
+
+
+def _forward_sweep(m0: np.ndarray, tgrid: TimeGrid, sgrid, coefficients) -> np.ndarray:
+    """Explicit forward density sweep of either model.
+
+    ``coefficients(i)`` gives one drift field per axis and sigma^2 g^2 (1D
+    only) for the step leaving node i.
+    """
+    mass = integrate(np.asarray(m0, dtype=float), sgrid)
+    if not abs(mass - 1.0) <= MASS_TOLERANCE:
+        raise ValueError(f"initial density mass {mass} deviates from 1 beyond {MASS_TOLERANCE}")
+    m = np.empty((tgrid.n_nodes,) + sgrid.shape)
+    m[0] = _check_density_slice(np.asarray(m0, dtype=float).copy(), 0)
+    for i in range(tgrid.n_steps):
+        drifts, diff = coefficients(i)
+        rate = diff / sgrid.spacing(0) ** 2
+        for axis, drift in enumerate(drifts):
+            rate += _outflow_rate(drift, axis, sgrid)
+        if not np.isfinite(rate):
+            raise DivergenceError("non-finite drift in forward sweep", i + 1)
+        n_sub = substep_count(tgrid.dt, rate)
+        dt_sub = tgrid.dt / n_sub
+        cur = m[i]
+        for _ in range(n_sub):
+            upd = -diff_upwind(cur, drifts[0], sgrid, 0)
+            for axis in range(1, len(drifts)):
+                upd = upd - diff_upwind(cur, drifts[axis], sgrid, axis)
+            if diff > 0.0:
+                upd = upd + 0.5 * diff * diff2(cur, sgrid)
+            cur = cur + dt_sub * upd
+        m[i + 1] = _check_density_slice(cur, i + 1)
+    return m
 
 
 def optimal_control(v: np.ndarray, p: np.ndarray, params: EvParams, sgrid: SpaceGrid1D) -> np.ndarray:
@@ -135,48 +238,27 @@ def optimal_control(v: np.ndarray, p: np.ndarray, params: EvParams, sgrid: Space
     if v.shape[1:] != sgrid.shape:
         raise ValueError(f"value field shape {v.shape} does not match grid {sgrid.shape}")
     col = lambda series: np.asarray(series, dtype=float)[:, None]
-    _, alpha = _hamiltonian(v, col(p), col(params.g), col(params.H), sgrid.dx)
+    _, alpha = _hamiltonian(v, col(p), col(params.g), col(params.H), sgrid.dx, 1)
     return alpha
 
 
-def hjb_backward_sweep(p: np.ndarray, params: EvParams, tgrid: TimeGrid, sgrid: SpaceGrid1D) -> np.ndarray:
+def hjb_backward_sweep(
+    p: np.ndarray, params: EvParams, tgrid: TimeGrid, sgrid: SpaceGrid1D
+) -> tuple[np.ndarray, np.ndarray]:
     """Explicit backward sweep of the value function, v(T, .) = kappa.
 
-    Each step evaluates the right endpoint's coefficients and subdivides
-    into equal substeps with dt_sub (max|alpha - g| / dx + sigma^2 g^2 / dx^2)
-    within the stability bound, so every substep is monotone.
+    Returns (v, alpha), with alpha = ``optimal_control(v, p, params, sgrid)``.
     """
     params.check_nodes(tgrid)
     x = sgrid.nodes
-    dx = sgrid.dx
-    v = np.empty((tgrid.n_nodes, sgrid.n_cells))
-    v[-1] = params.kappa(x)
     t_nodes = tgrid.nodes
-    for i in range(tgrid.n_steps - 1, -1, -1):
-        j = i + 1
+
+    def coefficients(j):
         g = params.g[j]
-        diff = params.sigma[j] ** 2 * g ** 2  # twice the heat coefficient
-        h = params.H[j]
-        price = p[j]
-        f_slice = params.f_cost(t_nodes[j], x)
-        cur = v[j]
-        ham, alpha = _hamiltonian(cur, price, g, h, dx)
-        rate = float(np.abs(alpha - g).max()) / dx + diff / dx ** 2
-        if not np.isfinite(rate):
-            raise DivergenceError("non-finite coefficients in backward sweep", i)
-        n_sub = substep_count(tgrid.dt, rate)
-        dt_sub = tgrid.dt / n_sub
-        for k in range(n_sub):
-            if k:
-                ham, _ = _hamiltonian(cur, price, g, h, dx)
-            upd = ham + f_slice
-            if diff > 0.0:
-                upd = upd + 0.5 * diff * diff2(cur, sgrid)
-            cur = cur + dt_sub * upd
-        if not np.all(np.isfinite(cur)):
-            raise DivergenceError("value slice is not finite", i)
-        v[i] = cur
-    return v
+        return [(p[j], g, params.H[j])], params.f_cost(t_nodes[j], x), params.sigma[j] ** 2 * g ** 2
+
+    v, control = _backward_sweep(params.kappa(x), tgrid, sgrid, coefficients)
+    return v, control[0]
 
 
 def fpk_forward_sweep(
@@ -184,31 +266,12 @@ def fpk_forward_sweep(
 ) -> np.ndarray:
     """Explicit forward density transport under the drift alpha - g."""
     params.check_nodes(tgrid)
-    mass = integrate(np.asarray(m0, dtype=float), sgrid)
-    if not abs(mass - 1.0) <= MASS_TOLERANCE:
-        raise ValueError(f"initial density mass {mass} deviates from 1 beyond {MASS_TOLERANCE}")
-    dx = sgrid.dx
-    m = np.empty((tgrid.n_nodes, sgrid.n_cells))
-    m[0] = _check_density_slice(np.asarray(m0, dtype=float).copy(), 0)
-    for i in range(tgrid.n_steps):
+
+    def coefficients(i):
         g = params.g[i]
-        diff = params.sigma[i] ** 2 * g ** 2
-        drift = alpha[i] - g
-        faces = 0.5 * (drift[:-1] + drift[1:])
-        outflow = float(np.maximum(faces, 0.0).max(initial=0.0) + np.maximum(-faces, 0.0).max(initial=0.0))
-        rate = outflow / dx + diff / dx ** 2
-        if not np.isfinite(rate):
-            raise DivergenceError("non-finite drift in forward sweep", i + 1)
-        n_sub = substep_count(tgrid.dt, rate)
-        dt_sub = tgrid.dt / n_sub
-        cur = m[i]
-        for _ in range(n_sub):
-            upd = -diff_upwind(cur, drift, sgrid)
-            if diff > 0.0:
-                upd = upd + 0.5 * diff * diff2(cur, sgrid)
-            cur = cur + dt_sub * upd
-        m[i + 1] = _check_density_slice(cur, i + 1)
-    return m
+        return (alpha[i] - g,), params.sigma[i] ** 2 * g ** 2
+
+    return _forward_sweep(m0, tgrid, sgrid, coefficients)
 
 
 def ev_cost(
@@ -261,7 +324,7 @@ class EvProblem:
     def price(self, m: np.ndarray) -> np.ndarray:
         return ev_price(m, self.params, self.sgrid, self.tgrid)
 
-    def hjb(self, p: np.ndarray) -> np.ndarray:
+    def hjb(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return hjb_backward_sweep(p, self.params, self.tgrid, self.sgrid)
 
     def control(self, v: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -65,6 +65,9 @@ class SpaceGrid1D:
     def shape(self) -> tuple[int, ...]:
         return (self.n_cells,)
 
+    def spacing(self, axis: int) -> float:
+        return self.dx
+
 
 @dataclass(frozen=True)
 class SpaceGrid2D:

@@ -6,8 +6,9 @@ no-flux (reflecting) walls of the model:
 * ``diff_central``: second order in the interior, first-order one-sided at
   the two boundary cells (exact for affine slices at interior nodes). The
   one-sided wall rows impose no wall condition, so they do not reflect: a
-  value sweep built on them reads past the wall. The 1D value sweep uses
-  its own upwind differences with reflecting ghost cells instead.
+  value sweep built on them would read past the wall. No sweep uses it;
+  both value sweeps take upwind differences with reflecting ghost cells
+  (``ev._hamiltonian``), and tests keep it as a reference operator.
 * ``diff_upwind``: conservative upwind divergence of a flux ``drift * f``
   with zero flux through the walls; discrete mass is conserved exactly.
 * ``diff2``: 3-point second difference with Neumann ghost cells (ghost value

@@ -222,6 +222,19 @@ def _bilinear(table: np.ndarray, s1: np.ndarray, s2: np.ndarray, x1: np.ndarray,
     )
 
 
+def dp_deviation(mdp: DiscreteMdp | PhevMdp, dp_value: np.ndarray, v: np.ndarray, sgrid) -> np.ndarray:
+    """Relative time-0 deviation |V_dp - v| / max|v| at each DP lattice state.
+
+    ``dp_value`` is ``dp_best_response(mdp)``'s table and ``v`` the solver's
+    field, interpolated onto the lattice (``np.interp`` in 1D, bilinear in 2D).
+    """
+    if isinstance(mdp, PhevMdp):
+        v0 = _bilinear(v[0], sgrid.nodes1, sgrid.nodes2, mdp.states1[:, None], mdp.states2[None, :])
+    else:
+        v0 = np.interp(mdp.states, sgrid.nodes, v[0])
+    return np.abs(dp_value[0] - v0) / np.abs(v0).max()
+
+
 def _dp_phev(mdp: PhevMdp):
     if mdp.actions1.size == 0 or mdp.actions2.size == 0:
         raise ValueError("empty action set")

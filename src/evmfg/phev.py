@@ -23,9 +23,11 @@ The price series r1, one value per time node, is the only coupling between
 the vehicles, so it is what the operators pass around as a plain array. The
 fuel price r2 is an exogenous constant and lives only in ``PhevParams.r2``.
 
-Same explicit sweep structure as the 1D model; both directional term blocks
-of a (sub)step are evaluated on the entering slice, so the update treats z1
-and z2 symmetrically.
+The sweeps are the 1D model's sweep core in ``ev``. The Hamiltonian
+separates by pack: pack k's term is the 1D upwind Hamiltonian along axis k
+with g -> beta_k g, p -> r_k and H -> Q_k (beta_1 = beta, beta_2 = 1 - beta),
+so each pack reflects at its own walls as the battery does. Both terms of
+a (sub)step read the entering slice, which treats z1 and z2 symmetrically.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError
-from .ev import MASS_TOLERANCE, _check_density_slice
+from .ev import MASS_TOLERANCE, _backward_sweep, _forward_sweep, _hamiltonian_sum
 from .grids import SpaceGrid2D, TimeGrid
-from .numerics import diff_central, diff_upwind, integrate, mean_rate, substep_count
+from .numerics import integrate, mean_rate
+from .numerics import substep_count  # noqa: F401  (perfbench's trace rebinds it by name)
 
 
 def beta(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
@@ -100,66 +102,44 @@ def phev_price(m: np.ndarray, params: PhevParams, sgrid: SpaceGrid2D, tgrid: Tim
     return np.maximum(params.g * draw + rates, 0.0) + params.price_offset
 
 
+def _axes(r1: np.ndarray, params: PhevParams, b: np.ndarray, j: int) -> list:
+    """The packs' ``_hamiltonian_sum`` terms at time node j; ``b`` is beta on the grid."""
+    g = params.g[j]
+    return [(r1[j], b * g, params.Q1[j]), (params.r2, (1.0 - b) * g, params.Q2[j])]
+
+
 def phev_optimal_controls(
     v: np.ndarray, r1: np.ndarray, params: PhevParams, sgrid: SpaceGrid2D
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Recharge rates mu_k* = -(r_k + dv/dz_k) / Q_k, one field per pack."""
+    """Recharge rates mu_k*, the minimisers of the pack Hamiltonians, slice by slice.
+
+    Away from the walls mu_k* = -(r_k + dv/dz_k) / Q_k, differenced on the
+    side the pack's drift points to; a drift into a wall moves no charge.
+    """
+    b = beta(*sgrid.meshes())
     mu1 = np.empty_like(v)
     mu2 = np.empty_like(v)
     for i in range(v.shape[0]):
-        mu1[i] = -(r1[i] + diff_central(v[i], sgrid, axis=0)) / params.Q1[i]
-        mu2[i] = -(params.r2 + diff_central(v[i], sgrid, axis=1)) / params.Q2[i]
+        mu1[i], mu2[i] = _hamiltonian_sum(v[i], _axes(r1, params, b, i), sgrid)[1]
     return mu1, mu2
 
 
 def phev_hjb_backward_sweep(
     r1: np.ndarray, params: PhevParams, tgrid: TimeGrid, sgrid: SpaceGrid2D
-) -> np.ndarray:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Explicit backward value sweep, v(T, .) = xi.
 
-    Per substep both directional blocks (the z1 terms with price r1, the z2
-    terms with price r2) are formed from the entering slice and applied in
-    one update, keeping the scheme invariant under swapping the packs.
+    Returns (v, (mu1, mu2)), equal to ``phev_optimal_controls(v, r1, params, sgrid)``.
     """
     params.check_nodes(tgrid)
     z1, z2 = sgrid.meshes()
     b = beta(z1, z2)
-    v = np.empty((tgrid.n_nodes,) + sgrid.shape)
-    v[-1] = params.xi(z1, z2)
     t_nodes = tgrid.nodes
-    r2 = params.r2
-    for i in range(tgrid.n_steps - 1, -1, -1):
-        j = i + 1
-        g = params.g[j]
-        q1 = params.Q1[j]
-        q2 = params.Q2[j]
-        price = r1[j]
-        s_slice = params.s_cost(t_nodes[j], z1, z2)
-        w1 = diff_central(v[j], sgrid, axis=0)
-        w2 = diff_central(v[j], sgrid, axis=1)
-        speed1 = float(np.abs(b * g + (price + w1) / q1).max())
-        speed2 = float(np.abs((1.0 - b) * g + (r2 + w2) / q2).max())
-        rate = speed1 / sgrid.dz1 + speed2 / sgrid.dz2
-        if not np.isfinite(rate):
-            raise DivergenceError("non-finite coefficients in backward sweep", i)
-        n_sub = substep_count(tgrid.dt, rate)
-        dt_sub = tgrid.dt / n_sub
-        cur = v[j]
-        for _ in range(n_sub):
-            w1 = diff_central(cur, sgrid, axis=0)
-            w2 = diff_central(cur, sgrid, axis=1)
-            rhs = (
-                (price + w1) ** 2 / (2.0 * q1)
-                + b * g * w1
-                + (r2 + w2) ** 2 / (2.0 * q2)
-                + (1.0 - b) * g * w2
-                - s_slice
-            )
-            cur = cur - dt_sub * rhs
-        if not np.all(np.isfinite(cur)):
-            raise DivergenceError("value slice is not finite", i)
-        v[i] = cur
-    return v
+
+    def coefficients(j):
+        return _axes(r1, params, b, j), params.s_cost(t_nodes[j], z1, z2), 0.0
+
+    return _backward_sweep(params.xi(z1, z2), tgrid, sgrid, coefficients)
 
 
 def phev_fpk_forward_sweep(
@@ -172,36 +152,13 @@ def phev_fpk_forward_sweep(
     """Conservative upwind transport under (mu1 - beta g, mu2 - (1-beta) g)."""
     params.check_nodes(tgrid)
     mu1, mu2 = mu
-    mass = integrate(np.asarray(m0, dtype=float), sgrid)
-    if not abs(mass - 1.0) <= MASS_TOLERANCE:
-        raise ValueError(f"initial density mass {mass} deviates from 1 beyond {MASS_TOLERANCE}")
-    z1, z2 = sgrid.meshes()
-    b = beta(z1, z2)
-    m = np.empty((tgrid.n_nodes,) + sgrid.shape)
-    m[0] = _check_density_slice(np.asarray(m0, dtype=float).copy(), 0)
-    for i in range(tgrid.n_steps):
+    b = beta(*sgrid.meshes())
+
+    def coefficients(i):
         g = params.g[i]
-        drift1 = mu1[i] - b * g
-        drift2 = mu2[i] - (1.0 - b) * g
-        rate = _outflow_rate(drift1, 0, sgrid) + _outflow_rate(drift2, 1, sgrid)
-        if not np.isfinite(rate):
-            raise DivergenceError("non-finite drift in forward sweep", i + 1)
-        n_sub = substep_count(tgrid.dt, rate)
-        dt_sub = tgrid.dt / n_sub
-        cur = m[i]
-        for _ in range(n_sub):
-            upd = -diff_upwind(cur, drift1, sgrid, axis=0) - diff_upwind(cur, drift2, sgrid, axis=1)
-            cur = cur + dt_sub * upd
-        m[i + 1] = _check_density_slice(cur, i + 1)
-    return m
+        return (mu1[i] - b * g, mu2[i] - (1.0 - b) * g), 0.0
 
-
-def _outflow_rate(drift: np.ndarray, axis: int, sgrid: SpaceGrid2D) -> float:
-    """Worst-case per-cell outflow rate of the upwind flux along one axis."""
-    d = np.moveaxis(drift, axis, 0)
-    faces = 0.5 * (d[:-1] + d[1:])
-    out = float(np.maximum(faces, 0.0).max(initial=0.0) + np.maximum(-faces, 0.0).max(initial=0.0))
-    return out / sgrid.spacing(axis)
+    return _forward_sweep(m0, tgrid, sgrid, coefficients)
 
 
 def phev_cost(
@@ -261,7 +218,7 @@ class PhevProblem:
     def price(self, m: np.ndarray) -> np.ndarray:
         return phev_price(m, self.params, self.sgrid, self.tgrid)
 
-    def hjb(self, r1: np.ndarray) -> np.ndarray:
+    def hjb(self, r1: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         return phev_hjb_backward_sweep(r1, self.params, self.tgrid, self.sgrid)
 
     def control(self, v: np.ndarray, r1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,11 +7,11 @@ iterate is the price series: the ev price, or the phev grid price ``r1``
 keeps the acceleration history small.
 
 The first price is that of the initial density held constant in time. Each
-pass computes value, control and density from the current price; the
-residual is the time-sup of the per-slice L1 change between this density
-and the previous pass's (the initial iterate on the first pass), which is
-scale free because every slice has unit mass. The next price comes from
-type-II Anderson acceleration (Walker & Ni, SIAM J. Numer. Anal. 49(4),
+pass computes value and control (one sweep) and density from the current
+price; the residual is the time-sup of the per-slice L1 change between this
+density and the previous pass's (the initial iterate on the first pass),
+which is scale free because every slice has unit mass. The next price comes
+from type-II Anderson acceleration (Walker & Ni, SIAM J. Numer. Anal. 49(4),
 2011) over the last ``ANDERSON_DEPTH`` pairs of price and price update
 ``f = price(density) - price``. With fewer than two pairs it takes the
 plain step ``price + damping * f``; whenever the residual grows, the
@@ -114,8 +114,9 @@ def solve_mfe(model, options: SolverOptions | None = None) -> MfeSolution:
     iterations = 0
     m_new = m_prev
     for iterations in range(1, options.max_iters + 1):
-        v = model.hjb(p)
-        m_new = model.fpk(model.control(v, p))
+        # The loop keeps neither value nor control: the final pass recomputes
+        # both, and holding them through the next sweep raises peak memory.
+        m_new = model.fpk(model.hjb(p)[1])
         residual = _sup_l1(m_new, m_prev, vol)
         if options.record_history:
             residuals.append(residual)
@@ -132,8 +133,7 @@ def solve_mfe(model, options: SolverOptions | None = None) -> MfeSolution:
     # Final consistency pass: all stored fields derive from the final density.
     m_final = m_new
     p_final = model.price(m_final)
-    v_final = model.hjb(p_final)
-    alpha_final = model.control(v_final, p_final)
+    v_final, alpha_final = model.hjb(p_final)
     return MfeSolution(
         v=v_final,
         m=m_final,

@@ -15,8 +15,8 @@ from evmfg import (
     beta,
     beta_divergence,
     build_problem,
-    diff_central,
     dp_best_response,
+    dp_deviation,
     ev_mdp,
     ev_purchases,
     hjb_backward_sweep,
@@ -79,7 +79,7 @@ def _ev_closed_form_error(n_steps: int, n_cells: int) -> float:
         f_cost=lambda t, x: ((dphi(x) + price(t)) ** 2 - (price(t) - c) ** 2) / (2.0 * h),
         kappa=phi,
     )
-    v = hjb_backward_sweep(p, params, tg, sg)
+    v, _ = hjb_backward_sweep(p, params, tg, sg)
     # v(t,x) = phi(x) - integral_t^T (p(s)-c)^2 / (2H) ds, any p(t)
     fine = np.linspace(0.0, 1.0, 20001)
     dens = (np.interp(fine, tg.nodes, p) - c) ** 2 / (2.0 * h)
@@ -93,24 +93,36 @@ def _phev_closed_form_error(n_steps: int, n_cells: int) -> float:
     tg = TimeGrid(t1=1.0, n_steps=n_steps)
     sg = SpaceGrid2D(n1=n_cells, n2=n_cells)
     c, q1, q2, r2, g = 0.4, 125.0, 80.0, 0.7, 0.3
-    r1 = 0.9 + 0.2 * np.sin(2.0 * np.pi * tg.nodes)
+    price = lambda t: 0.9 + 0.2 * np.sin(2.0 * np.pi * t)
+    r1 = price(tg.nodes)
     n = tg.n_nodes
+    # phi' = -c (1 - cos 2 pi z) vanishes at both walls of each pack, so
+    # v = phi(z1) + phi(z2) - tail(t) below meets the reflecting wall
+    # condition; s cancels the z-dependence of the two pack Hamiltonians,
+    # min over mu of (mu - beta_k g) phi' + mu r_k + Q_k mu^2 / 2
+    phi = lambda z: -c * (z - np.sin(2.0 * np.pi * z) / (2.0 * np.pi))
+    dphi = lambda z: -c * (1.0 - np.cos(2.0 * np.pi * z))
+    dens = lambda t: (price(t) - c) ** 2 / (2.0 * q1) + (r2 - c) ** 2 / (2.0 * q2) - c * g
+
+    def s_cost(t, z1, z2):
+        b = beta(z1, z2)
+        return (
+            (dphi(z1) + price(t)) ** 2 / (2.0 * q1) + b * g * dphi(z1)
+            + (dphi(z2) + r2) ** 2 / (2.0 * q2) + (1.0 - b) * g * dphi(z2)
+            - dens(t)
+        )
+
     params = PhevParams(
         g=np.full(n, g), Q1=np.full(n, q1), Q2=np.full(n, q2), r2=r2,
-        s_cost=lambda t, z1, z2: np.zeros_like(z1),
-        xi=lambda z1, z2: -c * (z1 + z2),
+        s_cost=s_cost, xi=lambda z1, z2: phi(z1) + phi(z2),
     )
-    v = phev_hjb_backward_sweep(r1, params, tg, sg)
+    v, _ = phev_hjb_backward_sweep(r1, params, tg, sg)
     fine = np.linspace(0.0, 1.0, 20001)
-    dens = (
-        (np.interp(fine, tg.nodes, r1) - c) ** 2 / (2.0 * q1)
-        + (r2 - c) ** 2 / (2.0 * q2)
-        - c * g
-    )
-    cum = np.concatenate(([0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(fine))))
+    dense = dens(fine)
+    cum = np.concatenate(([0.0], np.cumsum((dense[1:] + dense[:-1]) * 0.5 * np.diff(fine))))
     tail = np.interp(tg.nodes, fine, cum[-1] - cum)
     z1, z2 = sg.meshes()
-    exact = -c * (z1 + z2)[None] - tail[:, None, None]
+    exact = (phi(z1) + phi(z2))[None] - tail[:, None, None]
     return float(np.abs(v - exact).max())
 
 
@@ -140,8 +152,7 @@ def test_criterion_03_dp_cross_validation(ev_run):
     sol, problem = ev_run["solution"], ev_run["problem"]
     mdp = ev_mdp(problem.params, problem.tgrid, sol.p, n_states=20)
     value, _ = dp_best_response(mdp)
-    v0 = np.interp(mdp.states, problem.sgrid.nodes, sol.v[0])
-    dev = np.abs(value[0] - v0) / np.abs(v0).max()
+    dev = dp_deviation(mdp, value, sol.v, problem.sgrid)
     dp_ok = bool(dev.max() <= 0.02)
 
     enum_ok = True
@@ -294,18 +305,32 @@ def test_criterion_09_hamiltonian_minimality(ev_run, phev_run):
 
     sol2, problem2 = phev_run["solution"], phev_run["problem"]
     mu1, mu2 = sol2.alpha
+    b = beta(*problem2.sgrid.meshes())
     for i in range(sol2.v.shape[0]):
-        w1 = diff_central(sol2.v[i], problem2.sgrid, axis=0)
-        w2 = diff_central(sol2.v[i], problem2.sgrid, axis=1)
+        # the same upwind one-sided differences along each pack's axis, with
+        # reflecting ghost cells at both walls of each pack
+        fwd1 = np.zeros_like(sol2.v[i])
+        fwd1[:-1] = np.diff(sol2.v[i], axis=0) / problem2.sgrid.dz1
+        bwd1 = np.zeros_like(fwd1)
+        bwd1[1:] = fwd1[:-1]
+        fwd2 = np.zeros_like(sol2.v[i])
+        fwd2[:, :-1] = np.diff(sol2.v[i], axis=1) / problem2.sgrid.dz2
+        bwd2 = np.zeros_like(fwd2)
+        bwd2[:, 1:] = fwd2[:, :-1]
+        g1 = b * problem2.params.g[i]
+        g2 = (1.0 - b) * problem2.params.g[i]
         q1 = problem2.params.Q1[i]
         q2 = problem2.params.Q2[i]
         r1_i = sol2.p[i]
         r2 = problem2.params.r2
 
         def ham2(a1, a2):
+            d1 = a1 - g1
+            d2 = a2 - g2
             return (
                 a1 * r1_i + a2 * r2 + 0.5 * q1 * a1 ** 2 + 0.5 * q2 * a2 ** 2
-                + a1 * w1 + a2 * w2
+                + np.maximum(d1, 0.0) * fwd1 + np.minimum(d1, 0.0) * bwd1
+                + np.maximum(d2, 0.0) * fwd2 + np.minimum(d2, 0.0) * bwd2
             )
 
         base = ham2(mu1[i], mu2[i])

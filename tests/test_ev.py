@@ -140,7 +140,7 @@ def test_hjb_constant_solution():
     sgrid = SpaceGrid1D(25)
     c = 2.5
     params = make_params(tgrid, g=0.3, sigma=0.1, kappa=lambda x: np.full_like(x, c))
-    v = hjb_backward_sweep(np.zeros(tgrid.n_nodes), params, tgrid, sgrid)
+    v, _ = hjb_backward_sweep(np.zeros(tgrid.n_nodes), params, tgrid, sgrid)
     np.testing.assert_allclose(v, c, rtol=1e-13)
 
 
@@ -148,8 +148,24 @@ def test_hjb_terminal_condition_exact():
     tgrid = TimeGrid(1.0, 5)
     sgrid = SpaceGrid1D(25)
     params = make_params(tgrid, kappa=lambda x: (1.0 - x) ** 2)
-    v = hjb_backward_sweep(np.ones(tgrid.n_nodes), params, tgrid, sgrid)
+    v, _ = hjb_backward_sweep(np.ones(tgrid.n_nodes), params, tgrid, sgrid)
     assert np.array_equal(v[-1], (1.0 - sgrid.nodes) ** 2)
+
+
+@pytest.mark.parametrize("sigma,H", [(0.0, 30.0), (1.0, 0.5)], ids=["smooth", "substepped"])
+def test_hjb_sweep_control_is_optimal_control(sigma, H):
+    # the sweep's control at node j is the minimiser it evaluates on v[j],
+    # exactly what optimal_control recomputes from the returned value, also
+    # when a step takes many substeps (sigma = 1 on 100 cells)
+    tgrid = TimeGrid(1.0, 12)
+    sgrid = SpaceGrid1D(100)
+    params = make_params(
+        tgrid, g=0.4, sigma=sigma, H=H,
+        f_cost=lambda t, x: 3.0 * (1.0 - x) ** 2 * (1.0 + t), kappa=lambda x: 2.0 * (1.0 - x) ** 2,
+    )
+    p = 1.0 + 0.5 * np.sin(2.0 * np.pi * tgrid.nodes)
+    v, alpha = hjb_backward_sweep(p, params, tgrid, sgrid)
+    assert np.array_equal(alpha, optimal_control(v, p, params, sgrid))
 
 
 def closed_form_error(n_steps, n_cells, k=0.5, f0=0.3, p0=1.2, H=2.0, T=1.0):
@@ -160,7 +176,7 @@ def closed_form_error(n_steps, n_cells, k=0.5, f0=0.3, p0=1.2, H=2.0, T=1.0):
         tgrid, g=0.0, sigma=0.0, H=H,
         f_cost=lambda t, x: np.full_like(x, f0), kappa=lambda x: np.full_like(x, k),
     )
-    v = hjb_backward_sweep(np.full(tgrid.n_nodes, p0), params, tgrid, sgrid)
+    v, _ = hjb_backward_sweep(np.full(tgrid.n_nodes, p0), params, tgrid, sgrid)
     exact = k + (T - tgrid.nodes)[:, None] * (f0 - p0 ** 2 / (2 * H))
     return float(np.abs(v - exact).max())
 
@@ -190,7 +206,7 @@ def reflecting_closed_form_errors(g, c=0.5, H=2.0, T=1.0):
             tgrid, g=g, sigma=0.0, H=H, kappa=phi,
             f_cost=lambda t, x: ((dphi(x) + price(t)) ** 2 - (price(t) - c) ** 2) / (2 * H) + g * dphi(x),
         )
-        v = hjb_backward_sweep(p, params, tgrid, sgrid)
+        v, _ = hjb_backward_sweep(p, params, tgrid, sgrid)
         # dense trapezoid evaluation of the remaining-cost integral
         tt = np.linspace(0.0, T, 20001)
         dense = (price(tt) - c) ** 2 / (2 * H)
@@ -224,7 +240,7 @@ def test_hjb_discrete_residual():
         kappa=lambda x: (1.0 - x) ** 2,
     )
     p = np.full(tgrid.n_nodes, 0.5)
-    v = hjb_backward_sweep(p, params, tgrid, sgrid)
+    v, _ = hjb_backward_sweep(p, params, tgrid, sgrid)
     worst = 0.0
     for i in range(tgrid.n_steps):
         j = i + 1

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from evmfg import (
     SpaceGrid1D,
     TimeGrid,
+    cli,
     dp_best_response,
+    dp_deviation,
     ev_mdp,
     integrate,
     mc_population,
@@ -300,6 +302,17 @@ def _flat_phev_mdp(
         s_cost=s_cost,
         xi=xi,
     )
+
+
+def test_phev_dp_audit_of_the_bundled_run(phev_run):
+    # the 2D audit `evmfg oracle` runs on phev_flat: the DP best response on
+    # the capped lattice against the solver's value, within the CLI bound
+    sol, problem = phev_run["solution"], phev_run["problem"]
+    mdp = phev_mdp(problem.params, problem.tgrid, sol.p, n_states=cli.PHEV_MAX_STATES)
+    value, _ = dp_best_response(mdp)
+    dev = dp_deviation(mdp, value, sol.v, problem.sgrid)
+    assert dev.shape == (cli.PHEV_MAX_STATES, cli.PHEV_MAX_STATES)
+    assert float(dev.max()) <= cli.DP_THRESHOLD
 
 
 def test_phev_dp_constant_terminal():

@@ -113,7 +113,9 @@ def test_controls_gradient_cancels_price():
     z1, z2 = sgrid.meshes()
     v = np.tile(-0.7 * z2, (tgrid.n_nodes, 1, 1))
     mu1, mu2 = phev_optimal_controls(v, r1, params, sgrid)
-    np.testing.assert_allclose(mu2, 0.0, atol=1e-13)
+    np.testing.assert_allclose(mu2[:, :, 1:], 0.0, atol=1e-13)
+    # the reflecting empty z2 wall: a sale moves no charge, so it is paid at -r2/Q2
+    np.testing.assert_allclose(mu2[:, :, 0], -0.0056, rtol=1e-12)
 
 
 def test_controls_flat_value():
@@ -134,7 +136,8 @@ def test_controls_linear_value():
     z1, z2 = sgrid.meshes()
     v = np.tile(-1.2 * z1, (tgrid.n_nodes, 1, 1))
     mu1, mu2 = phev_optimal_controls(v, r1, params, sgrid)
-    np.testing.assert_allclose(mu1, 0.004, rtol=1e-12)
+    np.testing.assert_allclose(mu1[:, 1:], 0.004, rtol=1e-12)
+    np.testing.assert_allclose(mu1[:, 0], -0.0056, rtol=1e-12)  # empty z1 wall: -r1/Q1
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +149,7 @@ def test_phev_hjb_constant_solution():
     sgrid = SpaceGrid2D(12, 12)
     c = 1.5
     params = make_params(tgrid, g=0.2, r2=0.0, xi=lambda z1, z2: np.full_like(z1, c))
-    v = phev_hjb_backward_sweep(np.zeros(tgrid.n_nodes), params, tgrid, sgrid)
+    v, _ = phev_hjb_backward_sweep(np.zeros(tgrid.n_nodes), params, tgrid, sgrid)
     np.testing.assert_allclose(v, c, rtol=1e-13)
 
 
@@ -155,24 +158,25 @@ def test_phev_hjb_terminal_condition_exact():
     sgrid = SpaceGrid2D(12, 12)
     params = make_params(tgrid, xi=lambda z1, z2: 10.0 * (2.0 - z1 - z2) ** 2)
     r1 = np.full(tgrid.n_nodes, 0.7)
-    v = phev_hjb_backward_sweep(r1, params, tgrid, sgrid)
+    v, _ = phev_hjb_backward_sweep(r1, params, tgrid, sgrid)
     z1, z2 = sgrid.meshes()
     assert np.array_equal(v[-1], 10.0 * (2.0 - z1 - z2) ** 2)
 
 
 def test_phev_hjb_linear_terminal_closed_form():
-    # g = 0 keeps the gradients uniform; backward Euler is exact because
-    # the RHS is constant: v = -c(z1+z2) - (T-t)[(r1-c)^2/(2 Q1) + (r2-c)^2/(2 Q2)]
-    c, r1, r2, Q1, Q2, T = 0.4, 0.9, 0.7, 125.0, 80.0, 1.0
+    # a flat value keeps the RHS constant, so backward Euler is exact here
+    # (sloped affine data cannot stay exact beside a reflecting wall), for
+    # any drain g: v = k + (T-t)[s0 - r1^2/(2 Q1) - r2^2/(2 Q2)]
+    k, s0, r1, r2, Q1, Q2, T = 0.4, 0.3, 0.9, 0.7, 125.0, 80.0, 1.0
     tgrid = TimeGrid(T, 10)
     sgrid = SpaceGrid2D(12, 12)
     params = make_params(
-        tgrid, g=0.0, Q1=Q1, Q2=Q2, r2=r2, xi=lambda z1, z2: -c * (z1 + z2)
+        tgrid, g=0.2, Q1=Q1, Q2=Q2, r2=r2,
+        s_cost=lambda t, z1, z2: np.full_like(z1, s0), xi=lambda z1, z2: np.full_like(z1, k),
     )
-    v = phev_hjb_backward_sweep(np.full(tgrid.n_nodes, r1), params, tgrid, sgrid)
-    z1, z2 = sgrid.meshes()
-    tail = (r1 - c) ** 2 / (2 * Q1) + (r2 - c) ** 2 / (2 * Q2)
-    exact = -c * (z1 + z2)[None] - (T - tgrid.nodes)[:, None, None] * tail
+    v, _ = phev_hjb_backward_sweep(np.full(tgrid.n_nodes, r1), params, tgrid, sgrid)
+    tail = s0 - r1 ** 2 / (2 * Q1) - r2 ** 2 / (2 * Q2)
+    exact = k + (T - tgrid.nodes)[:, None, None] * tail
     assert float(np.abs(v - exact).max()) < 1e-12
 
 
@@ -191,9 +195,18 @@ def test_phev_hjb_symmetry():
         xi=lambda z1, z2: 10.0 * (2.0 - z1 - z2) ** 2,
     )
     r1 = np.full(tgrid.n_nodes, 0.7)
-    v = phev_hjb_backward_sweep(r1, params, tgrid, sgrid)
+    v, _ = phev_hjb_backward_sweep(r1, params, tgrid, sgrid)
     for i in range(tgrid.n_nodes):
         assert float(np.abs(v[i] - v[i].T).max()) <= 1e-8
+
+
+def test_phev_hjb_sweep_controls_are_optimal_controls(phev_run):
+    # the sweep's controls at node j are the pack minimisers it evaluates on
+    # v[j], exactly what phev_optimal_controls recomputes slice by slice
+    sol, problem = phev_run["solution"], phev_run["problem"]
+    v, (mu1, mu2) = phev_hjb_backward_sweep(sol.p, problem.params, problem.tgrid, problem.sgrid)
+    re1, re2 = phev_optimal_controls(v, sol.p, problem.params, problem.sgrid)
+    assert np.array_equal(mu1, re1) and np.array_equal(mu2, re2)
 
 
 # ---------------------------------------------------------------------------
