@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .grids import SpaceGrid1D, TimeGrid
-from .numerics import diff2, diff_upwind, integrate, mean_rate, substep_count
+from .numerics import AxisIndex, axis_index, diff2, diff_upwind, integrate, mean_rate, substep_count
 from .numerics import diff_central  # noqa: F401  (perfbench's trace rebinds it by name)
 
 # Roundoff negativity is clamped; anything beyond this is a scheme failure.
@@ -104,13 +104,13 @@ def ev_price(m: np.ndarray, params: EvParams, sgrid: SpaceGrid1D, tgrid: TimeGri
     return (inner + params.d) ** params.price_exponent
 
 
-def _faces(axis: int) -> tuple[tuple, tuple]:
-    """Index tuples of the cells below and above each interior face along ``axis`` (>= 0)."""
-    return (slice(None),) * axis + (slice(None, -1),), (slice(None),) * axis + (slice(1, None),)
+def _geometry(sgrid) -> list[tuple[float, AxisIndex]]:
+    """Spacing and ``axis_index`` of every axis of the grid, worked out once per sweep."""
+    return [(sgrid.spacing(axis), axis_index(axis)) for axis in range(len(sgrid.shape))]
 
 
-def _hamiltonian(v, p, g, h, dx: float, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Monotone upwind Hamiltonian and its minimiser along ``axis`` (>= 0).
+def _hamiltonian(v, p, g, h, dx: float, at: AxisIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Monotone upwind Hamiltonian and its minimiser along the axis that ``at`` indexes.
 
     F = min_a [(a-g)+ D+v + (a-g)- D-v + a p + h a^2 / 2]. The wall ghost
     cells copy their neighbour (as in ``diff2``), so D-v is zero in the
@@ -119,11 +119,10 @@ def _hamiltonian(v, p, g, h, dx: float, axis: int) -> tuple[np.ndarray, np.ndarr
     is the smaller of the two branch minima. The coefficients broadcast
     against ``v``.
     """
-    lo, hi = _faces(axis)
-    fwd = np.zeros_like(v)
-    fwd[lo] = (v[hi] - v[lo]) / dx
-    bwd = np.zeros_like(v)
-    bwd[hi] = fwd[lo]
+    fwd = np.zeros(v.shape)
+    fwd[at.lo] = (v[at.hi] - v[at.lo]) / dx
+    bwd = np.zeros(v.shape)
+    bwd[at.hi] = fwd[at.lo]
     a_up = np.maximum(-(fwd + p) / h, g)
     a_dn = np.minimum(-(bwd + p) / h, g)
     f_up = (a_up - g) * fwd + a_up * p + 0.5 * h * a_up ** 2
@@ -132,11 +131,14 @@ def _hamiltonian(v, p, g, h, dx: float, axis: int) -> tuple[np.ndarray, np.ndarr
     return np.where(up, f_up, f_dn), np.where(up, a_up, a_dn)
 
 
-def _hamiltonian_sum(v, axes, sgrid) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Sum of ``_hamiltonian`` over the axes, one ``(p, g, h)`` per axis, and each minimiser."""
+def _hamiltonian_sum(v, axes, geometry) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Sum of ``_hamiltonian`` over the axes, one ``(p, g, h)`` per axis, and each minimiser.
+
+    ``geometry`` is the grid's ``_geometry``.
+    """
     ham, minimisers = None, []
-    for axis, (p, g, h) in enumerate(axes):
-        f, a = _hamiltonian(v, p, g, h, sgrid.spacing(axis), axis)
+    for (p, g, h), (dx, at) in zip(axes, geometry):
+        f, a = _hamiltonian(v, p, g, h, dx, at)
         ham = f if ham is None else ham + f
         minimisers.append(a)
     return ham, minimisers
@@ -157,40 +159,42 @@ def _backward_sweep(terminal, tgrid: TimeGrid, sgrid, coefficients) -> tuple[np.
     # come from the heap, and the 2D benchmark's peak RSS rose by 5%.
     control = tuple(np.empty_like(v) for _ in sgrid.shape)
     v[-1] = terminal
+    geometry = _geometry(sgrid)
+    dx2 = sgrid.spacing(0) ** 2
     for i in range(tgrid.n_steps - 1, -1, -1):
         j = i + 1
         axes, running, diff = coefficients(j)
         cur = v[j]
-        ham, minimisers = _hamiltonian_sum(cur, axes, sgrid)
-        rate = diff / sgrid.spacing(0) ** 2
-        for axis, ((_, g, _), a) in enumerate(zip(axes, minimisers)):
-            control[axis][j] = a
-            rate += float(np.abs(a - g).max()) / sgrid.spacing(axis)
+        ham, minimisers = _hamiltonian_sum(cur, axes, geometry)
+        rate = diff / dx2
+        for out, (_, g, _), a, (dx, _) in zip(control, axes, minimisers, geometry):
+            out[j] = a
+            rate += float(np.abs(a - g).max()) / dx
         if not np.isfinite(rate):
             raise DivergenceError("non-finite coefficients in backward sweep", i)
         n_sub = substep_count(tgrid.dt, rate)
         dt_sub = tgrid.dt / n_sub
+        half_diff = 0.5 * diff
         for k in range(n_sub):
             if k:
-                ham, _ = _hamiltonian_sum(cur, axes, sgrid)
+                ham, _ = _hamiltonian_sum(cur, axes, geometry)
             upd = ham + running
             if diff > 0.0:
-                upd = upd + 0.5 * diff * diff2(cur, sgrid)
+                upd = upd + half_diff * diff2(cur, sgrid)
             cur = cur + dt_sub * upd
         if not np.all(np.isfinite(cur)):
             raise DivergenceError("value slice is not finite", i)
         v[i] = cur
-    for out, a in zip(control, _hamiltonian_sum(v[0], coefficients(0)[0], sgrid)[1]):
+    for out, a in zip(control, _hamiltonian_sum(v[0], coefficients(0)[0], geometry)[1]):
         out[0] = a
     return v, control
 
 
-def _outflow_rate(drift: np.ndarray, axis: int, sgrid) -> float:
-    """Worst-case per-cell outflow rate of the upwind flux along one axis."""
-    lo, hi = _faces(axis)
-    faces = 0.5 * (drift[lo] + drift[hi])
+def _outflow_rate(drift: np.ndarray, dx: float, at: AxisIndex) -> float:
+    """Worst-case per-cell outflow rate of the upwind flux along the axis that ``at`` indexes."""
+    faces = 0.5 * (drift[at.lo] + drift[at.hi])
     out = float(np.maximum(faces, 0.0).max(initial=0.0) + np.maximum(-faces, 0.0).max(initial=0.0))
-    return out / sgrid.spacing(axis)
+    return out / dx
 
 
 def _forward_sweep(m0: np.ndarray, tgrid: TimeGrid, sgrid, coefficients) -> np.ndarray:
@@ -204,22 +208,25 @@ def _forward_sweep(m0: np.ndarray, tgrid: TimeGrid, sgrid, coefficients) -> np.n
         raise ValueError(f"initial density mass {mass} deviates from 1 beyond {MASS_TOLERANCE}")
     m = np.empty((tgrid.n_nodes,) + sgrid.shape)
     m[0] = _check_density_slice(np.asarray(m0, dtype=float).copy(), 0)
+    geometry = _geometry(sgrid)
+    dx2 = sgrid.spacing(0) ** 2
     for i in range(tgrid.n_steps):
         drifts, diff = coefficients(i)
-        rate = diff / sgrid.spacing(0) ** 2
-        for axis, drift in enumerate(drifts):
-            rate += _outflow_rate(drift, axis, sgrid)
+        rate = diff / dx2
+        for drift, (dx, at) in zip(drifts, geometry):
+            rate += _outflow_rate(drift, dx, at)
         if not np.isfinite(rate):
             raise DivergenceError("non-finite drift in forward sweep", i + 1)
         n_sub = substep_count(tgrid.dt, rate)
         dt_sub = tgrid.dt / n_sub
+        half_diff = 0.5 * diff
         cur = m[i]
         for _ in range(n_sub):
             upd = -diff_upwind(cur, drifts[0], sgrid, 0)
             for axis in range(1, len(drifts)):
                 upd = upd - diff_upwind(cur, drifts[axis], sgrid, axis)
             if diff > 0.0:
-                upd = upd + 0.5 * diff * diff2(cur, sgrid)
+                upd = upd + half_diff * diff2(cur, sgrid)
             cur = cur + dt_sub * upd
         m[i + 1] = _check_density_slice(cur, i + 1)
     return m
@@ -238,7 +245,7 @@ def optimal_control(v: np.ndarray, p: np.ndarray, params: EvParams, sgrid: Space
     if v.shape[1:] != sgrid.shape:
         raise ValueError(f"value field shape {v.shape} does not match grid {sgrid.shape}")
     col = lambda series: np.asarray(series, dtype=float)[:, None]
-    _, alpha = _hamiltonian(v, col(p), col(params.g), col(params.H), sgrid.dx, 1)
+    _, alpha = _hamiltonian(v, col(p), col(params.g), col(params.H), sgrid.dx, axis_index(1))
     return alpha
 
 

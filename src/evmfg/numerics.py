@@ -15,12 +15,19 @@ no-flux (reflecting) walls of the model:
   equals the adjacent interior value), also exactly conservative.
 
 2D fields use the same stencils axis by axis (pass ``axis=0`` for z1,
-``axis=1`` for z2).
+``axis=1`` for z2). A stencil reads its neighbours along the axis through
+the index tuples of ``axis_index`` (``[:-1]``, ``[1:]``, ``[1:-1]``, ... along
+that axis, full slices before it), built once per axis and shared with the
+upwind Hamiltonian in ``ev``. It never moves the axis to the front, so a call
+costs its arithmetic plus the shape check, and each output cell comes from the
+same operations in the same order on every axis.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,15 +49,38 @@ def _resolve_axis(f: np.ndarray, grid, axis: int | None) -> tuple[int, float]:
     raise TypeError(f"unsupported grid type {type(grid).__name__}")
 
 
+class AxisIndex(NamedTuple):
+    """Index tuples that select cells along one axis of a field."""
+
+    lo: tuple  # [:-1], the cell below each interior face
+    hi: tuple  # [1:], the cell above each interior face
+    inner: tuple  # [1:-1]
+    below: tuple  # [:-2], the lower neighbour of each inner cell
+    above: tuple  # [2:], the upper neighbour of each inner cell
+    first: tuple  # [0]
+    second: tuple  # [1]
+    penult: tuple  # [-2]
+    last: tuple  # [-1]
+
+
+@functools.cache
+def axis_index(axis: int) -> AxisIndex:
+    """The ``AxisIndex`` of ``axis`` (>= 0): full slices before it, the cell index on it."""
+    lead = (slice(None),) * axis
+    cells = (slice(None, -1), slice(1, None), slice(1, -1), slice(None, -2), slice(2, None), 0, 1, -2, -1)
+    return AxisIndex(*(lead + (cell,) for cell in cells))
+
+
 def diff_central(f: np.ndarray, grid, axis: int | None = None) -> np.ndarray:
     """Central difference with one-sided first-order boundary stencils."""
-    ax, dx = _resolve_axis(np.asarray(f, dtype=float), grid, axis)
-    g = np.moveaxis(np.asarray(f, dtype=float), ax, 0)
-    out = np.empty_like(g)
-    out[1:-1] = (g[2:] - g[:-2]) / (2.0 * dx)
-    out[0] = (g[1] - g[0]) / dx
-    out[-1] = (g[-1] - g[-2]) / dx
-    return np.moveaxis(out, 0, ax)
+    f = np.asarray(f, dtype=float)
+    ax, dx = _resolve_axis(f, grid, axis)
+    at = axis_index(ax)
+    out = np.empty_like(f)
+    out[at.inner] = (f[at.above] - f[at.below]) / (2.0 * dx)
+    out[at.first] = (f[at.second] - f[at.first]) / dx
+    out[at.last] = (f[at.last] - f[at.penult]) / dx
+    return out
 
 
 def diff_upwind(f: np.ndarray, drift: np.ndarray, grid, axis: int | None = None) -> np.ndarray:
@@ -65,25 +95,23 @@ def diff_upwind(f: np.ndarray, drift: np.ndarray, grid, axis: int | None = None)
     if drift.shape != f.shape:
         raise ValueError(f"drift shape {drift.shape} does not match slice {f.shape}")
     ax, dx = _resolve_axis(f, grid, axis)
-    g = np.moveaxis(f, ax, 0)
-    d = np.moveaxis(drift, ax, 0)
-    u = 0.5 * (d[:-1] + d[1:])
-    flux_interior = np.maximum(u, 0.0) * g[:-1] + np.minimum(u, 0.0) * g[1:]
-    flux = np.zeros((g.shape[0] + 1,) + g.shape[1:])
-    flux[1:-1] = flux_interior
-    out = (flux[1:] - flux[:-1]) / dx
-    return np.moveaxis(out, 0, ax)
+    at = axis_index(ax)
+    u = 0.5 * (drift[at.lo] + drift[at.hi])
+    flux = np.zeros(f.shape[:ax] + (f.shape[ax] + 1,) + f.shape[ax + 1:])
+    flux[at.inner] = np.maximum(u, 0.0) * f[at.lo] + np.minimum(u, 0.0) * f[at.hi]
+    return (flux[at.hi] - flux[at.lo]) / dx
 
 
 def diff2(f: np.ndarray, grid, axis: int | None = None) -> np.ndarray:
     """3-point second difference with Neumann ghost cells."""
-    ax, dx = _resolve_axis(np.asarray(f, dtype=float), grid, axis)
-    g = np.moveaxis(np.asarray(f, dtype=float), ax, 0)
-    out = np.empty_like(g)
-    out[1:-1] = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / (dx * dx)
-    out[0] = (g[1] - g[0]) / (dx * dx)
-    out[-1] = (g[-2] - g[-1]) / (dx * dx)
-    return np.moveaxis(out, 0, ax)
+    f = np.asarray(f, dtype=float)
+    ax, dx = _resolve_axis(f, grid, axis)
+    at = axis_index(ax)
+    out = np.empty_like(f)
+    out[at.inner] = (f[at.above] - 2.0 * f[at.inner] + f[at.below]) / (dx * dx)
+    out[at.first] = (f[at.second] - f[at.first]) / (dx * dx)
+    out[at.last] = (f[at.penult] - f[at.last]) / (dx * dx)
+    return out
 
 
 def integrate(f: np.ndarray, grid) -> float:

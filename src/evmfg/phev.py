@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ev import MASS_TOLERANCE, _backward_sweep, _forward_sweep, _hamiltonian_sum
+from .ev import MASS_TOLERANCE, _backward_sweep, _forward_sweep, _geometry, _hamiltonian_sum
 from .grids import SpaceGrid2D, TimeGrid
 from .numerics import integrate, mean_rate
 from .numerics import substep_count  # noqa: F401  (perfbench's trace rebinds it by name)
@@ -117,10 +117,11 @@ def phev_optimal_controls(
     side the pack's drift points to; a drift into a wall moves no charge.
     """
     b = beta(*sgrid.meshes())
+    geometry = _geometry(sgrid)
     mu1 = np.empty_like(v)
     mu2 = np.empty_like(v)
     for i in range(v.shape[0]):
-        mu1[i], mu2[i] = _hamiltonian_sum(v[i], _axes(r1, params, b, i), sgrid)[1]
+        mu1[i], mu2[i] = _hamiltonian_sum(v[i], _axes(r1, params, b, i), geometry)[1]
     return mu1, mu2
 
 

@@ -175,6 +175,82 @@ def test_diff2_2d_conserves_mass():
 
 
 # ---------------------------------------------------------------------------
+# axis slicing: the stencils must equal their move-the-axis-to-the-front form
+
+
+def _moved(stencil):
+    """Reference stencil that moves ``axis`` to the front, applies ``stencil`` there, and moves it back."""
+
+    def apply(*fields, dx, axis):
+        out = stencil(*(np.moveaxis(f, axis, 0) for f in fields), dx)
+        return np.moveaxis(out, 0, axis)
+
+    return apply
+
+
+@_moved
+def _ref_central(g, dx):
+    out = np.empty_like(g)
+    out[1:-1] = (g[2:] - g[:-2]) / (2.0 * dx)
+    out[0] = (g[1] - g[0]) / dx
+    out[-1] = (g[-1] - g[-2]) / dx
+    return out
+
+
+@_moved
+def _ref_upwind(g, d, dx):
+    u = 0.5 * (d[:-1] + d[1:])
+    flux = np.zeros((g.shape[0] + 1,) + g.shape[1:])
+    flux[1:-1] = np.maximum(u, 0.0) * g[:-1] + np.minimum(u, 0.0) * g[1:]
+    return (flux[1:] - flux[:-1]) / dx
+
+
+@_moved
+def _ref_diff2(g, dx):
+    out = np.empty_like(g)
+    out[1:-1] = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / (dx * dx)
+    out[0] = (g[1] - g[0]) / (dx * dx)
+    out[-1] = (g[-2] - g[-1]) / (dx * dx)
+    return out
+
+
+def _stencils(f, drift, grid, axis):
+    """(sliced, reference) pairs of all three stencils along ``axis``."""
+    dx = grid.spacing(axis)
+    return [
+        (diff_central(f, grid, axis), _ref_central(f, dx=dx, axis=axis)),
+        (diff_upwind(f, drift, grid, axis), _ref_upwind(f, drift, dx=dx, axis=axis)),
+        (diff2(f, grid, axis), _ref_diff2(f, dx=dx, axis=axis)),
+    ]
+
+
+def test_stencils_equal_moved_axis_reference_1d():
+    rng = np.random.default_rng(4)
+    sg = SpaceGrid1D(13)
+    for got, want in _stencils(rng.random(13), rng.uniform(-1, 1, 13), sg, 0):
+        assert np.array_equal(got, want)
+
+
+def test_stencils_equal_moved_axis_reference_on_each_2d_axis():
+    rng = np.random.default_rng(5)
+    sg = SpaceGrid2D(5, 7)
+    f, drift = rng.random((5, 7)), rng.uniform(-1, 1, (5, 7))
+    for axis in (0, 1):
+        for got, want in _stencils(f, drift, sg, axis):
+            assert got.shape == (5, 7)
+            assert np.array_equal(got, want)
+
+
+def test_stencils_axis_1_equals_axis_0_of_the_transpose():
+    rng = np.random.default_rng(6)
+    f, drift = rng.random((5, 7)), rng.uniform(-1, 1, (5, 7))
+    along_1 = _stencils(f, drift, SpaceGrid2D(5, 7), 1)
+    along_0 = _stencils(f.T, drift.T, SpaceGrid2D(7, 5), 0)
+    for (got, _), (got_t, _) in zip(along_1, along_0):
+        assert np.array_equal(got, got_t.T)
+
+
+# ---------------------------------------------------------------------------
 # integrate / space_mean
 
 

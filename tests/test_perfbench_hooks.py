@@ -63,3 +63,17 @@ def test_traced_phev_solve_counts_its_substeps_and_stencils():
         steps = [span.data[0] for span in tracer.spans if span.name == name and span.data]
         assert steps and np.sum(steps) >= problem.tgrid.n_steps
     assert "numerics.diff" in names
+
+
+def test_traced_ev_solve_puts_stencil_spans_inside_both_sweeps():
+    # the traced numerics.* figures are read from these spans, so both ev
+    # sweeps must reach their stencils through the names the trace rebinds
+    spans = _spans()
+    config = evmfg.apply_overrides(evmfg.load_scenario("ev_weekend"), ["time_steps=24", "space.cells=40"])
+    problem, options, _ = evmfg.build_problem(config)
+    tracer = spans.Tracer(lambda: 0.0)
+    with spans.instrument(tracer):
+        evmfg.solve_mfe(problem, options)
+    name_of = {span.span_id: span.name for span in tracer.spans}
+    parents = {name_of[span.parent] for span in tracer.spans if span.name == "numerics.diff"}
+    assert {"ev.hjb", "ev.fpk"} <= parents
