@@ -81,7 +81,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     sol = solve_mfe(problem, options)
     wall = time.perf_counter() - start
     export_results(sol, problem, config, args.out, wall_time=wall, resampled=resampled)
-    residual = sol.residuals[-1] if sol.residuals else float("nan")
+    residual = sol.residuals[-1]
     if sol.converged:
         print(f"converged in {sol.iterations} iterations (residual {residual:.3e}); wrote {args.out}")
         return 0

@@ -16,10 +16,11 @@ class DivergenceError(RuntimeError):
 
 
 class ScenarioError(ValueError):
-    """A scenario file failed validation.
+    """An input broke a rule, checked once by the object that relies on it.
 
-    ``field`` names the offending entry with dotted-path notation, e.g.
-    ``initial_density.center``.
+    ``field`` is the scenario path of the offending entry, e.g. ``series.H``
+    or ``initial_density.center``, also when a grid, the solver options or
+    the model parameters check it; a run file is named by its file name.
     """
 
     def __init__(self, field: str, message: str):

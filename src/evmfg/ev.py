@@ -29,12 +29,12 @@ takes per-axis coefficients and returns the control with the value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, ScenarioError
 from .grids import SpaceGrid1D, TimeGrid
 from .numerics import AxisIndex, axis_index, diff2, diff_upwind, integrate, mean_rate, substep_count
 from .numerics import diff_central  # noqa: F401  (perfbench's trace rebinds it by name)
@@ -44,8 +44,36 @@ NEGATIVITY_HARD_LIMIT = 1e-8
 MASS_TOLERANCE = 1e-6
 
 
+class _SeriesParams:
+    """The per-time-node series rules that ``EvParams`` and ``phev.PhevParams`` share."""
+
+    def _check_series(self, names: tuple[str, ...], positive: tuple[str, ...], nonnegative=()) -> None:
+        """Make the named series (``g`` first) float arrays and check their rules.
+
+        Each is as long as ``g`` and finite, and positive or nonnegative where
+        named so; a breach raises ``ScenarioError`` on ``series.<name>``.
+        """
+        for name in names:
+            values = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            setattr(self, name, values)
+            if len(values) != len(self.g):
+                raise ScenarioError(f"series.{name}", f"has length {len(values)}, expected {len(self.g)}")
+            if not np.all(np.isfinite(values)):
+                raise ScenarioError(f"series.{name}", "contains non-finite values")
+        for name in positive:
+            if np.any(getattr(self, name) <= 0.0):
+                raise ScenarioError(f"series.{name}", "must be positive everywhere")
+        for name in nonnegative:
+            if np.any(getattr(self, name) < 0.0):
+                raise ScenarioError(f"series.{name}", "must be nonnegative")
+
+    def check_nodes(self, tgrid: TimeGrid) -> None:
+        if len(self.g) != tgrid.n_nodes:
+            raise ValueError(f"series length {len(self.g)} does not match {tgrid.n_nodes} time nodes")
+
+
 @dataclass
-class EvParams:
+class EvParams(_SeriesParams):
     """Model coefficients; all series carry one value per time node."""
 
     g: np.ndarray
@@ -58,22 +86,18 @@ class EvParams:
     demand_coupled: bool = True
 
     def __post_init__(self) -> None:
-        self.g = np.atleast_1d(np.asarray(self.g, dtype=float))
-        self.sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
-        self.H = np.atleast_1d(np.asarray(self.H, dtype=float))
-        self.d = np.atleast_1d(np.asarray(self.d, dtype=float))
-        n = len(self.g)
-        for name in ("sigma", "H", "d"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"series {name} has length {len(getattr(self, name))}, expected {n}")
-        if np.any(self.H <= 0.0):
-            raise ValueError("H must be positive at every time node")
-        if np.any(self.sigma < 0.0):
-            raise ValueError("sigma must be nonnegative")
+        self._check_series(("g", "d", "sigma", "H"), positive=("H",), nonnegative=("sigma",))
 
-    def check_nodes(self, tgrid: TimeGrid) -> None:
-        if len(self.g) != tgrid.n_nodes:
-            raise ValueError(f"series length {len(self.g)} does not match {tgrid.n_nodes} time nodes")
+
+def _check_initial_density(m0: np.ndarray, sgrid) -> np.ndarray:
+    """``m0`` as a float array, which must match the grid and have unit mass (``ScenarioError``)."""
+    m0 = np.asarray(m0, dtype=float)
+    if m0.shape != sgrid.shape:
+        raise ScenarioError("initial_density", "m0 does not match the space grid")
+    mass = integrate(m0, sgrid)
+    if not abs(mass - 1.0) <= MASS_TOLERANCE:
+        raise ScenarioError("initial_density", f"initial density mass {mass} deviates from 1 beyond {MASS_TOLERANCE}")
+    return m0
 
 
 def _check_density_slice(m: np.ndarray, time_node: int) -> np.ndarray:
@@ -203,11 +227,8 @@ def _forward_sweep(m0: np.ndarray, tgrid: TimeGrid, sgrid, coefficients) -> np.n
     ``coefficients(i)`` gives one drift field per axis and sigma^2 g^2 (1D
     only) for the step leaving node i.
     """
-    mass = integrate(np.asarray(m0, dtype=float), sgrid)
-    if not abs(mass - 1.0) <= MASS_TOLERANCE:
-        raise ValueError(f"initial density mass {mass} deviates from 1 beyond {MASS_TOLERANCE}")
     m = np.empty((tgrid.n_nodes,) + sgrid.shape)
-    m[0] = _check_density_slice(np.asarray(m0, dtype=float).copy(), 0)
+    m[0] = _check_density_slice(_check_initial_density(m0, sgrid), 0)
     geometry = _geometry(sgrid)
     dx2 = sgrid.spacing(0) ** 2
     for i in range(tgrid.n_steps):
@@ -239,8 +260,6 @@ def optimal_control(v: np.ndarray, p: np.ndarray, params: EvParams, sgrid: Space
     drift alpha - g points to. In the empty-wall cell a drift into the wall
     moves no charge, so the selling branch there is -p / H.
     """
-    if np.any(params.H <= 0.0):
-        raise ValueError("H must be positive")
     v = np.asarray(v, dtype=float)
     if v.shape[1:] != sgrid.shape:
         raise ValueError(f"value field shape {v.shape} does not match grid {sgrid.shape}")
@@ -310,16 +329,10 @@ class EvProblem:
     tgrid: TimeGrid
     sgrid: SpaceGrid1D
     m0: np.ndarray
-    name: str = field(default="ev")
 
     def __post_init__(self) -> None:
-        self.m0 = np.asarray(self.m0, dtype=float)
-        if self.m0.shape != self.sgrid.shape:
-            raise ValueError("m0 does not match the space grid")
+        self.m0 = _check_initial_density(self.m0, self.sgrid)
         self.params.check_nodes(self.tgrid)
-        mass = integrate(self.m0, self.sgrid)
-        if not abs(mass - 1.0) <= MASS_TOLERANCE:
-            raise ValueError(f"initial density mass {mass} deviates from 1")
 
     @property
     def cell_volume(self) -> float:

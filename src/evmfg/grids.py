@@ -11,24 +11,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ScenarioError
+
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid on [t0, t1] with ``n_steps`` intervals, n_steps + 1 nodes."""
+    """Uniform grid on [0, t1] with ``n_steps`` intervals, n_steps + 1 nodes."""
 
     t1: float
     n_steps: int
-    t0: float = 0.0
 
     def __post_init__(self) -> None:
+        if not self.t1 > 0.0:
+            raise ScenarioError("horizon", "must be positive")
         if self.n_steps < 2:
-            raise ValueError("n_steps must be at least 2")
-        if not self.t1 > self.t0:
-            raise ValueError("t1 must exceed t0")
+            raise ScenarioError("time_steps", "must be at least 2")
 
     @property
     def dt(self) -> float:
-        return (self.t1 - self.t0) / self.n_steps
+        return self.t1 / self.n_steps
 
     @property
     def n_nodes(self) -> int:
@@ -36,7 +37,7 @@ class TimeGrid:
 
     @property
     def nodes(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n_nodes)
+        return self.dt * np.arange(self.n_nodes)
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class SpaceGrid1D:
 
     def __post_init__(self) -> None:
         if self.n_cells < 4:
-            raise ValueError("n_cells must be at least 4")
+            raise ScenarioError("space.cells", "must be at least 4")
 
     @property
     def dx(self) -> float:
@@ -78,7 +79,7 @@ class SpaceGrid2D:
 
     def __post_init__(self) -> None:
         if self.n1 < 4 or self.n2 < 4:
-            raise ValueError("n1 and n2 must be at least 4")
+            raise ScenarioError("space.cells", "each axis needs at least 4 cells")
 
     @property
     def dz1(self) -> float:

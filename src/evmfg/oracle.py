@@ -100,7 +100,7 @@ def ev_mdp(
     n_actions: int = 241,
 ) -> DiscreteMdp:
     """Coarse MDP from fine-grid coefficients (series linearly resampled)."""
-    coarse = TimeGrid(t1=tgrid.t1, n_steps=n_steps, t0=tgrid.t0)
+    coarse = TimeGrid(t1=tgrid.t1, n_steps=n_steps)
     return DiscreteMdp(
         states=_state_lattice(n_states),
         actions=_action_lattice(float(np.abs(params.g).max()), n_actions),
@@ -151,7 +151,7 @@ def phev_mdp(
     n_steps: int | None = None,
     n_actions: int = 21,
 ) -> PhevMdp:
-    coarse = tgrid if n_steps is None else TimeGrid(t1=tgrid.t1, n_steps=n_steps, t0=tgrid.t0)
+    coarse = tgrid if n_steps is None else TimeGrid(t1=tgrid.t1, n_steps=n_steps)
     actions = _action_lattice(float(np.abs(params.g).max()), n_actions)
     return PhevMdp(
         states1=_cell_lattice(n_states),
@@ -291,7 +291,7 @@ def sample_density(m0: np.ndarray, sgrid: SpaceGrid1D, n_agents: int) -> np.ndar
 
 
 def mc_population(
-    control,
+    control: np.ndarray,
     m0: np.ndarray,
     params: EvParams,
     tgrid: TimeGrid,
@@ -301,12 +301,12 @@ def mc_population(
 ) -> np.ndarray:
     """Euler-Maruyama population simulation binned on the solver grid.
 
-    ``control`` is either a control field of shape ``(n_nodes, n_cells)``
-    (one row per time node on the grid's cell centers, interpolated linearly
-    in space and clamped beyond the outer centers, as ``np.interp`` does) or
-    a callable ``(t, x) -> alpha``. One standard-normal draw per agent per
-    step, consumed in fixed agent order from a single seeded generator, so
-    the result depends only on (inputs, n_agents, seed), never on scheduling.
+    ``control`` is a field of shape ``(n_nodes, n_cells)``, one row per
+    time node on the grid's cell centers, interpolated linearly in space and
+    clamped beyond the outer centers, as ``np.interp`` does. One
+    standard-normal draw per agent per step, consumed in fixed agent order
+    from a single seeded generator, so the result depends only on (inputs,
+    n_agents, seed), never on scheduling.
     Histogram slices have unit mass exactly (integer counts over n_agents).
 
     Each step works out one half-cell index per agent
@@ -319,13 +319,12 @@ def mc_population(
     if n_agents < 1:
         raise ValueError("need at least one agent")
     params.check_nodes(tgrid)
-    if not callable(control):
-        control = np.asarray(control, dtype=float)
-        expected = (tgrid.n_nodes, sgrid.n_cells)
-        if control.shape != expected:
-            raise ValueError(
-                f"control field must have shape (n_nodes, n_cells) = {expected}, found {control.shape}"
-            )
+    control = np.asarray(control, dtype=float)
+    expected = (tgrid.n_nodes, sgrid.n_cells)
+    if control.shape != expected:
+        raise ValueError(
+            f"control field must have shape (n_nodes, n_cells) = {expected}, found {control.shape}"
+        )
     rng = np.random.default_rng(seed)
     x = sample_density(m0, sgrid, n_agents)
     k = _half_cell_index(x, sgrid.n_cells)
@@ -334,12 +333,8 @@ def mc_population(
     hist = np.empty((tgrid.n_nodes, sgrid.n_cells))
     _bin_population(k, sgrid, out=hist[0])
     sqrt_dt = math.sqrt(tgrid.dt)
-    nodes = tgrid.nodes
     for i in range(tgrid.n_steps):
-        if callable(control):
-            a = np.asarray(control(nodes[i], x), dtype=float)
-        else:
-            a = _interp_half_cells(sgrid.nodes, control[i], k, x, out=drift, work=work)
+        a = _interp_half_cells(sgrid.nodes, control[i], k, x, out=drift, work=work)
         np.subtract(a, params.g[i], out=drift)
         np.multiply(drift, tgrid.dt, out=drift)
         np.add(x, drift, out=x)

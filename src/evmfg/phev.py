@@ -32,12 +32,12 @@ a (sub)step read the entering slice, which treats z1 and z2 symmetrically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .ev import MASS_TOLERANCE, _backward_sweep, _forward_sweep, _geometry, _hamiltonian_sum
+from .ev import _SeriesParams, _backward_sweep, _check_initial_density, _forward_sweep, _geometry, _hamiltonian_sum
 from .grids import SpaceGrid2D, TimeGrid
 from .numerics import integrate, mean_rate
 from .numerics import substep_count  # noqa: F401  (perfbench's trace rebinds it by name)
@@ -64,7 +64,7 @@ def beta_divergence(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class PhevParams:
+class PhevParams(_SeriesParams):
     """Model coefficients; series carry one value per time node."""
 
     g: np.ndarray
@@ -76,20 +76,8 @@ class PhevParams:
     price_offset: float = 0.5
 
     def __post_init__(self) -> None:
-        self.g = np.atleast_1d(np.asarray(self.g, dtype=float))
-        self.Q1 = np.atleast_1d(np.asarray(self.Q1, dtype=float))
-        self.Q2 = np.atleast_1d(np.asarray(self.Q2, dtype=float))
-        n = len(self.g)
-        for name in ("Q1", "Q2"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"series {name} has length {len(getattr(self, name))}, expected {n}")
-        if np.any(self.Q1 <= 0.0) or np.any(self.Q2 <= 0.0):
-            raise ValueError("Q1 and Q2 must be positive at every time node")
+        self._check_series(("g", "Q1", "Q2"), positive=("Q1", "Q2"))
         self.r2 = float(self.r2)
-
-    def check_nodes(self, tgrid: TimeGrid) -> None:
-        if len(self.g) != tgrid.n_nodes:
-            raise ValueError(f"series length {len(self.g)} does not match {tgrid.n_nodes} time nodes")
 
 
 def phev_price(m: np.ndarray, params: PhevParams, sgrid: SpaceGrid2D, tgrid: TimeGrid) -> np.ndarray:
@@ -198,16 +186,10 @@ class PhevProblem:
     tgrid: TimeGrid
     sgrid: SpaceGrid2D
     m0: np.ndarray
-    name: str = field(default="phev")
 
     def __post_init__(self) -> None:
-        self.m0 = np.asarray(self.m0, dtype=float)
-        if self.m0.shape != self.sgrid.shape:
-            raise ValueError("m0 does not match the space grid")
+        self.m0 = _check_initial_density(self.m0, self.sgrid)
         self.params.check_nodes(self.tgrid)
-        mass = integrate(self.m0, self.sgrid)
-        if not abs(mass - 1.0) <= MASS_TOLERANCE:
-            raise ValueError(f"initial density mass {mass} deviates from 1")
 
     @property
     def cell_volume(self) -> float:

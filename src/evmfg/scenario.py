@@ -117,7 +117,7 @@ class ScenarioConfig:
 
 def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
-        raise ScenarioError(f"{where}{key}" if where.endswith(".") or not where else key, "missing key")
+        raise ScenarioError(where + key, "missing key")
     return mapping[key]
 
 
@@ -228,7 +228,10 @@ def _validate_density_spec(spec, model: str, fld: str) -> dict:
 
 
 def validate_config(data, name_default: str = "scenario") -> dict:
-    """Validate a raw document and return the canonical, defaults-filled form."""
+    """Check a raw document's shape and return the canonical, defaults-filled form.
+
+    Grid and solver ranges are checked by building the grids and ``SolverOptions``.
+    """
     if not isinstance(data, dict):
         raise ScenarioError("document", "scenario must be a mapping")
     allowed = {
@@ -243,11 +246,8 @@ def validate_config(data, name_default: str = "scenario") -> dict:
     if model not in ("ev", "phev"):
         raise ScenarioError("model", f"expected 'ev' or 'phev', got {model!r}")
     horizon = _as_number(_require(data, "horizon", ""), "horizon")
-    if horizon <= 0.0:
-        raise ScenarioError("horizon", "must be positive")
     time_steps = _as_int(_require(data, "time_steps", ""), "time_steps")
-    if time_steps < 2:
-        raise ScenarioError("time_steps", "must be at least 2")
+    TimeGrid(horizon, time_steps)
 
     space = _require(data, "space", "")
     if not isinstance(space, dict):
@@ -256,14 +256,12 @@ def validate_config(data, name_default: str = "scenario") -> dict:
     cells = _require(space, "cells", "space.")
     if model == "ev":
         cells = _as_int(cells, "space.cells")
-        if cells < 4:
-            raise ScenarioError("space.cells", "must be at least 4")
+        SpaceGrid1D(cells)
     else:
         if not isinstance(cells, list) or len(cells) != 2:
             raise ScenarioError("space.cells", "expected [n1, n2] for the 2D model")
         cells = [_as_int(v, f"space.cells[{k}]") for k, v in enumerate(cells)]
-        if min(cells) < 4:
-            raise ScenarioError("space.cells", "each axis needs at least 4 cells")
+        SpaceGrid2D(*cells)
 
     series_spec = _require(data, "series", "")
     if not isinstance(series_spec, dict):
@@ -311,14 +309,9 @@ def validate_config(data, name_default: str = "scenario") -> dict:
     for key, value in solver_spec.items():
         solver[key] = value
     solver["max_iters"] = _as_int(solver["max_iters"], "solver.max_iters")
-    if solver["max_iters"] < 1:
-        raise ScenarioError("solver.max_iters", "must be at least 1")
     solver["tol"] = _as_number(solver["tol"], "solver.tol")
-    if solver["tol"] <= 0.0:
-        raise ScenarioError("solver.tol", "must be positive")
     solver["damping"] = _as_number(solver["damping"], "solver.damping")
-    if not 0.0 < solver["damping"] <= 1.0:
-        raise ScenarioError("solver.damping", "must be in (0, 1]")
+    SolverOptions(**solver)
 
     name = data.get("name", name_default)
     if not isinstance(name, str) or not name:
@@ -492,53 +485,28 @@ def build_problem(config: ScenarioConfig):
         arr, was_resampled = _materialize_series(data["series"][key], tgrid, config.base_dir, f"series.{key}")
         if was_resampled:
             resampled.append(key)
-        if not np.all(np.isfinite(arr)):
-            raise ScenarioError(f"series.{key}", "contains non-finite values")
         return arr
 
     if data["model"] == "ev":
-        sgrid = SpaceGrid1D(n_cells=data["space"]["cells"])
-        g = series("g")
-        d = series("d")
-        sigma = series("sigma")
-        h = series("H")
-        if np.any(h <= 0.0):
-            raise ScenarioError("series.H", "must be positive everywhere")
-        if np.any(sigma < 0.0):
-            raise ScenarioError("series.sigma", "must be nonnegative")
+        sgrid, problem_class = SpaceGrid1D(data["space"]["cells"]), EvProblem
         f_run, _ = _make_cost(data["costs"]["f"])
         _, kappa = _make_cost(data["costs"]["kappa"])
         params = EvParams(
-            g=g, sigma=sigma, H=h, d=d, f_cost=f_run, kappa=kappa,
+            **{key: series(key) for key in _EV_SERIES}, f_cost=f_run, kappa=kappa,
             price_exponent=data["price"]["exponent"],
             demand_coupled=data["price"]["coupled"],
         )
-        m0 = _initial_density(data["initial_density"], sgrid, config.base_dir)
-        problem = EvProblem(params=params, tgrid=tgrid, sgrid=sgrid, m0=m0, name=data["name"])
     else:
-        n1, n2 = data["space"]["cells"]
-        sgrid = SpaceGrid2D(n1=n1, n2=n2)
-        g = series("g")
-        q1 = series("Q1")
-        q2 = series("Q2")
-        if np.any(q1 <= 0.0):
-            raise ScenarioError("series.Q1", "must be positive everywhere")
-        if np.any(q2 <= 0.0):
-            raise ScenarioError("series.Q2", "must be positive everywhere")
+        sgrid, problem_class = SpaceGrid2D(*data["space"]["cells"]), PhevProblem
         s_run, _ = _make_cost(data["costs"]["s"])
         _, xi = _make_cost(data["costs"]["xi"])
         params = PhevParams(
-            g=g, Q1=q1, Q2=q2, r2=data["price"]["r2"],
+            **{key: series(key) for key in _PHEV_SERIES}, r2=data["price"]["r2"],
             s_cost=s_run, xi=xi, price_offset=data["price"]["offset"],
         )
-        m0 = _initial_density(data["initial_density"], sgrid, config.base_dir)
-        problem = PhevProblem(params=params, tgrid=tgrid, sgrid=sgrid, m0=m0, name=data["name"])
-
-    options = SolverOptions(
-        max_iters=data["solver"]["max_iters"],
-        tol=data["solver"]["tol"],
-        damping=data["solver"]["damping"],
-    )
+    m0 = _initial_density(data["initial_density"], sgrid, config.base_dir)
+    problem = problem_class(params=params, tgrid=tgrid, sgrid=sgrid, m0=m0)
+    options = SolverOptions(**data["solver"])
     return problem, options, resampled
 
 
@@ -653,6 +621,18 @@ def _export_phev(sol: MfeSolution, problem: PhevProblem, out: Path, t: np.ndarra
     return ["m.csv", "v.csv", "mu1.csv", "mu2.csv", "r1.csv", "control_sections.csv"]
 
 
+def _check_last_row(path: Path, columns: int) -> None:
+    """Reject a file whose last row, where a cut file ends, has other than ``columns`` columns.
+
+    The readers parse one column, so a row cut short reads a coordinate as its value.
+    """
+    with open(path, "rb") as handle:
+        handle.seek(max(0, path.stat().st_size - 4096))
+        found = handle.read().rstrip().rsplit(b"\n", 1)[-1].count(b",") + 1
+    if found != columns:
+        raise ScenarioError(path.name, f"last row of {path} has {found} columns, expected {columns}")
+
+
 def read_field_csv(path: str | Path, shape: tuple[int, ...]) -> np.ndarray:
     """Read a long-format field CSV back into (n_nodes, *space_shape).
 
@@ -664,6 +644,7 @@ def read_field_csv(path: str | Path, shape: tuple[int, ...]) -> np.ndarray:
         values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=-1, ndmin=1)
     except ValueError as exc:
         raise ScenarioError(path.name, f"could not parse {path}: {exc}") from exc
+    _check_last_row(path, len(shape) + 1)
     expected = math.prod(shape)
     if values.size != expected:
         raise ScenarioError(path.name, f"expected {expected} rows, found {values.size}")
@@ -677,6 +658,7 @@ def read_series_csv(path: str | Path, n_nodes: int) -> np.ndarray:
         values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=1, ndmin=1)
     except ValueError as exc:
         raise ScenarioError(path.name, f"could not parse {path}: {exc}") from exc
+    _check_last_row(path, 2)
     if values.size != n_nodes:
         raise ScenarioError(path.name, f"expected {n_nodes} rows, found {values.size}")
     return values

@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ScenarioError
+
 # Pairs (price, price update) the acceleration keeps: up to four difference
 # columns in a least-squares problem with one row per time node.
 ANDERSON_DEPTH = 5
@@ -42,22 +44,20 @@ class SolverOptions:
     ``max_iters`` caps the density passes, ``tol`` is the residual (sup-t L1
     density change between passes) that counts as converged, and ``damping``
     weights the plain step ``price + damping * f`` taken on the first pass
-    and after each history reset. ``record_history`` keeps the residual of
-    every pass in ``MfeSolution.residuals``.
+    and after each history reset.
     """
 
     max_iters: int = 200
     tol: float = 1e-6
     damping: float = 0.5
-    record_history: bool = True
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must be in (0, 1]")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+            raise ScenarioError("solver.max_iters", "must be at least 1")
+        if self.tol <= 0.0:
+            raise ScenarioError("solver.tol", "must be positive")
+        if not 0.0 < self.damping <= 1.0:
+            raise ScenarioError("solver.damping", "must be in (0, 1]")
 
 
 @dataclass
@@ -101,7 +101,8 @@ def solve_mfe(model, options: SolverOptions | None = None) -> MfeSolution:
 
     The iterate is the price series, accelerated as the module docstring
     describes; the solve stops when two successive density passes differ
-    by at most ``options.tol`` or after ``options.max_iters`` passes.
+    by at most ``options.tol`` or after ``options.max_iters`` passes. The
+    residual of every pass is kept in ``MfeSolution.residuals``.
     """
     options = options or SolverOptions()
     vol = model.cell_volume
@@ -118,8 +119,7 @@ def solve_mfe(model, options: SolverOptions | None = None) -> MfeSolution:
         # both, and holding them through the next sweep raises peak memory.
         m_new = model.fpk(model.hjb(p)[1])
         residual = _sup_l1(m_new, m_prev, vol)
-        if options.record_history:
-            residuals.append(residual)
+        residuals.append(residual)
         if residual <= options.tol:
             converged = True
             break
@@ -189,7 +189,7 @@ def _least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return g
 
 
-def verify_solution(sol: MfeSolution, model, tol: float | None = None) -> VerifyReport:
+def verify_solution(sol: MfeSolution, model) -> VerifyReport:
     """Audit a solution by recomputing the equilibrium chain once.
 
     Recomputes the price from the stored density, the control from the
@@ -197,8 +197,7 @@ def verify_solution(sol: MfeSolution, model, tol: float | None = None) -> Verify
     control; reports the max deviations against the stored fields. Passes
     iff every deviation is within 10x the solve tolerance.
     """
-    tol = sol.tol if tol is None else tol
-    threshold = 10.0 * tol
+    threshold = 10.0 * sol.tol
     p_re = model.price(sol.m)
     price_dev = _max_field_dev(p_re, sol.p)
     alpha_re = model.control(sol.v, p_re)

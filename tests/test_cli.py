@@ -119,6 +119,24 @@ def test_short_series_csv_is_named(quick_run, tmp_path, capsys, command):
     assert f"expected {rows} rows, found {rows - 3}" in captured.err
 
 
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_field_csv_last_row_without_its_value_is_named(quick_run, tmp_path, capsys, command):
+    # the row count still matches, and a read of the last column alone
+    # would take the coordinate for the value
+    copy = tmp_path / "cut"
+    copy.mkdir()
+    for item in quick_run.iterdir():
+        (copy / item.name).write_bytes(item.read_bytes())
+    lines = (copy / "v.csv").read_text().splitlines()
+    lines[-1] = lines[-1].rpartition(",")[0]
+    (copy / "v.csv").write_text("\n".join(lines) + "\n")
+    code = cli.main([command, str(copy), *(["--states", "5"] if command == "oracle" else [])])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"error: v.csv: last row of {copy / 'v.csv'} has 2 columns, expected 3" in captured.err
+
+
 def test_verify_missing_dir_exit_1(tmp_path, capsys):
     code = cli.main(["verify", str(tmp_path / "nowhere")])
     captured = capsys.readouterr()

@@ -122,15 +122,6 @@ def test_optimal_control_linear_value():
     np.testing.assert_allclose(alpha[:, 0], -0.05, rtol=1e-12)  # empty wall: -p/H
 
 
-def test_optimal_control_rejects_nonpositive_h():
-    tgrid = TimeGrid(1.0, 3)
-    sgrid = SpaceGrid1D(30)
-    params = make_params(tgrid)
-    params.H[1] = 0.0
-    with pytest.raises(ValueError):
-        optimal_control(np.zeros((4, 30)), np.zeros(4), params, sgrid)
-
-
 # ---------------------------------------------------------------------------
 # hjb_backward_sweep
 

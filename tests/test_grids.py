@@ -13,12 +13,6 @@ def test_time_grid_nodes_and_dt():
     np.testing.assert_allclose(tg.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
-def test_time_grid_nonzero_origin():
-    tg = TimeGrid(2.0, 2, t0=1.0)
-    assert tg.dt == pytest.approx(0.5)
-    np.testing.assert_allclose(tg.nodes, [1.0, 1.5, 2.0])
-
-
 def test_time_grid_validation():
     with pytest.raises(ValueError):
         TimeGrid(1.0, 1)

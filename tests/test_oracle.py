@@ -471,12 +471,17 @@ def _ev_params(tg, g=0.5, sigma=0.1, H=30.0):
     )
 
 
+def _constant_field(tg, sg, c):
+    """A control field of the constant c; its half-cell interpolation is exactly c."""
+    return np.full((tg.n_nodes, sg.n_cells), c)
+
+
 def test_mc_frozen_population_when_control_matches_drain():
     tg = TimeGrid(t1=0.5, n_steps=20)
     sg = SpaceGrid1D(25)
     params = _ev_params(tg, sigma=0.0)
     m0 = _tent_density(sg)
-    hist = mc_population(lambda t, x: np.full_like(x, 0.5), m0, params, tg, sg, n_agents=20_000, seed=1)
+    hist = mc_population(_constant_field(tg, sg, 0.5), m0, params, tg, sg, n_agents=20_000, seed=1)
     for i in range(1, tg.n_nodes):
         np.testing.assert_array_equal(hist[i], hist[0])
     assert np.abs(hist[0] - m0).max() < 0.05
@@ -487,7 +492,7 @@ def test_mc_every_slice_has_unit_mass():
     sg = SpaceGrid1D(20)
     params = _ev_params(tg)
     m0 = _tent_density(sg)
-    hist = mc_population(lambda t, x: np.full_like(x, 2.0), m0, params, tg, sg, n_agents=7_919, seed=3)
+    hist = mc_population(_constant_field(tg, sg, 2.0), m0, params, tg, sg, n_agents=7_919, seed=3)
     for i in range(tg.n_nodes):
         assert abs(integrate(hist[i], sg) - 1.0) < 1e-12
         assert np.all(hist[i] >= 0.0)
@@ -500,7 +505,7 @@ def test_mc_reflection_contains_strong_outward_drift():
     sg = SpaceGrid1D(20)
     params = _ev_params(tg, g=0.0, sigma=0.0)
     m0 = _tent_density(sg, center=0.9, width=0.1)
-    hist = mc_population(lambda t, x: np.full_like(x, 5.0), m0, params, tg, sg, n_agents=2_000, seed=0)
+    hist = mc_population(_constant_field(tg, sg, 5.0), m0, params, tg, sg, n_agents=2_000, seed=0)
     for i in range(tg.n_nodes):
         assert abs(integrate(hist[i], sg) - 1.0) < 1e-12
 
@@ -513,7 +518,7 @@ def test_mc_variance_grows_like_brownian_motion():
     params = _ev_params(tg, g=0.5, sigma=0.1)
     m0 = np.zeros(200)
     m0[100] = 1.0 / sg.dx  # point mass at the cell containing x = 0.5
-    hist = mc_population(lambda t, x: np.full_like(x, 0.5), m0, params, tg, sg, n_agents=100_000, seed=7)
+    hist = mc_population(_constant_field(tg, sg, 0.5), m0, params, tg, sg, n_agents=100_000, seed=7)
     final = hist[-1]
     mean = integrate(sg.nodes * final, sg)
     var = integrate((sg.nodes - mean) ** 2 * final, sg)
@@ -526,22 +531,11 @@ def test_mc_same_seed_reproduces_bitwise():
     sg = SpaceGrid1D(20)
     params = _ev_params(tg)
     m0 = _tent_density(sg)
-    h1 = mc_population(lambda t, x: 0.3 * np.ones_like(x), m0, params, tg, sg, n_agents=5_000, seed=42)
-    h2 = mc_population(lambda t, x: 0.3 * np.ones_like(x), m0, params, tg, sg, n_agents=5_000, seed=42)
+    h1 = mc_population(_constant_field(tg, sg, 0.3), m0, params, tg, sg, n_agents=5_000, seed=42)
+    h2 = mc_population(_constant_field(tg, sg, 0.3), m0, params, tg, sg, n_agents=5_000, seed=42)
     np.testing.assert_array_equal(h1, h2)
-    h3 = mc_population(lambda t, x: 0.3 * np.ones_like(x), m0, params, tg, sg, n_agents=5_000, seed=43)
+    h3 = mc_population(_constant_field(tg, sg, 0.3), m0, params, tg, sg, n_agents=5_000, seed=43)
     assert not np.array_equal(h1, h3)
-
-
-def test_mc_accepts_control_field_rows():
-    tg = TimeGrid(t1=0.2, n_steps=10)
-    sg = SpaceGrid1D(20)
-    params = _ev_params(tg, sigma=0.0)
-    m0 = _tent_density(sg)
-    field = np.tile(0.5 * np.ones(sg.n_cells), (tg.n_nodes, 1))
-    h_field = mc_population(field, m0, params, tg, sg, n_agents=3_000, seed=5)
-    h_callable = mc_population(lambda t, x: np.full_like(x, 0.5), m0, params, tg, sg, n_agents=3_000, seed=5)
-    np.testing.assert_allclose(h_field, h_callable, atol=1e-12)
 
 
 def test_mc_tracks_pde_density(ev_run):
@@ -572,10 +566,7 @@ def _reference_mc_population(control, m0, params, tgrid, sgrid, n_agents, seed):
     hist[0] = bin_slice(x)
     sqrt_dt = math.sqrt(tgrid.dt)
     for i in range(tgrid.n_steps):
-        if callable(control):
-            a = np.asarray(control(tgrid.nodes[i], x), dtype=float)
-        else:
-            a = np.interp(x, sgrid.nodes, control[i])
+        a = np.interp(x, sgrid.nodes, control[i])
         x = x + tgrid.dt * (a - params.g[i])
         noise = params.sigma[i] * params.g[i]
         if noise != 0.0:
@@ -604,17 +595,6 @@ def test_mc_matches_reference_loop_on_a_wall_bound_field(n_cells, sigma):
     ref = _reference_mc_population(field, m0, params, tg, sg, n_agents=20_000, seed=11)
     np.testing.assert_array_equal(hist, ref)
     assert ref[-1][0] > ref[0][0] and ref[-1][-1] > ref[0][-1]
-
-
-def test_mc_matches_reference_loop_with_a_callable_control():
-    tg = TimeGrid(t1=0.4, n_steps=25)
-    sg = SpaceGrid1D(30)
-    params = _ev_params(tg, g=0.4, sigma=0.3)
-    m0 = _tent_density(sg, center=0.3, width=0.25)
-    control = lambda t, x: 0.4 + 3.0 * (x - 0.5) * np.cos(5.0 * t)
-    hist = mc_population(control, m0, params, tg, sg, n_agents=15_000, seed=4)
-    ref = _reference_mc_population(control, m0, params, tg, sg, n_agents=15_000, seed=4)
-    np.testing.assert_array_equal(hist, ref)
 
 
 def test_mc_matches_reference_loop_on_the_weekend_equilibrium(ev_run):

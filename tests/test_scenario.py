@@ -8,7 +8,13 @@ import pytest
 import yaml
 
 from evmfg import (
+    EvParams,
+    PhevParams,
     ScenarioError,
+    SolverOptions,
+    SpaceGrid1D,
+    SpaceGrid2D,
+    TimeGrid,
     apply_overrides,
     build_problem,
     bundled_scenarios,
@@ -222,6 +228,49 @@ def test_series_positivity_checks(tmp_path):
         build_problem(cfg)
 
 
+def _ev_params(**series):
+    values = {"g": 0.4, "d": 0.8, "sigma": 0.1, "H": 2.0, **series}  # _minimal_ev's, 13 nodes
+    return EvParams(**{k: np.full(13, v) for k, v in values.items()}, f_cost=None, kappa=None)
+
+
+def _phev_params(**series):
+    values = {"g": 0.2, "Q1": 125.0, "Q2": 125.0, **series}  # _minimal_phev's, 9 nodes
+    return PhevParams(**{k: np.full(9, v) for k, v in values.items()}, r2=0.7, s_cost=None, xi=None)
+
+
+@pytest.mark.parametrize(
+    "model, mutate, construct",
+    [
+        ("ev", lambda d: d.update(horizon=-1.0), lambda: TimeGrid(-1.0, 12)),
+        ("ev", lambda d: d.update(time_steps=1), lambda: TimeGrid(0.2, 1)),
+        ("ev", lambda d: d["space"].update(cells=2), lambda: SpaceGrid1D(2)),
+        ("phev", lambda d: d["space"].update(cells=[2, 8]), lambda: SpaceGrid2D(2, 8)),
+        ("ev", lambda d: d.update(solver={"max_iters": 0}), lambda: SolverOptions(max_iters=0)),
+        ("ev", lambda d: d.update(solver={"tol": -1.0}), lambda: SolverOptions(tol=-1.0)),
+        ("ev", lambda d: d.update(solver={"damping": 0.0}), lambda: SolverOptions(damping=0.0)),
+        ("ev", lambda d: d["series"].update(H=0.0), lambda: _ev_params(H=0.0)),
+        ("ev", lambda d: d["series"].update(sigma=-1.0), lambda: _ev_params(sigma=-1.0)),
+        ("ev", lambda d: d["series"].update(d={"csv": "nan.csv"}), lambda: _ev_params(d=np.nan)),
+        ("phev", lambda d: d["series"].update(Q1=0.0), lambda: _phev_params(Q1=0.0)),
+        ("phev", lambda d: d["series"].update(Q2=-1.0), lambda: _phev_params(Q2=-1.0)),
+        ("phev", lambda d: d["series"].update(g={"csv": "nan.csv"}), lambda: _phev_params(g=np.nan)),
+    ],
+    ids=["horizon", "time_steps", "cells", "cells-2d", "max_iters", "tol", "damping",
+         "H", "sigma", "finite", "Q1", "Q2", "finite-2d"],
+)
+def test_each_range_rule_has_one_source(tmp_path, model, mutate, construct):
+    # the document route and the object that holds the rule raise the same error
+    (tmp_path / "nan.csv").write_text("t,value\n0.0,0.4\n0.2,nan\n")
+    doc = _minimal_ev() if model == "ev" else _minimal_phev()
+    mutate(doc)
+    with pytest.raises(ScenarioError) as through_document:
+        build_problem(ScenarioConfig(data=validate_config(doc), base_dir=tmp_path))
+    with pytest.raises(ScenarioError) as direct:
+        construct()
+    assert str(through_document.value) == str(direct.value)
+    assert through_document.value.field == direct.value.field
+
+
 # ---------------------------------------------------------------------------
 # series forms
 
@@ -427,6 +476,20 @@ def test_phev_csv_round_trip(phev_run, phev_run_dir):
     np.testing.assert_array_equal(read_field_csv(out / "m.csv", shape), sol.m)
     np.testing.assert_array_equal(read_field_csv(out / "mu1.csv", shape), sol.alpha[0])
     np.testing.assert_array_equal(read_series_csv(out / "r1.csv", sol.p.size), sol.p)
+
+
+def test_readers_reject_a_last_row_with_the_wrong_column_count(ev_run_dir, tmp_path):
+    # a field row cut before its value, a series row with a column too many
+    for name, extra, columns, read in (
+        ("v.csv", None, 2, lambda path: read_field_csv(path, (144, 100))),
+        ("price.csv", ",0.5", 3, lambda path: read_series_csv(path, 144)),
+    ):
+        lines = (Path(ev_run_dir) / name).read_text().splitlines()
+        lines[-1] = lines[-1].rpartition(",")[0] if extra is None else lines[-1] + extra
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        with pytest.raises(ScenarioError, match=f"last row of .*{name} has {columns} columns") as err:
+            read(tmp_path / name)
+        assert err.value.field == name
 
 
 def test_purchases_series_definition(ev_run, ev_run_dir):

@@ -138,11 +138,12 @@ def test_verify_passes_hand_built_stationary_solution():
     assert report.density_deviation <= 1e-12
 
 
-def test_record_history_flag():
-    problem = small_problem(demand_coupled=False)
-    sol = solve_mfe(problem, SolverOptions(damping=1.0, record_history=False))
-    assert sol.converged
-    assert sol.residuals == []
+def test_solve_stopped_at_max_iters_keeps_one_residual():
+    problem = small_problem()
+    sol = solve_mfe(problem, SolverOptions(max_iters=1))
+    assert not sol.converged
+    assert sol.iterations == 1
+    assert len(sol.residuals) == 1 and sol.residuals[0] > sol.tol
 
 
 def test_bundled_runs_converge(ev_run, phev_run):
