@@ -39,7 +39,6 @@ from .phev import (
     PhevProblem,
     beta,
     beta_divergence,
-    phev_cost,
     phev_fpk_forward_sweep,
     phev_hjb_backward_sweep,
     phev_optimal_controls,
@@ -93,7 +92,6 @@ __all__ = [
     "phev_optimal_controls",
     "phev_hjb_backward_sweep",
     "phev_fpk_forward_sweep",
-    "phev_cost",
     "SolverOptions",
     "MfeSolution",
     "solve_mfe",

@@ -2,18 +2,20 @@
 
 Neither path touches the PDE sweeps. The DP solves a small discrete-state,
 discrete-action best response against a FROZEN price series by exact
-backward induction (semi-Lagrangian: the value table is interpolated
-linearly at the candidate next states). Both DPs project next states onto
-[0, 1], the projected Euler step of the reflected dynamics: an agent that
-drives into a wall stays at it. Folding an overshoot back instead would
-hand an agent draining into the empty wall (g - a) dt of free charge on
-every step, a gain that grows as the step shrinks. The Monte Carlo
-simulator integrates the agent dynamics directly with Gaussian increments,
-projects the same way, and bins the population on the solver grid. It
-works out one half-cell index floor(2 n x) per agent per step and reads
-both the interpolated control and the bin from it; the result equals
-``np.interp`` and ``np.histogram`` except for points within about one ulp
-of a cell edge or a cell center (see ``_half_cell_index``).
+backward induction. Both games run through one induction over the product
+of per-axis state and action lattices (semi-Lagrangian: the value table is
+interpolated multilinearly at the candidate next states, clamped beyond
+the lattice hull). Next states are projected onto [0, 1], the projected
+Euler step of the reflected dynamics: an agent that drives into a wall
+stays at it. Folding an overshoot back instead would hand an agent
+draining into the empty wall (g - a) dt of free charge on every step, a
+gain that grows as the step shrinks. The Monte Carlo simulator integrates
+the agent dynamics directly with Gaussian increments, projects the same
+way, and bins the population on the solver grid. It works out one
+half-cell index floor(2 n x) per agent per step and reads both the
+interpolated control and the bin from it; the result equals ``np.interp``
+and ``np.histogram`` except for points within about one ulp of a cell edge
+or a cell center (see ``_half_cell_index``).
 
 Both use the right-endpoint coefficient convention of the value sweep
 (stage cost and dynamics of the step [t_i, t_{i+1}] evaluated at t_{i+1}
@@ -26,6 +28,7 @@ a fixed population, never the coupled equilibrium itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -33,8 +36,8 @@ from typing import Callable
 import numpy as np
 
 from .ev import EvParams
-from .grids import SpaceGrid1D, SpaceGrid2D, TimeGrid
-from .phev import PhevParams, beta
+from .grids import SpaceGrid1D, TimeGrid
+from .phev import PhevParams, _axes, beta
 
 
 def _coarse_series(series: np.ndarray, fine: TimeGrid, coarse: TimeGrid) -> np.ndarray:
@@ -79,16 +82,16 @@ class DiscreteMdp:
     f_cost: Callable[[float, np.ndarray], np.ndarray]
     kappa: Callable[[np.ndarray], np.ndarray]
 
-    def __post_init__(self) -> None:
-        self.states = np.asarray(self.states, dtype=float)
-        self.actions = np.asarray(self.actions, dtype=float)
-        for name in ("g", "sigma", "H", "p"):
-            value = np.asarray(getattr(self, name), dtype=float)
-            if value.shape != (self.tgrid.n_nodes,):
-                raise ValueError(f"series {name} must have one value per coarse time node")
-            setattr(self, name, value)
-        if len(self.states) < 2:
-            raise ValueError("need at least 2 states")
+    def induction(self):
+        """(state lattices, action lattices, terminal table, coefficients) for ``dp_best_response``."""
+        s, nodes, root_dt = self.states, self.tgrid.nodes, math.sqrt(self.tgrid.dt)
+
+        def coefficients(j):
+            g = self.g[j]
+            eps = self.sigma[j] * g * root_dt
+            return [(self.p[j], g, self.H[j])], self.f_cost(nodes[j], s), (eps, -eps)
+
+        return (s,), (self.actions,), self.kappa(s), coefficients
 
 
 def ev_mdp(
@@ -131,16 +134,17 @@ class PhevMdp:
     s_cost: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     xi: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-    def __post_init__(self) -> None:
-        self.states1 = np.asarray(self.states1, dtype=float)
-        self.states2 = np.asarray(self.states2, dtype=float)
-        self.actions1 = np.asarray(self.actions1, dtype=float)
-        self.actions2 = np.asarray(self.actions2, dtype=float)
-        for name in ("g", "Q1", "Q2", "r1"):
-            value = np.asarray(getattr(self, name), dtype=float)
-            if value.shape != (self.tgrid.n_nodes,):
-                raise ValueError(f"series {name} must have one value per coarse time node")
-            setattr(self, name, value)
+    def induction(self):
+        """(state lattices, action lattices, terminal table, coefficients) for ``dp_best_response``."""
+        z1, z2 = np.meshgrid(self.states1, self.states2, indexing="ij")
+        b = beta(z1, z2)
+        nodes = self.tgrid.nodes
+
+        def coefficients(j):
+            # The MDP carries the g, Q1, Q2 and r2 that ``_axes`` reads from the params.
+            return _axes(self.r1, self, b, j), self.s_cost(nodes[j], z1, z2), (0.0,)
+
+        return (self.states1, self.states2), (self.actions1, self.actions2), self.xi(z1, z2), coefficients
 
 
 def phev_mdp(
@@ -169,112 +173,78 @@ def phev_mdp(
     )
 
 
-def dp_best_response(mdp: DiscreteMdp | PhevMdp):
-    """Exact backward induction: (value table, policy table).
+def _interp(table: np.ndarray, lattices, points) -> np.ndarray:
+    """Multilinear interpolation of ``table`` on the product of ``lattices``, clamped outside their hull.
 
-    V(T, .) is the terminal cost; V(i, s) = min over the action lattice of
-    the stage cost plus the expected interpolated V(i+1, next). Ties break
-    toward the smaller action magnitude (actions are scanned in increasing
-    |a| order and the first minimum wins).
+    ``points`` holds one coordinate array per axis. The corners are summed
+    with axis 0 varying fastest.
     """
-    if isinstance(mdp, PhevMdp):
-        return _dp_phev(mdp)
-    if mdp.actions.size == 0:
+    lower, factors = [], []
+    for s, x in zip(lattices, points):
+        k = np.clip(np.searchsorted(s, x) - 1, 0, len(s) - 2)
+        w = np.clip((x - s[k]) / (s[k + 1] - s[k]), 0.0, 1.0)
+        lower.append(k)
+        factors.append((1.0 - w, w))
+    corners = (bits[::-1] for bits in itertools.product((0, 1), repeat=len(lattices)))
+    return sum(
+        math.prod(f[bit] for bit, f in zip(c, factors)) * table[tuple(k + bit for k, bit in zip(lower, c))]
+        for c in corners
+    )
+
+
+def dp_best_response(mdp: DiscreteMdp | PhevMdp):
+    """Exact backward induction: (value table, policy table), one policy table per axis in 2D.
+
+    V(T, .) is the terminal cost; V(i, s) = min over the product of the
+    action lattices of the stage cost sum_k (a_k p_k + h_k a_k^2 / 2) plus
+    the running cost, plus the interpolated V(i+1, next) averaged over the
+    noise shifts. Ties break toward the laziest action: the smallest
+    sum_k |a_k|, then |a_1|, |a_2|, ..., then a_1, a_2, ... (actions are
+    scanned in that order and the first minimum wins).
+    """
+    states, actions, terminal, coefficients = mdp.induction()
+    if min(len(s) for s in states) < 2:
+        raise ValueError("need at least 2 states")
+    if min(len(a) for a in actions) == 0:
         raise ValueError("empty action set")
-    s = mdp.states
-    order = np.lexsort((mdp.actions, np.abs(mdp.actions)))
-    a = mdp.actions[order][:, None]
+    flat = [a.ravel() for a in np.meshgrid(*actions, indexing="ij")]
+    size = [np.abs(a) for a in flat]
+    order = np.lexsort(flat[::-1] + size[::-1] + [sum(size)])
+    acts = [a[order].reshape((-1,) + (1,) * len(states)) for a in flat]
+    mesh = np.meshgrid(*states, indexing="ij")
+    shape = mesh[0].shape
     dt = mdp.tgrid.dt
-    nodes = mdp.tgrid.nodes
-    value = np.empty((mdp.tgrid.n_nodes, len(s)))
-    policy = np.empty((mdp.tgrid.n_steps, len(s)))
-    value[-1] = mdp.kappa(s)
+    value = np.empty((mdp.tgrid.n_nodes,) + shape)
+    policy = tuple(np.empty((mdp.tgrid.n_steps,) + shape) for _ in states)
+    value[-1] = terminal
+    cols = np.arange(value[-1].size)
     for i in range(mdp.tgrid.n_steps - 1, -1, -1):
         j = i + 1
-        g = mdp.g[j]
-        eps = mdp.sigma[j] * g * math.sqrt(dt)
-        nxt = s[None, :] + dt * (a - g)
-        up = np.clip(nxt + eps, 0.0, 1.0)
-        dn = np.clip(nxt - eps, 0.0, 1.0)
-        expected = 0.5 * (
-            np.interp(up.ravel(), s, value[j]).reshape(up.shape)
-            + np.interp(dn.ravel(), s, value[j]).reshape(dn.shape)
-        )
-        stage = a * mdp.p[j] + 0.5 * mdp.H[j] * a ** 2 + mdp.f_cost(nodes[j], s)[None, :]
-        total = dt * stage + expected
-        best = np.argmin(total, axis=0)  # first minimum = smallest |a|
-        value[i] = total[best, np.arange(len(s))]
-        policy[i] = a[best, 0]
-    return value, policy
-
-
-def _bilinear(table: np.ndarray, s1: np.ndarray, s2: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation with clamping outside the lattice hull."""
-    i1 = np.clip(np.searchsorted(s1, x1) - 1, 0, len(s1) - 2)
-    i2 = np.clip(np.searchsorted(s2, x2) - 1, 0, len(s2) - 2)
-    w1 = np.clip((x1 - s1[i1]) / (s1[i1 + 1] - s1[i1]), 0.0, 1.0)
-    w2 = np.clip((x2 - s2[i2]) / (s2[i2 + 1] - s2[i2]), 0.0, 1.0)
-    return (
-        (1.0 - w1) * (1.0 - w2) * table[i1, i2]
-        + w1 * (1.0 - w2) * table[i1 + 1, i2]
-        + (1.0 - w1) * w2 * table[i1, i2 + 1]
-        + w1 * w2 * table[i1 + 1, i2 + 1]
-    )
+        axes, running, shifts = coefficients(j)
+        nxt = [z + dt * (a - g) for z, a, (_, g, _) in zip(mesh, acts, axes)]
+        expected = sum(
+            _interp(value[j], states, [np.clip(x + shift, 0.0, 1.0) for x in nxt]) for shift in shifts
+        ) / len(shifts)
+        stage = sum(a * p for a, (p, _, _) in zip(acts, axes))
+        stage = sum((0.5 * h * a ** 2 for a, (_, _, h) in zip(acts, axes)), stage)
+        total = (dt * (stage + running) + expected).reshape(len(order), -1)
+        best = np.argmin(total, axis=0)  # first minimum = laziest action
+        value[i] = total[best, cols].reshape(shape)
+        for out, a in zip(policy, acts):
+            out[i] = a.ravel()[best].reshape(shape)
+    return value, policy if len(policy) > 1 else policy[0]
 
 
 def dp_deviation(mdp: DiscreteMdp | PhevMdp, dp_value: np.ndarray, v: np.ndarray, sgrid) -> np.ndarray:
     """Relative time-0 deviation |V_dp - v| / max|v| at each DP lattice state.
 
     ``dp_value`` is ``dp_best_response(mdp)``'s table and ``v`` the solver's
-    field, interpolated onto the lattice (``np.interp`` in 1D, bilinear in 2D).
+    field, interpolated onto the lattice with the induction's multilinear
+    helper, clamped beyond the outer cell centers.
     """
-    if isinstance(mdp, PhevMdp):
-        v0 = _bilinear(v[0], sgrid.nodes1, sgrid.nodes2, mdp.states1[:, None], mdp.states2[None, :])
-    else:
-        v0 = np.interp(mdp.states, sgrid.nodes, v[0])
+    nodes = [(np.arange(n) + 0.5) * sgrid.spacing(k) for k, n in enumerate(sgrid.shape)]
+    v0 = _interp(v[0], nodes, np.meshgrid(*mdp.induction()[0], indexing="ij"))
     return np.abs(dp_value[0] - v0) / np.abs(v0).max()
-
-
-def _dp_phev(mdp: PhevMdp):
-    if mdp.actions1.size == 0 or mdp.actions2.size == 0:
-        raise ValueError("empty action set")
-    a1_grid, a2_grid = np.meshgrid(mdp.actions1, mdp.actions2, indexing="ij")
-    a1 = a1_grid.ravel()
-    a2 = a2_grid.ravel()
-    # Scan pairs by total magnitude so argmin's first hit is the laziest one.
-    order = np.lexsort((a2, a1, np.abs(a2), np.abs(a1), np.abs(a1) + np.abs(a2)))
-    a1 = a1[order][:, None, None]
-    a2 = a2[order][:, None, None]
-    z1, z2 = np.meshgrid(mdp.states1, mdp.states2, indexing="ij")
-    b = beta(z1, z2)
-    dt = mdp.tgrid.dt
-    nodes = mdp.tgrid.nodes
-    shape = z1.shape
-    value = np.empty((mdp.tgrid.n_nodes,) + shape)
-    pol1 = np.empty((mdp.tgrid.n_steps,) + shape)
-    pol2 = np.empty((mdp.tgrid.n_steps,) + shape)
-    value[-1] = mdp.xi(z1, z2)
-    for i in range(mdp.tgrid.n_steps - 1, -1, -1):
-        j = i + 1
-        g = mdp.g[j]
-        n1 = np.clip(z1[None] + dt * (a1 - b[None] * g), 0.0, 1.0)
-        n2 = np.clip(z2[None] + dt * (a2 - (1.0 - b[None]) * g), 0.0, 1.0)
-        expected = _bilinear(value[j], mdp.states1, mdp.states2, n1, n2)
-        stage = (
-            a1 * mdp.r1[j]
-            + a2 * mdp.r2
-            + 0.5 * mdp.Q1[j] * a1 ** 2
-            + 0.5 * mdp.Q2[j] * a2 ** 2
-            + mdp.s_cost(nodes[j], z1, z2)[None]
-        )
-        total = dt * stage + expected
-        flat = total.reshape(total.shape[0], -1)
-        best = np.argmin(flat, axis=0)
-        cols = np.arange(flat.shape[1])
-        value[i] = flat[best, cols].reshape(shape)
-        pol1[i] = a1[best, 0, 0].reshape(shape)
-        pol2[i] = a2[best, 0, 0].reshape(shape)
-    return value, (pol1, pol2)
 
 
 def sample_density(m0: np.ndarray, sgrid: SpaceGrid1D, n_agents: int) -> np.ndarray:

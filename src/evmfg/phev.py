@@ -39,7 +39,7 @@ import numpy as np
 
 from .ev import _SeriesParams, _backward_sweep, _check_initial_density, _forward_sweep, _geometry, _hamiltonian_sum
 from .grids import SpaceGrid2D, TimeGrid
-from .numerics import integrate, mean_rate
+from .numerics import mean_rate
 from .numerics import substep_count  # noqa: F401  (perfbench's trace rebinds it by name)
 
 
@@ -148,34 +148,6 @@ def phev_fpk_forward_sweep(
         return (mu1[i] - b * g, mu2[i] - (1.0 - b) * g), 0.0
 
     return _forward_sweep(m0, tgrid, sgrid, coefficients)
-
-
-def phev_cost(
-    mu: tuple[np.ndarray, np.ndarray],
-    m: np.ndarray,
-    r1: np.ndarray,
-    params: PhevParams,
-    tgrid: TimeGrid,
-    sgrid: SpaceGrid2D,
-) -> float:
-    """Population-averaged cost of a control pair along a density flow."""
-    mu1, mu2 = mu
-    if mu1.shape != m.shape or mu2.shape != m.shape:
-        raise ValueError("mu and m shapes are inconsistent")
-    z1, z2 = sgrid.meshes()
-    t_nodes = tgrid.nodes
-    total = 0.0
-    for i in range(tgrid.n_steps):
-        stage = (
-            mu1[i] * r1[i]
-            + mu2[i] * params.r2
-            + 0.5 * params.Q1[i] * mu1[i] ** 2
-            + 0.5 * params.Q2[i] * mu2[i] ** 2
-            + params.s_cost(t_nodes[i], z1, z2)
-        )
-        total += tgrid.dt * integrate(m[i] * stage, sgrid)
-    total += integrate(m[-1] * params.xi(z1, z2), sgrid)
-    return float(total)
 
 
 @dataclass

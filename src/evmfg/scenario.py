@@ -97,6 +97,8 @@ _EV_SERIES = ("g", "d", "sigma", "H")
 _PHEV_SERIES = ("g", "Q1", "Q2")
 _EV_COSTS = ("f", "kappa")
 _PHEV_COSTS = ("s", "xi")
+# libyaml's safe loader where PyYAML was built with it: the same documents, parsed in C.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass
@@ -353,7 +355,7 @@ def load_scenario(path_or_name: str | Path) -> ScenarioConfig:
         base_dir = Path.cwd()
         stem = name
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError("document", f"not valid YAML: {exc}") from exc
     return ScenarioConfig(data=validate_config(raw, name_default=stem), base_dir=base_dir)
@@ -388,7 +390,7 @@ def apply_overrides(config: ScenarioConfig, overrides: list[str]) -> ScenarioCon
         if "." not in key and key in _SOLVER_DEFAULTS:
             key = f"solver.{key}"
         try:
-            value = yaml.safe_load(raw_value) if raw_value.strip() else ""
+            value = yaml.load(raw_value, Loader=_YAML_LOADER) if raw_value.strip() else ""
         except yaml.YAMLError as exc:
             raise ScenarioError(key, f"override value is not valid YAML: {exc}") from exc
         parts = key.split(".")

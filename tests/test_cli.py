@@ -247,6 +247,17 @@ def test_oracle_phev_says_when_it_caps_the_lattice(phev_run_dir, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("states", ["1", "0"])
+@pytest.mark.parametrize("run_dir", ["ev_run_dir", "phev_run_dir"])
+def test_oracle_rejects_a_lattice_of_fewer_than_2_states(run_dir, states, request, capsys):
+    code = cli.main(["oracle", str(request.getfixturevalue(run_dir)), "--states", states])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "need at least 2 states" in captured.err
+    assert captured.out == ""
+
+
 def test_schema_prints_schema(capsys):
     code = cli.main(["schema"])
     captured = capsys.readouterr()

@@ -86,42 +86,20 @@ def test_ev_mdp_lattice_and_actions():
     assert mdp.p[0] == p[0] and mdp.p[-1] == p[-1]
 
 
-def test_discrete_mdp_rejects_bad_series_shape():
-    tg = TimeGrid(t1=1.0, n_steps=3)
-    with pytest.raises(ValueError, match="per coarse time node"):
-        DiscreteMdp(
-            states=np.linspace(0.0, 1.0, 4),
-            actions=np.array([0.0]),
-            tgrid=tg,
-            g=np.zeros(tg.n_nodes - 1),
-            sigma=np.zeros(tg.n_nodes),
-            H=np.ones(tg.n_nodes),
-            p=np.zeros(tg.n_nodes),
-            f_cost=lambda t, s: np.zeros_like(s),
-            kappa=lambda s: np.zeros_like(s),
-        )
-
-
-def test_discrete_mdp_rejects_single_state():
-    tg = TimeGrid(t1=1.0, n_steps=3)
+@pytest.mark.parametrize(
+    "make", [lambda: _flat_mdp(n_states=1), lambda: _flat_phev_mdp(n=1)], ids=["ev", "phev"]
+)
+def test_dp_rejects_single_state(make):
     with pytest.raises(ValueError, match="at least 2 states"):
-        DiscreteMdp(
-            states=np.array([0.5]),
-            actions=np.array([0.0]),
-            tgrid=tg,
-            g=np.zeros(tg.n_nodes),
-            sigma=np.zeros(tg.n_nodes),
-            H=np.ones(tg.n_nodes),
-            p=np.zeros(tg.n_nodes),
-            f_cost=lambda t, s: np.zeros_like(s),
-            kappa=lambda s: np.zeros_like(s),
-        )
+        dp_best_response(make())
 
 
 def test_dp_rejects_empty_action_set():
-    mdp = _flat_mdp(actions=())
-    with pytest.raises(ValueError, match="empty action set"):
-        dp_best_response(mdp)
+    empty_2 = _flat_phev_mdp()
+    empty_2.actions2 = np.array([])
+    for mdp in (_flat_mdp(actions=()), _flat_phev_mdp(actions=()), empty_2):
+        with pytest.raises(ValueError, match="empty action set"):
+            dp_best_response(mdp)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +376,36 @@ def test_phev_dp_symmetric_under_axis_swap():
         np.testing.assert_allclose(value[i], value[i].T, atol=1e-12)
     for i in range(pol1.shape[0]):
         np.testing.assert_allclose(pol1[i], pol2[i].T, atol=1e-12)
+
+
+def test_one_induction_serves_both_models():
+    # a 2D MDP whose second pack neither drains nor trades and whose costs
+    # read z1 only is the 1D MDP at sigma = 0 in every z2 column, bit for bit
+    kw = dict(actions=(-1.0, -0.4, 0.0, 0.7, 1.0), r1=0.4, Q=0.8, n_steps=4)
+    mdp2 = _flat_phev_mdp(
+        n=6,
+        s_cost=lambda t, z1, z2: (1.0 - z1) ** 2 + 0.1 * t,
+        xi=lambda z1, z2: 2.0 * (1.0 - z1) ** 2,
+        **kw,
+    )
+    mdp2.actions2 = np.array([0.0])
+    mdp1 = _flat_mdp(
+        n_states=6,
+        n_steps=4,
+        actions=kw["actions"],
+        H=kw["Q"],
+        p=kw["r1"],
+        f_cost=lambda t, s: (1.0 - s) ** 2 + 0.1 * t,
+        kappa=lambda s: 2.0 * (1.0 - s) ** 2,
+    )
+    mdp1.states = mdp2.states1
+    value1, policy1 = dp_best_response(mdp1)
+    value2, (pol1, pol2) = dp_best_response(mdp2)
+    assert np.any(policy1 != 0.0)
+    np.testing.assert_array_equal(pol2, 0.0)
+    for k in range(len(mdp2.states2)):
+        np.testing.assert_array_equal(value2[:, :, k], value1)
+        np.testing.assert_array_equal(pol1[:, :, k], policy1)
 
 
 def test_phev_mdp_uses_cell_centered_states():

@@ -14,8 +14,6 @@ from evmfg import (
     beta_divergence,
     diff_central,
     diff_upwind,
-    integrate,
-    phev_cost,
     phev_fpk_forward_sweep,
     phev_hjb_backward_sweep,
     phev_optimal_controls,
@@ -336,42 +334,6 @@ def test_conservative_form_matches_expanded_form():
     (e1, h1), (e2, _) = errors
     assert e1 <= 20.0 * h1  # O(dz) with a moderate constant for these fields
     assert e1 / e2 >= 1.5
-
-
-# ---------------------------------------------------------------------------
-# phev_cost
-
-
-def test_phev_cost_terminal_only():
-    tgrid = TimeGrid(1.0, 4)
-    sgrid = SpaceGrid2D(16, 16)
-    params = make_params(tgrid, xi=lambda z1, z2: 10.0 * (2.0 - z1 - z2) ** 2)
-    r1 = np.full(tgrid.n_nodes, 0.7)
-    m = np.tile(gaussian_density(sgrid, (0.4, 0.6), 0.02), (tgrid.n_nodes, 1, 1))
-    shape = (tgrid.n_nodes, 16, 16)
-    zero = (np.zeros(shape), np.zeros(shape))
-    z1, z2 = sgrid.meshes()
-    expected = float((params.xi(z1, z2) * m[-1]).sum() * sgrid.cell_volume)
-    assert phev_cost(zero, m, r1, params, tgrid, sgrid) == pytest.approx(
-        expected, rel=1e-12
-    )
-
-
-def test_phev_cost_full_reserves_corner():
-    # point mass in the top corner cell: terminal shortage cost is xi at
-    # that node, which vanishes as the grid approaches (1, 1)
-    tgrid = TimeGrid(1.0, 4)
-    sgrid = SpaceGrid2D(16, 16)
-    params = make_params(tgrid, xi=lambda z1, z2: 10.0 * (2.0 - (z1 + z2)) ** 2)
-    r1 = np.full(tgrid.n_nodes, 0.7)
-    m = np.zeros((tgrid.n_nodes, 16, 16))
-    m[:, -1, -1] = 1.0 / sgrid.cell_volume
-    shape = (tgrid.n_nodes, 16, 16)
-    zero = (np.zeros(shape), np.zeros(shape))
-    cost = phev_cost(zero, m, r1, params, tgrid, sgrid)
-    corner = float(params.xi(sgrid.nodes1[-1], sgrid.nodes2[-1]))
-    assert cost == pytest.approx(corner, rel=1e-12)
-    assert cost < 0.05
 
 
 def test_phev_params_validation():
