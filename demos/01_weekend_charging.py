@@ -21,7 +21,7 @@ start = time.perf_counter()
 sol = evmfg.solve_mfe(problem, options)
 wall = time.perf_counter() - start
 
-print(f"scenario: {config.name} ({problem.tgrid.n_steps} steps x {problem.sgrid.n_cells} cells)")
+print(f"scenario: {config.name} ({problem.tgrid.n_steps} steps x {problem.sgrid.shape[0]} cells)")
 print(f"converged: {sol.converged} after {sol.iterations} iterations in {wall:.1f}s")
 print(f"final density residual: {sol.residuals[-1]:.3e}")
 

@@ -23,7 +23,7 @@ start = time.perf_counter()
 sol = evmfg.solve_mfe(problem, options)
 wall = time.perf_counter() - start
 
-print(f"scenario: {config.name} ({problem.tgrid.n_steps} steps x {problem.sgrid.n1}x{problem.sgrid.n2} cells)")
+print(f"scenario: {config.name} ({problem.tgrid.n_steps} steps x {'x'.join(map(str, problem.sgrid.shape))} cells)")
 print(f"converged: {sol.converged} after {sol.iterations} iterations in {wall:.1f}s")
 print(f"r1 at t=0+: {sol.p[0]:.4f}   (flat outside option r2 = {problem.params.r2})")
 print(f"r1 range over the horizon: [{sol.p.min():.4f}, {sol.p.max():.4f}]")
@@ -45,12 +45,12 @@ for label, slice_ in (("initial", sol.m[0]), ("final", sol.m[-1])):
     print(f"{label:7s} density: mean z1 = {m1:.4f}, mean z2 = {m2:.4f}, corr = {corr:+.4f}")
 
 # charging controls at t=0 along the z2 = 0.5 section
-k = int(np.argmin(np.abs(problem.sgrid.nodes2 - 0.5)))
+k = int(np.argmin(np.abs(problem.sgrid.nodes(1) - 0.5)))
 mu1, mu2 = sol.alpha
-print(f"\ncontrols at t=0 along z2 = {problem.sgrid.nodes2[k]:.3f}:")
+print(f"\ncontrols at t=0 along z2 = {problem.sgrid.nodes(1)[k]:.3f}:")
 print("   z1      mu1        mu2")
-for j in range(0, problem.sgrid.n1, 3):
-    print(f"  {problem.sgrid.nodes1[j]:.3f}  {mu1[0, j, k]:+.6f}  {mu2[0, j, k]:+.6f}")
+for j in range(0, problem.sgrid.shape[0], 3):
+    print(f"  {problem.sgrid.nodes(0)[j]:.3f}  {mu1[0, j, k]:+.6f}  {mu2[0, j, k]:+.6f}")
 
 if len(sys.argv) > 1:
     files = evmfg.export_results(sol, problem, config, sys.argv[1], wall_time=wall, resampled=resampled)

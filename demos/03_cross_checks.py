@@ -29,7 +29,7 @@ print(f"equilibrium solved: {sol.iterations} iterations, residual {sol.residuals
 # --- dynamic program against the frozen price ------------------------------
 mdp = evmfg.ev_mdp(problem.params, problem.tgrid, sol.p, n_states=20)
 value, policy = evmfg.dp_best_response(mdp)
-v0 = np.interp(mdp.states, problem.sgrid.nodes, sol.v[0])
+v0 = np.interp(mdp.states, problem.sgrid.nodes(0), sol.v[0])
 dev = (value[0] - v0) / np.abs(v0).max()
 
 print("dp best response vs value function at t=0 (20 battery levels):")
@@ -44,7 +44,7 @@ hist = evmfg.mc_population(
     sol.alpha, sol.m[0], problem.params, problem.tgrid, problem.sgrid,
     n_agents=100_000, seed=0,
 )
-l1 = np.abs(hist - sol.m).sum(axis=1) * problem.sgrid.dx
+l1 = np.abs(hist - sol.m).sum(axis=1) * problem.sgrid.spacing(0)
 print("monte carlo population vs pde density (100000 agents, seed 0):")
 print(f"  sup-t L1 distance: {l1.max():.4f}  (audit threshold 0.1)")
 print(f"  distance at t=0 / mid / T: {l1[0]:.4f} / {l1[len(l1) // 2]:.4f} / {l1[-1]:.4f}")

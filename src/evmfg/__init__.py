@@ -16,7 +16,7 @@ from .ev import (
     hjb_backward_sweep,
     optimal_control,
 )
-from .grids import SpaceGrid1D, SpaceGrid2D, TimeGrid
+from .grids import SpaceGrid, TimeGrid
 from .numerics import (
     diff2,
     diff_central,
@@ -68,8 +68,7 @@ __all__ = [
     "DivergenceError",
     "ScenarioError",
     "TimeGrid",
-    "SpaceGrid1D",
-    "SpaceGrid2D",
+    "SpaceGrid",
     "diff_central",
     "diff_upwind",
     "diff2",

@@ -148,6 +148,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    if args.states < 2:
+        raise ValueError("need at least 2 states")
+    if args.agents < 1:
+        raise ValueError("need at least one agent")
     sol, problem, config, _ = _load_run(Path(args.run_dir), ORACLE_FIELDS)
     if config.model == "ev":
         mdp = ev_mdp(problem.params, problem.tgrid, sol.p, n_states=args.states)
@@ -165,7 +169,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         return 0 if dp_dev <= DP_THRESHOLD else 1
     hist = mc_population(sol.alpha, problem.m0, problem.params, problem.tgrid, problem.sgrid,
                          n_agents=args.agents, seed=args.seed)
-    mc_dist = float((np.abs(hist - sol.m).sum(axis=1) * problem.sgrid.dx).max())
+    mc_dist = float((np.abs(hist - sol.m).sum(axis=1) * problem.sgrid.spacing(0)).max())
     print(f"mc density distance: {mc_dist:.6g} (threshold {MC_THRESHOLD})")
     return 0 if dp_dev <= DP_THRESHOLD and mc_dist <= MC_THRESHOLD else 1
 

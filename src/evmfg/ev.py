@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, ScenarioError
-from .grids import SpaceGrid1D, TimeGrid
+from .grids import SpaceGrid, TimeGrid
 from .numerics import AxisIndex, axis_index, diff2, diff_upwind, integrate, mean_rate, substep_count
 from .numerics import diff_central  # noqa: F401  (perfbench's trace rebinds it by name)
 
@@ -112,7 +112,7 @@ def _check_density_slice(m: np.ndarray, time_node: int) -> np.ndarray:
     return m
 
 
-def ev_price(m: np.ndarray, params: EvParams, sgrid: SpaceGrid1D, tgrid: TimeGrid) -> np.ndarray:
+def ev_price(m: np.ndarray, params: EvParams, sgrid: SpaceGrid, tgrid: TimeGrid) -> np.ndarray:
     """Price series p_i = ([g_i + d/dt int x m]+ + d_i)^exponent.
 
     With ``demand_coupled`` off the vehicle demand term is zeroed, which
@@ -253,7 +253,7 @@ def _forward_sweep(m0: np.ndarray, tgrid: TimeGrid, sgrid, coefficients) -> np.n
     return m
 
 
-def optimal_control(v: np.ndarray, p: np.ndarray, params: EvParams, sgrid: SpaceGrid1D) -> np.ndarray:
+def optimal_control(v: np.ndarray, p: np.ndarray, params: EvParams, sgrid: SpaceGrid) -> np.ndarray:
     """Minimiser of the upwind Hamiltonian at every (time, cell) node.
 
     Away from the walls this is -(dv/dx + p) / H taken from the side the
@@ -264,19 +264,19 @@ def optimal_control(v: np.ndarray, p: np.ndarray, params: EvParams, sgrid: Space
     if v.shape[1:] != sgrid.shape:
         raise ValueError(f"value field shape {v.shape} does not match grid {sgrid.shape}")
     col = lambda series: np.asarray(series, dtype=float)[:, None]
-    _, alpha = _hamiltonian(v, col(p), col(params.g), col(params.H), sgrid.dx, axis_index(1))
+    _, alpha = _hamiltonian(v, col(p), col(params.g), col(params.H), sgrid.spacing(0), axis_index(1))
     return alpha
 
 
 def hjb_backward_sweep(
-    p: np.ndarray, params: EvParams, tgrid: TimeGrid, sgrid: SpaceGrid1D
+    p: np.ndarray, params: EvParams, tgrid: TimeGrid, sgrid: SpaceGrid
 ) -> tuple[np.ndarray, np.ndarray]:
     """Explicit backward sweep of the value function, v(T, .) = kappa.
 
     Returns (v, alpha), with alpha = ``optimal_control(v, p, params, sgrid)``.
     """
     params.check_nodes(tgrid)
-    x = sgrid.nodes
+    x = sgrid.nodes(0)
     t_nodes = tgrid.nodes
 
     def coefficients(j):
@@ -288,7 +288,7 @@ def hjb_backward_sweep(
 
 
 def fpk_forward_sweep(
-    alpha: np.ndarray, m0: np.ndarray, params: EvParams, tgrid: TimeGrid, sgrid: SpaceGrid1D
+    alpha: np.ndarray, m0: np.ndarray, params: EvParams, tgrid: TimeGrid, sgrid: SpaceGrid
 ) -> np.ndarray:
     """Explicit forward density transport under the drift alpha - g."""
     params.check_nodes(tgrid)
@@ -306,12 +306,12 @@ def ev_cost(
     p: np.ndarray,
     params: EvParams,
     tgrid: TimeGrid,
-    sgrid: SpaceGrid1D,
+    sgrid: SpaceGrid,
 ) -> float:
     """Population-averaged cost of a control field along a density flow."""
     if alpha.shape != m.shape or len(p) != m.shape[0]:
         raise ValueError("alpha, m and p shapes are inconsistent")
-    x = sgrid.nodes
+    x = sgrid.nodes(0)
     t_nodes = tgrid.nodes
     total = 0.0
     for i in range(tgrid.n_steps):
@@ -327,7 +327,7 @@ class EvProblem:
 
     params: EvParams
     tgrid: TimeGrid
-    sgrid: SpaceGrid1D
+    sgrid: SpaceGrid
     m0: np.ndarray
 
     def __post_init__(self) -> None:

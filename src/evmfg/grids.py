@@ -7,6 +7,7 @@ makes zero-flux walls natural for the finite volume advection scheme.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,77 +42,29 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class SpaceGrid1D:
-    """Cell-centered grid on [0, 1]: x_j = (j + 1/2) / n_cells."""
+class SpaceGrid:
+    """Cell-centered grid on [0, 1]^d: node j of axis k is (j + 1/2) / shape[k].
 
-    n_cells: int
+    The 1D game has one axis (x), the 2D game two (z1, z2). An int ``shape`` is one axis.
+    """
 
-    def __post_init__(self) -> None:
-        if self.n_cells < 4:
-            raise ScenarioError("space.cells", "must be at least 4")
-
-    @property
-    def dx(self) -> float:
-        return 1.0 / self.n_cells
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return (np.arange(self.n_cells) + 0.5) * self.dx
-
-    @property
-    def cell_volume(self) -> float:
-        return self.dx
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return (self.n_cells,)
-
-    def spacing(self, axis: int) -> float:
-        return self.dx
-
-
-@dataclass(frozen=True)
-class SpaceGrid2D:
-    """Cell-centered grid on [0, 1]^2; axis 0 is z1, axis 1 is z2."""
-
-    n1: int
-    n2: int
+    shape: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n1 < 4 or self.n2 < 4:
+        object.__setattr__(self, "shape", tuple(np.atleast_1d(self.shape).tolist()))
+        if min(self.shape, default=0) < 4:
             raise ScenarioError("space.cells", "each axis needs at least 4 cells")
 
-    @property
-    def dz1(self) -> float:
-        return 1.0 / self.n1
+    def spacing(self, axis: int) -> float:
+        return 1.0 / self.shape[axis]
 
-    @property
-    def dz2(self) -> float:
-        return 1.0 / self.n2
+    def nodes(self, axis: int) -> np.ndarray:
+        return (np.arange(self.shape[axis]) + 0.5) * self.spacing(axis)
 
-    @property
-    def nodes1(self) -> np.ndarray:
-        return (np.arange(self.n1) + 0.5) * self.dz1
-
-    @property
-    def nodes2(self) -> np.ndarray:
-        return (np.arange(self.n2) + 0.5) * self.dz2
-
-    def meshes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Z1, Z2) coordinate arrays of shape (n1, n2)."""
-        return np.meshgrid(self.nodes1, self.nodes2, indexing="ij")
+    def meshes(self) -> tuple[np.ndarray, ...]:
+        """One coordinate array of the grid's shape per axis (``indexing="ij"``)."""
+        return tuple(np.meshgrid(*(self.nodes(k) for k in range(len(self.shape))), indexing="ij"))
 
     @property
     def cell_volume(self) -> float:
-        return self.dz1 * self.dz2
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return (self.n1, self.n2)
-
-    def spacing(self, axis: int) -> float:
-        if axis == 0:
-            return self.dz1
-        if axis == 1:
-            return self.dz2
-        raise ValueError("axis must be 0 or 1")
+        return math.prod(self.spacing(k) for k in range(len(self.shape)))

@@ -14,12 +14,13 @@ no-flux (reflecting) walls of the model:
 * ``diff2``: 3-point second difference with Neumann ghost cells (ghost value
   equals the adjacent interior value), also exactly conservative.
 
-2D fields use the same stencils axis by axis (pass ``axis=0`` for z1,
-``axis=1`` for z2). A stencil reads its neighbours along the axis through
-the index tuples of ``axis_index`` (``[:-1]``, ``[1:]``, ``[1:-1]``, ... along
-that axis, full slices before it), built once per axis and shared with the
-upwind Hamiltonian in ``ev``. It never moves the axis to the front, so a call
-costs its arithmetic plus the shape check, and each output cell comes from the
+The stencils take any axis of the grid (``axis=k``; on the 2D grid 0 is z1
+and 1 is z2), and the axis may be left out only on a one-axis grid. A stencil
+reads its neighbours along the axis through the index tuples of
+``axis_index`` (``[:-1]``, ``[1:]``, ``[1:-1]``, ... along that axis, full
+slices before it), built once per axis and shared with the upwind
+Hamiltonian in ``ev``. It never moves the axis to the front, so a call costs
+its arithmetic plus the shape check, and each output cell comes from the
 same operations in the same order on every axis.
 """
 
@@ -31,22 +32,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import SpaceGrid1D, SpaceGrid2D, TimeGrid
+from .grids import TimeGrid
 
 
 def _resolve_axis(f: np.ndarray, grid, axis: int | None) -> tuple[int, float]:
-    """Validate the slice shape against the grid, return (axis, spacing)."""
-    if isinstance(grid, SpaceGrid1D):
-        if f.shape != grid.shape:
-            raise ValueError(f"slice shape {f.shape} does not match grid {grid.shape}")
-        return 0, grid.dx
-    if isinstance(grid, SpaceGrid2D):
-        if f.shape != grid.shape:
-            raise ValueError(f"slice shape {f.shape} does not match grid {grid.shape}")
-        if axis not in (0, 1):
-            raise ValueError("axis (0 for z1, 1 for z2) is required on 2D grids")
-        return axis, grid.spacing(axis)
-    raise TypeError(f"unsupported grid type {type(grid).__name__}")
+    """Validate the slice shape and the axis against the grid, return (axis, spacing)."""
+    if f.shape != grid.shape:
+        raise ValueError(f"slice shape {f.shape} does not match grid {grid.shape}")
+    axis = 0 if axis is None and f.ndim == 1 else axis
+    if axis is None or not 0 <= axis < f.ndim:
+        raise ValueError(f"axis must be one of the grid's {f.ndim} axes, got {axis}")
+    return axis, grid.spacing(axis)
 
 
 class AxisIndex(NamedTuple):
@@ -123,18 +119,14 @@ def integrate(f: np.ndarray, grid) -> float:
 
 
 def space_mean(slice_values: np.ndarray, grid) -> float:
-    """First moment of a density slice: the battery-level mean."""
-    if isinstance(grid, SpaceGrid1D):
-        coord = grid.nodes
-    else:
-        coord = grid.meshes()[0]
-    return integrate(np.asarray(slice_values) * coord, grid)
+    """First moment of a density slice along axis 0: the battery-level mean."""
+    return integrate(np.asarray(slice_values) * grid.meshes()[0], grid)
 
 
 def mean_rate(m: np.ndarray, grid, tgrid: TimeGrid) -> np.ndarray:
     """Forward-difference time derivative of the density's first moment.
 
-    On a 2D grid the moment is taken along z1 (the battery axis). The rate
+    The moment is taken along axis 0 (x, or z1 on the 2D grid). The rate
     of interval i is attributed to time node i; the final node reuses the
     last interval's rate, leaving one value per node.
     """
@@ -143,11 +135,7 @@ def mean_rate(m: np.ndarray, grid, tgrid: TimeGrid) -> np.ndarray:
         raise ValueError(f"expected {tgrid.n_nodes} time slices, got {m.shape[0]}")
     if m.shape[0] < 2:
         raise ValueError("need at least 2 time slices")
-    if isinstance(grid, SpaceGrid1D):
-        coord = grid.nodes
-    else:
-        coord = grid.meshes()[0]
-    means = (m * coord).reshape(m.shape[0], -1).sum(axis=1) * grid.cell_volume
+    means = (m * grid.meshes()[0]).reshape(m.shape[0], -1).sum(axis=1) * grid.cell_volume
     rates = np.empty(tgrid.n_nodes)
     rates[:-1] = np.diff(means) / tgrid.dt
     rates[-1] = rates[-2]

@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .ev import EvParams
-from .grids import SpaceGrid1D, TimeGrid
+from .grids import SpaceGrid, TimeGrid
 from .phev import PhevParams, _axes, beta
 
 
@@ -242,20 +242,20 @@ def dp_deviation(mdp: DiscreteMdp | PhevMdp, dp_value: np.ndarray, v: np.ndarray
     field, interpolated onto the lattice with the induction's multilinear
     helper, clamped beyond the outer cell centers.
     """
-    nodes = [(np.arange(n) + 0.5) * sgrid.spacing(k) for k, n in enumerate(sgrid.shape)]
+    nodes = [sgrid.nodes(k) for k in range(len(sgrid.shape))]
     v0 = _interp(v[0], nodes, np.meshgrid(*mdp.induction()[0], indexing="ij"))
     return np.abs(dp_value[0] - v0) / np.abs(v0).max()
 
 
-def sample_density(m0: np.ndarray, sgrid: SpaceGrid1D, n_agents: int) -> np.ndarray:
+def sample_density(m0: np.ndarray, sgrid: SpaceGrid, n_agents: int) -> np.ndarray:
     """Stratified inverse-CDF draws from a piecewise-constant 1D density."""
     m0 = np.asarray(m0, dtype=float)
-    masses = m0 * sgrid.dx
+    masses = m0 * sgrid.spacing(0)
     total = masses.sum()
     if total <= 0.0:
         raise ValueError("initial density has no mass")
     cdf = np.concatenate(([0.0], np.cumsum(masses) / total))
-    edges = np.linspace(0.0, 1.0, sgrid.n_cells + 1)
+    edges = np.linspace(0.0, 1.0, sgrid.shape[0] + 1)
     u = (np.arange(n_agents) + 0.5) / n_agents
     return np.interp(u, cdf, edges)
 
@@ -265,7 +265,7 @@ def mc_population(
     m0: np.ndarray,
     params: EvParams,
     tgrid: TimeGrid,
-    sgrid: SpaceGrid1D,
+    sgrid: SpaceGrid,
     n_agents: int = 100_000,
     seed: int = 0,
 ) -> np.ndarray:
@@ -290,21 +290,21 @@ def mc_population(
         raise ValueError("need at least one agent")
     params.check_nodes(tgrid)
     control = np.asarray(control, dtype=float)
-    expected = (tgrid.n_nodes, sgrid.n_cells)
+    expected = (tgrid.n_nodes, sgrid.shape[0])
     if control.shape != expected:
         raise ValueError(
             f"control field must have shape (n_nodes, n_cells) = {expected}, found {control.shape}"
         )
     rng = np.random.default_rng(seed)
     x = sample_density(m0, sgrid, n_agents)
-    k = _half_cell_index(x, sgrid.n_cells)
+    k = _half_cell_index(x, sgrid.shape[0])
     drift = np.empty(n_agents)
     work = np.empty(n_agents)
-    hist = np.empty((tgrid.n_nodes, sgrid.n_cells))
+    hist = np.empty((tgrid.n_nodes, sgrid.shape[0]))
     _bin_population(k, sgrid, out=hist[0])
     sqrt_dt = math.sqrt(tgrid.dt)
     for i in range(tgrid.n_steps):
-        a = _interp_half_cells(sgrid.nodes, control[i], k, x, out=drift, work=work)
+        a = _interp_half_cells(sgrid.nodes(0), control[i], k, x, out=drift, work=work)
         np.subtract(a, params.g[i], out=drift)
         np.multiply(drift, tgrid.dt, out=drift)
         np.add(x, drift, out=x)
@@ -314,7 +314,7 @@ def mc_population(
             np.multiply(work, noise * sqrt_dt, out=work)
             np.add(x, work, out=x)
         np.clip(x, 0.0, 1.0, out=x)
-        _half_cell_index(x, sgrid.n_cells, out=k)
+        _half_cell_index(x, sgrid.shape[0], out=k)
         _bin_population(k, sgrid, out=hist[i + 1])
     return hist
 
@@ -369,6 +369,6 @@ def _interp_half_cells(
     return out
 
 
-def _bin_population(k: np.ndarray, sgrid: SpaceGrid1D, out: np.ndarray | None = None) -> np.ndarray:
-    counts = np.bincount(k >> 1, minlength=sgrid.n_cells)
-    return np.divide(counts, k.size * sgrid.dx, out=out)
+def _bin_population(k: np.ndarray, sgrid: SpaceGrid, out: np.ndarray | None = None) -> np.ndarray:
+    counts = np.bincount(k >> 1, minlength=sgrid.shape[0])
+    return np.divide(counts, k.size * sgrid.spacing(0), out=out)

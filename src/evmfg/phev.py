@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .ev import _SeriesParams, _backward_sweep, _check_initial_density, _forward_sweep, _geometry, _hamiltonian_sum
-from .grids import SpaceGrid2D, TimeGrid
+from .grids import SpaceGrid, TimeGrid
 from .numerics import mean_rate
 from .numerics import substep_count  # noqa: F401  (perfbench's trace rebinds it by name)
 
@@ -80,7 +80,7 @@ class PhevParams(_SeriesParams):
         self.r2 = float(self.r2)
 
 
-def phev_price(m: np.ndarray, params: PhevParams, sgrid: SpaceGrid2D, tgrid: TimeGrid) -> np.ndarray:
+def phev_price(m: np.ndarray, params: PhevParams, sgrid: SpaceGrid, tgrid: TimeGrid) -> np.ndarray:
     """Grid price series r1 = [g int beta dm + d/dt int z1 m]+ + offset."""
     params.check_nodes(tgrid)
     z1, z2 = sgrid.meshes()
@@ -97,7 +97,7 @@ def _axes(r1: np.ndarray, params: PhevParams, b: np.ndarray, j: int) -> list:
 
 
 def phev_optimal_controls(
-    v: np.ndarray, r1: np.ndarray, params: PhevParams, sgrid: SpaceGrid2D
+    v: np.ndarray, r1: np.ndarray, params: PhevParams, sgrid: SpaceGrid
 ) -> tuple[np.ndarray, np.ndarray]:
     """Recharge rates mu_k*, the minimisers of the pack Hamiltonians, slice by slice.
 
@@ -114,7 +114,7 @@ def phev_optimal_controls(
 
 
 def phev_hjb_backward_sweep(
-    r1: np.ndarray, params: PhevParams, tgrid: TimeGrid, sgrid: SpaceGrid2D
+    r1: np.ndarray, params: PhevParams, tgrid: TimeGrid, sgrid: SpaceGrid
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Explicit backward value sweep, v(T, .) = xi.
 
@@ -136,7 +136,7 @@ def phev_fpk_forward_sweep(
     m0: np.ndarray,
     params: PhevParams,
     tgrid: TimeGrid,
-    sgrid: SpaceGrid2D,
+    sgrid: SpaceGrid,
 ) -> np.ndarray:
     """Conservative upwind transport under (mu1 - beta g, mu2 - (1-beta) g)."""
     params.check_nodes(tgrid)
@@ -156,7 +156,7 @@ class PhevProblem:
 
     params: PhevParams
     tgrid: TimeGrid
-    sgrid: SpaceGrid2D
+    sgrid: SpaceGrid
     m0: np.ndarray
 
     def __post_init__(self) -> None:

@@ -31,7 +31,7 @@ import yaml
 
 from .errors import ScenarioError
 from .ev import EvParams, EvProblem
-from .grids import SpaceGrid1D, SpaceGrid2D, TimeGrid
+from .grids import SpaceGrid, TimeGrid
 from .numerics import mean_rate
 from .phev import PhevParams, PhevProblem
 from .solver import MfeSolution, SolverOptions
@@ -258,12 +258,11 @@ def validate_config(data, name_default: str = "scenario") -> dict:
     cells = _require(space, "cells", "space.")
     if model == "ev":
         cells = _as_int(cells, "space.cells")
-        SpaceGrid1D(cells)
     else:
         if not isinstance(cells, list) or len(cells) != 2:
             raise ScenarioError("space.cells", "expected [n1, n2] for the 2D model")
         cells = [_as_int(v, f"space.cells[{k}]") for k, v in enumerate(cells)]
-        SpaceGrid2D(*cells)
+    SpaceGrid(cells)
 
     series_spec = _require(data, "series", "")
     if not isinstance(series_spec, dict):
@@ -452,9 +451,9 @@ def _make_cost(spec: dict):
     return running, terminal
 
 
-def _initial_density(spec: dict, sgrid: SpaceGrid1D | SpaceGrid2D, base_dir: Path) -> np.ndarray:
-    """Initial density on either grid, normalized to unit mass."""
-    axes = (sgrid.nodes,) if len(sgrid.shape) == 1 else sgrid.meshes()
+def _initial_density(spec: dict, sgrid: SpaceGrid, base_dir: Path) -> np.ndarray:
+    """Initial density on the grid, normalized to unit mass."""
+    axes = sgrid.meshes()
     if spec["kind"] == "triangle":
         values = np.maximum(0.0, 1.0 - np.abs(axes[0] - spec["center"]) / spec["halfwidth"])
     elif spec["kind"] == "truncated_gaussian":
@@ -489,8 +488,9 @@ def build_problem(config: ScenarioConfig):
             resampled.append(key)
         return arr
 
+    sgrid = SpaceGrid(data["space"]["cells"])
     if data["model"] == "ev":
-        sgrid, problem_class = SpaceGrid1D(data["space"]["cells"]), EvProblem
+        problem_class = EvProblem
         f_run, _ = _make_cost(data["costs"]["f"])
         _, kappa = _make_cost(data["costs"]["kappa"])
         params = EvParams(
@@ -499,7 +499,7 @@ def build_problem(config: ScenarioConfig):
             demand_coupled=data["price"]["coupled"],
         )
     else:
-        sgrid, problem_class = SpaceGrid2D(*data["space"]["cells"]), PhevProblem
+        problem_class = PhevProblem
         s_run, _ = _make_cost(data["costs"]["s"])
         _, xi = _make_cost(data["costs"]["xi"])
         params = PhevParams(
@@ -593,7 +593,7 @@ def ev_purchases(m: np.ndarray, problem: EvProblem) -> np.ndarray:
 
 
 def _export_ev(sol: MfeSolution, problem: EvProblem, out: Path, t: np.ndarray) -> list[str]:
-    x = problem.sgrid.nodes
+    x = problem.sgrid.nodes(0)
     purchases = ev_purchases(sol.m, problem)
     regulated = purchases + problem.params.d
     baseline = float(purchases.mean()) + problem.params.d
@@ -608,8 +608,8 @@ def _export_ev(sol: MfeSolution, problem: EvProblem, out: Path, t: np.ndarray) -
 
 
 def _export_phev(sol: MfeSolution, problem: PhevProblem, out: Path, t: np.ndarray) -> list[str]:
-    z1 = problem.sgrid.nodes1
-    z2 = problem.sgrid.nodes2
+    z1 = problem.sgrid.nodes(0)
+    z2 = problem.sgrid.nodes(1)
     mu1, mu2 = sol.alpha
     leads = [ti + "," for ti in _fmt_all(t)]
     s1, s2 = _fmt_all(z1), _fmt_all(z2)

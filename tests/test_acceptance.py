@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from evmfg import (
-    SpaceGrid1D,
-    SpaceGrid2D,
+    SpaceGrid,
     TimeGrid,
     apply_overrides,
     beta,
@@ -64,7 +63,7 @@ def test_criterion_01_mass_positivity_runtime(ev_run, phev_run):
 
 def _ev_closed_form_error(n_steps: int, n_cells: int) -> float:
     tg = TimeGrid(t1=1.0, n_steps=n_steps)
-    sg = SpaceGrid1D(n_cells)
+    sg = SpaceGrid((n_cells,))
     c, h = 0.6, 2.0
     price = lambda t: 1.0 + 0.5 * np.sin(2.0 * np.pi * t)
     p = price(tg.nodes)
@@ -85,13 +84,13 @@ def _ev_closed_form_error(n_steps: int, n_cells: int) -> float:
     dens = (np.interp(fine, tg.nodes, p) - c) ** 2 / (2.0 * h)
     cum = np.concatenate(([0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(fine))))
     tail = np.interp(tg.nodes, fine, cum[-1] - cum)
-    exact = phi(sg.nodes)[None, :] + (-tail)[:, None]
+    exact = phi(sg.nodes(0))[None, :] + (-tail)[:, None]
     return float(np.abs(v - exact).max())
 
 
 def _phev_closed_form_error(n_steps: int, n_cells: int) -> float:
     tg = TimeGrid(t1=1.0, n_steps=n_steps)
-    sg = SpaceGrid2D(n1=n_cells, n2=n_cells)
+    sg = SpaceGrid((n_cells, n_cells))
     c, q1, q2, r2, g = 0.4, 125.0, 80.0, 0.7, 0.3
     price = lambda t: 0.9 + 0.2 * np.sin(2.0 * np.pi * t)
     r1 = price(tg.nodes)
@@ -187,7 +186,7 @@ def test_criterion_04_monte_carlo_density(ev_run):
         sol.alpha, sol.m[0], problem.params, problem.tgrid, problem.sgrid,
         n_agents=100_000, seed=0,
     )
-    dist = float((np.abs(hist - sol.m).sum(axis=1) * problem.sgrid.dx).max())
+    dist = float((np.abs(hist - sol.m).sum(axis=1) * problem.sgrid.spacing(0)).max())
     ok = dist <= 0.1
     assert _report(4, ok, f"sup-t L1 distance {dist:.4f} (<= 0.1), 100000 agents, seed 0")
 
@@ -279,7 +278,7 @@ def test_criterion_09_hamiltonian_minimality(ev_run, phev_run):
     violations = 0
 
     sol, problem = ev_run["solution"], ev_run["problem"]
-    dx = problem.sgrid.dx
+    dx = problem.sgrid.spacing(0)
     for i in range(sol.v.shape[0]):
         # upwind one-sided differences; the reflecting ghost cells make the
         # backward one vanish in the first cell and the forward one in the last
@@ -310,11 +309,11 @@ def test_criterion_09_hamiltonian_minimality(ev_run, phev_run):
         # the same upwind one-sided differences along each pack's axis, with
         # reflecting ghost cells at both walls of each pack
         fwd1 = np.zeros_like(sol2.v[i])
-        fwd1[:-1] = np.diff(sol2.v[i], axis=0) / problem2.sgrid.dz1
+        fwd1[:-1] = np.diff(sol2.v[i], axis=0) / problem2.sgrid.spacing(0)
         bwd1 = np.zeros_like(fwd1)
         bwd1[1:] = fwd1[:-1]
         fwd2 = np.zeros_like(sol2.v[i])
-        fwd2[:, :-1] = np.diff(sol2.v[i], axis=1) / problem2.sgrid.dz2
+        fwd2[:, :-1] = np.diff(sol2.v[i], axis=1) / problem2.sgrid.spacing(1)
         bwd2 = np.zeros_like(fwd2)
         bwd2[:, 1:] = fwd2[:, :-1]
         g1 = b * problem2.params.g[i]

@@ -248,7 +248,7 @@ def test_oracle_phev_says_when_it_caps_the_lattice(phev_run_dir, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("states", ["1", "0"])
+@pytest.mark.parametrize("states", ["1", "0", "-1"])
 @pytest.mark.parametrize("run_dir", ["ev_run_dir", "phev_run_dir"])
 def test_oracle_rejects_a_lattice_of_fewer_than_2_states(run_dir, states, request, capsys):
     code = cli.main(["oracle", str(request.getfixturevalue(run_dir)), "--states", states])
@@ -256,6 +256,15 @@ def test_oracle_rejects_a_lattice_of_fewer_than_2_states(run_dir, states, reques
     assert code == 1
     assert "need at least 2 states" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("run_dir", ["ev_run_dir", "phev_run_dir"])
+def test_oracle_rejects_no_agents_before_the_dp_audit(run_dir, request, capsys):
+    code = cli.main(["oracle", str(request.getfixturevalue(run_dir)), "--agents", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "need at least one agent" in captured.err
+    assert "dp value deviation" not in captured.out
 
 
 def test_schema_prints_schema(capsys):

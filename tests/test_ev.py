@@ -10,7 +10,7 @@ from evmfg import (
     DivergenceError,
     EvParams,
     EvProblem,
-    SpaceGrid1D,
+    SpaceGrid,
     TimeGrid,
     diff2,
     ev_cost,
@@ -40,10 +40,10 @@ def make_params(tgrid, g=0.2, sigma=0.0, H=30.0, d=1.0, f_cost=None, kappa=None,
 
 def two_cell_density(sgrid, j0, j1, weights):
     """Mixture over two cells with exactly prescribed per-slice weights."""
-    m = np.zeros((len(weights), sgrid.n_cells))
+    m = np.zeros((len(weights), sgrid.shape[0]))
     for i, w in enumerate(weights):
-        m[i, j0] = (1.0 - w) / sgrid.dx
-        m[i, j1] = w / sgrid.dx
+        m[i, j0] = (1.0 - w) / sgrid.spacing(0)
+        m[i, j1] = w / sgrid.spacing(0)
     return m
 
 
@@ -53,7 +53,7 @@ def two_cell_density(sgrid, j0, j1, weights):
 
 def test_ev_price_stationary_density():
     tgrid = TimeGrid(1.0, 4)
-    sgrid = SpaceGrid1D(20)
+    sgrid = SpaceGrid((20,))
     params = make_params(tgrid, g=0.2, d=1.0)
     m = np.tile(np.full(20, 1.0), (tgrid.n_nodes, 1))
     np.testing.assert_allclose(ev_price(m, params, sgrid, tgrid), 1.44, rtol=1e-12)
@@ -61,7 +61,7 @@ def test_ev_price_stationary_density():
 
 def test_ev_price_clamps_negative_demand():
     tgrid = TimeGrid(1.0, 4)
-    sgrid = SpaceGrid1D(20)
+    sgrid = SpaceGrid((20,))
     params = make_params(tgrid, g=-0.3, d=1.0)
     m = np.tile(np.full(20, 1.0), (tgrid.n_nodes, 1))
     np.testing.assert_allclose(ev_price(m, params, sgrid, tgrid), 1.0, rtol=1e-12)
@@ -70,7 +70,7 @@ def test_ev_price_clamps_negative_demand():
 def test_ev_price_with_moving_mean():
     # two-cell mixture whose mean rises by exactly 0.1 per unit time
     tgrid = TimeGrid(1.0, 4)
-    sgrid = SpaceGrid1D(20)
+    sgrid = SpaceGrid((20,))
     j0, j1 = 4, 14  # centers 0.225 and 0.725, gap 0.5
     weights = 0.2 + 0.1 * tgrid.nodes / 0.5
     m = two_cell_density(sgrid, j0, j1, weights)
@@ -80,7 +80,7 @@ def test_ev_price_with_moving_mean():
 
 def test_ev_price_decoupled_ignores_density():
     tgrid = TimeGrid(1.0, 4)
-    sgrid = SpaceGrid1D(20)
+    sgrid = SpaceGrid((20,))
     params = make_params(tgrid, g=0.6, d=1.1, demand_coupled=False)
     m = two_cell_density(sgrid, 4, 14, 0.2 + 0.1 * tgrid.nodes)
     np.testing.assert_allclose(ev_price(m, params, sgrid, tgrid), 1.21, rtol=1e-12)
@@ -92,10 +92,10 @@ def test_ev_price_decoupled_ignores_density():
 
 def test_optimal_control_gradient_cancels_price():
     tgrid = TimeGrid(1.0, 3)
-    sgrid = SpaceGrid1D(30)
+    sgrid = SpaceGrid((30,))
     params = make_params(tgrid, H=30.0)
     p = np.full(tgrid.n_nodes, 1.7)
-    v = np.outer(-p, sgrid.nodes)  # dv/dx = -p on every slice
+    v = np.outer(-p, sgrid.nodes(0))  # dv/dx = -p on every slice
     alpha = optimal_control(v, p, params, sgrid)
     np.testing.assert_allclose(alpha[:, 1:], 0.0, atol=1e-13)
     # the reflecting empty wall: a sale moves no charge, so it is paid at -p/H
@@ -104,7 +104,7 @@ def test_optimal_control_gradient_cancels_price():
 
 def test_optimal_control_flat_value():
     tgrid = TimeGrid(1.0, 3)
-    sgrid = SpaceGrid1D(30)
+    sgrid = SpaceGrid((30,))
     params = make_params(tgrid, H=30.0)
     p = np.full(tgrid.n_nodes, 1.44)
     v = np.zeros((tgrid.n_nodes, 30))
@@ -113,10 +113,10 @@ def test_optimal_control_flat_value():
 
 def test_optimal_control_linear_value():
     tgrid = TimeGrid(1.0, 3)
-    sgrid = SpaceGrid1D(30)
+    sgrid = SpaceGrid((30,))
     params = make_params(tgrid, H=30.0)
     p = np.full(tgrid.n_nodes, 1.5)
-    v = np.tile(-3.0 * sgrid.nodes, (tgrid.n_nodes, 1))
+    v = np.tile(-3.0 * sgrid.nodes(0), (tgrid.n_nodes, 1))
     alpha = optimal_control(v, p, params, sgrid)
     np.testing.assert_allclose(alpha[:, 1:], 0.05, rtol=1e-12)
     np.testing.assert_allclose(alpha[:, 0], -0.05, rtol=1e-12)  # empty wall: -p/H
@@ -128,7 +128,7 @@ def test_optimal_control_linear_value():
 
 def test_hjb_constant_solution():
     tgrid = TimeGrid(1.0, 10)
-    sgrid = SpaceGrid1D(25)
+    sgrid = SpaceGrid((25,))
     c = 2.5
     params = make_params(tgrid, g=0.3, sigma=0.1, kappa=lambda x: np.full_like(x, c))
     v, _ = hjb_backward_sweep(np.zeros(tgrid.n_nodes), params, tgrid, sgrid)
@@ -137,10 +137,10 @@ def test_hjb_constant_solution():
 
 def test_hjb_terminal_condition_exact():
     tgrid = TimeGrid(1.0, 5)
-    sgrid = SpaceGrid1D(25)
+    sgrid = SpaceGrid((25,))
     params = make_params(tgrid, kappa=lambda x: (1.0 - x) ** 2)
     v, _ = hjb_backward_sweep(np.ones(tgrid.n_nodes), params, tgrid, sgrid)
-    assert np.array_equal(v[-1], (1.0 - sgrid.nodes) ** 2)
+    assert np.array_equal(v[-1], (1.0 - sgrid.nodes(0)) ** 2)
 
 
 @pytest.mark.parametrize("sigma,H", [(0.0, 30.0), (1.0, 0.5)], ids=["smooth", "substepped"])
@@ -149,7 +149,7 @@ def test_hjb_sweep_control_is_optimal_control(sigma, H):
     # exactly what optimal_control recomputes from the returned value, also
     # when a step takes many substeps (sigma = 1 on 100 cells)
     tgrid = TimeGrid(1.0, 12)
-    sgrid = SpaceGrid1D(100)
+    sgrid = SpaceGrid((100,))
     params = make_params(
         tgrid, g=0.4, sigma=sigma, H=H,
         f_cost=lambda t, x: 3.0 * (1.0 - x) ** 2 * (1.0 + t), kappa=lambda x: 2.0 * (1.0 - x) ** 2,
@@ -162,7 +162,7 @@ def test_hjb_sweep_control_is_optimal_control(sigma, H):
 def closed_form_error(n_steps, n_cells, k=0.5, f0=0.3, p0=1.2, H=2.0, T=1.0):
     """Max-node error against v = k + (T-t)(f0 - p0^2/(2H))."""
     tgrid = TimeGrid(T, n_steps)
-    sgrid = SpaceGrid1D(n_cells)
+    sgrid = SpaceGrid((n_cells,))
     params = make_params(
         tgrid, g=0.0, sigma=0.0, H=H,
         f_cost=lambda t, x: np.full_like(x, f0), kappa=lambda x: np.full_like(x, k),
@@ -191,7 +191,7 @@ def reflecting_closed_form_errors(g, c=0.5, H=2.0, T=1.0):
     errors = []
     for n_steps, n_cells in ((20, 25), (40, 50)):
         tgrid = TimeGrid(T, n_steps)
-        sgrid = SpaceGrid1D(n_cells)
+        sgrid = SpaceGrid((n_cells,))
         p = price(tgrid.nodes)
         params = make_params(
             tgrid, g=g, sigma=0.0, H=H, kappa=phi,
@@ -203,8 +203,8 @@ def reflecting_closed_form_errors(g, c=0.5, H=2.0, T=1.0):
         dense = (price(tt) - c) ** 2 / (2 * H)
         cum = np.concatenate(([0.0], np.cumsum((dense[1:] + dense[:-1]) * 0.5 * np.diff(tt))))
         tail = cum[-1] - np.interp(tgrid.nodes, tt, cum)
-        exact = phi(sgrid.nodes)[None, :] - tail[:, None]
-        errors.append((float(np.abs(v - exact).max()), tgrid.dt + sgrid.dx))
+        exact = phi(sgrid.nodes(0))[None, :] - tail[:, None]
+        errors.append((float(np.abs(v - exact).max()), tgrid.dt + sgrid.spacing(0)))
     return errors
 
 
@@ -221,7 +221,7 @@ def test_hjb_discrete_residual():
     # single-substep regime: the sweep must satisfy its own discretization
     # identity (v_{i+1} - v_i)/dt = RHS(t_{i+1}, v_{i+1}) to roundoff
     tgrid = TimeGrid(0.02, 10)
-    sgrid = SpaceGrid1D(20)
+    sgrid = SpaceGrid((20,))
     params = make_params(
         tgrid,
         g=0.5,
@@ -239,9 +239,9 @@ def test_hjb_discrete_residual():
         diff = params.sigma[j] ** 2 * g ** 2
         # monotone upwind Hamiltonian with reflecting ghost cells: the smaller
         # of the minima over a >= g (forward difference) and a <= g (backward)
-        fwd = np.zeros(sgrid.n_cells)
-        fwd[:-1] = np.diff(v[j]) / sgrid.dx
-        bwd = np.zeros(sgrid.n_cells)
+        fwd = np.zeros(sgrid.shape[0])
+        fwd[:-1] = np.diff(v[j]) / sgrid.spacing(0)
+        bwd = np.zeros(sgrid.shape[0])
         bwd[1:] = fwd[:-1]
         a_up = np.maximum(-(fwd + p[j]) / h, g)
         a_dn = np.minimum(-(bwd + p[j]) / h, g)
@@ -251,7 +251,7 @@ def test_hjb_discrete_residual():
         )
         rhs = (
             -ham
-            - params.f_cost(tgrid.nodes[j], sgrid.nodes)
+            - params.f_cost(tgrid.nodes[j], sgrid.nodes(0))
             - 0.5 * diff * diff2(v[j], sgrid)
         )
         res = (v[j] - v[i]) / tgrid.dt - rhs
@@ -261,7 +261,7 @@ def test_hjb_discrete_residual():
 
 def test_hjb_divergence_reports_time_node():
     tgrid = TimeGrid(1.0, 5)
-    sgrid = SpaceGrid1D(20)
+    sgrid = SpaceGrid((20,))
     params = make_params(tgrid)
     p = np.full(tgrid.n_nodes, np.nan)
     with pytest.raises(DivergenceError) as exc:
@@ -274,13 +274,13 @@ def test_hjb_divergence_reports_time_node():
 
 
 def tent_density(sgrid, center, halfwidth):
-    m = np.maximum(0.0, 1.0 - np.abs(sgrid.nodes - center) / halfwidth)
+    m = np.maximum(0.0, 1.0 - np.abs(sgrid.nodes(0) - center) / halfwidth)
     return m / integrate(m, sgrid)
 
 
 def test_fpk_frozen_population():
     tgrid = TimeGrid(1.0, 8)
-    sgrid = SpaceGrid1D(40)
+    sgrid = SpaceGrid((40,))
     params = make_params(tgrid, g=0.4, sigma=0.0)
     m0 = tent_density(sgrid, 0.5, 0.2)
     alpha = np.full((tgrid.n_nodes, 40), 0.4)  # alpha = g pointwise
@@ -293,7 +293,7 @@ def test_fpk_translation():
     # constant drift c: the discrete center of mass moves at exactly c
     # while the support stays away from the walls
     tgrid = TimeGrid(0.5, 25)
-    sgrid = SpaceGrid1D(50)
+    sgrid = SpaceGrid((50,))
     c = 0.2
     params = make_params(tgrid, g=0.1, sigma=0.0)
     m0 = tent_density(sgrid, 0.3, 0.15)
@@ -301,14 +301,14 @@ def test_fpk_translation():
     m = fpk_forward_sweep(alpha, m0, params, tgrid, sgrid)
     mean0 = space_mean(m0, sgrid)
     mean_T = space_mean(m[-1], sgrid)
-    assert abs(mean_T - (mean0 + c * 0.5)) <= sgrid.dx
+    assert abs(mean_T - (mean0 + c * 0.5)) <= sgrid.spacing(0)
     assert abs(mean_T - (mean0 + c * 0.5)) <= 1e-8  # exact for constant drift
 
 
 def test_fpk_variance_growth():
     # zero drift with noise: variance grows at sigma^2 g^2 per unit time
     tgrid = TimeGrid(0.5, 20)
-    sgrid = SpaceGrid1D(80)
+    sgrid = SpaceGrid((80,))
     sigma, g = 0.1, 0.5
     params = make_params(tgrid, g=g, sigma=sigma)
     m0 = tent_density(sgrid, 0.5, 0.1)
@@ -317,7 +317,7 @@ def test_fpk_variance_growth():
 
     def variance(slice_):
         mu = space_mean(slice_, sgrid)
-        return integrate((sgrid.nodes - mu) ** 2 * slice_, sgrid)
+        return integrate((sgrid.nodes(0) - mu) ** 2 * slice_, sgrid)
 
     assert abs(space_mean(m[-1], sgrid) - space_mean(m0, sgrid)) <= 1e-8
     grown = variance(m[-1]) - variance(m0)
@@ -326,7 +326,7 @@ def test_fpk_variance_growth():
 
 def test_fpk_rejects_unnormalized_m0():
     tgrid = TimeGrid(1.0, 5)
-    sgrid = SpaceGrid1D(20)
+    sgrid = SpaceGrid((20,))
     params = make_params(tgrid)
     m0 = tent_density(sgrid, 0.5, 0.2) * 1.1
     with pytest.raises(ValueError):
@@ -335,7 +335,7 @@ def test_fpk_rejects_unnormalized_m0():
 
 def test_non_finite_m0_is_rejected():
     tgrid = TimeGrid(1.0, 5)
-    sgrid = SpaceGrid1D(20)
+    sgrid = SpaceGrid((20,))
     params = make_params(tgrid)
     m0 = tent_density(sgrid, 0.5, 0.2)
     for bad in (np.nan, np.inf):
@@ -348,7 +348,7 @@ def test_non_finite_m0_is_rejected():
 
 def test_fpk_divergence_reports_time_node():
     tgrid = TimeGrid(1.0, 5)
-    sgrid = SpaceGrid1D(20)
+    sgrid = SpaceGrid((20,))
     params = make_params(tgrid, g=0.2)
     m0 = tent_density(sgrid, 0.5, 0.2)
     alpha = np.zeros((tgrid.n_nodes, 20))
@@ -363,18 +363,18 @@ def test_fpk_divergence_reports_time_node():
 def test_fpk_mass_and_positivity(seed):
     rng = np.random.default_rng(seed)
     tgrid = TimeGrid(0.5, 10)
-    sgrid = SpaceGrid1D(30)
+    sgrid = SpaceGrid((30,))
     params = make_params(tgrid, g=rng.uniform(0.0, 0.8), sigma=rng.uniform(0.0, 0.2))
     m0 = tent_density(sgrid, rng.uniform(0.35, 0.65), rng.uniform(0.1, 0.3))
     # smooth random control field, bounded drift
     coef = rng.uniform(-0.5, 0.5, 3)
     alpha = (
         coef[0]
-        + coef[1] * np.sin(2 * np.pi * sgrid.nodes)[None, :]
+        + coef[1] * np.sin(2 * np.pi * sgrid.nodes(0))[None, :]
         + coef[2] * tgrid.nodes[:, None]
     )
     m = fpk_forward_sweep(alpha, m0, params, tgrid, sgrid)
-    masses = m.sum(axis=1) * sgrid.dx
+    masses = m.sum(axis=1) * sgrid.spacing(0)
     np.testing.assert_allclose(masses, 1.0, atol=1e-8)
     assert m.min() >= 0.0
 
@@ -384,17 +384,17 @@ def test_fpk_mean_transport_consistency():
     from evmfg import mean_rate
 
     tgrid = TimeGrid(0.5, 25)
-    sgrid = SpaceGrid1D(50)
+    sgrid = SpaceGrid((50,))
     params = make_params(tgrid, g=0.3, sigma=0.0)
     m0 = tent_density(sgrid, 0.5, 0.15)
-    alpha = 0.3 + 0.2 * np.sin(2 * np.pi * sgrid.nodes)[None, :] * np.ones(
+    alpha = 0.3 + 0.2 * np.sin(2 * np.pi * sgrid.nodes(0))[None, :] * np.ones(
         (tgrid.n_nodes, 1)
     )
     m = fpk_forward_sweep(alpha, m0, params, tgrid, sgrid)
     rates = mean_rate(m, sgrid, tgrid)
     for i in range(tgrid.n_steps):
         drift_mean = integrate((alpha[i] - params.g[i]) * m[i], sgrid)
-        assert abs(rates[i] - drift_mean) <= 2.0 * (sgrid.dx + tgrid.dt)
+        assert abs(rates[i] - drift_mean) <= 2.0 * (sgrid.spacing(0) + tgrid.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -403,29 +403,29 @@ def test_fpk_mean_transport_consistency():
 
 def test_ev_cost_terminal_only():
     tgrid = TimeGrid(1.0, 5)
-    sgrid = SpaceGrid1D(50)
+    sgrid = SpaceGrid((50,))
     params = make_params(tgrid, kappa=lambda x: (1.0 - x) ** 2)
     m = np.tile(tent_density(sgrid, 0.4, 0.2), (tgrid.n_nodes, 1))
     alpha = np.zeros((tgrid.n_nodes, 50))
     p = np.ones(tgrid.n_nodes)
-    expected = integrate(params.kappa(sgrid.nodes) * m[-1], sgrid)
+    expected = integrate(params.kappa(sgrid.nodes(0)) * m[-1], sgrid)
     assert ev_cost(alpha, m, p, params, tgrid, sgrid) == pytest.approx(expected, rel=1e-12)
 
 
 def test_ev_cost_point_mass_near_half():
     tgrid = TimeGrid(1.0, 5)
-    sgrid = SpaceGrid1D(50)
+    sgrid = SpaceGrid((50,))
     params = make_params(tgrid, kappa=lambda x: (1.0 - x) ** 2)
     m = np.zeros((tgrid.n_nodes, 50))
-    j = int(np.argmin(np.abs(sgrid.nodes - 0.5)))
-    m[:, j] = 1.0 / sgrid.dx
+    j = int(np.argmin(np.abs(sgrid.nodes(0) - 0.5)))
+    m[:, j] = 1.0 / sgrid.spacing(0)
     cost = ev_cost(np.zeros_like(m), m, np.ones(tgrid.n_nodes), params, tgrid, sgrid)
     assert cost == pytest.approx(0.25, abs=0.02)
 
 
 def test_ev_cost_shape_validation():
     tgrid = TimeGrid(1.0, 5)
-    sgrid = SpaceGrid1D(20)
+    sgrid = SpaceGrid((20,))
     params = make_params(tgrid)
     with pytest.raises(ValueError):
         ev_cost(
@@ -440,7 +440,7 @@ def test_ev_cost_shape_validation():
 @pytest.fixture(scope="module")
 def small_equilibrium():
     tgrid = TimeGrid(0.2, 24)
-    sgrid = SpaceGrid1D(30)
+    sgrid = SpaceGrid((30,))
     n = tgrid.n_nodes
     params = EvParams(
         g=np.full(n, 0.4),
@@ -461,7 +461,7 @@ def test_equilibrium_hamiltonian_minimality(small_equilibrium):
     problem, sol = small_equilibrium
     # upwind one-sided differences with reflecting ghost cells
     fwd = np.zeros_like(sol.v)
-    fwd[:, :-1] = np.diff(sol.v, axis=1) / problem.sgrid.dx
+    fwd[:, :-1] = np.diff(sol.v, axis=1) / problem.sgrid.spacing(0)
     bwd = np.zeros_like(fwd)
     bwd[:, 1:] = fwd[:, :-1]
     g = problem.params.g[:, None]
@@ -483,7 +483,7 @@ def test_equilibrium_cost_perturbation(small_equilibrium):
     problem, sol = small_equilibrium
     params, tgrid, sgrid = problem.params, problem.tgrid, problem.sgrid
     base_cost = ev_cost(sol.alpha, sol.m, sol.p, params, tgrid, sgrid)
-    x = sgrid.nodes
+    x = sgrid.nodes(0)
     bump = np.exp(-((x - 0.5) ** 2) / 0.02)[None, :]
     for pert in (
         sol.alpha + 0.05,

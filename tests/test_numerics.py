@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evmfg import (
-    SpaceGrid1D,
-    SpaceGrid2D,
+    SpaceGrid,
     TimeGrid,
     diff2,
     diff_central,
@@ -24,22 +23,22 @@ from evmfg import (
 
 
 def test_diff_central_constant_is_zero():
-    sg = SpaceGrid1D(32)
+    sg = SpaceGrid((32,))
     out = diff_central(np.full(32, 3.7), sg)
     np.testing.assert_allclose(out, 0.0, atol=1e-14)
 
 
 def test_diff_central_exact_for_linear():
-    sg = SpaceGrid1D(100)
-    out = diff_central(sg.nodes, sg)
+    sg = SpaceGrid((100,))
+    out = diff_central(sg.nodes(0), sg)
     # one-sided boundary stencils are exact for affine slices too
     np.testing.assert_allclose(out, 1.0, rtol=1e-12)
 
 
 def test_diff_central_quadratic_boundary_error():
-    sg = SpaceGrid1D(50)
-    out = diff_central(sg.nodes**2, sg)
-    exact = 2.0 * sg.nodes
+    sg = SpaceGrid((50,))
+    out = diff_central(sg.nodes(0)**2, sg)
+    exact = 2.0 * sg.nodes(0)
     err = np.abs(out - exact)
     np.testing.assert_allclose(err[1:-1], 0.0, atol=1e-12)
     assert err[0] <= 2.0 / 50 and err[-1] <= 2.0 / 50
@@ -48,15 +47,15 @@ def test_diff_central_quadratic_boundary_error():
 def test_diff_central_second_order_interior():
     errors = []
     for n in (50, 100):
-        sg = SpaceGrid1D(n)
-        out = diff_central(np.sin(2 * np.pi * sg.nodes), sg)
-        exact = 2 * np.pi * np.cos(2 * np.pi * sg.nodes)
+        sg = SpaceGrid((n,))
+        out = diff_central(np.sin(2 * np.pi * sg.nodes(0)), sg)
+        exact = 2 * np.pi * np.cos(2 * np.pi * sg.nodes(0))
         errors.append(np.abs(out - exact)[1:-1].max())
     assert errors[0] / errors[1] >= 3.5
 
 
 def test_diff_central_2d_axes():
-    sg = SpaceGrid2D(8, 8)
+    sg = SpaceGrid((8, 8))
     z1, z2 = sg.meshes()
     f = 2.0 * z1 - 3.0 * z2
     np.testing.assert_allclose(diff_central(f, sg, axis=0), 2.0, rtol=1e-12)
@@ -64,11 +63,11 @@ def test_diff_central_2d_axes():
 
 
 def test_diff_central_shape_validation():
-    sg = SpaceGrid1D(10)
+    sg = SpaceGrid((10,))
     with pytest.raises(ValueError):
         diff_central(np.zeros(11), sg)
     with pytest.raises(ValueError):
-        diff_central(np.zeros((8, 8)), SpaceGrid2D(8, 8))  # axis required in 2D
+        diff_central(np.zeros((8, 8)), SpaceGrid((8, 8)))  # axis required in 2D
 
 
 # ---------------------------------------------------------------------------
@@ -76,25 +75,25 @@ def test_diff_central_shape_validation():
 
 
 def test_diff_upwind_zero_drift():
-    sg = SpaceGrid1D(16)
+    sg = SpaceGrid((16,))
     f = np.random.default_rng(0).random(16)
     np.testing.assert_allclose(diff_upwind(f, np.zeros(16), sg), 0.0, atol=1e-14)
 
 
 def test_diff_upwind_spike_moves_right():
     # uniform drift c > 0 drains a single-cell spike into its right neighbor
-    sg = SpaceGrid1D(4)
+    sg = SpaceGrid((4,))
     c = 0.3
     f = np.array([0.0, 1.0, 0.0, 0.0])
     out = diff_upwind(f, np.full(4, c), sg)
-    np.testing.assert_allclose(out[1], c / sg.dx, rtol=1e-12)
-    np.testing.assert_allclose(out[2], -c / sg.dx, rtol=1e-12)
+    np.testing.assert_allclose(out[1], c / sg.spacing(0), rtol=1e-12)
+    np.testing.assert_allclose(out[2], -c / sg.spacing(0), rtol=1e-12)
     np.testing.assert_allclose(out[[0, 3]], 0.0, atol=1e-14)
 
 
 def test_diff_upwind_direction():
     # negative drift drains the spike into its left neighbor instead
-    sg = SpaceGrid1D(4)
+    sg = SpaceGrid((4,))
     f = np.array([0.0, 0.0, 1.0, 0.0])
     out = diff_upwind(f, np.full(4, -0.5), sg)
     assert out[2] > 0.0 and out[1] < 0.0
@@ -105,7 +104,7 @@ def test_diff_upwind_direction():
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_diff_upwind_conserves_mass(seed):
     rng = np.random.default_rng(seed)
-    sg = SpaceGrid1D(12)
+    sg = SpaceGrid((12,))
     f = rng.random(12)
     drift = rng.uniform(-2.0, 2.0, 12)
     assert abs(integrate(diff_upwind(f, drift, sg), sg)) < 1e-13
@@ -114,18 +113,18 @@ def test_diff_upwind_conserves_mass(seed):
 def test_diff_upwind_first_order():
     errors = []
     for n in (64, 128):
-        sg = SpaceGrid1D(n)
-        f = np.sin(2 * np.pi * sg.nodes) + 2.0
+        sg = SpaceGrid((n,))
+        f = np.sin(2 * np.pi * sg.nodes(0)) + 2.0
         drift = np.full(n, 0.7)
         out = diff_upwind(f, drift, sg)
-        exact = 0.7 * 2 * np.pi * np.cos(2 * np.pi * sg.nodes)
+        exact = 0.7 * 2 * np.pi * np.cos(2 * np.pi * sg.nodes(0))
         errors.append(np.abs(out - exact)[2:-2].max())
     assert errors[0] / errors[1] >= 1.8
 
 
 def test_diff_upwind_2d_conserves_mass():
     rng = np.random.default_rng(1)
-    sg = SpaceGrid2D(6, 7)
+    sg = SpaceGrid((6, 7))
     f = rng.random((6, 7))
     for axis in (0, 1):
         out = diff_upwind(f, rng.uniform(-1, 1, (6, 7)), sg, axis=axis)
@@ -133,7 +132,7 @@ def test_diff_upwind_2d_conserves_mass():
 
 
 def test_diff_upwind_drift_shape_validation():
-    sg = SpaceGrid1D(8)
+    sg = SpaceGrid((8,))
     with pytest.raises(ValueError):
         diff_upwind(np.zeros(8), np.zeros(7), sg)
 
@@ -143,15 +142,15 @@ def test_diff_upwind_drift_shape_validation():
 
 
 def test_diff2_constant_and_quadratic():
-    sg = SpaceGrid1D(40)
+    sg = SpaceGrid((40,))
     np.testing.assert_allclose(diff2(np.full(40, 2.2), sg), 0.0, atol=1e-12)
-    out = diff2(sg.nodes**2, sg)
+    out = diff2(sg.nodes(0)**2, sg)
     np.testing.assert_allclose(out[1:-1], 2.0, rtol=1e-9)
 
 
 def test_diff2_conserves_mass():
     rng = np.random.default_rng(2)
-    sg = SpaceGrid1D(16)
+    sg = SpaceGrid((16,))
     f = rng.random(16)
     assert abs(integrate(diff2(f, sg), sg)) < 1e-11
 
@@ -159,16 +158,16 @@ def test_diff2_conserves_mass():
 def test_diff2_second_order_interior():
     errors = []
     for n in (50, 100):
-        sg = SpaceGrid1D(n)
-        out = diff2(np.sin(2 * np.pi * sg.nodes), sg)
-        exact = -((2 * np.pi) ** 2) * np.sin(2 * np.pi * sg.nodes)
+        sg = SpaceGrid((n,))
+        out = diff2(np.sin(2 * np.pi * sg.nodes(0)), sg)
+        exact = -((2 * np.pi) ** 2) * np.sin(2 * np.pi * sg.nodes(0))
         errors.append(np.abs(out - exact)[1:-1].max())
     assert errors[0] / errors[1] >= 3.5
 
 
 def test_diff2_2d_conserves_mass():
     rng = np.random.default_rng(3)
-    sg = SpaceGrid2D(6, 6)
+    sg = SpaceGrid((6, 6))
     f = rng.random((6, 6))
     for axis in (0, 1):
         assert abs(integrate(diff2(f, sg, axis=axis), sg)) < 1e-12
@@ -226,14 +225,14 @@ def _stencils(f, drift, grid, axis):
 
 def test_stencils_equal_moved_axis_reference_1d():
     rng = np.random.default_rng(4)
-    sg = SpaceGrid1D(13)
+    sg = SpaceGrid((13,))
     for got, want in _stencils(rng.random(13), rng.uniform(-1, 1, 13), sg, 0):
         assert np.array_equal(got, want)
 
 
 def test_stencils_equal_moved_axis_reference_on_each_2d_axis():
     rng = np.random.default_rng(5)
-    sg = SpaceGrid2D(5, 7)
+    sg = SpaceGrid((5, 7))
     f, drift = rng.random((5, 7)), rng.uniform(-1, 1, (5, 7))
     for axis in (0, 1):
         for got, want in _stencils(f, drift, sg, axis):
@@ -244,10 +243,32 @@ def test_stencils_equal_moved_axis_reference_on_each_2d_axis():
 def test_stencils_axis_1_equals_axis_0_of_the_transpose():
     rng = np.random.default_rng(6)
     f, drift = rng.random((5, 7)), rng.uniform(-1, 1, (5, 7))
-    along_1 = _stencils(f, drift, SpaceGrid2D(5, 7), 1)
-    along_0 = _stencils(f.T, drift.T, SpaceGrid2D(7, 5), 0)
+    along_1 = _stencils(f, drift, SpaceGrid((5, 7)), 1)
+    along_0 = _stencils(f.T, drift.T, SpaceGrid((7, 5)), 0)
     for (got, _), (got_t, _) in zip(along_1, along_0):
         assert np.array_equal(got, got_t.T)
+
+
+def test_stencils_along_axis_0_of_a_2d_field_equal_the_1d_stencil_per_column():
+    rng = np.random.default_rng(7)
+    line, plane = SpaceGrid((9,)), SpaceGrid((9, 5))
+    f, drift = rng.random((9, 5)), rng.uniform(-1, 1, (9, 5))
+    upwind, second = diff_upwind(f, drift, plane, 0), diff2(f, plane, 0)
+    for c in range(5):
+        assert np.array_equal(upwind[:, c], diff_upwind(f[:, c], drift[:, c], line))
+        assert np.array_equal(second[:, c], diff2(f[:, c], line))
+
+
+@pytest.mark.parametrize(
+    "grid, axis",
+    [(SpaceGrid((8,)), 1), (SpaceGrid((8, 6)), 2), (SpaceGrid((8, 6)), -1)],
+    ids=["1d-axis1", "2d-axis2", "2d-axis-1"],
+)
+def test_stencils_reject_an_axis_the_grid_lacks(grid, axis):
+    f = np.zeros(grid.shape)
+    for stencil in (lambda: diff2(f, grid, axis), lambda: diff_upwind(f, f, grid, axis)):
+        with pytest.raises(ValueError, match="axis"):
+            stencil()
 
 
 # ---------------------------------------------------------------------------
@@ -255,26 +276,26 @@ def test_stencils_axis_1_equals_axis_0_of_the_transpose():
 
 
 def test_integrate_unit_mass():
-    sg = SpaceGrid1D(25)
+    sg = SpaceGrid((25,))
     assert integrate(np.ones(25), sg) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_integrate_linear_symmetry():
-    sg = SpaceGrid1D(25)
-    assert integrate(sg.nodes, sg) == pytest.approx(0.5, abs=1e-14)
+    sg = SpaceGrid((25,))
+    assert integrate(sg.nodes(0), sg) == pytest.approx(0.5, abs=1e-14)
     assert space_mean(np.ones(25), sg) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_integrate_triangle_density():
     # tent on [0.3, 0.7] peaking at 0.5, normalized height 5
-    sg = SpaceGrid1D(100)
-    x = sg.nodes
+    sg = SpaceGrid((100,))
+    x = sg.nodes(0)
     tri = 5.0 * np.maximum(0.0, 1.0 - np.abs(x - 0.5) / 0.2)
     assert integrate(tri, sg) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_integrate_2d():
-    sg = SpaceGrid2D(10, 20)
+    sg = SpaceGrid((10, 20))
     assert integrate(np.ones((10, 20)), sg) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -283,7 +304,7 @@ def test_integrate_2d():
 
 
 def test_mean_rate_constant_density():
-    sg = SpaceGrid1D(20)
+    sg = SpaceGrid((20,))
     tg = TimeGrid(1.0, 5)
     m = np.tile(np.ones(20), (tg.n_nodes, 1))
     np.testing.assert_allclose(mean_rate(m, sg, tg), 0.0, atol=1e-13)
@@ -292,12 +313,12 @@ def test_mean_rate_constant_density():
 def test_mean_rate_linear_growth():
     # density mean grows by 0.1 per unit time; the final node reuses the
     # last interval's rate so the series is constant end to end
-    sg = SpaceGrid1D(50)
+    sg = SpaceGrid((50,))
     tg = TimeGrid(1.0, 4)
     m = np.empty((tg.n_nodes, 50))
     for i, t in enumerate(tg.nodes):
         center = 0.3 + 0.1 * t
-        m[i] = np.maximum(0.0, 1.0 - np.abs(sg.nodes - center) / 0.2)
+        m[i] = np.maximum(0.0, 1.0 - np.abs(sg.nodes(0) - center) / 0.2)
         m[i] /= integrate(m[i], sg)
     rate = mean_rate(m, sg, tg)
     assert rate.shape == (tg.n_nodes,)
@@ -307,21 +328,32 @@ def test_mean_rate_linear_growth():
 
 def test_mean_rate_single_interval_value():
     # mean moves 0.02 over dt = 0.5 -> rate 0.04 on that interval
-    sg = SpaceGrid1D(50)
+    sg = SpaceGrid((50,))
     tg = TimeGrid(1.0, 2)
     m = np.empty((3, 50))
     for i, center in enumerate((0.40, 0.42, 0.42)):
-        m[i] = np.maximum(0.0, 1.0 - np.abs(sg.nodes - center) / 0.2)
+        m[i] = np.maximum(0.0, 1.0 - np.abs(sg.nodes(0) - center) / 0.2)
         m[i] /= integrate(m[i], sg)
     rate = mean_rate(m, sg, tg)
     assert rate[0] == pytest.approx(0.04, abs=1e-6)
 
 
 def test_mean_rate_validation():
-    sg = SpaceGrid1D(10)
+    sg = SpaceGrid((10,))
     tg = TimeGrid(1.0, 3)
     with pytest.raises(ValueError):
         mean_rate(np.ones((3, 10)), sg, tg)
+
+
+def test_moments_of_a_2d_density_constant_along_axis_1_equal_its_1d_marginal():
+    rng = np.random.default_rng(8)
+    tg = TimeGrid(1.0, 4)
+    line, plane = SpaceGrid((9,)), SpaceGrid((9, 5))
+    m = np.repeat(rng.random((tg.n_nodes, 9, 1)), 5, axis=2)
+    marginal = m.sum(axis=2) * plane.spacing(1)
+    np.testing.assert_allclose(mean_rate(m, plane, tg), mean_rate(marginal, line, tg), rtol=1e-12, atol=1e-13)
+    for i in range(tg.n_nodes):
+        assert space_mean(m[i], plane) == pytest.approx(space_mean(marginal[i], line), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

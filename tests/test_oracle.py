@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evmfg import (
-    SpaceGrid1D,
+    SpaceGrid,
     TimeGrid,
     cli,
     dp_best_response,
@@ -435,12 +435,12 @@ def test_phev_mdp_uses_cell_centered_states():
 
 
 def _tent_density(sg, center=0.5, width=0.2):
-    m = np.clip(1.0 - np.abs(sg.nodes - center) / width, 0.0, None)
+    m = np.clip(1.0 - np.abs(sg.nodes(0) - center) / width, 0.0, None)
     return m / integrate(m, sg)
 
 
 def test_sample_density_deterministic_and_in_range():
-    sg = SpaceGrid1D(40)
+    sg = SpaceGrid((40,))
     m0 = _tent_density(sg)
     x1 = sample_density(m0, sg, 5000)
     x2 = sample_density(m0, sg, 5000)
@@ -450,15 +450,15 @@ def test_sample_density_deterministic_and_in_range():
 
 
 def test_sample_density_matches_target_mean():
-    sg = SpaceGrid1D(50)
+    sg = SpaceGrid((50,))
     m0 = _tent_density(sg, center=0.4, width=0.15)
     x = sample_density(m0, sg, 200_000)
-    target_mean = integrate(sg.nodes * m0, sg)
+    target_mean = integrate(sg.nodes(0) * m0, sg)
     assert abs(x.mean() - target_mean) < 1e-3
 
 
 def test_sample_density_rejects_empty():
-    sg = SpaceGrid1D(10)
+    sg = SpaceGrid((10,))
     with pytest.raises(ValueError, match="no mass"):
         sample_density(np.zeros(10), sg, 100)
 
@@ -481,12 +481,12 @@ def _ev_params(tg, g=0.5, sigma=0.1, H=30.0):
 
 def _constant_field(tg, sg, c):
     """A control field of the constant c; its half-cell interpolation is exactly c."""
-    return np.full((tg.n_nodes, sg.n_cells), c)
+    return np.full((tg.n_nodes, sg.shape[0]), c)
 
 
 def test_mc_frozen_population_when_control_matches_drain():
     tg = TimeGrid(t1=0.5, n_steps=20)
-    sg = SpaceGrid1D(25)
+    sg = SpaceGrid((25,))
     params = _ev_params(tg, sigma=0.0)
     m0 = _tent_density(sg)
     hist = mc_population(_constant_field(tg, sg, 0.5), m0, params, tg, sg, n_agents=20_000, seed=1)
@@ -497,7 +497,7 @@ def test_mc_frozen_population_when_control_matches_drain():
 
 def test_mc_every_slice_has_unit_mass():
     tg = TimeGrid(t1=0.3, n_steps=15)
-    sg = SpaceGrid1D(20)
+    sg = SpaceGrid((20,))
     params = _ev_params(tg)
     m0 = _tent_density(sg)
     hist = mc_population(_constant_field(tg, sg, 2.0), m0, params, tg, sg, n_agents=7_919, seed=3)
@@ -510,7 +510,7 @@ def test_mc_reflection_contains_strong_outward_drift():
     # control pushing hard past the full-battery wall: agents must stay
     # inside (unit mass in every binned slice means nothing escaped [0, 1])
     tg = TimeGrid(t1=1.0, n_steps=50)
-    sg = SpaceGrid1D(20)
+    sg = SpaceGrid((20,))
     params = _ev_params(tg, g=0.0, sigma=0.0)
     m0 = _tent_density(sg, center=0.9, width=0.1)
     hist = mc_population(_constant_field(tg, sg, 5.0), m0, params, tg, sg, n_agents=2_000, seed=0)
@@ -522,21 +522,21 @@ def test_mc_variance_grows_like_brownian_motion():
     # sigma g dW with the control cancelling the drain: positions diffuse
     # with variance sigma^2 g^2 t while far from both walls
     tg = TimeGrid(t1=0.5, n_steps=100)
-    sg = SpaceGrid1D(200)
+    sg = SpaceGrid((200,))
     params = _ev_params(tg, g=0.5, sigma=0.1)
     m0 = np.zeros(200)
-    m0[100] = 1.0 / sg.dx  # point mass at the cell containing x = 0.5
+    m0[100] = 1.0 / sg.spacing(0)  # point mass at the cell containing x = 0.5
     hist = mc_population(_constant_field(tg, sg, 0.5), m0, params, tg, sg, n_agents=100_000, seed=7)
     final = hist[-1]
-    mean = integrate(sg.nodes * final, sg)
-    var = integrate((sg.nodes - mean) ** 2 * final, sg)
+    mean = integrate(sg.nodes(0) * final, sg)
+    var = integrate((sg.nodes(0) - mean) ** 2 * final, sg)
     target = 0.1 ** 2 * 0.5 ** 2 * 0.5
     assert abs(var - target) / target < 0.05
 
 
 def test_mc_same_seed_reproduces_bitwise():
     tg = TimeGrid(t1=0.2, n_steps=10)
-    sg = SpaceGrid1D(20)
+    sg = SpaceGrid((20,))
     params = _ev_params(tg)
     m0 = _tent_density(sg)
     h1 = mc_population(_constant_field(tg, sg, 0.3), m0, params, tg, sg, n_agents=5_000, seed=42)
@@ -553,7 +553,7 @@ def test_mc_tracks_pde_density(ev_run):
     hist = mc_population(
         sol.alpha, sol.m[0], problem.params, problem.tgrid, problem.sgrid, n_agents=20_000, seed=0
     )
-    dist = np.abs(hist - sol.m).sum(axis=1) * problem.sgrid.dx
+    dist = np.abs(hist - sol.m).sum(axis=1) * problem.sgrid.spacing(0)
     assert dist.max() < 0.12
 
 
@@ -567,14 +567,14 @@ def _reference_mc_population(control, m0, params, tgrid, sgrid, n_agents, seed):
     x = sample_density(m0, sgrid, n_agents)
 
     def bin_slice(x):
-        counts, _ = np.histogram(x, bins=sgrid.n_cells, range=(0.0, 1.0))
-        return counts / (n_agents * sgrid.dx)
+        counts, _ = np.histogram(x, bins=sgrid.shape[0], range=(0.0, 1.0))
+        return counts / (n_agents * sgrid.spacing(0))
 
-    hist = np.empty((tgrid.n_nodes, sgrid.n_cells))
+    hist = np.empty((tgrid.n_nodes, sgrid.shape[0]))
     hist[0] = bin_slice(x)
     sqrt_dt = math.sqrt(tgrid.dt)
     for i in range(tgrid.n_steps):
-        a = np.interp(x, sgrid.nodes, control[i])
+        a = np.interp(x, sgrid.nodes(0), control[i])
         x = x + tgrid.dt * (a - params.g[i])
         noise = params.sigma[i] * params.g[i]
         if noise != 0.0:
@@ -587,7 +587,7 @@ def _reference_mc_population(control, m0, params, tgrid, sgrid, n_agents, seed):
 def _wall_bound_field(tg, sg, g):
     # drift 4 (x - 1/2) away from the middle, with a moving ripple: agents
     # pile up at both walls
-    t, x = np.meshgrid(tg.nodes, sg.nodes, indexing="ij")
+    t, x = np.meshgrid(tg.nodes, sg.nodes(0), indexing="ij")
     return g + 4.0 * (x - 0.5) + 0.3 * np.sin(2.0 * np.pi * (x + t))
 
 
@@ -595,7 +595,7 @@ def _wall_bound_field(tg, sg, g):
 @pytest.mark.parametrize("sigma", [0.0, 0.2])
 def test_mc_matches_reference_loop_on_a_wall_bound_field(n_cells, sigma):
     tg = TimeGrid(t1=0.5, n_steps=30)
-    sg = SpaceGrid1D(n_cells)
+    sg = SpaceGrid((n_cells,))
     params = _ev_params(tg, g=0.5, sigma=sigma)
     m0 = np.full(n_cells, 1.0)
     field = _wall_bound_field(tg, sg, 0.5)
@@ -621,46 +621,46 @@ def _histogram_bin(x, n_cells):
 
 @pytest.mark.parametrize("n_cells", [4, 25, 100, 400])
 def test_half_cell_index_matches_histogram_and_interp_at_random_points(n_cells):
-    sg = SpaceGrid1D(n_cells)
+    sg = SpaceGrid((n_cells,))
     rng = np.random.default_rng(n_cells)
     x = rng.random(50_000)
     fp = rng.standard_normal(n_cells)
     k = _half_cell_index(x, n_cells)
     np.testing.assert_array_equal(k >> 1, _histogram_bin(x, n_cells))
     counts, _ = np.histogram(x, bins=n_cells, range=(0.0, 1.0))
-    np.testing.assert_array_equal(_bin_population(k, sg), counts / (x.size * sg.dx))
-    control = _interp_half_cells(sg.nodes, fp, k, x)
-    np.testing.assert_array_equal(control, np.interp(x, sg.nodes, fp))
+    np.testing.assert_array_equal(_bin_population(k, sg), counts / (x.size * sg.spacing(0)))
+    control = _interp_half_cells(sg.nodes(0), fp, k, x)
+    np.testing.assert_array_equal(control, np.interp(x, sg.nodes(0), fp))
 
 
 @pytest.mark.parametrize("n_cells", [4, 25, 100, 400])
 def test_half_cell_index_edge_rule_at_edges_and_centers(n_cells):
     # within one ulp of a cell edge or a center the index may land one half
     # cell over: one bin off, and the field's continuity error in the control
-    sg = SpaceGrid1D(n_cells)
+    sg = SpaceGrid((n_cells,))
     fp = np.random.default_rng(n_cells + 1).standard_normal(n_cells)
-    marks = np.concatenate([np.linspace(0.0, 1.0, n_cells + 1), sg.nodes])
+    marks = np.concatenate([np.linspace(0.0, 1.0, n_cells + 1), sg.nodes(0)])
     x = np.clip(np.concatenate([marks, np.nextafter(marks, -1.0), np.nextafter(marks, 2.0)]), 0.0, 1.0)
     k = _half_cell_index(x, n_cells)
     assert np.abs((k >> 1) - _histogram_bin(x, n_cells)).max() <= 1
-    control = _interp_half_cells(sg.nodes, fp, k, x)
-    assert np.abs(control - np.interp(x, sg.nodes, fp)).max() <= 1e-12
+    control = _interp_half_cells(sg.nodes(0), fp, k, x)
+    assert np.abs(control - np.interp(x, sg.nodes(0), fp)).max() <= 1e-12
 
 
 def test_half_cell_index_walls_read_the_end_cells_and_values():
-    sg = SpaceGrid1D(25)
+    sg = SpaceGrid((25,))
     fp = np.linspace(-1.0, 2.0, 25) ** 3
     x = np.array([0.0, 1.0])
     k = _half_cell_index(x, 25)
     np.testing.assert_array_equal(k >> 1, [0, 24])
-    control = _interp_half_cells(sg.nodes, fp, k, x)
+    control = _interp_half_cells(sg.nodes(0), fp, k, x)
     np.testing.assert_array_equal(control, [fp[0], fp[-1]])
 
 
 @pytest.mark.parametrize("shape", [(11, 19), (11, 21), (5, 20)], ids=["cells-1", "cells+1", "few-rows"])
 def test_mc_names_a_mis_shaped_control_field(shape):
     tg = TimeGrid(t1=0.2, n_steps=10)
-    sg = SpaceGrid1D(20)
+    sg = SpaceGrid((20,))
     params = _ev_params(tg)
     expected = re.escape(f"(n_nodes, n_cells) = (11, 20), found {shape}")
     with pytest.raises(ValueError, match=expected):

@@ -7,9 +7,11 @@ They only read perfbench.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import evmfg
 import evmfg.cli
@@ -77,3 +79,27 @@ def test_traced_ev_solve_puts_stencil_spans_inside_both_sweeps():
     name_of = {span.span_id: span.name for span in tracer.spans}
     parents = {name_of[span.parent] for span in tracer.spans if span.name == "numerics.diff"}
     assert {"ev.hjb", "ev.fpk"} <= parents
+
+
+@pytest.mark.parametrize("run, make_mdp", [("ev_run", evmfg.ev_mdp), ("phev_run", evmfg.phev_mdp)])
+def test_dp_evals_counts_every_step_state_and_action(run, make_mdp, request):
+    # oracle.dp_evals reads the MDP's fields by name; it must count what the
+    # induction enumerates
+    spans = _spans()
+    bundled = request.getfixturevalue(run)
+    problem = bundled["problem"]
+    mdp = make_mdp(problem.params, problem.tgrid, bundled["solution"].p, n_states=4)
+    states, actions, _, _ = mdp.induction()
+    expected = mdp.tgrid.n_steps * math.prod(map(len, states)) * math.prod(map(len, actions))
+    assert spans._dp_evals((mdp,), {}, None) == expected
+
+
+def test_traced_oracle_counts_agent_steps(ev_run, ev_run_dir):
+    # oracle.mc_agent_steps_per_s reads n_agents and the time grid from the
+    # arguments of the oracle's mc_population call
+    spans = _spans()
+    tracer = spans.Tracer(lambda: 0.0)
+    with spans.instrument(tracer):
+        evmfg.cli.main(["oracle", str(ev_run_dir), "--states", "4", "--agents", "1000"])
+    (mc,) = [span for span in tracer.spans if span.name == "oracle.mc"]
+    assert mc.data == 1000 * ev_run["problem"].tgrid.n_steps

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from evmfg import (
     PhevParams,
     PhevProblem,
-    SpaceGrid2D,
+    SpaceGrid,
     TimeGrid,
     beta,
     beta_divergence,
@@ -51,7 +51,7 @@ def test_beta_values():
 
 
 def test_beta_range_on_grid():
-    sgrid = SpaceGrid2D(16, 16)
+    sgrid = SpaceGrid((16, 16))
     b = beta(*sgrid.meshes())
     assert np.all(b >= 0.0) and np.all(b <= 1.0)
 
@@ -62,13 +62,13 @@ def test_beta_divergence_values():
 
 
 def test_beta_divergence_machine_precision_identity():
-    sgrid = SpaceGrid2D(16, 16)
+    sgrid = SpaceGrid((16, 16))
     z1, z2 = sgrid.meshes()
     np.testing.assert_allclose(beta_divergence(z1, z2) * (z1 + z2), 1.0, rtol=1e-14)
 
 
 def test_beta_divergence_matches_central_differences():
-    sgrid = SpaceGrid2D(16, 16)
+    sgrid = SpaceGrid((16, 16))
     z1, z2 = sgrid.meshes()
     h = 1e-5
     d1 = (beta(z1 + h, z2) - beta(z1 - h, z2)) / (2.0 * h)
@@ -82,7 +82,7 @@ def test_beta_divergence_matches_central_differences():
 
 def test_phev_price_stationary_symmetric():
     tgrid = TimeGrid(1.0, 4)
-    sgrid = SpaceGrid2D(16, 16)
+    sgrid = SpaceGrid((16, 16))
     params = make_params(tgrid, g=0.2, offset=0.5)
     m = np.tile(gaussian_density(sgrid, (0.5, 0.5), 0.02), (tgrid.n_nodes, 1, 1))
     r1 = phev_price(m, params, sgrid, tgrid)
@@ -92,7 +92,7 @@ def test_phev_price_stationary_symmetric():
 
 def test_phev_price_clamps_negative_demand():
     tgrid = TimeGrid(1.0, 4)
-    sgrid = SpaceGrid2D(16, 16)
+    sgrid = SpaceGrid((16, 16))
     params = make_params(tgrid, g=-0.2, offset=0.5)
     m = np.tile(gaussian_density(sgrid, (0.5, 0.5), 0.02), (tgrid.n_nodes, 1, 1))
     r1 = phev_price(m, params, sgrid, tgrid)
@@ -105,7 +105,7 @@ def test_phev_price_clamps_negative_demand():
 
 def test_controls_gradient_cancels_price():
     tgrid = TimeGrid(1.0, 3)
-    sgrid = SpaceGrid2D(12, 12)
+    sgrid = SpaceGrid((12, 12))
     params = make_params(tgrid, r2=0.7)
     r1 = np.full(tgrid.n_nodes, 0.9)
     z1, z2 = sgrid.meshes()
@@ -118,7 +118,7 @@ def test_controls_gradient_cancels_price():
 
 def test_controls_flat_value():
     tgrid = TimeGrid(1.0, 3)
-    sgrid = SpaceGrid2D(12, 12)
+    sgrid = SpaceGrid((12, 12))
     params = make_params(tgrid, Q2=125.0, r2=0.7)
     r1 = np.full(tgrid.n_nodes, 0.7)
     v = np.zeros((tgrid.n_nodes, 12, 12))
@@ -128,7 +128,7 @@ def test_controls_flat_value():
 
 def test_controls_linear_value():
     tgrid = TimeGrid(1.0, 3)
-    sgrid = SpaceGrid2D(12, 12)
+    sgrid = SpaceGrid((12, 12))
     params = make_params(tgrid, Q1=125.0)
     r1 = np.full(tgrid.n_nodes, 0.7)
     z1, z2 = sgrid.meshes()
@@ -144,7 +144,7 @@ def test_controls_linear_value():
 
 def test_phev_hjb_constant_solution():
     tgrid = TimeGrid(1.0, 6)
-    sgrid = SpaceGrid2D(12, 12)
+    sgrid = SpaceGrid((12, 12))
     c = 1.5
     params = make_params(tgrid, g=0.2, r2=0.0, xi=lambda z1, z2: np.full_like(z1, c))
     v, _ = phev_hjb_backward_sweep(np.zeros(tgrid.n_nodes), params, tgrid, sgrid)
@@ -153,7 +153,7 @@ def test_phev_hjb_constant_solution():
 
 def test_phev_hjb_terminal_condition_exact():
     tgrid = TimeGrid(1.0, 4)
-    sgrid = SpaceGrid2D(12, 12)
+    sgrid = SpaceGrid((12, 12))
     params = make_params(tgrid, xi=lambda z1, z2: 10.0 * (2.0 - z1 - z2) ** 2)
     r1 = np.full(tgrid.n_nodes, 0.7)
     v, _ = phev_hjb_backward_sweep(r1, params, tgrid, sgrid)
@@ -167,7 +167,7 @@ def test_phev_hjb_linear_terminal_closed_form():
     # any drain g: v = k + (T-t)[s0 - r1^2/(2 Q1) - r2^2/(2 Q2)]
     k, s0, r1, r2, Q1, Q2, T = 0.4, 0.3, 0.9, 0.7, 125.0, 80.0, 1.0
     tgrid = TimeGrid(T, 10)
-    sgrid = SpaceGrid2D(12, 12)
+    sgrid = SpaceGrid((12, 12))
     params = make_params(
         tgrid, g=0.2, Q1=Q1, Q2=Q2, r2=r2,
         s_cost=lambda t, z1, z2: np.full_like(z1, s0), xi=lambda z1, z2: np.full_like(z1, k),
@@ -182,7 +182,7 @@ def test_phev_hjb_symmetry():
     # symmetric data (Q1 = Q2, r1 pinned to r2, symmetric s, xi, m0) must
     # produce a value field symmetric under z1 <-> z2
     tgrid = TimeGrid(0.2, 8)
-    sgrid = SpaceGrid2D(16, 16)
+    sgrid = SpaceGrid((16, 16))
     params = make_params(
         tgrid,
         g=0.2,
@@ -213,7 +213,7 @@ def test_phev_hjb_sweep_controls_are_optimal_controls(phev_run):
 
 def test_phev_fpk_stationary():
     tgrid = TimeGrid(1.0, 6)
-    sgrid = SpaceGrid2D(16, 16)
+    sgrid = SpaceGrid((16, 16))
     g = 0.2
     params = make_params(tgrid, g=g)
     z1, z2 = sgrid.meshes()
@@ -230,7 +230,7 @@ def test_phev_fpk_uniform_drift_marginals():
     # drift (c, 0): the z1-marginal mean advances by c t, the z2-marginal
     # is preserved column by column
     tgrid = TimeGrid(0.5, 20)
-    sgrid = SpaceGrid2D(24, 24)
+    sgrid = SpaceGrid((24, 24))
     g, c = 0.2, 0.15
     params = make_params(tgrid, g=g)
     z1, z2 = sgrid.meshes()
@@ -253,7 +253,7 @@ def test_phev_fpk_uniform_drift_marginals():
 def test_phev_fpk_mass_and_positivity(seed):
     rng = np.random.default_rng(seed)
     tgrid = TimeGrid(0.25, 6)
-    sgrid = SpaceGrid2D(12, 12)
+    sgrid = SpaceGrid((12, 12))
     params = make_params(tgrid, g=rng.uniform(0.0, 0.4))
     shape = (tgrid.n_nodes, 12, 12)
     mu1 = rng.uniform(-0.3, 0.3) + rng.uniform(-0.2, 0.2, shape)
@@ -267,7 +267,7 @@ def test_phev_fpk_mass_and_positivity(seed):
 
 def test_phev_fpk_symmetry():
     tgrid = TimeGrid(0.2, 8)
-    sgrid = SpaceGrid2D(16, 16)
+    sgrid = SpaceGrid((16, 16))
     g = 0.2
     params = make_params(tgrid, g=g)
     z1, z2 = sgrid.meshes()
@@ -283,7 +283,7 @@ def test_phev_fpk_symmetry():
 
 def test_phev_fpk_rejects_unnormalized_m0():
     tgrid = TimeGrid(1.0, 4)
-    sgrid = SpaceGrid2D(12, 12)
+    sgrid = SpaceGrid((12, 12))
     params = make_params(tgrid)
     m0 = gaussian_density(sgrid, (0.5, 0.5), 0.02) * 1.2
     shape = (tgrid.n_nodes, 12, 12)
@@ -293,7 +293,7 @@ def test_phev_fpk_rejects_unnormalized_m0():
 
 def test_phev_non_finite_m0_is_rejected():
     tgrid = TimeGrid(1.0, 4)
-    sgrid = SpaceGrid2D(12, 12)
+    sgrid = SpaceGrid((12, 12))
     params = make_params(tgrid)
     m0 = gaussian_density(sgrid, (0.5, 0.5), 0.02)
     shape = (tgrid.n_nodes, 12, 12)
@@ -311,7 +311,7 @@ def test_conservative_form_matches_expanded_form():
     # agreeing to first order in the cell width on smooth fields
     errors = []
     for n in (24, 48):
-        sgrid = SpaceGrid2D(n, n)
+        sgrid = SpaceGrid((n, n))
         z1, z2 = sgrid.meshes()
         g = 0.2
         b = beta(z1, z2)

@@ -12,8 +12,7 @@ from evmfg import (
     PhevParams,
     ScenarioError,
     SolverOptions,
-    SpaceGrid1D,
-    SpaceGrid2D,
+    SpaceGrid,
     TimeGrid,
     apply_overrides,
     build_problem,
@@ -243,8 +242,8 @@ def _phev_params(**series):
     [
         ("ev", lambda d: d.update(horizon=-1.0), lambda: TimeGrid(-1.0, 12)),
         ("ev", lambda d: d.update(time_steps=1), lambda: TimeGrid(0.2, 1)),
-        ("ev", lambda d: d["space"].update(cells=2), lambda: SpaceGrid1D(2)),
-        ("phev", lambda d: d["space"].update(cells=[2, 8]), lambda: SpaceGrid2D(2, 8)),
+        ("ev", lambda d: d["space"].update(cells=2), lambda: SpaceGrid((2,))),
+        ("phev", lambda d: d["space"].update(cells=[2, 8]), lambda: SpaceGrid((2, 8))),
         ("ev", lambda d: d.update(solver={"max_iters": 0}), lambda: SolverOptions(max_iters=0)),
         ("ev", lambda d: d.update(solver={"tol": -1.0}), lambda: SolverOptions(tol=-1.0)),
         ("ev", lambda d: d.update(solver={"damping": 0.0}), lambda: SolverOptions(damping=0.0)),
@@ -344,9 +343,9 @@ def test_histogram_density_2d_errors(tmp_path, values, message):
 def test_gaussian_density_matches_closed_form(tmp_path):
     ev = _minimal_ev(initial_density={"kind": "truncated_gaussian", "mean": 0.37, "variance": 0.013})
     problem, _, _ = build_problem(ScenarioConfig(data=validate_config(ev), base_dir=tmp_path))
-    x = problem.sgrid.nodes
+    x = problem.sgrid.nodes(0)
     values = np.exp(-((x - 0.37) ** 2) / (2.0 * 0.013))
-    assert np.array_equal(problem.m0, values / (values.sum() * problem.sgrid.dx))
+    assert np.array_equal(problem.m0, values / (values.sum() * problem.sgrid.spacing(0)))
     problem, _, _ = build_problem(ScenarioConfig(data=validate_config(_minimal_phev()), base_dir=tmp_path))
     z1, z2 = problem.sgrid.meshes()
     values = np.exp(-((z1 - 0.4) ** 2 + (z2 - 0.6) ** 2) / (2.0 * 0.02))
@@ -355,7 +354,7 @@ def test_gaussian_density_matches_closed_form(tmp_path):
 
 def test_cost_presets_match_closed_forms(tmp_path):
     problem, _, _ = build_problem(ScenarioConfig(data=validate_config(_minimal_ev()), base_dir=tmp_path))
-    x = problem.sgrid.nodes
+    x = problem.sgrid.nodes(0)
     assert np.array_equal(problem.params.f_cost(0.1, x), 1.0 * (1.0 - x) ** 2)
     assert np.array_equal(problem.params.kappa(x), 1.0 * (1.0 - x) ** 2)
     problem, _, _ = build_problem(ScenarioConfig(data=validate_config(_minimal_phev()), base_dir=tmp_path))
@@ -368,7 +367,7 @@ def test_zero_cost_preset_on_both_grids(tmp_path):
     zero = {"kind": "zero"}
     ev = _minimal_ev(costs={"f": zero, "kappa": zero})
     problem, options, _ = build_problem(ScenarioConfig(data=validate_config(ev), base_dir=tmp_path))
-    x = problem.sgrid.nodes
+    x = problem.sgrid.nodes(0)
     for values in (problem.params.f_cost(0.1, x), problem.params.kappa(x)):
         assert values.shape == x.shape and not values.any()
     assert solve_mfe(problem, options).converged
@@ -516,7 +515,7 @@ def test_total_consumption_columns(ev_run, ev_run_dir):
 def test_control_sections_rows(phev_run, phev_run_dir):
     lines = (Path(phev_run_dir) / "control_sections.csv").read_text().splitlines()
     assert lines[0] == "z2,z1,mu1,mu2"
-    n1 = phev_run["problem"].sgrid.n1
+    n1 = phev_run["problem"].sgrid.shape[0]
     assert len(lines) == 1 + 2 * n1  # sections at z2 near 0.5 and 0.9
 
 
@@ -566,7 +565,7 @@ def _reference_csv_set(sol, problem, model) -> dict[str, str]:
         return "\n".join(rows) + "\n"
 
     if model == "ev":
-        coords = [(x,) for x in problem.sgrid.nodes]
+        coords = [(x,) for x in problem.sgrid.nodes(0)]
         purchases = ev_purchases(sol.m, problem)
         d = problem.params.d
         return {
@@ -577,7 +576,7 @@ def _reference_csv_set(sol, problem, model) -> dict[str, str]:
             "purchases.csv": series("t,value", [purchases]),
             "total_consumption.csv": series("t,regulated,baseline", [purchases + d, purchases.mean() + d]),
         }
-    z1, z2 = problem.sgrid.nodes1, problem.sgrid.nodes2
+    z1, z2 = problem.sgrid.nodes(0), problem.sgrid.nodes(1)
     coords = [(a, b) for a in z1 for b in z2]
     mu1, mu2 = sol.alpha
     sections = ["z2,z1,mu1,mu2"]

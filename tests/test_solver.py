@@ -11,7 +11,7 @@ from evmfg import (
     EvProblem,
     MfeSolution,
     SolverOptions,
-    SpaceGrid1D,
+    SpaceGrid,
     TimeGrid,
     apply_overrides,
     build_problem,
@@ -22,13 +22,13 @@ from evmfg import (
 
 
 def tent_density(sgrid, center, halfwidth):
-    m = np.maximum(0.0, 1.0 - np.abs(sgrid.nodes - center) / halfwidth)
-    return m / (m.sum() * sgrid.dx)
+    m = np.maximum(0.0, 1.0 - np.abs(sgrid.nodes(0) - center) / halfwidth)
+    return m / (m.sum() * sgrid.spacing(0))
 
 
 def small_problem(demand_coupled=True):
     tgrid = TimeGrid(0.2, 20)
-    sgrid = SpaceGrid1D(30)
+    sgrid = SpaceGrid((30,))
     n = tgrid.n_nodes
     params = EvParams(
         g=np.full(n, 0.4),
@@ -118,8 +118,8 @@ def test_verify_passes_hand_built_stationary_solution():
     params.d[:] = params.d[0]
     p = problem.price(m)
     slope = -(g * params.H[:, None] + p[:, None])
-    v = slope * sgrid.nodes[None, :]
-    alpha = np.full((tgrid.n_nodes, sgrid.n_cells), g)
+    v = slope * sgrid.nodes(0)[None, :]
+    alpha = np.full((tgrid.n_nodes, sgrid.shape[0]), g)
     alpha[:, 0] = -p / params.H
     sol = MfeSolution(
         v=v,
