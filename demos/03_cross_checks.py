@@ -27,7 +27,7 @@ sol = evmfg.solve_mfe(problem, options)
 print(f"equilibrium solved: {sol.iterations} iterations, residual {sol.residuals[-1]:.2e}\n")
 
 # --- dynamic program against the frozen price ------------------------------
-mdp = evmfg.ev_mdp(problem.params, problem.tgrid, sol.p, n_states=20)
+mdp = evmfg.ev_mdp(problem.params, sol.p, n_states=20)
 value, policy = evmfg.dp_best_response(mdp)
 v0 = np.interp(mdp.states, problem.sgrid.nodes(0), sol.v[0])
 dev = (value[0] - v0) / np.abs(v0).max()

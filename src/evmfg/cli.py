@@ -152,15 +152,17 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise ValueError("need at least 2 states")
     if args.agents < 1:
         raise ValueError("need at least one agent")
+    if args.seed < 0:
+        raise ValueError("need a nonnegative seed")
     sol, problem, config, _ = _load_run(Path(args.run_dir), ORACLE_FIELDS)
     if config.model == "ev":
-        mdp = ev_mdp(problem.params, problem.tgrid, sol.p, n_states=args.states)
+        mdp = ev_mdp(problem.params, sol.p, n_states=args.states)
     else:
         n_states = min(args.states, PHEV_MAX_STATES)
         if n_states < args.states:
             print(f"note: the 2D DP audit uses a {n_states}x{n_states} state lattice "
                   f"(--states {args.states} is capped at {PHEV_MAX_STATES})", file=sys.stderr)
-        mdp = phev_mdp(problem.params, problem.tgrid, sol.p, n_states=n_states)
+        mdp = phev_mdp(problem.params, sol.p, n_states=n_states)
     value, _ = dp_best_response(mdp)
     dp_dev = float(dp_deviation(mdp, value, sol.v, problem.sgrid).max())
     print(f"dp value deviation: {dp_dev:.6g} (threshold {DP_THRESHOLD})")

@@ -29,6 +29,7 @@ takes per-axis coefficients and returns the control with the value.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,19 +46,20 @@ MASS_TOLERANCE = 1e-6
 
 
 class _SeriesParams:
-    """The per-time-node series rules that ``EvParams`` and ``phev.PhevParams`` share."""
+    """Rules of ``EvParams``/``phev.PhevParams``: each name in ``SERIES`` has one value per node of ``tgrid``."""
 
-    def _check_series(self, names: tuple[str, ...], positive: tuple[str, ...], nonnegative=()) -> None:
-        """Make the named series (``g`` first) float arrays and check their rules.
+    def _check_series(self, positive: tuple[str, ...], nonnegative=()) -> None:
+        """Make the ``SERIES`` float arrays and check their rules.
 
-        Each is as long as ``g`` and finite, and positive or nonnegative where
-        named so; a breach raises ``ScenarioError`` on ``series.<name>``.
+        Each has one value per time node, is finite, and is positive or nonnegative
+        where named so; a breach raises ``ScenarioError`` on ``series.<name>``.
         """
-        for name in names:
+        n_nodes = self.tgrid.n_nodes
+        for name in self.SERIES:
             values = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
             setattr(self, name, values)
-            if len(values) != len(self.g):
-                raise ScenarioError(f"series.{name}", f"has length {len(values)}, expected {len(self.g)}")
+            if len(values) != n_nodes:
+                raise ScenarioError(f"series.{name}", f"expected {n_nodes} values (time_steps + 1), got {len(values)}")
             if not np.all(np.isfinite(values)):
                 raise ScenarioError(f"series.{name}", "contains non-finite values")
         for name in positive:
@@ -67,15 +69,20 @@ class _SeriesParams:
             if np.any(getattr(self, name) < 0.0):
                 raise ScenarioError(f"series.{name}", "must be nonnegative")
 
-    def check_nodes(self, tgrid: TimeGrid) -> None:
-        if len(self.g) != tgrid.n_nodes:
-            raise ValueError(f"series length {len(self.g)} does not match {tgrid.n_nodes} time nodes")
+    def resampled(self, coarse: TimeGrid):
+        """These params on ``coarse``, every series interpolated linearly."""
+        fine = self.tgrid.nodes
+        series = {name: np.interp(coarse.nodes, fine, getattr(self, name)) for name in self.SERIES}
+        return dataclasses.replace(self, tgrid=coarse, **series)
 
 
 @dataclass
 class EvParams(_SeriesParams):
-    """Model coefficients; all series carry one value per time node."""
+    """Model coefficients; all series carry one value per node of ``tgrid``."""
 
+    SERIES = ("g", "d", "sigma", "H")
+
+    tgrid: TimeGrid
     g: np.ndarray
     sigma: np.ndarray
     H: np.ndarray
@@ -86,7 +93,7 @@ class EvParams(_SeriesParams):
     demand_coupled: bool = True
 
     def __post_init__(self) -> None:
-        self._check_series(("g", "d", "sigma", "H"), positive=("H",), nonnegative=("sigma",))
+        self._check_series(positive=("H",), nonnegative=("sigma",))
 
 
 def _check_initial_density(m0: np.ndarray, sgrid) -> np.ndarray:
@@ -112,19 +119,17 @@ def _check_density_slice(m: np.ndarray, time_node: int) -> np.ndarray:
     return m
 
 
-def ev_price(m: np.ndarray, params: EvParams, sgrid: SpaceGrid, tgrid: TimeGrid) -> np.ndarray:
+def ev_price(m: np.ndarray, params: EvParams, sgrid: SpaceGrid) -> np.ndarray:
     """Price series p_i = ([g_i + d/dt int x m]+ + d_i)^exponent.
 
     With ``demand_coupled`` off the vehicle demand term is zeroed, which
     makes the price a pure function of d (used to test the decoupled fixed
     point).
     """
-    params.check_nodes(tgrid)
     if params.demand_coupled:
-        rates = mean_rate(m, sgrid, tgrid)
-        inner = np.maximum(params.g + rates, 0.0)
+        inner = np.maximum(params.g + mean_rate(m, sgrid, params.tgrid), 0.0)
     else:
-        inner = np.zeros(tgrid.n_nodes)
+        inner = np.zeros(params.tgrid.n_nodes)
     return (inner + params.d) ** params.price_exponent
 
 
@@ -268,50 +273,37 @@ def optimal_control(v: np.ndarray, p: np.ndarray, params: EvParams, sgrid: Space
     return alpha
 
 
-def hjb_backward_sweep(
-    p: np.ndarray, params: EvParams, tgrid: TimeGrid, sgrid: SpaceGrid
-) -> tuple[np.ndarray, np.ndarray]:
+def hjb_backward_sweep(p: np.ndarray, params: EvParams, sgrid: SpaceGrid) -> tuple[np.ndarray, np.ndarray]:
     """Explicit backward sweep of the value function, v(T, .) = kappa.
 
     Returns (v, alpha), with alpha = ``optimal_control(v, p, params, sgrid)``.
     """
-    params.check_nodes(tgrid)
     x = sgrid.nodes(0)
-    t_nodes = tgrid.nodes
+    t_nodes = params.tgrid.nodes
 
     def coefficients(j):
         g = params.g[j]
         return [(p[j], g, params.H[j])], params.f_cost(t_nodes[j], x), params.sigma[j] ** 2 * g ** 2
 
-    v, control = _backward_sweep(params.kappa(x), tgrid, sgrid, coefficients)
+    v, control = _backward_sweep(params.kappa(x), params.tgrid, sgrid, coefficients)
     return v, control[0]
 
 
-def fpk_forward_sweep(
-    alpha: np.ndarray, m0: np.ndarray, params: EvParams, tgrid: TimeGrid, sgrid: SpaceGrid
-) -> np.ndarray:
+def fpk_forward_sweep(alpha: np.ndarray, m0: np.ndarray, params: EvParams, sgrid: SpaceGrid) -> np.ndarray:
     """Explicit forward density transport under the drift alpha - g."""
-    params.check_nodes(tgrid)
 
     def coefficients(i):
         g = params.g[i]
         return (alpha[i] - g,), params.sigma[i] ** 2 * g ** 2
 
-    return _forward_sweep(m0, tgrid, sgrid, coefficients)
+    return _forward_sweep(m0, params.tgrid, sgrid, coefficients)
 
 
-def ev_cost(
-    alpha: np.ndarray,
-    m: np.ndarray,
-    p: np.ndarray,
-    params: EvParams,
-    tgrid: TimeGrid,
-    sgrid: SpaceGrid,
-) -> float:
+def ev_cost(alpha: np.ndarray, m: np.ndarray, p: np.ndarray, params: EvParams, sgrid: SpaceGrid) -> float:
     """Population-averaged cost of a control field along a density flow."""
     if alpha.shape != m.shape or len(p) != m.shape[0]:
         raise ValueError("alpha, m and p shapes are inconsistent")
-    x = sgrid.nodes(0)
+    x, tgrid = sgrid.nodes(0), params.tgrid
     t_nodes = tgrid.nodes
     total = 0.0
     for i in range(tgrid.n_steps):
@@ -322,33 +314,39 @@ def ev_cost(
 
 
 @dataclass
-class EvProblem:
-    """Scenario instance wiring the EV operators to the fixed-point loop."""
+class _Problem:
+    """Scenario instance wiring a model's operators to the fixed-point loop."""
 
-    params: EvParams
-    tgrid: TimeGrid
+    params: _SeriesParams
     sgrid: SpaceGrid
     m0: np.ndarray
 
     def __post_init__(self) -> None:
         self.m0 = _check_initial_density(self.m0, self.sgrid)
-        self.params.check_nodes(self.tgrid)
+
+    @property
+    def tgrid(self) -> TimeGrid:
+        return self.params.tgrid
 
     @property
     def cell_volume(self) -> float:
         return self.sgrid.cell_volume
 
     def initial_iterate(self) -> np.ndarray:
-        return np.tile(self.m0, (self.tgrid.n_nodes, 1))
+        return np.tile(self.m0, (self.tgrid.n_nodes,) + (1,) * self.m0.ndim)
+
+
+class EvProblem(_Problem):
+    """The 1D game's operators on its params, grid and initial density."""
 
     def price(self, m: np.ndarray) -> np.ndarray:
-        return ev_price(m, self.params, self.sgrid, self.tgrid)
+        return ev_price(m, self.params, self.sgrid)
 
     def hjb(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return hjb_backward_sweep(p, self.params, self.tgrid, self.sgrid)
+        return hjb_backward_sweep(p, self.params, self.sgrid)
 
     def control(self, v: np.ndarray, p: np.ndarray) -> np.ndarray:
         return optimal_control(v, p, self.params, self.sgrid)
 
     def fpk(self, alpha: np.ndarray) -> np.ndarray:
-        return fpk_forward_sweep(alpha, self.m0, self.params, self.tgrid, self.sgrid)
+        return fpk_forward_sweep(alpha, self.m0, self.params, self.sgrid)

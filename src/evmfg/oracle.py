@@ -31,17 +31,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .ev import EvParams
 from .grids import SpaceGrid, TimeGrid
 from .phev import PhevParams, _axes, beta
-
-
-def _coarse_series(series: np.ndarray, fine: TimeGrid, coarse: TimeGrid) -> np.ndarray:
-    return np.interp(coarse.nodes, fine.nodes, np.asarray(series, dtype=float))
 
 
 def _state_lattice(n: int) -> np.ndarray:
@@ -64,6 +59,7 @@ def _action_lattice(g_max: float, n: int) -> np.ndarray:
 class DiscreteMdp:
     """Battery lattice MDP for the 1D game against a frozen price series.
 
+    ``params`` and ``p`` live on the MDP's (coarse) time grid.
     Transitions: deterministic drift dt*(a - g) plus a two-point (binomial)
     noise +-sigma*g*sqrt(dt) with probability 1/2 each, which matches the
     Brownian increment's mean and variance; branch probabilities sum to 1
@@ -74,102 +70,76 @@ class DiscreteMdp:
 
     states: np.ndarray
     actions: np.ndarray
-    tgrid: TimeGrid
-    g: np.ndarray
-    sigma: np.ndarray
-    H: np.ndarray
+    params: EvParams
     p: np.ndarray
-    f_cost: Callable[[float, np.ndarray], np.ndarray]
-    kappa: Callable[[np.ndarray], np.ndarray]
+
+    @property
+    def tgrid(self) -> TimeGrid:
+        return self.params.tgrid
 
     def induction(self):
         """(state lattices, action lattices, terminal table, coefficients) for ``dp_best_response``."""
-        s, nodes, root_dt = self.states, self.tgrid.nodes, math.sqrt(self.tgrid.dt)
+        s, params = self.states, self.params
+        nodes, root_dt = self.tgrid.nodes, math.sqrt(self.tgrid.dt)
 
         def coefficients(j):
-            g = self.g[j]
-            eps = self.sigma[j] * g * root_dt
-            return [(self.p[j], g, self.H[j])], self.f_cost(nodes[j], s), (eps, -eps)
+            g = params.g[j]
+            eps = params.sigma[j] * g * root_dt
+            return [(self.p[j], g, params.H[j])], params.f_cost(nodes[j], s), (eps, -eps)
 
-        return (s,), (self.actions,), self.kappa(s), coefficients
+        return (s,), (self.actions,), params.kappa(s), coefficients
 
 
-def ev_mdp(
-    params: EvParams,
-    tgrid: TimeGrid,
-    p: np.ndarray,
-    n_states: int = 20,
-    n_steps: int = 13,
-    n_actions: int = 241,
-) -> DiscreteMdp:
+def ev_mdp(params: EvParams, p: np.ndarray, n_states: int = 20, n_steps: int = 13, n_actions: int = 241) -> DiscreteMdp:
     """Coarse MDP from fine-grid coefficients (series linearly resampled)."""
-    coarse = TimeGrid(t1=tgrid.t1, n_steps=n_steps)
+    coarse = TimeGrid(t1=params.tgrid.t1, n_steps=n_steps)
     return DiscreteMdp(
         states=_state_lattice(n_states),
         actions=_action_lattice(float(np.abs(params.g).max()), n_actions),
-        tgrid=coarse,
-        g=_coarse_series(params.g, tgrid, coarse),
-        sigma=_coarse_series(params.sigma, tgrid, coarse),
-        H=_coarse_series(params.H, tgrid, coarse),
-        p=_coarse_series(p, tgrid, coarse),
-        f_cost=params.f_cost,
-        kappa=params.kappa,
+        params=params.resampled(coarse),
+        p=np.interp(coarse.nodes, params.tgrid.nodes, p),
     )
 
 
 @dataclass
 class PhevMdp:
-    """Minimal deterministic 2D lattice MDP for the hybrid game."""
+    """Minimal deterministic 2D lattice MDP for the hybrid game; ``params`` and ``r1`` live on its time grid."""
 
     states1: np.ndarray
     states2: np.ndarray
     actions1: np.ndarray
     actions2: np.ndarray
-    tgrid: TimeGrid
-    g: np.ndarray
-    Q1: np.ndarray
-    Q2: np.ndarray
+    params: PhevParams
     r1: np.ndarray
-    r2: float
-    s_cost: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    xi: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    @property
+    def tgrid(self) -> TimeGrid:
+        return self.params.tgrid
 
     def induction(self):
         """(state lattices, action lattices, terminal table, coefficients) for ``dp_best_response``."""
         z1, z2 = np.meshgrid(self.states1, self.states2, indexing="ij")
         b = beta(z1, z2)
-        nodes = self.tgrid.nodes
+        params, nodes = self.params, self.tgrid.nodes
 
         def coefficients(j):
-            # The MDP carries the g, Q1, Q2 and r2 that ``_axes`` reads from the params.
-            return _axes(self.r1, self, b, j), self.s_cost(nodes[j], z1, z2), (0.0,)
+            return _axes(self.r1, params, b, j), params.s_cost(nodes[j], z1, z2), (0.0,)
 
-        return (self.states1, self.states2), (self.actions1, self.actions2), self.xi(z1, z2), coefficients
+        return (self.states1, self.states2), (self.actions1, self.actions2), params.xi(z1, z2), coefficients
 
 
 def phev_mdp(
-    params: PhevParams,
-    tgrid: TimeGrid,
-    r1: np.ndarray,
-    n_states: int = 10,
-    n_steps: int | None = None,
-    n_actions: int = 21,
+    params: PhevParams, r1: np.ndarray, n_states: int = 10, n_steps: int | None = None, n_actions: int = 21
 ) -> PhevMdp:
-    coarse = tgrid if n_steps is None else TimeGrid(t1=tgrid.t1, n_steps=n_steps)
+    coarse = params.tgrid if n_steps is None else TimeGrid(t1=params.tgrid.t1, n_steps=n_steps)
     actions = _action_lattice(float(np.abs(params.g).max()), n_actions)
     return PhevMdp(
         states1=_cell_lattice(n_states),
         states2=_cell_lattice(n_states),
         actions1=actions,
         actions2=actions.copy(),
-        tgrid=coarse,
-        g=_coarse_series(params.g, tgrid, coarse),
-        Q1=_coarse_series(params.Q1, tgrid, coarse),
-        Q2=_coarse_series(params.Q2, tgrid, coarse),
-        r1=_coarse_series(r1, tgrid, coarse),
-        r2=params.r2,
-        s_cost=params.s_cost,
-        xi=params.xi,
+        params=params.resampled(coarse),
+        r1=np.interp(coarse.nodes, params.tgrid.nodes, r1),
     )
 
 
@@ -273,7 +243,8 @@ def mc_population(
 
     ``control`` is a field of shape ``(n_nodes, n_cells)``, one row per
     time node on the grid's cell centers, interpolated linearly in space and
-    clamped beyond the outer centers, as ``np.interp`` does. One
+    clamped beyond the outer centers, as ``np.interp`` does. ``tgrid`` must be
+    ``params.tgrid``: perfbench's trace reads the step count from it. One
     standard-normal draw per agent per step, consumed in fixed agent order
     from a single seeded generator, so the result depends only on (inputs,
     n_agents, seed), never on scheduling.
@@ -288,7 +259,8 @@ def mc_population(
     """
     if n_agents < 1:
         raise ValueError("need at least one agent")
-    params.check_nodes(tgrid)
+    if tgrid != params.tgrid:
+        raise ValueError(f"time grid {tgrid} is not the params' {params.tgrid}")
     control = np.asarray(control, dtype=float)
     expected = (tgrid.n_nodes, sgrid.shape[0])
     if control.shape != expected:

@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ev import _SeriesParams, _backward_sweep, _check_initial_density, _forward_sweep, _geometry, _hamiltonian_sum
+from .ev import _Problem, _SeriesParams, _backward_sweep, _forward_sweep, _geometry, _hamiltonian_sum
 from .grids import SpaceGrid, TimeGrid
 from .numerics import mean_rate
 from .numerics import substep_count  # noqa: F401  (perfbench's trace rebinds it by name)
@@ -65,8 +65,11 @@ def beta_divergence(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PhevParams(_SeriesParams):
-    """Model coefficients; series carry one value per time node."""
+    """Model coefficients; series carry one value per node of ``tgrid``."""
 
+    SERIES = ("g", "Q1", "Q2")
+
+    tgrid: TimeGrid
     g: np.ndarray
     Q1: np.ndarray
     Q2: np.ndarray
@@ -76,17 +79,16 @@ class PhevParams(_SeriesParams):
     price_offset: float = 0.5
 
     def __post_init__(self) -> None:
-        self._check_series(("g", "Q1", "Q2"), positive=("Q1", "Q2"))
+        self._check_series(positive=("Q1", "Q2"))
         self.r2 = float(self.r2)
 
 
-def phev_price(m: np.ndarray, params: PhevParams, sgrid: SpaceGrid, tgrid: TimeGrid) -> np.ndarray:
+def phev_price(m: np.ndarray, params: PhevParams, sgrid: SpaceGrid) -> np.ndarray:
     """Grid price series r1 = [g int beta dm + d/dt int z1 m]+ + offset."""
-    params.check_nodes(tgrid)
     z1, z2 = sgrid.meshes()
     b = beta(z1, z2)
     draw = (np.asarray(m, dtype=float) * b).reshape(m.shape[0], -1).sum(axis=1) * sgrid.cell_volume
-    rates = mean_rate(m, sgrid, tgrid)
+    rates = mean_rate(m, sgrid, params.tgrid)
     return np.maximum(params.g * draw + rates, 0.0) + params.price_offset
 
 
@@ -114,32 +116,26 @@ def phev_optimal_controls(
 
 
 def phev_hjb_backward_sweep(
-    r1: np.ndarray, params: PhevParams, tgrid: TimeGrid, sgrid: SpaceGrid
+    r1: np.ndarray, params: PhevParams, sgrid: SpaceGrid
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Explicit backward value sweep, v(T, .) = xi.
 
     Returns (v, (mu1, mu2)), equal to ``phev_optimal_controls(v, r1, params, sgrid)``.
     """
-    params.check_nodes(tgrid)
     z1, z2 = sgrid.meshes()
     b = beta(z1, z2)
-    t_nodes = tgrid.nodes
+    t_nodes = params.tgrid.nodes
 
     def coefficients(j):
         return _axes(r1, params, b, j), params.s_cost(t_nodes[j], z1, z2), 0.0
 
-    return _backward_sweep(params.xi(z1, z2), tgrid, sgrid, coefficients)
+    return _backward_sweep(params.xi(z1, z2), params.tgrid, sgrid, coefficients)
 
 
 def phev_fpk_forward_sweep(
-    mu: tuple[np.ndarray, np.ndarray],
-    m0: np.ndarray,
-    params: PhevParams,
-    tgrid: TimeGrid,
-    sgrid: SpaceGrid,
+    mu: tuple[np.ndarray, np.ndarray], m0: np.ndarray, params: PhevParams, sgrid: SpaceGrid
 ) -> np.ndarray:
     """Conservative upwind transport under (mu1 - beta g, mu2 - (1-beta) g)."""
-    params.check_nodes(tgrid)
     mu1, mu2 = mu
     b = beta(*sgrid.meshes())
 
@@ -147,37 +143,20 @@ def phev_fpk_forward_sweep(
         g = params.g[i]
         return (mu1[i] - b * g, mu2[i] - (1.0 - b) * g), 0.0
 
-    return _forward_sweep(m0, tgrid, sgrid, coefficients)
+    return _forward_sweep(m0, params.tgrid, sgrid, coefficients)
 
 
-@dataclass
-class PhevProblem:
-    """Scenario instance wiring the hybrid operators to the fixed-point loop."""
-
-    params: PhevParams
-    tgrid: TimeGrid
-    sgrid: SpaceGrid
-    m0: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.m0 = _check_initial_density(self.m0, self.sgrid)
-        self.params.check_nodes(self.tgrid)
-
-    @property
-    def cell_volume(self) -> float:
-        return self.sgrid.cell_volume
-
-    def initial_iterate(self) -> np.ndarray:
-        return np.tile(self.m0, (self.tgrid.n_nodes, 1, 1))
+class PhevProblem(_Problem):
+    """The hybrid game's operators on its params, grid and initial density."""
 
     def price(self, m: np.ndarray) -> np.ndarray:
-        return phev_price(m, self.params, self.sgrid, self.tgrid)
+        return phev_price(m, self.params, self.sgrid)
 
     def hjb(self, r1: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        return phev_hjb_backward_sweep(r1, self.params, self.tgrid, self.sgrid)
+        return phev_hjb_backward_sweep(r1, self.params, self.sgrid)
 
     def control(self, v: np.ndarray, r1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return phev_optimal_controls(v, r1, self.params, self.sgrid)
 
     def fpk(self, mu: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        return phev_fpk_forward_sweep(mu, self.m0, self.params, self.tgrid, self.sgrid)
+        return phev_fpk_forward_sweep(mu, self.m0, self.params, self.sgrid)

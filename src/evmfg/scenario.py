@@ -93,8 +93,6 @@ solver:                    # optional block, defaults below
 """
 
 _SOLVER_DEFAULTS = {"max_iters": 200, "tol": 1e-6, "damping": 0.5}
-_EV_SERIES = ("g", "d", "sigma", "H")
-_PHEV_SERIES = ("g", "Q1", "Q2")
 _EV_COSTS = ("f", "kappa")
 _PHEV_COSTS = ("s", "xi")
 # libyaml's safe loader where PyYAML was built with it: the same documents, parsed in C.
@@ -267,7 +265,7 @@ def validate_config(data, name_default: str = "scenario") -> dict:
     series_spec = _require(data, "series", "")
     if not isinstance(series_spec, dict):
         raise ScenarioError("series", "expected a mapping")
-    wanted = _EV_SERIES if model == "ev" else _PHEV_SERIES
+    wanted = (EvParams if model == "ev" else PhevParams).SERIES
     _reject_unknown(series_spec, set(wanted), "series")
     series = {}
     for key in wanted:
@@ -417,12 +415,10 @@ def _read_two_column_csv(path: Path, fld: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _materialize_series(spec, tgrid: TimeGrid, base_dir: Path, fld: str) -> tuple[np.ndarray, bool]:
-    """Return (one value per time node, whether it was resampled)."""
+    """Return (the series on the time grid, whether it was resampled); the params check its length."""
     if isinstance(spec, (int, float)):
         return np.full(tgrid.n_nodes, float(spec)), False
     if isinstance(spec, list):
-        if len(spec) != tgrid.n_nodes:
-            raise ScenarioError(fld, f"expected {tgrid.n_nodes} values (time_steps + 1), got {len(spec)}")
         return np.asarray(spec, dtype=float), False
     if "csv" in spec:
         times, values = _read_two_column_csv(base_dir / spec["csv"], fld)
@@ -494,7 +490,7 @@ def build_problem(config: ScenarioConfig):
         f_run, _ = _make_cost(data["costs"]["f"])
         _, kappa = _make_cost(data["costs"]["kappa"])
         params = EvParams(
-            **{key: series(key) for key in _EV_SERIES}, f_cost=f_run, kappa=kappa,
+            tgrid=tgrid, **{key: series(key) for key in EvParams.SERIES}, f_cost=f_run, kappa=kappa,
             price_exponent=data["price"]["exponent"],
             demand_coupled=data["price"]["coupled"],
         )
@@ -503,11 +499,11 @@ def build_problem(config: ScenarioConfig):
         s_run, _ = _make_cost(data["costs"]["s"])
         _, xi = _make_cost(data["costs"]["xi"])
         params = PhevParams(
-            **{key: series(key) for key in _PHEV_SERIES}, r2=data["price"]["r2"],
+            tgrid=tgrid, **{key: series(key) for key in PhevParams.SERIES}, r2=data["price"]["r2"],
             s_cost=s_run, xi=xi, price_offset=data["price"]["offset"],
         )
     m0 = _initial_density(data["initial_density"], sgrid, config.base_dir)
-    problem = problem_class(params=params, tgrid=tgrid, sgrid=sgrid, m0=m0)
+    problem = problem_class(params=params, sgrid=sgrid, m0=m0)
     options = SolverOptions(**data["solver"])
     return problem, options, resampled
 

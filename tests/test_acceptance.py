@@ -74,11 +74,11 @@ def _ev_closed_form_error(n_steps: int, n_cells: int) -> float:
     phi = lambda x: -c * (x - np.sin(2.0 * np.pi * x) / (2.0 * np.pi))
     dphi = lambda x: -c * (1.0 - np.cos(2.0 * np.pi * x))
     params = EvParams(
-        g=np.zeros(n), d=np.zeros(n), sigma=np.zeros(n), H=np.full(n, h),
+        tgrid=tg, g=np.zeros(n), d=np.zeros(n), sigma=np.zeros(n), H=np.full(n, h),
         f_cost=lambda t, x: ((dphi(x) + price(t)) ** 2 - (price(t) - c) ** 2) / (2.0 * h),
         kappa=phi,
     )
-    v, _ = hjb_backward_sweep(p, params, tg, sg)
+    v, _ = hjb_backward_sweep(p, params, sg)
     # v(t,x) = phi(x) - integral_t^T (p(s)-c)^2 / (2H) ds, any p(t)
     fine = np.linspace(0.0, 1.0, 20001)
     dens = (np.interp(fine, tg.nodes, p) - c) ** 2 / (2.0 * h)
@@ -112,10 +112,10 @@ def _phev_closed_form_error(n_steps: int, n_cells: int) -> float:
         )
 
     params = PhevParams(
-        g=np.full(n, g), Q1=np.full(n, q1), Q2=np.full(n, q2), r2=r2,
+        tgrid=tg, g=np.full(n, g), Q1=np.full(n, q1), Q2=np.full(n, q2), r2=r2,
         s_cost=s_cost, xi=lambda z1, z2: phi(z1) + phi(z2),
     )
-    v, _ = phev_hjb_backward_sweep(r1, params, tg, sg)
+    v, _ = phev_hjb_backward_sweep(r1, params, sg)
     fine = np.linspace(0.0, 1.0, 20001)
     dense = dens(fine)
     cum = np.concatenate(([0.0], np.cumsum((dense[1:] + dense[:-1]) * 0.5 * np.diff(fine))))
@@ -149,7 +149,7 @@ def test_criterion_02_closed_form_first_order():
 
 def test_criterion_03_dp_cross_validation(ev_run):
     sol, problem = ev_run["solution"], ev_run["problem"]
-    mdp = ev_mdp(problem.params, problem.tgrid, sol.p, n_states=20)
+    mdp = ev_mdp(problem.params, sol.p, n_states=20)
     value, _ = dp_best_response(mdp)
     dev = dp_deviation(mdp, value, sol.v, problem.sgrid)
     dp_ok = bool(dev.max() <= 0.02)

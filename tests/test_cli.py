@@ -267,6 +267,16 @@ def test_oracle_rejects_no_agents_before_the_dp_audit(run_dir, request, capsys):
     assert "dp value deviation" not in captured.out
 
 
+@pytest.mark.parametrize("run_dir", ["ev_run_dir", "phev_run_dir"])
+def test_oracle_rejects_a_negative_seed_before_the_dp_audit(run_dir, request, capsys):
+    # the 2D audit never draws from the seed, but a bad flag is a bad flag
+    code = cli.main(["oracle", str(request.getfixturevalue(run_dir)), "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "need a nonnegative seed" in captured.err
+    assert "dp value deviation" not in captured.out
+
+
 def test_schema_prints_schema(capsys):
     code = cli.main(["schema"])
     captured = capsys.readouterr()

@@ -10,6 +10,7 @@ from evmfg import (
     DivergenceError,
     EvParams,
     EvProblem,
+    ScenarioError,
     SpaceGrid,
     TimeGrid,
     diff2,
@@ -28,6 +29,7 @@ ZERO = staticmethod(lambda t, x: np.zeros_like(x))
 def make_params(tgrid, g=0.2, sigma=0.0, H=30.0, d=1.0, f_cost=None, kappa=None, **kw):
     n = tgrid.n_nodes
     return EvParams(
+        tgrid=tgrid,
         g=np.full(n, g),
         sigma=np.full(n, sigma),
         H=np.full(n, H),
@@ -56,7 +58,7 @@ def test_ev_price_stationary_density():
     sgrid = SpaceGrid((20,))
     params = make_params(tgrid, g=0.2, d=1.0)
     m = np.tile(np.full(20, 1.0), (tgrid.n_nodes, 1))
-    np.testing.assert_allclose(ev_price(m, params, sgrid, tgrid), 1.44, rtol=1e-12)
+    np.testing.assert_allclose(ev_price(m, params, sgrid), 1.44, rtol=1e-12)
 
 
 def test_ev_price_clamps_negative_demand():
@@ -64,7 +66,7 @@ def test_ev_price_clamps_negative_demand():
     sgrid = SpaceGrid((20,))
     params = make_params(tgrid, g=-0.3, d=1.0)
     m = np.tile(np.full(20, 1.0), (tgrid.n_nodes, 1))
-    np.testing.assert_allclose(ev_price(m, params, sgrid, tgrid), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(ev_price(m, params, sgrid), 1.0, rtol=1e-12)
 
 
 def test_ev_price_with_moving_mean():
@@ -75,7 +77,7 @@ def test_ev_price_with_moving_mean():
     weights = 0.2 + 0.1 * tgrid.nodes / 0.5
     m = two_cell_density(sgrid, j0, j1, weights)
     params = make_params(tgrid, g=0.6, d=1.0)
-    np.testing.assert_allclose(ev_price(m, params, sgrid, tgrid), 2.89, rtol=1e-10)
+    np.testing.assert_allclose(ev_price(m, params, sgrid), 2.89, rtol=1e-10)
 
 
 def test_ev_price_decoupled_ignores_density():
@@ -83,7 +85,7 @@ def test_ev_price_decoupled_ignores_density():
     sgrid = SpaceGrid((20,))
     params = make_params(tgrid, g=0.6, d=1.1, demand_coupled=False)
     m = two_cell_density(sgrid, 4, 14, 0.2 + 0.1 * tgrid.nodes)
-    np.testing.assert_allclose(ev_price(m, params, sgrid, tgrid), 1.21, rtol=1e-12)
+    np.testing.assert_allclose(ev_price(m, params, sgrid), 1.21, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +133,7 @@ def test_hjb_constant_solution():
     sgrid = SpaceGrid((25,))
     c = 2.5
     params = make_params(tgrid, g=0.3, sigma=0.1, kappa=lambda x: np.full_like(x, c))
-    v, _ = hjb_backward_sweep(np.zeros(tgrid.n_nodes), params, tgrid, sgrid)
+    v, _ = hjb_backward_sweep(np.zeros(tgrid.n_nodes), params, sgrid)
     np.testing.assert_allclose(v, c, rtol=1e-13)
 
 
@@ -139,7 +141,7 @@ def test_hjb_terminal_condition_exact():
     tgrid = TimeGrid(1.0, 5)
     sgrid = SpaceGrid((25,))
     params = make_params(tgrid, kappa=lambda x: (1.0 - x) ** 2)
-    v, _ = hjb_backward_sweep(np.ones(tgrid.n_nodes), params, tgrid, sgrid)
+    v, _ = hjb_backward_sweep(np.ones(tgrid.n_nodes), params, sgrid)
     assert np.array_equal(v[-1], (1.0 - sgrid.nodes(0)) ** 2)
 
 
@@ -155,7 +157,7 @@ def test_hjb_sweep_control_is_optimal_control(sigma, H):
         f_cost=lambda t, x: 3.0 * (1.0 - x) ** 2 * (1.0 + t), kappa=lambda x: 2.0 * (1.0 - x) ** 2,
     )
     p = 1.0 + 0.5 * np.sin(2.0 * np.pi * tgrid.nodes)
-    v, alpha = hjb_backward_sweep(p, params, tgrid, sgrid)
+    v, alpha = hjb_backward_sweep(p, params, sgrid)
     assert np.array_equal(alpha, optimal_control(v, p, params, sgrid))
 
 
@@ -167,7 +169,7 @@ def closed_form_error(n_steps, n_cells, k=0.5, f0=0.3, p0=1.2, H=2.0, T=1.0):
         tgrid, g=0.0, sigma=0.0, H=H,
         f_cost=lambda t, x: np.full_like(x, f0), kappa=lambda x: np.full_like(x, k),
     )
-    v, _ = hjb_backward_sweep(np.full(tgrid.n_nodes, p0), params, tgrid, sgrid)
+    v, _ = hjb_backward_sweep(np.full(tgrid.n_nodes, p0), params, sgrid)
     exact = k + (T - tgrid.nodes)[:, None] * (f0 - p0 ** 2 / (2 * H))
     return float(np.abs(v - exact).max())
 
@@ -197,7 +199,7 @@ def reflecting_closed_form_errors(g, c=0.5, H=2.0, T=1.0):
             tgrid, g=g, sigma=0.0, H=H, kappa=phi,
             f_cost=lambda t, x: ((dphi(x) + price(t)) ** 2 - (price(t) - c) ** 2) / (2 * H) + g * dphi(x),
         )
-        v, _ = hjb_backward_sweep(p, params, tgrid, sgrid)
+        v, _ = hjb_backward_sweep(p, params, sgrid)
         # dense trapezoid evaluation of the remaining-cost integral
         tt = np.linspace(0.0, T, 20001)
         dense = (price(tt) - c) ** 2 / (2 * H)
@@ -231,7 +233,7 @@ def test_hjb_discrete_residual():
         kappa=lambda x: (1.0 - x) ** 2,
     )
     p = np.full(tgrid.n_nodes, 0.5)
-    v, _ = hjb_backward_sweep(p, params, tgrid, sgrid)
+    v, _ = hjb_backward_sweep(p, params, sgrid)
     worst = 0.0
     for i in range(tgrid.n_steps):
         j = i + 1
@@ -265,7 +267,7 @@ def test_hjb_divergence_reports_time_node():
     params = make_params(tgrid)
     p = np.full(tgrid.n_nodes, np.nan)
     with pytest.raises(DivergenceError) as exc:
-        hjb_backward_sweep(p, params, tgrid, sgrid)
+        hjb_backward_sweep(p, params, sgrid)
     assert exc.value.time_node is not None
 
 
@@ -284,7 +286,7 @@ def test_fpk_frozen_population():
     params = make_params(tgrid, g=0.4, sigma=0.0)
     m0 = tent_density(sgrid, 0.5, 0.2)
     alpha = np.full((tgrid.n_nodes, 40), 0.4)  # alpha = g pointwise
-    m = fpk_forward_sweep(alpha, m0, params, tgrid, sgrid)
+    m = fpk_forward_sweep(alpha, m0, params, sgrid)
     for i in range(tgrid.n_nodes):
         np.testing.assert_array_equal(m[i], m0)
 
@@ -298,7 +300,7 @@ def test_fpk_translation():
     params = make_params(tgrid, g=0.1, sigma=0.0)
     m0 = tent_density(sgrid, 0.3, 0.15)
     alpha = np.full((tgrid.n_nodes, 50), 0.1 + c)
-    m = fpk_forward_sweep(alpha, m0, params, tgrid, sgrid)
+    m = fpk_forward_sweep(alpha, m0, params, sgrid)
     mean0 = space_mean(m0, sgrid)
     mean_T = space_mean(m[-1], sgrid)
     assert abs(mean_T - (mean0 + c * 0.5)) <= sgrid.spacing(0)
@@ -313,7 +315,7 @@ def test_fpk_variance_growth():
     params = make_params(tgrid, g=g, sigma=sigma)
     m0 = tent_density(sgrid, 0.5, 0.1)
     alpha = np.full((tgrid.n_nodes, 80), g)
-    m = fpk_forward_sweep(alpha, m0, params, tgrid, sgrid)
+    m = fpk_forward_sweep(alpha, m0, params, sgrid)
 
     def variance(slice_):
         mu = space_mean(slice_, sgrid)
@@ -330,7 +332,7 @@ def test_fpk_rejects_unnormalized_m0():
     params = make_params(tgrid)
     m0 = tent_density(sgrid, 0.5, 0.2) * 1.1
     with pytest.raises(ValueError):
-        fpk_forward_sweep(np.zeros((6, 20)), m0, params, tgrid, sgrid)
+        fpk_forward_sweep(np.zeros((6, 20)), m0, params, sgrid)
 
 
 def test_non_finite_m0_is_rejected():
@@ -341,9 +343,9 @@ def test_non_finite_m0_is_rejected():
     for bad in (np.nan, np.inf):
         m0[3] = bad
         with pytest.raises(ValueError, match=f"initial density mass {bad}"):
-            EvProblem(params, tgrid, sgrid, m0)
+            EvProblem(params, sgrid, m0)
         with pytest.raises(ValueError, match=f"initial density mass {bad}"):
-            fpk_forward_sweep(np.zeros((6, 20)), m0, params, tgrid, sgrid)
+            fpk_forward_sweep(np.zeros((6, 20)), m0, params, sgrid)
 
 
 def test_fpk_divergence_reports_time_node():
@@ -354,7 +356,7 @@ def test_fpk_divergence_reports_time_node():
     alpha = np.zeros((tgrid.n_nodes, 20))
     alpha[2] = np.nan
     with pytest.raises(DivergenceError) as exc:
-        fpk_forward_sweep(alpha, m0, params, tgrid, sgrid)
+        fpk_forward_sweep(alpha, m0, params, sgrid)
     assert exc.value.time_node == 3
 
 
@@ -373,7 +375,7 @@ def test_fpk_mass_and_positivity(seed):
         + coef[1] * np.sin(2 * np.pi * sgrid.nodes(0))[None, :]
         + coef[2] * tgrid.nodes[:, None]
     )
-    m = fpk_forward_sweep(alpha, m0, params, tgrid, sgrid)
+    m = fpk_forward_sweep(alpha, m0, params, sgrid)
     masses = m.sum(axis=1) * sgrid.spacing(0)
     np.testing.assert_allclose(masses, 1.0, atol=1e-8)
     assert m.min() >= 0.0
@@ -390,7 +392,7 @@ def test_fpk_mean_transport_consistency():
     alpha = 0.3 + 0.2 * np.sin(2 * np.pi * sgrid.nodes(0))[None, :] * np.ones(
         (tgrid.n_nodes, 1)
     )
-    m = fpk_forward_sweep(alpha, m0, params, tgrid, sgrid)
+    m = fpk_forward_sweep(alpha, m0, params, sgrid)
     rates = mean_rate(m, sgrid, tgrid)
     for i in range(tgrid.n_steps):
         drift_mean = integrate((alpha[i] - params.g[i]) * m[i], sgrid)
@@ -409,7 +411,7 @@ def test_ev_cost_terminal_only():
     alpha = np.zeros((tgrid.n_nodes, 50))
     p = np.ones(tgrid.n_nodes)
     expected = integrate(params.kappa(sgrid.nodes(0)) * m[-1], sgrid)
-    assert ev_cost(alpha, m, p, params, tgrid, sgrid) == pytest.approx(expected, rel=1e-12)
+    assert ev_cost(alpha, m, p, params, sgrid) == pytest.approx(expected, rel=1e-12)
 
 
 def test_ev_cost_point_mass_near_half():
@@ -419,7 +421,7 @@ def test_ev_cost_point_mass_near_half():
     m = np.zeros((tgrid.n_nodes, 50))
     j = int(np.argmin(np.abs(sgrid.nodes(0) - 0.5)))
     m[:, j] = 1.0 / sgrid.spacing(0)
-    cost = ev_cost(np.zeros_like(m), m, np.ones(tgrid.n_nodes), params, tgrid, sgrid)
+    cost = ev_cost(np.zeros_like(m), m, np.ones(tgrid.n_nodes), params, sgrid)
     assert cost == pytest.approx(0.25, abs=0.02)
 
 
@@ -429,7 +431,7 @@ def test_ev_cost_shape_validation():
     params = make_params(tgrid)
     with pytest.raises(ValueError):
         ev_cost(
-            np.zeros((6, 20)), np.zeros((5, 20)), np.zeros(6), params, tgrid, sgrid
+            np.zeros((6, 20)), np.zeros((5, 20)), np.zeros(6), params, sgrid
         )
 
 
@@ -443,6 +445,7 @@ def small_equilibrium():
     sgrid = SpaceGrid((30,))
     n = tgrid.n_nodes
     params = EvParams(
+        tgrid=tgrid,
         g=np.full(n, 0.4),
         sigma=np.full(n, 0.1),
         H=np.full(n, 2.0),
@@ -451,7 +454,7 @@ def small_equilibrium():
         kappa=lambda x: (1.0 - x) ** 2,
     )
     m0 = tent_density(sgrid, 0.5, 0.2)
-    problem = EvProblem(params, tgrid, sgrid, m0)
+    problem = EvProblem(params, sgrid, m0)
     sol = evmfg.solve_mfe(problem, evmfg.SolverOptions())
     assert sol.converged
     return problem, sol
@@ -481,8 +484,8 @@ def test_equilibrium_hamiltonian_minimality(small_equilibrium):
 
 def test_equilibrium_cost_perturbation(small_equilibrium):
     problem, sol = small_equilibrium
-    params, tgrid, sgrid = problem.params, problem.tgrid, problem.sgrid
-    base_cost = ev_cost(sol.alpha, sol.m, sol.p, params, tgrid, sgrid)
+    params, sgrid = problem.params, problem.sgrid
+    base_cost = ev_cost(sol.alpha, sol.m, sol.p, params, sgrid)
     x = sgrid.nodes(0)
     bump = np.exp(-((x - 0.5) ** 2) / 0.02)[None, :]
     for pert in (
@@ -491,8 +494,8 @@ def test_equilibrium_cost_perturbation(small_equilibrium):
         sol.alpha + 0.2 * bump,
         sol.alpha * 0.8,
     ):
-        m_pert = fpk_forward_sweep(pert, problem.m0, params, tgrid, sgrid)
-        cost = ev_cost(pert, m_pert, sol.p, params, tgrid, sgrid)
+        m_pert = fpk_forward_sweep(pert, problem.m0, params, sgrid)
+        cost = ev_cost(pert, m_pert, sol.p, params, sgrid)
         assert base_cost <= cost + 1e-6
 
 
@@ -508,11 +511,21 @@ def test_equilibrium_control_recomputable(small_equilibrium):
 
 def test_ev_params_validation():
     tgrid = TimeGrid(1.0, 4)
-    with pytest.raises(ValueError):
-        make_params(tgrid).check_nodes(TimeGrid(1.0, 7))
     n = tgrid.n_nodes
+    # every series has one value per node of the params' own time grid
+    with pytest.raises(ScenarioError, match=r"^series\.g: expected 8 values \(time_steps \+ 1\), got 5$"):
+        EvParams(
+            tgrid=TimeGrid(1.0, 7),
+            g=np.zeros(n),
+            sigma=np.zeros(8),
+            H=np.ones(8),
+            d=np.zeros(8),
+            f_cost=lambda t, x: x,
+            kappa=lambda x: x,
+        )
     with pytest.raises(ValueError):
         EvParams(
+            tgrid=tgrid,
             g=np.zeros(n),
             sigma=np.zeros(n),
             H=np.zeros(n),  # H must be positive
@@ -522,6 +535,7 @@ def test_ev_params_validation():
         )
     with pytest.raises(ValueError):
         EvParams(
+            tgrid=tgrid,
             g=np.zeros(n),
             sigma=np.full(n, -0.1),
             H=np.ones(n),
@@ -531,6 +545,7 @@ def test_ev_params_validation():
         )
     with pytest.raises(ValueError):
         EvParams(
+            tgrid=tgrid,
             g=np.zeros(n - 1),
             sigma=np.zeros(n),
             H=np.ones(n),

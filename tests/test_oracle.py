@@ -28,6 +28,7 @@ from evmfg.oracle import (
     _half_cell_index,
     _interp_half_cells,
 )
+from evmfg.phev import PhevParams
 
 
 # ---------------------------------------------------------------------------
@@ -48,16 +49,15 @@ def _flat_mdp(
 ):
     tg = TimeGrid(t1=t1, n_steps=n_steps)
     const = lambda c: np.full(tg.n_nodes, float(c))
+    params = EvParams(
+        tgrid=tg, g=const(g), d=const(0.0), sigma=const(sigma), H=const(1.0), f_cost=f_cost, kappa=kappa
+    )
+    params.H = const(H)  # the induction takes H = 0, which the solver's params reject
     return DiscreteMdp(
         states=np.linspace(0.0, 1.0, n_states),
         actions=np.asarray(actions, dtype=float),
-        tgrid=tg,
-        g=const(g),
-        sigma=const(sigma),
-        H=const(H),
+        params=params,
         p=const(p),
-        f_cost=f_cost,
-        kappa=kappa,
     )
 
 
@@ -65,6 +65,7 @@ def test_ev_mdp_lattice_and_actions():
     tg = TimeGrid(t1=0.5, n_steps=40)
     n = tg.n_nodes
     params = EvParams(
+        tgrid=tg,
         g=np.linspace(0.2, 0.8, n),
         d=np.full(n, 1.0),
         sigma=np.full(n, 0.1),
@@ -73,7 +74,7 @@ def test_ev_mdp_lattice_and_actions():
         kappa=lambda s: (1.0 - s) ** 2,
     )
     p = np.linspace(1.0, 2.0, n)
-    mdp = ev_mdp(params, tg, p, n_states=20, n_steps=8, n_actions=41)
+    mdp = ev_mdp(params, p, n_states=20, n_steps=8, n_actions=41)
     assert mdp.states[0] == 0.0 and mdp.states[-1] == 1.0
     assert len(mdp.states) == 20
     # action lattice symmetric about zero and spanning at least +-3 g_max
@@ -82,7 +83,7 @@ def test_ev_mdp_lattice_and_actions():
     assert mdp.actions.max() >= 3.0 * params.g.max() - 1e-12
     # coarse series keep the endpoints of the fine ones
     assert mdp.tgrid.n_steps == 8
-    assert mdp.g[0] == params.g[0] and mdp.g[-1] == params.g[-1]
+    assert mdp.params.g[0] == params.g[0] and mdp.params.g[-1] == params.g[-1]
     assert mdp.p[0] == p[0] and mdp.p[-1] == p[-1]
 
 
@@ -151,20 +152,20 @@ def _enumerate_value(mdp):
     """
     s = mdp.states
     dt = mdp.tgrid.dt
-    value = {mdp.tgrid.n_steps: {k: float(mdp.kappa(np.array([x]))[0]) for k, x in enumerate(s)}}
+    value = {mdp.tgrid.n_steps: {k: float(mdp.params.kappa(np.array([x]))[0]) for k, x in enumerate(s)}}
     for i in range(mdp.tgrid.n_steps - 1, -1, -1):
         j = i + 1
         row = {}
         for k, x in enumerate(s):
             best = np.inf
             for a in mdp.actions:
-                nxt = min(max(x + dt * (a - mdp.g[j]), 0.0), 1.0)
+                nxt = min(max(x + dt * (a - mdp.params.g[j]), 0.0), 1.0)
                 hits = np.nonzero(np.isclose(s, nxt, atol=1e-12))[0]
                 assert hits.size == 1, "micro-instance transition left the lattice"
                 stage = (
                     a * mdp.p[j]
-                    + 0.5 * mdp.H[j] * a * a
-                    + float(mdp.f_cost(mdp.tgrid.nodes[j], np.array([x]))[0])
+                    + 0.5 * mdp.params.H[j] * a * a
+                    + float(mdp.params.f_cost(mdp.tgrid.nodes[j], np.array([x]))[0])
                 )
                 best = min(best, dt * stage + value[j][int(hits[0])])
             row[k] = best
@@ -230,15 +231,15 @@ def test_dp_satisfies_bellman_recursion(n_states, n_steps, n_actions, g, sigma, 
     dt = mdp.tgrid.dt
     for i in range(mdp.tgrid.n_steps):
         j = i + 1
-        eps = mdp.sigma[j] * mdp.g[j] * np.sqrt(dt)
+        eps = mdp.params.sigma[j] * mdp.params.g[j] * np.sqrt(dt)
         for k, x in enumerate(s):
             q = []
             for a in mdp.actions:
-                nxt = x + dt * (a - mdp.g[j])
+                nxt = x + dt * (a - mdp.params.g[j])
                 up = min(max(nxt + eps, 0.0), 1.0)
                 dn = min(max(nxt - eps, 0.0), 1.0)
                 expected = 0.5 * (np.interp(up, s, value[j]) + np.interp(dn, s, value[j]))
-                stage = a * mdp.p[j] + 0.5 * mdp.H[j] * a * a + f_w * (1.0 - x) ** 2
+                stage = a * mdp.p[j] + 0.5 * mdp.params.H[j] * a * a + f_w * (1.0 - x) ** 2
                 q.append(dt * stage + expected)
             q = np.asarray(q)
             assert value[i][k] <= q.min() + 1e-12
@@ -271,14 +272,8 @@ def _flat_phev_mdp(
         states2=states.copy(),
         actions1=np.asarray(actions, dtype=float),
         actions2=np.asarray(actions, dtype=float),
-        tgrid=tg,
-        g=const(g),
-        Q1=const(Q),
-        Q2=const(Q),
+        params=PhevParams(tgrid=tg, g=const(g), Q1=const(Q), Q2=const(Q), r2=r2, s_cost=s_cost, xi=xi),
         r1=const(r1),
-        r2=float(r2),
-        s_cost=s_cost,
-        xi=xi,
     )
 
 
@@ -286,7 +281,7 @@ def test_phev_dp_audit_of_the_bundled_run(phev_run):
     # the 2D audit `evmfg oracle` runs on phev_flat: the DP best response on
     # the capped lattice against the solver's value, within the CLI bound
     sol, problem = phev_run["solution"], phev_run["problem"]
-    mdp = phev_mdp(problem.params, problem.tgrid, sol.p, n_states=cli.PHEV_MAX_STATES)
+    mdp = phev_mdp(problem.params, sol.p, n_states=cli.PHEV_MAX_STATES)
     value, _ = dp_best_response(mdp)
     dev = dp_deviation(mdp, value, sol.v, problem.sgrid)
     assert dev.shape == (cli.PHEV_MAX_STATES, cli.PHEV_MAX_STATES)
@@ -326,7 +321,8 @@ def test_phev_dp_matches_pair_enumeration():
         return int(hits[0])
 
     n = len(s)
-    vt = {(i1, i2): float(mdp.xi(np.array([s[i1]]), np.array([s[i2]]))[0]) for i1 in range(n) for i2 in range(n)}
+    xi = mdp.params.xi
+    vt = {(i1, i2): float(xi(np.array([s[i1]]), np.array([s[i2]]))[0]) for i1 in range(n) for i2 in range(n)}
     tables = {mdp.tgrid.n_steps: vt}
     from evmfg import beta
 
@@ -340,14 +336,14 @@ def test_phev_dp_matches_pair_enumeration():
                 best = np.inf
                 for a1 in mdp.actions1:
                     for a2 in mdp.actions2:
-                        n1 = min(max(z1 + dt * (a1 - b * mdp.g[j]), 0.0), 1.0)
-                        n2 = min(max(z2 + dt * (a2 - (1.0 - b) * mdp.g[j]), 0.0), 1.0)
+                        n1 = min(max(z1 + dt * (a1 - b * mdp.params.g[j]), 0.0), 1.0)
+                        n2 = min(max(z2 + dt * (a2 - (1.0 - b) * mdp.params.g[j]), 0.0), 1.0)
                         stage = (
                             a1 * mdp.r1[j]
-                            + a2 * mdp.r2
-                            + 0.5 * mdp.Q1[j] * a1 * a1
-                            + 0.5 * mdp.Q2[j] * a2 * a2
-                            + float(mdp.s_cost(mdp.tgrid.nodes[j], np.array([z1]), np.array([z2]))[0])
+                            + a2 * mdp.params.r2
+                            + 0.5 * mdp.params.Q1[j] * a1 * a1
+                            + 0.5 * mdp.params.Q2[j] * a2 * a2
+                            + float(mdp.params.s_cost(mdp.tgrid.nodes[j], np.array([z1]), np.array([z2]))[0])
                         )
                         best = min(best, dt * stage + tables[j][(snap(n1), snap(n2))])
                 cur[(i1, i2)] = best
@@ -411,9 +407,8 @@ def test_one_induction_serves_both_models():
 def test_phev_mdp_uses_cell_centered_states():
     tg = TimeGrid(t1=0.5, n_steps=11)
     n = tg.n_nodes
-    from evmfg.phev import PhevParams
-
     params = PhevParams(
+        tgrid=tg,
         g=np.full(n, 0.2),
         Q1=np.full(n, 125.0),
         Q2=np.full(n, 125.0),
@@ -421,7 +416,7 @@ def test_phev_mdp_uses_cell_centered_states():
         s_cost=lambda t, z1, z2: 20.0 * (2.0 - z1 - z2) ** 2,
         xi=lambda z1, z2: 10.0 * (2.0 - z1 - z2) ** 2,
     )
-    mdp = phev_mdp(params, tg, np.full(n, 0.7), n_states=8)
+    mdp = phev_mdp(params, np.full(n, 0.7), n_states=8)
     assert mdp.states1[0] > 0.0 and mdp.states1[-1] < 1.0
     assert len(mdp.states1) == 8
     np.testing.assert_array_equal(mdp.states1, mdp.states2)
@@ -470,6 +465,7 @@ def test_sample_density_rejects_empty():
 def _ev_params(tg, g=0.5, sigma=0.1, H=30.0):
     n = tg.n_nodes
     return EvParams(
+        tgrid=tg,
         g=np.full(n, g),
         d=np.full(n, 1.0),
         sigma=np.full(n, sigma),
@@ -665,3 +661,52 @@ def test_mc_names_a_mis_shaped_control_field(shape):
     expected = re.escape(f"(n_nodes, n_cells) = (11, 20), found {shape}")
     with pytest.raises(ValueError, match=expected):
         mc_population(np.zeros(shape), _tent_density(sg), params, tg, sg, n_agents=100, seed=0)
+
+
+def test_mc_rejects_a_time_grid_other_than_the_params():
+    # the series live on params.tgrid; a grid with as many nodes but another
+    # step would pass every shape check and simulate on the wrong clock
+    tg = TimeGrid(t1=0.2, n_steps=10)
+    other = TimeGrid(t1=0.4, n_steps=10)
+    sg = SpaceGrid((20,))
+    params = _ev_params(tg)
+    expected = re.escape(f"time grid {other} is not the params' {tg}")
+    with pytest.raises(ValueError, match=expected):
+        mc_population(_constant_field(other, sg, 0.3), _tent_density(sg), params, other, sg, n_agents=100, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# series resampled onto a coarse time grid (what both MDPs hold)
+
+
+def _wavy(tg, level, freq):
+    return level * (1.0 + 0.5 * np.sin(freq * tg.nodes / tg.t1))
+
+
+def _varying_params(model, tg):
+    if model == "ev":
+        return EvParams(
+            tgrid=tg, g=_wavy(tg, 0.4, 5.0), d=_wavy(tg, 0.8, 7.0), sigma=_wavy(tg, 0.1, 3.0),
+            H=_wavy(tg, 30.0, 11.0), f_cost=lambda t, s: s, kappa=lambda s: s,
+        )
+    return PhevParams(
+        tgrid=tg, g=_wavy(tg, 0.2, 5.0), Q1=_wavy(tg, 125.0, 7.0), Q2=_wavy(tg, 90.0, 3.0), r2=0.7,
+        s_cost=lambda t, z1, z2: z1, xi=lambda z1, z2: z1,
+    )
+
+
+@pytest.mark.parametrize("model", ["ev", "phev"])
+def test_resampled_interpolates_every_series(model):
+    fine = TimeGrid(t1=0.5, n_steps=40)
+    params = _varying_params(model, fine)
+    assert model == "phev" or "d" in params.SERIES
+    same = params.resampled(fine)
+    assert same.tgrid == fine
+    for name in params.SERIES:
+        assert np.array_equal(getattr(same, name), getattr(params, name)), name
+    coarse = TimeGrid(t1=0.5, n_steps=7)
+    resampled = params.resampled(coarse)
+    assert resampled.tgrid == coarse and params.tgrid == fine
+    for name in params.SERIES:
+        expected = np.interp(coarse.nodes, fine.nodes, getattr(params, name))
+        assert np.array_equal(getattr(resampled, name), expected), name

@@ -88,7 +88,7 @@ def test_dp_evals_counts_every_step_state_and_action(run, make_mdp, request):
     spans = _spans()
     bundled = request.getfixturevalue(run)
     problem = bundled["problem"]
-    mdp = make_mdp(problem.params, problem.tgrid, bundled["solution"].p, n_states=4)
+    mdp = make_mdp(problem.params, bundled["solution"].p, n_states=4)
     states, actions, _, _ = mdp.induction()
     expected = mdp.tgrid.n_steps * math.prod(map(len, states)) * math.prod(map(len, actions))
     assert spans._dp_evals((mdp,), {}, None) == expected

@@ -24,6 +24,7 @@ from evmfg import (
 def make_params(tgrid, g=0.2, Q1=125.0, Q2=125.0, r2=0.7, s_cost=None, xi=None, offset=0.5):
     n = tgrid.n_nodes
     return PhevParams(
+        tgrid=tgrid,
         g=np.full(n, g),
         Q1=np.full(n, Q1),
         Q2=np.full(n, Q2),
@@ -85,7 +86,7 @@ def test_phev_price_stationary_symmetric():
     sgrid = SpaceGrid((16, 16))
     params = make_params(tgrid, g=0.2, offset=0.5)
     m = np.tile(gaussian_density(sgrid, (0.5, 0.5), 0.02), (tgrid.n_nodes, 1, 1))
-    r1 = phev_price(m, params, sgrid, tgrid)
+    r1 = phev_price(m, params, sgrid)
     assert r1.shape == (tgrid.n_nodes,)
     np.testing.assert_allclose(r1, 0.6, rtol=1e-12)
 
@@ -95,7 +96,7 @@ def test_phev_price_clamps_negative_demand():
     sgrid = SpaceGrid((16, 16))
     params = make_params(tgrid, g=-0.2, offset=0.5)
     m = np.tile(gaussian_density(sgrid, (0.5, 0.5), 0.02), (tgrid.n_nodes, 1, 1))
-    r1 = phev_price(m, params, sgrid, tgrid)
+    r1 = phev_price(m, params, sgrid)
     np.testing.assert_allclose(r1, 0.5, rtol=1e-12)
 
 
@@ -147,7 +148,7 @@ def test_phev_hjb_constant_solution():
     sgrid = SpaceGrid((12, 12))
     c = 1.5
     params = make_params(tgrid, g=0.2, r2=0.0, xi=lambda z1, z2: np.full_like(z1, c))
-    v, _ = phev_hjb_backward_sweep(np.zeros(tgrid.n_nodes), params, tgrid, sgrid)
+    v, _ = phev_hjb_backward_sweep(np.zeros(tgrid.n_nodes), params, sgrid)
     np.testing.assert_allclose(v, c, rtol=1e-13)
 
 
@@ -156,7 +157,7 @@ def test_phev_hjb_terminal_condition_exact():
     sgrid = SpaceGrid((12, 12))
     params = make_params(tgrid, xi=lambda z1, z2: 10.0 * (2.0 - z1 - z2) ** 2)
     r1 = np.full(tgrid.n_nodes, 0.7)
-    v, _ = phev_hjb_backward_sweep(r1, params, tgrid, sgrid)
+    v, _ = phev_hjb_backward_sweep(r1, params, sgrid)
     z1, z2 = sgrid.meshes()
     assert np.array_equal(v[-1], 10.0 * (2.0 - z1 - z2) ** 2)
 
@@ -172,7 +173,7 @@ def test_phev_hjb_linear_terminal_closed_form():
         tgrid, g=0.2, Q1=Q1, Q2=Q2, r2=r2,
         s_cost=lambda t, z1, z2: np.full_like(z1, s0), xi=lambda z1, z2: np.full_like(z1, k),
     )
-    v, _ = phev_hjb_backward_sweep(np.full(tgrid.n_nodes, r1), params, tgrid, sgrid)
+    v, _ = phev_hjb_backward_sweep(np.full(tgrid.n_nodes, r1), params, sgrid)
     tail = s0 - r1 ** 2 / (2 * Q1) - r2 ** 2 / (2 * Q2)
     exact = k + (T - tgrid.nodes)[:, None, None] * tail
     assert float(np.abs(v - exact).max()) < 1e-12
@@ -193,7 +194,7 @@ def test_phev_hjb_symmetry():
         xi=lambda z1, z2: 10.0 * (2.0 - z1 - z2) ** 2,
     )
     r1 = np.full(tgrid.n_nodes, 0.7)
-    v, _ = phev_hjb_backward_sweep(r1, params, tgrid, sgrid)
+    v, _ = phev_hjb_backward_sweep(r1, params, sgrid)
     for i in range(tgrid.n_nodes):
         assert float(np.abs(v[i] - v[i].T).max()) <= 1e-8
 
@@ -202,7 +203,7 @@ def test_phev_hjb_sweep_controls_are_optimal_controls(phev_run):
     # the sweep's controls at node j are the pack minimisers it evaluates on
     # v[j], exactly what phev_optimal_controls recomputes slice by slice
     sol, problem = phev_run["solution"], phev_run["problem"]
-    v, (mu1, mu2) = phev_hjb_backward_sweep(sol.p, problem.params, problem.tgrid, problem.sgrid)
+    v, (mu1, mu2) = phev_hjb_backward_sweep(sol.p, problem.params, problem.sgrid)
     re1, re2 = phev_optimal_controls(v, sol.p, problem.params, problem.sgrid)
     assert np.array_equal(mu1, re1) and np.array_equal(mu2, re2)
 
@@ -221,7 +222,7 @@ def test_phev_fpk_stationary():
     mu1 = np.tile(b * g, (tgrid.n_nodes, 1, 1))
     mu2 = np.tile((1.0 - b) * g, (tgrid.n_nodes, 1, 1))
     m0 = gaussian_density(sgrid, (0.4, 0.6), 0.02)
-    m = phev_fpk_forward_sweep((mu1, mu2), m0, params, tgrid, sgrid)
+    m = phev_fpk_forward_sweep((mu1, mu2), m0, params, sgrid)
     for i in range(tgrid.n_nodes):
         np.testing.assert_array_equal(m[i], m0)
 
@@ -238,7 +239,7 @@ def test_phev_fpk_uniform_drift_marginals():
     mu1 = np.tile(b * g + c, (tgrid.n_nodes, 1, 1))
     mu2 = np.tile((1.0 - b) * g, (tgrid.n_nodes, 1, 1))
     m0 = gaussian_density(sgrid, (0.35, 0.5), 0.004)
-    m = phev_fpk_forward_sweep((mu1, mu2), m0, params, tgrid, sgrid)
+    m = phev_fpk_forward_sweep((mu1, mu2), m0, params, sgrid)
     vol = sgrid.cell_volume
     mean1_0 = float((m[0] * z1).sum() * vol)
     mean1_T = float((m[-1] * z1).sum() * vol)
@@ -259,7 +260,7 @@ def test_phev_fpk_mass_and_positivity(seed):
     mu1 = rng.uniform(-0.3, 0.3) + rng.uniform(-0.2, 0.2, shape)
     mu2 = rng.uniform(-0.3, 0.3) + rng.uniform(-0.2, 0.2, shape)
     m0 = gaussian_density(sgrid, (rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7)), 0.02)
-    m = phev_fpk_forward_sweep((mu1, mu2), m0, params, tgrid, sgrid)
+    m = phev_fpk_forward_sweep((mu1, mu2), m0, params, sgrid)
     masses = m.reshape(tgrid.n_nodes, -1).sum(axis=1) * sgrid.cell_volume
     np.testing.assert_allclose(masses, 1.0, atol=1e-8)
     assert m.min() >= 0.0
@@ -276,7 +277,7 @@ def test_phev_fpk_symmetry():
     mu1 = np.tile(b * g + 0.1 * (1.0 - z1), (tgrid.n_nodes, 1, 1))
     mu2 = np.tile((1.0 - b) * g + 0.1 * (1.0 - z2), (tgrid.n_nodes, 1, 1))
     m0 = gaussian_density(sgrid, (0.5, 0.5), 0.02)
-    m = phev_fpk_forward_sweep((mu1, mu2), m0, params, tgrid, sgrid)
+    m = phev_fpk_forward_sweep((mu1, mu2), m0, params, sgrid)
     for i in range(tgrid.n_nodes):
         assert float(np.abs(m[i] - m[i].T).max()) <= 1e-8
 
@@ -288,7 +289,7 @@ def test_phev_fpk_rejects_unnormalized_m0():
     m0 = gaussian_density(sgrid, (0.5, 0.5), 0.02) * 1.2
     shape = (tgrid.n_nodes, 12, 12)
     with pytest.raises(ValueError):
-        phev_fpk_forward_sweep((np.zeros(shape), np.zeros(shape)), m0, params, tgrid, sgrid)
+        phev_fpk_forward_sweep((np.zeros(shape), np.zeros(shape)), m0, params, sgrid)
 
 
 def test_phev_non_finite_m0_is_rejected():
@@ -300,9 +301,9 @@ def test_phev_non_finite_m0_is_rejected():
     for bad in (np.nan, np.inf):
         m0[3, 4] = bad
         with pytest.raises(ValueError, match=f"initial density mass {bad}"):
-            PhevProblem(params, tgrid, sgrid, m0)
+            PhevProblem(params, sgrid, m0)
         with pytest.raises(ValueError, match=f"initial density mass {bad}"):
-            phev_fpk_forward_sweep((np.zeros(shape), np.zeros(shape)), m0, params, tgrid, sgrid)
+            phev_fpk_forward_sweep((np.zeros(shape), np.zeros(shape)), m0, params, sgrid)
 
 
 def test_conservative_form_matches_expanded_form():
@@ -341,6 +342,7 @@ def test_phev_params_validation():
     n = tgrid.n_nodes
     with pytest.raises(ValueError):
         PhevParams(
+            tgrid=tgrid,
             g=np.zeros(n),
             Q1=np.zeros(n),  # must be positive
             Q2=np.ones(n),
@@ -350,6 +352,7 @@ def test_phev_params_validation():
         )
     with pytest.raises(ValueError):
         PhevParams(
+            tgrid=tgrid,
             g=np.zeros(n - 1),
             Q1=np.ones(n),
             Q2=np.ones(n),

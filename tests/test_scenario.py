@@ -227,14 +227,21 @@ def test_series_positivity_checks(tmp_path):
         build_problem(cfg)
 
 
+def _full(tgrid, values):
+    """One value per node of ``tgrid`` for each scalar in ``values``; arrays pass as they are."""
+    return {k: v if isinstance(v, np.ndarray) else np.full(tgrid.n_nodes, v) for k, v in values.items()}
+
+
 def _ev_params(**series):
-    values = {"g": 0.4, "d": 0.8, "sigma": 0.1, "H": 2.0, **series}  # _minimal_ev's, 13 nodes
-    return EvParams(**{k: np.full(13, v) for k, v in values.items()}, f_cost=None, kappa=None)
+    tgrid = TimeGrid(0.2, 12)  # _minimal_ev's
+    values = {"g": 0.4, "d": 0.8, "sigma": 0.1, "H": 2.0, **series}
+    return EvParams(tgrid=tgrid, **_full(tgrid, values), f_cost=None, kappa=None)
 
 
 def _phev_params(**series):
-    values = {"g": 0.2, "Q1": 125.0, "Q2": 125.0, **series}  # _minimal_phev's, 9 nodes
-    return PhevParams(**{k: np.full(9, v) for k, v in values.items()}, r2=0.7, s_cost=None, xi=None)
+    tgrid = TimeGrid(0.2, 8)  # _minimal_phev's
+    values = {"g": 0.2, "Q1": 125.0, "Q2": 125.0, **series}
+    return PhevParams(tgrid=tgrid, **_full(tgrid, values), r2=0.7, s_cost=None, xi=None)
 
 
 @pytest.mark.parametrize(
@@ -247,6 +254,7 @@ def _phev_params(**series):
         ("ev", lambda d: d.update(solver={"max_iters": 0}), lambda: SolverOptions(max_iters=0)),
         ("ev", lambda d: d.update(solver={"tol": -1.0}), lambda: SolverOptions(tol=-1.0)),
         ("ev", lambda d: d.update(solver={"damping": 0.0}), lambda: SolverOptions(damping=0.0)),
+        ("ev", lambda d: d["series"].update(g=[0.4] * 5), lambda: _ev_params(g=np.full(5, 0.4))),
         ("ev", lambda d: d["series"].update(H=0.0), lambda: _ev_params(H=0.0)),
         ("ev", lambda d: d["series"].update(sigma=-1.0), lambda: _ev_params(sigma=-1.0)),
         ("ev", lambda d: d["series"].update(d={"csv": "nan.csv"}), lambda: _ev_params(d=np.nan)),
@@ -254,7 +262,7 @@ def _phev_params(**series):
         ("phev", lambda d: d["series"].update(Q2=-1.0), lambda: _phev_params(Q2=-1.0)),
         ("phev", lambda d: d["series"].update(g={"csv": "nan.csv"}), lambda: _phev_params(g=np.nan)),
     ],
-    ids=["horizon", "time_steps", "cells", "cells-2d", "max_iters", "tol", "damping",
+    ids=["horizon", "time_steps", "cells", "cells-2d", "max_iters", "tol", "damping", "length",
          "H", "sigma", "finite", "Q1", "Q2", "finite-2d"],
 )
 def test_each_range_rule_has_one_source(tmp_path, model, mutate, construct):

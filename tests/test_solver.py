@@ -31,6 +31,7 @@ def small_problem(demand_coupled=True):
     sgrid = SpaceGrid((30,))
     n = tgrid.n_nodes
     params = EvParams(
+        tgrid=tgrid,
         g=np.full(n, 0.4),
         sigma=np.full(n, 0.1),
         H=np.full(n, 2.0),
@@ -39,7 +40,7 @@ def small_problem(demand_coupled=True):
         kappa=lambda x: (1.0 - x) ** 2,
         demand_coupled=demand_coupled,
     )
-    return EvProblem(params, tgrid, sgrid, tent_density(sgrid, 0.5, 0.2))
+    return EvProblem(params, sgrid, tent_density(sgrid, 0.5, 0.2))
 
 
 def test_solver_options_validation():
