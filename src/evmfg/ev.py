@@ -23,15 +23,15 @@ backward one where it is negative, and the wall ghost cells copy their
 neighbour, so a drift into a wall moves nothing and the walls reflect as in
 the zero-flux density sweep.
 
-The two-pack model in ``phev`` runs through the same sweep core below, which
-takes per-axis coefficients and returns the control with the value.
+The sweeps and the control below serve the two-pack model in ``phev`` too:
+they read a model only through the per-axis ``Game`` its params build.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -94,6 +94,44 @@ class EvParams(_SeriesParams):
 
     def __post_init__(self) -> None:
         self._check_series(positive=("H",), nonnegative=("sigma",))
+
+    def game(self, points: tuple[np.ndarray, ...]) -> Game:
+        """This game on the battery levels ``points`` = (x,); a node index may be a column of nodes."""
+        (x,), t = points, self.tgrid.nodes
+
+        def transport(i):
+            g, sigma = self.g[i], self.sigma[i]
+            return (g,), sigma * g, sigma ** 2 * g ** 2
+
+        def axes(p, j, drains):
+            return [(p[j], drains[0], self.H[j])]
+
+        return Game(lambda: self.kappa(x), lambda j: self.f_cost(t[j], x), transport, axes)
+
+
+class Game(NamedTuple):
+    """A game's coefficients on a set of points: all that the sweeps, control and audits read of a model.
+
+    The params' ``game`` builds it. ``terminal()`` and ``running(j)`` are the
+    costs on the points. ``transport(i)`` gives the per-axis drains g_k, the
+    noise sigma g and the diffusion sigma^2 g^2 at node i, and
+    ``axes(p, j, drains)`` the per-axis ``(p, g, h)`` terms of
+    ``_hamiltonian_sum`` from ``transport(j)``'s drains.
+    """
+
+    terminal: Callable[[], np.ndarray]
+    running: Callable
+    transport: Callable
+    axes: Callable
+
+    def hamiltonian(self, p, j) -> list:
+        """The per-axis ``(p, g, h)`` terms at node j."""
+        return self.axes(p, j, self.transport(j)[0])
+
+    def step(self, p, j) -> tuple:
+        """(Hamiltonian terms, running cost, noise, diffusion) at node j: what a value-sweep or DP step reads."""
+        drains, noise, diffusion = self.transport(j)
+        return self.axes(p, j, drains), self.running(j), noise, diffusion
 
 
 def _check_initial_density(m0: np.ndarray, sgrid) -> np.ndarray:
@@ -161,10 +199,7 @@ def _hamiltonian(v, p, g, h, dx: float, at: AxisIndex) -> tuple[np.ndarray, np.n
 
 
 def _hamiltonian_sum(v, axes, geometry) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Sum of ``_hamiltonian`` over the axes, one ``(p, g, h)`` per axis, and each minimiser.
-
-    ``geometry`` is the grid's ``_geometry``.
-    """
+    """Sum of ``_hamiltonian`` over the axes (a ``(p, g, h)`` and a ``_geometry`` entry each) and each minimiser."""
     ham, minimisers = None, []
     for (p, g, h), (dx, at) in zip(axes, geometry):
         f, a = _hamiltonian(v, p, g, h, dx, at)
@@ -173,26 +208,28 @@ def _hamiltonian_sum(v, axes, geometry) -> tuple[np.ndarray, list[np.ndarray]]:
     return ham, minimisers
 
 
-def _backward_sweep(terminal, tgrid: TimeGrid, sgrid, coefficients) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Explicit backward value sweep of either model: (v, control).
+def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid):
+    """Explicit backward value sweep of either game, v(T, .) = the terminal cost: (v, control).
 
-    ``coefficients(j)`` gives ``(axes, running, diff)`` at node j: the
-    ``_hamiltonian_sum`` terms, the running cost and sigma^2 g^2 (1D only).
-    Each step takes the right endpoint's coefficients and equal substeps
-    within the stability bound of the rate sum max|a - g| / dx + diff / dx^2,
-    so every substep is monotone. ``control[k][j]`` is axis k's minimiser on v[j].
+    Each step reads the params' game at its right endpoint and takes equal
+    substeps within the stability bound of the rate sum
+    max|a - g| / dx + diff / dx^2, so every substep is monotone. The control
+    equals ``optimal_control(v, p, params, sgrid)``: alpha for the battery,
+    (mu1, mu2) for the packs.
     """
+    tgrid = params.tgrid
+    game = params.game(sgrid.meshes())
     v = np.empty((tgrid.n_nodes,) + sgrid.shape)
     # One array per axis, not one block: freeing a block larger than a field
     # lifts glibc's mmap threshold above the field size, later fields then
     # come from the heap, and the 2D benchmark's peak RSS rose by 5%.
     control = tuple(np.empty_like(v) for _ in sgrid.shape)
-    v[-1] = terminal
+    v[-1] = game.terminal()
     geometry = _geometry(sgrid)
     dx2 = sgrid.spacing(0) ** 2
     for i in range(tgrid.n_steps - 1, -1, -1):
         j = i + 1
-        axes, running, diff = coefficients(j)
+        axes, running, _, diff = game.step(p, j)
         cur = v[j]
         ham, minimisers = _hamiltonian_sum(cur, axes, geometry)
         rate = diff / dx2
@@ -214,9 +251,9 @@ def _backward_sweep(terminal, tgrid: TimeGrid, sgrid, coefficients) -> tuple[np.
         if not np.all(np.isfinite(cur)):
             raise DivergenceError("value slice is not finite", i)
         v[i] = cur
-    for out, a in zip(control, _hamiltonian_sum(v[0], coefficients(0)[0], geometry)[1]):
+    for out, a in zip(control, _hamiltonian_sum(v[0], game.hamiltonian(p, 0), geometry)[1]):
         out[0] = a
-    return v, control
+    return v, control if len(control) > 1 else control[0]
 
 
 def _outflow_rate(drift: np.ndarray, dx: float, at: AxisIndex) -> float:
@@ -226,18 +263,23 @@ def _outflow_rate(drift: np.ndarray, dx: float, at: AxisIndex) -> float:
     return out / dx
 
 
-def _forward_sweep(m0: np.ndarray, tgrid: TimeGrid, sgrid, coefficients) -> np.ndarray:
-    """Explicit forward density sweep of either model.
+def fpk_forward_sweep(alpha, m0: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid) -> np.ndarray:
+    """Explicit forward density sweep of either game under the drifts alpha_k - g_k.
 
-    ``coefficients(i)`` gives one drift field per axis and sigma^2 g^2 (1D
-    only) for the step leaving node i.
+    ``alpha`` is a control of ``optimal_control``'s shape: one field for the
+    battery, (mu1, mu2) for the packs. Each step reads the params' game at
+    its left endpoint.
     """
+    controls = alpha if len(sgrid.shape) > 1 else (alpha,)
+    tgrid = params.tgrid
+    game = params.game(sgrid.meshes())
     m = np.empty((tgrid.n_nodes,) + sgrid.shape)
     m[0] = _check_density_slice(_check_initial_density(m0, sgrid), 0)
     geometry = _geometry(sgrid)
     dx2 = sgrid.spacing(0) ** 2
     for i in range(tgrid.n_steps):
-        drifts, diff = coefficients(i)
+        drains, _, diff = game.transport(i)
+        drifts = [a[i] - g for a, g in zip(controls, drains)]
         rate = diff / dx2
         for drift, (dx, at) in zip(drifts, geometry):
             rate += _outflow_rate(drift, dx, at)
@@ -258,58 +300,44 @@ def _forward_sweep(m0: np.ndarray, tgrid: TimeGrid, sgrid, coefficients) -> np.n
     return m
 
 
-def optimal_control(v: np.ndarray, p: np.ndarray, params: EvParams, sgrid: SpaceGrid) -> np.ndarray:
-    """Minimiser of the upwind Hamiltonian at every (time, cell) node.
+def optimal_control(v: np.ndarray, p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid):
+    """Minimiser of the upwind Hamiltonian at every (time, cell) node: alpha, or (mu1, mu2) for the packs.
 
-    Away from the walls this is -(dv/dx + p) / H taken from the side the
-    drift alpha - g points to. In the empty-wall cell a drift into the wall
-    moves no charge, so the selling branch there is -p / H.
+    Away from the walls pack k's rate is -(dv/dz_k + p_k) / h_k, taken from
+    the side its drift points to. In a wall cell a drift into the wall
+    moves no charge, so that branch is -p_k / h_k (at the empty wall of the
+    battery, the selling rate -p / H).
     """
     v = np.asarray(v, dtype=float)
     if v.shape[1:] != sgrid.shape:
         raise ValueError(f"value field shape {v.shape} does not match grid {sgrid.shape}")
-    col = lambda series: np.asarray(series, dtype=float)[:, None]
-    _, alpha = _hamiltonian(v, col(p), col(params.g), col(params.H), sgrid.spacing(0), axis_index(1))
-    return alpha
-
-
-def hjb_backward_sweep(p: np.ndarray, params: EvParams, sgrid: SpaceGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit backward sweep of the value function, v(T, .) = kappa.
-
-    Returns (v, alpha), with alpha = ``optimal_control(v, p, params, sgrid)``.
-    """
-    x = sgrid.nodes(0)
-    t_nodes = params.tgrid.nodes
-
-    def coefficients(j):
-        g = params.g[j]
-        return [(p[j], g, params.H[j])], params.f_cost(t_nodes[j], x), params.sigma[j] ** 2 * g ** 2
-
-    v, control = _backward_sweep(params.kappa(x), params.tgrid, sgrid, coefficients)
-    return v, control[0]
-
-
-def fpk_forward_sweep(alpha: np.ndarray, m0: np.ndarray, params: EvParams, sgrid: SpaceGrid) -> np.ndarray:
-    """Explicit forward density transport under the drift alpha - g."""
-
-    def coefficients(i):
-        g = params.g[i]
-        return (alpha[i] - g,), params.sigma[i] ** 2 * g ** 2
-
-    return _forward_sweep(m0, params.tgrid, sgrid, coefficients)
+    game = params.game(sgrid.meshes())
+    if len(sgrid.shape) == 1:
+        # The battery's coefficients do not vary in space, so one call on a
+        # column of all nodes covers the field. The packs' drains do, and a
+        # whole-field call would hold (time, cell, cell) temporaries.
+        (terms,) = game.hamiltonian(p, np.arange(len(v))[:, None])
+        return _hamiltonian(v, *terms, sgrid.spacing(0), axis_index(1))[1]
+    geometry = _geometry(sgrid)
+    control = tuple(np.empty_like(v) for _ in sgrid.shape)
+    for i in range(len(v)):
+        for out, a in zip(control, _hamiltonian_sum(v[i], game.hamiltonian(p, i), geometry)[1]):
+            out[i] = a
+    return control
 
 
 def ev_cost(alpha: np.ndarray, m: np.ndarray, p: np.ndarray, params: EvParams, sgrid: SpaceGrid) -> float:
     """Population-averaged cost of a control field along a density flow."""
     if alpha.shape != m.shape or len(p) != m.shape[0]:
         raise ValueError("alpha, m and p shapes are inconsistent")
-    x, tgrid = sgrid.nodes(0), params.tgrid
-    t_nodes = tgrid.nodes
+    tgrid = params.tgrid
+    game = params.game(sgrid.meshes())
     total = 0.0
     for i in range(tgrid.n_steps):
-        stage = alpha[i] * p[i] + 0.5 * params.H[i] * alpha[i] ** 2 + params.f_cost(t_nodes[i], x)
+        [(price, _, h)], running, _, _ = game.step(p, i)
+        stage = alpha[i] * price + 0.5 * h * alpha[i] ** 2 + running
         total += tgrid.dt * integrate(m[i] * stage, sgrid)
-    total += integrate(m[-1] * params.kappa(x), sgrid)
+    total += integrate(m[-1] * game.terminal(), sgrid)
     return float(total)
 
 

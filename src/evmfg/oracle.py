@@ -2,20 +2,21 @@
 
 Neither path touches the PDE sweeps. The DP solves a small discrete-state,
 discrete-action best response against a FROZEN price series by exact
-backward induction. Both games run through one induction over the product
-of per-axis state and action lattices (semi-Lagrangian: the value table is
-interpolated multilinearly at the candidate next states, clamped beyond
-the lattice hull). Next states are projected onto [0, 1], the projected
-Euler step of the reflected dynamics: an agent that drives into a wall
-stays at it. Folding an overshoot back instead would hand an agent
-draining into the empty wall (g - a) dt of free charge on every step, a
-gain that grows as the step shrinks. The Monte Carlo simulator integrates
-the agent dynamics directly with Gaussian increments, projects the same
-way, and bins the population on the solver grid. It works out one
-half-cell index floor(2 n x) per agent per step and reads both the
-interpolated control and the bin from it; the result equals ``np.interp``
-and ``np.histogram`` except for points within about one ulp of a cell edge
-or a cell center (see ``_half_cell_index``).
+backward induction. Both games run through one induction over the product of
+per-axis state and action lattices, which reads a model only through the
+``Game`` of its params (semi-Lagrangian: the value table is interpolated
+multilinearly at the candidate next states, clamped beyond the lattice
+hull). Next states are projected onto [0, 1], the projected Euler step of
+the reflected dynamics: an agent that drives into a wall stays at it.
+Folding an overshoot back instead would hand an agent draining into the
+empty wall (g - a) dt of free charge on every step, a gain that grows as the
+step shrinks. The Monte Carlo simulator integrates the agent dynamics
+directly with Gaussian increments, projects the same way, and bins the
+population on the solver grid. It works out one half-cell index floor(2 n x)
+per agent per step and reads both the interpolated control and the bin from
+it; the result equals ``np.interp`` and ``np.histogram`` except for points
+within about one ulp of a cell edge or a cell center (see
+``_half_cell_index``).
 
 Both use the right-endpoint coefficient convention of the value sweep
 (stage cost and dynamics of the step [t_i, t_{i+1}] evaluated at t_{i+1}
@@ -36,7 +37,7 @@ import numpy as np
 
 from .ev import EvParams
 from .grids import SpaceGrid, TimeGrid
-from .phev import PhevParams, _axes, beta
+from .phev import PhevParams
 
 
 def _state_lattice(n: int) -> np.ndarray:
@@ -77,17 +78,12 @@ class DiscreteMdp:
     def tgrid(self) -> TimeGrid:
         return self.params.tgrid
 
-    def induction(self):
-        """(state lattices, action lattices, terminal table, coefficients) for ``dp_best_response``."""
-        s, params = self.states, self.params
-        nodes, root_dt = self.tgrid.nodes, math.sqrt(self.tgrid.dt)
+    @property
+    def lattices(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """(state lattices, action lattices), one of each per axis."""
+        return (self.states,), (self.actions,)
 
-        def coefficients(j):
-            g = params.g[j]
-            eps = params.sigma[j] * g * root_dt
-            return [(self.p[j], g, params.H[j])], params.f_cost(nodes[j], s), (eps, -eps)
-
-        return (s,), (self.actions,), params.kappa(s), coefficients
+    price = property(lambda self: self.p, doc="The frozen price series.")
 
 
 def ev_mdp(params: EvParams, p: np.ndarray, n_states: int = 20, n_steps: int = 13, n_actions: int = 241) -> DiscreteMdp:
@@ -116,16 +112,12 @@ class PhevMdp:
     def tgrid(self) -> TimeGrid:
         return self.params.tgrid
 
-    def induction(self):
-        """(state lattices, action lattices, terminal table, coefficients) for ``dp_best_response``."""
-        z1, z2 = np.meshgrid(self.states1, self.states2, indexing="ij")
-        b = beta(z1, z2)
-        params, nodes = self.params, self.tgrid.nodes
+    @property
+    def lattices(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """(state lattices, action lattices), one of each per axis."""
+        return (self.states1, self.states2), (self.actions1, self.actions2)
 
-        def coefficients(j):
-            return _axes(self.r1, params, b, j), params.s_cost(nodes[j], z1, z2), (0.0,)
-
-        return (self.states1, self.states2), (self.actions1, self.actions2), params.xi(z1, z2), coefficients
+    price = property(lambda self: self.r1, doc="The frozen price series.")
 
 
 def phev_mdp(
@@ -172,7 +164,7 @@ def dp_best_response(mdp: DiscreteMdp | PhevMdp):
     sum_k |a_k|, then |a_1|, |a_2|, ..., then a_1, a_2, ... (actions are
     scanned in that order and the first minimum wins).
     """
-    states, actions, terminal, coefficients = mdp.induction()
+    states, actions = mdp.lattices
     if min(len(s) for s in states) < 2:
         raise ValueError("need at least 2 states")
     if min(len(a) for a in actions) == 0:
@@ -182,15 +174,18 @@ def dp_best_response(mdp: DiscreteMdp | PhevMdp):
     order = np.lexsort(flat[::-1] + size[::-1] + [sum(size)])
     acts = [a[order].reshape((-1,) + (1,) * len(states)) for a in flat]
     mesh = np.meshgrid(*states, indexing="ij")
+    game = mdp.params.game(mesh)
     shape = mesh[0].shape
-    dt = mdp.tgrid.dt
+    dt, root_dt = mdp.tgrid.dt, math.sqrt(mdp.tgrid.dt)
     value = np.empty((mdp.tgrid.n_nodes,) + shape)
     policy = tuple(np.empty((mdp.tgrid.n_steps,) + shape) for _ in states)
-    value[-1] = terminal
+    value[-1] = game.terminal()
     cols = np.arange(value[-1].size)
     for i in range(mdp.tgrid.n_steps - 1, -1, -1):
         j = i + 1
-        axes, running, shifts = coefficients(j)
+        axes, running, noise, _ = game.step(mdp.price, j)
+        eps = noise * root_dt
+        shifts = (eps, -eps) if eps != 0.0 else (0.0,)
         nxt = [z + dt * (a - g) for z, a, (_, g, _) in zip(mesh, acts, axes)]
         expected = sum(
             _interp(value[j], states, [np.clip(x + shift, 0.0, 1.0) for x in nxt]) for shift in shifts
@@ -206,15 +201,16 @@ def dp_best_response(mdp: DiscreteMdp | PhevMdp):
 
 
 def dp_deviation(mdp: DiscreteMdp | PhevMdp, dp_value: np.ndarray, v: np.ndarray, sgrid) -> np.ndarray:
-    """Relative time-0 deviation |V_dp - v| / max|v| at each DP lattice state.
+    """Relative time-0 deviation |V_dp - v| / max|v| at each DP lattice state; absolute where v is 0 there.
 
     ``dp_value`` is ``dp_best_response(mdp)``'s table and ``v`` the solver's
     field, interpolated onto the lattice with the induction's multilinear
     helper, clamped beyond the outer cell centers.
     """
     nodes = [sgrid.nodes(k) for k in range(len(sgrid.shape))]
-    v0 = _interp(v[0], nodes, np.meshgrid(*mdp.induction()[0], indexing="ij"))
-    return np.abs(dp_value[0] - v0) / np.abs(v0).max()
+    v0 = _interp(v[0], nodes, np.meshgrid(*mdp.lattices[0], indexing="ij"))
+    scale = np.abs(v0).max()
+    return np.abs(dp_value[0] - v0) / (scale if scale > 0.0 else 1.0)
 
 
 def sample_density(m0: np.ndarray, sgrid: SpaceGrid, n_agents: int) -> np.ndarray:
@@ -275,12 +271,13 @@ def mc_population(
     hist = np.empty((tgrid.n_nodes, sgrid.shape[0]))
     _bin_population(k, sgrid, out=hist[0])
     sqrt_dt = math.sqrt(tgrid.dt)
+    game = params.game((sgrid.nodes(0),))
     for i in range(tgrid.n_steps):
+        (g,), noise, _ = game.transport(i)
         a = _interp_half_cells(sgrid.nodes(0), control[i], k, x, out=drift, work=work)
-        np.subtract(a, params.g[i], out=drift)
+        np.subtract(a, g, out=drift)
         np.multiply(drift, tgrid.dt, out=drift)
         np.add(x, drift, out=x)
-        noise = params.sigma[i] * params.g[i]
         if noise != 0.0:
             rng.standard_normal(out=work)
             np.multiply(work, noise * sqrt_dt, out=work)

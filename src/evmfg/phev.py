@@ -23,11 +23,12 @@ The price series r1, one value per time node, is the only coupling between
 the vehicles, so it is what the operators pass around as a plain array. The
 fuel price r2 is an exogenous constant and lives only in ``PhevParams.r2``.
 
-The sweeps are the 1D model's sweep core in ``ev``. The Hamiltonian
-separates by pack: pack k's term is the 1D upwind Hamiltonian along axis k
-with g -> beta_k g, p -> r_k and H -> Q_k (beta_1 = beta, beta_2 = 1 - beta),
-so each pack reflects at its own walls as the battery does. Both terms of
-a (sub)step read the entering slice, which treats z1 and z2 symmetrically.
+The sweeps and the control are ``ev``'s, which read this game through
+``PhevParams.game``. The Hamiltonian separates by pack: pack k's term is
+the 1D upwind Hamiltonian along axis k with g -> beta_k g, p -> r_k and
+H -> Q_k (beta_1 = beta, beta_2 = 1 - beta), so each pack reflects at its
+own walls as the battery does. Both terms of a (sub)step read the entering
+slice, which treats z1 and z2 symmetrically.
 """
 
 from __future__ import annotations
@@ -37,7 +38,12 @@ from typing import Callable
 
 import numpy as np
 
-from .ev import _Problem, _SeriesParams, _backward_sweep, _forward_sweep, _geometry, _hamiltonian_sum
+from .ev import Game, _Problem, _SeriesParams
+# The shared operators under this model's names: PhevProblem calls them
+# here, so perfbench's trace rebinds them to phev.* spans.
+from .ev import fpk_forward_sweep as phev_fpk_forward_sweep
+from .ev import hjb_backward_sweep as phev_hjb_backward_sweep
+from .ev import optimal_control as phev_optimal_controls
 from .grids import SpaceGrid, TimeGrid
 from .numerics import mean_rate
 from .numerics import substep_count  # noqa: F401  (perfbench's trace rebinds it by name)
@@ -82,6 +88,19 @@ class PhevParams(_SeriesParams):
         self._check_series(positive=("Q1", "Q2"))
         self.r2 = float(self.r2)
 
+    def game(self, points: tuple[np.ndarray, ...]) -> Game:
+        """This game on the pack levels ``points`` = (z1, z2): pack 1 drains beta g, pack 2 (1 - beta) g."""
+        b, t = beta(*points), self.tgrid.nodes
+
+        def transport(i):
+            g = self.g[i]
+            return (b * g, (1.0 - b) * g), 0.0, 0.0
+
+        def axes(r1, j, drains):
+            return [(r1[j], drains[0], self.Q1[j]), (self.r2, drains[1], self.Q2[j])]
+
+        return Game(lambda: self.xi(*points), lambda j: self.s_cost(t[j], *points), transport, axes)
+
 
 def phev_price(m: np.ndarray, params: PhevParams, sgrid: SpaceGrid) -> np.ndarray:
     """Grid price series r1 = [g int beta dm + d/dt int z1 m]+ + offset."""
@@ -90,60 +109,6 @@ def phev_price(m: np.ndarray, params: PhevParams, sgrid: SpaceGrid) -> np.ndarra
     draw = (np.asarray(m, dtype=float) * b).reshape(m.shape[0], -1).sum(axis=1) * sgrid.cell_volume
     rates = mean_rate(m, sgrid, params.tgrid)
     return np.maximum(params.g * draw + rates, 0.0) + params.price_offset
-
-
-def _axes(r1: np.ndarray, params: PhevParams, b: np.ndarray, j: int) -> list:
-    """The packs' ``_hamiltonian_sum`` terms at time node j; ``b`` is beta on the grid."""
-    g = params.g[j]
-    return [(r1[j], b * g, params.Q1[j]), (params.r2, (1.0 - b) * g, params.Q2[j])]
-
-
-def phev_optimal_controls(
-    v: np.ndarray, r1: np.ndarray, params: PhevParams, sgrid: SpaceGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Recharge rates mu_k*, the minimisers of the pack Hamiltonians, slice by slice.
-
-    Away from the walls mu_k* = -(r_k + dv/dz_k) / Q_k, differenced on the
-    side the pack's drift points to; a drift into a wall moves no charge.
-    """
-    b = beta(*sgrid.meshes())
-    geometry = _geometry(sgrid)
-    mu1 = np.empty_like(v)
-    mu2 = np.empty_like(v)
-    for i in range(v.shape[0]):
-        mu1[i], mu2[i] = _hamiltonian_sum(v[i], _axes(r1, params, b, i), geometry)[1]
-    return mu1, mu2
-
-
-def phev_hjb_backward_sweep(
-    r1: np.ndarray, params: PhevParams, sgrid: SpaceGrid
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Explicit backward value sweep, v(T, .) = xi.
-
-    Returns (v, (mu1, mu2)), equal to ``phev_optimal_controls(v, r1, params, sgrid)``.
-    """
-    z1, z2 = sgrid.meshes()
-    b = beta(z1, z2)
-    t_nodes = params.tgrid.nodes
-
-    def coefficients(j):
-        return _axes(r1, params, b, j), params.s_cost(t_nodes[j], z1, z2), 0.0
-
-    return _backward_sweep(params.xi(z1, z2), params.tgrid, sgrid, coefficients)
-
-
-def phev_fpk_forward_sweep(
-    mu: tuple[np.ndarray, np.ndarray], m0: np.ndarray, params: PhevParams, sgrid: SpaceGrid
-) -> np.ndarray:
-    """Conservative upwind transport under (mu1 - beta g, mu2 - (1-beta) g)."""
-    mu1, mu2 = mu
-    b = beta(*sgrid.meshes())
-
-    def coefficients(i):
-        g = params.g[i]
-        return (mu1[i] - b * g, mu2[i] - (1.0 - b) * g), 0.0
-
-    return _forward_sweep(m0, params.tgrid, sgrid, coefficients)
 
 
 class PhevProblem(_Problem):

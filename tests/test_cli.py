@@ -277,6 +277,22 @@ def test_oracle_rejects_a_negative_seed_before_the_dp_audit(run_dir, request, ca
     assert "dp value deviation" not in captured.out
 
 
+@pytest.mark.filterwarnings("error")
+def test_oracle_passes_a_run_whose_value_is_zero(tmp_path, capsys):
+    # zero costs at a zero price: the value is 0 everywhere, and the DP
+    # deviation is absolute instead of 0/0
+    out = tmp_path / "zero"
+    sets = ["costs.f={kind: zero}", "costs.kappa={kind: zero}", "series.d=0.0", "price.coupled=false"]
+    assert cli.main(["run", "ev_weekend", "--out", str(out), *QUICK_ARGS,
+                     *(arg for item in sets for arg in ("--set", item))]) == 0
+    assert cli.main(["verify", str(out)]) == 0
+    capsys.readouterr()
+    code = cli.main(["oracle", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "dp value deviation: 0 " in captured.out
+
+
 def test_schema_prints_schema(capsys):
     code = cli.main(["schema"])
     captured = capsys.readouterr()

@@ -1,5 +1,6 @@
 """Dynamic-programming and Monte Carlo cross-checks: the audit tools themselves."""
 
+import dataclasses
 import math
 import re
 
@@ -14,9 +15,13 @@ from evmfg import (
     cli,
     dp_best_response,
     dp_deviation,
+    ev_cost,
     ev_mdp,
+    fpk_forward_sweep,
+    hjb_backward_sweep,
     integrate,
     mc_population,
+    optimal_control,
     phev_mdp,
     sample_density,
 )
@@ -374,6 +379,17 @@ def test_phev_dp_symmetric_under_axis_swap():
         np.testing.assert_allclose(pol1[i], pol2[i].T, atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_dp_deviation_is_absolute_where_the_value_is_zero():
+    # max|v| = 0 on the lattice would divide by zero; the deviation is then
+    # |V_dp - v| itself
+    mdp = _flat_mdp()
+    value, _ = dp_best_response(mdp)
+    v = np.zeros((mdp.tgrid.n_nodes, 10))
+    np.testing.assert_array_equal(dp_deviation(mdp, value, v, SpaceGrid((10,))), 0.0)
+    np.testing.assert_array_equal(dp_deviation(mdp, value + 0.25, v, SpaceGrid((10,))), 0.25)
+
+
 def test_one_induction_serves_both_models():
     # a 2D MDP whose second pack neither drains nor trades and whose costs
     # read z1 only is the 1D MDP at sigma = 0 in every z2 column, bit for bit
@@ -710,3 +726,68 @@ def test_resampled_interpolates_every_series(model):
     for name in params.SERIES:
         expected = np.interp(coarse.nodes, fine.nodes, getattr(params, name))
         assert np.array_equal(getattr(resampled, name), expected), name
+
+
+# ---------------------------------------------------------------------------
+# the operators read a model only through its params' game
+
+
+class _GameOnly:
+    """Stands in for a params object: its time grid and its game, none of its series or cost functions."""
+
+    def __init__(self, params):
+        self.tgrid, self.game = params.tgrid, params.game
+
+
+def _costly_params(model, tg):
+    # running costs that vary in time, so a wrong node index shows
+    if model == "ev":
+        costs = dict(f_cost=lambda t, s: (1.0 - s) ** 2 * (1.0 + t), kappa=lambda s: 2.0 * (1.0 - s) ** 2)
+    else:
+        costs = dict(s_cost=lambda t, z1, z2: (2.0 - z1 - z2) ** 2 * (1.0 + t), xi=lambda z1, z2: (2.0 - z1 - z2) ** 2)
+    return dataclasses.replace(_varying_params(model, tg), **costs)
+
+
+def _fields(x):
+    return x if isinstance(x, tuple) else (x,)
+
+
+@pytest.mark.parametrize("model", ["ev", "phev"])
+def test_operators_read_a_model_only_through_its_game(model):
+    tg = TimeGrid(t1=0.5, n_steps=12)
+    params = _costly_params(model, tg)
+    stub = _GameOnly(params)
+    for name in ("g", "H", "sigma", "f_cost", "kappa", "Q1", "Q2", "r2", "s_cost", "xi"):
+        assert not hasattr(stub, name)
+    sgrid = SpaceGrid((16,) if model == "ev" else (8, 8))
+    p = _wavy(tg, 1.2, 4.0)
+    m0 = np.ones(sgrid.shape)
+    states, actions = (np.arange(5) + 0.5) / 5, np.linspace(-0.9, 0.9, 7)
+    results = []
+    for which in (params, stub):
+        if model == "ev":
+            mdp = DiscreteMdp(states=states, actions=actions, params=which, p=p)
+        else:
+            mdp = PhevMdp(states1=states, states2=states, actions1=actions, actions2=actions, params=which, r1=p)
+        v, control = hjb_backward_sweep(p, which, sgrid)
+        again = optimal_control(v, p, which, sgrid)
+        m = fpk_forward_sweep(control, m0, which, sgrid)
+        value, policy = dp_best_response(mdp)
+        results.append([v, *_fields(control), *_fields(again), m, value, *_fields(policy)])
+    assert np.any(results[0][1] != 0.0) and np.any(results[0][-1] != 0.0)
+    for got, expected in zip(results[1], results[0]):
+        assert np.array_equal(got, expected)
+
+
+def test_ev_cost_and_mc_read_the_battery_only_through_its_game():
+    tg = TimeGrid(t1=0.5, n_steps=12)
+    params = _costly_params("ev", tg)
+    stub = _GameOnly(params)
+    sgrid = SpaceGrid((16,))
+    p = _wavy(tg, 1.2, 4.0)
+    _, alpha = hjb_backward_sweep(p, params, sgrid)
+    m0 = np.ones(sgrid.shape)
+    m = fpk_forward_sweep(alpha, m0, params, sgrid)
+    assert ev_cost(alpha, m, p, stub, sgrid) == ev_cost(alpha, m, p, params, sgrid)
+    hist = [mc_population(alpha, m0, which, tg, sgrid, n_agents=500, seed=3) for which in (params, stub)]
+    assert np.array_equal(*hist)

@@ -8,6 +8,7 @@ They only read perfbench.
 
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,15 +21,33 @@ import evmfg.phev
 import evmfg.scenario
 import evmfg.solver
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = (evmfg.cli, evmfg.ev, evmfg.phev, evmfg.scenario, evmfg.solver)
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    sys.modules[name] = module  # its dataclasses look the module up while they are built
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
     return module
+
+
+def _spans():
+    return _load(ROOT / "perfbench" / "spans.py", "perfbench_spans")
+
+
+def test_reference_runs_cover_every_benchmark_workload():
+    # a refactor is checked by diffing scripts/reference_runs.py output, so
+    # that check must run each case the benchmark times, set up the same way
+    workloads = _load(ROOT / "perfbench" / "pipeline.py", "perfbench_pipeline").WORKLOADS
+    runs = _load(ROOT / "scripts" / "reference_runs.py", "reference_runs").RUNS
+    assert workloads
+    for name, case in workloads.items():
+        assert runs.get(name) == case, name
 
 
 def test_instrument_rebinds_and_restores_every_name():
@@ -84,12 +103,12 @@ def test_traced_ev_solve_puts_stencil_spans_inside_both_sweeps():
 @pytest.mark.parametrize("run, make_mdp", [("ev_run", evmfg.ev_mdp), ("phev_run", evmfg.phev_mdp)])
 def test_dp_evals_counts_every_step_state_and_action(run, make_mdp, request):
     # oracle.dp_evals reads the MDP's fields by name; it must count what the
-    # induction enumerates
+    # induction enumerates: every step, state and action of the lattices
     spans = _spans()
     bundled = request.getfixturevalue(run)
     problem = bundled["problem"]
     mdp = make_mdp(problem.params, bundled["solution"].p, n_states=4)
-    states, actions, _, _ = mdp.induction()
+    states, actions = mdp.lattices
     expected = mdp.tgrid.n_steps * math.prod(map(len, states)) * math.prod(map(len, actions))
     assert spans._dp_evals((mdp,), {}, None) == expected
 
