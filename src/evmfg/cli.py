@@ -9,8 +9,9 @@ Commands:
 
 ``run`` exits 0 on convergence, 2 on non-convergence (results are still
 written), 1 on any error. ``oracle`` exits 0 iff the dynamic-programming
-value check is within 2% and (1D model only) the Monte Carlo density check
-is within 0.1 sup-t L1 distance.
+value check is within 2% and, on the 1D model only, the Monte Carlo density
+check is within 0.1 sup-t L1 distance and the run's largest |alpha| lies
+within the DP's action lattice (a stderr line gives both when it does not).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from . import __version__
 from .errors import DivergenceError, ScenarioError
 from .oracle import dp_best_response, dp_deviation, ev_mdp, mc_population, phev_mdp
 from .scenario import (
+    RUN_LAYOUT,
     SCHEMA_TEXT,
     ScenarioConfig,
     apply_overrides,
@@ -37,7 +39,7 @@ from .scenario import (
     read_series_csv,
     validate_config,
 )
-from .solver import MfeSolution, solve_mfe, verify_solution
+from .solver import MfeSolution, _sup_l1, solve_mfe, verify_solution
 
 DP_THRESHOLD = 0.02
 MC_THRESHOLD = 0.1
@@ -91,12 +93,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _load_run(
     run_dir: Path, fields: dict[str, set[str]] | None = None
-) -> tuple[MfeSolution, object, ScenarioConfig, dict]:
+) -> tuple[MfeSolution, object, ScenarioConfig]:
     """Rebuild a run's problem and solution from its directory.
 
-    ``fields`` maps the model to the field files (stems) to read; the others
-    are left None. By default every field is read. Series files are always
-    read. Scenario CSV paths resolve against the manifest's
+    ``fields`` maps the model to the ``RUN_LAYOUT`` fields (stems) to read;
+    the others are left None. By default every field is read; the price
+    series always is. Scenario CSV paths resolve against the manifest's
     ``scenario_dir``, or the working directory for a manifest without one.
     """
     manifest_path = run_dir / "manifest.json"
@@ -112,36 +114,20 @@ def _load_run(
     config = ScenarioConfig(data=validate_config(manifest["scenario"]), base_dir=Path.cwd() / scenario_dir)
     problem, options, _ = build_problem(config)
     shape = (problem.tgrid.n_nodes,) + problem.sgrid.shape
-
-    def field(stem: str):
-        if fields is not None and stem not in fields[config.model]:
-            return None
-        return read_field_csv(run_dir / f"{stem}.csv", shape)
-
+    _, stems, price = RUN_LAYOUT[config.model]
+    wanted = stems if fields is None else fields[config.model]
     try:
-        m = field("m")
-        v = field("v")
-        if config.model == "ev":
-            p = read_series_csv(run_dir / "price.csv", problem.tgrid.n_nodes)
-            alpha = field("alpha")
-        else:
-            p = read_series_csv(run_dir / "r1.csv", problem.tgrid.n_nodes)
-            alpha = (field("mu1"), field("mu2"))
+        m, v, *controls = (read_field_csv(run_dir / f"{s}.csv", shape) if s in wanted else None for s in stems)
+        p = read_series_csv(run_dir / f"{price}.csv", problem.tgrid.n_nodes)
     except OSError as exc:
         raise ScenarioError("run_dir", f"missing run artifact: {exc}") from exc
-    conv = manifest.get("convergence", {})
-    sol = MfeSolution(
-        v=v, m=m, p=p, alpha=alpha,
-        residuals=list(conv.get("residuals", [])),
-        converged=bool(conv.get("converged", False)),
-        iterations=int(conv.get("iterations", 0)),
-        tol=float(conv.get("tol", options.tol)),
-    )
-    return sol, problem, config, manifest
+    alpha = tuple(controls) if len(controls) > 1 else controls[0]
+    tol = float(manifest.get("convergence", {}).get("tol", options.tol))  # the one entry verify reads
+    return MfeSolution(v=v, m=m, p=p, alpha=alpha, tol=tol), problem, config
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    sol, problem, _, _ = _load_run(Path(args.run_dir))
+    sol, problem, _ = _load_run(Path(args.run_dir))
     report = verify_solution(sol, problem)
     print(report)
     return 0 if report.passed else 1
@@ -154,9 +140,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise ValueError("need at least one agent")
     if args.seed < 0:
         raise ValueError("need a nonnegative seed")
-    sol, problem, config, _ = _load_run(Path(args.run_dir), ORACLE_FIELDS)
+    sol, problem, config = _load_run(Path(args.run_dir), ORACLE_FIELDS)
     if config.model == "ev":
         mdp = ev_mdp(problem.params, sol.p, n_states=args.states)
+        reach, span = float(np.abs(sol.alpha).max()), float(mdp.actions.max())
+        if reach > span:  # the DP cannot trade as the run does, so its value says nothing
+            print(f"the run's max|alpha| {reach:.6g} exceeds the DP's largest action {span:.6g}", file=sys.stderr)
     else:
         n_states = min(args.states, PHEV_MAX_STATES)
         if n_states < args.states:
@@ -171,9 +160,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         return 0 if dp_dev <= DP_THRESHOLD else 1
     hist = mc_population(sol.alpha, problem.m0, problem.params, problem.tgrid, problem.sgrid,
                          n_agents=args.agents, seed=args.seed)
-    mc_dist = float((np.abs(hist - sol.m).sum(axis=1) * problem.sgrid.spacing(0)).max())
+    mc_dist = _sup_l1(hist, sol.m, problem.sgrid.cell_volume)
     print(f"mc density distance: {mc_dist:.6g} (threshold {MC_THRESHOLD})")
-    return 0 if dp_dev <= DP_THRESHOLD and mc_dist <= MC_THRESHOLD else 1
+    return 0 if dp_dev <= DP_THRESHOLD and mc_dist <= MC_THRESHOLD and reach <= span else 1
 
 
 def cmd_schema(_: argparse.Namespace) -> int:

@@ -34,6 +34,8 @@ import numpy as np
 
 from .grids import TimeGrid
 
+SUBSTEP_SAFETY = 0.9  # the largest explicit substep, as a share of the stability limit
+
 
 def _resolve_axis(f: np.ndarray, grid, axis: int | None) -> tuple[int, float]:
     """Validate the slice shape and the axis against the grid, return (axis, spacing)."""
@@ -142,13 +144,13 @@ def mean_rate(m: np.ndarray, grid, tgrid: TimeGrid) -> np.ndarray:
     return rates
 
 
-def substep_count(dt: float, rate: float, safety: float = 0.9) -> int:
-    """Smallest count of equal substeps with ``dt_sub * rate <= safety``.
+def substep_count(dt: float, rate: float) -> int:
+    """Smallest count of equal substeps with ``dt_sub * rate <= SUBSTEP_SAFETY``.
 
     ``rate`` is the total explicit update rate (advection speeds over cell
     widths plus diffusion coefficients over squared widths). The bound keeps
     every upwind/diffusion update a convex combination of neighbor values.
     """
-    if rate <= 0.0 or dt * rate <= safety:
+    if rate <= 0.0 or dt * rate <= SUBSTEP_SAFETY:
         return 1
-    return int(math.ceil(dt * rate / safety))
+    return int(math.ceil(dt * rate / SUBSTEP_SAFETY))

@@ -120,18 +120,16 @@ class PhevMdp:
     price = property(lambda self: self.r1, doc="The frozen price series.")
 
 
-def phev_mdp(
-    params: PhevParams, r1: np.ndarray, n_states: int = 10, n_steps: int | None = None, n_actions: int = 21
-) -> PhevMdp:
-    coarse = params.tgrid if n_steps is None else TimeGrid(t1=params.tgrid.t1, n_steps=n_steps)
-    actions = _action_lattice(float(np.abs(params.g).max()), n_actions)
+def phev_mdp(params: PhevParams, r1: np.ndarray, n_states: int = 10) -> PhevMdp:
+    """MDP on the params' own time grid, with 21 actions per pack."""
+    actions = _action_lattice(float(np.abs(params.g).max()), 21)
     return PhevMdp(
         states1=_cell_lattice(n_states),
         states2=_cell_lattice(n_states),
         actions1=actions,
         actions2=actions.copy(),
-        params=params.resampled(coarse),
-        r1=np.interp(coarse.nodes, params.tgrid.nodes, r1),
+        params=params,
+        r1=np.asarray(r1, dtype=float),
     )
 
 

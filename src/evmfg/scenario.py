@@ -18,10 +18,11 @@ the CSV set.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 from importlib import resources
 from pathlib import Path
@@ -92,11 +93,20 @@ solver:                    # optional block, defaults below
 # Bare solver keys (max_iters, tol, damping) are accepted as shorthand.
 """
 
-_SOLVER_DEFAULTS = {"max_iters": 200, "tol": 1e-6, "damping": 0.5}
+_SOLVER_DEFAULTS = asdict(SolverOptions())
 _EV_COSTS = ("f", "kappa")
 _PHEV_COSTS = ("s", "xi")
 # libyaml's safe loader where PyYAML was built with it: the same documents, parsed in C.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+# What a run directory holds, per model: (the coordinate columns of a field
+# file, between t and value; the field stems, m and v then the controls; the
+# price series stem). Export writes these files and the CLI reads them back.
+RUN_LAYOUT = {
+    "ev": (("x",), ("m", "v", "alpha"), "price"),
+    "phev": (("z1", "z2"), ("m", "v", "mu1", "mu2"), "r1"),
+}
 
 
 @dataclass
@@ -543,14 +553,21 @@ def export_results(
     wall_time: float = 0.0,
     resampled: list[str] | None = None,
 ) -> list[str]:
-    """Write the result CSV set and the run manifest; returns file names."""
+    """Write the ``RUN_LAYOUT`` files, the model's summaries and the run manifest; returns file names."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    columns, stems, price = RUN_LAYOUT[config.model]
     t = problem.tgrid.nodes
-    if config.model == "ev":
-        files = _export_ev(sol, problem, out, t)
-    else:
-        files = _export_phev(sol, problem, out, t)
+    leads = [ti + "," for ti in _fmt_all(t)]
+    axes = (_fmt_all(problem.sgrid.nodes(k)) for k in range(len(columns)))
+    coords = [",".join(c) for c in itertools.product(*axes)]
+    controls = sol.alpha if len(columns) > 1 else (sol.alpha,)  # one control per axis, bare in 1D
+    header = ",".join(("t", *columns, "value"))
+    for stem, values in zip(stems, (sol.m, sol.v, *controls)):
+        _write_rows(out / f"{stem}.csv", header, coords, zip(leads, values))
+    _write_series_csv(out / f"{price}.csv", "t,value", t, [sol.p])
+    files = [f"{stem}.csv" for stem in (*stems, price)]
+    files += (_export_ev if config.model == "ev" else _export_phev)(sol, problem, out)
     manifest = {
         "scenario": config.data,
         "scenario_hash": scenario_hash(config.data),
@@ -588,75 +605,53 @@ def ev_purchases(m: np.ndarray, problem: EvProblem) -> np.ndarray:
     return problem.params.g + mean_rate(m, problem.sgrid, problem.tgrid)
 
 
-def _export_ev(sol: MfeSolution, problem: EvProblem, out: Path, t: np.ndarray) -> list[str]:
-    x = problem.sgrid.nodes(0)
+def _export_ev(sol: MfeSolution, problem: EvProblem, out: Path) -> list[str]:
+    t = problem.tgrid.nodes
     purchases = ev_purchases(sol.m, problem)
     regulated = purchases + problem.params.d
     baseline = float(purchases.mean()) + problem.params.d
-    leads = [ti + "," for ti in _fmt_all(t)]
-    coords = _fmt_all(x)
-    for name, values in (("m.csv", sol.m), ("v.csv", sol.v), ("alpha.csv", sol.alpha)):
-        _write_rows(out / name, "t,x,value", coords, zip(leads, values))
-    _write_series_csv(out / "price.csv", "t,value", t, [sol.p])
     _write_series_csv(out / "purchases.csv", "t,value", t, [purchases])
     _write_series_csv(out / "total_consumption.csv", "t,regulated,baseline", t, [regulated, baseline])
-    return ["m.csv", "v.csv", "alpha.csv", "price.csv", "purchases.csv", "total_consumption.csv"]
+    return ["purchases.csv", "total_consumption.csv"]
 
 
-def _export_phev(sol: MfeSolution, problem: PhevProblem, out: Path, t: np.ndarray) -> list[str]:
-    z1 = problem.sgrid.nodes(0)
+def _export_phev(sol: MfeSolution, problem: PhevProblem, out: Path) -> list[str]:
     z2 = problem.sgrid.nodes(1)
     mu1, mu2 = sol.alpha
-    leads = [ti + "," for ti in _fmt_all(t)]
-    s1, s2 = _fmt_all(z1), _fmt_all(z2)
-    coords = [f"{a},{b}" for a in s1 for b in s2]
-    for name, values in (("m.csv", sol.m), ("v.csv", sol.v), ("mu1.csv", mu1), ("mu2.csv", mu2)):
-        _write_rows(out / name, "t,z1,z2,value", coords, zip(leads, values))
-    _write_series_csv(out / "r1.csv", "t,value", t, [sol.p])
+    s1, s2 = _fmt_all(problem.sgrid.nodes(0)), _fmt_all(z2)
     ks = [int(np.argmin(np.abs(z2 - target))) for target in (0.5, 0.9)]
     sections = [(s2[k] + ",", np.stack([mu1[0, :, k], mu2[0, :, k]], axis=1)) for k in ks]
     _write_rows(out / "control_sections.csv", "z2,z1,mu1,mu2", s1, sections)
-    return ["m.csv", "v.csv", "mu1.csv", "mu2.csv", "r1.csv", "control_sections.csv"]
+    return ["control_sections.csv"]
 
 
-def _check_last_row(path: Path, columns: int) -> None:
-    """Reject a file whose last row, where a cut file ends, has other than ``columns`` columns.
+def _read_values(path: str | Path, columns: int, rows: int) -> np.ndarray:
+    """The value column, the last of ``columns``, of a CSV of one header line and ``rows`` rows.
 
-    The readers parse one column, so a row cut short reads a coordinate as its value.
+    The last row, where a cut file ends, must have exactly ``columns``
+    columns. Only the value column is parsed, by its positive index, so numpy
+    also rejects a row cut before its value anywhere else in the file.
     """
+    path = Path(path)
     with open(path, "rb") as handle:
         handle.seek(max(0, path.stat().st_size - 4096))
         found = handle.read().rstrip().rsplit(b"\n", 1)[-1].count(b",") + 1
     if found != columns:
         raise ScenarioError(path.name, f"last row of {path} has {found} columns, expected {columns}")
+    try:
+        values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=columns - 1, ndmin=1)
+    except ValueError as exc:
+        raise ScenarioError(path.name, f"could not parse {path}: {exc}") from exc
+    if values.size != rows:
+        raise ScenarioError(path.name, f"expected {rows} rows, found {values.size}")
+    return values
 
 
 def read_field_csv(path: str | Path, shape: tuple[int, ...]) -> np.ndarray:
-    """Read a long-format field CSV back into (n_nodes, *space_shape).
-
-    Only the value column, the last, is parsed; the coordinate columns are
-    fixed by the grid.
-    """
-    path = Path(path)
-    try:
-        values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=-1, ndmin=1)
-    except ValueError as exc:
-        raise ScenarioError(path.name, f"could not parse {path}: {exc}") from exc
-    _check_last_row(path, len(shape) + 1)
-    expected = math.prod(shape)
-    if values.size != expected:
-        raise ScenarioError(path.name, f"expected {expected} rows, found {values.size}")
-    return values.reshape(shape)
+    """Read a long-format field CSV (columns t, the coordinates, value) back into (n_nodes, *space_shape)."""
+    return _read_values(path, len(shape) + 1, math.prod(shape)).reshape(shape)
 
 
 def read_series_csv(path: str | Path, n_nodes: int) -> np.ndarray:
     """Read a per-time-node series CSV (columns t, value) of ``n_nodes`` rows."""
-    path = Path(path)
-    try:
-        values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=1, ndmin=1)
-    except ValueError as exc:
-        raise ScenarioError(path.name, f"could not parse {path}: {exc}") from exc
-    _check_last_row(path, 2)
-    if values.size != n_nodes:
-        raise ScenarioError(path.name, f"expected {n_nodes} rows, found {values.size}")
-    return values
+    return _read_values(path, 2, n_nodes)

@@ -120,21 +120,28 @@ def test_short_series_csv_is_named(quick_run, tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["verify", "oracle"])
-def test_field_csv_last_row_without_its_value_is_named(quick_run, tmp_path, capsys, command):
+def test_field_csv_last_row_without_its_value_is_named(request, tmp_path, capsys, command):
     # the row count still matches, and a read of the last column alone
-    # would take the coordinate for the value
-    copy = tmp_path / "cut"
-    copy.mkdir()
-    for item in quick_run.iterdir():
-        (copy / item.name).write_bytes(item.read_bytes())
-    lines = (copy / "v.csv").read_text().splitlines()
-    lines[-1] = lines[-1].rpartition(",")[0]
-    (copy / "v.csv").write_text("\n".join(lines) + "\n")
-    code = cli.main([command, str(copy), *(["--states", "5"] if command == "oracle" else [])])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert f"error: v.csv: last row of {copy / 'v.csv'} has 2 columns, expected 3" in captured.err
+    # would take the coordinate for the value, in the last row or any other
+    for run_dir, row, message in (
+        ("quick_run", "last", "last row of {path} has 2 columns, expected 3"),
+        ("quick_run", "middle", "could not parse {path}: "),
+        ("phev_run_dir", "middle", "could not parse {path}: "),
+    ):
+        copy = tmp_path / f"{run_dir}_{row}"
+        copy.mkdir()
+        for item in request.getfixturevalue(run_dir).iterdir():
+            (copy / item.name).write_bytes(item.read_bytes())
+        lines = (copy / "v.csv").read_text().splitlines()
+        k = -1 if row == "last" else len(lines) // 2
+        lines[k] = lines[k].rpartition(",")[0]
+        (copy / "v.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()  # what a fixture's first run printed
+        code = cli.main([command, str(copy), *(["--states", "5"] if command == "oracle" else [])])
+        captured = capsys.readouterr()
+        assert code == 1, (run_dir, row)
+        assert captured.out == ""
+        assert "error: v.csv: " + message.format(path=copy / "v.csv") in captured.err
 
 
 def test_verify_missing_dir_exit_1(tmp_path, capsys):
@@ -291,6 +298,23 @@ def test_oracle_passes_a_run_whose_value_is_zero(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "dp value deviation: 0 " in captured.out
+
+
+def test_oracle_fails_a_run_that_trades_beyond_the_dp_action_lattice(tmp_path, capsys):
+    # with no consumption the DP's actions span only +-3e-12, so it cannot
+    # trade as the run does; its value check alone would pass at 0.0185
+    out = tmp_path / "no_drain"
+    assert cli.main(["run", "ev_weekend", "--out", str(out), "--set", "series.g=0.0", "--set", "time_steps=24"]) == 0
+    capsys.readouterr()
+    code = cli.main(["oracle", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    dp, mc = _parse_oracle(captured.out)
+    assert dp <= cli.DP_THRESHOLD and mc <= cli.MC_THRESHOLD
+    found = re.search(r"max\|alpha\| ([0-9.eE+-]+) exceeds the DP's largest action ([0-9.eE+-]+)", captured.err)
+    assert found, captured.err
+    reach, span = float(found.group(1)), float(found.group(2))
+    assert span == pytest.approx(3e-12) and reach > 0.05
 
 
 def test_schema_prints_schema(capsys):

@@ -122,3 +122,22 @@ def test_traced_oracle_counts_agent_steps(ev_run, ev_run_dir):
         evmfg.cli.main(["oracle", str(ev_run_dir), "--states", "4", "--agents", "1000"])
     (mc,) = [span for span in tracer.spans if span.name == "oracle.mc"]
     assert mc.data == 1000 * ev_run["problem"].tgrid.n_steps
+
+
+@pytest.mark.parametrize(
+    "run_dir, command, flags, stems",
+    [
+        ("ev_run_dir", "verify", [], ["m", "v", "alpha", "price"]),
+        ("phev_run_dir", "oracle", ["--states", "4"], ["v", "r1"]),
+    ],
+)
+def test_traced_run_reads_open_one_span_per_file(run_dir, command, flags, stems, request):
+    # scenario.read_s and read_mb are summed over these spans: they must see
+    # every file the command reads, through the names the trace rebinds
+    spans = _spans()
+    tracer = spans.Tracer(lambda: 0.0)
+    path = request.getfixturevalue(run_dir)
+    with spans.instrument(tracer):
+        assert evmfg.cli.main([command, str(path), *flags]) == 0
+    sizes = [span.data for span in tracer.spans if span.name == "scenario.read"]
+    assert sorted(sizes) == sorted((path / f"{stem}.csv").stat().st_size for stem in stems)
