@@ -12,6 +12,10 @@ written), 1 on any error. ``oracle`` exits 0 iff the dynamic-programming
 value check is within 2% and, on the 1D model only, the Monte Carlo density
 check is within 0.1 sup-t L1 distance and the run's largest |alpha| lies
 within the DP's action lattice (a stderr line gives both when it does not).
+
+``verify`` and ``oracle`` read a run's fields from the binary twins of its
+CSVs, after checking each file they read against the sha256 its manifest
+records; a changed byte is an error that names the file.
 """
 
 from __future__ import annotations
@@ -98,8 +102,10 @@ def _load_run(
 
     ``fields`` maps the model to the ``RUN_LAYOUT`` fields (stems) to read;
     the others are left None. By default every field is read; the price
-    series always is. Scenario CSV paths resolve against the manifest's
-    ``scenario_dir``, or the working directory for a manifest without one.
+    series always is. Each is read from its binary twin once the CSV and
+    the twin match the sha256 the manifest records. Scenario CSV paths
+    resolve against the manifest's ``scenario_dir``, or the working
+    directory for a manifest without one.
     """
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
@@ -111,19 +117,25 @@ def _load_run(
     scenario_dir = manifest.get("scenario_dir", ".")
     if not isinstance(scenario_dir, str):
         raise ScenarioError("manifest.json", f"'scenario_dir' is not a path in {manifest_path}")
+    convergence = manifest.get("convergence")
+    if not isinstance(convergence, dict):
+        raise ScenarioError("manifest.json", f"no 'convergence' mapping in {manifest_path}")
+    tol = convergence.get("tol")  # the one entry verify reads
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol > 0.0:
+        raise ScenarioError("manifest.json", f"'convergence.tol' is not a positive number in {manifest_path}")
+    digests = manifest.get("sha256")
+    if not isinstance(digests, dict):
+        raise ScenarioError("manifest.json", f"no 'sha256' mapping in {manifest_path}; a run written "
+                                             "before run files were hash-checked must be re-run")
     config = ScenarioConfig(data=validate_config(manifest["scenario"]), base_dir=Path.cwd() / scenario_dir)
-    problem, options, _ = build_problem(config)
+    problem, _, _ = build_problem(config)
     shape = (problem.tgrid.n_nodes,) + problem.sgrid.shape
     _, stems, price = RUN_LAYOUT[config.model]
     wanted = stems if fields is None else fields[config.model]
-    try:
-        m, v, *controls = (read_field_csv(run_dir / f"{s}.csv", shape) if s in wanted else None for s in stems)
-        p = read_series_csv(run_dir / f"{price}.csv", problem.tgrid.n_nodes)
-    except OSError as exc:
-        raise ScenarioError("run_dir", f"missing run artifact: {exc}") from exc
+    m, v, *controls = (read_field_csv(run_dir / f"{s}.csv", shape, digests) if s in wanted else None for s in stems)
+    p = read_series_csv(run_dir / f"{price}.csv", problem.tgrid.n_nodes, digests)
     alpha = tuple(controls) if len(controls) > 1 else controls[0]
-    tol = float(manifest.get("convergence", {}).get("tol", options.tol))  # the one entry verify reads
-    return MfeSolution(v=v, m=m, p=p, alpha=alpha, tol=tol), problem, config
+    return MfeSolution(v=v, m=m, p=p, alpha=alpha, tol=float(tol)), problem, config
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

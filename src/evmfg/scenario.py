@@ -8,19 +8,21 @@ endogenous quadratic price) and ``phev_flat`` (constant consumption, two
 battery packs).
 
 Exports are long-format CSV with a fixed column order and 17-significant-
-digit floats, so identical runs produce byte-identical CSV files. The run
-manifest records the scenario (resolved form, hash and directory), solver
-version, grid sizes, convergence history and wall time; the wall time
-necessarily varies between runs, so bit-reproducibility is a property of
-the CSV set.
+digit floats, so identical runs produce byte-identical CSV files. Each
+field and price CSV has a binary twin ``<stem>.npy`` of the same float64
+values, which is what the audits read back. The run manifest records the
+scenario (resolved form, hash and directory), solver version, grid sizes,
+convergence history, the sha256 of every exported file and wall time; the
+wall time necessarily varies between runs, so bit-reproducibility is a
+property of the CSV and twin set.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import json
-import math
 import operator
 from dataclasses import asdict, dataclass, field
 from functools import reduce
@@ -102,7 +104,8 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # What a run directory holds, per model: (the coordinate columns of a field
 # file, between t and value; the field stems, m and v then the controls; the
-# price series stem). Export writes these files and the CLI reads them back.
+# price series stem). Export writes each as <stem>.csv and its binary twin
+# <stem>.npy; the CLI reads the twins back.
 RUN_LAYOUT = {
     "ev": (("x",), ("m", "v", "alpha"), "price"),
     "phev": (("z1", "z2"), ("m", "v", "mu1", "mu2"), "r1"),
@@ -523,26 +526,48 @@ def _fmt_all(values) -> list[str]:
     return ["%.17g" % x for x in np.asarray(values, dtype=float).ravel().tolist()]
 
 
-def _write_rows(path: Path, header: str, coords: list[str], slices) -> None:
+class _HashingWriter:
+    """A binary file handle that hashes (sha256) every byte written through it."""
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.sha256 = hashlib.sha256()
+
+    def write(self, data) -> int:
+        self.sha256.update(data)
+        return self.handle.write(data)
+
+
+def _write_rows(path: Path, header: str, coords: list[str], slices) -> str:
     """Write ``header``, then one row ``lead + coords[j] + values[j]`` per coordinate for each slice.
 
     ``slices`` yields ``(lead, values)`` with ``values`` of shape (len(coords),)
     or (len(coords), columns); a field file has one slice per time node, led
     by its time. Coordinates and leads arrive formatted, so each slice is one
     ``%``-template over its values and the file is written slice by slice,
-    never held whole.
+    never held whole. Returns the sha256 of the file, hashed as it is written.
     """
-    with open(path, "w") as handle:
-        handle.write(header + "\n")
+    with open(path, "wb") as handle:
+        out = _HashingWriter(handle)
+        out.write(header.encode() + b"\n")
         for lead, values in slices:
             values = np.asarray(values, dtype=float)
             cell = ",%.17g" * (values.size // len(coords)) + "\n"
             template = lead + (cell + lead).join(coords) + cell
-            handle.write(template % tuple(values.ravel().tolist()))
+            out.write((template % tuple(values.ravel().tolist())).encode())
+    return out.sha256.hexdigest()
 
 
-def _write_series_csv(path: Path, header: str, t: np.ndarray, columns: list[np.ndarray]) -> None:
-    _write_rows(path, header, _fmt_all(t), [("", np.column_stack(columns))])
+def _write_series_csv(path: Path, header: str, t: np.ndarray, columns: list[np.ndarray]) -> str:
+    return _write_rows(path, header, _fmt_all(t), [("", np.column_stack(columns))])
+
+
+def _write_twin(path: Path, values: np.ndarray) -> str:
+    """Save ``values`` as a float64 ``.npy`` file without pickles; returns its sha256, hashed as it is written."""
+    with open(path, "wb") as handle:
+        out = _HashingWriter(handle)
+        np.save(out, np.asarray(values, dtype=float), allow_pickle=False)
+    return out.sha256.hexdigest()
 
 
 def export_results(
@@ -553,7 +578,11 @@ def export_results(
     wall_time: float = 0.0,
     resampled: list[str] | None = None,
 ) -> list[str]:
-    """Write the ``RUN_LAYOUT`` files, the model's summaries and the run manifest; returns file names."""
+    """Write the ``RUN_LAYOUT`` files and their twins, the model's summaries and the run manifest.
+
+    Returns the file names. The manifest's ``sha256`` maps every file but
+    itself to the sha256 of its bytes.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     columns, stems, price = RUN_LAYOUT[config.model]
@@ -563,11 +592,13 @@ def export_results(
     coords = [",".join(c) for c in itertools.product(*axes)]
     controls = sol.alpha if len(columns) > 1 else (sol.alpha,)  # one control per axis, bare in 1D
     header = ",".join(("t", *columns, "value"))
+    digests = {}
     for stem, values in zip(stems, (sol.m, sol.v, *controls)):
-        _write_rows(out / f"{stem}.csv", header, coords, zip(leads, values))
-    _write_series_csv(out / f"{price}.csv", "t,value", t, [sol.p])
-    files = [f"{stem}.csv" for stem in (*stems, price)]
-    files += (_export_ev if config.model == "ev" else _export_phev)(sol, problem, out)
+        digests[f"{stem}.csv"] = _write_rows(out / f"{stem}.csv", header, coords, zip(leads, values))
+        digests[f"{stem}.npy"] = _write_twin(out / f"{stem}.npy", values)
+    digests[f"{price}.csv"] = _write_series_csv(out / f"{price}.csv", "t,value", t, [sol.p])
+    digests[f"{price}.npy"] = _write_twin(out / f"{price}.npy", sol.p)
+    digests.update((_export_ev if config.model == "ev" else _export_phev)(sol, problem, out))
     manifest = {
         "scenario": config.data,
         "scenario_hash": scenario_hash(config.data),
@@ -585,13 +616,13 @@ def export_results(
             "residuals": [float(r) for r in sol.residuals],
         },
         "resampled_series": sorted(resampled or []),
+        "sha256": digests,
         "wall_time_s": wall_time,
     }
     with open(out / "manifest.json", "w") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    files.append("manifest.json")
-    return files
+    return [*digests, "manifest.json"]
 
 
 def _solver_version() -> str:
@@ -605,53 +636,63 @@ def ev_purchases(m: np.ndarray, problem: EvProblem) -> np.ndarray:
     return problem.params.g + mean_rate(m, problem.sgrid, problem.tgrid)
 
 
-def _export_ev(sol: MfeSolution, problem: EvProblem, out: Path) -> list[str]:
+def _export_ev(sol: MfeSolution, problem: EvProblem, out: Path) -> dict[str, str]:
     t = problem.tgrid.nodes
     purchases = ev_purchases(sol.m, problem)
     regulated = purchases + problem.params.d
     baseline = float(purchases.mean()) + problem.params.d
-    _write_series_csv(out / "purchases.csv", "t,value", t, [purchases])
-    _write_series_csv(out / "total_consumption.csv", "t,regulated,baseline", t, [regulated, baseline])
-    return ["purchases.csv", "total_consumption.csv"]
+    return {
+        "purchases.csv": _write_series_csv(out / "purchases.csv", "t,value", t, [purchases]),
+        "total_consumption.csv": _write_series_csv(
+            out / "total_consumption.csv", "t,regulated,baseline", t, [regulated, baseline]),
+    }
 
 
-def _export_phev(sol: MfeSolution, problem: PhevProblem, out: Path) -> list[str]:
+def _export_phev(sol: MfeSolution, problem: PhevProblem, out: Path) -> dict[str, str]:
     z2 = problem.sgrid.nodes(1)
     mu1, mu2 = sol.alpha
     s1, s2 = _fmt_all(problem.sgrid.nodes(0)), _fmt_all(z2)
     ks = [int(np.argmin(np.abs(z2 - target))) for target in (0.5, 0.9)]
     sections = [(s2[k] + ",", np.stack([mu1[0, :, k], mu2[0, :, k]], axis=1)) for k in ks]
-    _write_rows(out / "control_sections.csv", "z2,z1,mu1,mu2", s1, sections)
-    return ["control_sections.csv"]
+    return {"control_sections.csv": _write_rows(out / "control_sections.csv", "z2,z1,mu1,mu2", s1, sections)}
 
 
-def _read_values(path: str | Path, columns: int, rows: int) -> np.ndarray:
-    """The value column, the last of ``columns``, of a CSV of one header line and ``rows`` rows.
+def _read_twin(path: str | Path, shape: tuple[int, ...], digests: dict[str, str]) -> np.ndarray:
+    """The twin ``<stem>.npy`` of the run file ``path``, once both match their sha256 in ``digests``.
 
-    The last row, where a cut file ends, must have exactly ``columns``
-    columns. Only the value column is parsed, by its positive index, so numpy
-    also rejects a row cut before its value anywhere else in the file.
+    ``digests`` is the manifest's ``sha256`` mapping. The CSV is hashed,
+    never parsed: its twin holds the same float64 values, so any changed,
+    cut or missing byte of either file is an error naming it.
     """
     path = Path(path)
-    with open(path, "rb") as handle:
-        handle.seek(max(0, path.stat().st_size - 4096))
-        found = handle.read().rstrip().rsplit(b"\n", 1)[-1].count(b",") + 1
-    if found != columns:
-        raise ScenarioError(path.name, f"last row of {path} has {found} columns, expected {columns}")
-    try:
-        values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=columns - 1, ndmin=1)
-    except ValueError as exc:
-        raise ScenarioError(path.name, f"could not parse {path}: {exc}") from exc
-    if values.size != rows:
-        raise ScenarioError(path.name, f"expected {rows} rows, found {values.size}")
+    twin = path.with_suffix(".npy")
+    for checked in (path, twin):
+        if digests.get(checked.name) != _sha256_file(checked):
+            raise ScenarioError(checked.name, f"{checked} does not match its sha256 in manifest.json "
+                                              "(changed or cut since export)")
+    values = np.load(twin, allow_pickle=False)
+    if values.shape != shape:
+        raise ScenarioError(twin.name, f"{twin} holds shape {values.shape}, expected {shape}")
     return values
 
 
-def read_field_csv(path: str | Path, shape: tuple[int, ...]) -> np.ndarray:
-    """Read a long-format field CSV (columns t, the coordinates, value) back into (n_nodes, *space_shape)."""
-    return _read_values(path, len(shape) + 1, math.prod(shape)).reshape(shape)
+def _sha256_file(path: Path) -> str:
+    """The sha256 of a file, read through one 1 MiB buffer so that a large CSV is never held whole."""
+    digest, buffer = hashlib.sha256(), bytearray(1 << 20)
+    try:
+        with open(path, "rb") as handle:
+            while size := handle.readinto(buffer):
+                digest.update(memoryview(buffer)[:size])
+    except OSError as exc:
+        raise ScenarioError(path.name, f"could not read {path}: {exc.strerror or exc}") from exc
+    return digest.hexdigest()
 
 
-def read_series_csv(path: str | Path, n_nodes: int) -> np.ndarray:
-    """Read a per-time-node series CSV (columns t, value) of ``n_nodes`` rows."""
-    return _read_values(path, 2, n_nodes)
+def read_field_csv(path: str | Path, shape: tuple[int, ...], digests: dict[str, str]) -> np.ndarray:
+    """A long-format field CSV's values as (n_nodes, *space_shape), read from its hash-checked twin."""
+    return _read_twin(path, shape, digests)
+
+
+def read_series_csv(path: str | Path, n_nodes: int, digests: dict[str, str]) -> np.ndarray:
+    """A per-time-node series CSV's ``n_nodes`` values, read from its hash-checked twin."""
+    return _read_twin(path, (n_nodes,), digests)

@@ -13,6 +13,15 @@ from evmfg import SCHEMA_TEXT, apply_overrides, cli, load_scenario, write_scenar
 
 
 QUICK_ARGS = ["--set", "time_steps=24", "--set", "space.cells=40"]
+# what a read of a run file that changed after export says
+CHANGED = "{path} does not match its sha256 in manifest.json (changed or cut since export)"
+
+
+def _copy_run(run_dir, dest):
+    dest.mkdir()
+    for item in run_dir.iterdir():
+        (dest / item.name).write_bytes(item.read_bytes())
+    return dest
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +41,7 @@ def test_run_converges_and_writes(quick_run, capsys):
     assert "converged in" in captured.out
     assert str(out) in captured.out
     names = {p.name for p in out.iterdir()}
-    assert names == {"m.csv", "v.csv", "alpha.csv", "price.csv",
+    assert names == {"m.csv", "v.csv", "alpha.csv", "price.csv", "m.npy", "v.npy", "alpha.npy", "price.npy",
                      "purchases.csv", "total_consumption.csv", "manifest.json"}
 
 
@@ -72,10 +81,8 @@ def test_verify_passes_on_fresh_run(quick_run, capsys):
 
 
 def test_verify_fails_on_tampered_values(quick_run, tmp_path, capsys):
-    copy = tmp_path / "tampered"
-    copy.mkdir()
-    for item in quick_run.iterdir():
-        (copy / item.name).write_bytes(item.read_bytes())
+    # a value changed in the CSV alone is caught by its hash before any audit
+    copy = _copy_run(quick_run, tmp_path / "tampered")
     lines = (copy / "v.csv").read_text().splitlines()
     body = []
     for line in lines[1:]:
@@ -85,53 +92,37 @@ def test_verify_fails_on_tampered_values(quick_run, tmp_path, capsys):
     code = cli.main(["verify", str(copy)])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.out.startswith("FAIL")
+    assert captured.out == ""
+    assert captured.err == "error: v.csv: " + CHANGED.format(path=copy / "v.csv") + "\n"
 
 
 def test_verify_names_a_short_field_csv(quick_run, tmp_path, capsys):
-    copy = tmp_path / "short"
-    copy.mkdir()
-    for item in quick_run.iterdir():
-        (copy / item.name).write_bytes(item.read_bytes())
+    copy = _copy_run(quick_run, tmp_path / "short")
     lines = (copy / "m.csv").read_text().splitlines(keepends=True)
-    rows = len(lines) - 1
     (copy / "m.csv").write_text("".join(lines[:-7]))
     code = cli.main(["verify", str(copy)])
     captured = capsys.readouterr()
     assert code == 1
-    assert "m.csv" in captured.err
-    assert f"expected {rows} rows, found {rows - 7}" in captured.err
+    assert "error: m.csv: " + CHANGED.format(path=copy / "m.csv") in captured.err
 
 
 @pytest.mark.parametrize("command", ["verify", "oracle"])
 def test_short_series_csv_is_named(quick_run, tmp_path, capsys, command):
-    copy = tmp_path / "short"
-    copy.mkdir()
-    for item in quick_run.iterdir():
-        (copy / item.name).write_bytes(item.read_bytes())
+    copy = _copy_run(quick_run, tmp_path / "short")
     lines = (copy / "price.csv").read_text().splitlines(keepends=True)
-    rows = len(lines) - 1
     (copy / "price.csv").write_text("".join(lines[:-3]))
     code = cli.main([command, str(copy), *(["--states", "5"] if command == "oracle" else [])])
     captured = capsys.readouterr()
     assert code == 1
-    assert "price.csv" in captured.err
-    assert f"expected {rows} rows, found {rows - 3}" in captured.err
+    assert "error: price.csv: " + CHANGED.format(path=copy / "price.csv") in captured.err
 
 
 @pytest.mark.parametrize("command", ["verify", "oracle"])
 def test_field_csv_last_row_without_its_value_is_named(request, tmp_path, capsys, command):
     # the row count still matches, and a read of the last column alone
     # would take the coordinate for the value, in the last row or any other
-    for run_dir, row, message in (
-        ("quick_run", "last", "last row of {path} has 2 columns, expected 3"),
-        ("quick_run", "middle", "could not parse {path}: "),
-        ("phev_run_dir", "middle", "could not parse {path}: "),
-    ):
-        copy = tmp_path / f"{run_dir}_{row}"
-        copy.mkdir()
-        for item in request.getfixturevalue(run_dir).iterdir():
-            (copy / item.name).write_bytes(item.read_bytes())
+    for run_dir, row in (("quick_run", "last"), ("quick_run", "middle"), ("phev_run_dir", "middle")):
+        copy = _copy_run(request.getfixturevalue(run_dir), tmp_path / f"{run_dir}_{row}")
         lines = (copy / "v.csv").read_text().splitlines()
         k = -1 if row == "last" else len(lines) // 2
         lines[k] = lines[k].rpartition(",")[0]
@@ -141,7 +132,42 @@ def test_field_csv_last_row_without_its_value_is_named(request, tmp_path, capsys
         captured = capsys.readouterr()
         assert code == 1, (run_dir, row)
         assert captured.out == ""
-        assert "error: v.csv: " + message.format(path=copy / "v.csv") in captured.err
+        assert "error: v.csv: " + CHANGED.format(path=copy / "v.csv") in captured.err
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+@pytest.mark.parametrize("run_dir", ["quick_run", "phev_run_dir"])
+def test_a_changed_or_missing_twin_is_named(request, tmp_path, capsys, run_dir, command):
+    # the CSV still matches its hash; the twin the audit reads does not
+    source = request.getfixturevalue(run_dir)
+    changed = _copy_run(source, tmp_path / "changed")
+    data = bytearray((changed / "v.npy").read_bytes())
+    data[-1] ^= 1  # the last bit of the last value
+    (changed / "v.npy").write_bytes(bytes(data))
+    missing = _copy_run(source, tmp_path / "missing")
+    (missing / "v.npy").unlink()
+    flags = ["--states", "4"] if command == "oracle" else []
+    capsys.readouterr()  # what a fixture's first run printed
+    assert cli.main([command, str(changed), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: v.npy: " + CHANGED.format(path=changed / "v.npy") + "\n"
+    assert cli.main([command, str(missing), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: v.npy: could not read {missing / 'v.npy'}: ")
+
+
+def test_a_twin_of_another_grid_is_named(quick_run, tmp_path, capsys):
+    # every file matches its hash, but the manifest's scenario now asks for another grid
+    copy = _copy_run(quick_run, tmp_path / "regridded")
+    manifest = json.loads((copy / "manifest.json").read_text())
+    manifest["scenario"]["space"]["cells"] = 41
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    assert cli.main(["verify", str(copy)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: m.npy: {copy / 'm.npy'} holds shape (25, 40), expected (25, 41)\n"
 
 
 def test_verify_missing_dir_exit_1(tmp_path, capsys):
@@ -191,19 +217,35 @@ def test_manifest_without_scenario_dir_reads_from_the_cwd(csv_scenario_run, caps
     assert capsys.readouterr().out.startswith("PASS")
 
 
+# (the manifest written from the exported one, a fragment of the error)
+MALFORMED_MANIFESTS = {
+    "no-scenario": (lambda real: {}, "no 'scenario' mapping"),
+    "scenario-not-a-mapping": (lambda real: {"scenario": "ev_weekend"}, "no 'scenario' mapping"),
+    "not-an-object": (lambda real: [], "no 'scenario' mapping"),
+    "scenario_dir-not-a-path": (lambda real: {"scenario": {}, "scenario_dir": 3}, "'scenario_dir' is not a path"),
+    "convergence-not-a-mapping": (lambda real: {**real, "convergence": [1]}, "no 'convergence' mapping"),
+    "tol-not-a-number": (lambda real: {**real, "convergence": {"tol": "abc"}},
+                         "'convergence.tol' is not a positive number"),
+    "tol-negative": (lambda real: {**real, "convergence": {"tol": -1e-6}},
+                     "'convergence.tol' is not a positive number"),
+    # what a run directory exported before the files were hash-checked holds
+    "no-sha256": (lambda real: {k: v for k, v in real.items() if k != "sha256"},
+                  "no 'sha256' mapping in {path}; a run written before run files were hash-checked must be re-run"),
+    "sha256-not-a-mapping": (lambda real: {**real, "sha256": ["m.csv"]}, "no 'sha256' mapping"),
+}
+
+
 @pytest.mark.parametrize("command", ["verify", "oracle"])
-@pytest.mark.parametrize("manifest", [{}, {"scenario": "ev_weekend"}, [], {"scenario": {}, "scenario_dir": 3}],
-                         ids=["no-scenario", "scenario-not-a-mapping", "not-an-object", "scenario_dir-not-a-path"])
+@pytest.mark.parametrize("manifest", list(MALFORMED_MANIFESTS))
 def test_malformed_manifest_is_named(quick_run, tmp_path, capsys, command, manifest):
-    copy = tmp_path / "run"
-    copy.mkdir()
-    for item in quick_run.iterdir():
-        (copy / item.name).write_bytes(item.read_bytes())
-    (copy / "manifest.json").write_text(json.dumps(manifest))
+    copy = _copy_run(quick_run, tmp_path / "run")
+    make, fragment = MALFORMED_MANIFESTS[manifest]
+    (copy / "manifest.json").write_text(json.dumps(make(json.loads((copy / "manifest.json").read_text()))))
     code = cli.main([command, str(copy)])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error: manifest.json: ")
+    assert fragment.format(path=copy / "manifest.json") in captured.err
     assert captured.out == ""
 
 

@@ -1,5 +1,6 @@
 """Scenario documents: validation, overrides, hashing, and run exports."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from evmfg import (
     validate_config,
     write_scenario,
 )
-from evmfg.scenario import SCHEMA_TEXT, ScenarioConfig
+from evmfg.scenario import RUN_LAYOUT, SCHEMA_TEXT, ScenarioConfig
 
 
 def _minimal_ev(**tweaks):
@@ -431,10 +432,14 @@ def test_schema_text_documents_the_keys():
 # exports
 
 
-EV_FILES = {"m.csv", "v.csv", "alpha.csv", "price.csv", "purchases.csv",
-            "total_consumption.csv", "manifest.json"}
-PHEV_FILES = {"m.csv", "v.csv", "mu1.csv", "mu2.csv", "r1.csv",
+EV_FILES = {"m.csv", "v.csv", "alpha.csv", "price.csv", "m.npy", "v.npy", "alpha.npy", "price.npy",
+            "purchases.csv", "total_consumption.csv", "manifest.json"}
+PHEV_FILES = {"m.csv", "v.csv", "mu1.csv", "mu2.csv", "r1.csv", "m.npy", "v.npy", "mu1.npy", "mu2.npy", "r1.npy",
               "control_sections.csv", "manifest.json"}
+
+
+def _digests(run_dir):
+    return json.loads((Path(run_dir) / "manifest.json").read_text())["sha256"]
 
 
 def test_ev_export_file_set(ev_run_dir):
@@ -470,31 +475,54 @@ def test_ev_csv_round_trip(ev_run, ev_run_dir):
     sol = ev_run["solution"]
     shape = sol.m.shape
     out = Path(ev_run_dir)
-    np.testing.assert_array_equal(read_field_csv(out / "m.csv", shape), sol.m)
-    np.testing.assert_array_equal(read_field_csv(out / "v.csv", shape), sol.v)
-    np.testing.assert_array_equal(read_field_csv(out / "alpha.csv", shape), sol.alpha)
-    np.testing.assert_array_equal(read_series_csv(out / "price.csv", sol.p.size), sol.p)
+    digests = _digests(out)
+    np.testing.assert_array_equal(read_field_csv(out / "m.csv", shape, digests), sol.m)
+    np.testing.assert_array_equal(read_field_csv(out / "v.csv", shape, digests), sol.v)
+    np.testing.assert_array_equal(read_field_csv(out / "alpha.csv", shape, digests), sol.alpha)
+    np.testing.assert_array_equal(read_series_csv(out / "price.csv", sol.p.size, digests), sol.p)
 
 
 def test_phev_csv_round_trip(phev_run, phev_run_dir):
     sol = phev_run["solution"]
     shape = sol.m.shape
     out = Path(phev_run_dir)
-    np.testing.assert_array_equal(read_field_csv(out / "m.csv", shape), sol.m)
-    np.testing.assert_array_equal(read_field_csv(out / "mu1.csv", shape), sol.alpha[0])
-    np.testing.assert_array_equal(read_series_csv(out / "r1.csv", sol.p.size), sol.p)
+    digests = _digests(out)
+    np.testing.assert_array_equal(read_field_csv(out / "m.csv", shape, digests), sol.m)
+    np.testing.assert_array_equal(read_field_csv(out / "mu1.csv", shape, digests), sol.alpha[0])
+    np.testing.assert_array_equal(read_series_csv(out / "r1.csv", sol.p.size, digests), sol.p)
+
+
+@pytest.mark.parametrize("run, run_dir", [("ev_run", "ev_run_dir"), ("phev_run", "phev_run_dir")])
+def test_twins_hold_the_csv_values_and_the_manifest_holds_every_digest(run, run_dir, request):
+    # the %.17g text round-trips to the same float64s that the twin stores
+    bundled = request.getfixturevalue(run)
+    sol = bundled["solution"]
+    out = Path(request.getfixturevalue(run_dir))
+    _, stems, price = RUN_LAYOUT[bundled["config"].model]
+    controls = sol.alpha if isinstance(sol.alpha, tuple) else (sol.alpha,)
+    for stem, solved in zip((*stems, price), (sol.m, sol.v, *controls, sol.p), strict=True):
+        twin = np.load(out / f"{stem}.npy", allow_pickle=False)
+        parsed = np.loadtxt(out / f"{stem}.csv", delimiter=",", skiprows=1, usecols=-1).reshape(solved.shape)
+        assert np.array_equal(twin, parsed), stem
+        assert np.array_equal(twin, solved), stem
+    digests = _digests(out)
+    assert set(digests) == {p.name for p in out.iterdir()} - {"manifest.json"}
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_readers_reject_a_last_row_with_the_wrong_column_count(ev_run_dir, tmp_path):
-    # a field row cut before its value, a series row with a column too many
-    for name, extra, columns, read in (
-        ("v.csv", None, 2, lambda path: read_field_csv(path, (144, 100))),
-        ("price.csv", ",0.5", 3, lambda path: read_series_csv(path, 144)),
+    # a field row cut before its value, a series row with a column too many:
+    # neither file matches its hash any longer
+    digests = _digests(ev_run_dir)
+    for name, extra, read in (
+        ("v.csv", None, lambda path: read_field_csv(path, (144, 100), digests)),
+        ("price.csv", ",0.5", lambda path: read_series_csv(path, 144, digests)),
     ):
         lines = (Path(ev_run_dir) / name).read_text().splitlines()
         lines[-1] = lines[-1].rpartition(",")[0] if extra is None else lines[-1] + extra
         (tmp_path / name).write_text("\n".join(lines) + "\n")
-        with pytest.raises(ScenarioError, match=f"last row of .*{name} has {columns} columns") as err:
+        with pytest.raises(ScenarioError, match=f"{name} does not match its sha256 in manifest.json") as err:
             read(tmp_path / name)
         assert err.value.field == name
 
@@ -502,7 +530,7 @@ def test_readers_reject_a_last_row_with_the_wrong_column_count(ev_run_dir, tmp_p
 def test_purchases_series_definition(ev_run, ev_run_dir):
     sol = ev_run["solution"]
     problem = ev_run["problem"]
-    purchases = read_series_csv(Path(ev_run_dir) / "purchases.csv", 144)
+    purchases = np.loadtxt(Path(ev_run_dir) / "purchases.csv", delimiter=",", skiprows=1, usecols=1)
     assert purchases.shape == (144,)
     expected = problem.params.g + mean_rate(sol.m, problem.sgrid, problem.tgrid)
     np.testing.assert_array_equal(purchases, ev_purchases(sol.m, problem))
