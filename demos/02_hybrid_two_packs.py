@@ -44,7 +44,8 @@ for label, slice_ in (("initial", sol.m[0]), ("final", sol.m[-1])):
     m1, m2, corr = moments(slice_)
     print(f"{label:7s} density: mean z1 = {m1:.4f}, mean z2 = {m2:.4f}, corr = {corr:+.4f}")
 
-# charging controls at t=0 along the z2 = 0.5 section
+# charging controls at t=0 along the z2 = 0.5 section; the control holds
+# one field per axis, here one per pack
 k = int(np.argmin(np.abs(problem.sgrid.nodes(1) - 0.5)))
 mu1, mu2 = sol.alpha
 print(f"\ncontrols at t=0 along z2 = {problem.sgrid.nodes(1)[k]:.3f}:")

@@ -28,7 +28,7 @@ print(f"equilibrium solved: {sol.iterations} iterations, residual {sol.residuals
 
 # --- dynamic program against the frozen price ------------------------------
 mdp = evmfg.ev_mdp(problem.params, sol.p, n_states=20)
-value, policy = evmfg.dp_best_response(mdp)
+value, (policy,) = evmfg.dp_best_response(mdp)  # one policy table per axis
 v0 = np.interp(mdp.states, problem.sgrid.nodes(0), sol.v[0])
 dev = (value[0] - v0) / np.abs(v0).max()
 
@@ -40,8 +40,9 @@ for k in range(len(mdp.states)):
 print(f"  interior agreement: {np.abs(dev[4:]).max():.4f}; largest deviation: {np.abs(dev).max():.4f}\n")
 
 # --- Monte Carlo population under the equilibrium control ------------------
+(alpha,) = sol.alpha  # one control field per axis: the battery has one
 hist = evmfg.mc_population(
-    sol.alpha, sol.m[0], problem.params, problem.tgrid, problem.sgrid,
+    alpha, sol.m[0], problem.params, problem.tgrid, problem.sgrid,
     n_agents=100_000, seed=0,
 )
 l1 = np.abs(hist - sol.m).sum(axis=1) * problem.sgrid.spacing(0)

@@ -134,8 +134,7 @@ def _load_run(
     wanted = stems if fields is None else fields[config.model]
     m, v, *controls = (read_field_csv(run_dir / f"{s}.csv", shape, digests) if s in wanted else None for s in stems)
     p = read_series_csv(run_dir / f"{price}.csv", problem.tgrid.n_nodes, digests)
-    alpha = tuple(controls) if len(controls) > 1 else controls[0]
-    return MfeSolution(v=v, m=m, p=p, alpha=alpha, tol=float(tol)), problem, config
+    return MfeSolution(v=v, m=m, p=p, alpha=tuple(controls), tol=float(tol)), problem, config
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -155,7 +154,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     sol, problem, config = _load_run(Path(args.run_dir), ORACLE_FIELDS)
     if config.model == "ev":
         mdp = ev_mdp(problem.params, sol.p, n_states=args.states)
-        reach, span = float(np.abs(sol.alpha).max()), float(mdp.actions.max())
+        reach, span = float(np.abs(sol.alpha[0]).max()), float(mdp.actions.max())
         if reach > span:  # the DP cannot trade as the run does, so its value says nothing
             print(f"the run's max|alpha| {reach:.6g} exceeds the DP's largest action {span:.6g}", file=sys.stderr)
     else:
@@ -170,7 +169,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if config.model != "ev":
         print("mc density distance: not applicable (2D model)")
         return 0 if dp_dev <= DP_THRESHOLD else 1
-    hist = mc_population(sol.alpha, problem.m0, problem.params, problem.tgrid, problem.sgrid,
+    hist = mc_population(sol.alpha[0], problem.m0, problem.params, problem.tgrid, problem.sgrid,
                          n_agents=args.agents, seed=args.seed)
     mc_dist = _sup_l1(hist, sol.m, problem.sgrid.cell_volume)
     print(f"mc density distance: {mc_dist:.6g} (threshold {MC_THRESHOLD})")

@@ -214,8 +214,8 @@ def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid):
     Each step reads the params' game at its right endpoint and takes equal
     substeps within the stability bound of the rate sum
     max|a - g| / dx + diff / dx^2, so every substep is monotone. The control
-    equals ``optimal_control(v, p, params, sgrid)``: alpha for the battery,
-    (mu1, mu2) for the packs.
+    equals ``optimal_control(v, p, params, sgrid)``: one field per axis,
+    (alpha,) for the battery and (mu1, mu2) for the packs.
     """
     tgrid = params.tgrid
     game = params.game(sgrid.meshes())
@@ -253,7 +253,7 @@ def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid):
         v[i] = cur
     for out, a in zip(control, _hamiltonian_sum(v[0], game.hamiltonian(p, 0), geometry)[1]):
         out[0] = a
-    return v, control if len(control) > 1 else control[0]
+    return v, control
 
 
 def _outflow_rate(drift: np.ndarray, dx: float, at: AxisIndex) -> float:
@@ -266,11 +266,10 @@ def _outflow_rate(drift: np.ndarray, dx: float, at: AxisIndex) -> float:
 def fpk_forward_sweep(alpha, m0: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid) -> np.ndarray:
     """Explicit forward density sweep of either game under the drifts alpha_k - g_k.
 
-    ``alpha`` is a control of ``optimal_control``'s shape: one field for the
-    battery, (mu1, mu2) for the packs. Each step reads the params' game at
-    its left endpoint.
+    ``alpha`` is a control of ``optimal_control``'s shape: one field per
+    axis, (alpha,) for the battery and (mu1, mu2) for the packs. Each step
+    reads the params' game at its left endpoint.
     """
-    controls = alpha if len(sgrid.shape) > 1 else (alpha,)
     tgrid = params.tgrid
     game = params.game(sgrid.meshes())
     m = np.empty((tgrid.n_nodes,) + sgrid.shape)
@@ -279,7 +278,7 @@ def fpk_forward_sweep(alpha, m0: np.ndarray, params: _SeriesParams, sgrid: Space
     dx2 = sgrid.spacing(0) ** 2
     for i in range(tgrid.n_steps):
         drains, _, diff = game.transport(i)
-        drifts = [a[i] - g for a, g in zip(controls, drains)]
+        drifts = [a[i] - g for a, g in zip(alpha, drains)]
         rate = diff / dx2
         for drift, (dx, at) in zip(drifts, geometry):
             rate += _outflow_rate(drift, dx, at)
@@ -301,7 +300,7 @@ def fpk_forward_sweep(alpha, m0: np.ndarray, params: _SeriesParams, sgrid: Space
 
 
 def optimal_control(v: np.ndarray, p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid):
-    """Minimiser of the upwind Hamiltonian at every (time, cell) node: alpha, or (mu1, mu2) for the packs.
+    """Minimiser of the upwind Hamiltonian at every (time, cell) node, one field per axis: (alpha,) or (mu1, mu2).
 
     Away from the walls pack k's rate is -(dv/dz_k + p_k) / h_k, taken from
     the side its drift points to. In a wall cell a drift into the wall
@@ -317,7 +316,7 @@ def optimal_control(v: np.ndarray, p: np.ndarray, params: _SeriesParams, sgrid: 
         # column of all nodes covers the field. The packs' drains do, and a
         # whole-field call would hold (time, cell, cell) temporaries.
         (terms,) = game.hamiltonian(p, np.arange(len(v))[:, None])
-        return _hamiltonian(v, *terms, sgrid.spacing(0), axis_index(1))[1]
+        return (_hamiltonian(v, *terms, sgrid.spacing(0), axis_index(1))[1],)
     geometry = _geometry(sgrid)
     control = tuple(np.empty_like(v) for _ in sgrid.shape)
     for i in range(len(v)):
@@ -370,11 +369,11 @@ class EvProblem(_Problem):
     def price(self, m: np.ndarray) -> np.ndarray:
         return ev_price(m, self.params, self.sgrid)
 
-    def hjb(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def hjb(self, p: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray]]:
         return hjb_backward_sweep(p, self.params, self.sgrid)
 
-    def control(self, v: np.ndarray, p: np.ndarray) -> np.ndarray:
+    def control(self, v: np.ndarray, p: np.ndarray) -> tuple[np.ndarray]:
         return optimal_control(v, p, self.params, self.sgrid)
 
-    def fpk(self, alpha: np.ndarray) -> np.ndarray:
+    def fpk(self, alpha: tuple[np.ndarray]) -> np.ndarray:
         return fpk_forward_sweep(alpha, self.m0, self.params, self.sgrid)

@@ -23,7 +23,9 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not self.t1 > 0.0:
+        if not math.isfinite(self.t1):
+            raise ScenarioError("horizon", "must be finite")
+        if self.t1 <= 0.0:
             raise ScenarioError("horizon", "must be positive")
         if self.n_steps < 2:
             raise ScenarioError("time_steps", "must be at least 2")

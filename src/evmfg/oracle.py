@@ -153,7 +153,7 @@ def _interp(table: np.ndarray, lattices, points) -> np.ndarray:
 
 
 def dp_best_response(mdp: DiscreteMdp | PhevMdp):
-    """Exact backward induction: (value table, policy table), one policy table per axis in 2D.
+    """Exact backward induction: (value table, policy), the policy one table per axis.
 
     V(T, .) is the terminal cost; V(i, s) = min over the product of the
     action lattices of the stage cost sum_k (a_k p_k + h_k a_k^2 / 2) plus
@@ -195,7 +195,7 @@ def dp_best_response(mdp: DiscreteMdp | PhevMdp):
         value[i] = total[best, cols].reshape(shape)
         for out, a in zip(policy, acts):
             out[i] = a.ravel()[best].reshape(shape)
-    return value, policy if len(policy) > 1 else policy[0]
+    return value, policy
 
 
 def dp_deviation(mdp: DiscreteMdp | PhevMdp, dp_value: np.ndarray, v: np.ndarray, sgrid) -> np.ndarray:
@@ -235,13 +235,13 @@ def mc_population(
 ) -> np.ndarray:
     """Euler-Maruyama population simulation binned on the solver grid.
 
-    ``control`` is a field of shape ``(n_nodes, n_cells)``, one row per
-    time node on the grid's cell centers, interpolated linearly in space and
-    clamped beyond the outer centers, as ``np.interp`` does. ``tgrid`` must be
-    ``params.tgrid``: perfbench's trace reads the step count from it. One
-    standard-normal draw per agent per step, consumed in fixed agent order
-    from a single seeded generator, so the result depends only on (inputs,
-    n_agents, seed), never on scheduling.
+    ``control`` is the battery's one field (``sol.alpha[0]``), of shape
+    ``(n_nodes, n_cells)``, one row per time node on the grid's cell centers,
+    interpolated linearly in space and clamped beyond the outer centers, as
+    ``np.interp`` does. ``tgrid`` must be ``params.tgrid``: perfbench's trace
+    reads the step count from it. One standard-normal draw per agent per
+    step, consumed in fixed agent order from a single seeded generator, so
+    the result depends only on (inputs, n_agents, seed), never on scheduling.
     Histogram slices have unit mass exactly (integer counts over n_agents).
 
     Each step works out one half-cell index per agent

@@ -23,12 +23,12 @@ The price series r1, one value per time node, is the only coupling between
 the vehicles, so it is what the operators pass around as a plain array. The
 fuel price r2 is an exogenous constant and lives only in ``PhevParams.r2``.
 
-The sweeps and the control are ``ev``'s, which read this game through
-``PhevParams.game``. The Hamiltonian separates by pack: pack k's term is
-the 1D upwind Hamiltonian along axis k with g -> beta_k g, p -> r_k and
-H -> Q_k (beta_1 = beta, beta_2 = 1 - beta), so each pack reflects at its
-own walls as the battery does. Both terms of a (sub)step read the entering
-slice, which treats z1 and z2 symmetrically.
+The sweeps and the control, one field per axis (mu1, mu2), are ``ev``'s;
+they read this game through ``PhevParams.game``. The Hamiltonian separates
+by pack: pack k's term is the 1D upwind Hamiltonian along axis k with
+g -> beta_k g, p -> r_k and H -> Q_k (beta_1 = beta, beta_2 = 1 - beta), so
+each pack reflects at its own walls as the battery does. Both terms of a
+(sub)step read the entering slice, which treats z1 and z2 symmetrically.
 """
 
 from __future__ import annotations

@@ -422,8 +422,8 @@ def _read_two_column_csv(path: Path, fld: str) -> tuple[np.ndarray, np.ndarray]:
         table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise ScenarioError(fld, f"could not parse {path}: {exc}") from exc
-    if table.shape[1] < 2:
-        raise ScenarioError(fld, f"{path} needs two columns (t, value)")
+    if table.shape[1] < 2 or len(table) < 2:
+        raise ScenarioError(fld, f"{path} needs two columns (t, value) and at least 2 rows")
     return table[:, 0], table[:, 1]
 
 
@@ -472,7 +472,10 @@ def _initial_density(spec: dict, sgrid: SpaceGrid, base_dir: Path) -> np.ndarray
         path = base_dir / spec["csv"]
         if not path.exists():
             raise ScenarioError("initial_density.csv", f"file not found: {path}")
-        values = np.loadtxt(path, delimiter=",", ndmin=len(sgrid.shape))
+        try:
+            values = np.loadtxt(path, delimiter=",", ndmin=len(sgrid.shape))
+        except ValueError as exc:
+            raise ScenarioError("initial_density.csv", f"could not parse {path}: {exc}") from exc
         if values.shape != sgrid.shape:
             raise ScenarioError("initial_density.csv", f"expected shape {sgrid.shape}, got {values.shape}")
         if not np.all(np.isfinite(values)):
@@ -590,10 +593,9 @@ def export_results(
     leads = [ti + "," for ti in _fmt_all(t)]
     axes = (_fmt_all(problem.sgrid.nodes(k)) for k in range(len(columns)))
     coords = [",".join(c) for c in itertools.product(*axes)]
-    controls = sol.alpha if len(columns) > 1 else (sol.alpha,)  # one control per axis, bare in 1D
     header = ",".join(("t", *columns, "value"))
     digests = {}
-    for stem, values in zip(stems, (sol.m, sol.v, *controls)):
+    for stem, values in zip(stems, (sol.m, sol.v, *sol.alpha)):
         digests[f"{stem}.csv"] = _write_rows(out / f"{stem}.csv", header, coords, zip(leads, values))
         digests[f"{stem}.npy"] = _write_twin(out / f"{stem}.npy", values)
     digests[f"{price}.csv"] = _write_series_csv(out / f"{price}.csv", "t,value", t, [sol.p])
@@ -650,10 +652,9 @@ def _export_ev(sol: MfeSolution, problem: EvProblem, out: Path) -> dict[str, str
 
 def _export_phev(sol: MfeSolution, problem: PhevProblem, out: Path) -> dict[str, str]:
     z2 = problem.sgrid.nodes(1)
-    mu1, mu2 = sol.alpha
     s1, s2 = _fmt_all(problem.sgrid.nodes(0)), _fmt_all(z2)
     ks = [int(np.argmin(np.abs(z2 - target))) for target in (0.5, 0.9)]
-    sections = [(s2[k] + ",", np.stack([mu1[0, :, k], mu2[0, :, k]], axis=1)) for k in ks]
+    sections = [(s2[k] + ",", np.stack([mu[0, :, k] for mu in sol.alpha], axis=1)) for k in ks]
     return {"control_sections.csv": _write_rows(out / "control_sections.csv", "z2,z1,mu1,mu2", s1, sections)}
 
 

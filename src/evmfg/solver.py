@@ -54,6 +54,8 @@ class SolverOptions:
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ScenarioError("solver.max_iters", "must be at least 1")
+        if not np.isfinite(self.tol):
+            raise ScenarioError("solver.tol", "must be finite")
         if self.tol <= 0.0:
             raise ScenarioError("solver.tol", "must be positive")
         if not 0.0 < self.damping <= 1.0:
@@ -62,10 +64,12 @@ class SolverOptions:
 
 @dataclass
 class MfeSolution:
+    """The fixed point's value ``v``, density ``m``, price ``p`` and control ``alpha``, one field per axis."""
+
     v: np.ndarray
     m: np.ndarray
     p: np.ndarray
-    alpha: object
+    alpha: tuple[np.ndarray, ...]
     residuals: list[float] = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
@@ -199,9 +203,9 @@ def verify_solution(sol: MfeSolution, model) -> VerifyReport:
     """
     threshold = 10.0 * sol.tol
     p_re = model.price(sol.m)
-    price_dev = _max_field_dev(p_re, sol.p)
+    price_dev = float(np.abs(p_re - sol.p).max())
     alpha_re = model.control(sol.v, p_re)
-    control_dev = _max_field_dev(alpha_re, sol.alpha)
+    control_dev = float(np.max([np.abs(a - b).max() for a, b in zip(alpha_re, sol.alpha, strict=True)]))
     m_re = model.fpk(alpha_re)
     density_dev = _sup_l1(m_re, sol.m, model.cell_volume)
     passed = price_dev <= threshold and control_dev <= threshold and density_dev <= threshold
@@ -212,9 +216,3 @@ def verify_solution(sol: MfeSolution, model) -> VerifyReport:
         threshold=threshold,
         passed=passed,
     )
-
-
-def _max_field_dev(a, b) -> float:
-    if isinstance(a, tuple):
-        return max(float(np.abs(x - y).max()) for x, y in zip(a, b))
-    return float(np.abs(np.asarray(a) - np.asarray(b)).max())

@@ -183,7 +183,7 @@ def test_criterion_03_dp_cross_validation(ev_run):
 def test_criterion_04_monte_carlo_density(ev_run):
     sol, problem = ev_run["solution"], ev_run["problem"]
     hist = mc_population(
-        sol.alpha, sol.m[0], problem.params, problem.tgrid, problem.sgrid,
+        sol.alpha[0], sol.m[0], problem.params, problem.tgrid, problem.sgrid,
         n_agents=100_000, seed=0,
     )
     dist = float((np.abs(hist - sol.m).sum(axis=1) * problem.sgrid.spacing(0)).max())
@@ -278,6 +278,7 @@ def test_criterion_09_hamiltonian_minimality(ev_run, phev_run):
     violations = 0
 
     sol, problem = ev_run["solution"], ev_run["problem"]
+    (alpha,) = sol.alpha
     dx = problem.sgrid.spacing(0)
     for i in range(sol.v.shape[0]):
         # upwind one-sided differences; the reflecting ghost cells make the
@@ -297,10 +298,10 @@ def test_criterion_09_hamiltonian_minimality(ev_run, phev_run):
                 + a * p_i + 0.5 * h_coef * a ** 2
             )
 
-        base = ham(sol.alpha[i])
+        base = ham(alpha[i])
         for delta in (1e-3, 1e-2):
-            violations += int((ham(sol.alpha[i] + delta) < base - 1e-12).sum())
-            violations += int((ham(sol.alpha[i] - delta) < base - 1e-12).sum())
+            violations += int((ham(alpha[i] + delta) < base - 1e-12).sum())
+            violations += int((ham(alpha[i] - delta) < base - 1e-12).sum())
 
     sol2, problem2 = phev_run["solution"], phev_run["problem"]
     mu1, mu2 = sol2.alpha

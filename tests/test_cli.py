@@ -7,9 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from evmfg import SCHEMA_TEXT, apply_overrides, cli, load_scenario, write_scenario
+from evmfg import (
+    SCHEMA_TEXT, apply_overrides, cli, dp_best_response, ev_mdp, load_scenario, phev_mdp, write_scenario,
+)
 
 
 QUICK_ARGS = ["--set", "time_steps=24", "--set", "space.cells=40"]
@@ -78,6 +81,28 @@ def test_verify_passes_on_fresh_run(quick_run, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out.startswith("PASS")
+
+
+@pytest.mark.parametrize("run, run_dir", [("ev_run", "ev_run_dir"), ("phev_run", "phev_run_dir")])
+def test_a_control_is_one_field_per_axis_wherever_it_goes(run, run_dir, request):
+    # (alpha,) for the battery, (mu1, mu2) for the packs: from the sweep, the
+    # problem, the solve, the re-read run and the DP alike
+    bundled = request.getfixturevalue(run)
+    sol, problem = bundled["solution"], bundled["problem"]
+    axes, fields = len(problem.sgrid.shape), sol.v.shape
+    loaded, _, _ = cli._load_run(Path(request.getfixturevalue(run_dir)))
+    mdp = (ev_mdp if axes == 1 else phev_mdp)(problem.params, sol.p, n_states=4)
+    _, policy = dp_best_response(mdp)
+    controls = {
+        "sweep": (problem.hjb(sol.p)[1], fields),
+        "problem.control": (problem.control(sol.v, sol.p), fields),
+        "sol.alpha": (sol.alpha, fields),
+        "_load_run": (loaded.alpha, fields),
+        "dp policy": (policy, (mdp.tgrid.n_steps,) + (4,) * axes),
+    }
+    for where, (control, shape) in controls.items():
+        assert isinstance(control, tuple) and len(control) == axes, where
+        assert all(isinstance(a, np.ndarray) and a.shape == shape for a in control), where
 
 
 def test_verify_fails_on_tampered_values(quick_run, tmp_path, capsys):

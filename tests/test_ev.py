@@ -98,7 +98,7 @@ def test_optimal_control_gradient_cancels_price():
     params = make_params(tgrid, H=30.0)
     p = np.full(tgrid.n_nodes, 1.7)
     v = np.outer(-p, sgrid.nodes(0))  # dv/dx = -p on every slice
-    alpha = optimal_control(v, p, params, sgrid)
+    (alpha,) = optimal_control(v, p, params, sgrid)
     np.testing.assert_allclose(alpha[:, 1:], 0.0, atol=1e-13)
     # the reflecting empty wall: a sale moves no charge, so it is paid at -p/H
     np.testing.assert_allclose(alpha[:, 0], -1.7 / 30.0, rtol=1e-12)
@@ -119,7 +119,7 @@ def test_optimal_control_linear_value():
     params = make_params(tgrid, H=30.0)
     p = np.full(tgrid.n_nodes, 1.5)
     v = np.tile(-3.0 * sgrid.nodes(0), (tgrid.n_nodes, 1))
-    alpha = optimal_control(v, p, params, sgrid)
+    (alpha,) = optimal_control(v, p, params, sgrid)
     np.testing.assert_allclose(alpha[:, 1:], 0.05, rtol=1e-12)
     np.testing.assert_allclose(alpha[:, 0], -0.05, rtol=1e-12)  # empty wall: -p/H
 
@@ -286,7 +286,7 @@ def test_fpk_frozen_population():
     params = make_params(tgrid, g=0.4, sigma=0.0)
     m0 = tent_density(sgrid, 0.5, 0.2)
     alpha = np.full((tgrid.n_nodes, 40), 0.4)  # alpha = g pointwise
-    m = fpk_forward_sweep(alpha, m0, params, sgrid)
+    m = fpk_forward_sweep((alpha,), m0, params, sgrid)
     for i in range(tgrid.n_nodes):
         np.testing.assert_array_equal(m[i], m0)
 
@@ -300,7 +300,7 @@ def test_fpk_translation():
     params = make_params(tgrid, g=0.1, sigma=0.0)
     m0 = tent_density(sgrid, 0.3, 0.15)
     alpha = np.full((tgrid.n_nodes, 50), 0.1 + c)
-    m = fpk_forward_sweep(alpha, m0, params, sgrid)
+    m = fpk_forward_sweep((alpha,), m0, params, sgrid)
     mean0 = space_mean(m0, sgrid)
     mean_T = space_mean(m[-1], sgrid)
     assert abs(mean_T - (mean0 + c * 0.5)) <= sgrid.spacing(0)
@@ -315,7 +315,7 @@ def test_fpk_variance_growth():
     params = make_params(tgrid, g=g, sigma=sigma)
     m0 = tent_density(sgrid, 0.5, 0.1)
     alpha = np.full((tgrid.n_nodes, 80), g)
-    m = fpk_forward_sweep(alpha, m0, params, sgrid)
+    m = fpk_forward_sweep((alpha,), m0, params, sgrid)
 
     def variance(slice_):
         mu = space_mean(slice_, sgrid)
@@ -332,7 +332,7 @@ def test_fpk_rejects_unnormalized_m0():
     params = make_params(tgrid)
     m0 = tent_density(sgrid, 0.5, 0.2) * 1.1
     with pytest.raises(ValueError):
-        fpk_forward_sweep(np.zeros((6, 20)), m0, params, sgrid)
+        fpk_forward_sweep((np.zeros((6, 20)),), m0, params, sgrid)
 
 
 def test_non_finite_m0_is_rejected():
@@ -345,7 +345,7 @@ def test_non_finite_m0_is_rejected():
         with pytest.raises(ValueError, match=f"initial density mass {bad}"):
             EvProblem(params, sgrid, m0)
         with pytest.raises(ValueError, match=f"initial density mass {bad}"):
-            fpk_forward_sweep(np.zeros((6, 20)), m0, params, sgrid)
+            fpk_forward_sweep((np.zeros((6, 20)),), m0, params, sgrid)
 
 
 def test_fpk_divergence_reports_time_node():
@@ -356,7 +356,7 @@ def test_fpk_divergence_reports_time_node():
     alpha = np.zeros((tgrid.n_nodes, 20))
     alpha[2] = np.nan
     with pytest.raises(DivergenceError) as exc:
-        fpk_forward_sweep(alpha, m0, params, sgrid)
+        fpk_forward_sweep((alpha,), m0, params, sgrid)
     assert exc.value.time_node == 3
 
 
@@ -375,7 +375,7 @@ def test_fpk_mass_and_positivity(seed):
         + coef[1] * np.sin(2 * np.pi * sgrid.nodes(0))[None, :]
         + coef[2] * tgrid.nodes[:, None]
     )
-    m = fpk_forward_sweep(alpha, m0, params, sgrid)
+    m = fpk_forward_sweep((alpha,), m0, params, sgrid)
     masses = m.sum(axis=1) * sgrid.spacing(0)
     np.testing.assert_allclose(masses, 1.0, atol=1e-8)
     assert m.min() >= 0.0
@@ -392,7 +392,7 @@ def test_fpk_mean_transport_consistency():
     alpha = 0.3 + 0.2 * np.sin(2 * np.pi * sgrid.nodes(0))[None, :] * np.ones(
         (tgrid.n_nodes, 1)
     )
-    m = fpk_forward_sweep(alpha, m0, params, sgrid)
+    m = fpk_forward_sweep((alpha,), m0, params, sgrid)
     rates = mean_rate(m, sgrid, tgrid)
     for i in range(tgrid.n_steps):
         drift_mean = integrate((alpha[i] - params.g[i]) * m[i], sgrid)
@@ -476,25 +476,27 @@ def test_equilibrium_hamiltonian_minimality(small_equilibrium):
             + a * sol.p[:, None] + 0.5 * problem.params.H[:, None] * a**2
         )
 
-    base = ham(sol.alpha)
+    (alpha,) = sol.alpha
+    base = ham(alpha)
     for delta in (1e-3, 1e-2):
         for shift in (delta, -delta):
-            assert np.all(base <= ham(sol.alpha + shift) + 1e-12)
+            assert np.all(base <= ham(alpha + shift) + 1e-12)
 
 
 def test_equilibrium_cost_perturbation(small_equilibrium):
     problem, sol = small_equilibrium
     params, sgrid = problem.params, problem.sgrid
-    base_cost = ev_cost(sol.alpha, sol.m, sol.p, params, sgrid)
+    (alpha,) = sol.alpha
+    base_cost = ev_cost(alpha, sol.m, sol.p, params, sgrid)
     x = sgrid.nodes(0)
     bump = np.exp(-((x - 0.5) ** 2) / 0.02)[None, :]
     for pert in (
-        sol.alpha + 0.05,
-        sol.alpha - 0.05,
-        sol.alpha + 0.2 * bump,
-        sol.alpha * 0.8,
+        alpha + 0.05,
+        alpha - 0.05,
+        alpha + 0.2 * bump,
+        alpha * 0.8,
     ):
-        m_pert = fpk_forward_sweep(pert, problem.m0, params, sgrid)
+        m_pert = fpk_forward_sweep((pert,), problem.m0, params, sgrid)
         cost = ev_cost(pert, m_pert, sol.p, params, sgrid)
         assert base_cost <= cost + 1e-6
 

@@ -18,6 +18,9 @@ def test_time_grid_validation():
         TimeGrid(1.0, 1)
     with pytest.raises(ValueError):
         TimeGrid(0.0, 4)
+    for t1 in (float("nan"), float("inf")):
+        with pytest.raises(ScenarioError, match="horizon: must be finite"):
+            TimeGrid(t1, 10)
 
 
 @pytest.mark.parametrize(

@@ -140,7 +140,7 @@ def test_dp_prefers_buying_when_terminal_penalty_dominates():
         kappa=lambda s: 10.0 * (1.0 - s) ** 2,
         t1=1.0,
     )
-    value, policy = dp_best_response(mdp)
+    value, (policy,) = dp_best_response(mdp)
     # constant prices make buy-now and buy-later exact ties, so the lazy
     # tie-break defers the purchase to the final step
     assert policy[0][1] == 0.0
@@ -231,7 +231,7 @@ def test_dp_satisfies_bellman_recursion(n_states, n_steps, n_actions, g, sigma, 
         f_cost=lambda t, s: f_w * (1.0 - s) ** 2,
         kappa=lambda s: (1.0 - s) ** 2,
     )
-    value, policy = dp_best_response(mdp)
+    value, (policy,) = dp_best_response(mdp)
     s = mdp.states
     dt = mdp.tgrid.dt
     for i in range(mdp.tgrid.n_steps):
@@ -411,7 +411,7 @@ def test_one_induction_serves_both_models():
         kappa=lambda s: 2.0 * (1.0 - s) ** 2,
     )
     mdp1.states = mdp2.states1
-    value1, policy1 = dp_best_response(mdp1)
+    value1, (policy1,) = dp_best_response(mdp1)
     value2, (pol1, pol2) = dp_best_response(mdp2)
     assert np.any(policy1 != 0.0)
     np.testing.assert_array_equal(pol2, 0.0)
@@ -563,7 +563,7 @@ def test_mc_tracks_pde_density(ev_run):
     sol = ev_run["solution"]
     problem = ev_run["problem"]
     hist = mc_population(
-        sol.alpha, sol.m[0], problem.params, problem.tgrid, problem.sgrid, n_agents=20_000, seed=0
+        sol.alpha[0], sol.m[0], problem.params, problem.tgrid, problem.sgrid, n_agents=20_000, seed=0
     )
     dist = np.abs(hist - sol.m).sum(axis=1) * problem.sgrid.spacing(0)
     assert dist.max() < 0.12
@@ -620,7 +620,7 @@ def test_mc_matches_reference_loop_on_a_wall_bound_field(n_cells, sigma):
 def test_mc_matches_reference_loop_on_the_weekend_equilibrium(ev_run):
     # the criterion-4 audit: 100k agents, seed 0
     sol, problem = ev_run["solution"], ev_run["problem"]
-    args = (sol.alpha, sol.m[0], problem.params, problem.tgrid, problem.sgrid)
+    args = (sol.alpha[0], sol.m[0], problem.params, problem.tgrid, problem.sgrid)
     hist = mc_population(*args, n_agents=100_000, seed=0)
     np.testing.assert_array_equal(hist, _reference_mc_population(*args, n_agents=100_000, seed=0))
 
@@ -748,10 +748,6 @@ def _costly_params(model, tg):
     return dataclasses.replace(_varying_params(model, tg), **costs)
 
 
-def _fields(x):
-    return x if isinstance(x, tuple) else (x,)
-
-
 @pytest.mark.parametrize("model", ["ev", "phev"])
 def test_operators_read_a_model_only_through_its_game(model):
     tg = TimeGrid(t1=0.5, n_steps=12)
@@ -773,7 +769,7 @@ def test_operators_read_a_model_only_through_its_game(model):
         again = optimal_control(v, p, which, sgrid)
         m = fpk_forward_sweep(control, m0, which, sgrid)
         value, policy = dp_best_response(mdp)
-        results.append([v, *_fields(control), *_fields(again), m, value, *_fields(policy)])
+        results.append([v, *control, *again, m, value, *policy])
     assert np.any(results[0][1] != 0.0) and np.any(results[0][-1] != 0.0)
     for got, expected in zip(results[1], results[0]):
         assert np.array_equal(got, expected)
@@ -785,9 +781,9 @@ def test_ev_cost_and_mc_read_the_battery_only_through_its_game():
     stub = _GameOnly(params)
     sgrid = SpaceGrid((16,))
     p = _wavy(tg, 1.2, 4.0)
-    _, alpha = hjb_backward_sweep(p, params, sgrid)
+    _, (alpha,) = hjb_backward_sweep(p, params, sgrid)
     m0 = np.ones(sgrid.shape)
-    m = fpk_forward_sweep(alpha, m0, params, sgrid)
+    m = fpk_forward_sweep((alpha,), m0, params, sgrid)
     assert ev_cost(alpha, m, p, stub, sgrid) == ev_cost(alpha, m, p, params, sgrid)
     hist = [mc_population(alpha, m0, which, tg, sgrid, n_agents=500, seed=3) for which in (params, stub)]
     assert np.array_equal(*hist)

@@ -249,11 +249,13 @@ def _phev_params(**series):
     "model, mutate, construct",
     [
         ("ev", lambda d: d.update(horizon=-1.0), lambda: TimeGrid(-1.0, 12)),
+        ("ev", lambda d: d.update(horizon=float("inf")), lambda: TimeGrid(float("inf"), 12)),
         ("ev", lambda d: d.update(time_steps=1), lambda: TimeGrid(0.2, 1)),
         ("ev", lambda d: d["space"].update(cells=2), lambda: SpaceGrid((2,))),
         ("phev", lambda d: d["space"].update(cells=[2, 8]), lambda: SpaceGrid((2, 8))),
         ("ev", lambda d: d.update(solver={"max_iters": 0}), lambda: SolverOptions(max_iters=0)),
         ("ev", lambda d: d.update(solver={"tol": -1.0}), lambda: SolverOptions(tol=-1.0)),
+        ("ev", lambda d: d.update(solver={"tol": float("nan")}), lambda: SolverOptions(tol=float("nan"))),
         ("ev", lambda d: d.update(solver={"damping": 0.0}), lambda: SolverOptions(damping=0.0)),
         ("ev", lambda d: d["series"].update(g=[0.4] * 5), lambda: _ev_params(g=np.full(5, 0.4))),
         ("ev", lambda d: d["series"].update(H=0.0), lambda: _ev_params(H=0.0)),
@@ -263,8 +265,8 @@ def _phev_params(**series):
         ("phev", lambda d: d["series"].update(Q2=-1.0), lambda: _phev_params(Q2=-1.0)),
         ("phev", lambda d: d["series"].update(g={"csv": "nan.csv"}), lambda: _phev_params(g=np.nan)),
     ],
-    ids=["horizon", "time_steps", "cells", "cells-2d", "max_iters", "tol", "damping", "length",
-         "H", "sigma", "finite", "Q1", "Q2", "finite-2d"],
+    ids=["horizon", "horizon-inf", "time_steps", "cells", "cells-2d", "max_iters", "tol", "tol-nan", "damping",
+         "length",         "H", "sigma", "finite", "Q1", "Q2", "finite-2d"],
 )
 def test_each_range_rule_has_one_source(tmp_path, model, mutate, construct):
     # the document route and the object that holds the rule raise the same error
@@ -307,6 +309,18 @@ def test_series_forms_materialize(tmp_path):
     assert options.max_iters == 200 and options.damping == 0.5
 
 
+def test_csv_series_needs_two_rows_as_a_times_values_table_does(tmp_path):
+    # one row would be a constant recorded as resampled
+    (tmp_path / "d.csv").write_text("t,value\n0.0,0.5\n")
+    doc = _minimal_ev(series={"g": 0.4, "d": {"csv": "d.csv"}, "sigma": 0.1, "H": 2.0})
+    cfg = ScenarioConfig(data=validate_config(doc), base_dir=tmp_path)
+    with pytest.raises(ScenarioError, match=r"series.d: .*d.csv needs .* at least 2 rows"):
+        build_problem(cfg)
+    doc["series"]["d"] = {"times": [0.0], "values": [0.5]}
+    with pytest.raises(ScenarioError, match=r"series.d: .*length >= 2"):
+        validate_config(doc)
+
+
 def test_initial_density_normalized(tmp_path):
     for doc in (_minimal_ev(), _minimal_phev()):
         cfg = ScenarioConfig(data=validate_config(doc), base_dir=tmp_path)
@@ -347,6 +361,13 @@ def test_histogram_density_2d(tmp_path):
 def test_histogram_density_2d_errors(tmp_path, values, message):
     with pytest.raises(ScenarioError, match=rf"initial_density.csv: .*{message}"):
         build_problem(_phev_histogram(tmp_path, values))
+
+
+def test_histogram_density_that_does_not_parse_is_named(tmp_path):
+    config = _phev_histogram(tmp_path, np.ones((8, 8)))
+    (tmp_path / "m0.csv").write_text("1,1,1,x,1,1,1,1\n" * 8)
+    with pytest.raises(ScenarioError, match=r"initial_density.csv: could not parse .*m0.csv: .*'x'"):
+        build_problem(config)
 
 
 def test_gaussian_density_matches_closed_form(tmp_path):
@@ -478,7 +499,7 @@ def test_ev_csv_round_trip(ev_run, ev_run_dir):
     digests = _digests(out)
     np.testing.assert_array_equal(read_field_csv(out / "m.csv", shape, digests), sol.m)
     np.testing.assert_array_equal(read_field_csv(out / "v.csv", shape, digests), sol.v)
-    np.testing.assert_array_equal(read_field_csv(out / "alpha.csv", shape, digests), sol.alpha)
+    np.testing.assert_array_equal(read_field_csv(out / "alpha.csv", shape, digests), sol.alpha[0])
     np.testing.assert_array_equal(read_series_csv(out / "price.csv", sol.p.size, digests), sol.p)
 
 
@@ -499,8 +520,7 @@ def test_twins_hold_the_csv_values_and_the_manifest_holds_every_digest(run, run_
     sol = bundled["solution"]
     out = Path(request.getfixturevalue(run_dir))
     _, stems, price = RUN_LAYOUT[bundled["config"].model]
-    controls = sol.alpha if isinstance(sol.alpha, tuple) else (sol.alpha,)
-    for stem, solved in zip((*stems, price), (sol.m, sol.v, *controls, sol.p), strict=True):
+    for stem, solved in zip((*stems, price), (sol.m, sol.v, *sol.alpha, sol.p), strict=True):
         twin = np.load(out / f"{stem}.npy", allow_pickle=False)
         parsed = np.loadtxt(out / f"{stem}.csv", delimiter=",", skiprows=1, usecols=-1).reshape(solved.shape)
         assert np.array_equal(twin, parsed), stem
@@ -607,7 +627,7 @@ def _reference_csv_set(sol, problem, model) -> dict[str, str]:
         return {
             "m.csv": field("t,x,value", coords, sol.m),
             "v.csv": field("t,x,value", coords, sol.v),
-            "alpha.csv": field("t,x,value", coords, sol.alpha),
+            "alpha.csv": field("t,x,value", coords, sol.alpha[0]),
             "price.csv": series("t,value", [sol.p]),
             "purchases.csv": series("t,value", [purchases]),
             "total_consumption.csv": series("t,regulated,baseline", [purchases + d, purchases.mean() + d]),
@@ -641,7 +661,7 @@ def test_export_bytes_match_per_number_format(name, overrides, tmp_path):
     shape = (problem.tgrid.n_nodes,) + problem.sgrid.shape
     n = problem.tgrid.n_nodes
     if config.model == "ev":
-        alpha = _awkward(shape, 2)
+        alpha = (_awkward(shape, 2),)
     else:
         alpha = (_awkward(shape, 2), _awkward(shape, 5))
     sol = MfeSolution(v=_awkward(shape, 1), m=_awkward(shape), p=_awkward(n, 3), alpha=alpha, converged=True)

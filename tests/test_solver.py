@@ -10,6 +10,7 @@ from evmfg import (
     EvParams,
     EvProblem,
     MfeSolution,
+    ScenarioError,
     SolverOptions,
     SpaceGrid,
     TimeGrid,
@@ -50,6 +51,9 @@ def test_solver_options_validation():
         SolverOptions(damping=1.5)
     with pytest.raises(ValueError):
         SolverOptions(tol=0.0)
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ScenarioError, match="solver.tol: must be finite"):
+            SolverOptions(tol=tol)
     with pytest.raises(ValueError):
         SolverOptions(max_iters=0)
 
@@ -126,7 +130,7 @@ def test_verify_passes_hand_built_stationary_solution():
         v=v,
         m=m,
         p=p,
-        alpha=alpha,
+        alpha=(alpha,),
         residuals=[0.0],
         converged=True,
         iterations=1,
