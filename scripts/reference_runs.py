@@ -6,7 +6,9 @@ Runs ``evmfg run``, ``verify`` and ``oracle`` (default flags) on each of
 the five reference runs, every command in its own process with
 ``<checkout>/src`` as the only ``PYTHONPATH`` entry. ``<out_dir>/<run>.txt``
 gets each command's exit code, stdout and stderr, with the run directory
-replaced by ``<RUN>``, then the sha256 of every exported CSV.
+replaced by ``<RUN>``, then the sha256 of every exported CSV, then the
+sha256 of the value table and of each policy table of the DP best response
+that ``oracle`` computes by default (one more process, same path).
 
 The output of two checkouts compares with ``diff -r``: it is empty when a
 change keeps every figure and message byte for byte, which is the check a
@@ -32,10 +34,32 @@ RUNS = {
 }
 
 
-def _evmfg(src: Path, cwd: str, *args: str) -> str:
+# The MDP of ``evmfg oracle <run>`` with its default --states 20.
+DP_TABLES = """
+import hashlib, sys
+from pathlib import Path
+from evmfg import cli
+from evmfg.oracle import dp_best_response, ev_mdp, phev_mdp
+
+sol, problem, config = cli._load_run(Path(sys.argv[1]), cli.ORACLE_FIELDS)
+if config.model == "ev":
+    mdp = ev_mdp(problem.params, sol.p, n_states=20)
+else:
+    mdp = phev_mdp(problem.params, sol.p, n_states=min(20, cli.PHEV_MAX_STATES))
+value, policy = dp_best_response(mdp)
+for name, table in [("value", value)] + [(f"policy[{k}]", a) for k, a in enumerate(policy)]:
+    print(f"{hashlib.sha256(table.tobytes()).hexdigest()}  dp {name} {table.shape}")
+"""
+
+
+def _python(src: Path, cwd: str, title: str, *args: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-m", "evmfg", *args], cwd=cwd, env=env, capture_output=True, text=True)
-    return f"$ evmfg {' '.join(args)}\nexit {done.returncode}\n{done.stdout}{done.stderr}"
+    done = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+    return f"$ {title}\nexit {done.returncode}\n{done.stdout}{done.stderr}"
+
+
+def _evmfg(src: Path, cwd: str, *args: str) -> str:
+    return _python(src, cwd, f"evmfg {' '.join(args)}", "-m", "evmfg", *args)
 
 
 def record(src: Path, scenario: str, overrides: list[str]) -> str:
@@ -49,6 +73,7 @@ def record(src: Path, scenario: str, overrides: list[str]) -> str:
         ]
         for path in sorted(Path(run_dir).glob("*.csv")):
             lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n")
+        lines.append(_python(src, tmp, "dp tables", "-c", DP_TABLES, run_dir))
         return "".join(lines).replace(run_dir, "<RUN>")
 
 

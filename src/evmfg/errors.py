@@ -1,6 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types, and the integer rule that every count obeys."""
 
 from __future__ import annotations
+
+import numbers
 
 
 class DivergenceError(RuntimeError):
@@ -26,3 +28,10 @@ class ScenarioError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+
+
+def as_int(value, field: str) -> int:
+    """``value`` as an int: a Python or numpy integer, never a bool or a float (``ScenarioError`` on ``field``)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ScenarioError(field, f"expected an integer, got {value!r}")
+    return int(value)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import ScenarioError, as_int
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_steps", as_int(self.n_steps, "time_steps"))
         if not math.isfinite(self.t1):
             raise ScenarioError("horizon", "must be finite")
         if self.t1 <= 0.0:
@@ -53,7 +54,9 @@ class SpaceGrid:
     shape: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "shape", tuple(np.atleast_1d(self.shape).tolist()))
+        cells = [self.shape] if np.ndim(self.shape) == 0 else list(self.shape)
+        fields = ["space.cells"] if len(cells) == 1 else [f"space.cells[{k}]" for k in range(len(cells))]
+        object.__setattr__(self, "shape", tuple(map(as_int, cells, fields)))
         if min(self.shape, default=0) < 4:
             raise ScenarioError("space.cells", "each axis needs at least 4 cells")
 

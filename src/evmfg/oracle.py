@@ -6,8 +6,12 @@ backward induction. Both games run through one induction over the product of
 per-axis state and action lattices, which reads a model only through the
 ``Game`` of its params (semi-Lagrangian: the value table is interpolated
 multilinearly at the candidate next states, clamped beyond the lattice
-hull). Next states are projected onto [0, 1], the projected Euler step of
-the reflected dynamics: an agent that drives into a wall stays at it.
+hull). The next coordinate on an axis depends only on that axis's action
+and the state, so a step searches and weights each axis on its own points
+and then gathers them into the action tuples: on the 2D lattice that is
+21 x 100 points per axis, not 441 x 100. Next states are projected onto
+[0, 1], the projected Euler step of the reflected dynamics: an agent that
+drives into a wall stays at it.
 Folding an overshoot back instead would hand an agent draining into the
 empty wall (g - a) dt of free charge on every step, a gain that grows as the
 step shrinks. The Monte Carlo simulator integrates the agent dynamics
@@ -133,21 +137,26 @@ def phev_mdp(params: PhevParams, r1: np.ndarray, n_states: int = 10) -> PhevMdp:
     )
 
 
-def _interp(table: np.ndarray, lattices, points) -> np.ndarray:
+def _interp(table: np.ndarray, lattices, points, pick) -> np.ndarray:
     """Multilinear interpolation of ``table`` on the product of ``lattices``, clamped outside their hull.
 
-    ``points`` holds one coordinate array per axis. The corners are summed
+    ``points`` holds one coordinate array per axis, searched and weighted on
+    that axis alone; ``pick`` holds one index array per axis that gathers
+    those lower indices and weights into the output's layout. Each corner is
+    then one ``take`` from the flattened table, and the corners are summed
     with axis 0 varying fastest.
     """
-    lower, factors = [], []
-    for s, x in zip(lattices, points):
+    table = np.ravel(table)
+    strides = [math.prod(len(s) for s in lattices[k + 1:]) for k in range(len(lattices))]
+    base, factors = 0, []
+    for s, x, index, stride in zip(lattices, points, pick, strides):
         k = np.clip(np.searchsorted(s, x) - 1, 0, len(s) - 2)
         w = np.clip((x - s[k]) / (s[k + 1] - s[k]), 0.0, 1.0)
-        lower.append(k)
-        factors.append((1.0 - w, w))
+        base = base + (k * stride)[index]
+        factors.append(((1.0 - w)[index], w[index]))
     corners = (bits[::-1] for bits in itertools.product((0, 1), repeat=len(lattices)))
     return sum(
-        math.prod(f[bit] for bit, f in zip(c, factors)) * table[tuple(k + bit for k, bit in zip(lower, c))]
+        math.prod(f[bit] for bit, f in zip(c, factors)) * table.take(base + sum(bit * n for bit, n in zip(c, strides)))
         for c in corners
     )
 
@@ -161,6 +170,11 @@ def dp_best_response(mdp: DiscreteMdp | PhevMdp):
     noise shifts. Ties break toward the laziest action: the smallest
     sum_k |a_k|, then |a_1|, |a_2|, ..., then a_1, a_2, ... (actions are
     scanned in that order and the first minimum wins).
+
+    The next coordinate on axis k, z_k + dt (a_k - g_k(z)), depends only on
+    a_k and the state. So each step searches and weights every axis on its
+    own (actions on that axis) x states points, and ``_interp`` gathers the
+    lower indices and weights into the scan order of the action tuples.
     """
     states, actions = mdp.lattices
     if min(len(s) for s in states) < 2:
@@ -170,7 +184,9 @@ def dp_best_response(mdp: DiscreteMdp | PhevMdp):
     flat = [a.ravel() for a in np.meshgrid(*actions, indexing="ij")]
     size = [np.abs(a) for a in flat]
     order = np.lexsort(flat[::-1] + size[::-1] + [sum(size)])
-    acts = [a[order].reshape((-1,) + (1,) * len(states)) for a in flat]
+    pick = np.unravel_index(order, [len(a) for a in actions])
+    column = (-1,) + (1,) * len(states)
+    acts = [a[order].reshape(column) for a in flat]
     mesh = np.meshgrid(*states, indexing="ij")
     game = mdp.params.game(mesh)
     shape = mesh[0].shape
@@ -184,9 +200,9 @@ def dp_best_response(mdp: DiscreteMdp | PhevMdp):
         axes, running, noise, _ = game.step(mdp.price, j)
         eps = noise * root_dt
         shifts = (eps, -eps) if eps != 0.0 else (0.0,)
-        nxt = [z + dt * (a - g) for z, a, (_, g, _) in zip(mesh, acts, axes)]
+        nxt = [z + dt * (a.reshape(column) - g) for z, a, (_, g, _) in zip(mesh, actions, axes)]
         expected = sum(
-            _interp(value[j], states, [np.clip(x + shift, 0.0, 1.0) for x in nxt]) for shift in shifts
+            _interp(value[j], states, [np.clip(x + shift, 0.0, 1.0) for x in nxt], pick) for shift in shifts
         ) / len(shifts)
         stage = sum(a * p for a, (p, _, _) in zip(acts, axes))
         stage = sum((0.5 * h * a ** 2 for a, (_, _, h) in zip(acts, axes)), stage)
@@ -206,7 +222,8 @@ def dp_deviation(mdp: DiscreteMdp | PhevMdp, dp_value: np.ndarray, v: np.ndarray
     helper, clamped beyond the outer cell centers.
     """
     nodes = [sgrid.nodes(k) for k in range(len(sgrid.shape))]
-    v0 = _interp(v[0], nodes, np.meshgrid(*mdp.lattices[0], indexing="ij"))
+    lattice = mdp.lattices[0]
+    v0 = _interp(v[0], nodes, lattice, np.indices([len(s) for s in lattice]))
     scale = np.abs(v0).max()
     return np.abs(dp_value[0] - v0) / (scale if scale > 0.0 else 1.0)
 

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ScenarioError
+from .errors import ScenarioError, as_int
 from .ev import EvParams, EvProblem
 from .grids import SpaceGrid, TimeGrid
 from .numerics import mean_rate
@@ -150,12 +150,6 @@ def _as_number(value, fld: str) -> float:
     return out
 
 
-def _as_int(value, fld: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(fld, f"expected an integer, got {value!r}")
-    return value
-
-
 def _validate_series_spec(spec, fld: str):
     """Normalize a series entry to one of the four canonical forms."""
     if isinstance(spec, bool):
@@ -259,8 +253,7 @@ def validate_config(data, name_default: str = "scenario") -> dict:
     if model not in ("ev", "phev"):
         raise ScenarioError("model", f"expected 'ev' or 'phev', got {model!r}")
     horizon = _as_number(_require(data, "horizon", ""), "horizon")
-    time_steps = _as_int(_require(data, "time_steps", ""), "time_steps")
-    TimeGrid(horizon, time_steps)
+    time_steps = TimeGrid(horizon, _require(data, "time_steps", "")).n_steps
 
     space = _require(data, "space", "")
     if not isinstance(space, dict):
@@ -268,12 +261,11 @@ def validate_config(data, name_default: str = "scenario") -> dict:
     _reject_unknown(space, {"cells"}, "space")
     cells = _require(space, "cells", "space.")
     if model == "ev":
-        cells = _as_int(cells, "space.cells")
-    else:
-        if not isinstance(cells, list) or len(cells) != 2:
-            raise ScenarioError("space.cells", "expected [n1, n2] for the 2D model")
-        cells = [_as_int(v, f"space.cells[{k}]") for k, v in enumerate(cells)]
-    SpaceGrid(cells)
+        cells = as_int(cells, "space.cells")  # a scalar, where the grid would also take a one-entry list
+    elif not isinstance(cells, list) or len(cells) != 2:
+        raise ScenarioError("space.cells", "expected [n1, n2] for the 2D model")
+    shape = SpaceGrid(cells).shape
+    cells = shape[0] if model == "ev" else list(shape)
 
     series_spec = _require(data, "series", "")
     if not isinstance(series_spec, dict):
@@ -320,10 +312,9 @@ def validate_config(data, name_default: str = "scenario") -> dict:
     solver = dict(_SOLVER_DEFAULTS)
     for key, value in solver_spec.items():
         solver[key] = value
-    solver["max_iters"] = _as_int(solver["max_iters"], "solver.max_iters")
     solver["tol"] = _as_number(solver["tol"], "solver.tol")
     solver["damping"] = _as_number(solver["damping"], "solver.damping")
-    SolverOptions(**solver)
+    solver = asdict(SolverOptions(**solver))
 
     name = data.get("name", name_default)
     if not isinstance(name, str) or not name:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import ScenarioError, as_int
 
 # Pairs (price, price update) the acceleration keeps: up to four difference
 # columns in a least-squares problem with one row per time node.
@@ -52,6 +52,7 @@ class SolverOptions:
     damping: float = 0.5
 
     def __post_init__(self) -> None:
+        self.max_iters = as_int(self.max_iters, "solver.max_iters")
         if self.max_iters < 1:
             raise ScenarioError("solver.max_iters", "must be at least 1")
         if not np.isfinite(self.tol):

@@ -1,6 +1,7 @@
 """Dynamic-programming and Monte Carlo cross-checks: the audit tools themselves."""
 
 import dataclasses
+import itertools
 import math
 import re
 
@@ -418,6 +419,115 @@ def test_one_induction_serves_both_models():
     for k in range(len(mdp2.states2)):
         np.testing.assert_array_equal(value2[:, :, k], value1)
         np.testing.assert_array_equal(pol1[:, :, k], policy1)
+
+
+def _per_tuple_interp(table, lattices, points):
+    """Multilinear interpolation searched and weighted at every point, corners read by tuple index."""
+    lower, factors = [], []
+    for s, x in zip(lattices, points):
+        k = np.clip(np.searchsorted(s, x) - 1, 0, len(s) - 2)
+        w = np.clip((x - s[k]) / (s[k + 1] - s[k]), 0.0, 1.0)
+        lower.append(k)
+        factors.append((1.0 - w, w))
+    corners = (bits[::-1] for bits in itertools.product((0, 1), repeat=len(lattices)))
+    return sum(
+        math.prod(f[bit] for bit, f in zip(c, factors)) * table[tuple(k + bit for k, bit in zip(lower, c))]
+        for c in corners
+    )
+
+
+def _per_tuple_induction(mdp):
+    """The induction with every action tuple's next state interpolated on its own."""
+    states, actions = mdp.lattices
+    flat = [a.ravel() for a in np.meshgrid(*actions, indexing="ij")]
+    size = [np.abs(a) for a in flat]
+    order = np.lexsort(flat[::-1] + size[::-1] + [sum(size)])
+    acts = [a[order].reshape((-1,) + (1,) * len(states)) for a in flat]
+    mesh = np.meshgrid(*states, indexing="ij")
+    game = mdp.params.game(mesh)
+    dt, shape = mdp.tgrid.dt, mesh[0].shape
+    value = np.empty((mdp.tgrid.n_nodes,) + shape)
+    policy = tuple(np.empty((mdp.tgrid.n_steps,) + shape) for _ in states)
+    value[-1] = game.terminal()
+    for i in range(mdp.tgrid.n_steps - 1, -1, -1):
+        axes, running, noise, _ = game.step(mdp.price, i + 1)
+        eps = noise * math.sqrt(dt)
+        shifts = (eps, -eps) if eps != 0.0 else (0.0,)
+        nxt = [z + dt * (a - g) for z, a, (_, g, _) in zip(mesh, acts, axes)]
+        expected = sum(
+            _per_tuple_interp(value[i + 1], states, [np.clip(x + shift, 0.0, 1.0) for x in nxt]) for shift in shifts
+        ) / len(shifts)
+        stage = sum(a * p for a, (p, _, _) in zip(acts, axes))
+        stage = sum((0.5 * h * a ** 2 for a, (_, _, h) in zip(acts, axes)), stage)
+        total = (dt * (stage + running) + expected).reshape(len(order), -1)
+        best = np.argmin(total, axis=0)
+        value[i] = total[best, np.arange(total.shape[1])].reshape(shape)
+        for out, a in zip(policy, acts):
+            out[i] = a.ravel()[best].reshape(shape)
+    return value, policy
+
+
+def _assert_tables_equal(mdp):
+    value, policy = dp_best_response(mdp)
+    ref_value, ref_policy = _per_tuple_induction(mdp)
+    assert np.array_equal(value, ref_value)
+    assert len(policy) == len(ref_policy)
+    for table, ref in zip(policy, ref_policy):
+        assert np.array_equal(table, ref)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dp_is_bit_identical_to_the_per_tuple_induction_in_1d(seed):
+    # two noise shifts, and the actions +-4 over dt = 1/4 drive past both walls
+    rng = np.random.default_rng(seed)
+    tg = TimeGrid(t1=1.0, n_steps=4)
+    n = tg.n_nodes
+    w = rng.uniform(0.5, 2.0, 3)
+    params = EvParams(
+        tgrid=tg,
+        g=rng.uniform(0.2, 0.8, n),
+        d=np.ones(n),
+        sigma=rng.uniform(0.2, 0.6, n),
+        H=rng.uniform(0.5, 3.0, n),
+        f_cost=lambda t, s: w[0] * (1.0 - s) ** 2 + w[1] * t,
+        kappa=lambda s: w[2] * (1.0 - s) ** 2,
+    )
+    mdp = DiscreteMdp(
+        states=np.linspace(0.0, 1.0, 7),
+        actions=np.sort(np.concatenate(([-4.0, 0.0, 4.0], rng.uniform(-4.0, 4.0, 8)))),
+        params=params,
+        p=rng.uniform(0.0, 2.0, n),
+    )
+    assert np.all(params.sigma * params.g > 0.0)
+    _assert_tables_equal(mdp)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dp_is_bit_identical_to_the_per_tuple_induction_in_2d(seed):
+    # drains beta g and (1 - beta) g vary with the state; the axes differ in
+    # state count and in action count, so a swapped stride or index shows
+    rng = np.random.default_rng(seed)
+    tg = TimeGrid(t1=1.0, n_steps=3)
+    n = tg.n_nodes
+    w = rng.uniform(0.5, 2.0, 3)
+    params = PhevParams(
+        tgrid=tg,
+        g=rng.uniform(0.3, 0.9, n),
+        Q1=rng.uniform(0.5, 3.0, n),
+        Q2=rng.uniform(0.5, 3.0, n),
+        r2=float(rng.uniform(0.0, 1.0)),
+        s_cost=lambda t, z1, z2: w[0] * (2.0 - z1 - z2) ** 2 + w[1] * t * z1,
+        xi=lambda z1, z2: w[2] * ((1.0 - z1) ** 2 + 0.5 * (1.0 - z2) ** 2),
+    )
+    mdp = PhevMdp(
+        states1=(np.arange(5) + 0.5) / 5,
+        states2=(np.arange(4) + 0.5) / 4,
+        actions1=np.sort(np.concatenate(([-3.0, 0.0, 3.0], rng.uniform(-3.0, 3.0, 4)))),
+        actions2=np.sort(np.concatenate(([-3.0, 0.0, 3.0], rng.uniform(-3.0, 3.0, 1)))),
+        params=params,
+        r1=rng.uniform(0.0, 2.0, n),
+    )
+    _assert_tables_equal(mdp)
 
 
 def test_phev_mdp_uses_cell_centered_states():

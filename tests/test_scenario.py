@@ -281,6 +281,41 @@ def test_each_range_rule_has_one_source(tmp_path, model, mutate, construct):
     assert through_document.value.field == direct.value.field
 
 
+@pytest.mark.parametrize(
+    "model, mutate, construct",
+    [
+        ("ev", lambda d: d.update(time_steps=4.5), lambda: TimeGrid(1.0, 4.5)),
+        ("ev", lambda d: d.update(time_steps=True), lambda: TimeGrid(1.0, True)),
+        ("ev", lambda d: d["space"].update(cells=4.5), lambda: SpaceGrid((4.5,))),
+        ("phev", lambda d: d["space"].update(cells=[8, 4.5]), lambda: SpaceGrid((8, 4.5))),
+        ("phev", lambda d: d["space"].update(cells=[False, 8]), lambda: SpaceGrid((False, 8))),
+        ("ev", lambda d: d.update(solver={"max_iters": 2.5}), lambda: SolverOptions(max_iters=2.5)),
+        ("ev", lambda d: d.update(solver={"max_iters": True}), lambda: SolverOptions(max_iters=True)),
+    ],
+    ids=["time_steps", "time_steps-bool", "cells", "cells-2d", "cells-2d-bool", "max_iters", "max_iters-bool"],
+)
+def test_each_count_rule_has_one_source(model, mutate, construct):
+    # a direct constructor rejects a non-integral or boolean count exactly as the document does
+    doc = _minimal_ev() if model == "ev" else _minimal_phev()
+    mutate(doc)
+    with pytest.raises(ScenarioError, match="expected an integer, got") as through_document:
+        validate_config(doc)
+    with pytest.raises(ScenarioError) as direct:
+        construct()
+    assert str(through_document.value) == str(direct.value)
+    assert through_document.value.field == direct.value.field
+
+
+def test_counts_accept_numpy_integers_as_ints():
+    tgrid = TimeGrid(1.0, np.int64(4))
+    assert tgrid == TimeGrid(1.0, 4) and type(tgrid.n_steps) is int
+    assert tgrid.nodes[-1] == 1.0
+    sgrid = SpaceGrid(np.array([8, 6], dtype=np.int32))
+    assert sgrid.shape == (8, 6) and all(type(n) is int for n in sgrid.shape)
+    options = SolverOptions(max_iters=np.int16(3))
+    assert options.max_iters == 3 and type(options.max_iters) is int
+
+
 # ---------------------------------------------------------------------------
 # series forms
 
