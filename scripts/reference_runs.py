@@ -6,9 +6,10 @@ Runs ``evmfg run``, ``verify`` and ``oracle`` (default flags) on each of
 the five reference runs, every command in its own process with
 ``<checkout>/src`` as the only ``PYTHONPATH`` entry. ``<out_dir>/<run>.txt``
 gets each command's exit code, stdout and stderr, with the run directory
-replaced by ``<RUN>``, then the sha256 of every exported CSV, then the
-sha256 of the value table and of each policy table of the DP best response
-that ``oracle`` computes by default (one more process, same path).
+replaced by ``<RUN>``, then the sha256 of every exported CSV and of every
+``.npy`` twin that ``verify`` and ``oracle`` read, then the sha256 of the
+value table and of each policy table of the DP best response that
+``oracle`` computes by default (one more process, same path).
 
 The output of two checkouts compares with ``diff -r``: it is empty when a
 change keeps every figure and message byte for byte, which is the check a
@@ -71,7 +72,7 @@ def record(src: Path, scenario: str, overrides: list[str]) -> str:
             _evmfg(src, tmp, "verify", run_dir),
             _evmfg(src, tmp, "oracle", run_dir),
         ]
-        for path in sorted(Path(run_dir).glob("*.csv")):
+        for path in sorted(Path(run_dir).glob("*.csv")) + sorted(Path(run_dir).glob("*.npy")):
             lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n")
         lines.append(_python(src, tmp, "dp tables", "-c", DP_TABLES, run_dir))
         return "".join(lines).replace(run_dir, "<RUN>")

@@ -104,8 +104,7 @@ def _load_run(
     the others are left None. By default every field is read; the price
     series always is. Each is read from its binary twin once the CSV and
     the twin match the sha256 the manifest records. Scenario CSV paths
-    resolve against the manifest's ``scenario_dir``, or the working
-    directory for a manifest without one.
+    resolve against the manifest's ``scenario_dir``.
     """
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
@@ -114,7 +113,7 @@ def _load_run(
         manifest = json.load(handle)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("scenario"), dict):
         raise ScenarioError("manifest.json", f"no 'scenario' mapping in {manifest_path}")
-    scenario_dir = manifest.get("scenario_dir", ".")
+    scenario_dir = manifest.get("scenario_dir")
     if not isinstance(scenario_dir, str):
         raise ScenarioError("manifest.json", f"'scenario_dir' is not a path in {manifest_path}")
     convergence = manifest.get("convergence")

@@ -94,6 +94,8 @@ class EvParams(_SeriesParams):
 
     def __post_init__(self) -> None:
         self._check_series(positive=("H",), nonnegative=("sigma",))
+        if not np.isfinite(self.price_exponent):
+            raise ScenarioError("price.exponent", "must be finite")
 
     def game(self, points: tuple[np.ndarray, ...]) -> Game:
         """This game on the battery levels ``points`` = (x,); a node index may be a column of nodes."""

@@ -7,11 +7,12 @@ per-axis state and action lattices, which reads a model only through the
 ``Game`` of its params (semi-Lagrangian: the value table is interpolated
 multilinearly at the candidate next states, clamped beyond the lattice
 hull). The next coordinate on an axis depends only on that axis's action
-and the state, so a step searches and weights each axis on its own points
-and then gathers them into the action tuples: on the 2D lattice that is
-21 x 100 points per axis, not 441 x 100. Next states are projected onto
-[0, 1], the projected Euler step of the reflected dynamics: an agent that
-drives into a wall stays at it.
+and the state, so the next states broadcast over the product of the
+lattices and each axis is searched and weighted on its own points: on the
+2D lattice that is 21 x 100 points per axis, not 441 x 100. The lattices
+lie inside [0, 1], so the clamp at their hull gives a next state beyond a
+wall the weights of its projection onto [0, 1], the projected Euler step
+of the reflected dynamics: an agent that drives into a wall stays at it.
 Folding an overshoot back instead would hand an agent draining into the
 empty wall (g - a) dt of free charge on every step, a gain that grows as the
 step shrinks. The Monte Carlo simulator integrates the agent dynamics
@@ -64,19 +65,20 @@ def _action_lattice(g_max: float, n: int) -> np.ndarray:
 class DiscreteMdp:
     """Battery lattice MDP for the 1D game against a frozen price series.
 
-    ``params`` and ``p`` live on the MDP's (coarse) time grid.
+    ``params`` and ``price`` live on the MDP's (coarse) time grid.
     Transitions: deterministic drift dt*(a - g) plus a two-point (binomial)
     noise +-sigma*g*sqrt(dt) with probability 1/2 each, which matches the
     Brownian increment's mean and variance; branch probabilities sum to 1
-    by construction. Out-of-range positions are projected onto [0, 1] (the
-    agent stays at the wall, it does not bounce off it), so the boundary
+    by construction. The state lattice spans [0, 1], so the interpolation's
+    clamp at its hull projects out-of-range positions onto the walls (the
+    agent stays at the wall, it does not bounce off it), and the boundary
     states reflect.
     """
 
     states: np.ndarray
     actions: np.ndarray
     params: EvParams
-    p: np.ndarray
+    price: np.ndarray
 
     @property
     def tgrid(self) -> TimeGrid:
@@ -87,30 +89,28 @@ class DiscreteMdp:
         """(state lattices, action lattices), one of each per axis."""
         return (self.states,), (self.actions,)
 
-    price = property(lambda self: self.p, doc="The frozen price series.")
 
-
-def ev_mdp(params: EvParams, p: np.ndarray, n_states: int = 20, n_steps: int = 13, n_actions: int = 241) -> DiscreteMdp:
-    """Coarse MDP from fine-grid coefficients (series linearly resampled)."""
-    coarse = TimeGrid(t1=params.tgrid.t1, n_steps=n_steps)
+def ev_mdp(params: EvParams, price: np.ndarray, n_states: int = 20) -> DiscreteMdp:
+    """Coarse MDP on 13 steps with 241 actions, from fine-grid coefficients (series linearly resampled)."""
+    coarse = TimeGrid(t1=params.tgrid.t1, n_steps=13)
     return DiscreteMdp(
         states=_state_lattice(n_states),
-        actions=_action_lattice(float(np.abs(params.g).max()), n_actions),
+        actions=_action_lattice(float(np.abs(params.g).max()), 241),
         params=params.resampled(coarse),
-        p=np.interp(coarse.nodes, params.tgrid.nodes, p),
+        price=np.interp(coarse.nodes, params.tgrid.nodes, price),
     )
 
 
 @dataclass
 class PhevMdp:
-    """Minimal deterministic 2D lattice MDP for the hybrid game; ``params`` and ``r1`` live on its time grid."""
+    """Minimal deterministic 2D lattice MDP for the hybrid game; ``params`` and ``price`` (r1) live on its grid."""
 
     states1: np.ndarray
     states2: np.ndarray
     actions1: np.ndarray
     actions2: np.ndarray
     params: PhevParams
-    r1: np.ndarray
+    price: np.ndarray
 
     @property
     def tgrid(self) -> TimeGrid:
@@ -121,10 +121,8 @@ class PhevMdp:
         """(state lattices, action lattices), one of each per axis."""
         return (self.states1, self.states2), (self.actions1, self.actions2)
 
-    price = property(lambda self: self.r1, doc="The frozen price series.")
 
-
-def phev_mdp(params: PhevParams, r1: np.ndarray, n_states: int = 10) -> PhevMdp:
+def phev_mdp(params: PhevParams, price: np.ndarray, n_states: int = 10) -> PhevMdp:
     """MDP on the params' own time grid, with 21 actions per pack."""
     actions = _action_lattice(float(np.abs(params.g).max()), 21)
     return PhevMdp(
@@ -133,27 +131,27 @@ def phev_mdp(params: PhevParams, r1: np.ndarray, n_states: int = 10) -> PhevMdp:
         actions1=actions,
         actions2=actions.copy(),
         params=params,
-        r1=np.asarray(r1, dtype=float),
+        price=np.asarray(price, dtype=float),
     )
 
 
-def _interp(table: np.ndarray, lattices, points, pick) -> np.ndarray:
+def _interp(table: np.ndarray, lattices, points) -> np.ndarray:
     """Multilinear interpolation of ``table`` on the product of ``lattices``, clamped outside their hull.
 
-    ``points`` holds one coordinate array per axis, searched and weighted on
-    that axis alone; ``pick`` holds one index array per axis that gathers
-    those lower indices and weights into the output's layout. Each corner is
-    then one ``take`` from the flattened table, and the corners are summed
-    with axis 0 varying fastest.
+    ``points`` holds one coordinate array per axis, and the arrays
+    broadcast against each other: each is searched and weighted on its own
+    axis, and the output has their broadcast shape. Each corner is one
+    ``take`` from the flattened table, and the corners are summed with
+    axis 0 varying fastest.
     """
     table = np.ravel(table)
     strides = [math.prod(len(s) for s in lattices[k + 1:]) for k in range(len(lattices))]
     base, factors = 0, []
-    for s, x, index, stride in zip(lattices, points, pick, strides):
+    for s, x, stride in zip(lattices, points, strides):
         k = np.clip(np.searchsorted(s, x) - 1, 0, len(s) - 2)
         w = np.clip((x - s[k]) / (s[k + 1] - s[k]), 0.0, 1.0)
-        base = base + (k * stride)[index]
-        factors.append(((1.0 - w)[index], w[index]))
+        base = base + k * stride
+        factors.append((1.0 - w, w))
     corners = (bits[::-1] for bits in itertools.product((0, 1), repeat=len(lattices)))
     return sum(
         math.prod(f[bit] for bit, f in zip(c, factors)) * table.take(base + sum(bit * n for bit, n in zip(c, strides)))
@@ -168,25 +166,24 @@ def dp_best_response(mdp: DiscreteMdp | PhevMdp):
     action lattices of the stage cost sum_k (a_k p_k + h_k a_k^2 / 2) plus
     the running cost, plus the interpolated V(i+1, next) averaged over the
     noise shifts. Ties break toward the laziest action: the smallest
-    sum_k |a_k|, then |a_1|, |a_2|, ..., then a_1, a_2, ... (actions are
-    scanned in that order and the first minimum wins).
+    sum_k |a_k|, then |a_1|, |a_2|, ..., then a_1, a_2, ... (the rows of
+    action tuples are put in that order before the ``argmin``, whose first
+    minimum wins).
 
     The next coordinate on axis k, z_k + dt (a_k - g_k(z)), depends only on
-    a_k and the state. So each step searches and weights every axis on its
-    own (actions on that axis) x states points, and ``_interp`` gathers the
-    lower indices and weights into the scan order of the action tuples.
+    a_k and the state. So the actions of axis k take their own array axis,
+    followed by the state axes, and every step works on the broadcast
+    product of shape (*action counts, *states).
     """
     states, actions = mdp.lattices
     if min(len(s) for s in states) < 2:
         raise ValueError("need at least 2 states")
     if min(len(a) for a in actions) == 0:
         raise ValueError("empty action set")
+    grid = [a.reshape(a.shape + (1,) * len(states)) for a in np.ix_(*actions)]
     flat = [a.ravel() for a in np.meshgrid(*actions, indexing="ij")]
     size = [np.abs(a) for a in flat]
     order = np.lexsort(flat[::-1] + size[::-1] + [sum(size)])
-    pick = np.unravel_index(order, [len(a) for a in actions])
-    column = (-1,) + (1,) * len(states)
-    acts = [a[order].reshape(column) for a in flat]
     mesh = np.meshgrid(*states, indexing="ij")
     game = mdp.params.game(mesh)
     shape = mesh[0].shape
@@ -200,17 +197,15 @@ def dp_best_response(mdp: DiscreteMdp | PhevMdp):
         axes, running, noise, _ = game.step(mdp.price, j)
         eps = noise * root_dt
         shifts = (eps, -eps) if eps != 0.0 else (0.0,)
-        nxt = [z + dt * (a.reshape(column) - g) for z, a, (_, g, _) in zip(mesh, actions, axes)]
-        expected = sum(
-            _interp(value[j], states, [np.clip(x + shift, 0.0, 1.0) for x in nxt], pick) for shift in shifts
-        ) / len(shifts)
-        stage = sum(a * p for a, (p, _, _) in zip(acts, axes))
-        stage = sum((0.5 * h * a ** 2 for a, (_, _, h) in zip(acts, axes)), stage)
-        total = (dt * (stage + running) + expected).reshape(len(order), -1)
+        nxt = [z + dt * (a - g) for z, a, (_, g, _) in zip(mesh, grid, axes)]
+        expected = sum(_interp(value[j], states, [x + shift for x in nxt]) for shift in shifts) / len(shifts)
+        stage = sum(a * p for a, (p, _, _) in zip(grid, axes))
+        stage = sum((0.5 * h * a ** 2 for a, (_, _, h) in zip(grid, axes)), stage)
+        total = (dt * (stage + running) + expected).reshape(len(order), -1)[order]
         best = np.argmin(total, axis=0)  # first minimum = laziest action
         value[i] = total[best, cols].reshape(shape)
-        for out, a in zip(policy, acts):
-            out[i] = a.ravel()[best].reshape(shape)
+        for out, a in zip(policy, flat):
+            out[i] = a[order[best]].reshape(shape)
     return value, policy
 
 
@@ -222,8 +217,7 @@ def dp_deviation(mdp: DiscreteMdp | PhevMdp, dp_value: np.ndarray, v: np.ndarray
     helper, clamped beyond the outer cell centers.
     """
     nodes = [sgrid.nodes(k) for k in range(len(sgrid.shape))]
-    lattice = mdp.lattices[0]
-    v0 = _interp(v[0], nodes, lattice, np.indices([len(s) for s in lattice]))
+    v0 = _interp(v[0], nodes, np.meshgrid(*mdp.lattices[0], indexing="ij", sparse=True))
     scale = np.abs(v0).max()
     return np.abs(dp_value[0] - v0) / (scale if scale > 0.0 else 1.0)
 

@@ -38,6 +38,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ScenarioError
 from .ev import Game, _Problem, _SeriesParams
 # The shared operators under this model's names: PhevProblem calls them
 # here, so perfbench's trace rebinds them to phev.* spans.
@@ -87,6 +88,10 @@ class PhevParams(_SeriesParams):
     def __post_init__(self) -> None:
         self._check_series(positive=("Q1", "Q2"))
         self.r2 = float(self.r2)
+        if not np.isfinite(self.r2):
+            raise ScenarioError("price.r2", "must be finite")
+        if not self.price_offset >= 0.0:
+            raise ScenarioError("price.offset", "must be nonnegative")
 
     def game(self, points: tuple[np.ndarray, ...]) -> Game:
         """This game on the pack levels ``points`` = (z1, z2): pack 1 drains beta g, pack 2 (1 - beta) g."""

@@ -298,8 +298,6 @@ def validate_config(data, name_default: str = "scenario") -> dict:
     else:
         _reject_unknown(price_spec, {"offset", "r2"}, "price")
         offset = _as_number(price_spec.get("offset", 0.5), "price.offset")
-        if offset < 0.0:
-            raise ScenarioError("price.offset", "must be nonnegative")
         r2 = _as_number(_require(price_spec, "r2", "price."), "price.r2")
         price = {"offset": offset, "r2": r2}
 
@@ -418,37 +416,29 @@ def _read_two_column_csv(path: Path, fld: str) -> tuple[np.ndarray, np.ndarray]:
     return table[:, 0], table[:, 1]
 
 
-def _materialize_series(spec, tgrid: TimeGrid, base_dir: Path, fld: str) -> tuple[np.ndarray, bool]:
-    """Return (the series on the time grid, whether it was resampled); the params check its length."""
+def _materialize_series(spec, tgrid: TimeGrid, base_dir: Path, fld: str) -> np.ndarray:
+    """The series on the time grid, resampled from a mapping form; the params check its length."""
     if isinstance(spec, (int, float)):
-        return np.full(tgrid.n_nodes, float(spec)), False
+        return np.full(tgrid.n_nodes, float(spec))
     if isinstance(spec, list):
-        return np.asarray(spec, dtype=float), False
+        return np.asarray(spec, dtype=float)
     if "csv" in spec:
         times, values = _read_two_column_csv(base_dir / spec["csv"], fld)
         if np.any(np.diff(times) <= 0.0):
             raise ScenarioError(fld, "csv times must be strictly increasing")
-        return np.interp(tgrid.nodes, times, values), True
+        return np.interp(tgrid.nodes, times, values)
     times = np.asarray(spec["times"], dtype=float)
     values = np.asarray(spec["values"], dtype=float)
-    return np.interp(tgrid.nodes, times, values), True
+    return np.interp(tgrid.nodes, times, values)
 
 
-def _make_cost(spec: dict):
-    """(running, terminal) cost of the state levels (x, or z1, z2)."""
+def _make_cost(spec: dict, running: bool = False):
+    """The cost of the state levels z = (x,) or (z1, z2); a running cost takes the time t before them."""
+    skip = 1 if running else 0
     if spec["kind"] == "zero":
-        def terminal(*z):
-            return np.zeros_like(z[0])
-    else:
-        weight = spec["weight"]
-        target = spec["target"]
-
-        def terminal(*z):
-            return weight * reduce(operator.sub, z, target) ** 2  # target - z1 - z2, in order
-
-    def running(t, *z):
-        return terminal(*z)
-    return running, terminal
+        return lambda *args: np.zeros_like(args[skip])
+    weight, target = spec["weight"], spec["target"]
+    return lambda *args: weight * reduce(operator.sub, args[skip:], target) ** 2  # target - z1 - z2, in order
 
 
 def _initial_density(spec: dict, sgrid: SpaceGrid, base_dir: Path) -> np.ndarray:
@@ -483,31 +473,22 @@ def build_problem(config: ScenarioConfig):
     """Instantiate (problem, solver options, resampled-series names)."""
     data = config.data
     tgrid = TimeGrid(t1=data["horizon"], n_steps=data["time_steps"])
-    resampled: list[str] = []
-
-    def series(key: str) -> np.ndarray:
-        arr, was_resampled = _materialize_series(data["series"][key], tgrid, config.base_dir, f"series.{key}")
-        if was_resampled:
-            resampled.append(key)
-        return arr
-
     sgrid = SpaceGrid(data["space"]["cells"])
+    keys = (EvParams if data["model"] == "ev" else PhevParams).SERIES
+    series = {key: _materialize_series(data["series"][key], tgrid, config.base_dir, f"series.{key}") for key in keys}
+    resampled = [key for key in keys if isinstance(data["series"][key], dict)]
+    costs, price = data["costs"], data["price"]
     if data["model"] == "ev":
         problem_class = EvProblem
-        f_run, _ = _make_cost(data["costs"]["f"])
-        _, kappa = _make_cost(data["costs"]["kappa"])
         params = EvParams(
-            tgrid=tgrid, **{key: series(key) for key in EvParams.SERIES}, f_cost=f_run, kappa=kappa,
-            price_exponent=data["price"]["exponent"],
-            demand_coupled=data["price"]["coupled"],
+            tgrid=tgrid, **series, f_cost=_make_cost(costs["f"], running=True), kappa=_make_cost(costs["kappa"]),
+            price_exponent=price["exponent"], demand_coupled=price["coupled"],
         )
     else:
         problem_class = PhevProblem
-        s_run, _ = _make_cost(data["costs"]["s"])
-        _, xi = _make_cost(data["costs"]["xi"])
         params = PhevParams(
-            tgrid=tgrid, **{key: series(key) for key in PhevParams.SERIES}, r2=data["price"]["r2"],
-            s_cost=s_run, xi=xi, price_offset=data["price"]["offset"],
+            tgrid=tgrid, **series, r2=price["r2"], s_cost=_make_cost(costs["s"], running=True),
+            xi=_make_cost(costs["xi"]), price_offset=price["offset"],
         )
     m0 = _initial_density(data["initial_density"], sgrid, config.base_dir)
     problem = problem_class(params=params, sgrid=sgrid, m0=m0)

@@ -230,16 +230,19 @@ def test_verify_and_oracle_read_scenario_csvs_from_the_scenario_dir(csv_scenario
     assert capsys.readouterr().out == clean
 
 
-def test_manifest_without_scenario_dir_reads_from_the_cwd(csv_scenario_run, capsys, monkeypatch):
+def test_manifest_without_scenario_dir_is_an_error(csv_scenario_run, capsys, monkeypatch):
+    # every hash-checked manifest records scenario_dir, so one without it was
+    # edited by hand: it is named, and the working directory is no fallback
     manifest_path = csv_scenario_run / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     assert Path(manifest.pop("scenario_dir")) == (csv_scenario_run.parent / "scn").resolve()
     manifest_path.write_text(json.dumps(manifest))
-    assert cli.main(["verify", str(csv_scenario_run)]) == 1
-    assert "series.d: file not found" in capsys.readouterr().err
     monkeypatch.chdir(csv_scenario_run.parent / "scn")
-    assert cli.main(["verify", str(csv_scenario_run)]) == 0
-    assert capsys.readouterr().out.startswith("PASS")
+    for command in ("verify", "oracle"):
+        assert cli.main([command, str(csv_scenario_run)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: manifest.json: 'scenario_dir' is not a path in {manifest_path}\n"
+        assert captured.out == ""
 
 
 # (the manifest written from the exported one, a fragment of the error)

@@ -63,7 +63,7 @@ def _flat_mdp(
         states=np.linspace(0.0, 1.0, n_states),
         actions=np.asarray(actions, dtype=float),
         params=params,
-        p=const(p),
+        price=const(p),
     )
 
 
@@ -80,7 +80,7 @@ def test_ev_mdp_lattice_and_actions():
         kappa=lambda s: (1.0 - s) ** 2,
     )
     p = np.linspace(1.0, 2.0, n)
-    mdp = ev_mdp(params, p, n_states=20, n_steps=8, n_actions=41)
+    mdp = ev_mdp(params, p, n_states=20)
     assert mdp.states[0] == 0.0 and mdp.states[-1] == 1.0
     assert len(mdp.states) == 20
     # action lattice symmetric about zero and spanning at least +-3 g_max
@@ -88,9 +88,9 @@ def test_ev_mdp_lattice_and_actions():
     assert 0.0 in mdp.actions
     assert mdp.actions.max() >= 3.0 * params.g.max() - 1e-12
     # coarse series keep the endpoints of the fine ones
-    assert mdp.tgrid.n_steps == 8
+    assert mdp.tgrid.n_steps == 13
     assert mdp.params.g[0] == params.g[0] and mdp.params.g[-1] == params.g[-1]
-    assert mdp.p[0] == p[0] and mdp.p[-1] == p[-1]
+    assert mdp.price[0] == p[0] and mdp.price[-1] == p[-1]
 
 
 @pytest.mark.parametrize(
@@ -169,7 +169,7 @@ def _enumerate_value(mdp):
                 hits = np.nonzero(np.isclose(s, nxt, atol=1e-12))[0]
                 assert hits.size == 1, "micro-instance transition left the lattice"
                 stage = (
-                    a * mdp.p[j]
+                    a * mdp.price[j]
                     + 0.5 * mdp.params.H[j] * a * a
                     + float(mdp.params.f_cost(mdp.tgrid.nodes[j], np.array([x]))[0])
                 )
@@ -245,7 +245,7 @@ def test_dp_satisfies_bellman_recursion(n_states, n_steps, n_actions, g, sigma, 
                 up = min(max(nxt + eps, 0.0), 1.0)
                 dn = min(max(nxt - eps, 0.0), 1.0)
                 expected = 0.5 * (np.interp(up, s, value[j]) + np.interp(dn, s, value[j]))
-                stage = a * mdp.p[j] + 0.5 * mdp.params.H[j] * a * a + f_w * (1.0 - x) ** 2
+                stage = a * mdp.price[j] + 0.5 * mdp.params.H[j] * a * a + f_w * (1.0 - x) ** 2
                 q.append(dt * stage + expected)
             q = np.asarray(q)
             assert value[i][k] <= q.min() + 1e-12
@@ -279,7 +279,7 @@ def _flat_phev_mdp(
         actions1=np.asarray(actions, dtype=float),
         actions2=np.asarray(actions, dtype=float),
         params=PhevParams(tgrid=tg, g=const(g), Q1=const(Q), Q2=const(Q), r2=r2, s_cost=s_cost, xi=xi),
-        r1=const(r1),
+        price=const(r1),
     )
 
 
@@ -345,7 +345,7 @@ def test_phev_dp_matches_pair_enumeration():
                         n1 = min(max(z1 + dt * (a1 - b * mdp.params.g[j]), 0.0), 1.0)
                         n2 = min(max(z2 + dt * (a2 - (1.0 - b) * mdp.params.g[j]), 0.0), 1.0)
                         stage = (
-                            a1 * mdp.r1[j]
+                            a1 * mdp.price[j]
                             + a2 * mdp.params.r2
                             + 0.5 * mdp.params.Q1[j] * a1 * a1
                             + 0.5 * mdp.params.Q2[j] * a2 * a2
@@ -496,7 +496,7 @@ def test_dp_is_bit_identical_to_the_per_tuple_induction_in_1d(seed):
         states=np.linspace(0.0, 1.0, 7),
         actions=np.sort(np.concatenate(([-4.0, 0.0, 4.0], rng.uniform(-4.0, 4.0, 8)))),
         params=params,
-        p=rng.uniform(0.0, 2.0, n),
+        price=rng.uniform(0.0, 2.0, n),
     )
     assert np.all(params.sigma * params.g > 0.0)
     _assert_tables_equal(mdp)
@@ -525,9 +525,33 @@ def test_dp_is_bit_identical_to_the_per_tuple_induction_in_2d(seed):
         actions1=np.sort(np.concatenate(([-3.0, 0.0, 3.0], rng.uniform(-3.0, 3.0, 4)))),
         actions2=np.sort(np.concatenate(([-3.0, 0.0, 3.0], rng.uniform(-3.0, 3.0, 1)))),
         params=params,
-        r1=rng.uniform(0.0, 2.0, n),
+        price=rng.uniform(0.0, 2.0, n),
     )
     _assert_tables_equal(mdp)
+
+
+@pytest.mark.parametrize(
+    "cells, lattice",
+    [((10,), (np.linspace(0.0, 1.0, 7),)), ((6, 9), ((np.arange(5) + 0.5) / 5, (np.arange(4) + 0.5) / 4))],
+    ids=["1d", "2d"],
+)
+def test_dp_deviation_interpolates_as_the_per_tuple_reference(cells, lattice):
+    # the solver's field is read on the lattice bit for bit as the per-point
+    # interpolation reads it; the 1D lattice reaches past the outer centers
+    rng = np.random.default_rng(4)
+    sgrid = SpaceGrid(cells)
+    if len(cells) == 1:
+        mdp = _flat_mdp()
+        (mdp.states,) = lattice
+    else:
+        mdp = _flat_phev_mdp()
+        mdp.states1, mdp.states2 = lattice
+    v = rng.uniform(-1.0, 2.0, (mdp.tgrid.n_nodes, *cells))
+    dp_value = rng.uniform(-1.0, 2.0, (mdp.tgrid.n_nodes, *map(len, lattice)))
+    nodes = [sgrid.nodes(k) for k in range(len(cells))]
+    v0 = _per_tuple_interp(v[0], nodes, np.meshgrid(*lattice, indexing="ij"))
+    expected = np.abs(dp_value[0] - v0) / np.abs(v0).max()
+    assert np.array_equal(dp_deviation(mdp, dp_value, v, sgrid), expected)
 
 
 def test_phev_mdp_uses_cell_centered_states():
@@ -872,9 +896,9 @@ def test_operators_read_a_model_only_through_its_game(model):
     results = []
     for which in (params, stub):
         if model == "ev":
-            mdp = DiscreteMdp(states=states, actions=actions, params=which, p=p)
+            mdp = DiscreteMdp(states=states, actions=actions, params=which, price=p)
         else:
-            mdp = PhevMdp(states1=states, states2=states, actions1=actions, actions2=actions, params=which, r1=p)
+            mdp = PhevMdp(states1=states, states2=states, actions1=actions, actions2=actions, params=which, price=p)
         v, control = hjb_backward_sweep(p, which, sgrid)
         again = optimal_control(v, p, which, sgrid)
         m = fpk_forward_sweep(control, m0, which, sgrid)

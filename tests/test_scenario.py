@@ -1,5 +1,6 @@
 """Scenario documents: validation, overrides, hashing, and run exports."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -193,7 +194,6 @@ def test_triangle_support_message_names_interval():
     [
         (lambda d: d["space"].update(cells=16), "space.cells"),
         (lambda d: d["price"].pop("r2"), "price.r2"),
-        (lambda d: d["price"].update(offset=-0.1), "price.offset"),
         (lambda d: d["initial_density"].update(mean=0.4), "initial_density.mean"),
         (lambda d: d["initial_density"].update(variance=0.0), "variance"),
         (lambda d: d.update(initial_density={"kind": "triangle", "center": 0.5, "halfwidth": 0.2}), "kind"),
@@ -264,9 +264,15 @@ def _phev_params(**series):
         ("phev", lambda d: d["series"].update(Q1=0.0), lambda: _phev_params(Q1=0.0)),
         ("phev", lambda d: d["series"].update(Q2=-1.0), lambda: _phev_params(Q2=-1.0)),
         ("phev", lambda d: d["series"].update(g={"csv": "nan.csv"}), lambda: _phev_params(g=np.nan)),
+        ("ev", lambda d: d.update(price={"exponent": float("nan")}),
+         lambda: dataclasses.replace(_ev_params(), price_exponent=float("nan"))),
+        ("phev", lambda d: d["price"].update(offset=-1.0),
+         lambda: dataclasses.replace(_phev_params(), price_offset=-1.0)),
+        ("phev", lambda d: d["price"].update(r2=float("inf")),
+         lambda: dataclasses.replace(_phev_params(), r2=float("inf"))),
     ],
     ids=["horizon", "horizon-inf", "time_steps", "cells", "cells-2d", "max_iters", "tol", "tol-nan", "damping",
-         "length",         "H", "sigma", "finite", "Q1", "Q2", "finite-2d"],
+         "length",         "H", "sigma", "finite", "Q1", "Q2", "finite-2d", "exponent", "offset", "r2"],
 )
 def test_each_range_rule_has_one_source(tmp_path, model, mutate, construct):
     # the document route and the object that holds the rule raise the same error
