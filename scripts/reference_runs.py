@@ -3,7 +3,7 @@
     python scripts/reference_runs.py <checkout> <out_dir>
 
 Runs ``evmfg run``, ``verify`` and ``oracle`` (default flags) on each of
-the five reference runs, every command in its own process with
+the six reference runs, every command in its own process with
 ``<checkout>/src`` as the only ``PYTHONPATH`` entry. ``<out_dir>/<run>.txt``
 gets each command's exit code, stdout and stderr, with the run directory
 replaced by ``<RUN>``, then the sha256 of every exported CSV and of every
@@ -32,6 +32,8 @@ RUNS = {
     "ev_stiff_fine": ("ev_weekend", ["space.cells=400", "series.H=3.0", "price.exponent=4.0"]),
     "phev_io": ("phev_flat", ["space.cells=[64,64]", "time_steps=47"]),
     "ev_24x40": ("ev_weekend", ["time_steps=24", "space.cells=40"]),
+    # Like ev_stiff_fine, it takes numerics.diffuse where diffusion alone breaks the explicit bound.
+    "ev_800": ("ev_weekend", ["space.cells=800"]),
 }
 
 

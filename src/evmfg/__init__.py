@@ -21,6 +21,7 @@ from .numerics import (
     diff2,
     diff_central,
     diff_upwind,
+    diffuse,
     integrate,
     mean_rate,
     space_mean,
@@ -72,6 +73,7 @@ __all__ = [
     "diff_central",
     "diff_upwind",
     "diff2",
+    "diffuse",
     "integrate",
     "space_mean",
     "mean_rate",

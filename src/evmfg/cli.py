@@ -14,8 +14,9 @@ check is within 0.1 sup-t L1 distance and the run's largest |alpha| lies
 within the DP's action lattice (a stderr line gives both when it does not).
 
 ``verify`` and ``oracle`` read a run's fields from the binary twins of its
-CSVs, after checking each file they read against the sha256 its manifest
-records; a changed byte is an error that names the file.
+CSVs, after checking each file they read, the scenario's input CSVs
+included, against the sha256 its manifest records; a changed byte is an
+error that names the file.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .scenario import (
     ScenarioConfig,
     apply_overrides,
     build_problem,
+    check_inputs,
     export_results,
     load_scenario,
     read_field_csv,
@@ -104,7 +106,8 @@ def _load_run(
     the others are left None. By default every field is read; the price
     series always is. Each is read from its binary twin once the CSV and
     the twin match the sha256 the manifest records. Scenario CSV paths
-    resolve against the manifest's ``scenario_dir``.
+    resolve against the manifest's ``scenario_dir``, and each input CSV
+    must match its sha256 in the manifest's ``input_sha256``.
     """
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
@@ -126,7 +129,11 @@ def _load_run(
     if not isinstance(digests, dict):
         raise ScenarioError("manifest.json", f"no 'sha256' mapping in {manifest_path}; a run written "
                                              "before run files were hash-checked must be re-run")
+    inputs = manifest.get("input_sha256", {})  # absent from a run of a scenario with no input CSV
+    if not isinstance(inputs, dict):
+        raise ScenarioError("manifest.json", f"'input_sha256' is not a mapping in {manifest_path}")
     config = ScenarioConfig(data=validate_config(manifest["scenario"]), base_dir=Path.cwd() / scenario_dir)
+    check_inputs(config, inputs)
     problem, _, _ = build_problem(config)
     shape = (problem.tgrid.n_nodes,) + problem.sgrid.shape
     _, stems, price = RUN_LAYOUT[config.model]

@@ -14,8 +14,14 @@ against the price p_t set by aggregate demand. The equilibrium couples:
   FPK (forward):   dm/dt = -d/dx[(alpha* - g) m] + sigma^2 g^2 / 2 * d2m/dx2
   price:           p = ([g + d/dt int x m]+ + d)^exponent
 
-Sweeps are explicit with per-step substepping so every update stays a convex
-combination (positivity and mass conservation are structural, not enforced).
+Sweeps step advection explicitly, with per-step substepping so every update
+stays a convex combination (positivity and mass conservation are structural,
+not enforced). Diffusion joins the substeps unless it alone breaks their
+bound (dt sigma^2 g^2 / dx^2 > ``SUBSTEP_SAFETY``); then the step applies the
+exact exponential of the diffusion operator (``numerics.diffuse``) once, after
+the value substeps and before the density substeps, so the substeps see only
+the advection rate. Mass stays exact to roundoff, positivity to FFT roundoff
+(about 1e-14, which ``_check_density_slice`` clamps).
 The value sweep uses the monotone upwind Hamiltonian of Achdou &
 Capuzzo-Dolcetta (SIAM J. Numer. Anal. 48(3), 2010): the transport term
 reads the forward difference where the drift alpha - g is positive and the
@@ -37,7 +43,17 @@ import numpy as np
 
 from .errors import DivergenceError, ScenarioError
 from .grids import SpaceGrid, TimeGrid
-from .numerics import AxisIndex, axis_index, diff2, diff_upwind, integrate, mean_rate, substep_count
+from .numerics import (
+    SUBSTEP_SAFETY,
+    AxisIndex,
+    axis_index,
+    diff2,
+    diff_upwind,
+    diffuse,
+    integrate,
+    mean_rate,
+    substep_count,
+)
 from .numerics import diff_central  # noqa: F401  (perfbench's trace rebinds it by name)
 
 # Roundoff negativity is clamped; anything beyond this is a scheme failure.
@@ -210,14 +226,31 @@ def _hamiltonian_sum(v, axes, geometry) -> tuple[np.ndarray, list[np.ndarray]]:
     return ham, minimisers
 
 
+def _split_diffusion(dt: float, diff: float, dx2: float) -> tuple[float, float, float]:
+    """(explicit rate, explicit coefficient, exact time) of the diffusion diff / 2 d2/dx2 over a step dt.
+
+    Where diffusion alone breaks the substep bound, dt diff / dx2 >
+    ``SUBSTEP_SAFETY``, the sweep diffuses exactly (``diffuse``) for the
+    time dt diff / 2 and the substeps carry none of it: (0, 0, dt diff / 2).
+    Elsewhere it stays in the substeps: (diff / dx2, diff / 2, 0).
+    """
+    rate = diff / dx2
+    if dt * rate > SUBSTEP_SAFETY:
+        return 0.0, 0.0, 0.5 * diff * dt
+    return rate, 0.5 * diff, 0.0
+
+
 def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid):
-    """Explicit backward value sweep of either game, v(T, .) = the terminal cost: (v, control).
+    """Backward value sweep of either game, v(T, .) = the terminal cost: (v, control).
 
     Each step reads the params' game at its right endpoint and takes equal
-    substeps within the stability bound of the rate sum
-    max|a - g| / dx + diff / dx^2, so every substep is monotone. The control
-    equals ``optimal_control(v, p, params, sgrid)``: one field per axis,
-    (alpha,) for the battery and (mu1, mu2) for the packs.
+    explicit substeps within the stability bound of the rate sum
+    max|a - g| / dx + diff / dx^2, so every substep is monotone. Where the
+    diffusion term alone breaks that bound (``_split_diffusion``), the
+    substeps advect only and the step ends with the exact diffusion
+    ``diffuse``: advect, then diffuse. The control equals
+    ``optimal_control(v, p, params, sgrid)``: one field per axis, (alpha,)
+    for the battery and (mu1, mu2) for the packs.
     """
     tgrid = params.tgrid
     game = params.game(sgrid.meshes())
@@ -234,7 +267,7 @@ def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid):
         axes, running, _, diff = game.step(p, j)
         cur = v[j]
         ham, minimisers = _hamiltonian_sum(cur, axes, geometry)
-        rate = diff / dx2
+        rate, half_diff, diffusion_time = _split_diffusion(tgrid.dt, diff, dx2)
         for out, (_, g, _), a, (dx, _) in zip(control, axes, minimisers, geometry):
             out[j] = a
             rate += float(np.abs(a - g).max()) / dx
@@ -242,14 +275,15 @@ def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid):
             raise DivergenceError("non-finite coefficients in backward sweep", i)
         n_sub = substep_count(tgrid.dt, rate)
         dt_sub = tgrid.dt / n_sub
-        half_diff = 0.5 * diff
         for k in range(n_sub):
             if k:
                 ham, _ = _hamiltonian_sum(cur, axes, geometry)
             upd = ham + running
-            if diff > 0.0:
+            if half_diff > 0.0:
                 upd = upd + half_diff * diff2(cur, sgrid)
             cur = cur + dt_sub * upd
+        if diffusion_time:
+            cur = diffuse(cur, diffusion_time, sgrid)
         if not np.all(np.isfinite(cur)):
             raise DivergenceError("value slice is not finite", i)
         v[i] = cur
@@ -266,11 +300,15 @@ def _outflow_rate(drift: np.ndarray, dx: float, at: AxisIndex) -> float:
 
 
 def fpk_forward_sweep(alpha, m0: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid) -> np.ndarray:
-    """Explicit forward density sweep of either game under the drifts alpha_k - g_k.
+    """Forward density sweep of either game under the drifts alpha_k - g_k.
 
     ``alpha`` is a control of ``optimal_control``'s shape: one field per
     axis, (alpha,) for the battery and (mu1, mu2) for the packs. Each step
-    reads the params' game at its left endpoint.
+    reads the params' game at its left endpoint and takes explicit upwind
+    substeps as the value sweep does. Where the diffusion term alone breaks
+    their bound (``_split_diffusion``), the step first diffuses exactly
+    (``diffuse``) and the substeps advect only: the value step's order,
+    transposed.
     """
     tgrid = params.tgrid
     game = params.game(sgrid.meshes())
@@ -281,20 +319,19 @@ def fpk_forward_sweep(alpha, m0: np.ndarray, params: _SeriesParams, sgrid: Space
     for i in range(tgrid.n_steps):
         drains, _, diff = game.transport(i)
         drifts = [a[i] - g for a, g in zip(alpha, drains)]
-        rate = diff / dx2
+        rate, half_diff, diffusion_time = _split_diffusion(tgrid.dt, diff, dx2)
         for drift, (dx, at) in zip(drifts, geometry):
             rate += _outflow_rate(drift, dx, at)
         if not np.isfinite(rate):
             raise DivergenceError("non-finite drift in forward sweep", i + 1)
         n_sub = substep_count(tgrid.dt, rate)
         dt_sub = tgrid.dt / n_sub
-        half_diff = 0.5 * diff
-        cur = m[i]
+        cur = diffuse(m[i], diffusion_time, sgrid) if diffusion_time else m[i]
         for _ in range(n_sub):
             upd = -diff_upwind(cur, drifts[0], sgrid, 0)
             for axis in range(1, len(drifts)):
                 upd = upd - diff_upwind(cur, drifts[axis], sgrid, axis)
-            if diff > 0.0:
+            if half_diff > 0.0:
                 upd = upd + half_diff * diff2(cur, sgrid)
             cur = cur + dt_sub * upd
         m[i + 1] = _check_density_slice(cur, i + 1)

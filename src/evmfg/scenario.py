@@ -339,9 +339,9 @@ def bundled_scenarios() -> list[str]:
 
 
 def load_scenario(path_or_name: str | Path) -> ScenarioConfig:
-    """Load a scenario from a file path or a bundled scenario name."""
+    """Load a scenario from a file path or a bundled scenario name (a directory is neither)."""
     path = Path(path_or_name)
-    if path.exists():
+    if path.is_file():
         text = path.read_text()
         base_dir = path.parent
         stem = path.stem
@@ -469,6 +469,26 @@ def _initial_density(spec: dict, sgrid: SpaceGrid, base_dir: Path) -> np.ndarray
     return values / total
 
 
+def scenario_inputs(data: dict) -> dict[str, str]:
+    """The CSVs a scenario reads, scenario field -> path relative to its directory: ``{csv}`` series, a histogram."""
+    inputs = {f"series.{key}": spec["csv"] for key, spec in data["series"].items()
+              if isinstance(spec, dict) and "csv" in spec}
+    if data["initial_density"]["kind"] == "histogram":
+        inputs["initial_density"] = data["initial_density"]["csv"]
+    return inputs
+
+
+def check_inputs(config: ScenarioConfig, digests: dict) -> None:
+    """Raise ``ScenarioError`` on the field of the first input CSV whose bytes differ from its sha256 in ``digests``."""
+    for fld, name in scenario_inputs(config.data).items():
+        path = Path(config.base_dir) / name
+        if name not in digests:
+            raise ScenarioError(f"{fld}.csv", f"manifest.json records no sha256 for {path}; re-run to record it")
+        if digests[name] != _sha256_file(path):
+            raise ScenarioError(f"{fld}.csv", f"{path} does not match its sha256 in manifest.json "
+                                              "(changed since the run)")
+
+
 def build_problem(config: ScenarioConfig):
     """Instantiate (problem, solver options, resampled-series names)."""
     data = config.data
@@ -556,7 +576,9 @@ def export_results(
     """Write the ``RUN_LAYOUT`` files and their twins, the model's summaries and the run manifest.
 
     Returns the file names. The manifest's ``sha256`` maps every file but
-    itself to the sha256 of its bytes.
+    itself to the sha256 of its bytes, and ``input_sha256`` each input CSV
+    of the scenario (``scenario_inputs``, by its path relative to
+    ``scenario_dir``) to the sha256 of its bytes.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -591,6 +613,8 @@ def export_results(
         },
         "resampled_series": sorted(resampled or []),
         "sha256": digests,
+        "input_sha256": {name: _sha256_file(Path(config.base_dir) / name)
+                         for name in scenario_inputs(config.data).values()},
         "wall_time_s": wall_time,
     }
     with open(out / "manifest.json", "w") as handle:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import hashlib
 import json
 import os
 import re
@@ -230,6 +231,31 @@ def test_verify_and_oracle_read_scenario_csvs_from_the_scenario_dir(csv_scenario
     assert capsys.readouterr().out == clean
 
 
+def test_a_changed_input_csv_is_named(csv_scenario_run, capsys):
+    d_csv = csv_scenario_run.parent / "scn" / "d.csv"
+    manifest = json.loads((csv_scenario_run / "manifest.json").read_text())
+    assert manifest["input_sha256"] == {"d.csv": hashlib.sha256(d_csv.read_bytes()).hexdigest()}
+    d_csv.write_text("t,value\n0.0,0.9\n0.1,0.9\n0.2,0.7\n")
+    for command in ("verify", "oracle"):
+        assert cli.main([command, str(csv_scenario_run)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: series.d.csv: {d_csv.resolve()} does not match its sha256 "
+                                "in manifest.json (changed since the run)\n")
+
+
+def test_an_input_csv_without_a_recorded_sha256_is_named(csv_scenario_run, capsys):
+    # what a run exported before the input CSVs were hash-checked holds
+    manifest_path = csv_scenario_run / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["input_sha256"]
+    manifest_path.write_text(json.dumps(manifest))
+    assert cli.main(["verify", str(csv_scenario_run)]) == 1
+    d_csv = (csv_scenario_run.parent / "scn" / "d.csv").resolve()
+    assert capsys.readouterr().err == (f"error: series.d.csv: manifest.json records no sha256 for {d_csv}; "
+                                       "re-run to record it\n")
+
+
 def test_manifest_without_scenario_dir_is_an_error(csv_scenario_run, capsys, monkeypatch):
     # every hash-checked manifest records scenario_dir, so one without it was
     # edited by hand: it is named, and the working directory is no fallback
@@ -260,6 +286,8 @@ MALFORMED_MANIFESTS = {
     "no-sha256": (lambda real: {k: v for k, v in real.items() if k != "sha256"},
                   "no 'sha256' mapping in {path}; a run written before run files were hash-checked must be re-run"),
     "sha256-not-a-mapping": (lambda real: {**real, "sha256": ["m.csv"]}, "no 'sha256' mapping"),
+    "input_sha256-not-a-mapping": (lambda real: {**real, "input_sha256": ["d.csv"]},
+                                   "'input_sha256' is not a mapping in {path}"),
 }
 
 

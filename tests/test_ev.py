@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evmfg
+import evmfg.ev as ev_module
 from evmfg import (
     DivergenceError,
     EvParams,
@@ -22,6 +23,7 @@ from evmfg import (
     optimal_control,
     space_mean,
 )
+from evmfg.numerics import SUBSTEP_SAFETY
 
 ZERO = staticmethod(lambda t, x: np.zeros_like(x))
 
@@ -397,6 +399,44 @@ def test_fpk_mean_transport_consistency():
     for i in range(tgrid.n_steps):
         drift_mean = integrate((alpha[i] - params.g[i]) * m[i], sgrid)
         assert abs(rates[i] - drift_mean) <= 2.0 * (sgrid.spacing(0) + tgrid.dt)
+
+
+# ---------------------------------------------------------------------------
+# sweeps where diffusion alone breaks the explicit bound (numerics.diffuse)
+
+
+def exact_diffusion_steps(problem) -> int:
+    """How many steps of the problem's sweeps diffuse exactly rather than in substeps."""
+    params, dx = problem.params, problem.sgrid.spacing(0)
+    return int(np.sum(problem.tgrid.dt * (params.sigma * params.g) ** 2 / dx ** 2 > SUBSTEP_SAFETY))
+
+
+def test_fpk_keeps_unit_mass_with_exact_diffusion():
+    config = evmfg.apply_overrides(evmfg.load_scenario("ev_weekend"), ["space.cells=400"])
+    problem, _, _ = evmfg.build_problem(config)
+    assert exact_diffusion_steps(problem) > 0
+    _, control = problem.hjb(problem.price(problem.initial_iterate()))
+    m = problem.fpk(control)
+    np.testing.assert_allclose(m.sum(axis=1) * problem.cell_volume, 1.0, rtol=0, atol=1e-12)
+
+
+def test_exact_diffusion_negativity_is_roundoff(monkeypatch):
+    # The FFT leaves negatives of order 1e-14 where the density is near 0;
+    # _check_density_slice clamps them. Anything near -1e-12 is not roundoff.
+    config = evmfg.apply_overrides(
+        evmfg.load_scenario("ev_weekend"), ["space.cells=400", "series.H=3.0", "price.exponent=4.0"])
+    problem, options, _ = evmfg.build_problem(config)
+    assert exact_diffusion_steps(problem) > 0
+    lows = []
+    check = ev_module._check_density_slice
+
+    def recording(m, time_node):
+        lows.append(float(m.min()))
+        return check(m, time_node)
+
+    monkeypatch.setattr(ev_module, "_check_density_slice", recording)
+    assert evmfg.solve_mfe(problem, options).converged
+    assert min(lows) >= -1e-12
 
 
 # ---------------------------------------------------------------------------

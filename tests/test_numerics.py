@@ -11,6 +11,7 @@ from evmfg import (
     diff2,
     diff_central,
     diff_upwind,
+    diffuse,
     integrate,
     mean_rate,
     space_mean,
@@ -171,6 +172,52 @@ def test_diff2_2d_conserves_mass():
     f = rng.random((6, 6))
     for axis in (0, 1):
         assert abs(integrate(diff2(f, sg, axis=axis), sg)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# diffuse: the exact exponential exp(kappa * diff2)
+
+
+def _dense_exponential(n: int, kappa: float) -> np.ndarray:
+    """Q diag(exp(kappa lambda)) Q^T from the eigendecomposition of the dense diff2 matrix."""
+    sg = SpaceGrid((n,))
+    lam, q = np.linalg.eigh(np.array([diff2(e, sg) for e in np.eye(n)]).T)
+    return q @ np.diag(np.exp(kappa * lam)) @ q.T
+
+
+@pytest.mark.parametrize("n", [4, 25, 100, 400])
+def test_diffuse_matches_dense_exponential(n):
+    sg = SpaceGrid((n,))
+    x = sg.nodes(0)
+    f = 1.0 + np.sin(7.0 * x) + np.random.default_rng(n).random(n)
+    # kappa / dx^2 from an explicit-range step to past the 800-cell run's 12
+    for ratio in (0.3, 3.0, 12.0, 100.0):
+        kappa = ratio * sg.spacing(0) ** 2
+        np.testing.assert_allclose(diffuse(f, kappa, sg), _dense_exponential(n, kappa) @ f, rtol=0, atol=1e-12)
+
+
+def test_diffuse_keeps_constants_and_cell_sum():
+    sg = SpaceGrid((400,))
+    f = np.random.default_rng(4).random(400)
+    for kappa in (1e-5, 1e-3, 1.0):
+        np.testing.assert_allclose(diffuse(np.full(400, 2.5), kappa, sg), 2.5, rtol=0, atol=1e-14)
+        assert abs(diffuse(f, kappa, sg).sum() - f.sum()) <= 1e-12 * f.sum()
+
+
+def test_diffuse_composes_and_tends_to_the_mean():
+    sg = SpaceGrid((64,))
+    f = np.random.default_rng(5).random(64)
+    np.testing.assert_allclose(diffuse(diffuse(f, 2e-4, sg), 3e-4, sg), diffuse(f, 5e-4, sg), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(diffuse(f, 10.0, sg), f.mean(), rtol=0, atol=1e-14)
+
+
+def test_diffuse_along_either_axis():
+    sg = SpaceGrid((6, 7))
+    f = np.random.default_rng(6).random((6, 7))
+    rows = np.stack([diffuse(row, 0.01, SpaceGrid((7,))) for row in f])
+    cols = np.stack([diffuse(col, 0.01, SpaceGrid((6,))) for col in f.T]).T
+    np.testing.assert_allclose(diffuse(f, 0.01, sg, axis=1), rows, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(diffuse(f, 0.01, sg, axis=0), cols, rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

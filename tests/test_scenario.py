@@ -31,7 +31,7 @@ from evmfg import (
     validate_config,
     write_scenario,
 )
-from evmfg.scenario import RUN_LAYOUT, SCHEMA_TEXT, ScenarioConfig
+from evmfg.scenario import RUN_LAYOUT, SCHEMA_TEXT, ScenarioConfig, check_inputs, scenario_inputs
 
 
 def _minimal_ev(**tweaks):
@@ -114,6 +114,17 @@ def test_phev_flat_contents():
 def test_load_missing_scenario_raises():
     with pytest.raises(ScenarioError, match="not found"):
         load_scenario("no_such_scenario")
+
+
+def test_directory_is_not_a_scenario_file(tmp_path, monkeypatch):
+    # an earlier `evmfg run ev_weekend --out ev_weekend` leaves this directory
+    bundled = load_scenario("ev_weekend")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ev_weekend").mkdir()
+    (tmp_path / "mine").mkdir()
+    assert load_scenario("ev_weekend").data == bundled.data
+    with pytest.raises(ScenarioError, match="not found: mine"):
+        load_scenario("mine")
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +390,18 @@ def test_histogram_density_from_csv(tmp_path):
     assert problem.m0[-1] == pytest.approx(3.0 * problem.m0[0])
 
 
+def test_a_changed_histogram_is_named(tmp_path):
+    (tmp_path / "m0.csv").write_text("\n".join(["1.0"] * 20) + "\n")
+    cfg = ScenarioConfig(data=validate_config(_minimal_ev(initial_density={"kind": "histogram", "csv": "m0.csv"})),
+                         base_dir=tmp_path)
+    assert scenario_inputs(cfg.data) == {"initial_density": "m0.csv"}
+    digests = {"m0.csv": hashlib.sha256((tmp_path / "m0.csv").read_bytes()).hexdigest()}
+    check_inputs(cfg, digests)
+    (tmp_path / "m0.csv").write_text("\n".join(["1.0"] * 19 + ["2.0"]) + "\n")
+    with pytest.raises(ScenarioError, match=r"^initial_density.csv: .*m0.csv does not match its sha256"):
+        check_inputs(cfg, digests)
+
+
 def _phev_histogram(tmp_path, values):
     np.savetxt(tmp_path / "m0.csv", values, delimiter=",")
     doc = _minimal_phev(initial_density={"kind": "histogram", "csv": "m0.csv"})
@@ -522,6 +545,7 @@ def test_ev_manifest_contents(ev_run, ev_run_dir):
     assert manifest["convergence"]["tol"] == pytest.approx(1e-6)
     assert len(manifest["convergence"]["residuals"]) == manifest["convergence"]["iterations"]
     assert manifest["resampled_series"] == ["d", "g"]
+    assert manifest["input_sha256"] == {}  # the bundled scenario reads no CSV
     assert manifest["wall_time_s"] > 0.0
 
 
