@@ -32,6 +32,7 @@ from .oracle import (
     dp_deviation,
     ev_mdp,
     mc_population,
+    multinomial_population,
     phev_mdp,
     sample_density,
 )
@@ -102,6 +103,7 @@ __all__ = [
     "dp_best_response",
     "dp_deviation",
     "mc_population",
+    "multinomial_population",
     "sample_density",
     "ScenarioConfig",
     "load_scenario",

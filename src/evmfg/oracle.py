@@ -16,7 +16,12 @@ of the reflected dynamics: an agent that drives into a wall stays at it.
 Folding an overshoot back instead would hand an agent draining into the
 empty wall (g - a) dt of free charge on every step, a gain that grows as the
 step shrinks. The Monte Carlo simulator integrates the agent dynamics
-directly with Gaussian increments, projects the same way, and bins the
+directly with the simplified weak Euler scheme (weak order 1; Kloeden &
+Platen, Numerical Solution of Stochastic Differential Equations, 1992,
+section 14.1): the Brownian increment is replaced by the two-point one
++-sigma*g*sqrt(dt) of a fair sign, as in the DP's transitions, which has
+its mean and variance. The density it is compared on is a weak quantity,
+so the audit keeps its meaning. It projects the same way, and bins the
 population on the solver grid. It works out one half-cell index floor(2 n x)
 per agent per step and reads both the interpolated control and the bin from
 it; the result equals ``np.interp`` and ``np.histogram`` except for points
@@ -244,16 +249,23 @@ def mc_population(
     n_agents: int = 100_000,
     seed: int = 0,
 ) -> np.ndarray:
-    """Euler-Maruyama population simulation binned on the solver grid.
+    """Simplified weak Euler population simulation binned on the solver grid.
 
     ``control`` is the battery's one field (``sol.alpha[0]``), of shape
     ``(n_nodes, n_cells)``, one row per time node on the grid's cell centers,
     interpolated linearly in space and clamped beyond the outer centers, as
     ``np.interp`` does. ``tgrid`` must be ``params.tgrid``: perfbench's trace
-    reads the step count from it. One standard-normal draw per agent per
-    step, consumed in fixed agent order from a single seeded generator, so
-    the result depends only on (inputs, n_agents, seed), never on scheduling.
-    Histogram slices have unit mass exactly (integer counts over n_agents).
+    reads the step count from it.
+
+    A step with noise sigma*g != 0 moves each agent by its drift and then by
+    exactly +eps or -eps, eps = sigma*g*sqrt(dt), with one fair bit per
+    agent: the two-point increment of the simplified weak Euler scheme (see
+    the module docstring), which has the Brownian increment's mean and
+    variance. The bits are unpacked from random bytes of a single seeded
+    generator in fixed agent order, so the result depends only on (inputs,
+    n_agents, seed), never on scheduling; a step without noise draws
+    nothing. Histogram slices have unit mass exactly (integer counts over
+    n_agents).
 
     Each step works out one half-cell index per agent
     (``_half_cell_index``). The control lookup reads the linear piece of
@@ -288,13 +300,32 @@ def mc_population(
         np.multiply(drift, tgrid.dt, out=drift)
         np.add(x, drift, out=x)
         if noise != 0.0:
-            rng.standard_normal(out=work)
-            np.multiply(work, noise * sqrt_dt, out=work)
+            eps = noise * sqrt_dt
+            up = np.unpackbits(np.frombuffer(rng.bytes((n_agents + 7) // 8), np.uint8), count=n_agents)
+            np.multiply(up, 2.0 * eps, out=work)
+            np.subtract(work, eps, out=work)  # exactly +eps or -eps
             np.add(x, work, out=x)
         np.clip(x, 0.0, 1.0, out=x)
         _half_cell_index(x, sgrid.shape[0], out=k)
         _bin_population(k, sgrid, out=hist[i + 1])
     return hist
+
+
+def multinomial_population(density: np.ndarray, sgrid: SpaceGrid, n_agents: int, seed: int = 0) -> np.ndarray:
+    """One multinomial draw of ``n_agents`` agents per time node from ``density``, binned as ``mc_population`` bins.
+
+    ``density`` has shape ``(n_nodes, n_cells)``; each row, normalised to
+    unit mass, gives the cell probabilities of its node. The sup-t L1
+    distance of the result to ``density`` is the Monte Carlo audit's
+    sampling floor: what ``n_agents`` exact samples of the density read, with
+    no time stepping and no discretisation error. The draws come from a
+    generator of their own, ``default_rng(seed)``.
+    """
+    if n_agents < 1:
+        raise ValueError("need at least one agent")
+    density = np.asarray(density, dtype=float)
+    counts = np.random.default_rng(seed).multinomial(n_agents, density / density.sum(axis=1, keepdims=True))
+    return counts / (n_agents * sgrid.spacing(0))
 
 
 def _half_cell_index(x: np.ndarray, n_cells: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -348,5 +379,6 @@ def _interp_half_cells(
 
 
 def _bin_population(k: np.ndarray, sgrid: SpaceGrid, out: np.ndarray | None = None) -> np.ndarray:
-    counts = np.bincount(k >> 1, minlength=sgrid.shape[0])
+    # half cells 2j and 2j + 1 make up cell j
+    counts = np.bincount(k, minlength=2 * sgrid.shape[0]).reshape(-1, 2).sum(axis=1)
     return np.divide(counts, k.size * sgrid.spacing(0), out=out)

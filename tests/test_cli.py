@@ -334,6 +334,20 @@ def test_oracle_is_deterministic_for_a_seed(quick_run, capsys):
     assert third != first
 
 
+def test_oracle_prints_a_seeded_sampling_floor_below_the_distance(quick_run, capsys):
+    runs = []
+    for seed in ("11", "11", "12"):
+        cli.main(["oracle", str(quick_run), "--agents", "20000", "--seed", seed])
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert lines[-1].startswith("mc sampling floor: ") and lines[-2].startswith("mc density distance: ")
+        runs.append((float(lines[-1].split(": ")[1]), _parse_oracle(out)[1]))
+    assert runs[0] == runs[1]
+    assert runs[2][0] != runs[0][0]
+    for floor, mc in runs:
+        assert 0.0 < floor < mc
+
+
 def test_oracle_phev_skips_monte_carlo(phev_run_dir, capsys):
     code = cli.main(["oracle", str(phev_run_dir)])
     captured = capsys.readouterr()

@@ -22,6 +22,7 @@ from evmfg import (
     hjb_backward_sweep,
     integrate,
     mc_population,
+    multinomial_population,
     optimal_control,
     phev_mdp,
     sample_density,
@@ -680,6 +681,25 @@ def test_mc_variance_grows_like_brownian_motion():
     assert abs(var - target) / target < 0.05
 
 
+def test_mc_step_moves_every_agent_by_plus_or_minus_sigma_g_sqrt_dt():
+    # sigma g sqrt(dt) = 0.25 * 0.5 * 0.125 = 1/64, one cell of 64, and the
+    # control cancels the drain. From cell 32, x -+ 1/64 is representable
+    # (no rounding), so every agent lands in cell 31 or 33, never in between
+    # or beyond, and the share in cell 33 is the share of + steps.
+    tg = TimeGrid(t1=1.0 / 32.0, n_steps=2)  # dt = 1/64; the first step is checked
+    sg = SpaceGrid((64,))
+    params = _ev_params(tg, g=0.5, sigma=0.25)
+    m0 = np.zeros(64)
+    m0[32] = 1.0 / sg.spacing(0)
+    n = 50_001  # not a whole number of bytes of bits
+    hist = mc_population(_constant_field(tg, sg, 0.5), m0, params, tg, sg, n_agents=n, seed=5)
+    counts = np.rint(hist * n * sg.spacing(0)).astype(int)
+    np.testing.assert_array_equal(np.flatnonzero(counts[0]), [32])
+    np.testing.assert_array_equal(np.flatnonzero(counts[1]), [31, 33])
+    assert counts[1, 31] + counts[1, 33] == n
+    assert abs(counts[1, 33] - n / 2) <= 4.0 * math.sqrt(n / 4)
+
+
 def test_mc_same_seed_reproduces_bitwise():
     tg = TimeGrid(t1=0.2, n_steps=10)
     sg = SpaceGrid((20,))
@@ -703,6 +723,21 @@ def test_mc_tracks_pde_density(ev_run):
     assert dist.max() < 0.12
 
 
+def test_multinomial_population_draws_whole_agents_where_the_density_is():
+    tg = TimeGrid(t1=0.2, n_steps=10)
+    sg = SpaceGrid((20,))
+    m = np.stack([_tent_density(sg, center=c) for c in np.linspace(0.3, 0.7, tg.n_nodes)])
+    hist = multinomial_population(m, sg, 7_919, seed=4)
+    counts = hist * 7_919 * sg.spacing(0)
+    np.testing.assert_allclose(counts, np.rint(counts), atol=1e-9)
+    np.testing.assert_allclose(counts.sum(axis=1), 7_919)
+    assert np.all(counts[m == 0.0] == 0.0)
+    np.testing.assert_array_equal(hist, multinomial_population(m, sg, 7_919, seed=4))
+    assert not np.array_equal(hist, multinomial_population(m, sg, 7_919, seed=5))
+    with pytest.raises(ValueError, match="at least one agent"):
+        multinomial_population(m, sg, 0)
+
+
 # ---------------------------------------------------------------------------
 # the half-cell kernel against the np.interp / np.histogram loop it replaced
 
@@ -724,7 +759,8 @@ def _reference_mc_population(control, m0, params, tgrid, sgrid, n_agents, seed):
         x = x + tgrid.dt * (a - params.g[i])
         noise = params.sigma[i] * params.g[i]
         if noise != 0.0:
-            x = x + noise * sqrt_dt * rng.standard_normal(n_agents)
+            up = np.unpackbits(np.frombuffer(rng.bytes((n_agents + 7) // 8), np.uint8), count=n_agents)
+            x = x + noise * sqrt_dt * (2.0 * up - 1.0)
         x = np.clip(x, 0.0, 1.0)
         hist[i + 1] = bin_slice(x)
     return hist
