@@ -9,7 +9,10 @@ gets each command's exit code, stdout and stderr, with the run directory
 replaced by ``<RUN>``, then the sha256 of every exported CSV and of every
 ``.npy`` twin that ``verify`` and ``oracle`` read, then the sha256 of the
 value table and of each policy table of the DP best response that
-``oracle`` computes by default (one more process, same path).
+``oracle`` computes by default (one more process, same path). Last come
+the largest and the total substep count of one step of each sweep in the
+run's solve (one more process, same path), which show the margin under
+``evmfg.ev.SUBSTEP_BUDGET``.
 
 The output of two checkouts compares with ``diff -r``: it is empty when a
 change keeps every figure and message byte for byte, which is the check a
@@ -55,6 +58,44 @@ for name, table in [("value", value)] + [(f"policy[{k}]", a) for k, a in enumera
 """
 
 
+# The substeps of each sweep in the solve of ``evmfg run <scenario> [--set ...]``:
+# both sweeps of both games call ``evmfg.ev.substep_count`` once per step.
+SUBSTEPS = """
+import sys
+from evmfg import ev, phev
+from evmfg.scenario import apply_overrides, build_problem, load_scenario
+from evmfg.solver import solve_mfe
+
+counts, current, count = {"hjb": [], "fpk": []}, [], ev.substep_count
+
+def counted(dt, rate):
+    n = count(dt, rate)
+    counts[current[-1]].append(n)
+    return n
+
+def entered(sweep, fn):
+    def wrapper(*args, **kwargs):
+        current.append(sweep)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            current.pop()
+    return wrapper
+
+ev.substep_count = counted
+for module, prefix in ((ev, ""), (phev, "phev_")):
+    for sweep, name in (("hjb", "hjb_backward_sweep"), ("fpk", "fpk_forward_sweep")):
+        setattr(module, prefix + name, entered(sweep, getattr(module, prefix + name)))
+config = load_scenario(sys.argv[1])
+if sys.argv[2:]:
+    config = apply_overrides(config, sys.argv[2:])
+problem, options, _ = build_problem(config)
+solve_mfe(problem, options)
+for sweep, steps in counts.items():
+    print(f"{sweep} substeps: largest {max(steps)} in one step, {sum(steps)} in {len(steps)} steps")
+"""
+
+
 def _python(src: Path, cwd: str, title: str, *args: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
@@ -77,6 +118,7 @@ def record(src: Path, scenario: str, overrides: list[str]) -> str:
         for path in sorted(Path(run_dir).glob("*.csv")) + sorted(Path(run_dir).glob("*.npy")):
             lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n")
         lines.append(_python(src, tmp, "dp tables", "-c", DP_TABLES, run_dir))
+        lines.append(_python(src, tmp, "substeps", "-c", SUBSTEPS, scenario, *overrides))
         return "".join(lines).replace(run_dir, "<RUN>")
 
 

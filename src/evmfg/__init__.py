@@ -41,9 +41,6 @@ from .phev import (
     PhevProblem,
     beta,
     beta_divergence,
-    phev_fpk_forward_sweep,
-    phev_hjb_backward_sweep,
-    phev_optimal_controls,
     phev_price,
 )
 from .scenario import (
@@ -91,9 +88,6 @@ __all__ = [
     "beta",
     "beta_divergence",
     "phev_price",
-    "phev_optimal_controls",
-    "phev_hjb_backward_sweep",
-    "phev_fpk_forward_sweep",
     "SolverOptions",
     "MfeSolution",
     "solve_mfe",

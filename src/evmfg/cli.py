@@ -201,7 +201,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioError, DivergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

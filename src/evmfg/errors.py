@@ -6,7 +6,7 @@ import numbers
 
 
 class DivergenceError(RuntimeError):
-    """A sweep produced NaN/Inf values.
+    """A sweep produced NaN/Inf values, or one of its steps would take more substeps than its budget.
 
     Carries the time node index at which the blow-up was detected so the
     caller can report where the explicit scheme lost stability.

@@ -21,7 +21,10 @@ bound (dt sigma^2 g^2 / dx^2 > ``SUBSTEP_SAFETY``); then the step applies the
 exact exponential of the diffusion operator (``numerics.diffuse``) once, after
 the value substeps and before the density substeps, so the substeps see only
 the advection rate. Mass stays exact to roundoff, positivity to FFT roundoff
-(about 1e-14, which ``_check_density_slice`` clamps).
+(about 1e-14, which ``_check_density_slice`` clamps). Both sweeps take that
+split, the substep count and its length from one step plan (``_step_plan``),
+which stops a step that would need more than ``SUBSTEP_BUDGET`` substeps
+before it starts them.
 The value sweep uses the monotone upwind Hamiltonian of Achdou &
 Capuzzo-Dolcetta (SIAM J. Numer. Anal. 48(3), 2010): the transport term
 reads the forward difference where the drift alpha - g is positive and the
@@ -59,6 +62,10 @@ from .numerics import diff_central  # noqa: F401  (perfbench's trace rebinds it 
 # Roundoff negativity is clamped; anything beyond this is a scheme failure.
 NEGATIVITY_HARD_LIMIT = 1e-8
 MASS_TOLERANCE = 1e-6
+# The most substeps one sweep step may take. The most that a run known to
+# converge asks for is 336,773 (143 x 100 with H = 1, exponent 4, after 137
+# iterations); runs that never end ask for millions after a price overshoot.
+SUBSTEP_BUDGET = 500_000
 
 
 class _SeriesParams:
@@ -97,6 +104,7 @@ class EvParams(_SeriesParams):
     """Model coefficients; all series carry one value per node of ``tgrid``."""
 
     SERIES = ("g", "d", "sigma", "H")
+    COSTS = ("f", "kappa")  # the scenario's cost keys: running, then terminal
 
     tgrid: TimeGrid
     g: np.ndarray
@@ -226,18 +234,28 @@ def _hamiltonian_sum(v, axes, geometry) -> tuple[np.ndarray, list[np.ndarray]]:
     return ham, minimisers
 
 
-def _split_diffusion(dt: float, diff: float, dx2: float) -> tuple[float, float, float]:
-    """(explicit rate, explicit coefficient, exact time) of the diffusion diff / 2 d2/dx2 over a step dt.
+def _step_plan(dt: float, diff: float, dx2: float, rates, what: str, node: int) -> tuple[int, float, float, float]:
+    """(substeps, substep length, explicit coefficient, exact diffusion time) of a sweep step dt.
 
-    Where diffusion alone breaks the substep bound, dt diff / dx2 >
-    ``SUBSTEP_SAFETY``, the sweep diffuses exactly (``diffuse``) for the
-    time dt diff / 2 and the substeps carry none of it: (0, 0, dt diff / 2).
-    Elsewhere it stays in the substeps: (diff / dx2, diff / 2, 0).
+    The explicit rate sums the diffusion rate diff / dx2, then the per-axis
+    advection ``rates``. Where diffusion alone breaks the substep bound
+    (dt diff / dx2 > ``SUBSTEP_SAFETY``), it leaves the substeps, which then
+    carry none of it, for an exact ``diffuse`` over the time dt diff / 2. A
+    rate that is not finite or needs more than ``SUBSTEP_BUDGET`` substeps
+    raises ``DivergenceError`` on the sweep's ``what`` at ``node``.
     """
-    rate = diff / dx2
+    rate, half_diff, diffusion_time = diff / dx2, 0.5 * diff, 0.0
     if dt * rate > SUBSTEP_SAFETY:
-        return 0.0, 0.0, 0.5 * diff * dt
-    return rate, 0.5 * diff, 0.0
+        rate, half_diff, diffusion_time = 0.0, 0.0, 0.5 * diff * dt
+    for axis_rate in rates:
+        rate += axis_rate
+    if not np.isfinite(rate):
+        raise DivergenceError(f"non-finite {what}", node)
+    n_sub = substep_count(dt, rate)
+    if n_sub > SUBSTEP_BUDGET:
+        raise DivergenceError(f"{n_sub} substeps in one step at rate {rate:.6g}, over the budget of "
+                              f"{SUBSTEP_BUDGET}, for the {what}", node)
+    return n_sub, dt / n_sub, half_diff, diffusion_time
 
 
 def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid):
@@ -246,7 +264,7 @@ def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid):
     Each step reads the params' game at its right endpoint and takes equal
     explicit substeps within the stability bound of the rate sum
     max|a - g| / dx + diff / dx^2, so every substep is monotone. Where the
-    diffusion term alone breaks that bound (``_split_diffusion``), the
+    diffusion term alone breaks that bound (``_step_plan``), the
     substeps advect only and the step ends with the exact diffusion
     ``diffuse``: advect, then diffuse. The control equals
     ``optimal_control(v, p, params, sgrid)``: one field per axis, (alpha,)
@@ -267,14 +285,11 @@ def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid):
         axes, running, _, diff = game.step(p, j)
         cur = v[j]
         ham, minimisers = _hamiltonian_sum(cur, axes, geometry)
-        rate, half_diff, diffusion_time = _split_diffusion(tgrid.dt, diff, dx2)
-        for out, (_, g, _), a, (dx, _) in zip(control, axes, minimisers, geometry):
+        for out, a in zip(control, minimisers):
             out[j] = a
-            rate += float(np.abs(a - g).max()) / dx
-        if not np.isfinite(rate):
-            raise DivergenceError("non-finite coefficients in backward sweep", i)
-        n_sub = substep_count(tgrid.dt, rate)
-        dt_sub = tgrid.dt / n_sub
+        rates = (float(np.abs(a - g).max()) / dx for (_, g, _), a, (dx, _) in zip(axes, minimisers, geometry))
+        n_sub, dt_sub, half_diff, diffusion_time = _step_plan(
+            tgrid.dt, diff, dx2, rates, "coefficients in backward sweep", i)
         for k in range(n_sub):
             if k:
                 ham, _ = _hamiltonian_sum(cur, axes, geometry)
@@ -306,7 +321,7 @@ def fpk_forward_sweep(alpha, m0: np.ndarray, params: _SeriesParams, sgrid: Space
     axis, (alpha,) for the battery and (mu1, mu2) for the packs. Each step
     reads the params' game at its left endpoint and takes explicit upwind
     substeps as the value sweep does. Where the diffusion term alone breaks
-    their bound (``_split_diffusion``), the step first diffuses exactly
+    their bound (``_step_plan``), the step first diffuses exactly
     (``diffuse``) and the substeps advect only: the value step's order,
     transposed.
     """
@@ -319,13 +334,8 @@ def fpk_forward_sweep(alpha, m0: np.ndarray, params: _SeriesParams, sgrid: Space
     for i in range(tgrid.n_steps):
         drains, _, diff = game.transport(i)
         drifts = [a[i] - g for a, g in zip(alpha, drains)]
-        rate, half_diff, diffusion_time = _split_diffusion(tgrid.dt, diff, dx2)
-        for drift, (dx, at) in zip(drifts, geometry):
-            rate += _outflow_rate(drift, dx, at)
-        if not np.isfinite(rate):
-            raise DivergenceError("non-finite drift in forward sweep", i + 1)
-        n_sub = substep_count(tgrid.dt, rate)
-        dt_sub = tgrid.dt / n_sub
+        rates = (_outflow_rate(drift, dx, at) for drift, (dx, at) in zip(drifts, geometry))
+        n_sub, dt_sub, half_diff, diffusion_time = _step_plan(tgrid.dt, diff, dx2, rates, "drift in forward sweep", i + 1)
         cur = diffuse(m[i], diffusion_time, sgrid) if diffusion_time else m[i]
         for _ in range(n_sub):
             upd = -diff_upwind(cur, drifts[0], sgrid, 0)

@@ -75,6 +75,7 @@ class PhevParams(_SeriesParams):
     """Model coefficients; series carry one value per node of ``tgrid``."""
 
     SERIES = ("g", "Q1", "Q2")
+    COSTS = ("s", "xi")  # the scenario's cost keys: running, then terminal
 
     tgrid: TimeGrid
     g: np.ndarray

@@ -96,8 +96,6 @@ solver:                    # optional block, defaults below
 """
 
 _SOLVER_DEFAULTS = asdict(SolverOptions())
-_EV_COSTS = ("f", "kappa")
-_PHEV_COSTS = ("s", "xi")
 # libyaml's safe loader where PyYAML was built with it: the same documents, parsed in C.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -252,6 +250,7 @@ def validate_config(data, name_default: str = "scenario") -> dict:
     model = _require(data, "model", "")
     if model not in ("ev", "phev"):
         raise ScenarioError("model", f"expected 'ev' or 'phev', got {model!r}")
+    params_class = EvParams if model == "ev" else PhevParams
     horizon = _as_number(_require(data, "horizon", ""), "horizon")
     time_steps = TimeGrid(horizon, _require(data, "time_steps", "")).n_steps
 
@@ -270,19 +269,17 @@ def validate_config(data, name_default: str = "scenario") -> dict:
     series_spec = _require(data, "series", "")
     if not isinstance(series_spec, dict):
         raise ScenarioError("series", "expected a mapping")
-    wanted = (EvParams if model == "ev" else PhevParams).SERIES
-    _reject_unknown(series_spec, set(wanted), "series")
+    _reject_unknown(series_spec, set(params_class.SERIES), "series")
     series = {}
-    for key in wanted:
+    for key in params_class.SERIES:
         series[key] = _validate_series_spec(_require(series_spec, key, "series."), f"series.{key}")
 
     costs_spec = _require(data, "costs", "")
     if not isinstance(costs_spec, dict):
         raise ScenarioError("costs", "expected a mapping")
-    cost_keys = _EV_COSTS if model == "ev" else _PHEV_COSTS
-    _reject_unknown(costs_spec, set(cost_keys), "costs")
+    _reject_unknown(costs_spec, set(params_class.COSTS), "costs")
     costs = {}
-    for key in cost_keys:
+    for key in params_class.COSTS:
         costs[key] = _validate_cost_spec(_require(costs_spec, key, "costs."), f"costs.{key}")
 
     price_spec = data.get("price", {})
@@ -404,16 +401,14 @@ def apply_overrides(config: ScenarioConfig, overrides: list[str]) -> ScenarioCon
     return ScenarioConfig(data=validate_config(data, name_default=config.name), base_dir=config.base_dir)
 
 
-def _read_two_column_csv(path: Path, fld: str) -> tuple[np.ndarray, np.ndarray]:
+def _load_csv(path: Path, fld: str, **loadtxt_kwargs) -> np.ndarray:
+    """``np.loadtxt`` of the CSV ``path``; a missing or unparsable file raises ``ScenarioError`` on ``fld``."""
     if not path.exists():
         raise ScenarioError(fld, f"file not found: {path}")
     try:
-        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        return np.loadtxt(path, delimiter=",", **loadtxt_kwargs)
     except ValueError as exc:
         raise ScenarioError(fld, f"could not parse {path}: {exc}") from exc
-    if table.shape[1] < 2 or len(table) < 2:
-        raise ScenarioError(fld, f"{path} needs two columns (t, value) and at least 2 rows")
-    return table[:, 0], table[:, 1]
 
 
 def _materialize_series(spec, tgrid: TimeGrid, base_dir: Path, fld: str) -> np.ndarray:
@@ -423,10 +418,13 @@ def _materialize_series(spec, tgrid: TimeGrid, base_dir: Path, fld: str) -> np.n
     if isinstance(spec, list):
         return np.asarray(spec, dtype=float)
     if "csv" in spec:
-        times, values = _read_two_column_csv(base_dir / spec["csv"], fld)
-        if np.any(np.diff(times) <= 0.0):
+        path = base_dir / spec["csv"]
+        table = _load_csv(path, fld, skiprows=1, ndmin=2)
+        if table.shape[1] < 2 or len(table) < 2:
+            raise ScenarioError(fld, f"{path} needs two columns (t, value) and at least 2 rows")
+        if np.any(np.diff(table[:, 0]) <= 0.0):
             raise ScenarioError(fld, "csv times must be strictly increasing")
-        return np.interp(tgrid.nodes, times, values)
+        return np.interp(tgrid.nodes, table[:, 0], table[:, 1])
     times = np.asarray(spec["times"], dtype=float)
     values = np.asarray(spec["values"], dtype=float)
     return np.interp(tgrid.nodes, times, values)
@@ -450,13 +448,7 @@ def _initial_density(spec: dict, sgrid: SpaceGrid, base_dir: Path) -> np.ndarray
         mean = np.atleast_1d(spec["mean"])
         values = np.exp(-sum((z - c) ** 2 for z, c in zip(axes, mean)) / (2.0 * spec["variance"]))
     else:
-        path = base_dir / spec["csv"]
-        if not path.exists():
-            raise ScenarioError("initial_density.csv", f"file not found: {path}")
-        try:
-            values = np.loadtxt(path, delimiter=",", ndmin=len(sgrid.shape))
-        except ValueError as exc:
-            raise ScenarioError("initial_density.csv", f"could not parse {path}: {exc}") from exc
+        values = _load_csv(base_dir / spec["csv"], "initial_density.csv", ndmin=len(sgrid.shape))
         if values.shape != sgrid.shape:
             raise ScenarioError("initial_density.csv", f"expected shape {sgrid.shape}, got {values.shape}")
         if not np.all(np.isfinite(values)):

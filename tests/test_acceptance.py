@@ -22,7 +22,6 @@ from evmfg import (
     integrate,
     load_scenario,
     mc_population,
-    phev_hjb_backward_sweep,
     solve_mfe,
     verify_solution,
 )
@@ -115,7 +114,7 @@ def _phev_closed_form_error(n_steps: int, n_cells: int) -> float:
         tgrid=tg, g=np.full(n, g), Q1=np.full(n, q1), Q2=np.full(n, q2), r2=r2,
         s_cost=s_cost, xi=lambda z1, z2: phi(z1) + phi(z2),
     )
-    v, _ = phev_hjb_backward_sweep(r1, params, sg)
+    v, _ = hjb_backward_sweep(r1, params, sg)
     fine = np.linspace(0.0, 1.0, 20001)
     dense = dens(fine)
     cum = np.concatenate(([0.0], np.cumsum((dense[1:] + dense[:-1]) * 0.5 * np.diff(fine))))

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import evmfg
 from evmfg import (
     SCHEMA_TEXT, apply_overrides, cli, dp_best_response, ev_mdp, load_scenario, phev_mdp, write_scenario,
 )
@@ -446,6 +447,23 @@ def test_python_dash_m_reaches_the_cli(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == SCHEMA_TEXT
+
+
+def test_each_public_object_has_one_name():
+    # a second name for one function is a second way to call it
+    names = {}
+    for name in evmfg.__all__:
+        names.setdefault(id(getattr(evmfg, name)), []).append(name)
+    assert [group for group in names.values() if len(group) > 1] == []
+
+
+def test_run_that_breaks_the_substep_budget_exits_1(tmp_path, capsys):
+    code = cli.main(["run", "ev_weekend", "--out", str(tmp_path / "run"), *QUICK_ARGS,
+                     "--set", "series.H=3.0", "--set", "price.exponent=8.0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert re.match(rf"error: \d+ substeps in one step at rate .*, over the budget of {evmfg.ev.SUBSTEP_BUDGET}", err)
+    assert not (tmp_path / "run").exists()
 
 
 def test_version_flag(capsys):

@@ -362,6 +362,19 @@ def test_fpk_divergence_reports_time_node():
     assert exc.value.time_node == 3
 
 
+def test_step_plan_takes_exactly_the_substep_budget_and_not_one_more():
+    # dt = 1 and a rate of n * SUBSTEP_SAFETY ask for exactly n substeps
+    budget = ev_module.SUBSTEP_BUDGET
+    assert ev_module._step_plan(1.0, 0.0, 1.0, [budget * SUBSTEP_SAFETY], "drift in forward sweep", 3) == (
+        budget, 1.0 / budget, 0.0, 0.0)
+    rate = (budget + 1) * SUBSTEP_SAFETY
+    with pytest.raises(DivergenceError) as exc:
+        ev_module._step_plan(1.0, 0.0, 1.0, [rate], "drift in forward sweep", 3)
+    assert str(exc.value) == (f"{budget + 1} substeps in one step at rate {rate:.6g}, over the budget of {budget}, "
+                              "for the drift in forward sweep (time node 3)")
+    assert exc.value.time_node == 3
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_fpk_mass_and_positivity(seed):

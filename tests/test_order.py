@@ -23,7 +23,6 @@ from evmfg import (
     TimeGrid,
     fpk_forward_sweep,
     hjb_backward_sweep,
-    phev_hjb_backward_sweep,
 )
 from evmfg.numerics import SUBSTEP_SAFETY
 
@@ -148,7 +147,7 @@ def phev_value_errors(n_cells: int) -> dict[str, float]:
         tgrid=tgrid, g=np.full(n, G), Q1=np.full(n, Q1), Q2=np.full(n, Q2), r2=r2,
         s_cost=s_cost, xi=lambda z1, z2: exact(VALUE_T, z1, z2),
     )
-    v, _ = phev_hjb_backward_sweep(np.full(n, VALUE_PRICE), params, sgrid)
+    v, _ = hjb_backward_sweep(np.full(n, VALUE_PRICE), params, sgrid)
     z1, z2 = sgrid.meshes()
     return region_errors(v - exact(tgrid.nodes[:, None, None], z1, z2), sgrid)
 

@@ -14,9 +14,9 @@ from evmfg import (
     beta_divergence,
     diff_central,
     diff_upwind,
-    phev_fpk_forward_sweep,
-    phev_hjb_backward_sweep,
-    phev_optimal_controls,
+    fpk_forward_sweep,
+    hjb_backward_sweep,
+    optimal_control,
     phev_price,
 )
 
@@ -101,7 +101,7 @@ def test_phev_price_clamps_negative_demand():
 
 
 # ---------------------------------------------------------------------------
-# phev_optimal_controls
+# optimal_control
 
 
 def test_controls_gradient_cancels_price():
@@ -111,7 +111,7 @@ def test_controls_gradient_cancels_price():
     r1 = np.full(tgrid.n_nodes, 0.9)
     z1, z2 = sgrid.meshes()
     v = np.tile(-0.7 * z2, (tgrid.n_nodes, 1, 1))
-    mu1, mu2 = phev_optimal_controls(v, r1, params, sgrid)
+    mu1, mu2 = optimal_control(v, r1, params, sgrid)
     np.testing.assert_allclose(mu2[:, :, 1:], 0.0, atol=1e-13)
     # the reflecting empty z2 wall: a sale moves no charge, so it is paid at -r2/Q2
     np.testing.assert_allclose(mu2[:, :, 0], -0.0056, rtol=1e-12)
@@ -123,7 +123,7 @@ def test_controls_flat_value():
     params = make_params(tgrid, Q2=125.0, r2=0.7)
     r1 = np.full(tgrid.n_nodes, 0.7)
     v = np.zeros((tgrid.n_nodes, 12, 12))
-    mu1, mu2 = phev_optimal_controls(v, r1, params, sgrid)
+    mu1, mu2 = optimal_control(v, r1, params, sgrid)
     np.testing.assert_allclose(mu2, -0.0056, rtol=1e-12)
 
 
@@ -134,13 +134,13 @@ def test_controls_linear_value():
     r1 = np.full(tgrid.n_nodes, 0.7)
     z1, z2 = sgrid.meshes()
     v = np.tile(-1.2 * z1, (tgrid.n_nodes, 1, 1))
-    mu1, mu2 = phev_optimal_controls(v, r1, params, sgrid)
+    mu1, mu2 = optimal_control(v, r1, params, sgrid)
     np.testing.assert_allclose(mu1[:, 1:], 0.004, rtol=1e-12)
     np.testing.assert_allclose(mu1[:, 0], -0.0056, rtol=1e-12)  # empty z1 wall: -r1/Q1
 
 
 # ---------------------------------------------------------------------------
-# phev_hjb_backward_sweep
+# hjb_backward_sweep
 
 
 def test_phev_hjb_constant_solution():
@@ -148,7 +148,7 @@ def test_phev_hjb_constant_solution():
     sgrid = SpaceGrid((12, 12))
     c = 1.5
     params = make_params(tgrid, g=0.2, r2=0.0, xi=lambda z1, z2: np.full_like(z1, c))
-    v, _ = phev_hjb_backward_sweep(np.zeros(tgrid.n_nodes), params, sgrid)
+    v, _ = hjb_backward_sweep(np.zeros(tgrid.n_nodes), params, sgrid)
     np.testing.assert_allclose(v, c, rtol=1e-13)
 
 
@@ -157,7 +157,7 @@ def test_phev_hjb_terminal_condition_exact():
     sgrid = SpaceGrid((12, 12))
     params = make_params(tgrid, xi=lambda z1, z2: 10.0 * (2.0 - z1 - z2) ** 2)
     r1 = np.full(tgrid.n_nodes, 0.7)
-    v, _ = phev_hjb_backward_sweep(r1, params, sgrid)
+    v, _ = hjb_backward_sweep(r1, params, sgrid)
     z1, z2 = sgrid.meshes()
     assert np.array_equal(v[-1], 10.0 * (2.0 - z1 - z2) ** 2)
 
@@ -173,7 +173,7 @@ def test_phev_hjb_linear_terminal_closed_form():
         tgrid, g=0.2, Q1=Q1, Q2=Q2, r2=r2,
         s_cost=lambda t, z1, z2: np.full_like(z1, s0), xi=lambda z1, z2: np.full_like(z1, k),
     )
-    v, _ = phev_hjb_backward_sweep(np.full(tgrid.n_nodes, r1), params, sgrid)
+    v, _ = hjb_backward_sweep(np.full(tgrid.n_nodes, r1), params, sgrid)
     tail = s0 - r1 ** 2 / (2 * Q1) - r2 ** 2 / (2 * Q2)
     exact = k + (T - tgrid.nodes)[:, None, None] * tail
     assert float(np.abs(v - exact).max()) < 1e-12
@@ -194,22 +194,22 @@ def test_phev_hjb_symmetry():
         xi=lambda z1, z2: 10.0 * (2.0 - z1 - z2) ** 2,
     )
     r1 = np.full(tgrid.n_nodes, 0.7)
-    v, _ = phev_hjb_backward_sweep(r1, params, sgrid)
+    v, _ = hjb_backward_sweep(r1, params, sgrid)
     for i in range(tgrid.n_nodes):
         assert float(np.abs(v[i] - v[i].T).max()) <= 1e-8
 
 
 def test_phev_hjb_sweep_controls_are_optimal_controls(phev_run):
     # the sweep's controls at node j are the pack minimisers it evaluates on
-    # v[j], exactly what phev_optimal_controls recomputes slice by slice
+    # v[j], exactly what optimal_control recomputes slice by slice
     sol, problem = phev_run["solution"], phev_run["problem"]
-    v, (mu1, mu2) = phev_hjb_backward_sweep(sol.p, problem.params, problem.sgrid)
-    re1, re2 = phev_optimal_controls(v, sol.p, problem.params, problem.sgrid)
+    v, (mu1, mu2) = hjb_backward_sweep(sol.p, problem.params, problem.sgrid)
+    re1, re2 = optimal_control(v, sol.p, problem.params, problem.sgrid)
     assert np.array_equal(mu1, re1) and np.array_equal(mu2, re2)
 
 
 # ---------------------------------------------------------------------------
-# phev_fpk_forward_sweep
+# fpk_forward_sweep
 
 
 def test_phev_fpk_stationary():
@@ -222,7 +222,7 @@ def test_phev_fpk_stationary():
     mu1 = np.tile(b * g, (tgrid.n_nodes, 1, 1))
     mu2 = np.tile((1.0 - b) * g, (tgrid.n_nodes, 1, 1))
     m0 = gaussian_density(sgrid, (0.4, 0.6), 0.02)
-    m = phev_fpk_forward_sweep((mu1, mu2), m0, params, sgrid)
+    m = fpk_forward_sweep((mu1, mu2), m0, params, sgrid)
     for i in range(tgrid.n_nodes):
         np.testing.assert_array_equal(m[i], m0)
 
@@ -239,7 +239,7 @@ def test_phev_fpk_uniform_drift_marginals():
     mu1 = np.tile(b * g + c, (tgrid.n_nodes, 1, 1))
     mu2 = np.tile((1.0 - b) * g, (tgrid.n_nodes, 1, 1))
     m0 = gaussian_density(sgrid, (0.35, 0.5), 0.004)
-    m = phev_fpk_forward_sweep((mu1, mu2), m0, params, sgrid)
+    m = fpk_forward_sweep((mu1, mu2), m0, params, sgrid)
     vol = sgrid.cell_volume
     mean1_0 = float((m[0] * z1).sum() * vol)
     mean1_T = float((m[-1] * z1).sum() * vol)
@@ -260,7 +260,7 @@ def test_phev_fpk_mass_and_positivity(seed):
     mu1 = rng.uniform(-0.3, 0.3) + rng.uniform(-0.2, 0.2, shape)
     mu2 = rng.uniform(-0.3, 0.3) + rng.uniform(-0.2, 0.2, shape)
     m0 = gaussian_density(sgrid, (rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7)), 0.02)
-    m = phev_fpk_forward_sweep((mu1, mu2), m0, params, sgrid)
+    m = fpk_forward_sweep((mu1, mu2), m0, params, sgrid)
     masses = m.reshape(tgrid.n_nodes, -1).sum(axis=1) * sgrid.cell_volume
     np.testing.assert_allclose(masses, 1.0, atol=1e-8)
     assert m.min() >= 0.0
@@ -277,7 +277,7 @@ def test_phev_fpk_symmetry():
     mu1 = np.tile(b * g + 0.1 * (1.0 - z1), (tgrid.n_nodes, 1, 1))
     mu2 = np.tile((1.0 - b) * g + 0.1 * (1.0 - z2), (tgrid.n_nodes, 1, 1))
     m0 = gaussian_density(sgrid, (0.5, 0.5), 0.02)
-    m = phev_fpk_forward_sweep((mu1, mu2), m0, params, sgrid)
+    m = fpk_forward_sweep((mu1, mu2), m0, params, sgrid)
     for i in range(tgrid.n_nodes):
         assert float(np.abs(m[i] - m[i].T).max()) <= 1e-8
 
@@ -289,7 +289,7 @@ def test_phev_fpk_rejects_unnormalized_m0():
     m0 = gaussian_density(sgrid, (0.5, 0.5), 0.02) * 1.2
     shape = (tgrid.n_nodes, 12, 12)
     with pytest.raises(ValueError):
-        phev_fpk_forward_sweep((np.zeros(shape), np.zeros(shape)), m0, params, sgrid)
+        fpk_forward_sweep((np.zeros(shape), np.zeros(shape)), m0, params, sgrid)
 
 
 def test_phev_non_finite_m0_is_rejected():
@@ -303,7 +303,7 @@ def test_phev_non_finite_m0_is_rejected():
         with pytest.raises(ValueError, match=f"initial density mass {bad}"):
             PhevProblem(params, sgrid, m0)
         with pytest.raises(ValueError, match=f"initial density mass {bad}"):
-            phev_fpk_forward_sweep((np.zeros(shape), np.zeros(shape)), m0, params, sgrid)
+            fpk_forward_sweep((np.zeros(shape), np.zeros(shape)), m0, params, sgrid)
 
 
 def test_conservative_form_matches_expanded_form():

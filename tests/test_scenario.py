@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -373,6 +374,22 @@ def test_csv_series_needs_two_rows_as_a_times_values_table_does(tmp_path):
         validate_config(doc)
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "file not found: {path}"),
+    ("t,value\n0.0,0.5\n0.2,x\n", r"could not parse {path}: .*'x'.*"),
+    ("t,value\n0.0,0.5\n0.2,0.9\n0.1,0.7\n", "csv times must be strictly increasing"),
+], ids=["missing", "unparsable", "unordered"])
+def test_csv_series_file_that_is_missing_unparsable_or_unordered_is_named(tmp_path, text, message):
+    if text is not None:
+        (tmp_path / "d.csv").write_text(text)
+    doc = _minimal_ev(series={"g": 0.4, "d": {"csv": "d.csv"}, "sigma": 0.1, "H": 2.0})
+    cfg = ScenarioConfig(data=validate_config(doc), base_dir=tmp_path)
+    with pytest.raises(ScenarioError) as exc:
+        build_problem(cfg)
+    assert exc.value.field == "series.d"
+    assert re.fullmatch("series.d: " + message.format(path=re.escape(str(tmp_path / "d.csv"))), str(exc.value))
+
+
 def test_initial_density_normalized(tmp_path):
     for doc in (_minimal_ev(), _minimal_phev()):
         cfg = ScenarioConfig(data=validate_config(doc), base_dir=tmp_path)
@@ -432,6 +449,14 @@ def test_histogram_density_that_does_not_parse_is_named(tmp_path):
     (tmp_path / "m0.csv").write_text("1,1,1,x,1,1,1,1\n" * 8)
     with pytest.raises(ScenarioError, match=r"initial_density.csv: could not parse .*m0.csv: .*'x'"):
         build_problem(config)
+
+
+def test_missing_histogram_is_named(tmp_path):
+    doc = _minimal_ev(initial_density={"kind": "histogram", "csv": "m0.csv"})
+    with pytest.raises(ScenarioError) as exc:
+        build_problem(ScenarioConfig(data=validate_config(doc), base_dir=tmp_path))
+    assert exc.value.field == "initial_density.csv"
+    assert str(exc.value) == f"initial_density.csv: file not found: {tmp_path / 'm0.csv'}"
 
 
 def test_gaussian_density_matches_closed_form(tmp_path):

@@ -1,12 +1,14 @@
 """Outer fixed-point loop and the solution consistency audit."""
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 
 import evmfg
 from evmfg import (
+    DivergenceError,
     EvParams,
     EvProblem,
     MfeSolution,
@@ -175,6 +177,20 @@ def test_accelerated_iteration_converges_where_picard_does_not(overrides, max_it
     assert sol.converged
     assert sol.iterations <= max_iterations
     assert verify_solution(sol, problem).passed
+
+
+def test_a_solve_that_needs_millions_of_substeps_stops_at_the_budget():
+    # at 24 x 40 this cell's ninth Anderson step overshoots the price to
+    # 3.2e8, and the next value sweep asked for 39.8M substeps in one step
+    config = apply_overrides(load_scenario("ev_weekend"), ["time_steps=24", "space.cells=40",
+                                                           "series.H=3.0", "price.exponent=8.0"])
+    problem, options, _ = build_problem(config)
+    start = time.process_time()
+    with pytest.raises(DivergenceError, match=rf"^\d+ substeps in one step at rate \S+, over the budget of "
+                                              rf"{evmfg.ev.SUBSTEP_BUDGET}, for the coefficients in backward sweep "
+                                              r"\(time node \d+\)$"):
+        solve_mfe(problem, options)
+    assert time.process_time() - start < 1.0
 
 
 def test_least_squares_matches_lapack_and_skips_dependent_columns():
