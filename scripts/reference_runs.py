@@ -6,10 +6,13 @@ Runs ``evmfg run``, ``verify`` and ``oracle`` (default flags) on each of
 the six reference runs, every command in its own process with
 ``<checkout>/src`` as the only ``PYTHONPATH`` entry. ``<out_dir>/<run>.txt``
 gets each command's exit code, stdout and stderr, with the run directory
-replaced by ``<RUN>``, then the sha256 of every exported CSV and of every
-``.npy`` twin that ``verify`` and ``oracle`` read, then the sha256 of the
-value table and of each policy table of the DP best response that
-``oracle`` computes by default (one more process, same path). Last come
+replaced by ``<RUN>``, then the run's ``manifest.json`` without its
+``wall_time_s`` and with ``<DIR>`` for its ``scenario_dir`` (so a change to
+the canonical scenario or its hash shows), then the sha256 of every
+exported CSV and of every ``.npy`` twin that ``verify`` and ``oracle``
+read, then the sha256 of the value table and of each policy table of the
+DP best response that ``oracle`` computes by default (one more process,
+same path). Last come
 the largest and the total substep count of one step of each sweep in the
 run's solve (one more process, same path), which show the margin under
 ``evmfg.ev.SUBSTEP_BUDGET``.
@@ -22,6 +25,7 @@ pure refactor must pass. The script asserts nothing itself.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -106,6 +110,16 @@ def _evmfg(src: Path, cwd: str, *args: str) -> str:
     return _python(src, cwd, f"evmfg {' '.join(args)}", "-m", "evmfg", *args)
 
 
+def _manifest(path: Path) -> str:
+    """The manifest's record that is the same in every run of a scenario: no wall time, no scenario directory."""
+    if not path.exists():
+        return "$ manifest.json\nnot written\n"
+    manifest = json.loads(path.read_text())
+    del manifest["wall_time_s"]
+    manifest["scenario_dir"] = "<DIR>"
+    return f"$ manifest.json\n{json.dumps(manifest, indent=2, sort_keys=True)}\n"
+
+
 def record(src: Path, scenario: str, overrides: list[str]) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         run_dir = str(Path(tmp) / "run")
@@ -114,6 +128,7 @@ def record(src: Path, scenario: str, overrides: list[str]) -> str:
             _evmfg(src, tmp, "run", scenario, "--out", run_dir, *sets),
             _evmfg(src, tmp, "verify", run_dir),
             _evmfg(src, tmp, "oracle", run_dir),
+            _manifest(Path(run_dir) / "manifest.json"),
         ]
         for path in sorted(Path(run_dir).glob("*.csv")) + sorted(Path(run_dir).glob("*.npy")):
             lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n")

@@ -115,8 +115,10 @@ def _load_run(
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise ScenarioError("run_dir", f"manifest not found: {manifest_path}")
-    with open(manifest_path) as handle:
-        manifest = json.load(handle)
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as exc:  # not JSON, or not text
+        raise ScenarioError("manifest.json", f"{manifest_path} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict) or not isinstance(manifest.get("scenario"), dict):
         raise ScenarioError("manifest.json", f"no 'scenario' mapping in {manifest_path}")
     scenario_dir = manifest.get("scenario_dir")

@@ -1,7 +1,8 @@
-"""Shared exception types, and the integer rule that every count obeys."""
+"""Shared exception types, and the integer and number rules that every count and real parameter obeys."""
 
 from __future__ import annotations
 
+import math
 import numbers
 
 
@@ -35,3 +36,13 @@ def as_int(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ScenarioError(field, f"expected an integer, got {value!r}")
     return int(value)
+
+
+def as_float(value, field: str) -> float:
+    """``value`` as a finite float: a Python or numpy real number, never a bool (``ScenarioError`` on ``field``)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScenarioError(field, f"expected a number, got {value!r}")
+    out = float(value)
+    if not math.isfinite(out):
+        raise ScenarioError(field, "must be finite")
+    return out

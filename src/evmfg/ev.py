@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DivergenceError, ScenarioError
+from .errors import DivergenceError, ScenarioError, as_float
 from .grids import SpaceGrid, TimeGrid
 from .numerics import (
     SUBSTEP_SAFETY,
@@ -105,21 +105,26 @@ class EvParams(_SeriesParams):
 
     SERIES = ("g", "d", "sigma", "H")
     COSTS = ("f", "kappa")  # the scenario's cost keys: running, then terminal
+    PRICE = ("exponent", "coupled")  # the scenario's price keys, defaults below
 
     tgrid: TimeGrid
     g: np.ndarray
     sigma: np.ndarray
     H: np.ndarray
     d: np.ndarray
-    f_cost: Callable[[float, np.ndarray], np.ndarray]
+    f: Callable[[float, np.ndarray], np.ndarray]
     kappa: Callable[[np.ndarray], np.ndarray]
-    price_exponent: float = 2.0
-    demand_coupled: bool = True
+    exponent: float = 2.0
+    coupled: bool = True
 
     def __post_init__(self) -> None:
         self._check_series(positive=("H",), nonnegative=("sigma",))
-        if not np.isfinite(self.price_exponent):
-            raise ScenarioError("price.exponent", "must be finite")
+        self.exponent = as_float(self.exponent, "price.exponent")
+        # The price base [g + d/dt int x m]+ + d is at least d, and may equal it.
+        if not self.exponent.is_integer() and np.any(self.d < 0.0):
+            raise ScenarioError("price.exponent", "a fractional exponent needs series.d >= 0 at every node")
+        if self.exponent < 0.0 and np.any(self.d <= 0.0):
+            raise ScenarioError("price.exponent", "a negative exponent needs series.d > 0 at every node")
 
     def game(self, points: tuple[np.ndarray, ...]) -> Game:
         """This game on the battery levels ``points`` = (x,); a node index may be a column of nodes."""
@@ -132,7 +137,7 @@ class EvParams(_SeriesParams):
         def axes(p, j, drains):
             return [(p[j], drains[0], self.H[j])]
 
-        return Game(lambda: self.kappa(x), lambda j: self.f_cost(t[j], x), transport, axes)
+        return Game(lambda: self.kappa(x), lambda j: self.f(t[j], x), transport, axes)
 
 
 class Game(NamedTuple):
@@ -186,15 +191,14 @@ def _check_density_slice(m: np.ndarray, time_node: int) -> np.ndarray:
 def ev_price(m: np.ndarray, params: EvParams, sgrid: SpaceGrid) -> np.ndarray:
     """Price series p_i = ([g_i + d/dt int x m]+ + d_i)^exponent.
 
-    With ``demand_coupled`` off the vehicle demand term is zeroed, which
-    makes the price a pure function of d (used to test the decoupled fixed
-    point).
+    With ``coupled`` off the vehicle demand term is zeroed, which makes the
+    price a pure function of d (used to test the decoupled fixed point).
     """
-    if params.demand_coupled:
+    if params.coupled:
         inner = np.maximum(params.g + mean_rate(m, sgrid, params.tgrid), 0.0)
     else:
         inner = np.zeros(params.tgrid.n_nodes)
-    return (inner + params.d) ** params.price_exponent
+    return (inner + params.d) ** params.exponent
 
 
 def _geometry(sgrid) -> list[tuple[float, AxisIndex]]:

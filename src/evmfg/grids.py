@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScenarioError, as_int
+from .errors import ScenarioError, as_float, as_int
 
 
 @dataclass(frozen=True)
@@ -23,11 +23,10 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_steps", as_int(self.n_steps, "time_steps"))
-        if not math.isfinite(self.t1):
-            raise ScenarioError("horizon", "must be finite")
+        object.__setattr__(self, "t1", as_float(self.t1, "horizon"))
         if self.t1 <= 0.0:
             raise ScenarioError("horizon", "must be positive")
+        object.__setattr__(self, "n_steps", as_int(self.n_steps, "time_steps"))
         if self.n_steps < 2:
             raise ScenarioError("time_steps", "must be at least 2")
 

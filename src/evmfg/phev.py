@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import ScenarioError, as_float
 from .ev import Game, _Problem, _SeriesParams
 # The shared operators under this model's names: PhevProblem calls them
 # here, so perfbench's trace rebinds them to phev.* spans.
@@ -76,22 +76,22 @@ class PhevParams(_SeriesParams):
 
     SERIES = ("g", "Q1", "Q2")
     COSTS = ("s", "xi")  # the scenario's cost keys: running, then terminal
+    PRICE = ("offset", "r2")  # the scenario's price keys; r2 has no default
 
     tgrid: TimeGrid
     g: np.ndarray
     Q1: np.ndarray
     Q2: np.ndarray
     r2: float
-    s_cost: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+    s: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     xi: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    price_offset: float = 0.5
+    offset: float = 0.5
 
     def __post_init__(self) -> None:
         self._check_series(positive=("Q1", "Q2"))
-        self.r2 = float(self.r2)
-        if not np.isfinite(self.r2):
-            raise ScenarioError("price.r2", "must be finite")
-        if not self.price_offset >= 0.0:
+        self.r2 = as_float(self.r2, "price.r2")
+        self.offset = as_float(self.offset, "price.offset")
+        if self.offset < 0.0:
             raise ScenarioError("price.offset", "must be nonnegative")
 
     def game(self, points: tuple[np.ndarray, ...]) -> Game:
@@ -105,7 +105,7 @@ class PhevParams(_SeriesParams):
         def axes(r1, j, drains):
             return [(r1[j], drains[0], self.Q1[j]), (self.r2, drains[1], self.Q2[j])]
 
-        return Game(lambda: self.xi(*points), lambda j: self.s_cost(t[j], *points), transport, axes)
+        return Game(lambda: self.xi(*points), lambda j: self.s(t[j], *points), transport, axes)
 
 
 def phev_price(m: np.ndarray, params: PhevParams, sgrid: SpaceGrid) -> np.ndarray:
@@ -114,7 +114,7 @@ def phev_price(m: np.ndarray, params: PhevParams, sgrid: SpaceGrid) -> np.ndarra
     b = beta(z1, z2)
     draw = (np.asarray(m, dtype=float) * b).reshape(m.shape[0], -1).sum(axis=1) * sgrid.cell_volume
     rates = mean_rate(m, sgrid, params.tgrid)
-    return np.maximum(params.g * draw + rates, 0.0) + params.price_offset
+    return np.maximum(params.g * draw + rates, 0.0) + params.offset
 
 
 class PhevProblem(_Problem):

@@ -20,11 +20,10 @@ property of the CSV and twin set.
 from __future__ import annotations
 
 import hashlib
-import io
 import itertools
 import json
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import reduce
 from importlib import resources
 from pathlib import Path
@@ -32,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ScenarioError, as_int
+from .errors import ScenarioError, as_float, as_int
 from .ev import EvParams, EvProblem
 from .grids import SpaceGrid, TimeGrid
 from .numerics import mean_rate
@@ -96,6 +95,9 @@ solver:                    # optional block, defaults below
 """
 
 _SOLVER_DEFAULTS = asdict(SolverOptions())
+# Each model's params class, which names the scenario's series, cost and
+# price keys and holds the price defaults, and the problem that solves it.
+MODELS = {"ev": (EvParams, EvProblem), "phev": (PhevParams, PhevProblem)}
 # libyaml's safe loader where PyYAML was built with it: the same documents, parsed in C.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -139,13 +141,13 @@ def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
             raise ScenarioError(path, "unknown key")
 
 
-def _as_number(value, fld: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(fld, f"expected a number, got {value!r}")
-    out = float(value)
-    if not np.isfinite(out):
-        raise ScenarioError(fld, "must be finite")
-    return out
+def _section(data: dict, key: str, allowed, default=None) -> dict:
+    """The mapping ``data[key]`` (``default`` where absent; required where None), holding only ``allowed`` keys."""
+    section = _require(data, key, "") if default is None else data.get(key, default)
+    if not isinstance(section, dict):
+        raise ScenarioError(key, "expected a mapping")
+    _reject_unknown(section, allowed, key)
+    return section
 
 
 def _validate_series_spec(spec, fld: str):
@@ -153,9 +155,9 @@ def _validate_series_spec(spec, fld: str):
     if isinstance(spec, bool):
         raise ScenarioError(fld, "expected a series, got a boolean")
     if isinstance(spec, (int, float)):
-        return _as_number(spec, fld)
+        return as_float(spec, fld)
     if isinstance(spec, list):
-        return [_as_number(v, f"{fld}[{k}]") for k, v in enumerate(spec)]
+        return [as_float(v, f"{fld}[{k}]") for k, v in enumerate(spec)]
     if isinstance(spec, dict):
         if "csv" in spec:
             _reject_unknown(spec, {"csv"}, fld)
@@ -170,8 +172,8 @@ def _validate_series_spec(spec, fld: str):
                 raise ScenarioError(fld, "times and values must be lists")
             if len(times) != len(values) or len(times) < 2:
                 raise ScenarioError(fld, "times and values must have equal length >= 2")
-            times = [_as_number(v, f"{fld}.times[{k}]") for k, v in enumerate(times)]
-            values = [_as_number(v, f"{fld}.values[{k}]") for k, v in enumerate(values)]
+            times = [as_float(v, f"{fld}.times[{k}]") for k, v in enumerate(times)]
+            values = [as_float(v, f"{fld}.values[{k}]") for k, v in enumerate(values)]
             if any(b <= a for a, b in zip(times, times[1:])):
                 raise ScenarioError(f"{fld}.times", "must be strictly increasing")
             return {"times": times, "values": values}
@@ -187,10 +189,10 @@ def _validate_cost_spec(spec, fld: str) -> dict:
         return {"kind": "zero"}
     if kind == "quadratic_shortage":
         _reject_unknown(spec, {"kind", "weight", "target"}, fld)
-        weight = _as_number(_require(spec, "weight", f"{fld}."), f"{fld}.weight")
+        weight = as_float(_require(spec, "weight", f"{fld}."), f"{fld}.weight")
         if weight < 0.0:
             raise ScenarioError(f"{fld}.weight", "must be nonnegative")
-        target = _as_number(_require(spec, "target", f"{fld}."), f"{fld}.target")
+        target = as_float(_require(spec, "target", f"{fld}."), f"{fld}.target")
         return {"kind": "quadratic_shortage", "weight": weight, "target": target}
     raise ScenarioError(f"{fld}.kind", f"unknown cost preset {kind!r}")
 
@@ -203,8 +205,8 @@ def _validate_density_spec(spec, model: str, fld: str) -> dict:
         if model != "ev":
             raise ScenarioError(f"{fld}.kind", "triangle density is one-dimensional")
         _reject_unknown(spec, {"kind", "center", "halfwidth"}, fld)
-        center = _as_number(_require(spec, "center", f"{fld}."), f"{fld}.center")
-        halfwidth = _as_number(_require(spec, "halfwidth", f"{fld}."), f"{fld}.halfwidth")
+        center = as_float(_require(spec, "center", f"{fld}."), f"{fld}.center")
+        halfwidth = as_float(_require(spec, "halfwidth", f"{fld}."), f"{fld}.halfwidth")
         if halfwidth <= 0.0:
             raise ScenarioError(f"{fld}.halfwidth", "must be positive")
         if center - halfwidth < 0.0 or center + halfwidth > 1.0:
@@ -214,12 +216,12 @@ def _validate_density_spec(spec, model: str, fld: str) -> dict:
         _reject_unknown(spec, {"kind", "mean", "variance"}, fld)
         mean = _require(spec, "mean", f"{fld}.")
         if model == "ev":
-            mean = _as_number(mean, f"{fld}.mean")
+            mean = as_float(mean, f"{fld}.mean")
         else:
             if not isinstance(mean, list) or len(mean) != 2:
                 raise ScenarioError(f"{fld}.mean", "expected [m1, m2] for the 2D model")
-            mean = [_as_number(v, f"{fld}.mean[{k}]") for k, v in enumerate(mean)]
-        variance = _as_number(_require(spec, "variance", f"{fld}."), f"{fld}.variance")
+            mean = [as_float(v, f"{fld}.mean[{k}]") for k, v in enumerate(mean)]
+        variance = as_float(_require(spec, "variance", f"{fld}."), f"{fld}.variance")
         if variance <= 0.0:
             raise ScenarioError(f"{fld}.variance", "must be positive")
         return {"kind": "truncated_gaussian", "mean": mean, "variance": variance}
@@ -235,7 +237,8 @@ def _validate_density_spec(spec, model: str, fld: str) -> dict:
 def validate_config(data, name_default: str = "scenario") -> dict:
     """Check a raw document's shape and return the canonical, defaults-filled form.
 
-    Grid and solver ranges are checked by building the grids and ``SolverOptions``.
+    Grid and solver ranges are checked by building the grids and ``SolverOptions``;
+    a price key's default is its params field's.
     """
     if not isinstance(data, dict):
         raise ScenarioError("document", "scenario must be a mapping")
@@ -248,17 +251,12 @@ def validate_config(data, name_default: str = "scenario") -> dict:
     if version != SCHEMA_VERSION:
         raise ScenarioError("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
     model = _require(data, "model", "")
-    if model not in ("ev", "phev"):
-        raise ScenarioError("model", f"expected 'ev' or 'phev', got {model!r}")
-    params_class = EvParams if model == "ev" else PhevParams
-    horizon = _as_number(_require(data, "horizon", ""), "horizon")
-    time_steps = TimeGrid(horizon, _require(data, "time_steps", "")).n_steps
+    if not isinstance(model, str) or model not in MODELS:
+        raise ScenarioError("model", f"expected {' or '.join(map(repr, MODELS))}, got {model!r}")
+    params_class = MODELS[model][0]
+    tgrid = TimeGrid(_require(data, "horizon", ""), _require(data, "time_steps", ""))
 
-    space = _require(data, "space", "")
-    if not isinstance(space, dict):
-        raise ScenarioError("space", "expected a mapping")
-    _reject_unknown(space, {"cells"}, "space")
-    cells = _require(space, "cells", "space.")
+    cells = _require(_section(data, "space", {"cells"}), "cells", "space.")
     if model == "ev":
         cells = as_int(cells, "space.cells")  # a scalar, where the grid would also take a one-entry list
     elif not isinstance(cells, list) or len(cells) != 2:
@@ -266,50 +264,30 @@ def validate_config(data, name_default: str = "scenario") -> dict:
     shape = SpaceGrid(cells).shape
     cells = shape[0] if model == "ev" else list(shape)
 
-    series_spec = _require(data, "series", "")
-    if not isinstance(series_spec, dict):
-        raise ScenarioError("series", "expected a mapping")
-    _reject_unknown(series_spec, set(params_class.SERIES), "series")
+    series_spec = _section(data, "series", params_class.SERIES)
     series = {}
     for key in params_class.SERIES:
         series[key] = _validate_series_spec(_require(series_spec, key, "series."), f"series.{key}")
 
-    costs_spec = _require(data, "costs", "")
-    if not isinstance(costs_spec, dict):
-        raise ScenarioError("costs", "expected a mapping")
-    _reject_unknown(costs_spec, set(params_class.COSTS), "costs")
+    costs_spec = _section(data, "costs", params_class.COSTS)
     costs = {}
     for key in params_class.COSTS:
         costs[key] = _validate_cost_spec(_require(costs_spec, key, "costs."), f"costs.{key}")
 
-    price_spec = data.get("price", {})
-    if not isinstance(price_spec, dict):
-        raise ScenarioError("price", "expected a mapping")
-    if model == "ev":
-        _reject_unknown(price_spec, {"exponent", "coupled"}, "price")
-        exponent = _as_number(price_spec.get("exponent", 2.0), "price.exponent")
-        coupled = price_spec.get("coupled", True)
-        if not isinstance(coupled, bool):
-            raise ScenarioError("price.coupled", "expected a boolean")
-        price = {"exponent": exponent, "coupled": coupled}
-    else:
-        _reject_unknown(price_spec, {"offset", "r2"}, "price")
-        offset = _as_number(price_spec.get("offset", 0.5), "price.offset")
-        r2 = _as_number(_require(price_spec, "r2", "price."), "price.r2")
-        price = {"offset": offset, "r2": r2}
+    price_spec = _section(data, "price", params_class.PRICE, {})
+    defaults = {f.name: f.default for f in fields(params_class)}
+    price = {}
+    for key in params_class.PRICE:
+        default = defaults[key]
+        value = _require(price_spec, key, "price.") if default is MISSING else price_spec.get(key, default)
+        if not isinstance(default, bool):
+            value = as_float(value, f"price.{key}")
+        elif not isinstance(value, bool):
+            raise ScenarioError(f"price.{key}", "expected a boolean")
+        price[key] = value
 
     density = _validate_density_spec(_require(data, "initial_density", ""), model, "initial_density")
-
-    solver_spec = data.get("solver", {})
-    if not isinstance(solver_spec, dict):
-        raise ScenarioError("solver", "expected a mapping")
-    _reject_unknown(solver_spec, set(_SOLVER_DEFAULTS), "solver")
-    solver = dict(_SOLVER_DEFAULTS)
-    for key, value in solver_spec.items():
-        solver[key] = value
-    solver["tol"] = _as_number(solver["tol"], "solver.tol")
-    solver["damping"] = _as_number(solver["damping"], "solver.damping")
-    solver = asdict(SolverOptions(**solver))
+    solver = asdict(SolverOptions(**_section(data, "solver", _SOLVER_DEFAULTS, {})))
 
     name = data.get("name", name_default)
     if not isinstance(name, str) or not name:
@@ -319,8 +297,8 @@ def validate_config(data, name_default: str = "scenario") -> dict:
         "schema_version": SCHEMA_VERSION,
         "name": name,
         "model": model,
-        "horizon": horizon,
-        "time_steps": time_steps,
+        "horizon": tgrid.t1,
+        "time_steps": tgrid.n_steps,
         "space": {"cells": cells},
         "series": series,
         "costs": costs,
@@ -486,22 +464,12 @@ def build_problem(config: ScenarioConfig):
     data = config.data
     tgrid = TimeGrid(t1=data["horizon"], n_steps=data["time_steps"])
     sgrid = SpaceGrid(data["space"]["cells"])
-    keys = (EvParams if data["model"] == "ev" else PhevParams).SERIES
+    params_class, problem_class = MODELS[data["model"]]
+    keys = params_class.SERIES
     series = {key: _materialize_series(data["series"][key], tgrid, config.base_dir, f"series.{key}") for key in keys}
     resampled = [key for key in keys if isinstance(data["series"][key], dict)]
-    costs, price = data["costs"], data["price"]
-    if data["model"] == "ev":
-        problem_class = EvProblem
-        params = EvParams(
-            tgrid=tgrid, **series, f_cost=_make_cost(costs["f"], running=True), kappa=_make_cost(costs["kappa"]),
-            price_exponent=price["exponent"], demand_coupled=price["coupled"],
-        )
-    else:
-        problem_class = PhevProblem
-        params = PhevParams(
-            tgrid=tgrid, **series, r2=price["r2"], s_cost=_make_cost(costs["s"], running=True),
-            xi=_make_cost(costs["xi"]), price_offset=price["offset"],
-        )
+    costs = {key: _make_cost(data["costs"][key], running) for key, running in zip(params_class.COSTS, (True, False))}
+    params = params_class(tgrid=tgrid, **series, **costs, **data["price"])
     m0 = _initial_density(data["initial_density"], sgrid, config.base_dir)
     problem = problem_class(params=params, sgrid=sgrid, m0=m0)
     options = SolverOptions(**data["solver"])

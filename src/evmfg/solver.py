@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ScenarioError, as_int
+from .errors import ScenarioError, as_float, as_int
 
 # Pairs (price, price update) the acceleration keeps: up to four difference
 # columns in a least-squares problem with one row per time node.
@@ -55,10 +55,10 @@ class SolverOptions:
         self.max_iters = as_int(self.max_iters, "solver.max_iters")
         if self.max_iters < 1:
             raise ScenarioError("solver.max_iters", "must be at least 1")
-        if not np.isfinite(self.tol):
-            raise ScenarioError("solver.tol", "must be finite")
+        self.tol = as_float(self.tol, "solver.tol")
         if self.tol <= 0.0:
             raise ScenarioError("solver.tol", "must be positive")
+        self.damping = as_float(self.damping, "solver.damping")
         if not 0.0 < self.damping <= 1.0:
             raise ScenarioError("solver.damping", "must be in (0, 1]")
 

@@ -74,7 +74,7 @@ def _ev_closed_form_error(n_steps: int, n_cells: int) -> float:
     dphi = lambda x: -c * (1.0 - np.cos(2.0 * np.pi * x))
     params = EvParams(
         tgrid=tg, g=np.zeros(n), d=np.zeros(n), sigma=np.zeros(n), H=np.full(n, h),
-        f_cost=lambda t, x: ((dphi(x) + price(t)) ** 2 - (price(t) - c) ** 2) / (2.0 * h),
+        f=lambda t, x: ((dphi(x) + price(t)) ** 2 - (price(t) - c) ** 2) / (2.0 * h),
         kappa=phi,
     )
     v, _ = hjb_backward_sweep(p, params, sg)
@@ -112,7 +112,7 @@ def _phev_closed_form_error(n_steps: int, n_cells: int) -> float:
 
     params = PhevParams(
         tgrid=tg, g=np.full(n, g), Q1=np.full(n, q1), Q2=np.full(n, q2), r2=r2,
-        s_cost=s_cost, xi=lambda z1, z2: phi(z1) + phi(z2),
+        s=s_cost, xi=lambda z1, z2: phi(z1) + phi(z2),
     )
     v, _ = hjb_backward_sweep(r1, params, sg)
     fine = np.linspace(0.0, 1.0, 20001)

@@ -306,6 +306,19 @@ def test_malformed_manifest_is_named(quick_run, tmp_path, capsys, command, manif
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+@pytest.mark.parametrize("text", [b"not json", b'{"scenario": ', b"\xff\xfe"], ids=["text", "cut", "binary"])
+def test_a_manifest_that_is_not_json_is_named(tmp_path, capsys, command, text):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "manifest.json").write_bytes(text)
+    code = cli.main([command, str(run)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: manifest.json: {run / 'manifest.json'} is not valid JSON: ")
+    assert captured.out == ""
+
+
 def _parse_oracle(out_text):
     dp = float(re.search(r"dp value deviation: ([0-9.eE+-]+)", out_text).group(1))
     mc_match = re.search(r"mc density distance: ([0-9.eE+-]+)", out_text)
@@ -463,6 +476,26 @@ def test_run_that_breaks_the_substep_budget_exits_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert re.match(rf"error: \d+ substeps in one step at rate .*, over the budget of {evmfg.ev.SUBSTEP_BUDGET}", err)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("sets, rule", [
+    (["series.d=-2.0", "price.exponent=2.5"], "a fractional exponent needs series.d >= 0 at every node"),
+    (["series.d=0", "price.exponent=-1"], "a negative exponent needs series.d > 0 at every node"),
+], ids=["fractional", "negative"])
+def test_a_price_law_that_cannot_be_evaluated_exits_1_before_the_solve(tmp_path, sets, rule):
+    # the price base is at least d: a power of it that numpy cannot take is named, not a sweep's blow-up
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    overrides = [arg for item in sets for arg in ("--set", item)]
+    result = subprocess.run(
+        [sys.executable, "-m", "evmfg", "run", "ev_weekend", "--out", str(tmp_path / "run"), *QUICK_ARGS, *overrides],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 1
+    assert "RuntimeWarning" not in result.stderr
+    assert result.stderr == f"error: price.exponent: {rule}\n"
     assert not (tmp_path / "run").exists()
 
 

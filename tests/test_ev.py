@@ -36,7 +36,7 @@ def make_params(tgrid, g=0.2, sigma=0.0, H=30.0, d=1.0, f_cost=None, kappa=None,
         sigma=np.full(n, sigma),
         H=np.full(n, H),
         d=np.full(n, d),
-        f_cost=f_cost or (lambda t, x: np.zeros_like(x)),
+        f=f_cost or (lambda t, x: np.zeros_like(x)),
         kappa=kappa or (lambda x: np.zeros_like(x)),
         **kw,
     )
@@ -85,7 +85,7 @@ def test_ev_price_with_moving_mean():
 def test_ev_price_decoupled_ignores_density():
     tgrid = TimeGrid(1.0, 4)
     sgrid = SpaceGrid((20,))
-    params = make_params(tgrid, g=0.6, d=1.1, demand_coupled=False)
+    params = make_params(tgrid, g=0.6, d=1.1, coupled=False)
     m = two_cell_density(sgrid, 4, 14, 0.2 + 0.1 * tgrid.nodes)
     np.testing.assert_allclose(ev_price(m, params, sgrid), 1.21, rtol=1e-12)
 
@@ -255,7 +255,7 @@ def test_hjb_discrete_residual():
         )
         rhs = (
             -ham
-            - params.f_cost(tgrid.nodes[j], sgrid.nodes(0))
+            - params.f(tgrid.nodes[j], sgrid.nodes(0))
             - 0.5 * diff * diff2(v[j], sgrid)
         )
         res = (v[j] - v[i]) / tgrid.dt - rhs
@@ -348,6 +348,46 @@ def test_non_finite_m0_is_rejected():
             EvProblem(params, sgrid, m0)
         with pytest.raises(ValueError, match=f"initial density mass {bad}"):
             fpk_forward_sweep((np.zeros((6, 20)),), m0, params, sgrid)
+
+
+def test_an_initial_density_of_another_grid_is_rejected():
+    tgrid = TimeGrid(1.0, 5)
+    sgrid = SpaceGrid((20,))
+    params = make_params(tgrid)
+    m0 = tent_density(SpaceGrid((19,)), 0.5, 0.2)
+    for build in (lambda: EvProblem(params, sgrid, m0),
+                  lambda: fpk_forward_sweep((np.zeros((6, 20)),), m0, params, sgrid)):
+        with pytest.raises(ScenarioError) as err:
+            build()
+        assert str(err.value) == "initial_density: m0 does not match the space grid"
+
+
+def test_a_density_slice_beyond_roundoff_is_a_divergence_and_roundoff_is_clamped():
+    check = ev_module._check_density_slice
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DivergenceError) as err:
+            check(np.array([0.5, bad, 0.5]), 3)
+        assert str(err.value) == "density slice is not finite (time node 3)"
+        assert err.value.time_node == 3
+    with pytest.raises(DivergenceError) as err:
+        check(np.array([1.0, -2e-8, 1.0]), 5)
+    assert str(err.value) == "density negativity -2.000e-08 beyond roundoff (time node 5)"
+    limit = ev_module.NEGATIVITY_HARD_LIMIT
+    assert np.array_equal(check(np.array([1.0, -limit, 1.0]), 5), [1.0, 0.0, 1.0])
+    # the forward sweep checks its initial slice too: unit mass, but a cell below roundoff
+    tgrid, sgrid = TimeGrid(1.0, 5), SpaceGrid((20,))
+    m0 = tent_density(sgrid, 0.5, 0.2)
+    m0[0], m0[-1] = -1e-6, 1e-6
+    with pytest.raises(DivergenceError) as err:
+        fpk_forward_sweep((np.zeros((6, 20)),), m0, make_params(tgrid), sgrid)
+    assert str(err.value) == "density negativity -1.000e-06 beyond roundoff (time node 0)"
+
+
+def test_optimal_control_rejects_a_value_field_of_another_grid():
+    params = make_params(TimeGrid(1.0, 5))
+    with pytest.raises(ValueError) as err:
+        optimal_control(np.zeros((6, 19)), np.ones(6), params, SpaceGrid((20,)))
+    assert str(err.value) == "value field shape (6, 19) does not match grid (20,)"
 
 
 def test_fpk_divergence_reports_time_node():
@@ -503,7 +543,7 @@ def small_equilibrium():
         sigma=np.full(n, 0.1),
         H=np.full(n, 2.0),
         d=0.8 + 0.3 * np.sin(2 * np.pi * tgrid.nodes / 0.2),
-        f_cost=lambda t, x: (1.0 - x) ** 2,
+        f=lambda t, x: (1.0 - x) ** 2,
         kappa=lambda x: (1.0 - x) ** 2,
     )
     m0 = tent_density(sgrid, 0.5, 0.2)
@@ -575,7 +615,7 @@ def test_ev_params_validation():
             sigma=np.zeros(8),
             H=np.ones(8),
             d=np.zeros(8),
-            f_cost=lambda t, x: x,
+            f=lambda t, x: x,
             kappa=lambda x: x,
         )
     with pytest.raises(ValueError):
@@ -585,7 +625,7 @@ def test_ev_params_validation():
             sigma=np.zeros(n),
             H=np.zeros(n),  # H must be positive
             d=np.zeros(n),
-            f_cost=lambda t, x: x,
+            f=lambda t, x: x,
             kappa=lambda x: x,
         )
     with pytest.raises(ValueError):
@@ -595,7 +635,7 @@ def test_ev_params_validation():
             sigma=np.full(n, -0.1),
             H=np.ones(n),
             d=np.zeros(n),
-            f_cost=lambda t, x: x,
+            f=lambda t, x: x,
             kappa=lambda x: x,
         )
     with pytest.raises(ValueError):
@@ -605,6 +645,6 @@ def test_ev_params_validation():
             sigma=np.zeros(n),
             H=np.ones(n),
             d=np.zeros(n),
-            f_cost=lambda t, x: x,
+            f=lambda t, x: x,
             kappa=lambda x: x,
         )

@@ -57,7 +57,7 @@ def _flat_mdp(
     tg = TimeGrid(t1=t1, n_steps=n_steps)
     const = lambda c: np.full(tg.n_nodes, float(c))
     params = EvParams(
-        tgrid=tg, g=const(g), d=const(0.0), sigma=const(sigma), H=const(1.0), f_cost=f_cost, kappa=kappa
+        tgrid=tg, g=const(g), d=const(0.0), sigma=const(sigma), H=const(1.0), f=f_cost, kappa=kappa
     )
     params.H = const(H)  # the induction takes H = 0, which the solver's params reject
     return DiscreteMdp(
@@ -77,7 +77,7 @@ def test_ev_mdp_lattice_and_actions():
         d=np.full(n, 1.0),
         sigma=np.full(n, 0.1),
         H=np.full(n, 30.0),
-        f_cost=lambda t, s: (1.0 - s) ** 2,
+        f=lambda t, s: (1.0 - s) ** 2,
         kappa=lambda s: (1.0 - s) ** 2,
     )
     p = np.linspace(1.0, 2.0, n)
@@ -172,7 +172,7 @@ def _enumerate_value(mdp):
                 stage = (
                     a * mdp.price[j]
                     + 0.5 * mdp.params.H[j] * a * a
-                    + float(mdp.params.f_cost(mdp.tgrid.nodes[j], np.array([x]))[0])
+                    + float(mdp.params.f(mdp.tgrid.nodes[j], np.array([x]))[0])
                 )
                 best = min(best, dt * stage + value[j][int(hits[0])])
             row[k] = best
@@ -279,7 +279,7 @@ def _flat_phev_mdp(
         states2=states.copy(),
         actions1=np.asarray(actions, dtype=float),
         actions2=np.asarray(actions, dtype=float),
-        params=PhevParams(tgrid=tg, g=const(g), Q1=const(Q), Q2=const(Q), r2=r2, s_cost=s_cost, xi=xi),
+        params=PhevParams(tgrid=tg, g=const(g), Q1=const(Q), Q2=const(Q), r2=r2, s=s_cost, xi=xi),
         price=const(r1),
     )
 
@@ -350,7 +350,7 @@ def test_phev_dp_matches_pair_enumeration():
                             + a2 * mdp.params.r2
                             + 0.5 * mdp.params.Q1[j] * a1 * a1
                             + 0.5 * mdp.params.Q2[j] * a2 * a2
-                            + float(mdp.params.s_cost(mdp.tgrid.nodes[j], np.array([z1]), np.array([z2]))[0])
+                            + float(mdp.params.s(mdp.tgrid.nodes[j], np.array([z1]), np.array([z2]))[0])
                         )
                         best = min(best, dt * stage + tables[j][(snap(n1), snap(n2))])
                 cur[(i1, i2)] = best
@@ -490,7 +490,7 @@ def test_dp_is_bit_identical_to_the_per_tuple_induction_in_1d(seed):
         d=np.ones(n),
         sigma=rng.uniform(0.2, 0.6, n),
         H=rng.uniform(0.5, 3.0, n),
-        f_cost=lambda t, s: w[0] * (1.0 - s) ** 2 + w[1] * t,
+        f=lambda t, s: w[0] * (1.0 - s) ** 2 + w[1] * t,
         kappa=lambda s: w[2] * (1.0 - s) ** 2,
     )
     mdp = DiscreteMdp(
@@ -517,7 +517,7 @@ def test_dp_is_bit_identical_to_the_per_tuple_induction_in_2d(seed):
         Q1=rng.uniform(0.5, 3.0, n),
         Q2=rng.uniform(0.5, 3.0, n),
         r2=float(rng.uniform(0.0, 1.0)),
-        s_cost=lambda t, z1, z2: w[0] * (2.0 - z1 - z2) ** 2 + w[1] * t * z1,
+        s=lambda t, z1, z2: w[0] * (2.0 - z1 - z2) ** 2 + w[1] * t * z1,
         xi=lambda z1, z2: w[2] * ((1.0 - z1) ** 2 + 0.5 * (1.0 - z2) ** 2),
     )
     mdp = PhevMdp(
@@ -564,7 +564,7 @@ def test_phev_mdp_uses_cell_centered_states():
         Q1=np.full(n, 125.0),
         Q2=np.full(n, 125.0),
         r2=0.7,
-        s_cost=lambda t, z1, z2: 20.0 * (2.0 - z1 - z2) ** 2,
+        s=lambda t, z1, z2: 20.0 * (2.0 - z1 - z2) ** 2,
         xi=lambda z1, z2: 10.0 * (2.0 - z1 - z2) ** 2,
     )
     mdp = phev_mdp(params, np.full(n, 0.7), n_states=8)
@@ -621,7 +621,7 @@ def _ev_params(tg, g=0.5, sigma=0.1, H=30.0):
         d=np.full(n, 1.0),
         sigma=np.full(n, sigma),
         H=np.full(n, H),
-        f_cost=lambda t, s: np.zeros_like(s),
+        f=lambda t, s: np.zeros_like(s),
         kappa=lambda s: np.zeros_like(s),
     )
 
@@ -873,11 +873,11 @@ def _varying_params(model, tg):
     if model == "ev":
         return EvParams(
             tgrid=tg, g=_wavy(tg, 0.4, 5.0), d=_wavy(tg, 0.8, 7.0), sigma=_wavy(tg, 0.1, 3.0),
-            H=_wavy(tg, 30.0, 11.0), f_cost=lambda t, s: s, kappa=lambda s: s,
+            H=_wavy(tg, 30.0, 11.0), f=lambda t, s: s, kappa=lambda s: s,
         )
     return PhevParams(
         tgrid=tg, g=_wavy(tg, 0.2, 5.0), Q1=_wavy(tg, 125.0, 7.0), Q2=_wavy(tg, 90.0, 3.0), r2=0.7,
-        s_cost=lambda t, z1, z2: z1, xi=lambda z1, z2: z1,
+        s=lambda t, z1, z2: z1, xi=lambda z1, z2: z1,
     )
 
 
@@ -912,9 +912,9 @@ class _GameOnly:
 def _costly_params(model, tg):
     # running costs that vary in time, so a wrong node index shows
     if model == "ev":
-        costs = dict(f_cost=lambda t, s: (1.0 - s) ** 2 * (1.0 + t), kappa=lambda s: 2.0 * (1.0 - s) ** 2)
+        costs = dict(f=lambda t, s: (1.0 - s) ** 2 * (1.0 + t), kappa=lambda s: 2.0 * (1.0 - s) ** 2)
     else:
-        costs = dict(s_cost=lambda t, z1, z2: (2.0 - z1 - z2) ** 2 * (1.0 + t), xi=lambda z1, z2: (2.0 - z1 - z2) ** 2)
+        costs = dict(s=lambda t, z1, z2: (2.0 - z1 - z2) ** 2 * (1.0 + t), xi=lambda z1, z2: (2.0 - z1 - z2) ** 2)
     return dataclasses.replace(_varying_params(model, tg), **costs)
 
 
@@ -923,7 +923,7 @@ def test_operators_read_a_model_only_through_its_game(model):
     tg = TimeGrid(t1=0.5, n_steps=12)
     params = _costly_params(model, tg)
     stub = _GameOnly(params)
-    for name in ("g", "H", "sigma", "f_cost", "kappa", "Q1", "Q2", "r2", "s_cost", "xi"):
+    for name in ("g", "H", "sigma", "f", "kappa", "Q1", "Q2", "r2", "s", "xi"):
         assert not hasattr(stub, name)
     sgrid = SpaceGrid((16,) if model == "ev" else (8, 8))
     p = _wavy(tg, 1.2, 4.0)

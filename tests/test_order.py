@@ -33,7 +33,7 @@ def ev_params(tgrid, sigma, H=3.0, f_cost=None, kappa=None):
     n = tgrid.n_nodes
     return EvParams(
         tgrid=tgrid, g=np.full(n, G), sigma=np.full(n, sigma), H=np.full(n, H), d=np.ones(n),
-        f_cost=f_cost or (lambda t, x: np.zeros_like(x)), kappa=kappa or (lambda x: np.zeros_like(x)),
+        f=f_cost or (lambda t, x: np.zeros_like(x)), kappa=kappa or (lambda x: np.zeros_like(x)),
     )
 
 
@@ -145,7 +145,7 @@ def phev_value_errors(n_cells: int) -> dict[str, float]:
 
     params = PhevParams(
         tgrid=tgrid, g=np.full(n, G), Q1=np.full(n, Q1), Q2=np.full(n, Q2), r2=r2,
-        s_cost=s_cost, xi=lambda z1, z2: exact(VALUE_T, z1, z2),
+        s=s_cost, xi=lambda z1, z2: exact(VALUE_T, z1, z2),
     )
     v, _ = hjb_backward_sweep(np.full(n, VALUE_PRICE), params, sgrid)
     z1, z2 = sgrid.meshes()

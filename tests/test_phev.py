@@ -29,9 +29,9 @@ def make_params(tgrid, g=0.2, Q1=125.0, Q2=125.0, r2=0.7, s_cost=None, xi=None, 
         Q1=np.full(n, Q1),
         Q2=np.full(n, Q2),
         r2=r2,
-        s_cost=s_cost or (lambda t, z1, z2: np.zeros_like(z1)),
+        s=s_cost or (lambda t, z1, z2: np.zeros_like(z1)),
         xi=xi or (lambda z1, z2: np.zeros_like(z1)),
-        price_offset=offset,
+        offset=offset,
     )
 
 
@@ -347,7 +347,7 @@ def test_phev_params_validation():
             Q1=np.zeros(n),  # must be positive
             Q2=np.ones(n),
             r2=0.7,
-            s_cost=lambda t, z1, z2: z1,
+            s=lambda t, z1, z2: z1,
             xi=lambda z1, z2: z1,
         )
     with pytest.raises(ValueError):
@@ -357,6 +357,6 @@ def test_phev_params_validation():
             Q1=np.ones(n),
             Q2=np.ones(n),
             r2=0.7,
-            s_cost=lambda t, z1, z2: z1,
+            s=lambda t, z1, z2: z1,
             xi=lambda z1, z2: z1,
         )

@@ -32,6 +32,7 @@ from evmfg import (
     validate_config,
     write_scenario,
 )
+from evmfg import scenario
 from evmfg.scenario import RUN_LAYOUT, SCHEMA_TEXT, ScenarioConfig, check_inputs, scenario_inputs
 
 
@@ -132,6 +133,16 @@ def test_directory_is_not_a_scenario_file(tmp_path, monkeypatch):
 # round trip and hashing
 
 
+def test_a_file_that_is_not_yaml_is_named(tmp_path):
+    text = "schema_version: 1\nmodel: [ev\n"
+    with pytest.raises(yaml.YAMLError) as parse:
+        yaml.load(text, Loader=scenario._YAML_LOADER)
+    (tmp_path / "broken.yaml").write_text(text)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(tmp_path / "broken.yaml")
+    assert str(err.value) == f"document: not valid YAML: {parse.value}"
+
+
 def test_round_trip_preserves_document(tmp_path):
     cfg = load_scenario("ev_weekend")
     out = tmp_path / "copy.yaml"
@@ -195,6 +206,54 @@ def test_invalid_ev_documents(mutate, field_fragment):
     assert field_fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: [_minimal_ev()], "document: scenario must be a mapping"),
+        (lambda: _minimal_ev(model=["ev"]), "model: expected 'ev' or 'phev', got ['ev']"),
+        (lambda: _minimal_ev(horizon="abc"), "horizon: expected a number, got 'abc'"),
+        (lambda: _minimal_ev(space=[20]), "space: expected a mapping"),
+        (lambda: _minimal_ev(space={"cells": 20, "rows": 2}), "space.rows: unknown key"),
+        (lambda: _minimal_ev(series=[0.4]), "series: expected a mapping"),
+        (lambda: _minimal_ev(series={**_minimal_ev()["series"], "Q1": 1.0}), "series.Q1: unknown key"),
+        (lambda: _minimal_ev(costs="zero"), "costs: expected a mapping"),
+        (lambda: _minimal_ev(costs={**_minimal_ev()["costs"], "s": {"kind": "zero"}}), "costs.s: unknown key"),
+        (lambda: _minimal_ev(price=[2.0]), "price: expected a mapping"),
+        (lambda: _minimal_ev(price={"offset": 0.5}), "price.offset: unknown key"),
+        (lambda: _minimal_ev(price={"coupled": "yes"}), "price.coupled: expected a boolean"),
+        (lambda: _minimal_ev(price={"exponent": "2"}), "price.exponent: expected a number, got '2'"),
+        (lambda: _minimal_ev(price={"exponent": True}), "price.exponent: expected a number, got True"),
+        (lambda: _minimal_phev(price={"r2": None}), "price.r2: expected a number, got None"),
+        (lambda: _minimal_phev(price={"r2": 0.7, "offset": "half"}), "price.offset: expected a number, got 'half'"),
+        (lambda: _minimal_phev(price={"r2": 0.7, "coupled": True}), "price.coupled: unknown key"),
+        (lambda: _minimal_ev(solver=5), "solver: expected a mapping"),
+        (lambda: _minimal_ev(solver={"tolerance": 1e-6}), "solver.tolerance: unknown key"),
+        (lambda: _minimal_ev(solver={"tol": "small"}), "solver.tol: expected a number, got 'small'"),
+        (lambda: _minimal_ev(solver={"damping": None}), "solver.damping: expected a number, got None"),
+        (lambda: _minimal_ev(name=""), "name: expected a nonempty string"),
+        (lambda: _minimal_ev(name=3), "name: expected a nonempty string"),
+        (lambda: _minimal_ev(series={**_minimal_ev()["series"], "g": "high"}),
+         "series.g: expected scalar, list, {times, values} or {csv}"),
+        (lambda: _minimal_ev(series={**_minimal_ev()["series"], "g": {"times": 0.0, "values": [0.4]}}),
+         "series.g: times and values must be lists"),
+        (lambda: _minimal_ev(series={**_minimal_ev()["series"], "g": {"times": [0.0, 0.1, 0.1], "values": [1, 2, 3]}}),
+         "series.g.times: must be strictly increasing"),
+        (lambda: _minimal_ev(series={**_minimal_ev()["series"], "g": {"csv": 3}}), "series.g.csv: expected a path string"),
+        (lambda: _minimal_ev(costs={**_minimal_ev()["costs"], "f": "zero"}),
+         "costs.f: expected a mapping with a 'kind' key"),
+        (lambda: _minimal_ev(initial_density="triangle"), "initial_density: expected a mapping with a 'kind' key"),
+        (lambda: _minimal_ev(initial_density={"kind": "cube"}), "initial_density.kind: unknown density kind 'cube'"),
+        (lambda: _minimal_ev(initial_density={"kind": "histogram", "csv": 3}),
+         "initial_density.csv: expected a path string"),
+    ],
+)
+def test_each_reader_error_names_its_field(make, message):
+    with pytest.raises(ScenarioError) as err:
+        validate_config(make())
+    assert str(err.value) == message
+    assert err.value.field == message.split(": ")[0]
+
+
 def test_triangle_support_message_names_interval():
     doc = _minimal_ev(initial_density={"kind": "triangle", "center": 0.95, "halfwidth": 0.2})
     with pytest.raises(ScenarioError, match="not within"):
@@ -248,13 +307,13 @@ def _full(tgrid, values):
 def _ev_params(**series):
     tgrid = TimeGrid(0.2, 12)  # _minimal_ev's
     values = {"g": 0.4, "d": 0.8, "sigma": 0.1, "H": 2.0, **series}
-    return EvParams(tgrid=tgrid, **_full(tgrid, values), f_cost=None, kappa=None)
+    return EvParams(tgrid=tgrid, **_full(tgrid, values), f=None, kappa=None)
 
 
 def _phev_params(**series):
     tgrid = TimeGrid(0.2, 8)  # _minimal_phev's
     values = {"g": 0.2, "Q1": 125.0, "Q2": 125.0, **series}
-    return PhevParams(tgrid=tgrid, **_full(tgrid, values), r2=0.7, s_cost=None, xi=None)
+    return PhevParams(tgrid=tgrid, **_full(tgrid, values), r2=0.7, s=None, xi=None)
 
 
 @pytest.mark.parametrize(
@@ -277,14 +336,19 @@ def _phev_params(**series):
         ("phev", lambda d: d["series"].update(Q2=-1.0), lambda: _phev_params(Q2=-1.0)),
         ("phev", lambda d: d["series"].update(g={"csv": "nan.csv"}), lambda: _phev_params(g=np.nan)),
         ("ev", lambda d: d.update(price={"exponent": float("nan")}),
-         lambda: dataclasses.replace(_ev_params(), price_exponent=float("nan"))),
+         lambda: dataclasses.replace(_ev_params(), exponent=float("nan"))),
         ("phev", lambda d: d["price"].update(offset=-1.0),
-         lambda: dataclasses.replace(_phev_params(), price_offset=-1.0)),
+         lambda: dataclasses.replace(_phev_params(), offset=-1.0)),
         ("phev", lambda d: d["price"].update(r2=float("inf")),
          lambda: dataclasses.replace(_phev_params(), r2=float("inf"))),
+        ("ev", lambda d: d.update(price={"exponent": 2.5}, series={**d["series"], "d": -2.0}),
+         lambda: dataclasses.replace(_ev_params(d=-2.0), exponent=2.5)),
+        ("ev", lambda d: d.update(price={"exponent": -1.0}, series={**d["series"], "d": 0.0}),
+         lambda: dataclasses.replace(_ev_params(d=0.0), exponent=-1.0)),
     ],
     ids=["horizon", "horizon-inf", "time_steps", "cells", "cells-2d", "max_iters", "tol", "tol-nan", "damping",
-         "length",         "H", "sigma", "finite", "Q1", "Q2", "finite-2d", "exponent", "offset", "r2"],
+         "length",         "H", "sigma", "finite", "Q1", "Q2", "finite-2d", "exponent", "offset", "r2",
+         "exponent-fractional", "exponent-negative"],
 )
 def test_each_range_rule_has_one_source(tmp_path, model, mutate, construct):
     # the document route and the object that holds the rule raise the same error
@@ -444,6 +508,12 @@ def test_histogram_density_2d_errors(tmp_path, values, message):
         build_problem(_phev_histogram(tmp_path, values))
 
 
+def test_a_density_with_no_mass_on_the_grid_is_named(tmp_path):
+    with pytest.raises(ScenarioError) as err:
+        build_problem(_phev_histogram(tmp_path, np.zeros((8, 8))))
+    assert str(err.value) == "initial_density: density has no mass on the grid"
+
+
 def test_histogram_density_that_does_not_parse_is_named(tmp_path):
     config = _phev_histogram(tmp_path, np.ones((8, 8)))
     (tmp_path / "m0.csv").write_text("1,1,1,x,1,1,1,1\n" * 8)
@@ -474,11 +544,11 @@ def test_gaussian_density_matches_closed_form(tmp_path):
 def test_cost_presets_match_closed_forms(tmp_path):
     problem, _, _ = build_problem(ScenarioConfig(data=validate_config(_minimal_ev()), base_dir=tmp_path))
     x = problem.sgrid.nodes(0)
-    assert np.array_equal(problem.params.f_cost(0.1, x), 1.0 * (1.0 - x) ** 2)
+    assert np.array_equal(problem.params.f(0.1, x), 1.0 * (1.0 - x) ** 2)
     assert np.array_equal(problem.params.kappa(x), 1.0 * (1.0 - x) ** 2)
     problem, _, _ = build_problem(ScenarioConfig(data=validate_config(_minimal_phev()), base_dir=tmp_path))
     z1, z2 = problem.sgrid.meshes()
-    assert np.array_equal(problem.params.s_cost(0.1, z1, z2), 20.0 * (2.0 - z1 - z2) ** 2)
+    assert np.array_equal(problem.params.s(0.1, z1, z2), 20.0 * (2.0 - z1 - z2) ** 2)
     assert np.array_equal(problem.params.xi(z1, z2), 10.0 * (2.0 - z1 - z2) ** 2)
 
 
@@ -487,13 +557,13 @@ def test_zero_cost_preset_on_both_grids(tmp_path):
     ev = _minimal_ev(costs={"f": zero, "kappa": zero})
     problem, options, _ = build_problem(ScenarioConfig(data=validate_config(ev), base_dir=tmp_path))
     x = problem.sgrid.nodes(0)
-    for values in (problem.params.f_cost(0.1, x), problem.params.kappa(x)):
+    for values in (problem.params.f(0.1, x), problem.params.kappa(x)):
         assert values.shape == x.shape and not values.any()
     assert solve_mfe(problem, options).converged
     phev = _minimal_phev(costs={"s": zero, "xi": zero})
     problem, options, _ = build_problem(ScenarioConfig(data=validate_config(phev), base_dir=tmp_path))
     z1, z2 = problem.sgrid.meshes()
-    for values in (problem.params.s_cost(0.1, z1, z2), problem.params.xi(z1, z2)):
+    for values in (problem.params.s(0.1, z1, z2), problem.params.xi(z1, z2)):
         assert values.shape == z1.shape and not values.any()
     assert solve_mfe(problem, options).converged
 
@@ -517,6 +587,25 @@ def test_apply_overrides_rejects_unknown_path():
     cfg = load_scenario("ev_weekend")
     with pytest.raises(ScenarioError, match="no such scenario field"):
         apply_overrides(cfg, ["nonexistent.key=1"])
+
+
+@pytest.mark.parametrize("item, message", [
+    ("=1", "override: empty key in '=1'"),
+    ("horizon.x=1", "horizon.x: no such scenario field"),
+    ("horizon.x.y=1", "horizon.x.y: no such scenario field"),
+])
+def test_apply_overrides_names_an_empty_key_or_a_path_through_a_value(item, message):
+    with pytest.raises(ScenarioError) as err:
+        apply_overrides(load_scenario("ev_weekend"), [item])
+    assert str(err.value) == message
+
+
+def test_an_override_value_that_is_not_yaml_is_named():
+    with pytest.raises(yaml.YAMLError) as parse:
+        yaml.load("[1,", Loader=scenario._YAML_LOADER)
+    with pytest.raises(ScenarioError) as err:
+        apply_overrides(load_scenario("ev_weekend"), ["price.exponent=[1,"])
+    assert str(err.value) == f"price.exponent: override value is not valid YAML: {parse.value}"
 
 
 def test_apply_overrides_rejects_bad_syntax():

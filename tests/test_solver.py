@@ -39,9 +39,9 @@ def small_problem(demand_coupled=True):
         sigma=np.full(n, 0.1),
         H=np.full(n, 2.0),
         d=0.8 + 0.2 * np.sin(2 * np.pi * tgrid.nodes / 0.2),
-        f_cost=lambda t, x: (1.0 - x) ** 2,
+        f=lambda t, x: (1.0 - x) ** 2,
         kappa=lambda x: (1.0 - x) ** 2,
-        demand_coupled=demand_coupled,
+        coupled=demand_coupled,
     )
     return EvProblem(params, sgrid, tent_density(sgrid, 0.5, 0.2))
 
