@@ -22,6 +22,7 @@ from .numerics import (
     diff_central,
     diff_upwind,
     diffuse,
+    face_velocities,
     integrate,
     mean_rate,
     space_mean,
@@ -70,6 +71,7 @@ __all__ = [
     "SpaceGrid",
     "diff_central",
     "diff_upwind",
+    "face_velocities",
     "diff2",
     "diffuse",
     "integrate",

@@ -32,6 +32,11 @@ backward one where it is negative, and the wall ghost cells copy their
 neighbour, so a drift into a wall moves nothing and the walls reflect as in
 the zero-flux density sweep.
 
+At 100-400 cells a numpy call costs more than its arithmetic: a density step
+computes its ``face_velocities`` once for its outflow rate and substeps, and
+``_hamiltonian`` takes both branches in one stacked pass, with the bits of
+one at a time. Temporaries stay per step, as whole-run ones cost 2D memory.
+
 The sweeps and the control below serve the two-pack model in ``phev`` too:
 they read a model only through the per-axis ``Game`` its params build.
 """
@@ -53,6 +58,7 @@ from .numerics import (
     diff2,
     diff_upwind,
     diffuse,
+    face_velocities,
     integrate,
     mean_rate,
     substep_count,
@@ -66,6 +72,7 @@ MASS_TOLERANCE = 1e-6
 # converge asks for is 336,773 (143 x 100 with H = 1, exponent 4, after 137
 # iterations); runs that never end ask for millions after a price overshoot.
 SUBSTEP_BUDGET = 500_000
+CONTROL_BLOCK_CELLS = 4096  # cells per call in optimal_control: branch stacks of 64 KiB
 
 
 class _SeriesParams:
@@ -120,6 +127,8 @@ class EvParams(_SeriesParams):
     def __post_init__(self) -> None:
         self._check_series(positive=("H",), nonnegative=("sigma",))
         self.exponent = as_float(self.exponent, "price.exponent")
+        if not isinstance(self.coupled, (bool, np.bool_)):
+            raise ScenarioError("price.coupled", "expected a boolean")
         # The price base [g + d/dt int x m]+ + d is at least d, and may equal it.
         if not self.exponent.is_integer() and np.any(self.d < 0.0):
             raise ScenarioError("price.exponent", "a fractional exponent needs series.d >= 0 at every node")
@@ -178,7 +187,7 @@ def _check_initial_density(m0: np.ndarray, sgrid) -> np.ndarray:
 
 def _check_density_slice(m: np.ndarray, time_node: int) -> np.ndarray:
     """Clamp roundoff negativity to zero; blow up on real scheme failure."""
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise DivergenceError("density slice is not finite", time_node)
     low = float(m.min())
     if low < -NEGATIVITY_HARD_LIMIT:
@@ -206,36 +215,37 @@ def _geometry(sgrid) -> list[tuple[float, AxisIndex]]:
     return [(sgrid.spacing(axis), axis_index(axis)) for axis in range(len(sgrid.shape))]
 
 
-def _hamiltonian(v, p, g, h, dx: float, at: AxisIndex) -> tuple[np.ndarray, np.ndarray]:
-    """Monotone upwind Hamiltonian and its minimiser along the axis that ``at`` indexes.
+def _hamiltonian(v, p, g, h, dx: float, at: AxisIndex, minimiser: bool = True):
+    """Monotone upwind Hamiltonian and its minimiser (None if not ``minimiser``) along the axis ``at`` indexes.
 
     F = min_a [(a-g)+ D+v + (a-g)- D-v + a p + h a^2 / 2]. The wall ghost
     cells copy their neighbour (as in ``diff2``), so D-v is zero in the
     first cell and D+v in the last: the walls reflect. On a >= g only D+v
     enters, on a <= g only D-v, so each branch is a clipped quadratic and F
-    is the smaller of the two branch minima. The coefficients broadcast
-    against ``v``.
+    is the smaller of the two branch minima. Both branches are evaluated
+    in one pass on a stack of the differences, D-v in row 0 and D+v in
+    row 1. The coefficients broadcast against ``v``.
     """
-    fwd = np.zeros(v.shape)
-    fwd[at.lo] = (v[at.hi] - v[at.lo]) / dx
-    bwd = np.zeros(v.shape)
-    bwd[at.hi] = fwd[at.lo]
-    a_up = np.maximum(-(fwd + p) / h, g)
-    a_dn = np.minimum(-(bwd + p) / h, g)
-    f_up = (a_up - g) * fwd + a_up * p + 0.5 * h * a_up ** 2
-    f_dn = (a_dn - g) * bwd + a_dn * p + 0.5 * h * a_dn ** 2
-    up = f_up < f_dn
-    return np.where(up, f_up, f_dn), np.where(up, a_up, a_dn)
+    step = (v[at.hi] - v[at.lo]) / dx
+    diff = np.zeros((2,) + v.shape)
+    diff[(0,) + at.hi] = step
+    diff[(1,) + at.lo] = step
+    a = (diff + p) / -h  # the bits of -(diff + p) / h; negating h is cheaper than negating the stack
+    np.minimum(a[0], g, out=a[0])
+    np.maximum(a[1], g, out=a[1])
+    f = (a - g) * diff + a * p + 0.5 * h * a ** 2
+    up = f[1] < f[0]
+    return np.where(up, f[1], f[0]), (np.where(up, a[1], a[0]) if minimiser else None)
 
 
-def _hamiltonian_sum(v, axes, geometry) -> tuple[np.ndarray, list[np.ndarray]]:
+def _hamiltonian_sum(v, axes, geometry, minimisers: bool = True) -> tuple[np.ndarray, list]:
     """Sum of ``_hamiltonian`` over the axes (a ``(p, g, h)`` and a ``_geometry`` entry each) and each minimiser."""
-    ham, minimisers = None, []
+    ham, controls = None, []
     for (p, g, h), (dx, at) in zip(axes, geometry):
-        f, a = _hamiltonian(v, p, g, h, dx, at)
+        f, a = _hamiltonian(v, p, g, h, dx, at, minimisers)
         ham = f if ham is None else ham + f
-        minimisers.append(a)
-    return ham, minimisers
+        controls.append(a)
+    return ham, controls
 
 
 def _step_plan(dt: float, diff: float, dx2: float, rates, what: str, node: int) -> tuple[int, float, float, float]:
@@ -296,14 +306,14 @@ def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid):
             tgrid.dt, diff, dx2, rates, "coefficients in backward sweep", i)
         for k in range(n_sub):
             if k:
-                ham, _ = _hamiltonian_sum(cur, axes, geometry)
+                ham, _ = _hamiltonian_sum(cur, axes, geometry, minimisers=False)
             upd = ham + running
             if half_diff > 0.0:
                 upd = upd + half_diff * diff2(cur, sgrid)
             cur = cur + dt_sub * upd
         if diffusion_time:
             cur = diffuse(cur, diffusion_time, sgrid)
-        if not np.all(np.isfinite(cur)):
+        if not np.isfinite(cur).all():
             raise DivergenceError("value slice is not finite", i)
         v[i] = cur
     for out, a in zip(control, _hamiltonian_sum(v[0], game.hamiltonian(p, 0), geometry)[1]):
@@ -311,11 +321,9 @@ def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid):
     return v, control
 
 
-def _outflow_rate(drift: np.ndarray, dx: float, at: AxisIndex) -> float:
-    """Worst-case per-cell outflow rate of the upwind flux along the axis that ``at`` indexes."""
-    faces = 0.5 * (drift[at.lo] + drift[at.hi])
-    out = float(np.maximum(faces, 0.0).max(initial=0.0) + np.maximum(-faces, 0.0).max(initial=0.0))
-    return out / dx
+def _outflow_rate(faces: np.ndarray, dx: float) -> float:
+    """Worst-case per-cell outflow rate of the upwind flux at the ``face_velocities`` ``faces``."""
+    return float(faces[0].max(initial=0.0) - faces[1].min(initial=0.0)) / dx
 
 
 def fpk_forward_sweep(alpha, m0: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid) -> np.ndarray:
@@ -335,19 +343,22 @@ def fpk_forward_sweep(alpha, m0: np.ndarray, params: _SeriesParams, sgrid: Space
     m[0] = _check_density_slice(_check_initial_density(m0, sgrid), 0)
     geometry = _geometry(sgrid)
     dx2 = sgrid.spacing(0) ** 2
+    fluxes = [np.zeros([n + (k == axis) for k, n in enumerate(sgrid.shape)]) for axis in range(len(sgrid.shape))]
     for i in range(tgrid.n_steps):
         drains, _, diff = game.transport(i)
-        drifts = [a[i] - g for a, g in zip(alpha, drains)]
-        rates = (_outflow_rate(drift, dx, at) for drift, (dx, at) in zip(drifts, geometry))
+        faces = [face_velocities(a[i] - g, sgrid, axis) for axis, (a, g) in enumerate(zip(alpha, drains))]
+        rates = (_outflow_rate(u, dx) for u, (dx, _) in zip(faces, geometry))
         n_sub, dt_sub, half_diff, diffusion_time = _step_plan(tgrid.dt, diff, dx2, rates, "drift in forward sweep", i + 1)
         cur = diffuse(m[i], diffusion_time, sgrid) if diffusion_time else m[i]
         for _ in range(n_sub):
-            upd = -diff_upwind(cur, drifts[0], sgrid, 0)
-            for axis in range(1, len(drifts)):
-                upd = upd - diff_upwind(cur, drifts[axis], sgrid, axis)
+            div = diff_upwind(cur, faces[0], sgrid, 0, fluxes[0])
+            for axis in range(1, len(faces)):
+                div = div + diff_upwind(cur, faces[axis], sgrid, axis, fluxes[axis])
+            # the bits of adding -div (in 2D a -0.0 cell whose divergences cancel may stay -0.0)
             if half_diff > 0.0:
-                upd = upd + half_diff * diff2(cur, sgrid)
-            cur = cur + dt_sub * upd
+                cur = cur + dt_sub * (half_diff * diff2(cur, sgrid) - div)
+            else:
+                cur = cur - dt_sub * div
         m[i + 1] = _check_density_slice(cur, i + 1)
     return m
 
@@ -364,17 +375,17 @@ def optimal_control(v: np.ndarray, p: np.ndarray, params: _SeriesParams, sgrid: 
     if v.shape[1:] != sgrid.shape:
         raise ValueError(f"value field shape {v.shape} does not match grid {sgrid.shape}")
     game = params.game(sgrid.meshes())
-    if len(sgrid.shape) == 1:
-        # The battery's coefficients do not vary in space, so one call on a
-        # column of all nodes covers the field. The packs' drains do, and a
-        # whole-field call would hold (time, cell, cell) temporaries.
-        (terms,) = game.hamiltonian(p, np.arange(len(v))[:, None])
-        return (_hamiltonian(v, *terms, sgrid.spacing(0), axis_index(1))[1],)
-    geometry = _geometry(sgrid)
+    # One call covers a block of time nodes, a column of nodes against the
+    # grid. Blocks of CONTROL_BLOCK_CELLS cells keep ``_hamiltonian``'s
+    # branch stacks in cache: whole-field ones slowed verify, and on the
+    # packs' grid they raised the peak memory.
+    rows = max(1, CONTROL_BLOCK_CELLS // v[0].size)
+    nodes = np.arange(len(v)).reshape((-1,) + (1,) * len(sgrid.shape))
+    geometry = [(sgrid.spacing(axis), axis_index(axis + 1)) for axis in range(len(sgrid.shape))]
     control = tuple(np.empty_like(v) for _ in sgrid.shape)
-    for i in range(len(v)):
-        for out, a in zip(control, _hamiltonian_sum(v[i], game.hamiltonian(p, i), geometry)[1]):
-            out[i] = a
+    for block in (slice(start, start + rows) for start in range(0, len(v), rows)):
+        for out, a in zip(control, _hamiltonian_sum(v[block], game.hamiltonian(p, nodes[block]), geometry)[1]):
+            out[block] = a
     return control
 
 

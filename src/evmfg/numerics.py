@@ -10,7 +10,8 @@ no-flux (reflecting) walls of the model:
   both value sweeps take upwind differences with reflecting ghost cells
   (``ev._hamiltonian``), and tests keep it as a reference operator.
 * ``diff_upwind``: conservative upwind divergence of a flux ``drift * f``
-  with zero flux through the walls; discrete mass is conserved exactly.
+  at the split face velocities of ``face_velocities`` (once per sweep
+  step), zero through the walls; discrete mass is conserved exactly.
 * ``diff2``: 3-point second difference with Neumann ghost cells (ghost value
   equals the adjacent interior value), also exactly conservative.
 * ``diffuse``: the exact exponential ``exp(kappa * diff2)`` of that operator,
@@ -85,22 +86,33 @@ def diff_central(f: np.ndarray, grid, axis: int | None = None) -> np.ndarray:
     return out
 
 
-def diff_upwind(f: np.ndarray, drift: np.ndarray, grid, axis: int | None = None) -> np.ndarray:
-    """Divergence of the upwind flux ``drift * f`` with zero-flux walls.
+def face_velocities(drift: np.ndarray, grid, axis: int | None = None) -> np.ndarray:
+    """Interior face averages of a cell ``drift`` along ``axis``: row 0 their positive, row 1 their negative parts."""
+    drift = np.asarray(drift, dtype=float)
+    at = axis_index(_resolve_axis(drift, grid, axis)[0])
+    u = 0.5 * (drift[at.lo] + drift[at.hi])
+    faces = np.empty((2,) + u.shape)
+    np.maximum(u, 0.0, out=faces[0])
+    np.minimum(u, 0.0, out=faces[1])
+    return faces
 
-    Face velocities are averages of the adjacent cell values of ``drift``;
-    each face flux takes the density from its upwind cell. The cell sum of
-    the output times the cell volume telescopes to zero.
+
+def diff_upwind(f: np.ndarray, faces: np.ndarray, grid, axis: int | None = None, flux=None) -> np.ndarray:
+    """Divergence of the upwind flux with zero-flux walls, at the ``face_velocities`` ``faces``.
+
+    Each face flux takes the density from its upwind cell. The cell sum of
+    the output times the cell volume telescopes to zero. A sweep may pass a
+    ``flux`` buffer to reuse: zero walls, one face more than the cells.
     """
     f = np.asarray(f, dtype=float)
-    drift = np.asarray(drift, dtype=float)
-    if drift.shape != f.shape:
-        raise ValueError(f"drift shape {drift.shape} does not match slice {f.shape}")
     ax, dx = _resolve_axis(f, grid, axis)
+    shape = f.shape[:ax] + (f.shape[ax] - 1,) + f.shape[ax + 1:]
+    if faces.shape != (2,) + shape:
+        raise ValueError(f"face velocities shape {faces.shape} does not match slice {f.shape} along axis {ax}")
     at = axis_index(ax)
-    u = 0.5 * (drift[at.lo] + drift[at.hi])
-    flux = np.zeros(f.shape[:ax] + (f.shape[ax] + 1,) + f.shape[ax + 1:])
-    flux[at.inner] = np.maximum(u, 0.0) * f[at.lo] + np.minimum(u, 0.0) * f[at.hi]
+    if flux is None:
+        flux = np.zeros(f.shape[:ax] + (f.shape[ax] + 1,) + f.shape[ax + 1:])
+    flux[at.inner] = faces[0] * f[at.lo] + faces[1] * f[at.hi]
     return (flux[at.hi] - flux[at.lo]) / dx
 
 

@@ -23,7 +23,7 @@ from evmfg import (
     optimal_control,
     space_mean,
 )
-from evmfg.numerics import SUBSTEP_SAFETY
+from evmfg.numerics import SUBSTEP_SAFETY, axis_index
 
 ZERO = staticmethod(lambda t, x: np.zeros_like(x))
 
@@ -147,12 +147,14 @@ def test_hjb_terminal_condition_exact():
     assert np.array_equal(v[-1], (1.0 - sgrid.nodes(0)) ** 2)
 
 
-@pytest.mark.parametrize("sigma,H", [(0.0, 30.0), (1.0, 0.5)], ids=["smooth", "substepped"])
-def test_hjb_sweep_control_is_optimal_control(sigma, H):
+@pytest.mark.parametrize(
+    "sigma,H,n_steps", [(0.0, 30.0, 12), (1.0, 0.5, 12), (0.0, 30.0, 120)], ids=["smooth", "substepped", "blocks"])
+def test_hjb_sweep_control_is_optimal_control(sigma, H, n_steps):
     # the sweep's control at node j is the minimiser it evaluates on v[j],
     # exactly what optimal_control recomputes from the returned value, also
-    # when a step takes many substeps (sigma = 1 on 100 cells)
-    tgrid = TimeGrid(1.0, 12)
+    # when a step takes many substeps (sigma = 1 on 100 cells) and when the
+    # recomputation takes several blocks of nodes (121 nodes of 100 cells)
+    tgrid = TimeGrid(1.0, n_steps)
     sgrid = SpaceGrid((100,))
     params = make_params(
         tgrid, g=0.4, sigma=sigma, H=H,
@@ -601,6 +603,72 @@ def test_equilibrium_control_recomputable(small_equilibrium):
 
 
 # ---------------------------------------------------------------------------
+# the upwind Hamiltonian: both branches in one stacked pass
+
+
+def _two_branch_hamiltonian(v, p, g, h, dx, at):
+    """Reference ``_hamiltonian`` that evaluates each branch on its own array."""
+    fwd = np.zeros(v.shape)
+    fwd[at.lo] = (v[at.hi] - v[at.lo]) / dx
+    bwd = np.zeros(v.shape)
+    bwd[at.hi] = fwd[at.lo]
+    a_up = np.maximum(-(fwd + p) / h, g)
+    a_dn = np.minimum(-(bwd + p) / h, g)
+    f_up = (a_up - g) * fwd + a_up * p + 0.5 * h * a_up ** 2
+    f_dn = (a_dn - g) * bwd + a_dn * p + 0.5 * h * a_dn ** 2
+    up = f_up < f_dn
+    return np.where(up, f_up, f_dn), np.where(up, a_up, a_dn)
+
+
+def _assert_stacked_hamiltonian_is_the_reference(v, p, g, h, sgrid, axis):
+    dx, at = sgrid.spacing(axis), axis_index(axis)
+    want_f, want_a = _two_branch_hamiltonian(v, p, g, h, dx, at)
+    got_f, got_a = ev_module._hamiltonian(v, p, g, h, dx, at)
+    assert np.array_equal(got_f, want_f) and np.array_equal(got_a, want_a)
+    f_only, none = ev_module._hamiltonian(v, p, g, h, dx, at, minimiser=False)
+    assert none is None and np.array_equal(f_only, want_f)
+    # the slopes straddle g, so both branches and the flat middle are taken
+    assert len(np.unique(np.sign(want_a - g))) == 3
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_hamiltonian_has_the_two_branch_bits_in_1d(seed):
+    rng = np.random.default_rng(seed)
+    sgrid = SpaceGrid((60,))
+    v = np.cumsum(rng.normal(scale=0.1, size=60))
+    p, g, h = (np.float64(x) for x in (rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.5), rng.uniform(1.0, 5.0)))
+    _assert_stacked_hamiltonian_is_the_reference(v, p, g, h, sgrid, 0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_hamiltonian_has_the_two_branch_bits_on_each_2d_axis(seed):
+    rng = np.random.default_rng(seed)
+    sgrid = SpaceGrid((30, 40))
+    v = np.cumsum(np.cumsum(rng.normal(scale=0.1, size=sgrid.shape), axis=0), axis=1)
+    g = rng.uniform(0.0, 0.5, sgrid.shape)  # a drain that varies in space, as the packs' do
+    p, h = np.float64(rng.uniform(0.0, 1.0)), np.float64(rng.uniform(1.0, 5.0))
+    for axis in (0, 1):
+        _assert_stacked_hamiltonian_is_the_reference(v, p, g, h, sgrid, axis)
+
+
+@pytest.mark.parametrize("shape", [(30,), (12, 16)])
+def test_zero_value_at_zero_price_has_an_exact_zero_hamiltonian_and_minimiser(shape):
+    # the oracle's zero-cost, zero-price run compares v with 0 bit for bit
+    sgrid = SpaceGrid(shape)
+    v, g = np.zeros(shape), np.random.default_rng(3).uniform(0.0, 0.5, shape)
+    for axis in range(len(shape)):
+        f, a = ev_module._hamiltonian(v, 0.0, g, 2.0, sgrid.spacing(axis), axis_index(axis))
+        assert np.array_equal(f, np.zeros(shape)) and np.array_equal(a, np.zeros(shape))
+
+
+def test_zero_cost_sweep_at_zero_price_stays_exactly_zero():
+    tgrid = TimeGrid(1.0, 6)
+    sgrid = SpaceGrid((40,))
+    v, (alpha,) = hjb_backward_sweep(np.zeros(tgrid.n_nodes), make_params(tgrid, sigma=0.5), sgrid)
+    assert np.array_equal(v, np.zeros(v.shape)) and np.array_equal(alpha, np.zeros(v.shape))
+
+
+# ---------------------------------------------------------------------------
 # parameter validation
 
 
@@ -648,3 +716,11 @@ def test_ev_params_validation():
             f=lambda t, x: x,
             kappa=lambda x: x,
         )
+
+
+@pytest.mark.parametrize("coupled", ["false", 0, 1.0, None])
+def test_ev_params_coupled_must_be_a_boolean(coupled):
+    # a truthy non-boolean would keep the demand term that "false" means to drop
+    with pytest.raises(ScenarioError, match=r"^price\.coupled: expected a boolean$"):
+        make_params(TimeGrid(1.0, 4), coupled=coupled)
+    assert make_params(TimeGrid(1.0, 4), coupled=np.bool_(False)).coupled == np.False_

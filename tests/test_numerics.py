@@ -12,6 +12,7 @@ from evmfg import (
     diff_central,
     diff_upwind,
     diffuse,
+    face_velocities,
     integrate,
     mean_rate,
     space_mean,
@@ -78,7 +79,7 @@ def test_diff_central_shape_validation():
 def test_diff_upwind_zero_drift():
     sg = SpaceGrid((16,))
     f = np.random.default_rng(0).random(16)
-    np.testing.assert_allclose(diff_upwind(f, np.zeros(16), sg), 0.0, atol=1e-14)
+    np.testing.assert_allclose(diff_upwind(f, face_velocities(np.zeros(16), sg), sg), 0.0, atol=1e-14)
 
 
 def test_diff_upwind_spike_moves_right():
@@ -86,7 +87,7 @@ def test_diff_upwind_spike_moves_right():
     sg = SpaceGrid((4,))
     c = 0.3
     f = np.array([0.0, 1.0, 0.0, 0.0])
-    out = diff_upwind(f, np.full(4, c), sg)
+    out = diff_upwind(f, face_velocities(np.full(4, c), sg), sg)
     np.testing.assert_allclose(out[1], c / sg.spacing(0), rtol=1e-12)
     np.testing.assert_allclose(out[2], -c / sg.spacing(0), rtol=1e-12)
     np.testing.assert_allclose(out[[0, 3]], 0.0, atol=1e-14)
@@ -96,7 +97,7 @@ def test_diff_upwind_direction():
     # negative drift drains the spike into its left neighbor instead
     sg = SpaceGrid((4,))
     f = np.array([0.0, 0.0, 1.0, 0.0])
-    out = diff_upwind(f, np.full(4, -0.5), sg)
+    out = diff_upwind(f, face_velocities(np.full(4, -0.5), sg), sg)
     assert out[2] > 0.0 and out[1] < 0.0
     np.testing.assert_allclose(out[[0, 3]], 0.0, atol=1e-14)
 
@@ -108,7 +109,7 @@ def test_diff_upwind_conserves_mass(seed):
     sg = SpaceGrid((12,))
     f = rng.random(12)
     drift = rng.uniform(-2.0, 2.0, 12)
-    assert abs(integrate(diff_upwind(f, drift, sg), sg)) < 1e-13
+    assert abs(integrate(diff_upwind(f, face_velocities(drift, sg), sg), sg)) < 1e-13
 
 
 def test_diff_upwind_first_order():
@@ -117,7 +118,7 @@ def test_diff_upwind_first_order():
         sg = SpaceGrid((n,))
         f = np.sin(2 * np.pi * sg.nodes(0)) + 2.0
         drift = np.full(n, 0.7)
-        out = diff_upwind(f, drift, sg)
+        out = diff_upwind(f, face_velocities(drift, sg), sg)
         exact = 0.7 * 2 * np.pi * np.cos(2 * np.pi * sg.nodes(0))
         errors.append(np.abs(out - exact)[2:-2].max())
     assert errors[0] / errors[1] >= 1.8
@@ -128,14 +129,14 @@ def test_diff_upwind_2d_conserves_mass():
     sg = SpaceGrid((6, 7))
     f = rng.random((6, 7))
     for axis in (0, 1):
-        out = diff_upwind(f, rng.uniform(-1, 1, (6, 7)), sg, axis=axis)
+        out = diff_upwind(f, face_velocities(rng.uniform(-1, 1, (6, 7)), sg, axis), sg, axis=axis)
         assert abs(integrate(out, sg)) < 1e-13
 
 
 def test_diff_upwind_drift_shape_validation():
     sg = SpaceGrid((8,))
     with pytest.raises(ValueError):
-        diff_upwind(np.zeros(8), np.zeros(7), sg)
+        diff_upwind(np.zeros(8), face_velocities(np.zeros(7), sg), sg)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +266,7 @@ def _stencils(f, drift, grid, axis):
     dx = grid.spacing(axis)
     return [
         (diff_central(f, grid, axis), _ref_central(f, dx=dx, axis=axis)),
-        (diff_upwind(f, drift, grid, axis), _ref_upwind(f, drift, dx=dx, axis=axis)),
+        (diff_upwind(f, face_velocities(drift, grid, axis), grid, axis), _ref_upwind(f, drift, dx=dx, axis=axis)),
         (diff2(f, grid, axis), _ref_diff2(f, dx=dx, axis=axis)),
     ]
 
@@ -300,10 +301,27 @@ def test_stencils_along_axis_0_of_a_2d_field_equal_the_1d_stencil_per_column():
     rng = np.random.default_rng(7)
     line, plane = SpaceGrid((9,)), SpaceGrid((9, 5))
     f, drift = rng.random((9, 5)), rng.uniform(-1, 1, (9, 5))
-    upwind, second = diff_upwind(f, drift, plane, 0), diff2(f, plane, 0)
+    upwind, second = diff_upwind(f, face_velocities(drift, plane, 0), plane, 0), diff2(f, plane, 0)
     for c in range(5):
-        assert np.array_equal(upwind[:, c], diff_upwind(f[:, c], drift[:, c], line))
+        assert np.array_equal(upwind[:, c], diff_upwind(f[:, c], face_velocities(drift[:, c], line), line))
         assert np.array_equal(second[:, c], diff2(f[:, c], line))
+
+
+def test_upwind_at_face_velocities_equals_the_cell_drift_reference_on_each_axis():
+    # a density step computes its face velocities once and its substeps
+    # share them and one flux buffer; each substep has the reference bits
+    rng = np.random.default_rng(8)
+    sg = SpaceGrid((6, 9))
+    drift = rng.uniform(-1, 1, sg.shape)
+    for axis in (0, 1):
+        faces = face_velocities(drift, sg, axis)
+        flux = np.zeros([n + (k == axis) for k, n in enumerate(sg.shape)])
+        for f in (rng.random(sg.shape), rng.random(sg.shape)):
+            want = _ref_upwind(f, drift, dx=sg.spacing(axis), axis=axis)
+            assert np.array_equal(diff_upwind(f, faces, sg, axis, flux), want)
+            assert np.array_equal(diff_upwind(f, faces, sg, axis), want)
+        with pytest.raises(ValueError, match="face velocities shape"):
+            diff_upwind(f, faces, sg, 1 - axis)
 
 
 @pytest.mark.parametrize(
@@ -313,7 +331,7 @@ def test_stencils_along_axis_0_of_a_2d_field_equal_the_1d_stencil_per_column():
 )
 def test_stencils_reject_an_axis_the_grid_lacks(grid, axis):
     f = np.zeros(grid.shape)
-    for stencil in (lambda: diff2(f, grid, axis), lambda: diff_upwind(f, f, grid, axis)):
+    for stencil in (lambda: diff2(f, grid, axis), lambda: diff_upwind(f, face_velocities(f, grid, axis), grid, axis)):
         with pytest.raises(ValueError, match="axis"):
             stencil()
 

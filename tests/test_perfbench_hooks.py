@@ -7,6 +7,7 @@ They only read perfbench.
 """
 
 import importlib.util
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -98,6 +99,36 @@ def test_traced_ev_solve_puts_stencil_spans_inside_both_sweeps():
     name_of = {span.span_id: span.name for span in tracer.spans}
     parents = {name_of[span.parent] for span in tracer.spans if span.name == "numerics.diff"}
     assert {"ev.hjb", "ev.fpk"} <= parents
+
+
+@pytest.mark.parametrize(
+    "scenario, sets, model",
+    [
+        ("phev_flat", ["space.cells=[8,8]", "time_steps=12"], "phev"),
+        ("ev_weekend", ["time_steps=24", "space.cells=40"], "ev"),
+    ],
+)
+def test_traced_solve_gives_layer_metrics_and_the_untraced_bits(scenario, sets, model):
+    # a traced benchmark pass reads every layer figure from these spans, and
+    # exports what the untraced pass does: being traced changes no bit
+    spans = _spans()
+    config = evmfg.apply_overrides(evmfg.load_scenario(scenario), sets)
+    ticks = itertools.count()
+    tracer = spans.Tracer(lambda: float(next(ticks)))
+    with spans.instrument(tracer):
+        problem, options, _ = evmfg.scenario.build_problem(config)
+        traced = evmfg.solver.solve_mfe(problem, options)
+    metrics = spans.layer_metrics(tracer.spans)
+    assert set(metrics) == set(spans.LAYER_UNITS) - {"trace.overhead_s"}
+    assert metrics[f"{model}.hjb_substeps"] > 0 and metrics[f"{model}.fpk_substeps"] > 0
+    stencils = [span.data for span in tracer.spans if span.name == "numerics.diff"]
+    assert stencils and all(isinstance(data, tuple) and len(data) == 2 for data in stencils)
+    problem, options, _ = evmfg.scenario.build_problem(config)
+    untraced = evmfg.solver.solve_mfe(problem, options)
+    for name in ("v", "m", "p"):
+        assert np.array_equal(getattr(traced, name), getattr(untraced, name)), name
+    assert len(traced.alpha) == len(untraced.alpha)
+    assert all(np.array_equal(a, b) for a, b in zip(traced.alpha, untraced.alpha))
 
 
 @pytest.mark.parametrize("run, make_mdp", [("ev_run", evmfg.ev_mdp), ("phev_run", evmfg.phev_mdp)])

@@ -14,6 +14,7 @@ from evmfg import (
     beta_divergence,
     diff_central,
     diff_upwind,
+    face_velocities,
     fpk_forward_sweep,
     hjb_backward_sweep,
     optimal_control,
@@ -321,8 +322,8 @@ def test_conservative_form_matches_expanded_form():
         m = np.exp(-((z1 - 0.5) ** 2 + (z2 - 0.5) ** 2) / 0.05)
         drift1 = mu1 - b * g
         drift2 = mu2 - (1.0 - b) * g
-        conservative = -diff_upwind(m, drift1, sgrid, axis=0) - diff_upwind(
-            m, drift2, sgrid, axis=1
+        conservative = -diff_upwind(m, face_velocities(drift1, sgrid, 0), sgrid, axis=0) - diff_upwind(
+            m, face_velocities(drift2, sgrid, 1), sgrid, axis=1
         )
         expanded = (
             -drift1 * diff_central(m, sgrid, axis=0)
