@@ -29,14 +29,15 @@ print(f"equilibrium solved: {sol.iterations} iterations, residual {sol.residuals
 # --- dynamic program against the frozen price ------------------------------
 mdp = evmfg.ev_mdp(problem.params, sol.p, n_states=20)
 value, (policy,) = evmfg.dp_best_response(mdp)  # one policy table per axis
-v0 = np.interp(mdp.states, problem.sgrid.nodes(0), sol.v[0])
+(levels,), _ = mdp.lattices  # one state lattice per axis: the battery has one
+v0 = np.interp(levels, problem.sgrid.nodes(0), sol.v[0])
 dev = (value[0] - v0) / np.abs(v0).max()
 
 print("dp best response vs value function at t=0 (20 battery levels):")
 print("  battery   pde value   dp value   relative dev")
-for k in range(len(mdp.states)):
+for k, level in enumerate(levels):
     marker = "  <- over the 2% threshold" if abs(dev[k]) > 0.02 else ""
-    print(f"   {mdp.states[k]:.3f}    {v0[k]:8.4f}   {value[0][k]:8.4f}   {dev[k]:+.4f}{marker}")
+    print(f"   {level:.3f}    {v0[k]:8.4f}   {value[0][k]:8.4f}   {dev[k]:+.4f}{marker}")
 print(f"  interior agreement: {np.abs(dev[4:]).max():.4f}; largest deviation: {np.abs(dev).max():.4f}\n")
 
 # --- Monte Carlo population under the equilibrium control ------------------

@@ -11,11 +11,10 @@ replaced by ``<RUN>``, then the run's ``manifest.json`` without its
 the canonical scenario or its hash shows), then the sha256 of every
 exported CSV and of every ``.npy`` twin that ``verify`` and ``oracle``
 read, then the sha256 of the value table and of each policy table of the
-DP best response that ``oracle`` computes by default (one more process,
-same path). Last come
-the largest and the total substep count of one step of each sweep in the
-run's solve (one more process, same path), which show the margin under
-``evmfg.ev.SUBSTEP_BUDGET``.
+DP best response that ``oracle`` computes by default and with ``--states 4``
+(one more process, same path). Last come the largest and the total substep
+count of one step of each sweep in the run's solve (one more process, same
+path), which show the margin under ``evmfg.ev.SUBSTEP_BUDGET``.
 
 The output of two checkouts compares with ``diff -r``: it is empty when a
 change keeps every figure and message byte for byte, which is the check a
@@ -44,7 +43,9 @@ RUNS = {
 }
 
 
-# The MDP of ``evmfg oracle <run>`` with its default --states 20.
+# The MDP of ``evmfg oracle <run>`` with its default --states 20, then with
+# --states 4, which the two-pack cap of 10 leaves uncapped. It uses only
+# names that every checkout it compares has.
 DP_TABLES = """
 import hashlib, sys
 from pathlib import Path
@@ -52,13 +53,14 @@ from evmfg import cli
 from evmfg.oracle import dp_best_response, ev_mdp, phev_mdp
 
 sol, problem, config = cli._load_run(Path(sys.argv[1]), cli.ORACLE_FIELDS)
-if config.model == "ev":
-    mdp = ev_mdp(problem.params, sol.p, n_states=20)
-else:
-    mdp = phev_mdp(problem.params, sol.p, n_states=min(20, cli.PHEV_MAX_STATES))
-value, policy = dp_best_response(mdp)
-for name, table in [("value", value)] + [(f"policy[{k}]", a) for k, a in enumerate(policy)]:
-    print(f"{hashlib.sha256(table.tobytes()).hexdigest()}  dp {name} {table.shape}")
+for states in (20, 4):
+    if config.model == "ev":
+        mdp = ev_mdp(problem.params, sol.p, n_states=states)
+    else:
+        mdp = phev_mdp(problem.params, sol.p, n_states=min(states, cli.PHEV_MAX_STATES))
+    value, policy = dp_best_response(mdp)
+    for name, table in [("value", value)] + [(f"policy[{k}]", a) for k, a in enumerate(policy)]:
+        print(f"{hashlib.sha256(table.tobytes()).hexdigest()}  dp --states {states} {name} {table.shape}")
 """
 
 

@@ -67,22 +67,19 @@ def _action_lattice(g_max: float, n: int) -> np.ndarray:
 
 
 @dataclass
-class DiscreteMdp:
-    """Battery lattice MDP for the 1D game against a frozen price series.
+class LatticeMdp:
+    """Lattice MDP of either game against a frozen price series.
 
-    ``params`` and ``price`` live on the MDP's (coarse) time grid.
-    Transitions: deterministic drift dt*(a - g) plus a two-point (binomial)
-    noise +-sigma*g*sqrt(dt) with probability 1/2 each, which matches the
-    Brownian increment's mean and variance; branch probabilities sum to 1
-    by construction. The state lattice spans [0, 1], so the interpolation's
-    clamp at its hull projects out-of-range positions onto the walls (the
-    agent stays at the wall, it does not bounce off it), and the boundary
-    states reflect.
+    ``lattices`` is (state lattices, action lattices), one of each per axis;
+    ``params`` and ``price`` live on the MDP's time grid. Each axis drifts by
+    dt*(a - g); where the game has noise, a two-point shift +-sigma*g*sqrt(dt)
+    of probability 1/2 each has the Brownian increment's mean and variance.
+    Positions beyond the state lattice's hull clamp onto it, so a lattice
+    spanning [0, 1] holds an agent at the wall it drives into.
     """
 
-    states: np.ndarray
-    actions: np.ndarray
-    params: EvParams
+    lattices: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
+    params: EvParams | PhevParams
     price: np.ndarray
 
     @property
@@ -90,54 +87,40 @@ class DiscreteMdp:
         return self.params.tgrid
 
     @property
-    def lattices(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """(state lattices, action lattices), one of each per axis."""
-        return (self.states,), (self.actions,)
+    def states(self) -> np.ndarray:
+        """Every state tuple: one row each, one column per axis, in ``meshgrid(..., indexing="ij")`` raveled order.
+
+        perfbench's ``oracle.dp_evals`` counts ``len(states) * len(actions)``
+        per step, for either game; its branch for per-axis fields is dead.
+        """
+        return _product(self.lattices[0])
+
+    @property
+    def actions(self) -> np.ndarray:
+        """Every action tuple, as ``states`` holds every state tuple; the induction's tie order reads these rows."""
+        return _product(self.lattices[1])
 
 
-def ev_mdp(params: EvParams, price: np.ndarray, n_states: int = 20) -> DiscreteMdp:
+def _product(lattices) -> np.ndarray:
+    return np.stack([a.ravel() for a in np.meshgrid(*lattices, indexing="ij")], axis=1)
+
+
+def ev_mdp(params: EvParams, price: np.ndarray, n_states: int = 20) -> LatticeMdp:
     """Coarse MDP on 13 steps with 241 actions, from fine-grid coefficients (series linearly resampled)."""
     coarse = TimeGrid(t1=params.tgrid.t1, n_steps=13)
-    return DiscreteMdp(
-        states=_state_lattice(n_states),
-        actions=_action_lattice(float(np.abs(params.g).max()), 241),
+    return LatticeMdp(
+        lattices=((_state_lattice(n_states),), (_action_lattice(float(np.abs(params.g).max()), 241),)),
         params=params.resampled(coarse),
         price=np.interp(coarse.nodes, params.tgrid.nodes, price),
     )
 
 
-@dataclass
-class PhevMdp:
-    """Minimal deterministic 2D lattice MDP for the hybrid game; ``params`` and ``price`` (r1) live on its grid."""
-
-    states1: np.ndarray
-    states2: np.ndarray
-    actions1: np.ndarray
-    actions2: np.ndarray
-    params: PhevParams
-    price: np.ndarray
-
-    @property
-    def tgrid(self) -> TimeGrid:
-        return self.params.tgrid
-
-    @property
-    def lattices(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """(state lattices, action lattices), one of each per axis."""
-        return (self.states1, self.states2), (self.actions1, self.actions2)
-
-
-def phev_mdp(params: PhevParams, price: np.ndarray, n_states: int = 10) -> PhevMdp:
-    """MDP on the params' own time grid, with 21 actions per pack."""
-    actions = _action_lattice(float(np.abs(params.g).max()), 21)
-    return PhevMdp(
-        states1=_cell_lattice(n_states),
-        states2=_cell_lattice(n_states),
-        actions1=actions,
-        actions2=actions.copy(),
-        params=params,
-        price=np.asarray(price, dtype=float),
-    )
+def phev_mdp(params: PhevParams, price: np.ndarray, n_states: int = 10) -> LatticeMdp:
+    """MDP on the params' own time grid, with 21 actions per pack; both packs share one read-only lattice of each."""
+    states, actions = _cell_lattice(n_states), _action_lattice(float(np.abs(params.g).max()), 21)
+    states.flags.writeable = actions.flags.writeable = False
+    price = np.asarray(price, dtype=float)
+    return LatticeMdp(lattices=((states, states), (actions, actions)), params=params, price=price)
 
 
 def _interp(table: np.ndarray, lattices, points) -> np.ndarray:
@@ -164,7 +147,7 @@ def _interp(table: np.ndarray, lattices, points) -> np.ndarray:
     )
 
 
-def dp_best_response(mdp: DiscreteMdp | PhevMdp):
+def dp_best_response(mdp: LatticeMdp):
     """Exact backward induction: (value table, policy), the policy one table per axis.
 
     V(T, .) is the terminal cost; V(i, s) = min over the product of the
@@ -172,7 +155,7 @@ def dp_best_response(mdp: DiscreteMdp | PhevMdp):
     the running cost, plus the interpolated V(i+1, next) averaged over the
     noise shifts. Ties break toward the laziest action: the smallest
     sum_k |a_k|, then |a_1|, |a_2|, ..., then a_1, a_2, ... (the rows of
-    action tuples are put in that order before the ``argmin``, whose first
+    ``mdp.actions`` are put in that order before the ``argmin``, whose first
     minimum wins).
 
     The next coordinate on axis k, z_k + dt (a_k - g_k(z)), depends only on
@@ -186,7 +169,7 @@ def dp_best_response(mdp: DiscreteMdp | PhevMdp):
     if min(len(a) for a in actions) == 0:
         raise ValueError("empty action set")
     grid = [a.reshape(a.shape + (1,) * len(states)) for a in np.ix_(*actions)]
-    flat = [a.ravel() for a in np.meshgrid(*actions, indexing="ij")]
+    flat = list(mdp.actions.T)
     size = [np.abs(a) for a in flat]
     order = np.lexsort(flat[::-1] + size[::-1] + [sum(size)])
     mesh = np.meshgrid(*states, indexing="ij")
@@ -214,7 +197,7 @@ def dp_best_response(mdp: DiscreteMdp | PhevMdp):
     return value, policy
 
 
-def dp_deviation(mdp: DiscreteMdp | PhevMdp, dp_value: np.ndarray, v: np.ndarray, sgrid) -> np.ndarray:
+def dp_deviation(mdp: LatticeMdp, dp_value: np.ndarray, v: np.ndarray, sgrid) -> np.ndarray:
     """Relative time-0 deviation |V_dp - v| / max|v| at each DP lattice state; absolute where v is 0 there.
 
     ``dp_value`` is ``dp_best_response(mdp)``'s table and ``v`` the solver's

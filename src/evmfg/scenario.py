@@ -56,8 +56,8 @@ series:                    # one value per time node, or a resampled form.
   #   [v0, v1, ...]                   exactly time_steps + 1 values
   #   {times: [...], values: [...]}   linear interpolation to the nodes
   #   {csv: <path>}                   two-column t,value file, interpolated
-  # ev model:    g, d, sigma, H
-  # phev model:  g, Q1, Q2
+  # ev model:    g, d, sigma >= 0, H > 0
+  # phev model:  g, Q1 > 0, Q2 > 0
   g: ...
 
 costs:                     # named presets; no embedded code
@@ -71,7 +71,7 @@ costs:                     # named presets; no embedded code
 
 price:
   # ev model:
-  exponent: <float>        # default 2.0
+  exponent: <float>        # default 2.0; needs series.d >= 0 if fractional, d > 0 if negative
   coupled: <bool>          # default true; false freezes demand out of p
   # phev model:
   offset: <float >= 0>     # default 0.5, added to the positive grid draw
@@ -79,15 +79,15 @@ price:
 
 initial_density:           # normalized to unit mass on the grid
   kind: triangle | truncated_gaussian | histogram
-  # triangle (ev only):    center, halfwidth; support within [0, 1]
+  # triangle (ev only):    center, halfwidth > 0; support within [0, 1]
   # truncated_gaussian:    mean (scalar for ev, [m1, m2] for phev),
   #                        variance (isotropic, > 0)
   # histogram:             csv: <path>, one value per cell (row-major)
 
 solver:                    # optional block, defaults below
-  max_iters: 200
-  tol: 1.0e-06
-  damping: 0.5             # weight of the plain (unaccelerated) step
+  max_iters: 200           # int >= 1
+  tol: 1.0e-06             # > 0
+  damping: 0.5             # in (0, 1], weight of the plain (unaccelerated) step
 
 # Overrides (--set) use dotted paths into this document, e.g.
 #   --set solver.max_iters=50   --set price.coupled=false

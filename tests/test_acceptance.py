@@ -170,7 +170,7 @@ def test_criterion_03_dp_cross_validation(ev_run):
     assert _report(
         3, ok,
         f"20-state dp deviation {dev.max():.4f} (<= 0.02) with {n_bad} lattice states over "
-        f"threshold (worst at battery {mdp.states[int(dev.argmax())]:.3f}; all interior states "
+        f"threshold (worst at battery {mdp.lattices[0][0][int(dev.argmax())]:.3f}; all interior states "
         f"<= {dev[4:].max():.4f}); micro-instance enumeration exact: {enum_ok}",
     )
 

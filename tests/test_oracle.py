@@ -29,8 +29,7 @@ from evmfg import (
 )
 from evmfg.ev import EvParams
 from evmfg.oracle import (
-    DiscreteMdp,
-    PhevMdp,
+    LatticeMdp,
     _bin_population,
     _half_cell_index,
     _interp_half_cells,
@@ -60,12 +59,8 @@ def _flat_mdp(
         tgrid=tg, g=const(g), d=const(0.0), sigma=const(sigma), H=const(1.0), f=f_cost, kappa=kappa
     )
     params.H = const(H)  # the induction takes H = 0, which the solver's params reject
-    return DiscreteMdp(
-        states=np.linspace(0.0, 1.0, n_states),
-        actions=np.asarray(actions, dtype=float),
-        params=params,
-        price=const(p),
-    )
+    lattices = ((np.linspace(0.0, 1.0, n_states),), (np.asarray(actions, dtype=float),))
+    return LatticeMdp(lattices=lattices, params=params, price=const(p))
 
 
 def test_ev_mdp_lattice_and_actions():
@@ -82,12 +77,13 @@ def test_ev_mdp_lattice_and_actions():
     )
     p = np.linspace(1.0, 2.0, n)
     mdp = ev_mdp(params, p, n_states=20)
-    assert mdp.states[0] == 0.0 and mdp.states[-1] == 1.0
-    assert len(mdp.states) == 20
+    (states,), (actions,) = mdp.lattices
+    assert states[0] == 0.0 and states[-1] == 1.0
+    assert len(states) == 20
     # action lattice symmetric about zero and spanning at least +-3 g_max
-    np.testing.assert_allclose(mdp.actions, -mdp.actions[::-1], atol=1e-14)
-    assert 0.0 in mdp.actions
-    assert mdp.actions.max() >= 3.0 * params.g.max() - 1e-12
+    np.testing.assert_allclose(actions, -actions[::-1], atol=1e-14)
+    assert 0.0 in actions
+    assert actions.max() >= 3.0 * params.g.max() - 1e-12
     # coarse series keep the endpoints of the fine ones
     assert mdp.tgrid.n_steps == 13
     assert mdp.params.g[0] == params.g[0] and mdp.params.g[-1] == params.g[-1]
@@ -104,7 +100,7 @@ def test_dp_rejects_single_state(make):
 
 def test_dp_rejects_empty_action_set():
     empty_2 = _flat_phev_mdp()
-    empty_2.actions2 = np.array([])
+    empty_2.lattices = (empty_2.lattices[0], (empty_2.lattices[1][0], np.array([])))
     for mdp in (_flat_mdp(actions=()), _flat_phev_mdp(actions=()), empty_2):
         with pytest.raises(ValueError, match="empty action set"):
             dp_best_response(mdp)
@@ -157,7 +153,7 @@ def _enumerate_value(mdp):
     exactly on a lattice point; this recomputes the value table
     independently of the vectorized interpolation path.
     """
-    s = mdp.states
+    (s,), (actions,) = mdp.lattices
     dt = mdp.tgrid.dt
     value = {mdp.tgrid.n_steps: {k: float(mdp.params.kappa(np.array([x]))[0]) for k, x in enumerate(s)}}
     for i in range(mdp.tgrid.n_steps - 1, -1, -1):
@@ -165,7 +161,7 @@ def _enumerate_value(mdp):
         row = {}
         for k, x in enumerate(s):
             best = np.inf
-            for a in mdp.actions:
+            for a in actions:
                 nxt = min(max(x + dt * (a - mdp.params.g[j]), 0.0), 1.0)
                 hits = np.nonzero(np.isclose(s, nxt, atol=1e-12))[0]
                 assert hits.size == 1, "micro-instance transition left the lattice"
@@ -234,14 +230,14 @@ def test_dp_satisfies_bellman_recursion(n_states, n_steps, n_actions, g, sigma, 
         kappa=lambda s: (1.0 - s) ** 2,
     )
     value, (policy,) = dp_best_response(mdp)
-    s = mdp.states
+    (s,), (actions,) = mdp.lattices
     dt = mdp.tgrid.dt
     for i in range(mdp.tgrid.n_steps):
         j = i + 1
         eps = mdp.params.sigma[j] * mdp.params.g[j] * np.sqrt(dt)
         for k, x in enumerate(s):
             q = []
-            for a in mdp.actions:
+            for a in actions:
                 nxt = x + dt * (a - mdp.params.g[j])
                 up = min(max(nxt + eps, 0.0), 1.0)
                 dn = min(max(nxt - eps, 0.0), 1.0)
@@ -252,7 +248,7 @@ def test_dp_satisfies_bellman_recursion(n_states, n_steps, n_actions, g, sigma, 
             assert value[i][k] <= q.min() + 1e-12
             # the reported action attains the value
             a_star = policy[i][k]
-            idx = int(np.argmin(np.abs(mdp.actions - a_star)))
+            idx = int(np.argmin(np.abs(actions - a_star)))
             assert abs(q[idx] - value[i][k]) <= 1e-12
 
 
@@ -273,12 +269,9 @@ def _flat_phev_mdp(
 ):
     tg = TimeGrid(t1=1.0, n_steps=n_steps)
     const = lambda c: np.full(tg.n_nodes, float(c))
-    states = (np.arange(n) + 0.5) / n
-    return PhevMdp(
-        states1=states,
-        states2=states.copy(),
-        actions1=np.asarray(actions, dtype=float),
-        actions2=np.asarray(actions, dtype=float),
+    states, actions = (np.arange(n) + 0.5) / n, np.asarray(actions, dtype=float)
+    return LatticeMdp(
+        lattices=((states, states), (actions, actions)),
         params=PhevParams(tgrid=tg, g=const(g), Q1=const(Q), Q2=const(Q), r2=r2, s=s_cost, xi=xi),
         price=const(r1),
     )
@@ -316,7 +309,7 @@ def test_phev_dp_matches_pair_enumeration():
     )
     value, _ = dp_best_response(mdp)
 
-    s = mdp.states1
+    (s, _), _ = mdp.lattices
     dt = mdp.tgrid.dt
 
     def snap(x):
@@ -341,18 +334,17 @@ def test_phev_dp_matches_pair_enumeration():
                 z1, z2 = s[i1], s[i2]
                 b = float(beta(np.array([z1]), np.array([z2]))[0])
                 best = np.inf
-                for a1 in mdp.actions1:
-                    for a2 in mdp.actions2:
-                        n1 = min(max(z1 + dt * (a1 - b * mdp.params.g[j]), 0.0), 1.0)
-                        n2 = min(max(z2 + dt * (a2 - (1.0 - b) * mdp.params.g[j]), 0.0), 1.0)
-                        stage = (
-                            a1 * mdp.price[j]
-                            + a2 * mdp.params.r2
-                            + 0.5 * mdp.params.Q1[j] * a1 * a1
-                            + 0.5 * mdp.params.Q2[j] * a2 * a2
-                            + float(mdp.params.s(mdp.tgrid.nodes[j], np.array([z1]), np.array([z2]))[0])
-                        )
-                        best = min(best, dt * stage + tables[j][(snap(n1), snap(n2))])
+                for a1, a2 in mdp.actions:
+                    n1 = min(max(z1 + dt * (a1 - b * mdp.params.g[j]), 0.0), 1.0)
+                    n2 = min(max(z2 + dt * (a2 - (1.0 - b) * mdp.params.g[j]), 0.0), 1.0)
+                    stage = (
+                        a1 * mdp.price[j]
+                        + a2 * mdp.params.r2
+                        + 0.5 * mdp.params.Q1[j] * a1 * a1
+                        + 0.5 * mdp.params.Q2[j] * a2 * a2
+                        + float(mdp.params.s(mdp.tgrid.nodes[j], np.array([z1]), np.array([z2]))[0])
+                    )
+                    best = min(best, dt * stage + tables[j][(snap(n1), snap(n2))])
                 cur[(i1, i2)] = best
         tables[i] = cur
 
@@ -402,7 +394,7 @@ def test_one_induction_serves_both_models():
         xi=lambda z1, z2: 2.0 * (1.0 - z1) ** 2,
         **kw,
     )
-    mdp2.actions2 = np.array([0.0])
+    mdp2.lattices = (mdp2.lattices[0], (mdp2.lattices[1][0], np.array([0.0])))
     mdp1 = _flat_mdp(
         n_states=6,
         n_steps=4,
@@ -412,12 +404,12 @@ def test_one_induction_serves_both_models():
         f_cost=lambda t, s: (1.0 - s) ** 2 + 0.1 * t,
         kappa=lambda s: 2.0 * (1.0 - s) ** 2,
     )
-    mdp1.states = mdp2.states1
+    mdp1.lattices = (mdp2.lattices[0][:1], mdp1.lattices[1])
     value1, (policy1,) = dp_best_response(mdp1)
     value2, (pol1, pol2) = dp_best_response(mdp2)
     assert np.any(policy1 != 0.0)
     np.testing.assert_array_equal(pol2, 0.0)
-    for k in range(len(mdp2.states2)):
+    for k in range(len(mdp2.lattices[0][1])):
         np.testing.assert_array_equal(value2[:, :, k], value1)
         np.testing.assert_array_equal(pol1[:, :, k], policy1)
 
@@ -493,9 +485,9 @@ def test_dp_is_bit_identical_to_the_per_tuple_induction_in_1d(seed):
         f=lambda t, s: w[0] * (1.0 - s) ** 2 + w[1] * t,
         kappa=lambda s: w[2] * (1.0 - s) ** 2,
     )
-    mdp = DiscreteMdp(
-        states=np.linspace(0.0, 1.0, 7),
-        actions=np.sort(np.concatenate(([-4.0, 0.0, 4.0], rng.uniform(-4.0, 4.0, 8)))),
+    actions = np.sort(np.concatenate(([-4.0, 0.0, 4.0], rng.uniform(-4.0, 4.0, 8))))
+    mdp = LatticeMdp(
+        lattices=((np.linspace(0.0, 1.0, 7),), (actions,)),
         params=params,
         price=rng.uniform(0.0, 2.0, n),
     )
@@ -520,11 +512,9 @@ def test_dp_is_bit_identical_to_the_per_tuple_induction_in_2d(seed):
         s=lambda t, z1, z2: w[0] * (2.0 - z1 - z2) ** 2 + w[1] * t * z1,
         xi=lambda z1, z2: w[2] * ((1.0 - z1) ** 2 + 0.5 * (1.0 - z2) ** 2),
     )
-    mdp = PhevMdp(
-        states1=(np.arange(5) + 0.5) / 5,
-        states2=(np.arange(4) + 0.5) / 4,
-        actions1=np.sort(np.concatenate(([-3.0, 0.0, 3.0], rng.uniform(-3.0, 3.0, 4)))),
-        actions2=np.sort(np.concatenate(([-3.0, 0.0, 3.0], rng.uniform(-3.0, 3.0, 1)))),
+    actions = [np.sort(np.concatenate(([-3.0, 0.0, 3.0], rng.uniform(-3.0, 3.0, k)))) for k in (4, 1)]
+    mdp = LatticeMdp(
+        lattices=(((np.arange(5) + 0.5) / 5, (np.arange(4) + 0.5) / 4), tuple(actions)),
         params=params,
         price=rng.uniform(0.0, 2.0, n),
     )
@@ -541,12 +531,8 @@ def test_dp_deviation_interpolates_as_the_per_tuple_reference(cells, lattice):
     # interpolation reads it; the 1D lattice reaches past the outer centers
     rng = np.random.default_rng(4)
     sgrid = SpaceGrid(cells)
-    if len(cells) == 1:
-        mdp = _flat_mdp()
-        (mdp.states,) = lattice
-    else:
-        mdp = _flat_phev_mdp()
-        mdp.states1, mdp.states2 = lattice
+    mdp = _flat_mdp() if len(cells) == 1 else _flat_phev_mdp()
+    mdp.lattices = (lattice, mdp.lattices[1])
     v = rng.uniform(-1.0, 2.0, (mdp.tgrid.n_nodes, *cells))
     dp_value = rng.uniform(-1.0, 2.0, (mdp.tgrid.n_nodes, *map(len, lattice)))
     nodes = [sgrid.nodes(k) for k in range(len(cells))]
@@ -568,12 +554,30 @@ def test_phev_mdp_uses_cell_centered_states():
         xi=lambda z1, z2: 10.0 * (2.0 - z1 - z2) ** 2,
     )
     mdp = phev_mdp(params, np.full(n, 0.7), n_states=8)
-    assert mdp.states1[0] > 0.0 and mdp.states1[-1] < 1.0
-    assert len(mdp.states1) == 8
-    np.testing.assert_array_equal(mdp.states1, mdp.states2)
+    s1, s2 = mdp.lattices[0]
+    assert s1[0] > 0.0 and s1[-1] < 1.0
+    assert len(s1) == 8
+    np.testing.assert_array_equal(s1, s2)
     # beta is well defined on the whole lattice (never the (0,0) corner)
-    z1, z2 = np.meshgrid(mdp.states1, mdp.states2, indexing="ij")
+    z1, z2 = np.meshgrid(s1, s2, indexing="ij")
     assert np.all(z1 + z2 > 0.0)
+
+
+@pytest.mark.parametrize("model", ["ev", "phev"])
+def test_product_sets_are_what_the_induction_enumerates(model):
+    # one row per state or action tuple, one column per axis, in the ij
+    # meshgrid's raveled order; every policy pair is a row of the action set
+    tg = TimeGrid(t1=0.5, n_steps=12)
+    mdp = (ev_mdp if model == "ev" else phev_mdp)(_varying_params(model, tg), _wavy(tg, 1.2, 4.0), n_states=4)
+    for product, lattices in ((mdp.states, mdp.lattices[0]), (mdp.actions, mdp.lattices[1])):
+        assert product.shape == (math.prod(map(len, lattices)), len(lattices))
+        for column, mesh in zip(product.T, np.meshgrid(*lattices, indexing="ij")):
+            assert np.array_equal(column, mesh.ravel())
+    _, policy = dp_best_response(mdp)
+    chosen = {tuple(row) for row in np.stack([table.ravel() for table in policy], axis=1)}
+    assert chosen <= {tuple(row) for row in mdp.actions}
+    if model == "ev":  # the value `evmfg oracle` reads for its reach check
+        assert mdp.actions.max() == mdp.lattices[1][0].max()
 
 
 # ---------------------------------------------------------------------------
@@ -928,13 +932,10 @@ def test_operators_read_a_model_only_through_its_game(model):
     sgrid = SpaceGrid((16,) if model == "ev" else (8, 8))
     p = _wavy(tg, 1.2, 4.0)
     m0 = np.ones(sgrid.shape)
-    states, actions = (np.arange(5) + 0.5) / 5, np.linspace(-0.9, 0.9, 7)
+    lattices = (((np.arange(5) + 0.5) / 5,) * len(sgrid.shape), (np.linspace(-0.9, 0.9, 7),) * len(sgrid.shape))
     results = []
     for which in (params, stub):
-        if model == "ev":
-            mdp = DiscreteMdp(states=states, actions=actions, params=which, price=p)
-        else:
-            mdp = PhevMdp(states1=states, states2=states, actions1=actions, actions2=actions, params=which, price=p)
+        mdp = LatticeMdp(lattices=lattices, params=which, price=p)
         v, control = hjb_backward_sweep(p, which, sgrid)
         again = optimal_control(v, p, which, sgrid)
         m = fpk_forward_sweep(control, m0, which, sgrid)

@@ -18,6 +18,7 @@ import pytest
 import evmfg
 import evmfg.cli
 import evmfg.ev
+import evmfg.oracle
 import evmfg.phev
 import evmfg.scenario
 import evmfg.solver
@@ -131,7 +132,17 @@ def test_traced_solve_gives_layer_metrics_and_the_untraced_bits(scenario, sets, 
     assert all(np.array_equal(a, b) for a, b in zip(traced.alpha, untraced.alpha))
 
 
-@pytest.mark.parametrize("run, make_mdp", [("ev_run", evmfg.ev_mdp), ("phev_run", evmfg.phev_mdp)])
+def _unequal_axes_mdp(params, price, n_states):
+    # 5 x 4 states and 7 x 3 actions, so a swapped or squared axis length miscounts
+    states = ((np.arange(5) + 0.5) / 5, (np.arange(4) + 0.5) / 4)
+    actions = (np.linspace(-1.0, 1.0, 7), np.linspace(-1.0, 1.0, 3))
+    return evmfg.oracle.LatticeMdp(lattices=(states, actions), params=params, price=price)
+
+
+@pytest.mark.parametrize(
+    "run, make_mdp",
+    [("ev_run", evmfg.ev_mdp), ("phev_run", evmfg.phev_mdp), ("phev_run", _unequal_axes_mdp)],
+)
 def test_dp_evals_counts_every_step_state_and_action(run, make_mdp, request):
     # oracle.dp_evals reads the MDP's fields by name; it must count what the
     # induction enumerates: every step, state and action of the lattices

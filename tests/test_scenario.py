@@ -625,6 +625,14 @@ def test_schema_text_documents_the_keys():
                 "series", "costs", "price", "initial_density", "solver"):
         assert key in SCHEMA_TEXT
     assert "--set" in SCHEMA_TEXT
+    # every range rule the params and options enforce sits on its key's line
+    bounds = {"# ev model:    g": ["sigma >= 0", "H > 0"], "# phev model:  g": ["Q1 > 0", "Q2 > 0"],
+              "max_iters:": [">= 1"], "tol:": ["> 0"], "damping:": ["(0, 1]"],
+              "# triangle (ev only):": ["halfwidth > 0"],
+              "exponent:": ["series.d >= 0 if fractional", "d > 0 if negative"]}
+    for key, rules in bounds.items():
+        (line,) = [line for line in SCHEMA_TEXT.splitlines() if line.strip().startswith(key)]
+        assert all(rule in line for rule in rules), line
 
 
 # ---------------------------------------------------------------------------
