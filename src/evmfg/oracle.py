@@ -23,10 +23,14 @@ section 14.1): the Brownian increment is replaced by the two-point one
 its mean and variance. The density it is compared on is a weak quantity,
 so the audit keeps its meaning. It projects the same way, and bins the
 population on the solver grid. It works out one half-cell index floor(2 n x)
-per agent per step and reads both the interpolated control and the bin from
-it; the result equals ``np.interp`` and ``np.histogram`` except for points
-within about one ulp of a cell edge or a cell center (see
-``_half_cell_index``).
+per agent per step and reads both its drift step and its bin from it: the
+control is linear on each half cell, so the step x + dt (interp(x) - g) is
+one affine map scale[k] x + offset[k] per half cell, two gathers and two
+passes. The +-eps increments are read eight agents at a time from a 256 x 8
+table indexed by the random bytes. The bins equal ``np.histogram`` except
+for points within about one ulp of a cell edge or a cell center (see
+``_half_cell_index``), and the affine step is the interpolated one within a
+few ulps (see ``mc_population``).
 
 Both use the right-endpoint coefficient convention of the value sweep
 (stage cost and dynamics of the step [t_i, t_{i+1}] evaluated at t_{i+1}
@@ -244,18 +248,28 @@ def mc_population(
     exactly +eps or -eps, eps = sigma*g*sqrt(dt), with one fair bit per
     agent: the two-point increment of the simplified weak Euler scheme (see
     the module docstring), which has the Brownian increment's mean and
-    variance. The bits are unpacked from random bytes of a single seeded
-    generator in fixed agent order, so the result depends only on (inputs,
-    n_agents, seed), never on scheduling; a step without noise draws
-    nothing. Histogram slices have unit mass exactly (integer counts over
-    n_agents).
+    variance. The bits come from random bytes of a single seeded generator
+    in fixed agent order, most significant bit first (``np.unpackbits``
+    order), so the result depends only on (inputs, n_agents, seed), never
+    on scheduling; a step without noise draws nothing. Each byte gathers
+    its eight increments at once from the 256 x 8 table
+    ``np.where(bits, eps, -eps)`` (``_byte_increments``); the last byte's
+    unused bits are drawn and dropped. Histogram slices have unit mass
+    exactly (integer counts over n_agents).
 
-    Each step works out one half-cell index per agent
-    (``_half_cell_index``). The control lookup reads the linear piece of
-    that half cell and the binning counts its cell, so no agent pays for a
-    binary search or an edge correction. Both agree with ``np.interp`` and
-    ``np.histogram`` except within about one ulp of a cell edge or a cell
-    center (the edge rule in ``_half_cell_index``).
+    Each step works out one half-cell index k per agent
+    (``_half_cell_index``), so no agent pays for a binary search or an edge
+    correction. The binning counts its cell. The control is linear on the
+    half cell, so the drift step x + dt (interp(x) - g) is the affine map
+    x <- scale[k] x + offset[k], with scale = 1 + dt slope and offset =
+    dt (value - slope left - g) built once per step from the half cell's
+    piece (``_half_cell_step``). Bins agree with ``np.histogram`` except
+    within about one ulp of a cell edge or a cell center (the edge rule in
+    ``_half_cell_index``). Caveat: the map rounds differently from the
+    interpolated step, so a position may differ from it by a few ulps of
+    1 + dt (max|slope| + max|control| + g), and an agent within that
+    distance of a cell edge can land one bin over. At the walls the slope
+    is 0 and the step is exact.
     """
     if n_agents < 1:
         raise ValueError("need at least one agent")
@@ -270,24 +284,23 @@ def mc_population(
     rng = np.random.default_rng(seed)
     x = sample_density(m0, sgrid, n_agents)
     k = _half_cell_index(x, sgrid.shape[0])
-    drift = np.empty(n_agents)
     work = np.empty(n_agents)
+    n_bytes = (n_agents + 7) // 8
+    shifts = np.empty((n_bytes, 8))
     hist = np.empty((tgrid.n_nodes, sgrid.shape[0]))
     _bin_population(k, sgrid, out=hist[0])
     sqrt_dt = math.sqrt(tgrid.dt)
-    game = params.game((sgrid.nodes(0),))
+    nodes = sgrid.nodes(0)
+    game = params.game((nodes,))
     for i in range(tgrid.n_steps):
         (g,), noise, _ = game.transport(i)
-        a = _interp_half_cells(sgrid.nodes(0), control[i], k, x, out=drift, work=work)
-        np.subtract(a, g, out=drift)
-        np.multiply(drift, tgrid.dt, out=drift)
-        np.add(x, drift, out=x)
+        scale, offset = _half_cell_step(nodes, control[i], g, tgrid.dt)
+        # mode="clip" keeps take from buffering ``out``; k is always in range.
+        np.multiply(np.take(scale, k, out=work, mode="clip"), x, out=x)
+        np.add(x, np.take(offset, k, out=work, mode="clip"), out=x)
         if noise != 0.0:
-            eps = noise * sqrt_dt
-            up = np.unpackbits(np.frombuffer(rng.bytes((n_agents + 7) // 8), np.uint8), count=n_agents)
-            np.multiply(up, 2.0 * eps, out=work)
-            np.subtract(work, eps, out=work)  # exactly +eps or -eps
-            np.add(x, work, out=x)
+            _byte_increments(rng.bytes(n_bytes), noise * sqrt_dt, out=shifts)
+            np.add(x, shifts.reshape(-1)[:n_agents], out=x)
         np.clip(x, 0.0, 1.0, out=x)
         _half_cell_index(x, sgrid.shape[0], out=k)
         _bin_population(k, sgrid, out=hist[i + 1])
@@ -335,30 +348,49 @@ def _half_cell_index(x: np.ndarray, n_cells: int, out: np.ndarray | None = None)
     return out
 
 
-def _interp_half_cells(
-    nodes: np.ndarray, values: np.ndarray, k: np.ndarray, x: np.ndarray, out=None, work=None
-) -> np.ndarray:
-    """``np.interp(x, nodes, values)`` for positions x in half cells k of the centers ``nodes``.
+def _half_cell_pieces(nodes: np.ndarray, values: np.ndarray):
+    """(slope, left node, left value) of the linear piece of ``np.interp(., nodes, values)`` over each half cell.
 
-    Three tables of one entry per half cell hold the slope, left node and
-    left value of the linear piece over it: half cells 2j + 1 and 2j + 2
-    lie between centers j and j + 1, and the first and last half cells lie
-    beyond the outer centers, where slope 0 gives the clamped end values.
-    Each agent gathers its three entries and evaluates
-    ``slope * (x - left) + value`` with ``np.interp``'s own slope formula.
+    One entry per half cell of the centers ``nodes``: half cells 2j + 1 and
+    2j + 2 lie between centers j and j + 1, and the first and last half
+    cells lie beyond the outer centers, where slope 0 gives the clamped end
+    values. The slope is ``np.interp``'s own formula, so
+    ``slope[k] * (x - left[k]) + value[k]`` is ``np.interp`` at x in half
+    cell k.
     """
     n = len(nodes)
     piece = np.clip((np.arange(2 * n) - 1) // 2, 0, n - 1)
     slope = np.zeros(2 * n)
     slope[1:-1] = (np.diff(values) / np.diff(nodes))[piece[1:-1]]
-    # mode="clip" keeps take from buffering ``out``; k is always in range.
-    out = np.take(nodes[piece], k, out=out, mode="clip")
-    np.subtract(x, out, out=out)
-    work = np.take(slope, k, out=work, mode="clip")
-    np.multiply(work, out, out=out)
-    np.take(values[piece], k, out=work, mode="clip")
-    np.add(out, work, out=out)
-    return out
+    return slope, nodes[piece], values[piece]
+
+
+def _half_cell_step(nodes: np.ndarray, values: np.ndarray, g: float, dt: float):
+    """(scale, offset): the drift step x + dt (interp(x) - g) as the affine map scale[k] x + offset[k] on half cell k.
+
+    With the piece tables of ``_half_cell_pieces``, scale = 1 + dt slope and
+    offset = dt (value - slope left - g). The map rounds differently from
+    the step it restates, by a few ulps of 1 + dt (max|slope| + max|values|
+    + g) (see ``mc_population``). On the outer half cells the slope is 0,
+    so agents at either wall step exactly as ``x + dt (value - g)``.
+    """
+    slope, left, value = _half_cell_pieces(nodes, values)
+    return 1.0 + dt * slope, dt * (value - slope * left - g)
+
+
+# Bit j of byte b, most significant first, as np.unpackbits reads it.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(bool)
+
+
+def _byte_increments(data: bytes, eps: float, out: np.ndarray | None = None) -> np.ndarray:
+    """+eps per set bit and -eps per clear bit of ``data``: one row of 8 per byte, in ``np.unpackbits`` order.
+
+    Each byte is one gather of its row from the 256 x 8 table
+    ``np.where(bits, eps, -eps)``, so ``.reshape(-1)[:n]`` is exactly
+    ``eps * (2.0 * np.unpackbits(data, count=n) - 1.0)``.
+    """
+    table = np.where(_BYTE_BITS, eps, -eps)
+    return np.take(table, np.frombuffer(data, np.uint8), axis=0, out=out, mode="clip")
 
 
 def _bin_population(k: np.ndarray, sgrid: SpaceGrid, out: np.ndarray | None = None) -> np.ndarray:

@@ -31,8 +31,10 @@ from evmfg.ev import EvParams
 from evmfg.oracle import (
     LatticeMdp,
     _bin_population,
+    _byte_increments,
     _half_cell_index,
-    _interp_half_cells,
+    _half_cell_pieces,
+    _half_cell_step,
 )
 from evmfg.phev import PhevParams
 
@@ -791,6 +793,19 @@ def test_mc_matches_reference_loop_on_a_wall_bound_field(n_cells, sigma):
     assert ref[-1][0] > ref[0][0] and ref[-1][-1] > ref[0][-1]
 
 
+@pytest.mark.parametrize("n_cells", [4, 25, 100, 400])
+def test_mc_matches_reference_loop_at_an_agent_count_not_a_multiple_of_8(n_cells):
+    # 20,003 agents take 2,501 bytes of bits: the last byte's final five
+    # increments are drawn and dropped, as np.unpackbits(count=n) drops them
+    tg = TimeGrid(t1=0.5, n_steps=30)
+    sg = SpaceGrid((n_cells,))
+    params = _ev_params(tg, g=0.5, sigma=0.2)
+    m0 = np.full(n_cells, 1.0)
+    field = _wall_bound_field(tg, sg, 0.5)
+    hist = mc_population(field, m0, params, tg, sg, n_agents=20_003, seed=11)
+    np.testing.assert_array_equal(hist, _reference_mc_population(field, m0, params, tg, sg, n_agents=20_003, seed=11))
+
+
 def test_mc_matches_reference_loop_on_the_weekend_equilibrium(ev_run):
     # the criterion-4 audit: 100k agents, seed 0
     sol, problem = ev_run["solution"], ev_run["problem"]
@@ -805,6 +820,12 @@ def _histogram_bin(x, n_cells):
     return np.minimum(np.searchsorted(edges, x, side="right") - 1, n_cells - 1)
 
 
+def _interp_on_pieces(nodes, fp, k, x):
+    """np.interp(x, nodes, fp) read off the piece tables of half cells k."""
+    slope, left, value = _half_cell_pieces(nodes, fp)
+    return slope[k] * (x - left[k]) + value[k]
+
+
 @pytest.mark.parametrize("n_cells", [4, 25, 100, 400])
 def test_half_cell_index_matches_histogram_and_interp_at_random_points(n_cells):
     sg = SpaceGrid((n_cells,))
@@ -815,8 +836,13 @@ def test_half_cell_index_matches_histogram_and_interp_at_random_points(n_cells):
     np.testing.assert_array_equal(k >> 1, _histogram_bin(x, n_cells))
     counts, _ = np.histogram(x, bins=n_cells, range=(0.0, 1.0))
     np.testing.assert_array_equal(_bin_population(k, sg), counts / (x.size * sg.spacing(0)))
-    control = _interp_half_cells(sg.nodes(0), fp, k, x)
-    np.testing.assert_array_equal(control, np.interp(x, sg.nodes(0), fp))
+    np.testing.assert_array_equal(_interp_on_pieces(sg.nodes(0), fp, k, x), np.interp(x, sg.nodes(0), fp))
+
+
+def _edge_and_center_marks(sg):
+    """Every cell edge and center, each with its neighbours one ulp either side, inside [0, 1]."""
+    marks = np.concatenate([np.linspace(0.0, 1.0, sg.shape[0] + 1), sg.nodes(0)])
+    return np.clip(np.concatenate([marks, np.nextafter(marks, -1.0), np.nextafter(marks, 2.0)]), 0.0, 1.0)
 
 
 @pytest.mark.parametrize("n_cells", [4, 25, 100, 400])
@@ -825,11 +851,10 @@ def test_half_cell_index_edge_rule_at_edges_and_centers(n_cells):
     # cell over: one bin off, and the field's continuity error in the control
     sg = SpaceGrid((n_cells,))
     fp = np.random.default_rng(n_cells + 1).standard_normal(n_cells)
-    marks = np.concatenate([np.linspace(0.0, 1.0, n_cells + 1), sg.nodes(0)])
-    x = np.clip(np.concatenate([marks, np.nextafter(marks, -1.0), np.nextafter(marks, 2.0)]), 0.0, 1.0)
+    x = _edge_and_center_marks(sg)
     k = _half_cell_index(x, n_cells)
     assert np.abs((k >> 1) - _histogram_bin(x, n_cells)).max() <= 1
-    control = _interp_half_cells(sg.nodes(0), fp, k, x)
+    control = _interp_on_pieces(sg.nodes(0), fp, k, x)
     assert np.abs(control - np.interp(x, sg.nodes(0), fp)).max() <= 1e-12
 
 
@@ -839,8 +864,43 @@ def test_half_cell_index_walls_read_the_end_cells_and_values():
     x = np.array([0.0, 1.0])
     k = _half_cell_index(x, 25)
     np.testing.assert_array_equal(k >> 1, [0, 24])
-    control = _interp_half_cells(sg.nodes(0), fp, k, x)
-    np.testing.assert_array_equal(control, [fp[0], fp[-1]])
+    np.testing.assert_array_equal(_interp_on_pieces(sg.nodes(0), fp, k, x), [fp[0], fp[-1]])
+
+
+@pytest.mark.parametrize("n_cells", [4, 25, 100, 400])
+@pytest.mark.parametrize("dt", [1.0 / 143.0, 1.0 / 3.0])
+@pytest.mark.parametrize("amplitude", [1.0, 100.0])
+def test_half_cell_step_is_the_reference_step_within_4_ulps_of_its_scale(n_cells, dt, amplitude):
+    # The affine map rounds its own way. Its gap to x + dt (interp(x) - g)
+    # is counted in ulps of the step's scale S = 1 + dt (max|slope| +
+    # max|fp| + g). Measured over field amplitudes 0.1-100, dt from 1/143 to
+    # 1/3, these cell counts and 20 seeds each, it was at most 1.5 ulps of S
+    # on random points, edges and centres (within an ulp of a centre the
+    # index may pick the neighbouring piece). At the walls the slope is 0
+    # and the step is exact.
+    sg = SpaceGrid((n_cells,))
+    rng = np.random.default_rng(n_cells)
+    fp = amplitude * rng.standard_normal(n_cells)
+    g = 0.5
+    x = np.concatenate([rng.random(50_000), _edge_and_center_marks(sg)])
+    k = _half_cell_index(x, n_cells)
+    scale, offset = _half_cell_step(sg.nodes(0), fp, g, dt)
+    step = scale[k] * x + offset[k]
+    reference = x + dt * (np.interp(x, sg.nodes(0), fp) - g)
+    slope, _, _ = _half_cell_pieces(sg.nodes(0), fp)
+    ulps = np.abs(step - reference) / (np.finfo(float).eps * (1.0 + dt * (np.abs(slope).max() + np.abs(fp).max() + g)))
+    assert ulps.max() <= 4.0
+    walls = np.array([0.0, 1.0])
+    k = _half_cell_index(walls, n_cells)
+    np.testing.assert_array_equal(scale[k] * walls + offset[k], walls + dt * (np.interp(walls, sg.nodes(0), fp) - g))
+
+
+@pytest.mark.parametrize("n", [8, 7_919, 100_000])
+def test_byte_increments_are_the_unpacked_bits_exactly(n):
+    data = np.random.default_rng(n).bytes((n + 7) // 8)
+    eps = 0.1 * math.sqrt(1.0 / 143.0)
+    up = np.unpackbits(np.frombuffer(data, np.uint8), count=n)
+    np.testing.assert_array_equal(_byte_increments(data, eps).reshape(-1)[:n], eps * (2.0 * up - 1.0))
 
 
 @pytest.mark.parametrize("shape", [(11, 19), (11, 21), (5, 20)], ids=["cells-1", "cells+1", "few-rows"])
