@@ -23,7 +23,7 @@ Each output file holds, per workload, ``correct`` (every run), the summed
 ``attempted`` and ``failed``, the CSV sha256 and, for every metric, the
 median, quartiles and n over all passes of all rounds together with each
 round's own median (``rounds``), so the i-th entries of two files that ran
-in one session form the i-th pair. Per-layer metrics are medians per run
+in one invocation form the i-th pair. Per-layer metrics are medians per run
 already, so their n counts runs.
 """
 

@@ -27,10 +27,10 @@ per agent per step and reads both its drift step and its bin from it: the
 control is linear on each half cell, so the step x + dt (interp(x) - g) is
 one affine map scale[k] x + offset[k] per half cell, two gathers and two
 passes. The +-eps increments are read eight agents at a time from a 256 x 8
-table indexed by the random bytes. The bins equal ``np.histogram`` except
-for points within about one ulp of a cell edge or a cell center (see
-``_half_cell_index``), and the affine step is the interpolated one within a
-few ulps (see ``mc_population``).
+table indexed by the random bytes. Bins match ``np.histogram`` except
+within about one ulp of a cell edge or center, and steps match the
+interpolated step within a few ulps, so an agent that close to an edge can
+land one bin over (see ``mc_population``).
 
 Both use the right-endpoint coefficient convention of the value sweep
 (stage cost and dynamics of the step [t_i, t_{i+1}] evaluated at t_{i+1}
@@ -368,11 +368,9 @@ def _half_cell_pieces(nodes: np.ndarray, values: np.ndarray):
 def _half_cell_step(nodes: np.ndarray, values: np.ndarray, g: float, dt: float):
     """(scale, offset): the drift step x + dt (interp(x) - g) as the affine map scale[k] x + offset[k] on half cell k.
 
-    With the piece tables of ``_half_cell_pieces``, scale = 1 + dt slope and
-    offset = dt (value - slope left - g). The map rounds differently from
-    the step it restates, by a few ulps of 1 + dt (max|slope| + max|values|
-    + g) (see ``mc_population``). On the outer half cells the slope is 0,
-    so agents at either wall step exactly as ``x + dt (value - g)``.
+    scale = 1 + dt slope and offset = dt (value - slope left - g) from the
+    tables of ``_half_cell_pieces``; ``mc_population`` states how the two
+    forms round.
     """
     slope, left, value = _half_cell_pieces(nodes, values)
     return 1.0 + dt * slope, dt * (value - slope * left - g)
