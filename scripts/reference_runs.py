@@ -3,7 +3,7 @@
     python scripts/reference_runs.py <checkout> <out_dir>
 
 Runs ``evmfg run``, ``verify`` and ``oracle`` (default flags) on each of
-the six reference runs, every command in its own process with
+the seven reference runs, every command in its own process with
 ``<checkout>/src`` as the only ``PYTHONPATH`` entry. ``<out_dir>/<run>.txt``
 gets each command's exit code, stdout and stderr, with the run directory
 replaced by ``<RUN>``, then the run's ``manifest.json`` without its
@@ -40,6 +40,8 @@ RUNS = {
     "ev_24x40": ("ev_weekend", ["time_steps=24", "space.cells=40"]),
     # Like ev_stiff_fine, it takes numerics.diffuse where diffusion alone breaks the explicit bound.
     "ev_800": ("ev_weekend", ["space.cells=800"]),
+    # A consumption that changes on every step, so the DP tables cover a two-pack MDP whose transition never repeats.
+    "phev_varying": ("phev_flat", ["series.g={times: [0.0, 0.1, 0.2], values: [0.15, 0.3, 0.2]}"]),
 }
 
 

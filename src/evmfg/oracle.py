@@ -9,8 +9,14 @@ multilinearly at the candidate next states, clamped beyond the lattice
 hull). The next coordinate on an axis depends only on that axis's action
 and the state, so the next states broadcast over the product of the
 lattices and each axis is searched and weighted on its own points: on the
-2D lattice that is 21 x 100 points per axis, not 441 x 100. The lattices
-lie inside [0, 1], so the clamp at their hull gives a next state beyond a
+2D lattice that is 21 x 100 points per axis, not 441 x 100. The
+interpolation is split into a plan (the search, the corner weights and the
+flat corner indices, ``_interp_plan``) and an apply (one ``take`` per
+corner, ``_interp_apply``). A step's transition depends only on its
+coefficients, so the induction keeps the previous step's plans while the
+next states and noise shifts repeat bit for bit: the two-pack game, with
+constant consumption and no noise, builds one plan for all its steps. The
+lattices lie inside [0, 1], so the clamp at their hull gives a next state beyond a
 wall the weights of its projection onto [0, 1], the projected Euler step
 of the reflected dynamics: an agent that drives into a wall stays at it.
 Folding an overshoot back instead would hand an agent draining into the
@@ -86,6 +92,9 @@ class LatticeMdp:
     params: EvParams | PhevParams
     price: np.ndarray
 
+    def __post_init__(self) -> None:
+        self.price = _check_price(self.price, self.tgrid)
+
     @property
     def tgrid(self) -> TimeGrid:
         return self.params.tgrid
@@ -105,6 +114,15 @@ class LatticeMdp:
         return _product(self.lattices[1])
 
 
+def _check_price(price, tgrid: TimeGrid) -> np.ndarray:
+    """``price`` as a float array, which must hold one value per node of ``tgrid`` (``ValueError``)."""
+    price = np.asarray(price, dtype=float)
+    if price.shape != (tgrid.n_nodes,):
+        found = f"{len(price)} values" if price.ndim == 1 else f"shape {price.shape}"
+        raise ValueError(f"price series has {found}, expected {tgrid.n_nodes}: one per time node")
+    return price
+
+
 def _product(lattices) -> np.ndarray:
     return np.stack([a.ravel() for a in np.meshgrid(*lattices, indexing="ij")], axis=1)
 
@@ -115,7 +133,7 @@ def ev_mdp(params: EvParams, price: np.ndarray, n_states: int = 20) -> LatticeMd
     return LatticeMdp(
         lattices=((_state_lattice(n_states),), (_action_lattice(float(np.abs(params.g).max()), 241),)),
         params=params.resampled(coarse),
-        price=np.interp(coarse.nodes, params.tgrid.nodes, price),
+        price=np.interp(coarse.nodes, params.tgrid.nodes, _check_price(price, params.tgrid)),
     )
 
 
@@ -123,20 +141,20 @@ def phev_mdp(params: PhevParams, price: np.ndarray, n_states: int = 10) -> Latti
     """MDP on the params' own time grid, with 21 actions per pack; both packs share one read-only lattice of each."""
     states, actions = _cell_lattice(n_states), _action_lattice(float(np.abs(params.g).max()), 21)
     states.flags.writeable = actions.flags.writeable = False
-    price = np.asarray(price, dtype=float)
     return LatticeMdp(lattices=((states, states), (actions, actions)), params=params, price=price)
 
 
-def _interp(table: np.ndarray, lattices, points) -> np.ndarray:
-    """Multilinear interpolation of ``table`` on the product of ``lattices``, clamped outside their hull.
+def _interp_plan(lattices, points) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, flat index) of each corner of the multilinear interpolation at ``points``, clamped outside the hull.
 
     ``points`` holds one coordinate array per axis, and the arrays
     broadcast against each other: each is searched and weighted on its own
-    axis, and the output has their broadcast shape. Each corner is one
-    ``take`` from the flattened table, and the corners are summed with
-    axis 0 varying fastest.
+    axis of the product of ``lattices``, and every weight and index has
+    their broadcast shape. The indices address the flattened table of the
+    product, and the corners come with axis 0 varying fastest. The plan
+    reads no table, so ``_interp_apply`` can reuse it on any table of the
+    same lattices.
     """
-    table = np.ravel(table)
     strides = [math.prod(len(s) for s in lattices[k + 1:]) for k in range(len(lattices))]
     base, factors = 0, []
     for s, x, stride in zip(lattices, points, strides):
@@ -145,10 +163,16 @@ def _interp(table: np.ndarray, lattices, points) -> np.ndarray:
         base = base + k * stride
         factors.append((1.0 - w, w))
     corners = (bits[::-1] for bits in itertools.product((0, 1), repeat=len(lattices)))
-    return sum(
-        math.prod(f[bit] for bit, f in zip(c, factors)) * table.take(base + sum(bit * n for bit, n in zip(c, strides)))
+    return [
+        (math.prod(f[bit] for bit, f in zip(c, factors)), base + sum(bit * n for bit, n in zip(c, strides)))
         for c in corners
-    )
+    ]
+
+
+def _interp_apply(table: np.ndarray, plan) -> np.ndarray:
+    """The interpolation of ``table`` that ``plan`` (``_interp_plan``) describes: one ``take`` per corner, summed in plan order."""
+    table = np.ravel(table)
+    return sum(weight * table.take(index) for weight, index in plan)
 
 
 def dp_best_response(mdp: LatticeMdp):
@@ -166,6 +190,12 @@ def dp_best_response(mdp: LatticeMdp):
     a_k and the state. So the actions of axis k take their own array axis,
     followed by the state axes, and every step works on the broadcast
     product of shape (*action counts, *states).
+
+    The interpolation plan of each noise shift (``_interp_plan``) depends
+    only on the next states and the shifts, so a step whose next states and
+    shifts equal the previous step's bit for bit reuses its plans and only
+    applies them to V(i+1). At most one step's plans are kept. The tables
+    are those of a fresh interpolation on every step, bit for bit.
     """
     states, actions = mdp.lattices
     if min(len(s) for s in states) < 2:
@@ -184,13 +214,17 @@ def dp_best_response(mdp: LatticeMdp):
     policy = tuple(np.empty((mdp.tgrid.n_steps,) + shape) for _ in states)
     value[-1] = game.terminal()
     cols = np.arange(value[-1].size)
+    transition, plans = None, None
     for i in range(mdp.tgrid.n_steps - 1, -1, -1):
         j = i + 1
         axes, running, noise, _ = game.step(mdp.price, j)
         eps = noise * root_dt
         shifts = (eps, -eps) if eps != 0.0 else (0.0,)
         nxt = [z + dt * (a - g) for z, a, (_, g, _) in zip(mesh, grid, axes)]
-        expected = sum(_interp(value[j], states, [x + shift for x in nxt]) for shift in shifts) / len(shifts)
+        step = [x.tobytes() for x in nxt] + [np.float64(shift).tobytes() for shift in shifts]
+        if step != transition:
+            transition, plans = step, [_interp_plan(states, [x + shift for x in nxt]) for shift in shifts]
+        expected = sum(_interp_apply(value[j], plan) for plan in plans) / len(shifts)
         stage = sum(a * p for a, (p, _, _) in zip(grid, axes))
         stage = sum((0.5 * h * a ** 2 for a, (_, _, h) in zip(grid, axes)), stage)
         total = (dt * (stage + running) + expected).reshape(len(order), -1)[order]
@@ -209,7 +243,7 @@ def dp_deviation(mdp: LatticeMdp, dp_value: np.ndarray, v: np.ndarray, sgrid) ->
     helper, clamped beyond the outer cell centers.
     """
     nodes = [sgrid.nodes(k) for k in range(len(sgrid.shape))]
-    v0 = _interp(v[0], nodes, np.meshgrid(*mdp.lattices[0], indexing="ij", sparse=True))
+    v0 = _interp_apply(v[0], _interp_plan(nodes, np.meshgrid(*mdp.lattices[0], indexing="ij", sparse=True)))
     scale = np.abs(v0).max()
     return np.abs(dp_value[0] - v0) / (scale if scale > 0.0 else 1.0)
 

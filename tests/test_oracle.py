@@ -27,6 +27,7 @@ from evmfg import (
     phev_mdp,
     sample_density,
 )
+from evmfg import oracle
 from evmfg.ev import EvParams
 from evmfg.oracle import (
     LatticeMdp,
@@ -543,6 +544,87 @@ def test_dp_deviation_interpolates_as_the_per_tuple_reference(cells, lattice):
     assert np.array_equal(dp_deviation(mdp, dp_value, v, sgrid), expected)
 
 
+def _plan_builds(monkeypatch, mdp):
+    """How many interpolation plans ``dp_best_response(mdp)`` builds: one per noise shift of every rebuilt step."""
+    builds, build = [], oracle._interp_plan
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(oracle, "_interp_plan", counted)
+    dp_best_response(mdp)
+    monkeypatch.undo()
+    return len(builds)
+
+
+def _random_phev_mdp(seed, g=None):
+    """The random two-pack MDP of ``test_dp_is_bit_identical_to_the_per_tuple_induction_in_2d``, or the same on ``g``."""
+    rng = np.random.default_rng(seed)
+    tg = TimeGrid(t1=1.0, n_steps=3 if g is None else len(g) - 1)
+    n = tg.n_nodes
+    w = rng.uniform(0.5, 2.0, 3)
+    random_g = rng.uniform(0.3, 0.9, n)
+    params = PhevParams(
+        tgrid=tg,
+        g=random_g if g is None else np.asarray(g, dtype=float),
+        Q1=rng.uniform(0.5, 3.0, n),
+        Q2=rng.uniform(0.5, 3.0, n),
+        r2=float(rng.uniform(0.0, 1.0)),
+        s=lambda t, z1, z2: w[0] * (2.0 - z1 - z2) ** 2 + w[1] * t * z1,
+        xi=lambda z1, z2: w[2] * ((1.0 - z1) ** 2 + 0.5 * (1.0 - z2) ** 2),
+    )
+    actions = [np.sort(np.concatenate(([-3.0, 0.0, 3.0], rng.uniform(-3.0, 3.0, k)))) for k in (4, 1)]
+    return LatticeMdp(
+        lattices=(((np.arange(5) + 0.5) / 5, (np.arange(4) + 0.5) / 4), tuple(actions)),
+        params=params,
+        price=rng.uniform(0.0, 2.0, n),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dp_reuses_its_plan_bit_for_bit_in_1d_with_piecewise_constant_coefficients(seed, monkeypatch):
+    # steps 6..4 share (g, sigma), step 3 changes g, step 1 sigma alone: three
+    # runs of equal transitions, two noise shifts each; H and the price vary
+    # on every step and read no plan
+    rng = np.random.default_rng(seed)
+    tg = TimeGrid(t1=1.0, n_steps=6)
+    n = tg.n_nodes
+    w = rng.uniform(0.5, 2.0, 3)
+    params = EvParams(
+        tgrid=tg,
+        g=np.repeat(rng.uniform(0.2, 0.8, 2), [4, 3]),
+        d=np.ones(n),
+        sigma=np.repeat(rng.uniform(0.2, 0.6, 2), [2, 5]),
+        H=rng.uniform(0.5, 3.0, n),
+        f=lambda t, s: w[0] * (1.0 - s) ** 2 + w[1] * t,
+        kappa=lambda s: w[2] * (1.0 - s) ** 2,
+    )
+    actions = np.sort(np.concatenate(([-4.0, 0.0, 4.0], rng.uniform(-4.0, 4.0, 8))))
+    mdp = LatticeMdp(lattices=((np.linspace(0.0, 1.0, 7),), (actions,)), params=params, price=rng.uniform(0.0, 2.0, n))
+    assert np.all(params.sigma * params.g > 0.0)
+    assert _plan_builds(monkeypatch, mdp) == 3 * 2
+    _assert_tables_equal(mdp)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dp_reuses_its_plan_bit_for_bit_in_2d_with_piecewise_constant_consumption(seed, monkeypatch):
+    # g runs 0.4, 0.7, 0.4 over steps 6..5, 4..3, 2..1: the return to 0.4
+    # rebuilds too, since only the previous step's plan is kept
+    mdp = _random_phev_mdp(seed, g=np.repeat([0.4, 0.7, 0.4], [3, 2, 2]))
+    assert _plan_builds(monkeypatch, mdp) == 3
+    _assert_tables_equal(mdp)
+
+
+def test_dp_builds_one_plan_per_run_of_equal_transitions(monkeypatch):
+    # constant consumption and no noise: one plan serves every step; a
+    # consumption drawn afresh at every node rebuilds it on every step
+    assert _plan_builds(monkeypatch, _flat_phev_mdp(n=3, n_steps=5, g=0.4)) == 1
+    for seed in (0, 1, 2):
+        mdp = _random_phev_mdp(seed)
+        assert _plan_builds(monkeypatch, mdp) == mdp.tgrid.n_steps == 3
+
+
 def test_phev_mdp_uses_cell_centered_states():
     tg = TimeGrid(t1=0.5, n_steps=11)
     n = tg.n_nodes
@@ -580,6 +662,23 @@ def test_product_sets_are_what_the_induction_enumerates(model):
     assert chosen <= {tuple(row) for row in mdp.actions}
     if model == "ev":  # the value `evmfg oracle` reads for its reach check
         assert mdp.actions.max() == mdp.lattices[1][0].max()
+
+
+@pytest.mark.parametrize("extra", [6, -1], ids=["long", "short"])
+def test_a_price_of_the_wrong_length_is_named(extra):
+    # a longer series used to be cut short, a shorter one to fail on a bare
+    # index, and ev_mdp's resampling to fail inside np.interp
+    tg = TimeGrid(t1=0.5, n_steps=12)
+    ev, phev = _varying_params("ev", tg), _varying_params("phev", tg)
+    coarse = ev_mdp(ev, _wavy(tg, 1.2, 4.0))
+    cases = [
+        (lambda: ev_mdp(ev, np.ones(tg.n_nodes + extra)), tg.n_nodes),
+        (lambda: LatticeMdp(coarse.lattices, coarse.params, np.ones(14 + extra)), 14),
+        (lambda: phev_mdp(phev, np.ones(tg.n_nodes + extra)), tg.n_nodes),
+    ]
+    for make, n in cases:
+        with pytest.raises(ValueError, match=f"price series has {n + extra} values, expected {n}: one per time node"):
+            make()
 
 
 # ---------------------------------------------------------------------------
