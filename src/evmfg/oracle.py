@@ -16,12 +16,12 @@ corner, ``_interp_apply``). A step's transition depends only on its
 coefficients, so the induction keeps the previous step's plans while the
 next states and noise shifts repeat bit for bit: the two-pack game, with
 constant consumption and no noise, builds one plan for all its steps. The
-lattices lie inside [0, 1], so the clamp at their hull gives a next state beyond a
-wall the weights of its projection onto [0, 1], the projected Euler step
-of the reflected dynamics: an agent that drives into a wall stays at it.
-Folding an overshoot back instead would hand an agent draining into the
-empty wall (g - a) dt of free charge on every step, a gain that grows as the
-step shrinks. The Monte Carlo simulator integrates the agent dynamics
+lattices lie inside [0, 1], so the clamp at their hull gives a next state
+beyond a wall the weights of its projection onto [0, 1], the projected
+Euler step of the reflected dynamics: an agent that drives into a wall
+stays at it. Folding an overshoot back instead would hand an agent
+draining into the empty wall (g - a) dt of free charge on every step, a
+gain that grows as the step shrinks. The Monte Carlo simulator integrates the agent dynamics
 directly with the simplified weak Euler scheme (weak order 1; Kloeden &
 Platen, Numerical Solution of Stochastic Differential Equations, 1992,
 section 14.1): the Brownian increment is replaced by the two-point one
@@ -221,9 +221,9 @@ def dp_best_response(mdp: LatticeMdp):
         eps = noise * root_dt
         shifts = (eps, -eps) if eps != 0.0 else (0.0,)
         nxt = [z + dt * (a - g) for z, a, (_, g, _) in zip(mesh, grid, axes)]
-        step = [x.tobytes() for x in nxt] + [np.float64(shift).tobytes() for shift in shifts]
-        if step != transition:
-            transition, plans = step, [_interp_plan(states, [x + shift for x in nxt]) for shift in shifts]
+        key = [x.tobytes() for x in nxt] + [np.float64(shift).tobytes() for shift in shifts]
+        if key != transition:
+            transition, plans = key, [_interp_plan(states, [x + shift for x in nxt]) for shift in shifts]
         expected = sum(_interp_apply(value[j], plan) for plan in plans) / len(shifts)
         stage = sum(a * p for a, (p, _, _) in zip(grid, axes))
         stage = sum((0.5 * h * a ** 2 for a, (_, _, h) in zip(grid, axes)), stage)
