@@ -3,8 +3,9 @@
     python scripts/reference_runs.py <checkout> <out_dir>
 
 Runs ``evmfg run``, ``verify`` and ``oracle`` (default flags) on each of
-the seven reference runs, every command in its own process with
-``<checkout>/src`` as the only ``PYTHONPATH`` entry. ``<out_dir>/<run>.txt``
+the eight reference runs, every command in its own process with
+``<checkout>/src`` as the only ``PYTHONPATH`` entry, in a temporary working
+directory that holds the ``INPUTS`` files. ``<out_dir>/<run>.txt``
 gets each command's exit code, stdout and stderr, with the run directory
 replaced by ``<RUN>``, then the run's ``manifest.json`` without its
 ``wall_time_s`` and with ``<DIR>`` for its ``scenario_dir`` (so a change to
@@ -31,7 +32,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-# name: (bundled scenario, --set overrides)
+# name: (bundled scenario or scenario file in the working directory, --set overrides)
 RUNS = {
     "ev_weekend": ("ev_weekend", []),
     "phev_flat": ("phev_flat", []),
@@ -42,6 +43,31 @@ RUNS = {
     "ev_800": ("ev_weekend", ["space.cells=800"]),
     # A consumption that changes on every step, so the DP tables cover a two-pack MDP whose transition never repeats.
     "phev_varying": ("phev_flat", ["series.g={times: [0.0, 0.1, 0.2], values: [0.15, 0.3, 0.2]}"]),
+    # A scenario file that reads a series and the initial density from CSVs in its own directory, not the
+    # working one: the manifest records that directory and the inputs' sha256, which verify and oracle check.
+    "ev_inputs": ("inputs/ev_inputs.yaml", []),
+}
+
+# The files of the scenario that ev_inputs runs, by path in the working directory.
+INPUTS = {
+    "inputs/ev_inputs.yaml": """\
+schema_version: 1
+model: ev
+horizon: 0.2
+time_steps: 24
+space: {cells: 40}
+series:
+  g: {times: [0.0, 0.1, 0.2], values: [0.3, 1.2, 0.4]}
+  d: {csv: d.csv}
+  sigma: 0.1
+  H: 30.0
+costs:
+  f: {kind: quadratic_shortage, weight: 1.0, target: 1.0}
+  kappa: {kind: quadratic_shortage, weight: 1.0, target: 1.0}
+initial_density: {kind: histogram, csv: m0.csv}
+""",
+    "inputs/d.csv": "t,value\n0.0,0.6\n0.05,0.8\n0.1,0.9\n0.15,0.7\n0.2,0.6\n",
+    "inputs/m0.csv": "".join(f"{min(k, 39 - k)}\n" for k in range(40)),  # a tent, one value per cell
 }
 
 
@@ -126,6 +152,10 @@ def _manifest(path: Path) -> str:
 
 def record(src: Path, scenario: str, overrides: list[str]) -> str:
     with tempfile.TemporaryDirectory() as tmp:
+        for name, text in INPUTS.items():
+            path = Path(tmp) / name
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(text)
         run_dir = str(Path(tmp) / "run")
         sets = [arg for item in overrides for arg in ("--set", item)]
         lines = [

@@ -7,8 +7,8 @@ Commands:
                                                independent cross-checks
   schema                                       print the scenario schema
 
-``run`` exits 0 on convergence, 2 on non-convergence (results are still
-written), 1 on any error. ``oracle`` exits 0 iff the dynamic-programming
+``run`` exits 0 when the solve converges, 2 when it does not (results are
+still written), 1 on any error. ``oracle`` exits 0 iff the dynamic-programming
 value check is within 2% and, on the 1D model only, the Monte Carlo density
 check is within 0.1 sup-t L1 distance and the run's largest |alpha| lies
 within the DP's action lattice (a stderr line gives both when it does not).
@@ -18,14 +18,14 @@ code reads.
 
 ``verify`` and ``oracle`` read a run's fields from the binary twins of its
 CSVs, after checking each file they read, the scenario's input CSVs
-included, against the sha256 its manifest records; a changed byte is an
-error that names the file.
+included, against the hash its manifest records; a changed byte is an
+error that names the file. ``verify``'s threshold is ten times the
+scenario's ``solver.tol``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -41,12 +41,11 @@ from .scenario import (
     ScenarioConfig,
     apply_overrides,
     build_problem,
-    check_inputs,
     export_results,
     load_scenario,
     read_field_csv,
+    read_manifest,
     read_series_csv,
-    validate_config,
 )
 from .solver import MfeSolution, _sup_l1, solve_mfe, verify_solution
 
@@ -107,45 +106,18 @@ def _load_run(
 
     ``fields`` maps the model to the ``RUN_LAYOUT`` fields (stems) to read;
     the others are left None. By default every field is read; the price
-    series always is. Each is read from its binary twin once the CSV and
-    the twin match the sha256 the manifest records. Scenario CSV paths
-    resolve against the manifest's ``scenario_dir``, and each input CSV
-    must match its sha256 in the manifest's ``input_sha256``.
+    series always is. ``read_manifest`` checks the manifest and the
+    scenario's input CSVs, and each field is read from its hash-checked
+    twin. The solution's ``tol`` is the rebuilt scenario's ``solver.tol``.
     """
-    manifest_path = run_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise ScenarioError("run_dir", f"manifest not found: {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except ValueError as exc:  # not JSON, or not text
-        raise ScenarioError("manifest.json", f"{manifest_path} is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("scenario"), dict):
-        raise ScenarioError("manifest.json", f"no 'scenario' mapping in {manifest_path}")
-    scenario_dir = manifest.get("scenario_dir")
-    if not isinstance(scenario_dir, str):
-        raise ScenarioError("manifest.json", f"'scenario_dir' is not a path in {manifest_path}")
-    convergence = manifest.get("convergence")
-    if not isinstance(convergence, dict):
-        raise ScenarioError("manifest.json", f"no 'convergence' mapping in {manifest_path}")
-    tol = convergence.get("tol")  # the one entry verify reads
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol > 0.0:
-        raise ScenarioError("manifest.json", f"'convergence.tol' is not a positive number in {manifest_path}")
-    digests = manifest.get("sha256")
-    if not isinstance(digests, dict):
-        raise ScenarioError("manifest.json", f"no 'sha256' mapping in {manifest_path}; a run written "
-                                             "before run files were hash-checked must be re-run")
-    inputs = manifest.get("input_sha256", {})  # absent from a run of a scenario with no input CSV
-    if not isinstance(inputs, dict):
-        raise ScenarioError("manifest.json", f"'input_sha256' is not a mapping in {manifest_path}")
-    config = ScenarioConfig(data=validate_config(manifest["scenario"]), base_dir=Path.cwd() / scenario_dir)
-    check_inputs(config, inputs)
-    problem, _, _ = build_problem(config)
+    config, digests = read_manifest(run_dir)
+    problem, options, _ = build_problem(config)
     shape = (problem.tgrid.n_nodes,) + problem.sgrid.shape
     _, stems, price = RUN_LAYOUT[config.model]
     wanted = stems if fields is None else fields[config.model]
     m, v, *controls = (read_field_csv(run_dir / f"{s}.csv", shape, digests) if s in wanted else None for s in stems)
     p = read_series_csv(run_dir / f"{price}.csv", problem.tgrid.n_nodes, digests)
-    return MfeSolution(v=v, m=m, p=p, alpha=tuple(controls), tol=float(tol)), problem, config
+    return MfeSolution(v=v, m=m, p=p, alpha=tuple(controls), tol=options.tol), problem, config
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

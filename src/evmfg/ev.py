@@ -197,6 +197,15 @@ def _check_density_slice(m: np.ndarray, time_node: int) -> np.ndarray:
     return m
 
 
+def _check_price(price, tgrid: TimeGrid) -> np.ndarray:
+    """``price`` as a float array, which must hold one value per node of ``tgrid`` (``ValueError``)."""
+    price = np.asarray(price, dtype=float)
+    if price.shape != (tgrid.n_nodes,):
+        found = f"{len(price)} values" if price.ndim == 1 else f"shape {price.shape}"
+        raise ValueError(f"price series has {found}, expected {tgrid.n_nodes}: one per time node")
+    return price
+
+
 def ev_price(m: np.ndarray, params: EvParams, sgrid: SpaceGrid) -> np.ndarray:
     """Price series p_i = ([g_i + d/dt int x m]+ + d_i)^exponent.
 
@@ -285,6 +294,7 @@ def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid):
     for the battery and (mu1, mu2) for the packs.
     """
     tgrid = params.tgrid
+    p = _check_price(p, tgrid)
     game = params.game(sgrid.meshes())
     v = np.empty((tgrid.n_nodes,) + sgrid.shape)
     # One array per axis, not one block: freeing a block larger than a field
@@ -329,17 +339,20 @@ def _outflow_rate(faces: np.ndarray, dx: float) -> float:
 def fpk_forward_sweep(alpha, m0: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid) -> np.ndarray:
     """Forward density sweep of either game under the drifts alpha_k - g_k.
 
-    ``alpha`` is a control of ``optimal_control``'s shape: one field per
-    axis, (alpha,) for the battery and (mu1, mu2) for the packs. Each step
-    reads the params' game at its left endpoint and takes explicit upwind
-    substeps as the value sweep does. Where the diffusion term alone breaks
-    their bound (``_step_plan``), the step first diffuses exactly
-    (``diffuse``) and the substeps advect only: the value step's order,
-    transposed.
+    ``alpha`` is a control of ``optimal_control``'s shape: one field of
+    shape (n_nodes, *cells) per axis, (alpha,) for the battery and (mu1,
+    mu2) for the packs (``ValueError``). Each step reads the params' game
+    at its left endpoint and takes explicit upwind substeps as the value
+    sweep does. Where the diffusion term alone breaks their bound
+    (``_step_plan``), the step first diffuses exactly (``diffuse``) and the
+    substeps advect only: the value step's order, transposed.
     """
     tgrid = params.tgrid
+    shape = (tgrid.n_nodes,) + sgrid.shape
+    if len(alpha) != len(sgrid.shape) or any(np.shape(a) != shape for a in alpha):
+        raise ValueError(f"control needs one field of shape {shape} per axis, got {[np.shape(a) for a in alpha]}")
     game = params.game(sgrid.meshes())
-    m = np.empty((tgrid.n_nodes,) + sgrid.shape)
+    m = np.empty(shape)
     m[0] = _check_density_slice(_check_initial_density(m0, sgrid), 0)
     geometry = _geometry(sgrid)
     dx2 = sgrid.spacing(0) ** 2
@@ -374,6 +387,7 @@ def optimal_control(v: np.ndarray, p: np.ndarray, params: _SeriesParams, sgrid: 
     v = np.asarray(v, dtype=float)
     if v.shape[1:] != sgrid.shape:
         raise ValueError(f"value field shape {v.shape} does not match grid {sgrid.shape}")
+    p = _check_price(p, params.tgrid)
     game = params.game(sgrid.meshes())
     # One call covers a block of time nodes, a column of nodes against the
     # grid. Blocks of CONTROL_BLOCK_CELLS cells keep ``_hamiltonian``'s

@@ -175,8 +175,6 @@ def mean_rate(m: np.ndarray, grid, tgrid: TimeGrid) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.shape[0] != tgrid.n_nodes:
         raise ValueError(f"expected {tgrid.n_nodes} time slices, got {m.shape[0]}")
-    if m.shape[0] < 2:
-        raise ValueError("need at least 2 time slices")
     means = (m * grid.meshes()[0]).reshape(m.shape[0], -1).sum(axis=1) * grid.cell_volume
     rates = np.empty(tgrid.n_nodes)
     rates[:-1] = np.diff(means) / tgrid.dt

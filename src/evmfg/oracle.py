@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ev import EvParams
+from .ev import EvParams, _check_price
 from .grids import SpaceGrid, TimeGrid
 from .phev import PhevParams
 
@@ -112,15 +112,6 @@ class LatticeMdp:
     def actions(self) -> np.ndarray:
         """Every action tuple, as ``states`` holds every state tuple; the induction's tie order reads these rows."""
         return _product(self.lattices[1])
-
-
-def _check_price(price, tgrid: TimeGrid) -> np.ndarray:
-    """``price`` as a float array, which must hold one value per node of ``tgrid`` (``ValueError``)."""
-    price = np.asarray(price, dtype=float)
-    if price.shape != (tgrid.n_nodes,):
-        found = f"{len(price)} values" if price.ndim == 1 else f"shape {price.shape}"
-        raise ValueError(f"price series has {found}, expected {tgrid.n_nodes}: one per time node")
-    return price
 
 
 def _product(lattices) -> np.ndarray:

@@ -14,7 +14,8 @@ values, which is what the audits read back. The run manifest records the
 scenario (resolved form, hash and directory), solver version, grid sizes,
 convergence history, the sha256 of every exported file and wall time; the
 wall time necessarily varies between runs, so bit-reproducibility is a
-property of the CSV and twin set.
+property of the CSV and twin set. ``read_manifest`` reads the manifest back,
+so this module is the one that writes and reads a run directory's format.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # What a run directory holds, per model: (the coordinate columns of a field
 # file, between t and value; the field stems, m and v then the controls; the
 # price series stem). Export writes each as <stem>.csv and its binary twin
-# <stem>.npy; the CLI reads the twins back.
+# <stem>.npy; ``read_field_csv`` reads the twins back.
 RUN_LAYOUT = {
     "ev": (("x",), ("m", "v", "alpha"), "price"),
     "phev": (("z1", "z2"), ("m", "v", "mu1", "mu2"), "r1"),
@@ -583,6 +584,35 @@ def export_results(
     return [*digests, "manifest.json"]
 
 
+def read_manifest(run_dir: Path) -> tuple[ScenarioConfig, dict[str, str]]:
+    """The validated scenario of the run ``run_dir`` and its manifest's ``sha256`` mapping (``ScenarioError``).
+
+    The scenario's input CSVs resolve against ``scenario_dir`` and must match ``input_sha256`` (``check_inputs``).
+    """
+    manifest_path = run_dir / "manifest.json"
+    if not manifest_path.exists():
+        raise ScenarioError("run_dir", f"manifest not found: {manifest_path}")
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as exc:  # not JSON, or not text
+        raise ScenarioError("manifest.json", f"{manifest_path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("scenario"), dict):
+        raise ScenarioError("manifest.json", f"no 'scenario' mapping in {manifest_path}")
+    scenario_dir = manifest.get("scenario_dir")
+    if not isinstance(scenario_dir, str):
+        raise ScenarioError("manifest.json", f"'scenario_dir' is not a path in {manifest_path}")
+    digests = manifest.get("sha256")
+    if not isinstance(digests, dict):
+        raise ScenarioError("manifest.json", f"no 'sha256' mapping in {manifest_path}; a run written "
+                                             "before run files were hash-checked must be re-run")
+    inputs = manifest.get("input_sha256", {})  # absent from a run of a scenario with no input CSV
+    if not isinstance(inputs, dict):
+        raise ScenarioError("manifest.json", f"'input_sha256' is not a mapping in {manifest_path}")
+    config = ScenarioConfig(data=validate_config(manifest["scenario"]), base_dir=Path.cwd() / scenario_dir)
+    check_inputs(config, inputs)
+    return config, digests
+
+
 def _solver_version() -> str:
     from . import __version__
 
@@ -614,25 +644,6 @@ def _export_phev(sol: MfeSolution, problem: PhevProblem, out: Path) -> dict[str,
     return {"control_sections.csv": _write_rows(out / "control_sections.csv", "z2,z1,mu1,mu2", s1, sections)}
 
 
-def _read_twin(path: str | Path, shape: tuple[int, ...], digests: dict[str, str]) -> np.ndarray:
-    """The twin ``<stem>.npy`` of the run file ``path``, once both match their sha256 in ``digests``.
-
-    ``digests`` is the manifest's ``sha256`` mapping. The CSV is hashed,
-    never parsed: its twin holds the same float64 values, so any changed,
-    cut or missing byte of either file is an error naming it.
-    """
-    path = Path(path)
-    twin = path.with_suffix(".npy")
-    for checked in (path, twin):
-        if digests.get(checked.name) != _sha256_file(checked):
-            raise ScenarioError(checked.name, f"{checked} does not match its sha256 in manifest.json "
-                                              "(changed or cut since export)")
-    values = np.load(twin, allow_pickle=False)
-    if values.shape != shape:
-        raise ScenarioError(twin.name, f"{twin} holds shape {values.shape}, expected {shape}")
-    return values
-
-
 def _sha256_file(path: Path) -> str:
     """The sha256 of a file, read through one 1 MiB buffer so that a large CSV is never held whole."""
     digest, buffer = hashlib.sha256(), bytearray(1 << 20)
@@ -646,10 +657,23 @@ def _sha256_file(path: Path) -> str:
 
 
 def read_field_csv(path: str | Path, shape: tuple[int, ...], digests: dict[str, str]) -> np.ndarray:
-    """A long-format field CSV's values as (n_nodes, *space_shape), read from its hash-checked twin."""
-    return _read_twin(path, shape, digests)
+    """The values of the run file ``path``, of ``shape`` (a field's is (n_nodes, *cells)), from its twin ``<stem>.npy``.
+
+    The CSV is hashed, never parsed: the twin holds the same float64 values. A changed, cut or missing
+    byte of either file, against its sha256 in ``digests`` (the manifest's ``sha256``), is an error naming it.
+    """
+    path = Path(path)
+    twin = path.with_suffix(".npy")
+    for checked in (path, twin):
+        if digests.get(checked.name) != _sha256_file(checked):
+            raise ScenarioError(checked.name, f"{checked} does not match its sha256 in manifest.json "
+                                              "(changed or cut since export)")
+    values = np.load(twin, allow_pickle=False)
+    if values.shape != shape:
+        raise ScenarioError(twin.name, f"{twin} holds shape {values.shape}, expected {shape}")
+    return values
 
 
 def read_series_csv(path: str | Path, n_nodes: int, digests: dict[str, str]) -> np.ndarray:
-    """A per-time-node series CSV's ``n_nodes`` values, read from its hash-checked twin."""
-    return _read_twin(path, (n_nodes,), digests)
+    """A per-time-node series CSV's ``n_nodes`` values, read as ``read_field_csv`` reads a field."""
+    return read_field_csv(path, (n_nodes,), digests)

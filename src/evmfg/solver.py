@@ -101,7 +101,7 @@ def _sup_l1(a: np.ndarray, b: np.ndarray, cell_volume: float) -> float:
     return float(diff.sum(axis=1).max() * cell_volume)
 
 
-def solve_mfe(model, options: SolverOptions | None = None) -> MfeSolution:
+def solve_mfe(model, options: SolverOptions) -> MfeSolution:
     """Iterate price/HJB/control/FPK to a mean field equilibrium.
 
     The iterate is the price series, accelerated as the module docstring
@@ -109,7 +109,6 @@ def solve_mfe(model, options: SolverOptions | None = None) -> MfeSolution:
     by at most ``options.tol`` or after ``options.max_iters`` passes. The
     residual of every pass is kept in ``MfeSolution.residuals``.
     """
-    options = options or SolverOptions()
     vol = model.cell_volume
     m_prev = model.initial_iterate()
     p = model.price(m_prev)

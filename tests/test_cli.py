@@ -278,11 +278,6 @@ MALFORMED_MANIFESTS = {
     "scenario-not-a-mapping": (lambda real: {"scenario": "ev_weekend"}, "no 'scenario' mapping"),
     "not-an-object": (lambda real: [], "no 'scenario' mapping"),
     "scenario_dir-not-a-path": (lambda real: {"scenario": {}, "scenario_dir": 3}, "'scenario_dir' is not a path"),
-    "convergence-not-a-mapping": (lambda real: {**real, "convergence": [1]}, "no 'convergence' mapping"),
-    "tol-not-a-number": (lambda real: {**real, "convergence": {"tol": "abc"}},
-                         "'convergence.tol' is not a positive number"),
-    "tol-negative": (lambda real: {**real, "convergence": {"tol": -1e-6}},
-                     "'convergence.tol' is not a positive number"),
     # what a run directory exported before the files were hash-checked holds
     "no-sha256": (lambda real: {k: v for k, v in real.items() if k != "sha256"},
                   "no 'sha256' mapping in {path}; a run written before run files were hash-checked must be re-run"),
@@ -304,6 +299,24 @@ def test_malformed_manifest_is_named(quick_run, tmp_path, capsys, command, manif
     assert captured.err.startswith("error: manifest.json: ")
     assert fragment.format(path=copy / "manifest.json") in captured.err
     assert captured.out == ""
+
+
+def test_verify_threshold_follows_the_scenario_solver_tol(tmp_path, capsys):
+    # the rebuilt scenario's solver.tol sets it; the manifest's convergence
+    # record is the solve's history, which verify does not read
+    run = tmp_path / "run"
+    assert cli.main(["run", "ev_weekend", "--out", str(run), *QUICK_ARGS, "--set", "solver.tol=1.0e-5"]) == 0
+    manifest_path = run / "manifest.json"
+    real = json.loads(manifest_path.read_text())
+    assert real["convergence"]["tol"] == 1e-5
+    edits = [lambda m: m, lambda m: {**m, "convergence": {**m["convergence"], "tol": 0.5}},
+             lambda m: {**m, "convergence": {"tol": "abc"}}, lambda m: {**m, "convergence": {"tol": -1e-6}},
+             lambda m: {**m, "convergence": [1]}, lambda m: {k: v for k, v in m.items() if k != "convergence"}]
+    for edit in edits:
+        manifest_path.write_text(json.dumps(edit(real)))
+        capsys.readouterr()
+        assert cli.main(["verify", str(run)]) == 0
+        assert capsys.readouterr().out.endswith(" (threshold 1.000e-04)\n")
 
 
 @pytest.mark.parametrize("command", ["verify", "oracle"])

@@ -392,6 +392,48 @@ def test_optimal_control_rejects_a_value_field_of_another_grid():
     assert str(err.value) == "value field shape (6, 19) does not match grid (20,)"
 
 
+def _zero_cost_params(model, tgrid):
+    if model == "ev":
+        return make_params(tgrid)
+    n = tgrid.n_nodes
+    return evmfg.PhevParams(tgrid=tgrid, g=np.full(n, 0.2), Q1=np.full(n, 125.0), Q2=np.full(n, 125.0), r2=0.7,
+                            s=lambda t, z1, z2: np.zeros_like(z1), xi=lambda z1, z2: np.zeros_like(z1))
+
+
+@pytest.mark.parametrize("model, cells", [("ev", (20,)), ("phev", (8, 8))])
+@pytest.mark.parametrize("extra", [1, -1])
+def test_the_value_sweep_and_the_control_name_a_price_of_the_wrong_length(model, cells, extra):
+    # a longer price used to run silently, a shorter one to fail on a bare index
+    tgrid, sgrid = TimeGrid(1.0, 5), SpaceGrid(cells)
+    params, price = _zero_cost_params(model, tgrid), np.ones(6 + extra)
+    for run in (lambda: hjb_backward_sweep(price, params, sgrid),
+                lambda: optimal_control(np.zeros((6, *cells)), price, params, sgrid)):
+        with pytest.raises(ValueError) as err:
+            run()
+        assert str(err.value) == f"price series has {6 + extra} values, expected 6: one per time node"
+
+
+@pytest.mark.parametrize("model, cells", [("ev", (20,)), ("phev", (8, 8))])
+def test_the_density_sweep_names_a_control_of_the_wrong_shape(model, cells):
+    # zip used to drop a field too many and push a density with a field short;
+    # a node too many or too few ran silently
+    tgrid, sgrid = TimeGrid(1.0, 5), SpaceGrid(cells)
+    params, axes, shape = _zero_cost_params(model, tgrid), len(cells), (6, *cells)
+    m0, field = np.ones(cells), np.zeros(shape)
+    bad = {
+        "a field short": (field,) * (axes - 1),
+        "a field too many": (field,) * (axes + 1),
+        "a node too many": (field,) * (axes - 1) + (np.zeros((7, *cells)),),
+        "a node short": (np.zeros((5, *cells)),) + (field,) * (axes - 1),
+    }
+    for what, control in bad.items():
+        with pytest.raises(ValueError) as err:
+            fpk_forward_sweep(control, m0, params, sgrid)
+        assert str(err.value) == (f"control needs one field of shape {shape} per axis, "
+                                  f"got {[a.shape for a in control]}"), what
+    assert fpk_forward_sweep((field,) * axes, m0, params, sgrid).shape == shape
+
+
 def test_fpk_divergence_reports_time_node():
     tgrid = TimeGrid(1.0, 5)
     sgrid = SpaceGrid((20,))

@@ -718,6 +718,16 @@ def test_twins_hold_the_csv_values_and_the_manifest_holds_every_digest(run, run_
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+@pytest.mark.parametrize("run, run_dir", [("ev_run", "ev_run_dir"), ("phev_run", "phev_run_dir")])
+def test_read_manifest_gives_back_the_exported_scenario_and_digests(run, run_dir, request):
+    bundled = request.getfixturevalue(run)
+    out = Path(request.getfixturevalue(run_dir))
+    config, digests = scenario.read_manifest(out)
+    assert config == bundled["config"]
+    assert config.base_dir == Path(bundled["config"].base_dir).resolve()
+    assert digests == _digests(out)
+
+
 def test_readers_reject_a_last_row_with_the_wrong_column_count(ev_run_dir, tmp_path):
     # a field row cut before its value, a series row with a column too many:
     # neither file matches its hash any longer
