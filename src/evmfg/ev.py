@@ -387,6 +387,8 @@ def optimal_control(v: np.ndarray, p: np.ndarray, params: _SeriesParams, sgrid: 
     v = np.asarray(v, dtype=float)
     if v.shape[1:] != sgrid.shape:
         raise ValueError(f"value field shape {v.shape} does not match grid {sgrid.shape}")
+    if len(v) != params.tgrid.n_nodes:
+        raise ValueError(f"value field has {len(v)} time nodes, expected {params.tgrid.n_nodes}: one per time node")
     p = _check_price(p, params.tgrid)
     game = params.game(sgrid.meshes())
     # One call covers a block of time nodes, a column of nodes against the

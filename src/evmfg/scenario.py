@@ -8,7 +8,11 @@ endogenous quadratic price) and ``phev_flat`` (constant consumption, two
 battery packs).
 
 Exports are long-format CSV with a fixed column order and 17-significant-
-digit floats, so identical runs produce byte-identical CSV files. Each
+digit floats, so identical runs produce byte-identical CSV files. The text
+of every float, field value, coordinate, time or series value alike, is
+``format(x, ".17g")``: one vectorised numpy kernel makes it exactly, a block
+of values at a time, and a value it cannot prove exact goes through
+``"%.17g"`` on its own, so the bytes are those of per-value formatting. Each
 field and price CSV has a binary twin ``<stem>.npy`` of the same float64
 values, which is what the audits read back. The run manifest records the
 scenario (resolved form, hash and directory), solver version, grid sizes,
@@ -24,6 +28,7 @@ import hashlib
 import itertools
 import json
 import operator
+import re
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import reduce
 from importlib import resources
@@ -93,14 +98,29 @@ solver:                    # optional block, defaults below
 # Overrides (--set) use dotted paths into this document, e.g.
 #   --set solver.max_iters=50   --set price.coupled=false
 # Bare solver keys (max_iters, tol, damping) are accepted as shorthand.
+# Numbers read as in YAML 1.2: 1e-5 is a float, like 1.0e-05.
 """
 
 _SOLVER_DEFAULTS = asdict(SolverOptions())
 # Each model's params class, which names the scenario's series, cost and
 # price keys and holds the price defaults, and the problem that solves it.
 MODELS = {"ev": (EvParams, EvProblem), "phev": (PhevParams, PhevProblem)}
-# libyaml's safe loader where PyYAML was built with it: the same documents, parsed in C.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+class _YAML_LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, libyaml's where PyYAML was built with it: the same documents, parsed in C."""
+
+
+class _YAML_DUMPER(yaml.SafeDumper):
+    """The safe dumper, which quotes a string that ``_YAML_LOADER`` would read as another type."""
+
+
+# YAML 1.1 reads an exponent without a decimal point or exponent sign (1e-5, 2.5e3) as a string;
+# both classes read it as a float, as YAML 1.2 does, so a dumped string of that form is quoted.
+for _yaml_class in (_YAML_LOADER, _YAML_DUMPER):
+    _yaml_class.add_implicit_resolver("tag:yaml.org,2002:float",
+                                      re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+                                      list("-+.0123456789"))
 
 
 # What a run directory holds, per model: (the coordinate columns of a field
@@ -341,7 +361,7 @@ def write_scenario(config: ScenarioConfig, path: str | Path) -> None:
 
 
 def canonical_yaml(data: dict) -> str:
-    return yaml.safe_dump(data, sort_keys=True, default_flow_style=False)
+    return yaml.dump(data, Dumper=_YAML_DUMPER, sort_keys=True, default_flow_style=False)
 
 
 def scenario_hash(data: dict) -> str:
@@ -477,9 +497,118 @@ def build_problem(config: ScenarioConfig):
     return problem, options, resampled
 
 
-def _fmt_all(values) -> list[str]:
-    """17-significant-digit strings, one per value (``format(x, ".17g")``)."""
-    return ["%.17g" % x for x in np.asarray(values, dtype=float).ravel().tolist()]
+# The text of a float64 in run files is format(x, ".17g"), 17 significant digits that give it back
+# exactly. ``_format_block`` makes it for a block of values in numpy: it scales |x| to a 17-digit
+# integer by a power of ten in long double, cuts the integer into characters and lays them out.
+# Values per call, as ev.CONTROL_BLOCK_CELLS: a call spans many 100-value slices (one call per slice
+# doubled the ev export), and its largest temporary, the 0.8 MB gather index, stays small.
+_FORMAT_BLOCK = 4096
+# 10**k for k in -285..317, which scales every |x| in [1e-300, 1e300] to 17 digits even where log10
+# misjudges its exponent by one; parsed from text, so each is correctly rounded.
+_POW10_MIN = -285
+_POW10 = np.array([np.longdouble(f"1e{k}") for k in range(_POW10_MIN, 318)])
+# The scaled value rounds twice (the power of ten, the product), each time within eps / 2 relative,
+# so below 1e17 it is off by less than 1e17 * eps: 0.011 with the x87 long double. A fraction that
+# close to one half may round either way and takes the fallback; where long double is a plain
+# double the margin exceeds 0.5 and every value does.
+_ROUND_MARGIN = 1e17 * float(np.finfo(np.longdouble).eps)
+
+
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """By k = 0..9999: its four digits as ASCII in one 32-bit word, and how many of them end it as zeros."""
+    digits = (np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10)
+    digits = digits.astype(np.uint8)
+    zeros = np.cumprod(digits[:, ::-1] == 0, axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8)
+    return (digits + ord("0")).view(np.uint32).ravel(), zeros
+
+
+_DIGITS4, _TRAILING_ZEROS = _digit_tables()
+# A value's source row, in bytes: its first digit and three exponent digits, its other 16 digits,
+# then ".-0e+" and NULs, which pad the text to 24 bytes.
+_ROW_TAIL = np.frombuffer(b".-0e+\0\0\0", np.uint32)
+_ROW_WORDS = 5 + len(_ROW_TAIL)
+
+
+def _layouts() -> np.ndarray:
+    """The source-row bytes of each text, by (negative, exponent class, significant digits - 1), flattened.
+
+    Classes 0-20 are fixed notation for the exponents -4..16; 21-24 are exponent
+    notation with a positive or negative exponent of two or three digits.
+    """
+    exponent, digits = [1, 2, 3], [0, *range(4, 20)]
+    dot, minus, zero, e, plus, nul = range(20, 26)
+    table = np.full((2, 25, 17, 24), nul, dtype=np.uint8)
+    for negative, cls, count in itertools.product(range(2), range(25), range(1, 18)):
+        fraction = [dot, *digits[1:count]] if count > 1 else []
+        if cls > 20:  # 21 + (negative exponent) + 2 * (three exponent digits)
+            sign = minus if (cls - 21) % 2 else plus
+            text = [digits[0], *fraction, e, sign, *exponent[cls < 23:]]
+        elif cls >= 4:  # exponent cls - 4 >= 0: the integer part keeps its zeros
+            whole = cls - 3
+            text = digits[:whole] + ([dot, *digits[whole:count]] if count > whole else [])
+        else:
+            text = [zero, dot] + [zero] * (3 - cls) + digits[:count]
+        text = [minus] * negative + text
+        table[negative, cls, count - 1, :len(text)] = text
+    return table.reshape(-1, 24)
+
+
+_LAYOUTS = _layouts()
+_ROW_STARTS = np.arange(_FORMAT_BLOCK)[:, None] * (4 * _ROW_WORDS)
+
+
+def _source_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each value's source row, the ``_LAYOUTS`` row of its text, and whether the row is exact.
+
+    A value is not exact where it is zero, not finite or |v| is outside
+    [1e-300, 1e300], where log10 misjudged its exponent, and where its scaled
+    fraction lies within ``_ROUND_MARGIN`` of one half.
+    """
+    magnitude = np.abs(x)
+    exact = (magnitude >= 1e-300) & (magnitude <= 1e300)
+    magnitude[~exact] = 1.0  # a stand-in: the fallback formats these
+    exp10 = np.floor(np.log10(magnitude)).astype(np.intp)
+    scaled = magnitude.astype(np.longdouble) * _POW10[16 - _POW10_MIN - exp10]
+    whole = scaled.astype(np.int64)
+    fraction = scaled - whole
+    up = fraction > 0.5 + _ROUND_MARGIN
+    exact &= (whole >= 10**16) & (whole < 10**17 - 1) & (up | (fraction < 0.5 - _ROUND_MARGIN))
+    first, rest = np.divmod(np.where(exact, whole + up, 10**16), 10**16)
+    high, low = np.divmod(rest, 10**8)
+    groups = (*np.divmod(high, 10**4), *np.divmod(low, 10**4))
+    exponent = np.abs(exp10)
+    source = np.empty((len(x), _ROW_WORDS), np.uint32)
+    source[:, 0] = _DIGITS4[first * 1000 + exponent]
+    for word, group in enumerate(groups, start=1):
+        source[:, word] = _DIGITS4[group]
+    for word, tail in enumerate(_ROW_TAIL, start=5):
+        source[:, word] = tail
+    zeros = reduce(lambda z, group: _TRAILING_ZEROS[group] + (group == 0) * z, groups[1:], _TRAILING_ZEROS[groups[0]])
+    cls = np.where((exp10 >= -4) & (exp10 <= 16), exp10 + 4, 21 + (exp10 < 0) + 2 * (exponent >= 100))
+    return source, ((x < 0) * 25 + cls) * 17 + 16 - zeros, exact
+
+
+def _format_block(x: np.ndarray) -> list[bytes]:
+    """``format(v, ".17g")`` of each of at most ``_FORMAT_BLOCK`` values, as ASCII bytes.
+
+    A value whose row is not exact (``_source_rows``) goes through ``"%.17g"`` on its own.
+    """
+    source, layout, exact = _source_rows(x)
+    chars = source.view(np.uint8).ravel().take(_LAYOUTS.take(layout, axis=0) + _ROW_STARTS[:len(x)])
+    texts = chars.view("S24").ravel().tolist()  # without the NULs that pad each text
+    inexact = np.flatnonzero(~exact)
+    for i, value in zip(inexact.tolist(), x[inexact].tolist()):
+        texts[i] = b"%.17g" % value
+    return texts
+
+
+def _format_17g(values) -> list[bytes]:
+    """``format(v, ".17g")`` of every value, as ASCII bytes, formatted ``_FORMAT_BLOCK`` values at a time."""
+    x = np.asarray(values, dtype=float).ravel()
+    texts = []
+    for start in range(0, x.size, _FORMAT_BLOCK):
+        texts += _format_block(x[start:start + _FORMAT_BLOCK])
+    return texts
 
 
 class _HashingWriter:
@@ -494,28 +623,29 @@ class _HashingWriter:
         return self.handle.write(data)
 
 
-def _write_rows(path: Path, header: str, coords: list[str], slices) -> str:
-    """Write ``header``, then one row ``lead + coords[j] + values[j]`` per coordinate for each slice.
+def _write_rows(path: Path, header: str, coords: list[bytes], leads: list[bytes], values) -> str:
+    """Write ``header``, then per slice i and coordinate j the row ``leads[i] + coords[j]``, ``values[i, j]``.
 
-    ``slices`` yields ``(lead, values)`` with ``values`` of shape (len(coords),)
-    or (len(coords), columns); a field file has one slice per time node, led
-    by its time. Coordinates and leads arrive formatted, so each slice is one
-    ``%``-template over its values and the file is written slice by slice,
-    never held whole. Returns the sha256 of the file, hashed as it is written.
+    ``values`` has shape (len(leads), len(coords)[, columns]): a field file has
+    one slice per time node, led by its time. Coordinates and leads arrive
+    formatted. Whole slices of about ``_FORMAT_BLOCK`` values are formatted
+    and written at a time, each block through one ``%``-template, so the file
+    is never held whole. Returns the sha256 of the file, hashed as it is written.
     """
+    values = np.asarray(values, dtype=float).reshape(len(leads), len(coords), -1)
+    cell = b",%s" * values.shape[2] + b"\n"
+    rows = max(1, _FORMAT_BLOCK // values[0].size)
     with open(path, "wb") as handle:
         out = _HashingWriter(handle)
         out.write(header.encode() + b"\n")
-        for lead, values in slices:
-            values = np.asarray(values, dtype=float)
-            cell = ",%.17g" * (values.size // len(coords)) + "\n"
-            template = lead + (cell + lead).join(coords) + cell
-            out.write((template % tuple(values.ravel().tolist())).encode())
+        for start in range(0, len(leads), rows):
+            texts = tuple(_format_17g(values[start:start + rows]))
+            out.write(b"".join(lead + (cell + lead).join(coords) + cell for lead in leads[start:start + rows]) % texts)
     return out.sha256.hexdigest()
 
 
 def _write_series_csv(path: Path, header: str, t: np.ndarray, columns: list[np.ndarray]) -> str:
-    return _write_rows(path, header, _fmt_all(t), [("", np.column_stack(columns))])
+    return _write_rows(path, header, _format_17g(t), [b""], np.column_stack(columns))
 
 
 def _write_twin(path: Path, values: np.ndarray) -> str:
@@ -545,13 +675,13 @@ def export_results(
     out.mkdir(parents=True, exist_ok=True)
     columns, stems, price = RUN_LAYOUT[config.model]
     t = problem.tgrid.nodes
-    leads = [ti + "," for ti in _fmt_all(t)]
-    axes = (_fmt_all(problem.sgrid.nodes(k)) for k in range(len(columns)))
-    coords = [",".join(c) for c in itertools.product(*axes)]
+    leads = [ti + b"," for ti in _format_17g(t)]
+    axes = (_format_17g(problem.sgrid.nodes(k)) for k in range(len(columns)))
+    coords = [b",".join(c) for c in itertools.product(*axes)]
     header = ",".join(("t", *columns, "value"))
     digests = {}
     for stem, values in zip(stems, (sol.m, sol.v, *sol.alpha)):
-        digests[f"{stem}.csv"] = _write_rows(out / f"{stem}.csv", header, coords, zip(leads, values))
+        digests[f"{stem}.csv"] = _write_rows(out / f"{stem}.csv", header, coords, leads, values)
         digests[f"{stem}.npy"] = _write_twin(out / f"{stem}.npy", values)
     digests[f"{price}.csv"] = _write_series_csv(out / f"{price}.csv", "t,value", t, [sol.p])
     digests[f"{price}.npy"] = _write_twin(out / f"{price}.npy", sol.p)
@@ -638,10 +768,11 @@ def _export_ev(sol: MfeSolution, problem: EvProblem, out: Path) -> dict[str, str
 
 def _export_phev(sol: MfeSolution, problem: PhevProblem, out: Path) -> dict[str, str]:
     z2 = problem.sgrid.nodes(1)
-    s1, s2 = _fmt_all(problem.sgrid.nodes(0)), _fmt_all(z2)
+    s1, s2 = _format_17g(problem.sgrid.nodes(0)), _format_17g(z2)
     ks = [int(np.argmin(np.abs(z2 - target))) for target in (0.5, 0.9)]
-    sections = [(s2[k] + ",", np.stack([mu[0, :, k] for mu in sol.alpha], axis=1)) for k in ks]
-    return {"control_sections.csv": _write_rows(out / "control_sections.csv", "z2,z1,mu1,mu2", s1, sections)}
+    sections = np.stack([mu[0][:, ks].T for mu in sol.alpha], axis=2)  # (section, z1, control)
+    leads = [s2[k] + b"," for k in ks]
+    return {"control_sections.csv": _write_rows(out / "control_sections.csv", "z2,z1,mu1,mu2", s1, leads, sections)}
 
 
 def _sha256_file(path: Path) -> str:

@@ -319,6 +319,15 @@ def test_verify_threshold_follows_the_scenario_solver_tol(tmp_path, capsys):
         assert capsys.readouterr().out.endswith(" (threshold 1.000e-04)\n")
 
 
+def test_an_exponent_without_a_decimal_point_sets_the_tolerance(tmp_path, capsys):
+    # YAML 1.1 reads 1e-5 as a string, which solver.tol used to reject
+    run = tmp_path / "run"
+    assert cli.main(["run", "ev_weekend", "--out", str(run), *QUICK_ARGS, "--set", "solver.tol=1e-5"]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", str(run)]) == 0
+    assert capsys.readouterr().out.endswith(" (threshold 1.000e-04)\n")
+
+
 @pytest.mark.parametrize("command", ["verify", "oracle"])
 @pytest.mark.parametrize("text", [b"not json", b'{"scenario": ', b"\xff\xfe"], ids=["text", "cut", "binary"])
 def test_a_manifest_that_is_not_json_is_named(tmp_path, capsys, command, text):

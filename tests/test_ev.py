@@ -414,6 +414,16 @@ def test_the_value_sweep_and_the_control_name_a_price_of_the_wrong_length(model,
 
 
 @pytest.mark.parametrize("model, cells", [("ev", (20,)), ("phev", (8, 8))])
+@pytest.mark.parametrize("extra", [1, -1])
+def test_the_control_names_a_value_field_of_the_wrong_node_count(model, cells, extra):
+    # a node too many used to fail on a bare index, a node short to return a control a node short
+    tgrid, sgrid = TimeGrid(1.0, 5), SpaceGrid(cells)
+    with pytest.raises(ValueError) as err:
+        optimal_control(np.zeros((6 + extra, *cells)), np.ones(6), _zero_cost_params(model, tgrid), sgrid)
+    assert str(err.value) == f"value field has {6 + extra} time nodes, expected 6: one per time node"
+
+
+@pytest.mark.parametrize("model, cells", [("ev", (20,)), ("phev", (8, 8))])
 def test_the_density_sweep_names_a_control_of_the_wrong_shape(model, cells):
     # zip used to drop a field too many and push a density with a field short;
     # a node too many or too few ran silently

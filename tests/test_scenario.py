@@ -2,13 +2,17 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evmfg import (
     EvParams,
@@ -141,6 +145,25 @@ def test_a_file_that_is_not_yaml_is_named(tmp_path):
     with pytest.raises(ScenarioError) as err:
         load_scenario(tmp_path / "broken.yaml")
     assert str(err.value) == f"document: not valid YAML: {parse.value}"
+
+
+@pytest.mark.parametrize("text, value", [("1e-5", 1e-5), ("2.5e3", 2500.0), ("+1E2", 100.0), (".5e1", 5.0),
+                                         ("1.0e-06", 1e-6)])
+def test_an_exponent_reads_as_a_float_in_a_file_and_an_override(text, value, tmp_path):
+    # YAML 1.1 reads a number with no decimal point or no exponent sign as a string; YAML 1.2 does not
+    assert apply_overrides(load_scenario("ev_weekend"), [f"solver.tol={text}"]).data["solver"]["tol"] == value
+    document = canonical_yaml(load_scenario("ev_weekend").data)
+    assert "tol: 1.0e-06\n" in document
+    (tmp_path / "doc.yaml").write_text(document.replace("tol: 1.0e-06\n", f"tol: {text}\n"))
+    assert load_scenario(tmp_path / "doc.yaml").data["solver"]["tol"] == value
+
+
+@pytest.mark.parametrize("name", ["1e5", "1e", "e5", "1e5x"])
+def test_a_name_like_an_exponent_round_trips(name, tmp_path):
+    cfg = apply_overrides(load_scenario("ev_weekend"), [f"name='{name}'"])
+    assert cfg.name == name
+    write_scenario(cfg, tmp_path / "doc.yaml")
+    assert load_scenario(tmp_path / "doc.yaml") == cfg
 
 
 def test_round_trip_preserves_document(tmp_path):
@@ -865,3 +888,100 @@ def test_export_bytes_match_per_number_format(name, overrides, tmp_path):
     export_results(sol, problem, config, tmp_path)
     for fname, text in _reference_csv_set(sol, problem, config.model).items():
         assert (tmp_path / fname).read_bytes() == text.encode(), fname
+
+
+def _spread_field(shape, rng):
+    """Values of every notation and sign, with an awkward value in about one cell of twenty."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 20, shape)
+    return np.where(rng.random(shape) < 0.05, _awkward(shape), values)
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("ev_weekend", ["time_steps=48", "space.cells=100"]),  # 49 slices of 100 values: blocks of 40 slices, then 9
+    ("phev_flat", ["time_steps=2", "space.cells=[64,64]"]),  # a slice fills a block
+    ("phev_flat", ["time_steps=2", "space.cells=[65,64]"]),  # a slice straddles a block seam
+])
+def test_export_bytes_match_across_format_blocks(name, overrides, tmp_path):
+    from evmfg import MfeSolution, export_results
+
+    config = apply_overrides(load_scenario(name), overrides)
+    problem, _, _ = build_problem(config)
+    shape = (problem.tgrid.n_nodes,) + problem.sgrid.shape
+    rng = np.random.default_rng(29)
+    alpha = tuple(_spread_field(shape, rng) for _ in problem.sgrid.shape)
+    sol = MfeSolution(v=_spread_field(shape, rng), m=_spread_field(shape, rng),
+                      p=_spread_field(problem.tgrid.n_nodes, rng), alpha=alpha, converged=True)
+    export_results(sol, problem, config, tmp_path)
+    for fname, text in _reference_csv_set(sol, problem, config.model).items():
+        assert (tmp_path / fname).read_bytes() == text.encode(), fname
+
+
+# ---------------------------------------------------------------------------
+# the 17-digit formatter
+
+
+def _formatted(values) -> list[str]:
+    return [text.decode() for text in scenario._format_17g(values)]
+
+
+def _format_edge_values() -> np.ndarray:
+    powers = 10.0 ** np.arange(-323, 309)  # subnormal to near the largest double
+    tie = 1.0 + 2.0 ** -17  # 1.00000762939453125: its 18th significant digit is an exact 5
+    edges = [0.0, 5e-324, 1e-300, 1e300, 1e-4, 1e-5, 1e16, 1e17, tie, 1.0 + 3 * 2.0 ** -17,
+             1.2345678901234567e100, 9.87654321e-150, 1.7976931348623157e308, 2.2250738585072014e-308,
+             np.inf, np.nan]
+    values = np.concatenate([powers, edges])
+    with np.errstate(over="ignore"):  # the largest double's upper neighbour is inf
+        values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+    return np.concatenate([values, -values])
+
+
+def test_the_formatter_matches_format_on_its_edges():
+    values = _format_edge_values()
+    assert _formatted(values) == [format(x, ".17g") for x in values.tolist()]
+
+
+def test_the_formatter_lays_out_both_notations_itself():
+    # exponent notation too: about a third of the ev density values lie below 1e-4
+    values = np.array([0.1, 1.0 / 3.0, 123456.789, -2.5e-7, 6.02214076e23, -1.2345e-120, 4.2e250, 7.5e-5])
+    source, layout, exact = scenario._source_rows(values)
+    assert exact.all()
+    assert _formatted(values) == [format(x, ".17g") for x in values.tolist()]
+
+
+_RAW_DOUBLES = st.integers(0, 2**64 - 1).map(lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats() | _RAW_DOUBLES, min_size=1, max_size=40))
+def test_the_formatter_matches_format(values):
+    assert _formatted(values) == [format(x, ".17g") for x in values]
+
+
+def test_the_powers_of_ten_are_correctly_rounded():
+    for k, power in zip(itertools.count(scenario._POW10_MIN), scenario._POW10):
+        value = Fraction(*power.as_integer_ratio())
+        gaps = [abs(value - Fraction(*np.nextafter(power, toward).as_integer_ratio()))
+                for toward in (np.longdouble(0), np.longdouble(np.inf))]
+        assert 2 * abs(value - Fraction(10) ** k) <= min(gaps), k
+
+
+def test_every_value_on_the_fallback_writes_the_same_bytes(monkeypatch, tmp_path):
+    from evmfg import MfeSolution, export_results
+
+    config = apply_overrides(load_scenario("ev_weekend"), ["time_steps=48", "space.cells=100"])
+    problem, _, _ = build_problem(config)
+    shape = (problem.tgrid.n_nodes,) + problem.sgrid.shape
+    rng = np.random.default_rng(3)
+    sol = MfeSolution(v=_spread_field(shape, rng), m=_spread_field(shape, rng),
+                      p=_spread_field(problem.tgrid.n_nodes, rng), alpha=(_spread_field(shape, rng),), converged=True)
+    export_results(sol, problem, config, tmp_path / "kernel")
+    values = np.concatenate([_format_edge_values(), sol.m.ravel()])
+    kernel = _formatted(values)
+    monkeypatch.setattr(scenario, "_ROUND_MARGIN", 0.75)  # no fraction is that far from one half
+    assert not scenario._source_rows(values)[2].any()
+    assert _formatted(values) == kernel
+    export_results(sol, problem, config, tmp_path / "fallback")
+    for name in RUN_LAYOUT["ev"][1] + ("price", "purchases", "total_consumption"):
+        kernel_bytes = (tmp_path / "kernel" / f"{name}.csv").read_bytes()
+        assert (tmp_path / "fallback" / f"{name}.csv").read_bytes() == kernel_bytes, name
