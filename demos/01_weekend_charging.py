@@ -30,9 +30,7 @@ masses = [evmfg.integrate(sol.m[i], problem.sgrid) for i in range(sol.m.shape[0]
 print(f"worst mass defect over {len(masses)} slices: {max(abs(m - 1.0) for m in masses):.2e}")
 
 # aggregate purchases g + d/dt E[x], and the load curve with/without trading
-purchases = evmfg.ev_purchases(sol.m, problem)
-regulated = purchases + problem.params.d
-baseline = purchases.mean() + problem.params.d
+_, regulated, baseline = evmfg.ev_load(sol.m, problem.params, problem.sgrid)
 cut = (baseline.max() - regulated.max()) / baseline.max()
 print()
 print(f"peak load:   {regulated.max():.4f} regulated vs {baseline.max():.4f} flat-purchase baseline")

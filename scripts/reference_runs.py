@@ -71,9 +71,10 @@ initial_density: {kind: histogram, csv: m0.csv}
 }
 
 
-# The MDP of ``evmfg oracle <run>`` with its default --states 20, then with
-# --states 4, which the two-pack cap of 10 leaves uncapped. It uses only
-# names that every checkout it compares has.
+# The MDP of ``evmfg oracle <run>`` with its default lattice, then with
+# --states 4. The default is 20 states on the battery and the cap of 10 per
+# axis on the two packs, which ``min`` gives from 20; the cap leaves 4 as it
+# is. It uses only names that every checkout it compares has.
 DP_TABLES = """
 import hashlib, sys
 from pathlib import Path

@@ -11,6 +11,7 @@ from .ev import (
     EvParams,
     EvProblem,
     ev_cost,
+    ev_load,
     ev_price,
     fpk_forward_sweep,
     hjb_backward_sweep,
@@ -51,7 +52,6 @@ from .scenario import (
     build_problem,
     bundled_scenarios,
     canonical_yaml,
-    ev_purchases,
     export_results,
     load_scenario,
     read_field_csv,
@@ -81,6 +81,7 @@ __all__ = [
     "EvParams",
     "EvProblem",
     "ev_price",
+    "ev_load",
     "optimal_control",
     "hjb_backward_sweep",
     "fpk_forward_sweep",
@@ -111,7 +112,6 @@ __all__ = [
     "scenario_hash",
     "validate_config",
     "export_results",
-    "ev_purchases",
     "read_field_csv",
     "read_series_csv",
     "SCHEMA_TEXT",

@@ -53,6 +53,8 @@ DP_THRESHOLD = 0.02
 MC_THRESHOLD = 0.1
 # The 2D DP enumerates every pair of states and of actions, so its lattice is capped.
 PHEV_MAX_STATES = 10
+# ``oracle``'s DP lattice size per axis when ``--states`` is not given.
+DEFAULT_STATES = {"ev": 20, "phev": PHEV_MAX_STATES}
 # The field files each model's oracle audits; verify reads them all.
 ORACLE_FIELDS = {"ev": {"m", "v", "alpha"}, "phev": {"v"}}
 
@@ -73,8 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="cross-check a run with DP and Monte Carlo")
     p_oracle.add_argument("run_dir", help="directory of a prior run")
-    p_oracle.add_argument("--states", type=int, default=20,
-                          help=f"DP state lattice size (default 20; at most {PHEV_MAX_STATES} per axis on the 2D model)")
+    p_oracle.add_argument("--states", type=int,
+                          help=f"DP state lattice size (default {DEFAULT_STATES['ev']}; {PHEV_MAX_STATES} per axis, the most, "
+                               "on the 2D model)")
     p_oracle.add_argument("--agents", type=int, default=100_000, help="Monte Carlo agents (default 100000)")
     p_oracle.add_argument("--seed", type=int, default=0, help="Monte Carlo seed (default 0)")
 
@@ -128,21 +131,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    if args.states < 2:
+    if args.states is not None and args.states < 2:
         raise ValueError("need at least 2 states")
     if args.agents < 1:
         raise ValueError("need at least one agent")
     if args.seed < 0:
         raise ValueError("need a nonnegative seed")
     sol, problem, config = _load_run(Path(args.run_dir), ORACLE_FIELDS)
+    n_states = DEFAULT_STATES[config.model] if args.states is None else args.states
     if config.model == "ev":
-        mdp = ev_mdp(problem.params, sol.p, n_states=args.states)
+        mdp = ev_mdp(problem.params, sol.p, n_states=n_states)
         reach, span = float(np.abs(sol.alpha[0]).max()), float(mdp.actions.max())
         if reach > span:  # the DP cannot trade as the run does, so its value says nothing
             print(f"the run's max|alpha| {reach:.6g} exceeds the DP's largest action {span:.6g}", file=sys.stderr)
     else:
-        n_states = min(args.states, PHEV_MAX_STATES)
-        if n_states < args.states:
+        if n_states > PHEV_MAX_STATES:
+            n_states = PHEV_MAX_STATES
             print(f"note: the 2D DP audit uses a {n_states}x{n_states} state lattice "
                   f"(--states {args.states} is capped at {PHEV_MAX_STATES})", file=sys.stderr)
         mdp = phev_mdp(problem.params, sol.p, n_states=n_states)

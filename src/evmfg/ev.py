@@ -206,14 +206,20 @@ def _check_price(price, tgrid: TimeGrid) -> np.ndarray:
     return price
 
 
-def ev_price(m: np.ndarray, params: EvParams, sgrid: SpaceGrid) -> np.ndarray:
-    """Price series p_i = ([g_i + d/dt int x m]+ + d_i)^exponent.
+def ev_load(m: np.ndarray, params: EvParams, sgrid: SpaceGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per time node: (purchases g + d/dt int x m, load purchases + d, load purchases.mean() + d of flat purchases)."""
+    purchases = params.g + mean_rate(m, sgrid, params.tgrid)
+    return purchases, purchases + params.d, float(purchases.mean()) + params.d
 
-    With ``coupled`` off the vehicle demand term is zeroed, which makes the
-    price a pure function of d (used to test the decoupled fixed point).
+
+def ev_price(m: np.ndarray, params: EvParams, sgrid: SpaceGrid) -> np.ndarray:
+    """Price series p_i = ([g_i + d/dt int x m]+ + d_i)^exponent, the bracket being ``ev_load``'s purchases.
+
+    With ``coupled`` off the vehicle demand term is zeroed, which makes the price
+    a pure function of d: the tests' decoupled fixed point, demo 04's demand-only price.
     """
     if params.coupled:
-        inner = np.maximum(params.g + mean_rate(m, sgrid, params.tgrid), 0.0)
+        inner = np.maximum(ev_load(m, params, sgrid)[0], 0.0)
     else:
         inner = np.zeros(params.tgrid.n_nodes)
     return (inner + params.d) ** params.exponent
@@ -430,6 +436,10 @@ class _Problem:
 
     def __post_init__(self) -> None:
         self.m0 = _check_initial_density(self.m0, self.sgrid)
+        low = float(self.m0.min())
+        if low < -NEGATIVITY_HARD_LIMIT:
+            raise ScenarioError("initial_density",
+                                f"m0 has a cell at {low:.3e}, below the roundoff limit -{NEGATIVITY_HARD_LIMIT:g}")
 
     @property
     def tgrid(self) -> TimeGrid:

@@ -38,9 +38,8 @@ import numpy as np
 import yaml
 
 from .errors import ScenarioError, as_float, as_int
-from .ev import EvParams, EvProblem
+from .ev import EvParams, EvProblem, ev_load
 from .grids import SpaceGrid, TimeGrid
-from .numerics import mean_rate
 from .phev import PhevParams, PhevProblem
 from .solver import MfeSolution, SolverOptions
 
@@ -749,16 +748,9 @@ def _solver_version() -> str:
     return __version__
 
 
-def ev_purchases(m: np.ndarray, problem: EvProblem) -> np.ndarray:
-    """Aggregate purchase series g + d/dt of the mean battery level."""
-    return problem.params.g + mean_rate(m, problem.sgrid, problem.tgrid)
-
-
 def _export_ev(sol: MfeSolution, problem: EvProblem, out: Path) -> dict[str, str]:
     t = problem.tgrid.nodes
-    purchases = ev_purchases(sol.m, problem)
-    regulated = purchases + problem.params.d
-    baseline = float(purchases.mean()) + problem.params.d
+    purchases, regulated, baseline = ev_load(sol.m, problem.params, problem.sgrid)
     return {
         "purchases.csv": _write_series_csv(out / "purchases.csv", "t,value", t, [purchases]),
         "total_consumption.csv": _write_series_csv(

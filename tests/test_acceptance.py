@@ -16,8 +16,8 @@ from evmfg import (
     build_problem,
     dp_best_response,
     dp_deviation,
+    ev_load,
     ev_mdp,
-    ev_purchases,
     hjb_backward_sweep,
     integrate,
     load_scenario,
@@ -196,9 +196,7 @@ def test_criterion_04_monte_carlo_density(ev_run):
 
 def test_criterion_05_peak_shaving(ev_run):
     sol, problem = ev_run["solution"], ev_run["problem"]
-    purchases = ev_purchases(sol.m, problem)
-    regulated = purchases + problem.params.d
-    baseline = float(purchases.mean()) + problem.params.d
+    _, regulated, baseline = ev_load(sol.m, problem.params, problem.sgrid)
     peak_cut = (baseline.max() - regulated.max()) / baseline.max()
     ok = (
         regulated.max() < baseline.max()

@@ -400,6 +400,11 @@ def test_oracle_phev_says_when_it_caps_the_lattice(phev_run_dir, capsys):
     assert "dp value deviation:" in capped.out
     cli.main(["oracle", str(phev_run_dir), "--states", "4"])
     assert capsys.readouterr().err == ""
+    # without --states the two-pack lattice is the cap itself, and nothing was asked to be capped
+    cli.main(["oracle", str(phev_run_dir)])
+    default = capsys.readouterr()
+    assert default.err == ""
+    assert default.out == capped.out
 
 
 @pytest.mark.filterwarnings("error")

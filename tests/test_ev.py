@@ -352,6 +352,21 @@ def test_non_finite_m0_is_rejected():
             fpk_forward_sweep((np.zeros((6, 20)),), m0, params, sgrid)
 
 
+def test_a_negative_initial_density_is_an_input_error_not_a_divergence():
+    tgrid, sgrid = TimeGrid(1.0, 5), SpaceGrid((20,))
+    params = make_params(tgrid)
+    limit = ev_module.NEGATIVITY_HARD_LIMIT
+    m0 = tent_density(sgrid, 0.5, 0.2)
+    m0[0], m0[10] = -0.5, m0[10] + 0.5  # unit mass, one cell at -0.5
+    with pytest.raises(ScenarioError) as err:
+        EvProblem(params, sgrid, m0)
+    assert err.value.field == "initial_density"
+    assert str(err.value) == "initial_density: m0 has a cell at -5.000e-01, below the roundoff limit -1e-08"
+    m0 = tent_density(sgrid, 0.5, 0.2)
+    m0[0], m0[10] = -limit, m0[10] + limit  # roundoff, which the forward sweep clamps
+    assert EvProblem(params, sgrid, m0).m0[0] == -limit
+
+
 def test_an_initial_density_of_another_grid_is_rejected():
     tgrid = TimeGrid(1.0, 5)
     sgrid = SpaceGrid((20,))

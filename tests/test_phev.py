@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from evmfg import (
     PhevParams,
     PhevProblem,
+    ScenarioError,
     SpaceGrid,
     TimeGrid,
     beta,
@@ -305,6 +306,15 @@ def test_phev_non_finite_m0_is_rejected():
             PhevProblem(params, sgrid, m0)
         with pytest.raises(ValueError, match=f"initial density mass {bad}"):
             fpk_forward_sweep((np.zeros(shape), np.zeros(shape)), m0, params, sgrid)
+
+
+def test_phev_negative_m0_is_an_input_error_not_a_divergence():
+    sgrid = SpaceGrid((12, 12))
+    m0 = gaussian_density(sgrid, (0.5, 0.5), 0.02)
+    m0[0, 0], m0[6, 6] = -0.5, m0[6, 6] + m0[0, 0] + 0.5  # unit mass, one cell at -0.5
+    with pytest.raises(ScenarioError) as err:
+        PhevProblem(make_params(TimeGrid(1.0, 4)), sgrid, m0)
+    assert str(err.value) == "initial_density: m0 has a cell at -5.000e-01, below the roundoff limit -1e-08"
 
 
 def test_conservative_form_matches_expanded_form():

@@ -25,7 +25,7 @@ from evmfg import (
     build_problem,
     bundled_scenarios,
     canonical_yaml,
-    ev_purchases,
+    ev_load,
     integrate,
     load_scenario,
     mean_rate,
@@ -773,8 +773,19 @@ def test_purchases_series_definition(ev_run, ev_run_dir):
     purchases = np.loadtxt(Path(ev_run_dir) / "purchases.csv", delimiter=",", skiprows=1, usecols=1)
     assert purchases.shape == (144,)
     expected = problem.params.g + mean_rate(sol.m, problem.sgrid, problem.tgrid)
-    np.testing.assert_array_equal(purchases, ev_purchases(sol.m, problem))
+    np.testing.assert_array_equal(purchases, ev_load(sol.m, problem.params, problem.sgrid)[0])
     np.testing.assert_allclose(purchases, expected, atol=1e-12)
+
+
+def test_ev_load_is_what_the_run_exports(ev_run, ev_run_dir):
+    # 17 significant digits give each float64 back exactly
+    problem = ev_run["problem"]
+    purchases, regulated, baseline = ev_load(ev_run["solution"].m, problem.params, problem.sgrid)
+    exported = np.loadtxt(Path(ev_run_dir) / "purchases.csv", delimiter=",", skiprows=1, usecols=1)
+    table = np.loadtxt(Path(ev_run_dir) / "total_consumption.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(purchases, exported)
+    assert np.array_equal(regulated, table[:, 1])
+    assert np.array_equal(baseline, table[:, 2])
 
 
 def test_total_consumption_columns(ev_run, ev_run_dir):
@@ -783,7 +794,7 @@ def test_total_consumption_columns(ev_run, ev_run_dir):
     assert len(lines) == 1 + 144
     table = np.loadtxt(Path(ev_run_dir) / "total_consumption.csv", delimiter=",", skiprows=1)
     problem = ev_run["problem"]
-    purchases = ev_purchases(ev_run["solution"].m, problem)
+    purchases = ev_load(ev_run["solution"].m, problem.params, problem.sgrid)[0]
     np.testing.assert_allclose(table[:, 1], purchases + problem.params.d, atol=1e-12)
     np.testing.assert_allclose(table[:, 2], purchases.mean() + problem.params.d, atol=1e-12)
 
@@ -842,7 +853,7 @@ def _reference_csv_set(sol, problem, model) -> dict[str, str]:
 
     if model == "ev":
         coords = [(x,) for x in problem.sgrid.nodes(0)]
-        purchases = ev_purchases(sol.m, problem)
+        purchases = ev_load(sol.m, problem.params, problem.sgrid)[0]
         d = problem.params.d
         return {
             "m.csv": field("t,x,value", coords, sol.m),
