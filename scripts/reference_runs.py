@@ -10,8 +10,9 @@ gets each command's exit code, stdout and stderr, with the run directory
 replaced by ``<RUN>``, then the run's ``manifest.json`` without its
 ``wall_time_s`` and with ``<DIR>`` for its ``scenario_dir`` (so a change to
 the canonical scenario or its hash shows), then the sha256 of every
-exported CSV and of every ``.npy`` twin that ``verify`` and ``oracle``
-read, then the sha256 of the value table and of each policy table of the
+exported file: the ``.npy`` fields, whose bytes are the float64 values
+themselves, and the series CSVs (the price, the 1D purchase and load
+curves, the 2D control sections), then the sha256 of the value table and of each policy table of the
 DP best response that ``oracle`` computes by default and with ``--states 4``
 (one more process, same path). Last come the largest and the total substep
 count of one step of each sweep in the run's solve (one more process, same

@@ -16,11 +16,11 @@ On the 1D model ``oracle`` also prints the Monte Carlo sampling floor, the
 distance of exact multinomial samples of the run's density, which no exit
 code reads.
 
-``verify`` and ``oracle`` read a run's fields from the binary twins of its
-CSVs, after checking each file they read, the scenario's input CSVs
-included, against the hash its manifest records; a changed byte is an
-error that names the file. ``verify``'s threshold is ten times the
-scenario's ``solver.tol``.
+``verify`` and ``oracle`` read a run's fields from its ``.npy`` files and
+its price from its series CSV, after checking each file they read, the
+scenario's input CSVs included, against the hash its manifest records; a
+changed byte is an error that names the file. ``verify``'s threshold is
+ten times the scenario's ``solver.tol``.
 """
 
 from __future__ import annotations
@@ -110,15 +110,15 @@ def _load_run(
     ``fields`` maps the model to the ``RUN_LAYOUT`` fields (stems) to read;
     the others are left None. By default every field is read; the price
     series always is. ``read_manifest`` checks the manifest and the
-    scenario's input CSVs, and each field is read from its hash-checked
-    twin. The solution's ``tol`` is the rebuilt scenario's ``solver.tol``.
+    scenario's input CSVs, and each file read is hash-checked. The
+    solution's ``tol`` is the rebuilt scenario's ``solver.tol``.
     """
     config, digests = read_manifest(run_dir)
     problem, options, _ = build_problem(config)
     shape = (problem.tgrid.n_nodes,) + problem.sgrid.shape
-    _, stems, price = RUN_LAYOUT[config.model]
+    stems, price = RUN_LAYOUT[config.model]
     wanted = stems if fields is None else fields[config.model]
-    m, v, *controls = (read_field_csv(run_dir / f"{s}.csv", shape, digests) if s in wanted else None for s in stems)
+    m, v, *controls = (read_field_csv(run_dir / f"{s}.npy", shape, digests) if s in wanted else None for s in stems)
     p = read_series_csv(run_dir / f"{price}.csv", problem.tgrid.n_nodes, digests)
     return MfeSolution(v=v, m=m, p=p, alpha=tuple(controls), tol=options.tol), problem, config
 

@@ -287,7 +287,7 @@ def _step_plan(dt: float, diff: float, dx2: float, rates, what: str, node: int) 
     return n_sub, dt / n_sub, half_diff, diffusion_time
 
 
-def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid):
+def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid, out=None):
     """Backward value sweep of either game, v(T, .) = the terminal cost: (v, control).
 
     Each step reads the params' game at its right endpoint and takes equal
@@ -297,16 +297,21 @@ def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid):
     substeps advect only and the step ends with the exact diffusion
     ``diffuse``: advect, then diffuse. The control equals
     ``optimal_control(v, p, params, sgrid)``: one field per axis, (alpha,)
-    for the battery and (mu1, mu2) for the packs.
+    for the battery and (mu1, mu2) for the packs. An earlier sweep's
+    (v, control) on the same grid, passed as ``out``, is overwritten and
+    returned instead of new arrays.
     """
     tgrid = params.tgrid
     p = _check_price(p, tgrid)
     game = params.game(sgrid.meshes())
-    v = np.empty((tgrid.n_nodes,) + sgrid.shape)
-    # One array per axis, not one block: freeing a block larger than a field
-    # lifts glibc's mmap threshold above the field size, later fields then
-    # come from the heap, and the 2D benchmark's peak RSS rose by 5%.
-    control = tuple(np.empty_like(v) for _ in sgrid.shape)
+    if out is None:
+        v = np.empty((tgrid.n_nodes,) + sgrid.shape)
+        # One array per axis, not one block: freeing a block larger than a field
+        # lifts glibc's mmap threshold above the field size, later fields then
+        # come from the heap, and the 2D benchmark's peak RSS rose by 5%.
+        control = tuple(np.empty_like(v) for _ in sgrid.shape)
+    else:
+        v, control = out
     v[-1] = game.terminal()
     geometry = _geometry(sgrid)
     dx2 = sgrid.spacing(0) ** 2
@@ -342,7 +347,7 @@ def _outflow_rate(faces: np.ndarray, dx: float) -> float:
     return float(faces[0].max(initial=0.0) - faces[1].min(initial=0.0)) / dx
 
 
-def fpk_forward_sweep(alpha, m0: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid) -> np.ndarray:
+def fpk_forward_sweep(alpha, m0: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid, out=None) -> np.ndarray:
     """Forward density sweep of either game under the drifts alpha_k - g_k.
 
     ``alpha`` is a control of ``optimal_control``'s shape: one field of
@@ -351,14 +356,16 @@ def fpk_forward_sweep(alpha, m0: np.ndarray, params: _SeriesParams, sgrid: Space
     at its left endpoint and takes explicit upwind substeps as the value
     sweep does. Where the diffusion term alone breaks their bound
     (``_step_plan``), the step first diffuses exactly (``diffuse``) and the
-    substeps advect only: the value step's order, transposed.
+    substeps advect only: the value step's order, transposed. An earlier
+    sweep's density on the same grid, passed as ``out``, is overwritten and
+    returned instead of a new array.
     """
     tgrid = params.tgrid
     shape = (tgrid.n_nodes,) + sgrid.shape
     if len(alpha) != len(sgrid.shape) or any(np.shape(a) != shape for a in alpha):
         raise ValueError(f"control needs one field of shape {shape} per axis, got {[np.shape(a) for a in alpha]}")
     game = params.game(sgrid.meshes())
-    m = np.empty(shape)
+    m = np.empty(shape) if out is None else out
     m[0] = _check_density_slice(_check_initial_density(m0, sgrid), 0)
     geometry = _geometry(sgrid)
     dx2 = sgrid.spacing(0) ** 2
@@ -459,11 +466,11 @@ class EvProblem(_Problem):
     def price(self, m: np.ndarray) -> np.ndarray:
         return ev_price(m, self.params, self.sgrid)
 
-    def hjb(self, p: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray]]:
-        return hjb_backward_sweep(p, self.params, self.sgrid)
+    def hjb(self, p: np.ndarray, out=None) -> tuple[np.ndarray, tuple[np.ndarray]]:
+        return hjb_backward_sweep(p, self.params, self.sgrid, out)
 
     def control(self, v: np.ndarray, p: np.ndarray) -> tuple[np.ndarray]:
         return optimal_control(v, p, self.params, self.sgrid)
 
-    def fpk(self, alpha: tuple[np.ndarray]) -> np.ndarray:
-        return fpk_forward_sweep(alpha, self.m0, self.params, self.sgrid)
+    def fpk(self, alpha: tuple[np.ndarray], out=None) -> np.ndarray:
+        return fpk_forward_sweep(alpha, self.m0, self.params, self.sgrid, out)

@@ -123,11 +123,11 @@ class PhevProblem(_Problem):
     def price(self, m: np.ndarray) -> np.ndarray:
         return phev_price(m, self.params, self.sgrid)
 
-    def hjb(self, r1: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        return phev_hjb_backward_sweep(r1, self.params, self.sgrid)
+    def hjb(self, r1: np.ndarray, out=None) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        return phev_hjb_backward_sweep(r1, self.params, self.sgrid, out)
 
     def control(self, v: np.ndarray, r1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return phev_optimal_controls(v, r1, self.params, self.sgrid)
 
-    def fpk(self, mu: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        return phev_fpk_forward_sweep(mu, self.m0, self.params, self.sgrid)
+    def fpk(self, mu: tuple[np.ndarray, np.ndarray], out=None) -> np.ndarray:
+        return phev_fpk_forward_sweep(mu, self.m0, self.params, self.sgrid, out)

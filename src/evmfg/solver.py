@@ -97,8 +97,9 @@ class VerifyReport:
 
 def _sup_l1(a: np.ndarray, b: np.ndarray, cell_volume: float) -> float:
     """Time-sup of the per-slice L1 distance between two density fields."""
-    diff = np.abs(np.asarray(a) - np.asarray(b)).reshape(a.shape[0], -1)
-    return float(diff.sum(axis=1).max() * cell_volume)
+    diff = np.asarray(a) - np.asarray(b)
+    np.abs(diff, out=diff)  # in place: one field-sized temporary, not two
+    return float(diff.reshape(a.shape[0], -1).sum(axis=1).max() * cell_volume)
 
 
 def solve_mfe(model, options: SolverOptions) -> MfeSolution:
@@ -118,10 +119,14 @@ def solve_mfe(model, options: SolverOptions) -> MfeSolution:
     converged = False
     iterations = 0
     m_new = m_prev
+    # Each pass sweeps into the last pass's value and control and into the
+    # density before it (``spare``), so the fields are allocated once per
+    # solve. Fields freed and allocated anew on every pass let glibc trim
+    # the heap and fault the pages back in: about a fifth of the 2D solve.
+    fields = spare = None
     for iterations in range(1, options.max_iters + 1):
-        # The loop keeps neither value nor control: the final pass recomputes
-        # both, and holding them through the next sweep raises peak memory.
-        m_new = model.fpk(model.hjb(p)[1])
+        fields = model.hjb(p, fields)
+        m_new = model.fpk(fields[1], spare)
         residual = _sup_l1(m_new, m_prev, vol)
         residuals.append(residual)
         if residual <= options.tol:
@@ -133,11 +138,11 @@ def solve_mfe(model, options: SolverOptions) -> MfeSolution:
         history.append((p, model.price(m_new) - p))
         del history[:-ANDERSON_DEPTH]
         p = _anderson_step(history, options.damping)
-        m_prev = m_new
+        spare, m_prev = m_prev, m_new
     # Final consistency pass: all stored fields derive from the final density.
     m_final = m_new
     p_final = model.price(m_final)
-    v_final, alpha_final = model.hjb(p_final)
+    v_final, alpha_final = model.hjb(p_final, fields)
     return MfeSolution(
         v=v_final,
         m=m_final,

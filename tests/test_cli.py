@@ -46,8 +46,8 @@ def test_run_converges_and_writes(quick_run, capsys):
     assert "converged in" in captured.out
     assert str(out) in captured.out
     names = {p.name for p in out.iterdir()}
-    assert names == {"m.csv", "v.csv", "alpha.csv", "price.csv", "m.npy", "v.npy", "alpha.npy", "price.npy",
-                     "purchases.csv", "total_consumption.csv", "manifest.json"}
+    assert names == {"m.npy", "v.npy", "alpha.npy", "price.csv", "purchases.csv", "total_consumption.csv",
+                     "manifest.json"}
 
 
 def test_run_nonconvergence_exit_2_still_writes(tmp_path, capsys):
@@ -108,29 +108,25 @@ def test_a_control_is_one_field_per_axis_wherever_it_goes(run, run_dir, request)
 
 
 def test_verify_fails_on_tampered_values(quick_run, tmp_path, capsys):
-    # a value changed in the CSV alone is caught by its hash before any audit
+    # a value changed in the field file is caught by its hash before any audit
     copy = _copy_run(quick_run, tmp_path / "tampered")
-    lines = (copy / "v.csv").read_text().splitlines()
-    body = []
-    for line in lines[1:]:
-        head, _, value = line.rpartition(",")
-        body.append(f"{head},{float(value) * 1.05}")
-    (copy / "v.csv").write_text("\n".join([lines[0], *body]) + "\n")
+    np.save(copy / "v.npy", np.load(copy / "v.npy") * 1.05, allow_pickle=False)
     code = cli.main(["verify", str(copy)])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == "error: v.csv: " + CHANGED.format(path=copy / "v.csv") + "\n"
+    assert captured.err == "error: v.npy: " + CHANGED.format(path=copy / "v.npy") + "\n"
 
 
-def test_verify_names_a_short_field_csv(quick_run, tmp_path, capsys):
+def test_verify_names_a_short_field(quick_run, tmp_path, capsys):
+    # the last seven time slices of the density cut off
     copy = _copy_run(quick_run, tmp_path / "short")
-    lines = (copy / "m.csv").read_text().splitlines(keepends=True)
-    (copy / "m.csv").write_text("".join(lines[:-7]))
+    data = (copy / "m.npy").read_bytes()
+    (copy / "m.npy").write_bytes(data[:-7 * 40 * 8])
     code = cli.main(["verify", str(copy)])
     captured = capsys.readouterr()
     assert code == 1
-    assert "error: m.csv: " + CHANGED.format(path=copy / "m.csv") in captured.err
+    assert "error: m.npy: " + CHANGED.format(path=copy / "m.npy") in captured.err
 
 
 @pytest.mark.parametrize("command", ["verify", "oracle"])
@@ -145,27 +141,25 @@ def test_short_series_csv_is_named(quick_run, tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["verify", "oracle"])
-def test_field_csv_last_row_without_its_value_is_named(request, tmp_path, capsys, command):
-    # the row count still matches, and a read of the last column alone
-    # would take the coordinate for the value, in the last row or any other
-    for run_dir, row in (("quick_run", "last"), ("quick_run", "middle"), ("phev_run_dir", "middle")):
-        copy = _copy_run(request.getfixturevalue(run_dir), tmp_path / f"{run_dir}_{row}")
-        lines = (copy / "v.csv").read_text().splitlines()
-        k = -1 if row == "last" else len(lines) // 2
-        lines[k] = lines[k].rpartition(",")[0]
-        (copy / "v.csv").write_text("\n".join(lines) + "\n")
+def test_a_field_without_one_value_is_named(request, tmp_path, capsys, command):
+    # eight bytes, one float64, cut from the end or the middle of the value field
+    for run_dir, where in (("quick_run", "last"), ("quick_run", "middle"), ("phev_run_dir", "middle")):
+        copy = _copy_run(request.getfixturevalue(run_dir), tmp_path / f"{run_dir}_{where}")
+        data = (copy / "v.npy").read_bytes()
+        k = len(data) - 8 if where == "last" else len(data) // 2
+        (copy / "v.npy").write_bytes(data[:k] + data[k + 8:])
         capsys.readouterr()  # what a fixture's first run printed
         code = cli.main([command, str(copy), *(["--states", "5"] if command == "oracle" else [])])
         captured = capsys.readouterr()
-        assert code == 1, (run_dir, row)
+        assert code == 1, (run_dir, where)
         assert captured.out == ""
-        assert "error: v.csv: " + CHANGED.format(path=copy / "v.csv") in captured.err
+        assert "error: v.npy: " + CHANGED.format(path=copy / "v.npy") in captured.err
 
 
 @pytest.mark.parametrize("command", ["verify", "oracle"])
 @pytest.mark.parametrize("run_dir", ["quick_run", "phev_run_dir"])
-def test_a_changed_or_missing_twin_is_named(request, tmp_path, capsys, run_dir, command):
-    # the CSV still matches its hash; the twin the audit reads does not
+def test_a_changed_or_missing_field_is_named(request, tmp_path, capsys, run_dir, command):
+    # one bit of the value field flipped, or the file gone
     source = request.getfixturevalue(run_dir)
     changed = _copy_run(source, tmp_path / "changed")
     data = bytearray((changed / "v.npy").read_bytes())
@@ -185,7 +179,7 @@ def test_a_changed_or_missing_twin_is_named(request, tmp_path, capsys, run_dir, 
     assert captured.err.startswith(f"error: v.npy: could not read {missing / 'v.npy'}: ")
 
 
-def test_a_twin_of_another_grid_is_named(quick_run, tmp_path, capsys):
+def test_a_field_of_another_grid_is_named(quick_run, tmp_path, capsys):
     # every file matches its hash, but the manifest's scenario now asks for another grid
     copy = _copy_run(quick_run, tmp_path / "regridded")
     manifest = json.loads((copy / "manifest.json").read_text())
@@ -281,7 +275,7 @@ MALFORMED_MANIFESTS = {
     # what a run directory exported before the files were hash-checked holds
     "no-sha256": (lambda real: {k: v for k, v in real.items() if k != "sha256"},
                   "no 'sha256' mapping in {path}; a run written before run files were hash-checked must be re-run"),
-    "sha256-not-a-mapping": (lambda real: {**real, "sha256": ["m.csv"]}, "no 'sha256' mapping"),
+    "sha256-not-a-mapping": (lambda real: {**real, "sha256": ["m.npy"]}, "no 'sha256' mapping"),
     "input_sha256-not-a-mapping": (lambda real: {**real, "input_sha256": ["d.csv"]},
                                    "'input_sha256' is not a mapping in {path}"),
 }

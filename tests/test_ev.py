@@ -791,3 +791,19 @@ def test_ev_params_coupled_must_be_a_boolean(coupled):
     with pytest.raises(ScenarioError, match=r"^price\.coupled: expected a boolean$"):
         make_params(TimeGrid(1.0, 4), coupled=coupled)
     assert make_params(TimeGrid(1.0, 4), coupled=np.bool_(False)).coupled == np.False_
+
+
+@pytest.mark.parametrize("run", ["ev_run", "phev_run"])
+def test_sweeps_into_an_earlier_sweeps_arrays_give_a_fresh_sweeps_bits(run, request):
+    # the fixed point reuses its fields from pass to pass: nothing of the old values may show through
+    problem, sol = request.getfixturevalue(run)["problem"], request.getfixturevalue(run)["solution"]
+    first = problem.price(problem.initial_iterate())
+    old_fields = problem.hjb(first)
+    old_m = problem.fpk(old_fields[1])
+    fields = problem.hjb(sol.p, old_fields)
+    m = problem.fpk(fields[1], old_m)
+    fresh_v, fresh_control = problem.hjb(sol.p)
+    assert fields[0] is old_fields[0] and all(a is b for a, b in zip(fields[1], old_fields[1])) and m is old_m
+    assert fields[0].tobytes() == fresh_v.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(fields[1], fresh_control, strict=True))
+    assert m.tobytes() == problem.fpk(fresh_control).tobytes()

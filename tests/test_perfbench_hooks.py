@@ -167,19 +167,20 @@ def test_traced_oracle_counts_agent_steps(ev_run, ev_run_dir):
 
 
 @pytest.mark.parametrize(
-    "run_dir, command, flags, stems",
+    "run_dir, command, flags, files",
     [
-        ("ev_run_dir", "verify", [], ["m", "v", "alpha", "price"]),
-        ("phev_run_dir", "oracle", ["--states", "4"], ["v", "r1"]),
+        ("ev_run_dir", "verify", [], ["m.npy", "v.npy", "alpha.npy", "price.csv"]),
+        ("phev_run_dir", "oracle", ["--states", "4"], ["v.npy", "r1.csv"]),
     ],
 )
-def test_traced_run_reads_open_one_span_per_file(run_dir, command, flags, stems, request):
+def test_traced_run_reads_open_one_span_per_file(run_dir, command, flags, files, request):
     # scenario.read_s and read_mb are summed over these spans: they must see
-    # every file the command reads, through the names the trace rebinds
+    # every file the command reads, through the names the trace rebinds, and
+    # the bytes of the file each value comes from
     spans = _spans()
     tracer = spans.Tracer(lambda: 0.0)
     path = request.getfixturevalue(run_dir)
     with spans.instrument(tracer):
         assert evmfg.cli.main([command, str(path), *flags]) == 0
     sizes = [span.data for span in tracer.spans if span.name == "scenario.read"]
-    assert sorted(sizes) == sorted((path / f"{stem}.csv").stat().st_size for stem in stems)
+    assert sorted(sizes) == sorted((path / name).stat().st_size for name in files)

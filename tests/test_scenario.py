@@ -2,17 +2,13 @@
 
 import dataclasses
 import hashlib
-import itertools
 import json
 import re
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from evmfg import (
     EvParams,
@@ -662,10 +658,8 @@ def test_schema_text_documents_the_keys():
 # exports
 
 
-EV_FILES = {"m.csv", "v.csv", "alpha.csv", "price.csv", "m.npy", "v.npy", "alpha.npy", "price.npy",
-            "purchases.csv", "total_consumption.csv", "manifest.json"}
-PHEV_FILES = {"m.csv", "v.csv", "mu1.csv", "mu2.csv", "r1.csv", "m.npy", "v.npy", "mu1.npy", "mu2.npy", "r1.npy",
-              "control_sections.csv", "manifest.json"}
+EV_FILES = {"m.npy", "v.npy", "alpha.npy", "price.csv", "purchases.csv", "total_consumption.csv", "manifest.json"}
+PHEV_FILES = {"m.npy", "v.npy", "mu1.npy", "mu2.npy", "r1.csv", "control_sections.csv", "manifest.json"}
 
 
 def _digests(run_dir):
@@ -702,43 +696,66 @@ def test_phev_manifest_contents(phev_run, phev_run_dir):
     assert manifest["scenario_hash"] == scenario_hash(phev_run["config"].data)
 
 
-def test_ev_csv_round_trip(ev_run, ev_run_dir):
+def test_ev_run_files_round_trip(ev_run, ev_run_dir):
     sol = ev_run["solution"]
     shape = sol.m.shape
     out = Path(ev_run_dir)
     digests = _digests(out)
-    np.testing.assert_array_equal(read_field_csv(out / "m.csv", shape, digests), sol.m)
-    np.testing.assert_array_equal(read_field_csv(out / "v.csv", shape, digests), sol.v)
-    np.testing.assert_array_equal(read_field_csv(out / "alpha.csv", shape, digests), sol.alpha[0])
+    np.testing.assert_array_equal(read_field_csv(out / "m.npy", shape, digests), sol.m)
+    np.testing.assert_array_equal(read_field_csv(out / "v.npy", shape, digests), sol.v)
+    np.testing.assert_array_equal(read_field_csv(out / "alpha.npy", shape, digests), sol.alpha[0])
     np.testing.assert_array_equal(read_series_csv(out / "price.csv", sol.p.size, digests), sol.p)
 
 
-def test_phev_csv_round_trip(phev_run, phev_run_dir):
+def test_phev_run_files_round_trip(phev_run, phev_run_dir):
     sol = phev_run["solution"]
     shape = sol.m.shape
     out = Path(phev_run_dir)
     digests = _digests(out)
-    np.testing.assert_array_equal(read_field_csv(out / "m.csv", shape, digests), sol.m)
-    np.testing.assert_array_equal(read_field_csv(out / "mu1.csv", shape, digests), sol.alpha[0])
+    np.testing.assert_array_equal(read_field_csv(out / "m.npy", shape, digests), sol.m)
+    np.testing.assert_array_equal(read_field_csv(out / "mu1.npy", shape, digests), sol.alpha[0])
     np.testing.assert_array_equal(read_series_csv(out / "r1.csv", sol.p.size, digests), sol.p)
 
 
 @pytest.mark.parametrize("run, run_dir", [("ev_run", "ev_run_dir"), ("phev_run", "phev_run_dir")])
-def test_twins_hold_the_csv_values_and_the_manifest_holds_every_digest(run, run_dir, request):
-    # the %.17g text round-trips to the same float64s that the twin stores
+def test_run_files_hold_the_solved_bits_and_the_manifest_holds_every_digest(run, run_dir, request):
+    # a field file is the float64 array itself; the price's %.17g text parses back to the same float64s
     bundled = request.getfixturevalue(run)
     sol = bundled["solution"]
     out = Path(request.getfixturevalue(run_dir))
-    _, stems, price = RUN_LAYOUT[bundled["config"].model]
-    for stem, solved in zip((*stems, price), (sol.m, sol.v, *sol.alpha, sol.p), strict=True):
-        twin = np.load(out / f"{stem}.npy", allow_pickle=False)
-        parsed = np.loadtxt(out / f"{stem}.csv", delimiter=",", skiprows=1, usecols=-1).reshape(solved.shape)
-        assert np.array_equal(twin, parsed), stem
-        assert np.array_equal(twin, solved), stem
+    stems, price = RUN_LAYOUT[bundled["config"].model]
+    for stem, solved in zip(stems, (sol.m, sol.v, *sol.alpha), strict=True):
+        saved = np.load(out / f"{stem}.npy", allow_pickle=False)
+        assert saved.dtype == np.float64 and saved.tobytes() == solved.tobytes(), stem
+    parsed = np.loadtxt(out / f"{price}.csv", delimiter=",", skiprows=1, usecols=-1)
+    assert parsed.tobytes() == sol.p.tobytes()
     digests = _digests(out)
     assert set(digests) == {p.name for p in out.iterdir()} - {"manifest.json"}
     for name, digest in digests.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("run, run_dir", [("ev_run", "ev_run_dir"), ("phev_run", "phev_run_dir")])
+def test_read_series_csv_gives_back_the_price_bit_for_bit(run, run_dir, request):
+    bundled = request.getfixturevalue(run)
+    sol = bundled["solution"]
+    out = Path(request.getfixturevalue(run_dir))
+    price = RUN_LAYOUT[bundled["config"].model][1]
+    read = read_series_csv(out / f"{price}.csv", sol.p.size, _digests(out))
+    assert np.array_equal(read, sol.p) and read.tobytes() == sol.p.tobytes()
+
+
+@pytest.mark.parametrize("cut, found", [(3, 141), (-2, 146)])
+def test_a_series_csv_of_the_wrong_length_is_named(ev_run_dir, tmp_path, cut, found):
+    # the file matches its recorded hash, but holds three rows too few or two too many
+    lines = (Path(ev_run_dir) / "price.csv").read_text().splitlines(keepends=True)
+    body = lines[:-cut] if cut > 0 else lines + lines[cut:]
+    path = tmp_path / "price.csv"
+    path.write_text("".join(body))
+    digests = {"price.csv": hashlib.sha256(path.read_bytes()).hexdigest()}
+    with pytest.raises(ScenarioError, match=f"price.csv holds {found} values, expected 144$") as err:
+        read_series_csv(path, 144, digests)
+    assert err.value.field == "price.csv"
 
 
 @pytest.mark.parametrize("run, run_dir", [("ev_run", "ev_run_dir"), ("phev_run", "phev_run_dir")])
@@ -751,20 +768,35 @@ def test_read_manifest_gives_back_the_exported_scenario_and_digests(run, run_dir
     assert digests == _digests(out)
 
 
-def test_readers_reject_a_last_row_with_the_wrong_column_count(ev_run_dir, tmp_path):
-    # a field row cut before its value, a series row with a column too many:
-    # neither file matches its hash any longer
+def test_readers_reject_a_file_that_no_longer_matches_its_hash(ev_run_dir, tmp_path):
+    # a field without its last value, a series row with a column too many
     digests = _digests(ev_run_dir)
-    for name, extra, read in (
-        ("v.csv", None, lambda path: read_field_csv(path, (144, 100), digests)),
-        ("price.csv", ",0.5", lambda path: read_series_csv(path, 144, digests)),
+    fields = (Path(ev_run_dir) / "v.npy").read_bytes()[:-8]
+    lines = (Path(ev_run_dir) / "price.csv").read_text().splitlines()
+    series = "\n".join([*lines[:-1], lines[-1] + ",0.5"]) + "\n"
+    for name, data, read in (
+        ("v.npy", fields, lambda path: read_field_csv(path, (144, 100), digests)),
+        ("price.csv", series.encode(), lambda path: read_series_csv(path, 144, digests)),
     ):
-        lines = (Path(ev_run_dir) / name).read_text().splitlines()
-        lines[-1] = lines[-1].rpartition(",")[0] if extra is None else lines[-1] + extra
-        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        (tmp_path / name).write_bytes(data)
         with pytest.raises(ScenarioError, match=f"{name} does not match its sha256 in manifest.json") as err:
             read(tmp_path / name)
         assert err.value.field == name
+
+
+@pytest.mark.parametrize("run, stale, files", [
+    ("ev_run", ("m.csv", "price.npy"), EV_FILES),
+    ("phev_run", ("mu2.csv", "r1.npy"), PHEV_FILES),
+])
+def test_export_deletes_the_field_csvs_and_price_twin_of_the_old_layout(run, stale, files, request, tmp_path):
+    from evmfg import export_results
+
+    bundled = request.getfixturevalue(run)
+    for name in stale:
+        (tmp_path / name).write_text("stale\n")
+    names = export_results(bundled["solution"], bundled["problem"], bundled["config"], tmp_path)
+    digests = _digests(tmp_path)
+    assert {p.name for p in tmp_path.iterdir()} == set(digests) | {"manifest.json"} == set(names) == files
 
 
 def test_purchases_series_definition(ev_run, ev_run_dir):
@@ -833,7 +865,7 @@ def _awkward(shape, shift=0):
 
 
 def _reference_csv_set(sol, problem, model) -> dict[str, str]:
-    """The CSV set written row by row with format(x, ".17g"), one call per number."""
+    """The series CSVs written row by row with format(x, ".17g"), one call per number."""
 
     def fmt(x):
         return format(float(x), ".17g")
@@ -844,40 +876,32 @@ def _reference_csv_set(sol, problem, model) -> dict[str, str]:
         rows = [header] + [",".join([fmt(t[i])] + [fmt(c[i]) for c in columns]) for i in range(len(t))]
         return "\n".join(rows) + "\n"
 
-    def field(header, coords, values):
-        rows = [header]
-        for i in range(len(t)):
-            for coord, value in zip(coords, values[i].ravel()):
-                rows.append(",".join([fmt(t[i]), *map(fmt, coord), fmt(value)]))
-        return "\n".join(rows) + "\n"
-
     if model == "ev":
-        coords = [(x,) for x in problem.sgrid.nodes(0)]
         purchases = ev_load(sol.m, problem.params, problem.sgrid)[0]
         d = problem.params.d
         return {
-            "m.csv": field("t,x,value", coords, sol.m),
-            "v.csv": field("t,x,value", coords, sol.v),
-            "alpha.csv": field("t,x,value", coords, sol.alpha[0]),
             "price.csv": series("t,value", [sol.p]),
             "purchases.csv": series("t,value", [purchases]),
             "total_consumption.csv": series("t,regulated,baseline", [purchases + d, purchases.mean() + d]),
         }
     z1, z2 = problem.sgrid.nodes(0), problem.sgrid.nodes(1)
-    coords = [(a, b) for a in z1 for b in z2]
     mu1, mu2 = sol.alpha
     sections = ["z2,z1,mu1,mu2"]
     for target in (0.5, 0.9):
         k = int(np.argmin(np.abs(z2 - target)))
         sections += [",".join(map(fmt, (z2[k], z1[j], mu1[0, j, k], mu2[0, j, k]))) for j in range(len(z1))]
     return {
-        "m.csv": field("t,z1,z2,value", coords, sol.m),
-        "v.csv": field("t,z1,z2,value", coords, sol.v),
-        "mu1.csv": field("t,z1,z2,value", coords, mu1),
-        "mu2.csv": field("t,z1,z2,value", coords, mu2),
         "r1.csv": series("t,value", [sol.p]),
         "control_sections.csv": "\n".join(sections) + "\n",
     }
+
+
+def _check_export(sol, problem, model, out):
+    """Each series CSV holds the per-number text; each field file holds the solution's bits."""
+    for fname, text in _reference_csv_set(sol, problem, model).items():
+        assert (out / fname).read_bytes() == text.encode(), fname
+    for stem, values in zip(RUN_LAYOUT[model][0], (sol.m, sol.v, *sol.alpha), strict=True):
+        assert np.load(out / f"{stem}.npy", allow_pickle=False).tobytes() == values.tobytes(), stem
 
 
 @pytest.mark.parametrize("name, overrides", [
@@ -897,8 +921,7 @@ def test_export_bytes_match_per_number_format(name, overrides, tmp_path):
         alpha = (_awkward(shape, 2), _awkward(shape, 5))
     sol = MfeSolution(v=_awkward(shape, 1), m=_awkward(shape), p=_awkward(n, 3), alpha=alpha, converged=True)
     export_results(sol, problem, config, tmp_path)
-    for fname, text in _reference_csv_set(sol, problem, config.model).items():
-        assert (tmp_path / fname).read_bytes() == text.encode(), fname
+    _check_export(sol, problem, config.model, tmp_path)
 
 
 def _spread_field(shape, rng):
@@ -908,11 +931,10 @@ def _spread_field(shape, rng):
 
 
 @pytest.mark.parametrize("name, overrides", [
-    ("ev_weekend", ["time_steps=48", "space.cells=100"]),  # 49 slices of 100 values: blocks of 40 slices, then 9
-    ("phev_flat", ["time_steps=2", "space.cells=[64,64]"]),  # a slice fills a block
-    ("phev_flat", ["time_steps=2", "space.cells=[65,64]"]),  # a slice straddles a block seam
+    ("ev_weekend", ["time_steps=48", "space.cells=100"]),
+    ("phev_flat", ["time_steps=2", "space.cells=[65,64]"]),
 ])
-def test_export_bytes_match_across_format_blocks(name, overrides, tmp_path):
+def test_export_bytes_match_on_values_of_every_notation(name, overrides, tmp_path):
     from evmfg import MfeSolution, export_results
 
     config = apply_overrides(load_scenario(name), overrides)
@@ -923,76 +945,4 @@ def test_export_bytes_match_across_format_blocks(name, overrides, tmp_path):
     sol = MfeSolution(v=_spread_field(shape, rng), m=_spread_field(shape, rng),
                       p=_spread_field(problem.tgrid.n_nodes, rng), alpha=alpha, converged=True)
     export_results(sol, problem, config, tmp_path)
-    for fname, text in _reference_csv_set(sol, problem, config.model).items():
-        assert (tmp_path / fname).read_bytes() == text.encode(), fname
-
-
-# ---------------------------------------------------------------------------
-# the 17-digit formatter
-
-
-def _formatted(values) -> list[str]:
-    return [text.decode() for text in scenario._format_17g(values)]
-
-
-def _format_edge_values() -> np.ndarray:
-    powers = 10.0 ** np.arange(-323, 309)  # subnormal to near the largest double
-    tie = 1.0 + 2.0 ** -17  # 1.00000762939453125: its 18th significant digit is an exact 5
-    edges = [0.0, 5e-324, 1e-300, 1e300, 1e-4, 1e-5, 1e16, 1e17, tie, 1.0 + 3 * 2.0 ** -17,
-             1.2345678901234567e100, 9.87654321e-150, 1.7976931348623157e308, 2.2250738585072014e-308,
-             np.inf, np.nan]
-    values = np.concatenate([powers, edges])
-    with np.errstate(over="ignore"):  # the largest double's upper neighbour is inf
-        values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
-    return np.concatenate([values, -values])
-
-
-def test_the_formatter_matches_format_on_its_edges():
-    values = _format_edge_values()
-    assert _formatted(values) == [format(x, ".17g") for x in values.tolist()]
-
-
-def test_the_formatter_lays_out_both_notations_itself():
-    # exponent notation too: about a third of the ev density values lie below 1e-4
-    values = np.array([0.1, 1.0 / 3.0, 123456.789, -2.5e-7, 6.02214076e23, -1.2345e-120, 4.2e250, 7.5e-5])
-    source, layout, exact = scenario._source_rows(values)
-    assert exact.all()
-    assert _formatted(values) == [format(x, ".17g") for x in values.tolist()]
-
-
-_RAW_DOUBLES = st.integers(0, 2**64 - 1).map(lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64)))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats() | _RAW_DOUBLES, min_size=1, max_size=40))
-def test_the_formatter_matches_format(values):
-    assert _formatted(values) == [format(x, ".17g") for x in values]
-
-
-def test_the_powers_of_ten_are_correctly_rounded():
-    for k, power in zip(itertools.count(scenario._POW10_MIN), scenario._POW10):
-        value = Fraction(*power.as_integer_ratio())
-        gaps = [abs(value - Fraction(*np.nextafter(power, toward).as_integer_ratio()))
-                for toward in (np.longdouble(0), np.longdouble(np.inf))]
-        assert 2 * abs(value - Fraction(10) ** k) <= min(gaps), k
-
-
-def test_every_value_on_the_fallback_writes_the_same_bytes(monkeypatch, tmp_path):
-    from evmfg import MfeSolution, export_results
-
-    config = apply_overrides(load_scenario("ev_weekend"), ["time_steps=48", "space.cells=100"])
-    problem, _, _ = build_problem(config)
-    shape = (problem.tgrid.n_nodes,) + problem.sgrid.shape
-    rng = np.random.default_rng(3)
-    sol = MfeSolution(v=_spread_field(shape, rng), m=_spread_field(shape, rng),
-                      p=_spread_field(problem.tgrid.n_nodes, rng), alpha=(_spread_field(shape, rng),), converged=True)
-    export_results(sol, problem, config, tmp_path / "kernel")
-    values = np.concatenate([_format_edge_values(), sol.m.ravel()])
-    kernel = _formatted(values)
-    monkeypatch.setattr(scenario, "_ROUND_MARGIN", 0.75)  # no fraction is that far from one half
-    assert not scenario._source_rows(values)[2].any()
-    assert _formatted(values) == kernel
-    export_results(sol, problem, config, tmp_path / "fallback")
-    for name in RUN_LAYOUT["ev"][1] + ("price", "purchases", "total_consumption"):
-        kernel_bytes = (tmp_path / "kernel" / f"{name}.csv").read_bytes()
-        assert (tmp_path / "fallback" / f"{name}.csv").read_bytes() == kernel_bytes, name
+    _check_export(sol, problem, config.model, tmp_path)
