@@ -50,7 +50,3 @@ l1 = np.abs(hist - sol.m).sum(axis=1) * problem.sgrid.spacing(0)
 print("monte carlo population vs pde density (100000 agents, seed 0):")
 print(f"  sup-t L1 distance: {l1.max():.4f}  (audit threshold 0.1)")
 print(f"  distance at t=0 / mid / T: {l1[0]:.4f} / {l1[len(l1) // 2]:.4f} / {l1[-1]:.4f}")
-# the same distance for exact samples of the PDE density: what sampling alone reads
-floor = evmfg.multinomial_population(sol.m, problem.sgrid, 100_000, seed=0)
-floor_l1 = np.abs(floor - sol.m).sum(axis=1) * problem.sgrid.spacing(0)
-print(f"  sampling floor (multinomial draws from the pde density): {floor_l1.max():.4f}")

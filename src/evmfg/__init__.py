@@ -34,7 +34,6 @@ from .oracle import (
     dp_deviation,
     ev_mdp,
     mc_population,
-    multinomial_population,
     phev_mdp,
     sample_density,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "dp_best_response",
     "dp_deviation",
     "mc_population",
-    "multinomial_population",
     "sample_density",
     "ScenarioConfig",
     "load_scenario",

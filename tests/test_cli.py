@@ -13,7 +13,8 @@ import pytest
 
 import evmfg
 from evmfg import (
-    SCHEMA_TEXT, apply_overrides, cli, dp_best_response, ev_mdp, load_scenario, phev_mdp, write_scenario,
+    SCHEMA_TEXT, apply_overrides, cli, dp_best_response, ev_mdp, load_scenario, mc_population, phev_mdp,
+    write_scenario,
 )
 
 
@@ -353,29 +354,24 @@ def test_oracle_reports_and_exit_code_consistency(quick_run, capsys):
     assert code == expected
 
 
-def test_oracle_is_deterministic_for_a_seed(quick_run, capsys):
+def test_oracle_is_deterministic_for_a_seed(quick_run, capsys, monkeypatch):
     cli.main(["oracle", str(quick_run), "--agents", "5000", "--seed", "11"])
     first = capsys.readouterr().out
     cli.main(["oracle", str(quick_run), "--agents", "5000", "--seed", "11"])
     second = capsys.readouterr().out
     assert first == second
+    assert first.splitlines()[-1].startswith("mc density distance: ")
+    # the sorted population reads almost the same at every seed, so two
+    # seeds may print the same distance: check that the seed reaches it
+    seen = []
+
+    def spy(*args, n_agents, seed):
+        seen.append((n_agents, seed))
+        return mc_population(*args, n_agents=n_agents, seed=seed)
+
+    monkeypatch.setattr(cli, "mc_population", spy)
     cli.main(["oracle", str(quick_run), "--agents", "5000", "--seed", "12"])
-    third = capsys.readouterr().out
-    assert third != first
-
-
-def test_oracle_prints_a_seeded_sampling_floor_below_the_distance(quick_run, capsys):
-    runs = []
-    for seed in ("11", "11", "12"):
-        cli.main(["oracle", str(quick_run), "--agents", "20000", "--seed", seed])
-        out = capsys.readouterr().out
-        lines = out.splitlines()
-        assert lines[-1].startswith("mc sampling floor: ") and lines[-2].startswith("mc density distance: ")
-        runs.append((float(lines[-1].split(": ")[1]), _parse_oracle(out)[1]))
-    assert runs[0] == runs[1]
-    assert runs[2][0] != runs[0][0]
-    for floor, mc in runs:
-        assert 0.0 < floor < mc
+    assert seen == [(5000, 12)]
 
 
 def test_oracle_phev_skips_monte_carlo(phev_run_dir, capsys):
@@ -445,6 +441,9 @@ def test_oracle_passes_a_run_whose_value_is_zero(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "dp value deviation: 0 " in captured.out
+    # the Monte Carlo reading sits near its 0.1 bound; it must pass by its margin, not by its seed
+    for seed in ("1", "2", "3"):
+        assert cli.main(["oracle", str(out), "--seed", seed]) == 0, capsys.readouterr().out
 
 
 def test_oracle_fails_a_run_that_trades_beyond_the_dp_action_lattice(tmp_path, capsys):

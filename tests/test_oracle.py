@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evmfg
 from evmfg import (
     SpaceGrid,
     TimeGrid,
@@ -22,7 +23,6 @@ from evmfg import (
     hjb_backward_sweep,
     integrate,
     mc_population,
-    multinomial_population,
     optimal_control,
     phev_mdp,
     sample_density,
@@ -31,9 +31,6 @@ from evmfg import oracle
 from evmfg.ev import EvParams
 from evmfg.oracle import (
     LatticeMdp,
-    _bin_population,
-    _byte_increments,
-    _half_cell_index,
     _half_cell_pieces,
     _half_cell_step,
 )
@@ -790,19 +787,34 @@ def test_mc_step_moves_every_agent_by_plus_or_minus_sigma_g_sqrt_dt():
     # sigma g sqrt(dt) = 0.25 * 0.5 * 0.125 = 1/64, one cell of 64, and the
     # control cancels the drain. From cell 32, x -+ 1/64 is representable
     # (no rounding), so every agent lands in cell 31 or 33, never in between
-    # or beyond, and the share in cell 33 is the share of + steps.
+    # or beyond. Signs alternate by rank, so the + steps are exactly half,
+    # give or take the odd agent.
     tg = TimeGrid(t1=1.0 / 32.0, n_steps=2)  # dt = 1/64; the first step is checked
     sg = SpaceGrid((64,))
     params = _ev_params(tg, g=0.5, sigma=0.25)
     m0 = np.zeros(64)
     m0[32] = 1.0 / sg.spacing(0)
-    n = 50_001  # not a whole number of bytes of bits
+    n = 50_001  # odd: one half holds one agent more
     hist = mc_population(_constant_field(tg, sg, 0.5), m0, params, tg, sg, n_agents=n, seed=5)
     counts = np.rint(hist * n * sg.spacing(0)).astype(int)
     np.testing.assert_array_equal(np.flatnonzero(counts[0]), [32])
     np.testing.assert_array_equal(np.flatnonzero(counts[1]), [31, 33])
     assert counts[1, 31] + counts[1, 33] == n
-    assert abs(counts[1, 33] - n / 2) <= 4.0 * math.sqrt(n / 4)
+    assert counts[1, 33] in (n // 2, n // 2 + 1)
+
+
+def test_mc_phase_bit_sends_a_lone_agent_either_way():
+    # one agent has rank 0 at every step; its sign comes from the phase bit
+    # alone, so over seeds it moves up about as often as down
+    tg = TimeGrid(t1=1.0 / 32.0, n_steps=2)  # dt = 1/64, sigma g sqrt(dt) = 1/64: one cell; the first step is checked
+    sg = SpaceGrid((64,))
+    params = _ev_params(tg, g=0.5, sigma=0.25)
+    m0 = np.zeros(64)
+    m0[32] = 1.0 / sg.spacing(0)
+    cells = [int(np.flatnonzero(mc_population(_constant_field(tg, sg, 0.5), m0, params, tg, sg, n_agents=1,
+                                              seed=seed)[1])[0]) for seed in range(40)]
+    assert set(cells) == {31, 33}
+    assert 8 <= cells.count(33) <= 32
 
 
 def test_mc_same_seed_reproduces_bitwise():
@@ -828,27 +840,58 @@ def test_mc_tracks_pde_density(ev_run):
     assert dist.max() < 0.12
 
 
-def test_multinomial_population_draws_whole_agents_where_the_density_is():
-    tg = TimeGrid(t1=0.2, n_steps=10)
-    sg = SpaceGrid((20,))
-    m = np.stack([_tent_density(sg, center=c) for c in np.linspace(0.3, 0.7, tg.n_nodes)])
-    hist = multinomial_population(m, sg, 7_919, seed=4)
-    counts = hist * 7_919 * sg.spacing(0)
-    np.testing.assert_allclose(counts, np.rint(counts), atol=1e-9)
-    np.testing.assert_allclose(counts.sum(axis=1), 7_919)
-    assert np.all(counts[m == 0.0] == 0.0)
-    np.testing.assert_array_equal(hist, multinomial_population(m, sg, 7_919, seed=4))
-    assert not np.array_equal(hist, multinomial_population(m, sg, 7_919, seed=5))
-    with pytest.raises(ValueError, match="at least one agent"):
-        multinomial_population(m, sg, 0)
+def _mc_distance(sol, problem, control, seed):
+    hist = mc_population(control, sol.m[0], problem.params, problem.tgrid, problem.sgrid, n_agents=100_000, seed=seed)
+    return float((np.abs(hist - sol.m).sum(axis=1) * problem.sgrid.spacing(0)).max())
+
+
+def test_mc_distance_of_the_weekend_run_barely_moves_with_the_seed(ev_run):
+    # sorted agents with rank-alternating increments: what the audit reads is
+    # the PDE's discretization error, not sampling noise
+    sol, problem = ev_run["solution"], ev_run["problem"]
+    readings = [_mc_distance(sol, problem, sol.alpha[0], seed) for seed in range(10)]
+    assert max(readings) - min(readings) < 1e-3
+
+
+@pytest.fixture(scope="module")
+def stiff_fine_run():
+    config = evmfg.apply_overrides(
+        evmfg.load_scenario("ev_weekend"), ["space.cells=400", "series.H=3.0", "price.exponent=4.0"]
+    )
+    problem, options, _ = evmfg.build_problem(config)
+    sol = evmfg.solve_mfe(problem, options)
+    assert sol.converged
+    return sol, problem
+
+
+@pytest.mark.parametrize("defect", [lambda a: a + 0.02, lambda a: 1.1 * a], ids=["plus-0.02", "times-1.1"])
+def test_mc_distance_sees_a_planted_control_defect_on_400_cells(stiff_fine_run, defect):
+    # independent agents read 0.035-0.038 here for the exact control, 0.046
+    # for +0.02 and 0.054 for x1.1, with seed spreads of 0.003-0.005. Sorted
+    # ones read the exact control at 0.009 and each defect four or more
+    # times higher.
+    sol, problem = stiff_fine_run
+    for seed in (0, 1, 2):
+        exact = _mc_distance(sol, problem, sol.alpha[0], seed)
+        planted = _mc_distance(sol, problem, defect(sol.alpha[0]), seed)
+        assert planted > 3.0 * exact, (seed, exact, planted)
+
+
+def test_mc_without_noise_draws_nothing():
+    tg = TimeGrid(t1=0.5, n_steps=30)
+    sg = SpaceGrid((25,))
+    params = _ev_params(tg, g=0.5, sigma=0.0)
+    field = _wall_bound_field(tg, sg, 0.5)
+    hist = [mc_population(field, _tent_density(sg), params, tg, sg, n_agents=5_000, seed=seed) for seed in (0, 1)]
+    np.testing.assert_array_equal(*hist)
 
 
 # ---------------------------------------------------------------------------
-# the half-cell kernel against the np.interp / np.histogram loop it replaced
+# the sorted population against a plain np.interp / np.sort / np.histogram loop
 
 
 def _reference_mc_population(control, m0, params, tgrid, sgrid, n_agents, seed):
-    """Per step: np.interp for each agent's control, np.histogram for the slice."""
+    """Per step: np.interp for each agent's control, +-eps by rank with the same phase bit, np.sort, np.histogram."""
     rng = np.random.default_rng(seed)
     x = sample_density(m0, sgrid, n_agents)
 
@@ -859,14 +902,14 @@ def _reference_mc_population(control, m0, params, tgrid, sgrid, n_agents, seed):
     hist = np.empty((tgrid.n_nodes, sgrid.shape[0]))
     hist[0] = bin_slice(x)
     sqrt_dt = math.sqrt(tgrid.dt)
+    sign = np.where(np.arange(n_agents) % 2 == 0, 1.0, -1.0)
     for i in range(tgrid.n_steps):
         a = np.interp(x, sgrid.nodes(0), control[i])
         x = x + tgrid.dt * (a - params.g[i])
         noise = params.sigma[i] * params.g[i]
         if noise != 0.0:
-            up = np.unpackbits(np.frombuffer(rng.bytes((n_agents + 7) // 8), np.uint8), count=n_agents)
-            x = x + noise * sqrt_dt * (2.0 * up - 1.0)
-        x = np.clip(x, 0.0, 1.0)
+            x = x + noise * sqrt_dt * (1.0 - 2.0 * rng.integers(2)) * sign
+        x = np.clip(np.sort(x), 0.0, 1.0)
         hist[i + 1] = bin_slice(x)
     return hist
 
@@ -893,16 +936,32 @@ def test_mc_matches_reference_loop_on_a_wall_bound_field(n_cells, sigma):
 
 
 @pytest.mark.parametrize("n_cells", [4, 25, 100, 400])
-def test_mc_matches_reference_loop_at_an_agent_count_not_a_multiple_of_8(n_cells):
-    # 20,003 agents take 2,501 bytes of bits: the last byte's final five
-    # increments are drawn and dropped, as np.unpackbits(count=n) drops them
+@pytest.mark.parametrize("n_agents", [1, 2, 3, 20_003])
+def test_mc_matches_reference_loop_at_an_odd_or_tiny_agent_count(n_cells, n_agents):
+    # an odd count gives the +eps half one agent more than the -eps half
     tg = TimeGrid(t1=0.5, n_steps=30)
     sg = SpaceGrid((n_cells,))
     params = _ev_params(tg, g=0.5, sigma=0.2)
     m0 = np.full(n_cells, 1.0)
     field = _wall_bound_field(tg, sg, 0.5)
-    hist = mc_population(field, m0, params, tg, sg, n_agents=20_003, seed=11)
-    np.testing.assert_array_equal(hist, _reference_mc_population(field, m0, params, tg, sg, n_agents=20_003, seed=11))
+    hist = mc_population(field, m0, params, tg, sg, n_agents=n_agents, seed=11)
+    np.testing.assert_array_equal(hist, _reference_mc_population(field, m0, params, tg, sg, n_agents=n_agents, seed=11))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+def test_mc_matches_reference_loop_where_the_drift_reverses_the_order(sigma):
+    # slope -100 at dt 1/60: the scale 1 + dt slope is below zero, so the
+    # drift turns each half cell's run of agents around and the sort alone
+    # restores the order
+    tg = TimeGrid(t1=0.5, n_steps=30)
+    sg = SpaceGrid((25,))
+    params = _ev_params(tg, g=0.5, sigma=sigma)
+    t, x = np.meshgrid(tg.nodes, sg.nodes(0), indexing="ij")
+    field = 0.5 - 100.0 * (x - 0.5) * (1.0 + t)
+    assert (1.0 + tg.dt * np.diff(field, axis=1) / sg.spacing(0)).min() < 0.0
+    m0 = np.full(25, 1.0)
+    hist = mc_population(field, m0, params, tg, sg, n_agents=20_000, seed=11)
+    np.testing.assert_array_equal(hist, _reference_mc_population(field, m0, params, tg, sg, n_agents=20_000, seed=11))
 
 
 def test_mc_matches_reference_loop_on_the_weekend_equilibrium(ev_run):
@@ -913,29 +972,10 @@ def test_mc_matches_reference_loop_on_the_weekend_equilibrium(ev_run):
     np.testing.assert_array_equal(hist, _reference_mc_population(*args, n_agents=100_000, seed=0))
 
 
-def _histogram_bin(x, n_cells):
-    """The bin np.histogram assigns each point: x in [edge_j, edge_j+1), 1.0 in the last."""
-    edges = np.linspace(0.0, 1.0, n_cells + 1)
-    return np.minimum(np.searchsorted(edges, x, side="right") - 1, n_cells - 1)
-
-
-def _interp_on_pieces(nodes, fp, k, x):
-    """np.interp(x, nodes, fp) read off the piece tables of half cells k."""
-    slope, left, value = _half_cell_pieces(nodes, fp)
-    return slope[k] * (x - left[k]) + value[k]
-
-
-@pytest.mark.parametrize("n_cells", [4, 25, 100, 400])
-def test_half_cell_index_matches_histogram_and_interp_at_random_points(n_cells):
-    sg = SpaceGrid((n_cells,))
-    rng = np.random.default_rng(n_cells)
-    x = rng.random(50_000)
-    fp = rng.standard_normal(n_cells)
-    k = _half_cell_index(x, n_cells)
-    np.testing.assert_array_equal(k >> 1, _histogram_bin(x, n_cells))
-    counts, _ = np.histogram(x, bins=n_cells, range=(0.0, 1.0))
-    np.testing.assert_array_equal(_bin_population(k, sg), counts / (x.size * sg.spacing(0)))
-    np.testing.assert_array_equal(_interp_on_pieces(sg.nodes(0), fp, k, x), np.interp(x, sg.nodes(0), fp))
+def _half_cell(x, sg):
+    """The half cell of each point as ``mc_population`` finds it: cell centers and edges searched from the left."""
+    edges = np.linspace(0.0, 1.0, sg.shape[0] + 1)
+    return np.searchsorted(np.sort(np.concatenate([sg.nodes(0), edges[1:-1]])), x, side="right")
 
 
 def _edge_and_center_marks(sg):
@@ -945,25 +985,17 @@ def _edge_and_center_marks(sg):
 
 
 @pytest.mark.parametrize("n_cells", [4, 25, 100, 400])
-def test_half_cell_index_edge_rule_at_edges_and_centers(n_cells):
-    # within one ulp of a cell edge or a center the index may land one half
-    # cell over: one bin off, and the field's continuity error in the control
+def test_half_cell_pieces_are_interp_at_random_points_edges_centers_and_walls(n_cells):
+    # the half cells are searched on the very centers np.interp searches, so
+    # the pieces give its value bit for bit, one ulp either side of a center too
     sg = SpaceGrid((n_cells,))
-    fp = np.random.default_rng(n_cells + 1).standard_normal(n_cells)
-    x = _edge_and_center_marks(sg)
-    k = _half_cell_index(x, n_cells)
-    assert np.abs((k >> 1) - _histogram_bin(x, n_cells)).max() <= 1
-    control = _interp_on_pieces(sg.nodes(0), fp, k, x)
-    assert np.abs(control - np.interp(x, sg.nodes(0), fp)).max() <= 1e-12
-
-
-def test_half_cell_index_walls_read_the_end_cells_and_values():
-    sg = SpaceGrid((25,))
-    fp = np.linspace(-1.0, 2.0, 25) ** 3
-    x = np.array([0.0, 1.0])
-    k = _half_cell_index(x, 25)
-    np.testing.assert_array_equal(k >> 1, [0, 24])
-    np.testing.assert_array_equal(_interp_on_pieces(sg.nodes(0), fp, k, x), [fp[0], fp[-1]])
+    rng = np.random.default_rng(n_cells)
+    x = np.concatenate([rng.random(50_000), _edge_and_center_marks(sg)])
+    fp = rng.standard_normal(n_cells) ** 3
+    k = _half_cell(x, sg)
+    slope, left, value = _half_cell_pieces(sg.nodes(0), fp)
+    np.testing.assert_array_equal(slope[k] * (x - left[k]) + value[k], np.interp(x, sg.nodes(0), fp))
+    np.testing.assert_array_equal(_half_cell(np.array([0.0, 1.0]), sg), [0, 2 * n_cells - 1])
 
 
 @pytest.mark.parametrize("n_cells", [4, 25, 100, 400])
@@ -974,15 +1006,14 @@ def test_half_cell_step_is_the_reference_step_within_4_ulps_of_its_scale(n_cells
     # is counted in ulps of the step's scale S = 1 + dt (max|slope| +
     # max|fp| + g). Measured over field amplitudes 0.1-100, dt from 1/143 to
     # 1/3, these cell counts and 20 seeds each, it was at most 1.5 ulps of S
-    # on random points, edges and centres (within an ulp of a centre the
-    # index may pick the neighbouring piece). At the walls the slope is 0
-    # and the step is exact.
+    # on random points, edges and centres. At the walls the slope is 0 and
+    # the step is exact.
     sg = SpaceGrid((n_cells,))
     rng = np.random.default_rng(n_cells)
     fp = amplitude * rng.standard_normal(n_cells)
     g = 0.5
     x = np.concatenate([rng.random(50_000), _edge_and_center_marks(sg)])
-    k = _half_cell_index(x, n_cells)
+    k = _half_cell(x, sg)
     scale, offset = _half_cell_step(sg.nodes(0), fp, g, dt)
     step = scale[k] * x + offset[k]
     reference = x + dt * (np.interp(x, sg.nodes(0), fp) - g)
@@ -990,16 +1021,8 @@ def test_half_cell_step_is_the_reference_step_within_4_ulps_of_its_scale(n_cells
     ulps = np.abs(step - reference) / (np.finfo(float).eps * (1.0 + dt * (np.abs(slope).max() + np.abs(fp).max() + g)))
     assert ulps.max() <= 4.0
     walls = np.array([0.0, 1.0])
-    k = _half_cell_index(walls, n_cells)
+    k = _half_cell(walls, sg)
     np.testing.assert_array_equal(scale[k] * walls + offset[k], walls + dt * (np.interp(walls, sg.nodes(0), fp) - g))
-
-
-@pytest.mark.parametrize("n", [8, 7_919, 100_000])
-def test_byte_increments_are_the_unpacked_bits_exactly(n):
-    data = np.random.default_rng(n).bytes((n + 7) // 8)
-    eps = 0.1 * math.sqrt(1.0 / 143.0)
-    up = np.unpackbits(np.frombuffer(data, np.uint8), count=n)
-    np.testing.assert_array_equal(_byte_increments(data, eps).reshape(-1)[:n], eps * (2.0 * up - 1.0))
 
 
 @pytest.mark.parametrize("shape", [(11, 19), (11, 21), (5, 20)], ids=["cells-1", "cells+1", "few-rows"])
