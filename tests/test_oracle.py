@@ -867,7 +867,7 @@ def stiff_fine_run():
 @pytest.mark.parametrize("defect", [lambda a: a + 0.02, lambda a: 1.1 * a], ids=["plus-0.02", "times-1.1"])
 def test_mc_distance_sees_a_planted_control_defect_on_400_cells(stiff_fine_run, defect):
     # independent agents read 0.035-0.038 here for the exact control, 0.046
-    # for +0.02 and 0.054 for x1.1, with seed spreads of 0.003-0.005. Sorted
+    # for +0.02 and 0.054 for x1.1, with seed spreads of 0.003-0.006. Sorted
     # ones read the exact control at 0.009 and each defect four or more
     # times higher.
     sol, problem = stiff_fine_run
