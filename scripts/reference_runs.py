@@ -16,7 +16,9 @@ curves, the 2D control sections), then the sha256 of the value table and of each
 DP best response that ``oracle`` computes by default and with ``--states 4``
 (one more process, same path). Last come the largest and the total substep
 count of one step of each sweep in the run's solve (one more process, same
-path), which show the margin under ``evmfg.ev.SUBSTEP_BUDGET``.
+path), which show the margin under ``evmfg.ev.SUBSTEP_BUDGET``, and how
+many of that solve's density slices had a negative cell to clamp, with the
+smallest such value, so a loss of positivity shows too.
 
 The output of two checkouts compares with ``diff -r``: it is empty when a
 change keeps every figure and message byte for byte, which is the check a
@@ -96,6 +98,8 @@ for states in (20, 4):
 
 # The substeps of each sweep in the solve of ``evmfg run <scenario> [--set ...]``:
 # both sweeps of both games call ``evmfg.ev.substep_count`` once per step.
+# Then how many density slices reached ``evmfg.ev._check_density_slice`` with
+# a negative cell, which it clamps, and the smallest such value.
 SUBSTEPS = """
 import sys
 from evmfg import ev, phev
@@ -103,6 +107,7 @@ from evmfg.scenario import apply_overrides, build_problem, load_scenario
 from evmfg.solver import solve_mfe
 
 counts, current, count = {"hjb": [], "fpk": []}, [], ev.substep_count
+lows, check = [], ev._check_density_slice
 
 def counted(dt, rate):
     n = count(dt, rate)
@@ -118,7 +123,11 @@ def entered(sweep, fn):
             current.pop()
     return wrapper
 
-ev.substep_count = counted
+def checked(m, time_node):
+    lows.append(float(m.min()))
+    return check(m, time_node)
+
+ev.substep_count, ev._check_density_slice = counted, checked
 for module, prefix in ((ev, ""), (phev, "phev_")):
     for sweep, name in (("hjb", "hjb_backward_sweep"), ("fpk", "fpk_forward_sweep")):
         setattr(module, prefix + name, entered(sweep, getattr(module, prefix + name)))
@@ -129,6 +138,9 @@ problem, options, _ = build_problem(config)
 solve_mfe(problem, options)
 for sweep, steps in counts.items():
     print(f"{sweep} substeps: largest {max(steps)} in one step, {sum(steps)} in {len(steps)} steps")
+negative = [low for low in lows if low < 0.0]
+smallest = f", smallest {min(negative)!r}" if negative else ""
+print(f"density slices with a negative cell: {len(negative)} of {len(lows)}{smallest}")
 """
 
 

@@ -20,11 +20,10 @@ not enforced). Diffusion joins the substeps unless it alone breaks their
 bound (dt sigma^2 g^2 / dx^2 > ``SUBSTEP_SAFETY``); then the step applies the
 exact exponential of the diffusion operator (``numerics.diffuse``) once, after
 the value substeps and before the density substeps, so the substeps see only
-the advection rate. Mass stays exact to roundoff, positivity to FFT roundoff
-(about 1e-14, which ``_check_density_slice`` clamps). Both sweeps take that
-split, the substep count and its length from one step plan (``_step_plan``),
-which stops a step that would need more than ``SUBSTEP_BUDGET`` substeps
-before it starts them.
+the advection rate; its positive unit-sum kernel keeps the mass to roundoff
+and a density nonnegative. Both sweeps take that split, the substep count and
+its length from one step plan (``_step_plan``), which stops a step that would
+need more than ``SUBSTEP_BUDGET`` substeps before it starts them.
 The value sweep uses the monotone upwind Hamiltonian of Achdou &
 Capuzzo-Dolcetta (SIAM J. Numer. Anal. 48(3), 2010): the transport term
 reads the forward difference where the drift alpha - g is positive and the

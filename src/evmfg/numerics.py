@@ -14,10 +14,9 @@ no-flux (reflecting) walls of the model:
   step), zero through the walls; discrete mass is conserved exactly.
 * ``diff2``: 3-point second difference with Neumann ghost cells (ghost value
   equals the adjacent interior value), also exactly conservative.
-* ``diffuse``: the exact exponential ``exp(kappa * diff2)`` of that operator,
-  applied in its eigenbasis (the DCT-II, through ``np.fft`` on the even
-  extension). It keeps constants and the cell sum to roundoff, and the
-  sweeps take it when diffusion alone breaks the explicit bound.
+* ``diffuse``: ``exp(kappa * diff2)`` as one positive unit-sum convolution on
+  the even reflection of the slice, which keeps constants, the cell sum and
+  nonnegativity; the sweeps take it when diffusion breaks the explicit bound.
 
 The stencils take any axis of the grid (``axis=k``; on the 2D grid 0 is z1
 and 1 is z2), and the axis may be left out only on a one-axis grid. A stencil
@@ -32,6 +31,7 @@ same operations in the same order on every axis.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import NamedTuple
 
@@ -128,28 +128,54 @@ def diff2(f: np.ndarray, grid, axis: int | None = None) -> np.ndarray:
     return out
 
 
-@functools.cache
-def _diff2_eigenvalues(n: int, dx: float) -> np.ndarray:
-    """Eigenvalues -4 sin^2(pi k / 2n) / dx^2 of ``diff2`` on n cells, k = 0 .. n (the rfft modes of 2n points)."""
-    return -4.0 * np.sin(np.pi * np.arange(n + 1) / (2 * n)) ** 2 / (dx * dx)
+@functools.lru_cache(maxsize=1024)
+def _heat_kernel(n: int, dx: float, kappa: float) -> np.ndarray:
+    """Taps at lags -w .. w of ``exp(kappa * diff2)`` on the 2n-cell even extension, positive with unit sum.
+
+    The circulant column, cut before the first lag below eps * peak; uncut (w = n), lags -n and n halve lag n's tap.
+    """
+    eigenvalues = -4.0 * np.sin(np.pi * np.arange(n + 1) / (2 * n)) ** 2 / (dx * dx)  # diff2's, rfft modes k = 0 .. n
+    col = np.fft.irfft(np.exp(kappa * eigenvalues), 2 * n)
+    below = np.flatnonzero(col[1:n + 1] < np.finfo(float).eps * col[0])
+    w = int(below[0]) if below.size else n  # the last lag kept
+    taps = np.concatenate((col[w:0:-1], col[:w + 1]))
+    if w == n:
+        taps[0] = taps[-1] = 0.5 * col[n]
+    taps /= taps.sum()
+    taps.flags.writeable = False
+    return taps
+
+
+@functools.lru_cache(maxsize=256)
+def _reflected_index(n: int) -> np.ndarray:
+    """Cells -n .. 2n - 1 of the even (Neumann) reflection of n cells, as indices into them."""
+    index = np.concatenate((np.arange(n)[::-1], np.arange(n), np.arange(n)[::-1]))
+    index.flags.writeable = False
+    return index
 
 
 def diffuse(f: np.ndarray, kappa: float, grid, axis: int | None = None) -> np.ndarray:
     """The slice after diffusion for time ``kappa``: ``exp(kappa * D2) f``, D2 the ``diff2`` operator.
 
-    The even extension [f, reversed f] turns the Neumann walls into a
-    period of 2n cells, on which D2 is the circular second difference, so
-    its rfft is the DCT-II of f up to a phase per mode. Mode k decays by
-    exp(-kappa 4 sin^2(pi k / 2n) / dx^2); that factor is real, so the
-    phases cancel and the step is rfft, scale, irfft, keep the first n
-    cells. Mode 0 has factor 1: constants and the cell sum stay to roundoff.
+    The even extension [f, reversed f] turns the Neumann walls into a period
+    of 2n cells, on which D2 is circulant: one reflected ``take``, then one
+    ``np.convolve`` per line with the cached ``_heat_kernel``, whose positive
+    unit-sum taps keep a slice nonnegative and, at kappa = 0, its bits. A
+    kappa that is not finite and nonnegative raises ``ValueError``.
     """
     f = np.asarray(f, dtype=float)
     ax, dx = _resolve_axis(f, grid, axis)
-    n, lead = f.shape[ax], (slice(None),) * ax
-    decay = np.exp(kappa * _diff2_eigenvalues(n, dx)).reshape((-1,) + (1,) * (f.ndim - ax - 1))
-    modes = np.fft.rfft(np.concatenate((f, f[lead + (slice(None, None, -1),)]), axis=ax), axis=ax)
-    return np.fft.irfft(modes * decay, 2 * n, axis=ax)[lead + (slice(n),)]
+    if not 0.0 <= kappa < math.inf:
+        raise ValueError(f"diffusion time must be finite and nonnegative, got {kappa}")
+    n = f.shape[ax]
+    taps = _heat_kernel(n, dx, float(kappa))
+    w = len(taps) // 2
+    ext = f.take(_reflected_index(n)[n - w:2 * n + w], axis=ax)
+    out = np.empty_like(f)
+    for cell in itertools.product(*map(range, f.shape[:ax] + f.shape[ax + 1:])):
+        line = cell[:ax] + (slice(None),) + cell[ax:]
+        out[line] = np.convolve(ext[line], taps, "valid")
+    return out
 
 
 def integrate(f: np.ndarray, grid) -> float:

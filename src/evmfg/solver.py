@@ -174,9 +174,9 @@ def _least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A minimiser of |b - a g| by modified Gram-Schmidt on the few columns of a.
 
     A column that is numerically dependent on the earlier ones gets g = 0.
-    Elementwise numpy on purpose: the package makes no BLAS or LAPACK call,
-    and the first one (``np.linalg.lstsq`` here) adds about 1 MB of
-    resident memory.
+    Elementwise numpy on purpose: the package makes no LAPACK call (its one
+    BLAS use is the dot product inside ``np.convolve``), and the first one
+    (``np.linalg.lstsq`` here) adds about 1 MB of resident memory.
     """
     n = a.shape[1]
     q = np.zeros_like(a)

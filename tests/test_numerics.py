@@ -18,6 +18,7 @@ from evmfg import (
     space_mean,
     substep_count,
 )
+from evmfg import numerics
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +220,64 @@ def test_diffuse_along_either_axis():
     cols = np.stack([diffuse(col, 0.01, SpaceGrid((6,))) for col in f.T]).T
     np.testing.assert_allclose(diffuse(f, 0.01, sg, axis=1), rows, rtol=0, atol=1e-15)
     np.testing.assert_allclose(diffuse(f, 0.01, sg, axis=0), cols, rtol=0, atol=1e-15)
+
+
+def _fft_diffuse(f: np.ndarray, kappa: float, sg: SpaceGrid) -> np.ndarray:
+    """exp(kappa * diff2) f in the DCT-II eigenbasis: rfft of the even extension, scale mode k, irfft."""
+    n, dx = f.shape[0], sg.spacing(0)
+    decay = np.exp(-4.0 * kappa * np.sin(np.pi * np.arange(n + 1) / (2 * n)) ** 2 / (dx * dx))
+    return np.fft.irfft(np.fft.rfft(np.concatenate((f, f[::-1]))) * decay, 2 * n)[:n]
+
+
+# kappa / dx^2 from an explicit-range step, past the 800-cell run's 12.4, to a flat slice
+DIFFUSION_RATIOS = (0.0, 0.1, 0.45, 3.1, 12.4, 50.0, 1e3, 1e6)
+
+
+@pytest.mark.parametrize("n", [4, 7, 40, 100, 400, 800])
+def test_diffuse_kernel_matches_the_fft_formula(n):
+    sg = SpaceGrid((n,))
+    f = 1.0 + np.sin(7.0 * sg.nodes(0)) + np.random.default_rng(n).random(n)
+    for ratio in DIFFUSION_RATIOS:
+        kappa = ratio * sg.spacing(0) ** 2
+        np.testing.assert_allclose(diffuse(f, kappa, sg), _fft_diffuse(f, kappa, sg),
+                                   rtol=0, atol=1e-13 * np.abs(f).max())
+
+
+@pytest.mark.parametrize("n", [4, 7, 40, 400])
+def test_diffuse_keeps_a_nonnegative_slice_nonnegative(n):
+    sg = SpaceGrid((n,))
+    rng = np.random.default_rng(n)
+    # point masses and sparse slices: zeros next to mass, where a transform's roundoff goes negative
+    slices = [np.eye(n)[0], np.eye(n)[n // 2], np.where(rng.random(n) < 0.3, rng.random(n), 0.0)]
+    for f in slices:
+        for ratio in DIFFUSION_RATIOS:
+            assert diffuse(f, ratio * sg.spacing(0) ** 2, sg).min() >= 0.0
+
+
+def test_diffuse_for_no_time_returns_the_slice_bits():
+    for shape, axis in (((40,), 0), ((6, 7), 0), ((6, 7), 1)):
+        f = np.random.default_rng(7).standard_normal(shape)
+        out = diffuse(f, 0.0, SpaceGrid(shape), axis=axis)
+        assert out.tobytes() == f.tobytes()
+
+
+def test_diffuse_has_the_same_bits_from_a_cold_and_a_warm_cache():
+    sg = SpaceGrid((400,))
+    f = np.random.default_rng(8).random(400)
+    kappas = [ratio * sg.spacing(0) ** 2 for ratio in DIFFUSION_RATIOS]
+    numerics._heat_kernel.cache_clear()
+    numerics._reflected_index.cache_clear()
+    cold = [diffuse(f, kappa, sg).tobytes() for kappa in kappas]
+    warm = [diffuse(f, kappa, sg).tobytes() for kappa in kappas]
+    assert cold == warm
+    assert numerics._heat_kernel.cache_info().hits == len(kappas)
+
+
+@pytest.mark.parametrize("kappa", [-1e-6, float("nan"), float("inf"), -float("inf")])
+def test_diffuse_rejects_a_negative_or_non_finite_time(kappa):
+    sg = SpaceGrid((40,))
+    with pytest.raises(ValueError, match=f"got {kappa}"):
+        diffuse(np.ones(40), kappa, sg)
 
 
 # ---------------------------------------------------------------------------

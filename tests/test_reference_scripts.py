@@ -52,7 +52,9 @@ def test_dp_tables_hashes_the_value_and_each_policy_at_two_lattices(run_dir, lin
 
 def test_substeps_counts_each_sweep_of_the_solve(tmp_path):
     out = _program(_script("reference_runs").SUBSTEPS, "ev_weekend", *QUICK, cwd=tmp_path)
-    assert [line.split(":")[0] for line in out] == ["hjb substeps", "fpk substeps"]
+    assert [line.split(":")[0] for line in out] == ["hjb substeps", "fpk substeps", "density slices with a negative cell"]
+    negative, slices = out[-1].split(": ")[1].split(" of ")
+    assert negative == "0" and int(slices) % 25 == 0  # 24 steps and the initial slice per sweep, none negative
 
 
 def test_mc_seed_study_prints_the_distance_and_both_planted_defects(quick_run, tmp_path):
