@@ -31,10 +31,12 @@ backward one where it is negative, and the wall ghost cells copy their
 neighbour, so a drift into a wall moves nothing and the walls reflect as in
 the zero-flux density sweep.
 
-At 100-400 cells a numpy call costs more than its arithmetic: a density step
-computes its ``face_velocities`` once for its outflow rate and substeps, and
-``_hamiltonian`` takes both branches in one stacked pass, with the bits of
-one at a time. Temporaries stay per step, as whole-run ones cost 2D memory.
+At 100-400 cells a numpy call costs more than its arithmetic. The density
+sweep plans ``CONTROL_BLOCK_CELLS`` cells' worth of steps in one pass (drains,
+diffusion, ``face_velocities``, outflow rates), then each step only diffuses,
+substeps and checks its slice. ``_hamiltonian`` takes both branches in one
+stacked pass, with the bits of one at a time. Temporaries stay per block, as
+whole-run ones cost 2D memory.
 
 The sweeps and the control below serve the two-pack model in ``phev`` too:
 they read a model only through the per-axis ``Game`` its params build.
@@ -43,6 +45,7 @@ they read a model only through the per-axis ``Game`` its params build.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -137,10 +140,13 @@ class EvParams(_SeriesParams):
     def game(self, points: tuple[np.ndarray, ...]) -> Game:
         """This game on the battery levels ``points`` = (x,); a node index may be a column of nodes."""
         (x,), t = points, self.tgrid.nodes
+        # one node's sigma ** 2 calls C pow, which may round away from the x * x of an array's ** 2;
+        # np.float_power calls pow on arrays too, so a column of nodes has each node's bits
+        diffusion = np.float_power(self.sigma, 2) * np.float_power(self.g, 2)
 
         def transport(i):
-            g, sigma = self.g[i], self.sigma[i]
-            return (g,), sigma * g, sigma ** 2 * g ** 2
+            g = self.g[i]
+            return (g,), self.sigma[i] * g, diffusion[i]
 
         def axes(p, j, drains):
             return [(p[j], drains[0], self.H[j])]
@@ -277,7 +283,7 @@ def _step_plan(dt: float, diff: float, dx2: float, rates, what: str, node: int) 
         rate, half_diff, diffusion_time = 0.0, 0.0, 0.5 * diff * dt
     for axis_rate in rates:
         rate += axis_rate
-    if not np.isfinite(rate):
+    if not math.isfinite(rate):
         raise DivergenceError(f"non-finite {what}", node)
     n_sub = substep_count(dt, rate)
     if n_sub > SUBSTEP_BUDGET:
@@ -341,11 +347,6 @@ def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid, o
     return v, control
 
 
-def _outflow_rate(faces: np.ndarray, dx: float) -> float:
-    """Worst-case per-cell outflow rate of the upwind flux at the ``face_velocities`` ``faces``."""
-    return float(faces[0].max(initial=0.0) - faces[1].min(initial=0.0)) / dx
-
-
 def fpk_forward_sweep(alpha, m0: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid, out=None) -> np.ndarray:
     """Forward density sweep of either game under the drifts alpha_k - g_k.
 
@@ -357,7 +358,7 @@ def fpk_forward_sweep(alpha, m0: np.ndarray, params: _SeriesParams, sgrid: Space
     (``_step_plan``), the step first diffuses exactly (``diffuse``) and the
     substeps advect only: the value step's order, transposed. An earlier
     sweep's density on the same grid, passed as ``out``, is overwritten and
-    returned instead of a new array.
+    returned instead of a new array. Blocks of steps are planned at once.
     """
     tgrid = params.tgrid
     shape = (tgrid.n_nodes,) + sgrid.shape
@@ -369,22 +370,35 @@ def fpk_forward_sweep(alpha, m0: np.ndarray, params: _SeriesParams, sgrid: Space
     geometry = _geometry(sgrid)
     dx2 = sgrid.spacing(0) ** 2
     fluxes = [np.zeros([n + (k == axis) for k, n in enumerate(sgrid.shape)]) for axis in range(len(sgrid.shape))]
-    for i in range(tgrid.n_steps):
-        drains, _, diff = game.transport(i)
-        faces = [face_velocities(a[i] - g, sgrid, axis) for axis, (a, g) in enumerate(zip(alpha, drains))]
-        rates = (_outflow_rate(u, dx) for u, (dx, _) in zip(faces, geometry))
-        n_sub, dt_sub, half_diff, diffusion_time = _step_plan(tgrid.dt, diff, dx2, rates, "drift in forward sweep", i + 1)
-        cur = diffuse(m[i], diffusion_time, sgrid) if diffusion_time else m[i]
-        for _ in range(n_sub):
-            div = diff_upwind(cur, faces[0], sgrid, 0, fluxes[0])
-            for axis in range(1, len(faces)):
-                div = div + diff_upwind(cur, faces[axis], sgrid, axis, fluxes[axis])
-            # the bits of adding -div (in 2D a -0.0 cell whose divergences cancel may stay -0.0)
-            if half_diff > 0.0:
-                cur = cur + dt_sub * (half_diff * diff2(cur, sgrid) - div)
-            else:
-                cur = cur - dt_sub * div
-        m[i + 1] = _check_density_slice(cur, i + 1)
+    rows = max(1, CONTROL_BLOCK_CELLS // m[0].size)
+    steps = np.arange(tgrid.n_steps).reshape((-1,) + (1,) * len(sgrid.shape))
+    cells = tuple(range(1, len(shape)))  # the cell axes of a block of slices
+    for start in range(0, tgrid.n_steps, rows):
+        block = steps[start:start + rows]
+        drains, _, diffs = game.transport(block)
+        faces = [face_velocities(a[start:start + len(block)] - g, sgrid, axis)
+                 for axis, (a, g) in enumerate(zip(alpha, drains))]
+        # per step and axis, the worst-case outflow rate of the upwind flux: (max u+ - min u-) / dx
+        outflow = [[(high - low) / dx for high, low in zip(u[0].max(cells, initial=0.0).tolist(),
+                                                          u[1].min(cells, initial=0.0).tolist())]
+                   for u, (dx, _) in zip(faces, geometry)]
+        diffs = np.ravel(diffs).tolist()
+        diffs *= len(block) // len(diffs)  # a game without noise gives one 0.0 for the block
+        for i, diff, *rates in zip(range(start, start + len(block)), diffs, *outflow):
+            n_sub, dt_sub, half_diff, diffusion_time = _step_plan(tgrid.dt, diff, dx2, rates, "drift in forward sweep", i + 1)
+            step_faces = [u[:, i - start] for u in faces]
+            cur = diffuse(m[i], diffusion_time, sgrid) if diffusion_time else m[i]
+            for _ in range(n_sub):
+                div = diff_upwind(cur, step_faces[0], sgrid, 0, fluxes[0])
+                for axis in range(1, len(step_faces)):
+                    div += diff_upwind(cur, step_faces[axis], sgrid, axis, fluxes[axis])
+                # the bits of adding -div (in 2D a -0.0 cell whose divergences cancel may stay -0.0)
+                if half_diff > 0.0:
+                    cur = cur + dt_sub * (half_diff * diff2(cur, sgrid) - div)
+                else:
+                    div *= dt_sub
+                    cur = cur - div
+            m[i + 1] = _check_density_slice(cur, i + 1)
     return m
 
 

@@ -10,8 +10,8 @@ no-flux (reflecting) walls of the model:
   both value sweeps take upwind differences with reflecting ghost cells
   (``ev._hamiltonian``), and tests keep it as a reference operator.
 * ``diff_upwind``: conservative upwind divergence of a flux ``drift * f``
-  at the split face velocities of ``face_velocities`` (once per sweep
-  step), zero through the walls; discrete mass is conserved exactly.
+  at the split face velocities of ``face_velocities`` (once per block of
+  sweep steps), zero through the walls; discrete mass is conserved exactly.
 * ``diff2``: 3-point second difference with Neumann ghost cells (ghost value
   equals the adjacent interior value), also exactly conservative.
 * ``diffuse``: ``exp(kappa * diff2)`` as one positive unit-sum convolution on
@@ -42,13 +42,13 @@ from .grids import TimeGrid
 SUBSTEP_SAFETY = 0.9  # the largest explicit substep, as a share of the stability limit
 
 
-def _resolve_axis(f: np.ndarray, grid, axis: int | None) -> tuple[int, float]:
+def _resolve_axis(shape: tuple[int, ...], grid, axis: int | None) -> tuple[int, float]:
     """Validate the slice shape and the axis against the grid, return (axis, spacing)."""
-    if f.shape != grid.shape:
-        raise ValueError(f"slice shape {f.shape} does not match grid {grid.shape}")
-    axis = 0 if axis is None and f.ndim == 1 else axis
-    if axis is None or not 0 <= axis < f.ndim:
-        raise ValueError(f"axis must be one of the grid's {f.ndim} axes, got {axis}")
+    if shape != grid.shape:
+        raise ValueError(f"slice shape {shape} does not match grid {grid.shape}")
+    axis = 0 if axis is None and len(shape) == 1 else axis
+    if axis is None or not 0 <= axis < len(shape):
+        raise ValueError(f"axis must be one of the grid's {len(shape)} axes, got {axis}")
     return axis, grid.spacing(axis)
 
 
@@ -77,7 +77,7 @@ def axis_index(axis: int) -> AxisIndex:
 def diff_central(f: np.ndarray, grid, axis: int | None = None) -> np.ndarray:
     """Central difference with one-sided first-order boundary stencils."""
     f = np.asarray(f, dtype=float)
-    ax, dx = _resolve_axis(f, grid, axis)
+    ax, dx = _resolve_axis(f.shape, grid, axis)
     at = axis_index(ax)
     out = np.empty_like(f)
     out[at.inner] = (f[at.above] - f[at.below]) / (2.0 * dx)
@@ -87,9 +87,13 @@ def diff_central(f: np.ndarray, grid, axis: int | None = None) -> np.ndarray:
 
 
 def face_velocities(drift: np.ndarray, grid, axis: int | None = None) -> np.ndarray:
-    """Interior face averages of a cell ``drift`` along ``axis``: row 0 their positive, row 1 their negative parts."""
+    """Interior face averages of a cell ``drift`` along ``axis``: row 0 their positive, row 1 their negative parts.
+
+    A stack of slices on a leading axis of ``drift`` gives its faces stacked on axis 1.
+    """
     drift = np.asarray(drift, dtype=float)
-    at = axis_index(_resolve_axis(drift, grid, axis)[0])
+    stacked = drift.ndim > len(grid.shape)
+    at = axis_index(_resolve_axis(drift.shape[stacked:], grid, axis)[0] + stacked)
     u = 0.5 * (drift[at.lo] + drift[at.hi])
     faces = np.empty((2,) + u.shape)
     np.maximum(u, 0.0, out=faces[0])
@@ -105,7 +109,7 @@ def diff_upwind(f: np.ndarray, faces: np.ndarray, grid, axis: int | None = None,
     ``flux`` buffer to reuse: zero walls, one face more than the cells.
     """
     f = np.asarray(f, dtype=float)
-    ax, dx = _resolve_axis(f, grid, axis)
+    ax, dx = _resolve_axis(f.shape, grid, axis)
     shape = f.shape[:ax] + (f.shape[ax] - 1,) + f.shape[ax + 1:]
     if faces.shape != (2,) + shape:
         raise ValueError(f"face velocities shape {faces.shape} does not match slice {f.shape} along axis {ax}")
@@ -119,7 +123,7 @@ def diff_upwind(f: np.ndarray, faces: np.ndarray, grid, axis: int | None = None,
 def diff2(f: np.ndarray, grid, axis: int | None = None) -> np.ndarray:
     """3-point second difference with Neumann ghost cells."""
     f = np.asarray(f, dtype=float)
-    ax, dx = _resolve_axis(f, grid, axis)
+    ax, dx = _resolve_axis(f.shape, grid, axis)
     at = axis_index(ax)
     out = np.empty_like(f)
     out[at.inner] = (f[at.above] - 2.0 * f[at.inner] + f[at.below]) / (dx * dx)
@@ -164,7 +168,7 @@ def diffuse(f: np.ndarray, kappa: float, grid, axis: int | None = None) -> np.nd
     kappa that is not finite and nonnegative raises ``ValueError``.
     """
     f = np.asarray(f, dtype=float)
-    ax, dx = _resolve_axis(f, grid, axis)
+    ax, dx = _resolve_axis(f.shape, grid, axis)
     if not 0.0 <= kappa < math.inf:
         raise ValueError(f"diffusion time must be finite and nonnegative, got {kappa}")
     n = f.shape[ax]

@@ -97,10 +97,11 @@ class PhevParams(_SeriesParams):
     def game(self, points: tuple[np.ndarray, ...]) -> Game:
         """This game on the pack levels ``points`` = (z1, z2): pack 1 drains beta g, pack 2 (1 - beta) g."""
         b, t = beta(*points), self.tgrid.nodes
+        b2 = 1.0 - b
 
         def transport(i):
             g = self.g[i]
-            return (b * g, (1.0 - b) * g), 0.0, 0.0
+            return (b * g, b2 * g), 0.0, 0.0
 
         def axes(r1, j, drains):
             return [(r1[j], drains[0], self.Q1[j]), (self.r2, drains[1], self.Q2[j])]

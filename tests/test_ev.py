@@ -23,7 +23,7 @@ from evmfg import (
     optimal_control,
     space_mean,
 )
-from evmfg.numerics import SUBSTEP_SAFETY, axis_index
+from evmfg.numerics import SUBSTEP_SAFETY, axis_index, diff_upwind, diffuse, face_velocities
 
 ZERO = staticmethod(lambda t, x: np.zeros_like(x))
 
@@ -398,6 +398,99 @@ def test_a_density_slice_beyond_roundoff_is_a_divergence_and_roundoff_is_clamped
     with pytest.raises(DivergenceError) as err:
         fpk_forward_sweep((np.zeros((6, 20)),), m0, make_params(tgrid), sgrid)
     assert str(err.value) == "density negativity -1.000e-06 beyond roundoff (time node 0)"
+
+
+# ---------------------------------------------------------------------------
+# the density sweep planned per block of steps, against a plan per step
+
+
+def _reference_fpk_sweep(alpha, m0, params, sgrid):
+    """(density, (substeps, diffusion time) per step): the forward sweep with each step's drains, faces and rate its own."""
+    tgrid = params.tgrid
+    game = params.game(sgrid.meshes())
+    geometry = ev_module._geometry(sgrid)
+    dx2 = sgrid.spacing(0) ** 2
+    m = np.empty((tgrid.n_nodes,) + sgrid.shape)
+    m[0] = m0
+    fluxes = [np.zeros([n + (k == axis) for k, n in enumerate(sgrid.shape)]) for axis in range(len(sgrid.shape))]
+    plans = []
+    for i in range(tgrid.n_steps):
+        drains, _, diff = game.transport(i)
+        faces = [face_velocities(a[i] - g, sgrid, axis) for axis, (a, g) in enumerate(zip(alpha, drains))]
+        rates = [float(u[0].max(initial=0.0) - u[1].min(initial=0.0)) / dx for u, (dx, _) in zip(faces, geometry)]
+        n_sub, dt_sub, half_diff, diffusion_time = ev_module._step_plan(
+            tgrid.dt, diff, dx2, rates, "drift in forward sweep", i + 1)
+        plans.append((n_sub, diffusion_time))
+        cur = diffuse(m[i], diffusion_time, sgrid) if diffusion_time else m[i]
+        for _ in range(n_sub):
+            div = diff_upwind(cur, faces[0], sgrid, 0, fluxes[0])
+            for axis in range(1, len(faces)):
+                div = div + diff_upwind(cur, faces[axis], sgrid, axis, fluxes[axis])
+            if half_diff > 0.0:
+                cur = cur + dt_sub * (half_diff * diff2(cur, sgrid) - div)
+            else:
+                cur = cur - dt_sub * div
+        m[i + 1] = ev_module._check_density_slice(cur, i + 1)
+    return m, plans
+
+
+_SWEEP_RUNS = {
+    "ev_weekend": ("ev_weekend", []),
+    "ev_stiff_fine": ("ev_weekend", ["space.cells=400", "series.H=3.0", "price.exponent=4.0"]),
+    "phev_8x8": ("phev_flat", ["space.cells=[8,8]"]),
+    "phev_64x64": ("phev_flat", ["space.cells=[64,64]", "time_steps=47"]),
+}
+
+
+@pytest.mark.parametrize("run", list(_SWEEP_RUNS))
+def test_the_blocked_density_sweep_is_the_per_step_sweep_bit_for_bit(run):
+    scenario, overrides = _SWEEP_RUNS[run]
+    problem, options, _ = evmfg.build_problem(evmfg.apply_overrides(evmfg.load_scenario(scenario), overrides))
+    sol = evmfg.solve_mfe(problem, options)
+    m, plans = _reference_fpk_sweep(sol.alpha, problem.m0, problem.params, problem.sgrid)
+    assert np.array_equal(problem.fpk(sol.alpha), m)
+    # what each run covers: the block of steps is CONTROL_BLOCK_CELLS // cells long
+    rows, n_steps = max(1, ev_module.CONTROL_BLOCK_CELLS // problem.m0.size), problem.tgrid.n_steps
+    substeps, diffusion = zip(*plans)
+    covers = {
+        "ev_weekend": rows > 1 and n_steps % rows != 0,  # a short last block
+        "ev_stiff_fine": max(substeps) > 1 and max(diffusion) > 0.0,  # steps that diffuse exactly, steps that substep
+        "phev_8x8": rows >= n_steps > 1,  # all steps in one block
+        "phev_64x64": rows == 1,
+    }
+    assert covers[run], (rows, n_steps, max(substeps), min(diffusion))
+
+
+def test_a_non_finite_drift_late_in_a_block_stops_the_sweep_at_its_time_node():
+    # 20 cells: the block holds all 50 steps, so the NaN is planned with the first step
+    tgrid, sgrid = TimeGrid(1.0, 50), SpaceGrid((20,))
+    params = make_params(tgrid, sigma=0.1)
+    m0 = tent_density(sgrid, 0.5, 0.2)
+    alpha = np.full((tgrid.n_nodes, 20), 0.3)
+    clean = fpk_forward_sweep((alpha,), m0, params, sgrid)
+    alpha[37, 7] = np.nan
+    out = np.zeros_like(clean)
+    with pytest.raises(DivergenceError) as err:
+        fpk_forward_sweep((alpha,), m0, params, sgrid, out)
+    assert str(err.value) == "non-finite drift in forward sweep (time node 38)"
+    assert err.value.time_node == 38
+    assert np.array_equal(out[:38], clean[:38])  # every step before it ran
+
+
+def test_a_node_column_of_the_battery_game_has_each_nodes_diffusion_bits():
+    # sigma ** 2 g ** 2 on one node's scalars calls C pow, which rounds some
+    # squares away from x * x, the ** 2 of an array; the column must agree
+    tgrid = TimeGrid(1.0, 4_999)
+    rng = np.random.default_rng(5)
+    params = make_params(tgrid)
+    params.g, params.sigma = rng.random(tgrid.n_nodes), rng.random(tgrid.n_nodes)
+    assert any(s ** 2 != s * s for s in params.g)  # the case exists among these draws
+    game = params.game((SpaceGrid((4,)).nodes(0),))
+    drains, noise, diffusion = game.transport(np.arange(tgrid.n_nodes)[:, None])
+    for i in range(tgrid.n_nodes):
+        (g,), sigma_g, diff = game.transport(i)
+        assert diff == params.sigma[i] ** 2 * params.g[i] ** 2
+        assert (drains[0][i, 0], noise[i, 0], diffusion[i, 0]) == (g, sigma_g, diff)
 
 
 def test_optimal_control_rejects_a_value_field_of_another_grid():

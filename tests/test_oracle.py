@@ -1025,6 +1025,42 @@ def test_half_cell_step_is_the_reference_step_within_4_ulps_of_its_scale(n_cells
     np.testing.assert_array_equal(scale[k] * walls + offset[k], walls + dt * (np.interp(walls, sg.nodes(0), fp) - g))
 
 
+@pytest.mark.parametrize("n_cells, rows", [(4, 1), (25, 7), (100, 20), (400, 5)])
+def test_half_cell_tables_of_a_block_of_steps_are_each_steps_tables_bit_for_bit(n_cells, rows):
+    # mc_population builds the tables of a block of steps in one call: control
+    # rows against a column of drains, each row as its own call would give it
+    sg = SpaceGrid((n_cells,))
+    rng = np.random.default_rng(n_cells)
+    values = 30.0 * rng.standard_normal((rows, n_cells)) ** 3
+    g = rng.random((rows, 1))
+    dt = 1.0 / 143.0
+    pieces = _half_cell_pieces(sg.nodes(0), values)
+    scale, offset = _half_cell_step(sg.nodes(0), values, g, dt)
+    for r in range(rows):
+        slope, left, value = _half_cell_pieces(sg.nodes(0), values[r])
+        assert np.array_equal(pieces[0][r], slope) and np.array_equal(pieces[1], left)
+        assert np.array_equal(pieces[2][r], value)
+        row_scale, row_offset = _half_cell_step(sg.nodes(0), values[r], g[r, 0], dt)
+        assert np.array_equal(scale[r], row_scale) and np.array_equal(offset[r], row_offset)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["control", "initial density"])
+def test_mc_names_a_non_finite_control_or_initial_density(field, bad):
+    # a NaN at control[3, 7] used to carry 15.6% of the mass into the last cell
+    tg = TimeGrid(t1=0.2, n_steps=10)
+    sg = SpaceGrid((20,))
+    control, m0 = _constant_field(tg, sg, 0.3), _tent_density(sg)
+    if field == "control":
+        control[3, 7] = bad
+        expected = f"control field must be finite, found {bad} at index (3, 7)"
+    else:
+        m0[5] = bad
+        expected = f"initial density must be finite, found {bad} at index (5,)"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        mc_population(control, m0, _ev_params(tg), tg, sg, n_agents=100, seed=0)
+
+
 @pytest.mark.parametrize("shape", [(11, 19), (11, 21), (5, 20)], ids=["cells-1", "cells+1", "few-rows"])
 def test_mc_names_a_mis_shaped_control_field(shape):
     tg = TimeGrid(t1=0.2, n_steps=10)
