@@ -12,7 +12,10 @@ replaced by ``<RUN>``, then the run's ``manifest.json`` without its
 the canonical scenario or its hash shows), then the sha256 of every
 exported file: the ``.npy`` fields, whose bytes are the float64 values
 themselves, and the series CSVs (the price, the 1D purchase and load
-curves, the 2D control sections), then the sha256 of the value table and of each policy table of the
+curves, the 2D control sections). Below each sha256 line comes a line with
+the file's min, max and sum to 9 significant digits, so a change that moves
+only roundoff shows in the sha256 lines alone and a real change in these
+too. Then come the sha256 of the value table and of each policy table of the
 DP best response that ``oracle`` computes by default and with ``--states 4``
 (one more process, same path). Last come the largest and the total substep
 count of one step of each sweep in the run's solve (one more process, same
@@ -34,6 +37,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 # name: (bundled scenario or scenario file in the working directory, --set overrides)
 RUNS = {
@@ -164,6 +169,13 @@ def _manifest(path: Path) -> str:
     return f"$ manifest.json\n{json.dumps(manifest, indent=2, sort_keys=True)}\n"
 
 
+def summary(path: Path) -> str:
+    """The min, max and sum of an exported ``.npy`` field or numeric CSV (one header row), to 9 significant digits."""
+    values = np.load(path) if path.suffix == ".npy" else np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    low, high, total = (float(x) + 0.0 for x in (values.min(), values.max(), values.sum()))  # + 0.0: no "-0"
+    return f"  {path.name}: min {low:.9g}, max {high:.9g}, sum {total:.9g}\n"
+
+
 def record(src: Path, scenario: str, overrides: list[str]) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in INPUTS.items():
@@ -180,6 +192,7 @@ def record(src: Path, scenario: str, overrides: list[str]) -> str:
         ]
         for path in sorted(Path(run_dir).glob("*.csv")) + sorted(Path(run_dir).glob("*.npy")):
             lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n")
+            lines.append(summary(path))
         lines.append(_python(src, tmp, "dp tables", "-c", DP_TABLES, run_dir))
         lines.append(_python(src, tmp, "substeps", "-c", SUBSTEPS, scenario, *overrides))
         return "".join(lines).replace(run_dir, "<RUN>")

@@ -34,9 +34,11 @@ the zero-flux density sweep.
 At 100-400 cells a numpy call costs more than its arithmetic. The density
 sweep plans ``CONTROL_BLOCK_CELLS`` cells' worth of steps in one pass (drains,
 diffusion, ``face_velocities``, outflow rates), then each step only diffuses,
-substeps and checks its slice. ``_hamiltonian`` takes both branches in one
-stacked pass, with the bits of one at a time. Temporaries stay per block, as
-whole-run ones cost 2D memory.
+substeps and checks its slice. ``_hamiltonian`` takes the two branches in
+closed form on the cells, from one array of face differences, and gives the
+value step all it reads besides: the control, the move |a - g| that sets the
+substep rate, and the differences whose own differences are the explicit
+diffusion term. Temporaries stay per block, as whole-run ones cost 2D memory.
 
 The sweeps and the control below serve the two-pack model in ``phev`` too:
 they read a model only through the per-axis ``Game`` its params build.
@@ -74,7 +76,7 @@ MASS_TOLERANCE = 1e-6
 # converge asks for is 336,773 (143 x 100 with H = 1, exponent 4, after 137
 # iterations); runs that never end ask for millions after a price overshoot.
 SUBSTEP_BUDGET = 500_000
-CONTROL_BLOCK_CELLS = 4096  # cells per call in optimal_control: branch stacks of 64 KiB
+CONTROL_BLOCK_CELLS = 4096  # cells per call in optimal_control: temporaries of 32 KiB
 
 
 class _SeriesParams:
@@ -235,37 +237,57 @@ def _geometry(sgrid) -> list[tuple[float, AxisIndex]]:
     return [(sgrid.spacing(axis), axis_index(axis)) for axis in range(len(sgrid.shape))]
 
 
-def _hamiltonian(v, p, g, h, dx: float, at: AxisIndex, minimiser: bool = True):
-    """Monotone upwind Hamiltonian and its minimiser (None if not ``minimiser``) along the axis ``at`` indexes.
+def _face_buffers(shape: tuple[int, ...], axes) -> list[np.ndarray]:
+    """Per axis in ``axes``, zeros of ``shape`` with one more entry along that axis: a face array whose walls stay 0."""
+    return [np.zeros([n + (k == axis) for k, n in enumerate(shape)]) for axis in axes]
 
-    F = min_a [(a-g)+ D+v + (a-g)- D-v + a p + h a^2 / 2]. The wall ghost
-    cells copy their neighbour (as in ``diff2``), so D-v is zero in the
-    first cell and D+v in the last: the walls reflect. On a >= g only D+v
-    enters, on a <= g only D-v, so each branch is a clipped quadratic and F
-    is the smaller of the two branch minima. Both branches are evaluated
-    in one pass on a stack of the differences, D-v in row 0 and D+v in
-    row 1. The coefficients broadcast against ``v``.
+
+def _hamiltonian(v, p, g, h, dx: float, at: AxisIndex, slopes: np.ndarray, minimiser: bool = True):
+    """Monotone upwind Hamiltonian along the axis ``at`` indexes: (F, its minimiser or None, the move w).
+
+    F = min_a [(a-g)+ D+v + (a-g)- D-v + a p + h a^2 / 2]. ``slopes`` (a
+    ``_face_buffers`` array) gets the face differences d, zero at the
+    walls: the wall ghost cells copy their neighbour, so D-v = d[lo] is
+    zero in the first cell and D+v = d[hi] in the last, and the walls
+    reflect. Each branch is a clipped quadratic in the control. With the
+    face candidates c = -(d + p) / h, the branch a <= g moves by
+    e0 = min(c[lo] - g, 0) from g and the branch a >= g by
+    e1 = max(c[hi] - g, 0); a branch that moves by e lowers
+    g p + h g^2 / 2 by h e^2 / 2, so F takes the larger move w =
+    max(e1, -e0) and the minimiser is g + e1 where e1 > -e0, else
+    g + e0 (a tie takes D-v), so w is |a - g| up to the rounding of a.
+    The coefficients broadcast against ``v``.
     """
-    step = (v[at.hi] - v[at.lo]) / dx
-    diff = np.zeros((2,) + v.shape)
-    diff[(0,) + at.hi] = step
-    diff[(1,) + at.lo] = step
-    a = (diff + p) / -h  # the bits of -(diff + p) / h; negating h is cheaper than negating the stack
-    np.minimum(a[0], g, out=a[0])
-    np.maximum(a[1], g, out=a[1])
-    f = (a - g) * diff + a * p + 0.5 * h * a ** 2
-    up = f[1] < f[0]
-    return np.where(up, f[1], f[0]), (np.where(up, a[1], a[0]) if minimiser else None)
+    np.subtract(v[at.hi], v[at.lo], out=slopes[at.inner])
+    slopes[at.inner] /= dx
+    c = slopes + p
+    c /= -h  # the bits of -(d + p) / h
+    up = c[at.hi] - g  # e1 before its clip
+    down = g - c[at.lo]  # -e0 before its clip
+    w = np.maximum(up, down)
+    np.maximum(w, 0.0, out=w)
+    half_h = 0.5 * h
+    f = w * w
+    f *= half_h
+    np.subtract(g * p + half_h * (g * g), f, out=f)
+    if not minimiser:
+        return f, None, w
+    down -= up  # its sign picks the branch: negative for e1, else e0 = -w
+    return f, g - np.copysign(w, down, out=down), w
 
 
-def _hamiltonian_sum(v, axes, geometry, minimisers: bool = True) -> tuple[np.ndarray, list]:
-    """Sum of ``_hamiltonian`` over the axes (a ``(p, g, h)`` and a ``_geometry`` entry each) and each minimiser."""
-    ham, controls = None, []
-    for (p, g, h), (dx, at) in zip(axes, geometry):
-        f, a = _hamiltonian(v, p, g, h, dx, at, minimisers)
+def _hamiltonian_sum(v, axes, geometry, slopes, minimisers: bool = True) -> tuple[np.ndarray, list, list]:
+    """Sum of ``_hamiltonian`` over the axes (a ``(p, g, h)``, a ``_geometry`` entry and a slopes buffer each).
+
+    Also per axis its minimiser and its move w; ``slopes`` holds each axis's face differences after the call.
+    """
+    ham, controls, moves = None, [], []
+    for (p, g, h), (dx, at), d in zip(axes, geometry, slopes):
+        f, a, w = _hamiltonian(v, p, g, h, dx, at, d, minimisers)
         ham = f if ham is None else ham + f
         controls.append(a)
-    return ham, controls
+        moves.append(w)
+    return ham, controls, moves
 
 
 def _step_plan(dt: float, diff: float, dx2: float, rates, what: str, node: int) -> tuple[int, float, float, float]:
@@ -319,30 +341,32 @@ def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid, o
         v, control = out
     v[-1] = game.terminal()
     geometry = _geometry(sgrid)
-    dx2 = sgrid.spacing(0) ** 2
+    slopes = _face_buffers(sgrid.shape, range(len(sgrid.shape)))
+    (dx, at), d = geometry[0], slopes[0]  # the diffusion acts along axis 0, as diff2 does
+    dx2 = dx ** 2
     for i in range(tgrid.n_steps - 1, -1, -1):
         j = i + 1
         axes, running, _, diff = game.step(p, j)
         cur = v[j]
-        ham, minimisers = _hamiltonian_sum(cur, axes, geometry)
+        ham, minimisers, moves = _hamiltonian_sum(cur, axes, geometry, slopes)
         for out, a in zip(control, minimisers):
             out[j] = a
-        rates = (float(np.abs(a - g).max()) / dx for (_, g, _), a, (dx, _) in zip(axes, minimisers, geometry))
+        rates = (float(w.max()) / dx for w, (dx, _) in zip(moves, geometry))
         n_sub, dt_sub, half_diff, diffusion_time = _step_plan(
             tgrid.dt, diff, dx2, rates, "coefficients in backward sweep", i)
         for k in range(n_sub):
             if k:
-                ham, _ = _hamiltonian_sum(cur, axes, geometry, minimisers=False)
+                ham, _, _ = _hamiltonian_sum(cur, axes, geometry, slopes, minimisers=False)
             upd = ham + running
             if half_diff > 0.0:
-                upd = upd + half_diff * diff2(cur, sgrid)
+                upd = upd + half_diff * ((d[at.hi] - d[at.lo]) / dx)  # diff2 of cur from its face differences
             cur = cur + dt_sub * upd
         if diffusion_time:
             cur = diffuse(cur, diffusion_time, sgrid)
         if not np.isfinite(cur).all():
             raise DivergenceError("value slice is not finite", i)
         v[i] = cur
-    for out, a in zip(control, _hamiltonian_sum(v[0], game.hamiltonian(p, 0), geometry)[1]):
+    for out, a in zip(control, _hamiltonian_sum(v[0], game.hamiltonian(p, 0), geometry, slopes)[1]):
         out[0] = a
     return v, control
 
@@ -369,8 +393,9 @@ def fpk_forward_sweep(alpha, m0: np.ndarray, params: _SeriesParams, sgrid: Space
     m[0] = _check_density_slice(_check_initial_density(m0, sgrid), 0)
     geometry = _geometry(sgrid)
     dx2 = sgrid.spacing(0) ** 2
-    fluxes = [np.zeros([n + (k == axis) for k, n in enumerate(sgrid.shape)]) for axis in range(len(sgrid.shape))]
-    rows = max(1, CONTROL_BLOCK_CELLS // m[0].size)
+    fluxes = _face_buffers(sgrid.shape, range(len(sgrid.shape)))
+    # at least two steps a block: a one-step block pays the block's set-up for one step
+    rows = max(2, CONTROL_BLOCK_CELLS // m[0].size)
     steps = np.arange(tgrid.n_steps).reshape((-1,) + (1,) * len(sgrid.shape))
     cells = tuple(range(1, len(shape)))  # the cell axes of a block of slices
     for start in range(0, tgrid.n_steps, rows):
@@ -419,14 +444,15 @@ def optimal_control(v: np.ndarray, p: np.ndarray, params: _SeriesParams, sgrid: 
     game = params.game(sgrid.meshes())
     # One call covers a block of time nodes, a column of nodes against the
     # grid. Blocks of CONTROL_BLOCK_CELLS cells keep ``_hamiltonian``'s
-    # branch stacks in cache: whole-field ones slowed verify, and on the
+    # temporaries in cache: whole-field ones slowed verify, and on the
     # packs' grid they raised the peak memory.
     rows = max(1, CONTROL_BLOCK_CELLS // v[0].size)
     nodes = np.arange(len(v)).reshape((-1,) + (1,) * len(sgrid.shape))
     geometry = [(sgrid.spacing(axis), axis_index(axis + 1)) for axis in range(len(sgrid.shape))]
     control = tuple(np.empty_like(v) for _ in sgrid.shape)
     for block in (slice(start, start + rows) for start in range(0, len(v), rows)):
-        for out, a in zip(control, _hamiltonian_sum(v[block], game.hamiltonian(p, nodes[block]), geometry)[1]):
+        slopes = _face_buffers(v[block].shape, range(1, v.ndim))
+        for out, a in zip(control, _hamiltonian_sum(v[block], game.hamiltonian(p, nodes[block]), geometry, slopes)[1]):
             out[block] = a
     return control
 

@@ -9,6 +9,9 @@ no-flux (reflecting) walls of the model:
   value sweep built on them would read past the wall. No sweep uses it;
   both value sweeps take upwind differences with reflecting ghost cells
   (``ev._hamiltonian``), and tests keep it as a reference operator.
+  The value sweeps call no stencil here: ``ev._hamiltonian`` takes its face
+  differences inline, and their differences give the sweeps' diffusion
+  term, which is ``diff2`` up to roundoff.
 * ``diff_upwind``: conservative upwind divergence of a flux ``drift * f``
   at the split face velocities of ``face_velocities`` (once per block of
   sweep steps), zero through the walls; discrete mass is conserved exactly.

@@ -449,14 +449,14 @@ def test_the_blocked_density_sweep_is_the_per_step_sweep_bit_for_bit(run):
     sol = evmfg.solve_mfe(problem, options)
     m, plans = _reference_fpk_sweep(sol.alpha, problem.m0, problem.params, problem.sgrid)
     assert np.array_equal(problem.fpk(sol.alpha), m)
-    # what each run covers: the block of steps is CONTROL_BLOCK_CELLS // cells long
-    rows, n_steps = max(1, ev_module.CONTROL_BLOCK_CELLS // problem.m0.size), problem.tgrid.n_steps
+    # what each run covers: the block of steps is CONTROL_BLOCK_CELLS // cells long, and at least 2
+    rows, n_steps = max(2, ev_module.CONTROL_BLOCK_CELLS // problem.m0.size), problem.tgrid.n_steps
     substeps, diffusion = zip(*plans)
     covers = {
         "ev_weekend": rows > 1 and n_steps % rows != 0,  # a short last block
         "ev_stiff_fine": max(substeps) > 1 and max(diffusion) > 0.0,  # steps that diffuse exactly, steps that substep
         "phev_8x8": rows >= n_steps > 1,  # all steps in one block
-        "phev_64x64": rows == 1,
+        "phev_64x64": rows == 2 and problem.m0.size == ev_module.CONTROL_BLOCK_CELLS,  # the smallest block
     }
     assert covers[run], (rows, n_steps, max(substeps), min(diffusion))
 
@@ -765,11 +765,16 @@ def test_equilibrium_control_recomputable(small_equilibrium):
 
 
 # ---------------------------------------------------------------------------
-# the upwind Hamiltonian: both branches in one stacked pass
+# the upwind Hamiltonian in closed form, against both branches taken one at a time
+
+# The closed form rounds otherwise than the two branches do: F and the
+# minimiser may differ from the reference's by this many ulps of its largest
+# magnitude (2,000 random cases measured 3.5 and 1).
+HAMILTONIAN_ULPS = 8
 
 
 def _two_branch_hamiltonian(v, p, g, h, dx, at):
-    """Reference ``_hamiltonian`` that evaluates each branch on its own array."""
+    """Reference ``_hamiltonian``: (F, minimiser, the branch values F+ and F-), each branch on its own array."""
     fwd = np.zeros(v.shape)
     fwd[at.lo] = (v[at.hi] - v[at.lo]) / dx
     bwd = np.zeros(v.shape)
@@ -779,38 +784,107 @@ def _two_branch_hamiltonian(v, p, g, h, dx, at):
     f_up = (a_up - g) * fwd + a_up * p + 0.5 * h * a_up ** 2
     f_dn = (a_dn - g) * bwd + a_dn * p + 0.5 * h * a_dn ** 2
     up = f_up < f_dn
-    return np.where(up, f_up, f_dn), np.where(up, a_up, a_dn)
+    return np.where(up, f_up, f_dn), np.where(up, a_up, a_dn), f_up, f_dn
 
 
-def _assert_stacked_hamiltonian_is_the_reference(v, p, g, h, sgrid, axis):
-    dx, at = sgrid.spacing(axis), axis_index(axis)
-    want_f, want_a = _two_branch_hamiltonian(v, p, g, h, dx, at)
-    got_f, got_a = ev_module._hamiltonian(v, p, g, h, dx, at)
-    assert np.array_equal(got_f, want_f) and np.array_equal(got_a, want_a)
-    f_only, none = ev_module._hamiltonian(v, p, g, h, dx, at, minimiser=False)
-    assert none is None and np.array_equal(f_only, want_f)
+def _hamiltonian_on(v, p, g, h, sgrid, axis, minimiser=True):
+    """``_hamiltonian`` along ``axis`` of ``sgrid`` with a fresh slopes buffer: (F, minimiser, move, slopes)."""
+    (slopes,) = ev_module._face_buffers(v.shape, [axis])
+    return (*ev_module._hamiltonian(v, p, g, h, sgrid.spacing(axis), axis_index(axis), slopes, minimiser), slopes)
+
+
+def _assert_closed_form_hamiltonian_is_the_reference(v, p, g, h, sgrid, axis):
+    want_f, want_a, f_up, f_dn = _two_branch_hamiltonian(v, p, g, h, sgrid.spacing(axis), axis_index(axis))
+    got_f, got_a, move, _ = _hamiltonian_on(v, p, g, h, sgrid, axis)
+    bound_f = HAMILTONIAN_ULPS * np.finfo(float).eps * np.abs(want_f).max()
+    bound_a = HAMILTONIAN_ULPS * np.finfo(float).eps * np.abs(want_a).max()
+    assert np.abs(got_f - want_f).max() <= bound_f
+    assert np.abs(got_a - want_a).max() <= bound_a
+    # the branch is the reference's wherever its branch values tell them apart
+    apart = np.abs(f_up - f_dn) > bound_f
+    assert np.array_equal(np.sign(got_a - g)[apart], np.sign(want_a - g)[apart])
+    # where both branches clip, the control is the drain and F its cost, exactly
+    clipped = want_a == g
+    base = np.broadcast_to(g * p + 0.5 * h * (g * g), v.shape)
+    assert np.array_equal(np.broadcast_to(got_a - g, v.shape)[clipped], np.zeros(clipped.sum()))
+    assert np.array_equal(got_f[clipped], base[clipped])
+    assert np.abs(move - np.abs(got_a - g)).max() <= bound_a  # the move w is |a - g| before a rounds
+    f_only, none, same_move, _ = _hamiltonian_on(v, p, g, h, sgrid, axis, minimiser=False)
+    assert none is None and np.array_equal(f_only, got_f) and np.array_equal(same_move, move)
     # the slopes straddle g, so both branches and the flat middle are taken
-    assert len(np.unique(np.sign(want_a - g))) == 3
+    assert len(np.unique(np.sign(want_a - g))) == 3 and clipped.any()
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_stacked_hamiltonian_has_the_two_branch_bits_in_1d(seed):
+def test_closed_form_hamiltonian_is_the_two_branch_one_within_ulps_in_1d(seed):
     rng = np.random.default_rng(seed)
     sgrid = SpaceGrid((60,))
     v = np.cumsum(rng.normal(scale=0.1, size=60))
     p, g, h = (np.float64(x) for x in (rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.5), rng.uniform(1.0, 5.0)))
-    _assert_stacked_hamiltonian_is_the_reference(v, p, g, h, sgrid, 0)
+    _assert_closed_form_hamiltonian_is_the_reference(v, p, g, h, sgrid, 0)
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_stacked_hamiltonian_has_the_two_branch_bits_on_each_2d_axis(seed):
+def test_closed_form_hamiltonian_is_the_two_branch_one_within_ulps_on_each_2d_axis(seed):
     rng = np.random.default_rng(seed)
     sgrid = SpaceGrid((30, 40))
     v = np.cumsum(np.cumsum(rng.normal(scale=0.1, size=sgrid.shape), axis=0), axis=1)
     g = rng.uniform(0.0, 0.5, sgrid.shape)  # a drain that varies in space, as the packs' do
     p, h = np.float64(rng.uniform(0.0, 1.0)), np.float64(rng.uniform(1.0, 5.0))
     for axis in (0, 1):
-        _assert_stacked_hamiltonian_is_the_reference(v, p, g, h, sgrid, axis)
+        _assert_closed_form_hamiltonian_is_the_reference(v, p, g, h, sgrid, axis)
+
+
+@pytest.mark.parametrize("shape", [(60,), (30, 40)])
+def test_the_slopes_give_diff2_within_ulps(shape):
+    # the value sweep's explicit diffusion term is (d[hi] - d[lo]) / dx of the Hamiltonian's slopes d
+    rng = np.random.default_rng(5)
+    sgrid = SpaceGrid(shape)
+    v = rng.normal(size=shape)
+    for axis in range(len(shape)):
+        dx, at = sgrid.spacing(axis), axis_index(axis)
+        *_, slopes = _hamiltonian_on(v, np.float64(0.3), np.float64(0.2), np.float64(2.0), sgrid, axis)
+        want = diff2(v, sgrid, axis)
+        got = (slopes[at.hi] - slopes[at.lo]) / dx
+        assert np.abs(got - want).max() <= HAMILTONIAN_ULPS * np.finfo(float).eps * np.abs(want).max()
+
+
+@pytest.mark.parametrize("scenario, sets", [
+    ("ev_weekend", ["time_steps=24", "space.cells=40"]),
+    ("phev_flat", ["space.cells=[8,8]", "time_steps=12"]),
+])
+def test_the_value_sweeps_substep_rate_is_the_controls_largest_move(scenario, sets, monkeypatch):
+    # per step and axis the rate is max|a - g| / dx of the step's control, up to the rounding of a
+    problem, _, _ = evmfg.build_problem(evmfg.apply_overrides(evmfg.load_scenario(scenario), sets))
+    params, sgrid = problem.params, problem.sgrid
+    plans, plan = [], ev_module._step_plan
+
+    def recorded(dt, diff, dx2, rates, what, node):
+        plans.append((node, list(rates)))
+        return plan(dt, diff, dx2, plans[-1][1], what, node)
+
+    monkeypatch.setattr(ev_module, "_step_plan", recorded)
+    v, control = hjb_backward_sweep(np.linspace(0.2, 1.5, params.tgrid.n_nodes), params, sgrid)
+    game = params.game(sgrid.meshes())
+    assert [node for node, _ in plans] == list(range(params.tgrid.n_steps - 1, -1, -1))
+    for node, rates in plans:
+        drains = game.transport(node + 1)[0]
+        want = [float(np.abs(a[node + 1] - g).max()) / sgrid.spacing(axis)
+                for axis, (a, g) in enumerate(zip(control, drains))]
+        assert any(want) and np.allclose(rates, want, rtol=4 * np.finfo(float).eps, atol=0.0), (node, rates, want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_price_stops_the_value_sweep_at_the_step_that_reads_it(bad):
+    # node j's price enters the step from j to j - 1; the rate must carry a NaN to the step plan
+    tgrid, sgrid = TimeGrid(1.0, 6), SpaceGrid((20,))
+    params = make_params(tgrid, sigma=0.2, f_cost=lambda t, x: (1.0 - x) ** 2, kappa=lambda x: (1.0 - x) ** 2)
+    p = np.full(tgrid.n_nodes, 0.5)
+    p[4] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as err:
+        hjb_backward_sweep(p, params, sgrid)
+    assert str(err.value) == "non-finite coefficients in backward sweep (time node 3)"
+    assert err.value.time_node == 3
 
 
 @pytest.mark.parametrize("shape", [(30,), (12, 16)])
@@ -819,7 +893,7 @@ def test_zero_value_at_zero_price_has_an_exact_zero_hamiltonian_and_minimiser(sh
     sgrid = SpaceGrid(shape)
     v, g = np.zeros(shape), np.random.default_rng(3).uniform(0.0, 0.5, shape)
     for axis in range(len(shape)):
-        f, a = ev_module._hamiltonian(v, 0.0, g, 2.0, sgrid.spacing(axis), axis_index(axis))
+        f, a, *_ = _hamiltonian_on(v, 0.0, g, 2.0, sgrid, axis)
         assert np.array_equal(f, np.zeros(shape)) and np.array_equal(a, np.zeros(shape))
 
 

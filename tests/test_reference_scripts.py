@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from evmfg import cli
@@ -48,6 +49,22 @@ def test_dp_tables_hashes_the_value_and_each_policy_at_two_lattices(run_dir, lin
     out = _program(_script("reference_runs").DP_TABLES, str(request.getfixturevalue(run_dir)), cwd=tmp_path)
     assert len(out) == lines
     assert all(" dp --states " in line for line in out)
+
+
+@pytest.mark.parametrize("run_dir", ["quick_run", "phev_run_dir"])
+def test_summary_gives_each_exported_files_min_max_and_sum(run_dir, request):
+    path = request.getfixturevalue(run_dir)
+    files = sorted(path.glob("*.csv")) + sorted(path.glob("*.npy"))
+    for path in files:
+        values = np.load(path) if path.suffix == ".npy" else np.loadtxt(path, delimiter=",", skiprows=1)
+        line = _script("reference_runs").summary(path)
+        assert line == f"  {path.name}: min {values.min():.9g}, max {values.max():.9g}, sum {values.sum():.9g}\n"
+
+
+def test_summary_prints_a_negative_zero_as_zero(tmp_path):
+    path = tmp_path / "zeros.npy"
+    np.save(path, np.array([-0.0, -0.0]))
+    assert _script("reference_runs").summary(path) == "  zeros.npy: min 0, max 0, sum 0\n"
 
 
 def test_substeps_counts_each_sweep_of_the_solve(tmp_path):
