@@ -342,7 +342,7 @@ def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid, o
     v[-1] = game.terminal()
     geometry = _geometry(sgrid)
     slopes = _face_buffers(sgrid.shape, range(len(sgrid.shape)))
-    (dx, at), d = geometry[0], slopes[0]  # the diffusion acts along axis 0, as diff2 does
+    (dx, at), d = geometry[0], slopes[0]  # diffusion acts on the battery's one axis, as diff2(cur, sgrid) did
     dx2 = dx ** 2
     for i in range(tgrid.n_steps - 1, -1, -1):
         j = i + 1
