@@ -342,7 +342,7 @@ def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid, o
     v[-1] = game.terminal()
     geometry = _geometry(sgrid)
     slopes = _face_buffers(sgrid.shape, range(len(sgrid.shape)))
-    (dx, at), d = geometry[0], slopes[0]  # diffusion acts on the battery's one axis, as diff2(cur, sgrid) did
+    (dx, at), d = geometry[0], slopes[0]  # a game's diffusion acts along axis 0, the battery's one axis
     dx2 = dx ** 2
     for i in range(tgrid.n_steps - 1, -1, -1):
         j = i + 1
@@ -351,7 +351,7 @@ def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid, o
         ham, minimisers, moves = _hamiltonian_sum(cur, axes, geometry, slopes)
         for out, a in zip(control, minimisers):
             out[j] = a
-        rates = (float(w.max()) / dx for w, (dx, _) in zip(moves, geometry))
+        rates = (float(w.max()) / spacing for w, (spacing, _) in zip(moves, geometry))
         n_sub, dt_sub, half_diff, diffusion_time = _step_plan(
             tgrid.dt, diff, dx2, rates, "coefficients in backward sweep", i)
         for k in range(n_sub):

@@ -805,9 +805,8 @@ def _assert_closed_form_hamiltonian_is_the_reference(v, p, g, h, sgrid, axis):
     assert np.array_equal(np.sign(got_a - g)[apart], np.sign(want_a - g)[apart])
     # where both branches clip, the control is the drain and F its cost, exactly
     clipped = want_a == g
-    base = np.broadcast_to(g * p + 0.5 * h * (g * g), v.shape)
-    assert np.array_equal(np.broadcast_to(got_a - g, v.shape)[clipped], np.zeros(clipped.sum()))
-    assert np.array_equal(got_f[clipped], base[clipped])
+    drain, base = np.broadcast_to(g, v.shape), np.broadcast_to(g * p + 0.5 * h * (g * g), v.shape)
+    assert np.array_equal(got_a[clipped], drain[clipped]) and np.array_equal(got_f[clipped], base[clipped])
     assert np.abs(move - np.abs(got_a - g)).max() <= bound_a  # the move w is |a - g| before a rounds
     f_only, none, same_move, _ = _hamiltonian_on(v, p, g, h, sgrid, axis, minimiser=False)
     assert none is None and np.array_equal(f_only, got_f) and np.array_equal(same_move, move)

@@ -4,6 +4,9 @@ They reach into the package by name (``cli._load_run``, ``cli.ORACLE_FIELDS``,
 ``cli.PHEV_MAX_STATES``, the sweeps), so a refactor that moves one of those
 names breaks the refactor check itself. Each runs here as the scripts run
 it: ``python -c <program>`` with ``src`` as the ``PYTHONPATH``.
+
+``reference_runs.summary``, the min/max/sum line printed below each exported
+file's sha256, is checked here too, against the run files it reads.
 """
 
 import importlib.util
@@ -53,8 +56,9 @@ def test_dp_tables_hashes_the_value_and_each_policy_at_two_lattices(run_dir, lin
 
 @pytest.mark.parametrize("run_dir", ["quick_run", "phev_run_dir"])
 def test_summary_gives_each_exported_files_min_max_and_sum(run_dir, request):
-    path = request.getfixturevalue(run_dir)
-    files = sorted(path.glob("*.csv")) + sorted(path.glob("*.npy"))
+    run = request.getfixturevalue(run_dir)
+    files = sorted(run.glob("*.csv")) + sorted(run.glob("*.npy"))
+    assert files
     for path in files:
         values = np.load(path) if path.suffix == ".npy" else np.loadtxt(path, delimiter=",", skiprows=1)
         line = _script("reference_runs").summary(path)
