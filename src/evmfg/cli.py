@@ -14,7 +14,9 @@ check is within 0.1 sup-t L1 distance and the run's largest |alpha| lies
 within the DP's action lattice (a stderr line gives both when it does not).
 The Monte Carlo population is kept sorted and its noise is given by rank,
 so its distance carries almost no seed spread: what it reads is the PDE's
-own discretization error plus any fault in the control.
+own discretization error plus any fault in the control. Without ``--agents``
+it runs ``mc_agents(cells)`` agents, 125 a cell between 12,500 and 100,000,
+and its line names the count it ran.
 
 ``verify`` and ``oracle`` read a run's fields from its ``.npy`` files and
 its price from its series CSV, after checking each file they read, the
@@ -59,6 +61,18 @@ DEFAULT_STATES = {"ev": 20, "phev": PHEV_MAX_STATES}
 ORACLE_FIELDS = {"ev": {"m", "v", "alpha"}, "phev": {"v"}}
 
 
+def mc_agents(cells: int) -> int:
+    """The Monte Carlo audit's agent count on a grid of ``cells`` cells when ``--agents`` is not given.
+
+    125 agents a cell, at least 12,500 and at most 100,000. The power study
+    ``MC_POWER.json`` (``scripts/mc_power_study.py``, 40-800 cells, 20
+    seeds) sets it: at each size, both planted control defects (+0.02,
+    x1.1) read above every seed of the exact control at this count, as they
+    do at 100,000 agents. At 800 cells 12,500 agents lose the x1.1 defect.
+    """
+    return min(100_000, max(12_500, 125 * cells))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="evmfg", description="Mean field equilibrium solver for vehicle trading games.")
     parser.add_argument("--version", action="version", version=f"evmfg {__version__}")
@@ -78,7 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--states", type=int,
                           help=f"DP state lattice size (default {DEFAULT_STATES['ev']}; {PHEV_MAX_STATES} per axis, the most, "
                                "on the 2D model)")
-    p_oracle.add_argument("--agents", type=int, default=100_000, help="Monte Carlo agents (default 100000)")
+    p_oracle.add_argument("--agents", type=int,
+                          help="Monte Carlo agents (default 125 a cell, at least 12500 and at most 100000)")
     p_oracle.add_argument("--seed", type=int, default=0, help="Monte Carlo seed (default 0)")
 
     sub.add_parser("schema", help="print the scenario schema")
@@ -133,7 +148,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     if args.states is not None and args.states < 2:
         raise ValueError("need at least 2 states")
-    if args.agents < 1:
+    if args.agents is not None and args.agents < 1:
         raise ValueError("need at least one agent")
     if args.seed < 0:
         raise ValueError("need a nonnegative seed")
@@ -156,10 +171,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if config.model != "ev":
         print("mc density distance: not applicable (2D model)")
         return 0 if dp_dev <= DP_THRESHOLD else 1
+    n_agents = mc_agents(problem.sgrid.shape[0]) if args.agents is None else args.agents
     hist = mc_population(sol.alpha[0], problem.m0, problem.params, problem.tgrid, problem.sgrid,
-                         n_agents=args.agents, seed=args.seed)
+                         n_agents=n_agents, seed=args.seed)
     mc_dist = _sup_l1(hist, sol.m, problem.sgrid.cell_volume)
-    print(f"mc density distance: {mc_dist:.6g} (threshold {MC_THRESHOLD})")
+    print(f"mc density distance: {mc_dist:.6g} (threshold {MC_THRESHOLD}, {n_agents} agents)")
     return 0 if dp_dev <= DP_THRESHOLD and mc_dist <= MC_THRESHOLD and reach <= span else 1
 
 

@@ -348,7 +348,7 @@ def test_oracle_reports_and_exit_code_consistency(quick_run, capsys):
     captured = capsys.readouterr()
     assert "dp value deviation:" in captured.out
     assert f"(threshold {cli.DP_THRESHOLD})" in captured.out
-    assert f"(threshold {cli.MC_THRESHOLD})" in captured.out
+    assert f"(threshold {cli.MC_THRESHOLD}, 20000 agents)" in captured.out
     dp, mc = _parse_oracle(captured.out)
     expected = 0 if dp <= cli.DP_THRESHOLD and mc <= cli.MC_THRESHOLD else 1
     assert code == expected
@@ -371,7 +371,35 @@ def test_oracle_is_deterministic_for_a_seed(quick_run, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "mc_population", spy)
     cli.main(["oracle", str(quick_run), "--agents", "5000", "--seed", "12"])
-    assert seen == [(5000, 12)]
+    # without --agents the count follows the 40-cell grid, and the line names it
+    cli.main(["oracle", str(quick_run), "--seed", "12"])
+    assert seen == [(5000, 12), (12_500, 12)]
+    assert capsys.readouterr().out.splitlines()[-1].endswith(f" (threshold {cli.MC_THRESHOLD}, 12500 agents)")
+
+
+@pytest.mark.parametrize("cells, agents", [(1, 12_500), (40, 12_500), (100, 12_500), (101, 12_625), (400, 50_000),
+                                           (800, 100_000), (5_000, 100_000)])
+def test_the_default_agent_count_is_125_a_cell_between_its_floor_and_its_cap(cells, agents):
+    assert cli.mc_agents(cells) == agents
+
+
+def test_the_default_agent_count_keeps_the_power_of_the_committed_study():
+    # MC_POWER.json (scripts/mc_power_study.py): a change to the rule fails
+    # here until the study is run again and shows the rule keeps its power
+    study = json.loads((Path(__file__).resolve().parents[1] / "MC_POWER.json").read_text())
+    assert sorted(map(int, study["sizes"])) == [40, 100, 200, 400, 800]
+    for cells, size in study["sizes"].items():
+        readings = {int(n): r for n, r in size["readings"].items()}
+        assert 100_000 in readings
+        assert all(len(r) >= 10 for by_control in readings.values() for r in by_control.values())
+
+        def apart(n, defect):
+            return min(readings[n][defect]) > max(readings[n]["exact"])
+
+        seen = [d for d in ("plus 0.02", "times 1.1") if apart(100_000, d)]
+        assert seen, cells  # the full audit sees a planted defect at every size
+        enough = min(n for n in readings if all(apart(m, d) for m in readings if m >= n for d in seen))
+        assert cli.mc_agents(int(cells)) >= enough, (cells, enough)
 
 
 def test_oracle_phev_skips_monte_carlo(phev_run_dir, capsys):

@@ -840,16 +840,18 @@ def test_mc_tracks_pde_density(ev_run):
     assert dist.max() < 0.12
 
 
-def _mc_distance(sol, problem, control, seed):
-    hist = mc_population(control, sol.m[0], problem.params, problem.tgrid, problem.sgrid, n_agents=100_000, seed=seed)
+def _mc_distance(sol, problem, control, seed, n_agents):
+    hist = mc_population(control, sol.m[0], problem.params, problem.tgrid, problem.sgrid, n_agents=n_agents, seed=seed)
     return float((np.abs(hist - sol.m).sum(axis=1) * problem.sgrid.spacing(0)).max())
 
 
-def test_mc_distance_of_the_weekend_run_barely_moves_with_the_seed(ev_run):
+# the full population, and the count ``oracle`` runs by default on the grid (12,500 agents at 100 cells)
+@pytest.mark.parametrize("n_agents", [100_000, cli.mc_agents(100)])
+def test_mc_distance_of_the_weekend_run_barely_moves_with_the_seed(ev_run, n_agents):
     # sorted agents with rank-alternating increments: what the audit reads is
     # the PDE's discretization error, not sampling noise
     sol, problem = ev_run["solution"], ev_run["problem"]
-    readings = [_mc_distance(sol, problem, sol.alpha[0], seed) for seed in range(10)]
+    readings = [_mc_distance(sol, problem, sol.alpha[0], seed, n_agents) for seed in range(10)]
     assert max(readings) - min(readings) < 1e-3
 
 
@@ -864,16 +866,18 @@ def stiff_fine_run():
     return sol, problem
 
 
+# the full population, and the count ``oracle`` runs by default on the grid (50,000 agents at 400 cells)
+@pytest.mark.parametrize("n_agents", [100_000, cli.mc_agents(400)])
 @pytest.mark.parametrize("defect", [lambda a: a + 0.02, lambda a: 1.1 * a], ids=["plus-0.02", "times-1.1"])
-def test_mc_distance_sees_a_planted_control_defect_on_400_cells(stiff_fine_run, defect):
+def test_mc_distance_sees_a_planted_control_defect_on_400_cells(stiff_fine_run, defect, n_agents):
     # independent agents read 0.035-0.038 here for the exact control, 0.046
     # for +0.02 and 0.054 for x1.1, with seed spreads of 0.003-0.006. Sorted
     # ones read the exact control at 0.009 and each defect four or more
     # times higher.
     sol, problem = stiff_fine_run
     for seed in (0, 1, 2):
-        exact = _mc_distance(sol, problem, sol.alpha[0], seed)
-        planted = _mc_distance(sol, problem, defect(sol.alpha[0]), seed)
+        exact = _mc_distance(sol, problem, sol.alpha[0], seed, n_agents)
+        planted = _mc_distance(sol, problem, defect(sol.alpha[0]), seed, n_agents)
         assert planted > 3.0 * exact, (seed, exact, planted)
 
 

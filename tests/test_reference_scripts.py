@@ -1,4 +1,4 @@
-"""The programs that ``scripts/reference_runs.py`` and ``scripts/mc_seed_study.py`` run in a subprocess.
+"""The programs that ``scripts/reference_runs.py`` and ``scripts/mc_power_study.py`` run in a subprocess.
 
 They reach into the package by name (``cli._load_run``, ``cli.ORACLE_FIELDS``,
 ``cli.PHEV_MAX_STATES``, the sweeps), so a refactor that moves one of those
@@ -10,6 +10,7 @@ file's sha256, is checked here too, against the run files it reads.
 """
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -78,7 +79,12 @@ def test_substeps_counts_each_sweep_of_the_solve(tmp_path):
     assert negative == "0" and int(slices) % 25 == 0  # 24 steps and the initial slice per sweep, none negative
 
 
-def test_mc_seed_study_prints_the_distance_and_both_planted_defects(quick_run, tmp_path):
-    out = _program(_script("mc_seed_study").STUDY, str(quick_run), "1", "1", cwd=tmp_path)
-    assert [line.split()[0] for line in out] == ["distance", "control", "control"]
-    assert all(" 1 seeds: median " in line for line in out)
+def test_mc_power_study_reads_each_control_at_each_count_and_at_the_default(quick_run, tmp_path):
+    out = _program(_script("mc_power_study").STUDY, str(quick_run), "1", "5000,20000", cwd=tmp_path)
+    assert len(out) == 1
+    size = json.loads(out[0])
+    assert (size["cells"], size["default_agents"]) == (40, cli.mc_agents(40))
+    assert list(size["readings"]) == ["5000", "12500", "20000"]
+    for readings in size["readings"].values():
+        assert list(readings) == ["exact", "plus 0.02", "times 1.1"]
+        assert all(len(r) == 1 and 0.0 < r[0] < 2.0 for r in readings.values())
