@@ -19,9 +19,7 @@ from .ev import (
 )
 from .grids import SpaceGrid, TimeGrid
 from .numerics import (
-    diff2,
     diff_central,
-    diff_upwind,
     diffuse,
     face_velocities,
     integrate,
@@ -69,9 +67,7 @@ __all__ = [
     "TimeGrid",
     "SpaceGrid",
     "diff_central",
-    "diff_upwind",
     "face_velocities",
-    "diff2",
     "diffuse",
     "integrate",
     "space_mean",

@@ -34,11 +34,15 @@ the zero-flux density sweep.
 At 100-400 cells a numpy call costs more than its arithmetic. The density
 sweep plans ``CONTROL_BLOCK_CELLS`` cells' worth of steps in one pass (drains,
 diffusion, ``face_velocities``, outflow rates), then each step only diffuses,
-substeps and checks its slice. ``_hamiltonian`` takes the two branches in
-closed form on the cells, from one array of face differences, and gives the
-value step all it reads besides: the control, the move |a - g| that sets the
-substep rate, and the differences whose own differences are the explicit
-diffusion term. Temporaries stay per block, as whole-run ones cost 2D memory.
+substeps and checks its slice. A density substep (``_density_substep``) is
+one face flux per axis, advection and explicit diffusion together, and one
+divergence per axis: the finite-volume form, in which no mass crosses a
+wall. ``_hamiltonian`` takes the two branches in closed form on the cells,
+from one array of face differences, and gives the value step all it reads
+besides: the control, the move |a - g| that sets the substep rate, and the
+differences whose own differences are the explicit diffusion term. Neither
+sweep calls a difference stencil of ``numerics``. Temporaries stay per block, as
+whole-run ones cost 2D memory.
 
 The sweeps and the control below serve the two-pack model in ``phev`` too:
 they read a model only through the per-axis ``Game`` its params build.
@@ -59,8 +63,6 @@ from .numerics import (
     SUBSTEP_SAFETY,
     AxisIndex,
     axis_index,
-    diff2,
-    diff_upwind,
     diffuse,
     face_velocities,
     integrate,
@@ -344,7 +346,11 @@ def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid, o
     slopes = _face_buffers(sgrid.shape, range(len(sgrid.shape)))
     (dx, at), d = geometry[0], slopes[0]  # a game's diffusion acts along axis 0, the battery's one axis
     dx2 = dx ** 2
-    for i in range(tgrid.n_steps - 1, -1, -1):
+    # step i reads the price at node i + 1; the sweep stops at the first step it reaches that reads a
+    # non-finite one, as its plan would, before the Hamiltonian turns that price into numpy warnings
+    unpriced = np.flatnonzero(~np.isfinite(p[1:]))
+    stop = int(unpriced[-1]) if unpriced.size else -1
+    for i in range(tgrid.n_steps - 1, stop, -1):
         j = i + 1
         axes, running, _, diff = game.step(p, j)
         cur = v[j]
@@ -359,16 +365,40 @@ def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid, o
                 ham, _, _ = _hamiltonian_sum(cur, axes, geometry, slopes, minimisers=False)
             upd = ham + running
             if half_diff > 0.0:
-                upd = upd + half_diff * ((d[at.hi] - d[at.lo]) / dx)  # diff2 of cur from its face differences
+                upd = upd + half_diff * ((d[at.hi] - d[at.lo]) / dx)  # the Neumann second difference of cur
             cur = cur + dt_sub * upd
         if diffusion_time:
             cur = diffuse(cur, diffusion_time, sgrid)
         if not np.isfinite(cur).all():
             raise DivergenceError("value slice is not finite", i)
         v[i] = cur
+    if stop >= 0:
+        raise DivergenceError("non-finite coefficients in backward sweep", stop)
     for out, a in zip(control, _hamiltonian_sum(v[0], game.hamiltonian(p, 0), geometry, slopes)[1]):
         out[0] = a
     return v, control
+
+
+def _density_substep(m: np.ndarray, faces, scales, fluxes, geometry) -> np.ndarray:
+    """One explicit density substep: m - (dt_sub / dx)(F[hi] - F[lo]) summed over the axes, F the face flux.
+
+    Per axis, ``faces`` stacks u+ + k and u- - k on the interior faces, u+
+    and u- the split ``face_velocities`` and k the explicit diffusion
+    (diff / 2) / dx (0 off the battery's axis), and ``scales`` holds
+    dt_sub / dx. The face flux F = (u+ + k) m[lo] + (u- - k) m[hi] takes
+    the upwind cell and the diffusive difference at once. It fills that
+    axis's ``_face_buffers`` array in ``fluxes``, whose walls stay 0, so
+    the cell sum telescopes.
+    """
+    new = m
+    for u, scale, flux, (_, at) in zip(faces, scales, fluxes, geometry):
+        inner = flux[at.inner]
+        np.multiply(u[0], m[at.lo], out=inner)
+        inner += u[1] * m[at.hi]
+        div = flux[at.hi] - flux[at.lo]
+        div *= scale
+        new = new - div
+    return new
 
 
 def fpk_forward_sweep(alpha, m0: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid, out=None) -> np.ndarray:
@@ -377,12 +407,14 @@ def fpk_forward_sweep(alpha, m0: np.ndarray, params: _SeriesParams, sgrid: Space
     ``alpha`` is a control of ``optimal_control``'s shape: one field of
     shape (n_nodes, *cells) per axis, (alpha,) for the battery and (mu1,
     mu2) for the packs (``ValueError``). Each step reads the params' game
-    at its left endpoint and takes explicit upwind substeps as the value
-    sweep does. Where the diffusion term alone breaks their bound
-    (``_step_plan``), the step first diffuses exactly (``diffuse``) and the
-    substeps advect only: the value step's order, transposed. An earlier
-    sweep's density on the same grid, passed as ``out``, is overwritten and
-    returned instead of a new array. Blocks of steps are planned at once.
+    at its left endpoint and takes explicit substeps (``_density_substep``)
+    under the value sweep's bound: one face flux per axis that takes the
+    upwind cell, with the diffusion term on the battery's axis. Where that
+    term alone breaks the bound (``_step_plan``), the step first diffuses
+    exactly (``diffuse``) and the substeps advect only: the value step's
+    order, transposed. An earlier sweep's density on the same grid, passed
+    as ``out``, is overwritten and returned instead of a new array. Blocks
+    of steps are planned at once.
     """
     tgrid = params.tgrid
     shape = (tgrid.n_nodes,) + sgrid.shape
@@ -392,7 +424,8 @@ def fpk_forward_sweep(alpha, m0: np.ndarray, params: _SeriesParams, sgrid: Space
     m = np.empty(shape) if out is None else out
     m[0] = _check_density_slice(_check_initial_density(m0, sgrid), 0)
     geometry = _geometry(sgrid)
-    dx2 = sgrid.spacing(0) ** 2
+    dx = sgrid.spacing(0)
+    dx2 = dx ** 2
     fluxes = _face_buffers(sgrid.shape, range(len(sgrid.shape)))
     # at least two steps a block: a one-step block pays the block's set-up for one step
     rows = max(2, CONTROL_BLOCK_CELLS // m[0].size)
@@ -409,20 +442,18 @@ def fpk_forward_sweep(alpha, m0: np.ndarray, params: _SeriesParams, sgrid: Space
                    for u, (dx, _) in zip(faces, geometry)]
         diffs = np.ravel(diffs).tolist()
         diffs *= len(block) // len(diffs)  # a game without noise gives one 0.0 for the block
+        # a step that diffuses explicitly adds k = (diff / 2) / dx to the battery axis's faces: u+ + k and u- - k
+        diffusive = faces
+        if any(diffs):
+            k = (0.5 * np.array(diffs) / dx).reshape(block.shape)
+            diffusive = [np.stack((faces[0][0] + k, faces[0][1] - k))] + faces[1:]
         for i, diff, *rates in zip(range(start, start + len(block)), diffs, *outflow):
             n_sub, dt_sub, half_diff, diffusion_time = _step_plan(tgrid.dt, diff, dx2, rates, "drift in forward sweep", i + 1)
-            step_faces = [u[:, i - start] for u in faces]
+            step_faces = [u[:, i - start] for u in (diffusive if half_diff else faces)]
+            scales = [dt_sub / spacing for spacing, _ in geometry]
             cur = diffuse(m[i], diffusion_time, sgrid) if diffusion_time else m[i]
             for _ in range(n_sub):
-                div = diff_upwind(cur, step_faces[0], sgrid, 0, fluxes[0])
-                for axis in range(1, len(step_faces)):
-                    div += diff_upwind(cur, step_faces[axis], sgrid, axis, fluxes[axis])
-                # the bits of adding -div (in 2D a -0.0 cell whose divergences cancel may stay -0.0)
-                if half_diff > 0.0:
-                    cur = cur + dt_sub * (half_diff * diff2(cur, sgrid) - div)
-                else:
-                    div *= dt_sub
-                    cur = cur - div
+                cur = _density_substep(cur, step_faces, scales, fluxes, geometry)
             m[i + 1] = _check_density_slice(cur, i + 1)
     return m
 

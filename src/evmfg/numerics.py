@@ -5,30 +5,25 @@ no-flux (reflecting) walls of the model:
 
 * ``diff_central``: second order in the interior, first-order one-sided at
   the two boundary cells (exact for affine slices at interior nodes). The
-  one-sided wall rows impose no wall condition, so they do not reflect: a
-  value sweep built on them would read past the wall. No sweep uses it;
-  both value sweeps take upwind differences with reflecting ghost cells
-  (``ev._hamiltonian``), and tests keep it as a reference operator.
-  The value sweeps call no stencil here: ``ev._hamiltonian`` takes its face
-  differences inline, and their differences give the sweeps' diffusion
-  term, which is ``diff2`` up to roundoff.
-* ``diff_upwind``: conservative upwind divergence of a flux ``drift * f``
-  at the split face velocities of ``face_velocities`` (once per block of
-  sweep steps), zero through the walls; discrete mass is conserved exactly.
-* ``diff2``: 3-point second difference with Neumann ghost cells (ghost value
-  equals the adjacent interior value), also exactly conservative.
-* ``diffuse``: ``exp(kappa * diff2)`` as one positive unit-sum convolution on
-  the even reflection of the slice, which keeps constants, the cell sum and
+  one-sided wall rows impose no wall condition, so they do not reflect. No
+  sweep uses it; it stays only because the benchmark's trace rebinds it by
+  name (``ev`` imports it), and tests keep it as a reference operator.
+* ``face_velocities``: the split interior face velocities u+ and u- of a
+  cell drift, which the density sweep plans once per block of steps.
+* ``diffuse``: ``exp(kappa * D2)``, D2 the 3-point second difference with
+  Neumann ghost cells, as one positive unit-sum convolution on the even
+  reflection of the slice, which keeps constants, the cell sum and
   nonnegativity; the sweeps take it when diffusion breaks the explicit bound.
 
-The stencils take any axis of the grid (``axis=k``; on the 2D grid 0 is z1
-and 1 is z2), and the axis may be left out only on a one-axis grid. A stencil
-reads its neighbours along the axis through the index tuples of
-``axis_index`` (``[:-1]``, ``[1:]``, ``[1:-1]``, ... along that axis, full
-slices before it), built once per axis and shared with the upwind
-Hamiltonian in ``ev``. It never moves the axis to the front, so a call costs
-its arithmetic plus the shape check, and each output cell comes from the
-same operations in the same order on every axis.
+The sweeps in ``ev`` take their differences inline, as face arrays along
+one axis: the value sweep's upwind Hamiltonian and the density sweep's
+face flux (``ev._density_substep``), which carries advection and explicit
+diffusion at once. An operator here takes any axis of the grid (``axis=k``;
+on the 2D grid 0 is z1 and 1 is z2), and the axis may be left out only on a
+one-axis grid. It reads its neighbours along the axis through the index
+tuples of ``axis_index`` (``[:-1]``, ``[1:]``, ``[1:-1]``, ... along that
+axis, full slices before it), built once per axis and shared with the
+sweeps in ``ev``. It never moves the axis to the front.
 """
 
 from __future__ import annotations
@@ -104,44 +99,13 @@ def face_velocities(drift: np.ndarray, grid, axis: int | None = None) -> np.ndar
     return faces
 
 
-def diff_upwind(f: np.ndarray, faces: np.ndarray, grid, axis: int | None = None, flux=None) -> np.ndarray:
-    """Divergence of the upwind flux with zero-flux walls, at the ``face_velocities`` ``faces``.
-
-    Each face flux takes the density from its upwind cell. The cell sum of
-    the output times the cell volume telescopes to zero. A sweep may pass a
-    ``flux`` buffer to reuse: zero walls, one face more than the cells.
-    """
-    f = np.asarray(f, dtype=float)
-    ax, dx = _resolve_axis(f.shape, grid, axis)
-    shape = f.shape[:ax] + (f.shape[ax] - 1,) + f.shape[ax + 1:]
-    if faces.shape != (2,) + shape:
-        raise ValueError(f"face velocities shape {faces.shape} does not match slice {f.shape} along axis {ax}")
-    at = axis_index(ax)
-    if flux is None:
-        flux = np.zeros(f.shape[:ax] + (f.shape[ax] + 1,) + f.shape[ax + 1:])
-    flux[at.inner] = faces[0] * f[at.lo] + faces[1] * f[at.hi]
-    return (flux[at.hi] - flux[at.lo]) / dx
-
-
-def diff2(f: np.ndarray, grid, axis: int | None = None) -> np.ndarray:
-    """3-point second difference with Neumann ghost cells."""
-    f = np.asarray(f, dtype=float)
-    ax, dx = _resolve_axis(f.shape, grid, axis)
-    at = axis_index(ax)
-    out = np.empty_like(f)
-    out[at.inner] = (f[at.above] - 2.0 * f[at.inner] + f[at.below]) / (dx * dx)
-    out[at.first] = (f[at.second] - f[at.first]) / (dx * dx)
-    out[at.last] = (f[at.penult] - f[at.last]) / (dx * dx)
-    return out
-
-
 @functools.lru_cache(maxsize=1024)
 def _heat_kernel(n: int, dx: float, kappa: float) -> np.ndarray:
-    """Taps at lags -w .. w of ``exp(kappa * diff2)`` on the 2n-cell even extension, positive with unit sum.
+    """Taps at lags -w .. w of ``exp(kappa * D2)`` on the 2n-cell even extension, positive with unit sum.
 
     The circulant column, cut before the first lag below eps * peak; uncut (w = n), lags -n and n halve lag n's tap.
     """
-    eigenvalues = -4.0 * np.sin(np.pi * np.arange(n + 1) / (2 * n)) ** 2 / (dx * dx)  # diff2's, rfft modes k = 0 .. n
+    eigenvalues = -4.0 * np.sin(np.pi * np.arange(n + 1) / (2 * n)) ** 2 / (dx * dx)  # D2's, rfft modes k = 0 .. n
     col = np.fft.irfft(np.exp(kappa * eigenvalues), 2 * n)
     below = np.flatnonzero(col[1:n + 1] < np.finfo(float).eps * col[0])
     w = int(below[0]) if below.size else n  # the last lag kept
@@ -162,7 +126,7 @@ def _reflected_index(n: int) -> np.ndarray:
 
 
 def diffuse(f: np.ndarray, kappa: float, grid, axis: int | None = None) -> np.ndarray:
-    """The slice after diffusion for time ``kappa``: ``exp(kappa * D2) f``, D2 the ``diff2`` operator.
+    """The slice after diffusion for time ``kappa``: ``exp(kappa * D2) f``, D2 the Neumann 3-point second difference.
 
     The even extension [f, reversed f] turns the Neumann walls into a period
     of 2n cells, on which D2 is circulant: one reflected ``take``, then one

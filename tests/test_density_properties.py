@@ -119,9 +119,10 @@ def _over_bound():
 
 
 def _downwind():
-    """Each face flux takes the density of its downwind cell: the split face velocities swap rows."""
-    upwind = ev_module.diff_upwind
-    return mock.patch.object(ev_module, "diff_upwind", lambda f, faces, *args: upwind(f, faces[::-1], *args))
+    """Each face flux takes the density of its downwind cell: the substep's face weights swap rows."""
+    substep = ev_module._density_substep
+    return mock.patch.object(ev_module, "_density_substep",
+                             lambda m, faces, *args: substep(m, [u[::-1] for u in faces], *args))
 
 
 def _drain_dropped(drain):

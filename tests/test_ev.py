@@ -1,5 +1,7 @@
 """EV model: price law, control formula, HJB/FPK sweeps, and cost functional."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from evmfg import (
     ScenarioError,
     SpaceGrid,
     TimeGrid,
-    diff2,
     ev_cost,
     ev_price,
     fpk_forward_sweep,
@@ -23,7 +24,8 @@ from evmfg import (
     optimal_control,
     space_mean,
 )
-from evmfg.numerics import SUBSTEP_SAFETY, axis_index, diff_upwind, diffuse, face_velocities
+from evmfg.numerics import SUBSTEP_SAFETY, axis_index, diffuse, face_velocities
+from reference_stencils import diff2, diff_upwind
 
 ZERO = staticmethod(lambda t, x: np.zeros_like(x))
 
@@ -401,37 +403,140 @@ def test_a_density_slice_beyond_roundoff_is_a_divergence_and_roundoff_is_clamped
 
 
 # ---------------------------------------------------------------------------
+# the density substep: one face flux per axis, advection and explicit diffusion together
+
+
+def _substep(m, drift, sgrid, dt_sub, half_diff=0.0):
+    """``ev._density_substep`` of the slice m under a cell drift per axis, diffusing explicitly by half_diff on axis 0."""
+    geometry = ev_module._geometry(sgrid)
+    faces = [face_velocities(d, sgrid, axis) for axis, d in enumerate(drift)]
+    if half_diff:
+        k = half_diff / sgrid.spacing(0)
+        faces[0] = faces[0] + np.array([k, -k]).reshape((2,) + (1,) * m.ndim)
+    fluxes = ev_module._face_buffers(sgrid.shape, range(m.ndim))
+    new = ev_module._density_substep(m, faces, [dt_sub / dx for dx, _ in geometry], fluxes, geometry)
+    for flux, (_, at) in zip(fluxes, geometry):
+        assert not flux[at.first].any() and not flux[at.last].any()  # no flux through a wall
+    return new
+
+
+def test_a_density_substep_at_zero_drift_without_diffusion_moves_nothing():
+    m = np.random.default_rng(0).random((6, 7))
+    assert np.array_equal(_substep(m, [np.zeros((6, 7))] * 2, SpaceGrid((6, 7)), 0.1), m)
+
+
+@pytest.mark.parametrize("c, spike, into", [(0.3, 1, 2), (-0.5, 2, 1)])
+def test_a_density_substep_moves_a_spike_downstream_only(c, spike, into):
+    # a uniform drift c drains a one-cell spike into its downstream neighbour, by the share |c| dt_sub / dx
+    sgrid, dt_sub = SpaceGrid((4,)), 0.05
+    m = np.zeros(4)
+    m[spike] = 1.0
+    new = _substep(m, [np.full(4, c)], sgrid, dt_sub)
+    share = abs(c) * dt_sub / sgrid.spacing(0)
+    np.testing.assert_allclose(new[[spike, into]], [1.0 - share, share], rtol=1e-14)
+    assert np.count_nonzero(new) == 2
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([(12,), (6, 7)]))
+def test_a_density_substep_keeps_the_cell_sum(seed, shape):
+    rng = np.random.default_rng(seed)
+    sgrid = SpaceGrid(shape)
+    m = rng.random(shape)
+    new = _substep(m, [rng.uniform(-2.0, 2.0, shape) for _ in shape], sgrid, 0.01, rng.uniform(0.0, 0.5))
+    assert abs(new.sum() - m.sum()) <= 1e-14 * m.sum()
+
+
+@pytest.mark.parametrize("shape", [(13,), (5, 7)])
+def test_a_density_substep_is_the_stencil_form_up_to_roundoff(shape):
+    # m - dt_sub (sum of the upwind divergences) + dt_sub half_diff D2 m, in one flux
+    rng = np.random.default_rng(4)
+    sgrid, dt_sub, half_diff = SpaceGrid(shape), 0.002, 0.3
+    m, drift = rng.random(shape), [rng.uniform(-1.0, 1.0, shape) for _ in shape]
+    div = sum(diff_upwind(m, face_velocities(d, sgrid, axis), sgrid, axis) for axis, d in enumerate(drift))
+    want = m + dt_sub * (half_diff * diff2(m, sgrid, 0) - div)
+    got = _substep(m, drift, sgrid, dt_sub, half_diff)
+    assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * np.abs(want).max()
+
+
+def test_a_2d_density_substep_along_axis_0_is_the_1d_substep_per_column():
+    rng = np.random.default_rng(7)
+    line, plane = SpaceGrid((9,)), SpaceGrid((9, 5))
+    m, drift = rng.random((9, 5)), rng.uniform(-1.0, 1.0, (9, 5))
+    new = _substep(m, [drift, np.zeros((9, 5))], plane, 0.01, 0.2)
+    for c in range(5):
+        assert np.array_equal(new[:, c], _substep(m[:, c], [drift[:, c]], line, 0.01, 0.2))
+
+
+def test_a_density_substep_is_first_order_in_space():
+    # (m - substep) / dt_sub is the divergence of c m, to first order in dx
+    errors = []
+    for n in (64, 128):
+        sgrid = SpaceGrid((n,))
+        m = np.sin(2 * np.pi * sgrid.nodes(0)) + 2.0
+        rate = (m - _substep(m, [np.full(n, 0.7)], sgrid, 1e-3)) / 1e-3
+        exact = 0.7 * 2 * np.pi * np.cos(2 * np.pi * sgrid.nodes(0))
+        errors.append(np.abs(rate - exact)[2:-2].max())
+    assert errors[0] / errors[1] >= 1.8
+
+
+# ---------------------------------------------------------------------------
 # the density sweep planned per block of steps, against a plan per step
 
 
-def _reference_fpk_sweep(alpha, m0, params, sgrid):
-    """(density, (substeps, diffusion time) per step): the forward sweep with each step's drains, faces and rate its own."""
+def _per_step_plans(alpha, params, sgrid):
+    """Per step: (faces, substeps, substep length, explicit diffusion coefficient, exact diffusion time), each its own."""
     tgrid = params.tgrid
     game = params.game(sgrid.meshes())
     geometry = ev_module._geometry(sgrid)
-    dx2 = sgrid.spacing(0) ** 2
-    m = np.empty((tgrid.n_nodes,) + sgrid.shape)
-    m[0] = m0
-    fluxes = [np.zeros([n + (k == axis) for k, n in enumerate(sgrid.shape)]) for axis in range(len(sgrid.shape))]
-    plans = []
     for i in range(tgrid.n_steps):
         drains, _, diff = game.transport(i)
         faces = [face_velocities(a[i] - g, sgrid, axis) for axis, (a, g) in enumerate(zip(alpha, drains))]
         rates = [float(u[0].max(initial=0.0) - u[1].min(initial=0.0)) / dx for u, (dx, _) in zip(faces, geometry)]
-        n_sub, dt_sub, half_diff, diffusion_time = ev_module._step_plan(
-            tgrid.dt, diff, dx2, rates, "drift in forward sweep", i + 1)
+        yield (faces, *ev_module._step_plan(tgrid.dt, diff, sgrid.spacing(0) ** 2, rates, "drift in forward sweep", i + 1))
+
+
+def _reference_fpk_sweep(alpha, m0, params, sgrid):
+    """(density, (substeps, diffusion time) per step): the face-flux sweep with each step's drains, faces and rate its own.
+
+    A substep is m - (dt_sub / dx)(F[hi] - F[lo]) summed over the axes, with F = (u+ + k) m[lo] + (u- - k) m[hi]
+    on the interior faces and k = (diff / 2) / dx on axis 0 where the step diffuses explicitly.
+    """
+    geometry = ev_module._geometry(sgrid)
+    m = np.empty((params.tgrid.n_nodes,) + sgrid.shape)
+    m[0] = m0
+    fluxes = [np.zeros([n + (k == axis) for k, n in enumerate(sgrid.shape)]) for axis in range(len(sgrid.shape))]
+    plans = []
+    for i, (faces, n_sub, dt_sub, half_diff, diffusion_time) in enumerate(_per_step_plans(alpha, params, sgrid)):
         plans.append((n_sub, diffusion_time))
+        if half_diff > 0.0:
+            k = half_diff / sgrid.spacing(0)
+            faces[0] = faces[0] + np.array([k, -k]).reshape((2,) + (1,) * len(sgrid.shape))
         cur = diffuse(m[i], diffusion_time, sgrid) if diffusion_time else m[i]
         for _ in range(n_sub):
-            div = diff_upwind(cur, faces[0], sgrid, 0, fluxes[0])
-            for axis in range(1, len(faces)):
-                div = div + diff_upwind(cur, faces[axis], sgrid, axis, fluxes[axis])
+            new = cur
+            for u, flux, (dx, at) in zip(faces, fluxes, geometry):
+                flux[at.inner] = u[0] * cur[at.lo] + u[1] * cur[at.hi]
+                new = new - (flux[at.hi] - flux[at.lo]) * (dt_sub / dx)
+            cur = new
+        m[i + 1] = ev_module._check_density_slice(cur, i + 1)
+    return m, plans
+
+
+def _stencil_fpk_sweep(alpha, m0, params, sgrid):
+    """The per-step sweep in the stencil form that the face flux replaced: ``diff_upwind`` per axis, then ``diff2``."""
+    m = np.empty((params.tgrid.n_nodes,) + sgrid.shape)
+    m[0] = m0
+    for i, (faces, n_sub, dt_sub, half_diff, diffusion_time) in enumerate(_per_step_plans(alpha, params, sgrid)):
+        cur = diffuse(m[i], diffusion_time, sgrid) if diffusion_time else m[i]
+        for _ in range(n_sub):
+            div = sum(diff_upwind(cur, u, sgrid, axis) for axis, u in enumerate(faces))
             if half_diff > 0.0:
                 cur = cur + dt_sub * (half_diff * diff2(cur, sgrid) - div)
             else:
                 cur = cur - dt_sub * div
         m[i + 1] = ev_module._check_density_slice(cur, i + 1)
-    return m, plans
+    return m
 
 
 _SWEEP_RUNS = {
@@ -449,6 +554,9 @@ def test_the_blocked_density_sweep_is_the_per_step_sweep_bit_for_bit(run):
     sol = evmfg.solve_mfe(problem, options)
     m, plans = _reference_fpk_sweep(sol.alpha, problem.m0, problem.params, problem.sgrid)
     assert np.array_equal(problem.fpk(sol.alpha), m)
+    # the face flux against the stencil form it replaced: the same scheme up to roundoff
+    stencil = _stencil_fpk_sweep(sol.alpha, problem.m0, problem.params, problem.sgrid)
+    assert np.abs(m - stencil).max() <= 1e-12 * np.abs(stencil).max()
     # what each run covers: the block of steps is CONTROL_BLOCK_CELLS // cells long, and at least 2
     rows, n_steps = max(2, ev_module.CONTROL_BLOCK_CELLS // problem.m0.size), problem.tgrid.n_steps
     substeps, diffusion = zip(*plans)
@@ -880,8 +988,10 @@ def test_a_non_finite_price_stops_the_value_sweep_at_the_step_that_reads_it(bad)
     params = make_params(tgrid, sigma=0.2, f_cost=lambda t, x: (1.0 - x) ** 2, kappa=lambda x: (1.0 - x) ** 2)
     p = np.full(tgrid.n_nodes, 0.5)
     p[4] = bad
-    with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as err:
-        hjb_backward_sweep(p, params, sgrid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way to the error
+        with pytest.raises(DivergenceError) as err:
+            hjb_backward_sweep(p, params, sgrid)
     assert str(err.value) == "non-finite coefficients in backward sweep (time node 3)"
     assert err.value.time_node == 3
 

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from evmfg import (
     SpaceGrid,
     TimeGrid,
-    diff2,
     diff_central,
-    diff_upwind,
     diffuse,
     face_velocities,
     integrate,
@@ -19,6 +17,7 @@ from evmfg import (
     substep_count,
 )
 from evmfg import numerics
+from reference_stencils import diff2, diff_upwind
 
 
 # ---------------------------------------------------------------------------

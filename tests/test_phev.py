@@ -14,13 +14,13 @@ from evmfg import (
     beta,
     beta_divergence,
     diff_central,
-    diff_upwind,
     face_velocities,
     fpk_forward_sweep,
     hjb_backward_sweep,
     optimal_control,
     phev_price,
 )
+from reference_stencils import diff_upwind
 
 
 def make_params(tgrid, g=0.2, Q1=125.0, Q2=125.0, r2=0.7, s_cost=None, xi=None, offset=0.5):
