@@ -19,9 +19,10 @@ too. Then come the sha256 of the value table and of each policy table of the
 DP best response that ``oracle`` computes by default and with ``--states 4``
 (one more process, same path). Last come the largest and the total substep
 count of one step of each sweep in the run's solve (one more process, same
-path), which show the margin under ``evmfg.ev.SUBSTEP_BUDGET``, and how
-many of that solve's density slices had a negative cell to clamp, with the
-smallest such value, so a loss of positivity shows too.
+path), which show the margin under ``evmfg.ev.SUBSTEP_BUDGET``, how many of
+that solve's density slices had a negative cell to clamp, with the smallest
+such value, and the worst mass defect of a slice, so a loss of positivity
+or of conservation shows too.
 
 The output of two checkouts compares with ``diff -r``: it is empty when a
 change keeps every figure and message byte for byte, which is the check a
@@ -104,7 +105,8 @@ for states in (20, 4):
 # The substeps of each sweep in the solve of ``evmfg run <scenario> [--set ...]``:
 # both sweeps of both games call ``evmfg.ev.substep_count`` once per step.
 # Then how many density slices reached ``evmfg.ev._check_density_slice`` with
-# a negative cell, which it clamps, and the smallest such value.
+# a negative cell, which it clamps, and the smallest such value, and the worst
+# mass defect |sum(m) * vol - 1| of a slice as it reached the check.
 SUBSTEPS = """
 import sys
 from evmfg import ev, phev
@@ -112,7 +114,7 @@ from evmfg.scenario import apply_overrides, build_problem, load_scenario
 from evmfg.solver import solve_mfe
 
 counts, current, count = {"hjb": [], "fpk": []}, [], ev.substep_count
-lows, check = [], ev._check_density_slice
+lows, sums, check = [], [], ev._check_density_slice
 
 def counted(dt, rate):
     n = count(dt, rate)
@@ -130,6 +132,7 @@ def entered(sweep, fn):
 
 def checked(m, time_node):
     lows.append(float(m.min()))
+    sums.append(float(m.sum()))
     return check(m, time_node)
 
 ev.substep_count, ev._check_density_slice = counted, checked
@@ -146,6 +149,8 @@ for sweep, steps in counts.items():
 negative = [low for low in lows if low < 0.0]
 smallest = f", smallest {min(negative)!r}" if negative else ""
 print(f"density slices with a negative cell: {len(negative)} of {len(lows)}{smallest}")
+defect = max(abs(total * problem.sgrid.cell_volume - 1.0) for total in sums)
+print(f"density slice mass: worst |sum(m) * vol - 1| {defect:.3e} over {len(sums)} slices")
 """
 
 

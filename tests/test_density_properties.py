@@ -11,7 +11,11 @@ it checks a scheme change without pinning the bits it produces:
 The sweep runs with its slice check passed through (``_raw_sweep``), so a
 property reads what the scheme computes, not what the check clamps or
 refuses. Each property also runs once against a planted defect and must
-fail there.
+fail there: unit mass against a flux that takes the downwind cell (the
+scheme grows without bound and loses its mass to rounding), no negative
+cell against that flux and against a substep twice over the bound. Both
+act only through a nonzero drift, so the frozen property fails against a
+drift whose drain is off by a constant.
 """
 
 from unittest import mock
@@ -119,16 +123,16 @@ def _over_bound():
 
 
 def _downwind():
-    """Each face flux takes the density of its downwind cell: the substep's face weights swap rows."""
+    """Each face flux takes the density of its downwind cell: the two rows of the substep's face velocities swap."""
     substep = ev_module._density_substep
     return mock.patch.object(ev_module, "_density_substep",
                              lambda m, faces, *args: substep(m, [u[::-1] for u in faces], *args))
 
 
-def _drain_dropped(drain):
-    """Face velocities of the control alone: the drift forgets the (constant) ``drain``."""
+def _drain_off_by(amount):
+    """Face velocities of a drift whose drain is off by ``amount``: a population whose control is its drain moves."""
     faces = ev_module.face_velocities
-    return mock.patch.object(ev_module, "face_velocities", lambda drift, *args: faces(drift + drain, *args))
+    return mock.patch.object(ev_module, "face_velocities", lambda drift, *args: faces(drift + amount, *args))
 
 
 @pytest.mark.parametrize("prop, defect", [
@@ -143,12 +147,12 @@ def test_each_flux_defect_fails_a_property(prop, defect):
         prop(*case)
 
 
-def test_a_dropped_drain_fails_the_frozen_property():
+def test_a_drain_off_by_a_constant_fails_the_frozen_property():
     # neither flux defect moves a population whose drift is 0: every weight of its face flux is 0
-    control, m0, params, sgrid = case = _case("ev", (20,), 40, 1.0, seed=3, frozen=True)
+    case = _case("ev", (20,), 40, 1.0, seed=3, frozen=True)
     assert_frozen(*case)
     for defect in (_over_bound(), _downwind()):
         with defect:
             assert_frozen(*case)
-    with _drain_dropped(0.1), pytest.raises(AssertionError):
+    with _drain_off_by(0.1), pytest.raises(AssertionError):
         assert_frozen(*case)

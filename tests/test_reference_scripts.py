@@ -74,9 +74,13 @@ def test_summary_prints_a_negative_zero_as_zero(tmp_path):
 
 def test_substeps_counts_each_sweep_of_the_solve(tmp_path):
     out = _program(_script("reference_runs").SUBSTEPS, "ev_weekend", *QUICK, cwd=tmp_path)
-    assert [line.split(":")[0] for line in out] == ["hjb substeps", "fpk substeps", "density slices with a negative cell"]
-    negative, slices = out[-1].split(": ")[1].split(" of ")
+    assert [line.split(":")[0] for line in out] == [
+        "hjb substeps", "fpk substeps", "density slices with a negative cell", "density slice mass"]
+    negative, slices = out[2].split(": ")[1].split(" of ")
     assert negative == "0" and int(slices) % 25 == 0  # 24 steps and the initial slice per sweep, none negative
+    # the worst slice's mass defect, over the same slices: conservation to roundoff
+    defect, over = out[3].split("| ")[1].split(" over ")
+    assert float(defect) <= 1e-12 and over == f"{slices} slices"
 
 
 def test_mc_power_study_reads_each_control_at_each_count_and_at_the_default(quick_run, tmp_path):
