@@ -20,9 +20,10 @@ DP best response that ``oracle`` computes by default and with ``--states 4``
 (one more process, same path). Last come the largest and the total substep
 count of one step of each sweep in the run's solve (one more process, same
 path), which show the margin under ``evmfg.ev.SUBSTEP_BUDGET``, how many of
-that solve's density slices had a negative cell to clamp, with the smallest
-such value, and the worst mass defect of a slice, so a loss of positivity
-or of conservation shows too.
+that solve's density slices had a negative cell, which the slice check
+rejects, with the smallest such value, and the worst mass defect of a slice,
+so a loss of positivity or of conservation shows too. The check reads each
+slice a sweep computes, one a step; the initial density has its own check.
 
 The output of two checkouts compares with ``diff -r``: it is empty when a
 change keeps every figure and message byte for byte, which is the check a
@@ -105,7 +106,7 @@ for states in (20, 4):
 # The substeps of each sweep in the solve of ``evmfg run <scenario> [--set ...]``:
 # both sweeps of both games call ``evmfg.ev.substep_count`` once per step.
 # Then how many density slices reached ``evmfg.ev._check_density_slice`` with
-# a negative cell, which it clamps, and the smallest such value, and the worst
+# a negative cell, which it rejects, and the smallest such value, and the worst
 # mass defect |sum(m) * vol - 1| of a slice as it reached the check.
 SUBSTEPS = """
 import sys

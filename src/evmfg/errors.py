@@ -7,9 +7,9 @@ import numbers
 
 
 class DivergenceError(RuntimeError):
-    """A sweep produced NaN/Inf values, or one of its steps would take more substeps than its budget.
+    """A sweep read a non-finite price, produced NaN/Inf or a negative density, or would exceed its substep budget.
 
-    Carries the time node index at which the blow-up was detected so the
+    Carries the time node index at which the fault was detected so the
     caller can report where the explicit scheme lost stability.
     """
 

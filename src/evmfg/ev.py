@@ -14,16 +14,19 @@ against the price p_t set by aggregate demand. The equilibrium couples:
   FPK (forward):   dm/dt = -d/dx[(alpha* - g) m] + sigma^2 g^2 / 2 * d2m/dx2
   price:           p = ([g + d/dt int x m]+ + d)^exponent
 
-Sweeps step advection explicitly, with per-step substepping so every update
-stays a convex combination (positivity and mass conservation are structural,
-not enforced). Diffusion joins the substeps unless it alone breaks their
-bound (dt sigma^2 g^2 / dx^2 > ``SUBSTEP_SAFETY``); then the step applies the
-exact exponential of the diffusion operator (``numerics.diffuse``) once, after
-the value substeps and before the density substeps, so the substeps see only
-the advection rate; its positive unit-sum kernel keeps the mass to roundoff
-and a density nonnegative. Both sweeps take that split, the substep count and
-its length from one step plan (``_step_plan``), which stops a step that would
-need more than ``SUBSTEP_BUDGET`` substeps before it starts them.
+Sweeps step advection explicitly, with per-step substepping under a bound that
+makes a density substep write each cell as at least (1 - ``SUBSTEP_SAFETY``) m
+plus nonnegative inflows (LeVeque, *Finite Volume Methods for Hyperbolic
+Problems*, 2002, ch. 4): positivity and mass conservation are structural, so a
+negative cell is a scheme failure, not roundoff to clamp. Diffusion joins the
+substeps unless it alone breaks their bound (dt sigma^2 g^2 / dx^2 >
+``SUBSTEP_SAFETY``); then the step applies the exact exponential of the
+diffusion operator (``numerics.diffuse``) once, after the value substeps and
+before the density substeps, so the substeps see only the advection rate; its
+positive unit-sum kernel keeps the mass to roundoff and a density nonnegative.
+Both sweeps take that split, the substep count and its length from one step
+plan (``_step_plan``), which stops a step that would need more than
+``SUBSTEP_BUDGET`` substeps before it starts them.
 The value sweep uses the monotone upwind Hamiltonian of Achdou &
 Capuzzo-Dolcetta (SIAM J. Numer. Anal. 48(3), 2010): the transport term
 reads the forward difference where the drift alpha - g is positive and the
@@ -71,8 +74,6 @@ from .numerics import (
 )
 from .numerics import diff_central  # noqa: F401  (perfbench's trace rebinds it by name)
 
-# Roundoff negativity is clamped; anything beyond this is a scheme failure.
-NEGATIVITY_HARD_LIMIT = 1e-8
 MASS_TOLERANCE = 1e-6
 # The most substeps one sweep step may take. The most that a run known to
 # converge asks for is 336,773 (143 x 100 with H = 1, exponent 4, after 137
@@ -184,34 +185,38 @@ class Game(NamedTuple):
 
 
 def _check_initial_density(m0: np.ndarray, sgrid) -> np.ndarray:
-    """``m0`` as a float array, which must match the grid and have unit mass (``ScenarioError``)."""
+    """``m0`` as a float array, which must match the grid, have unit mass and no negative cell (``ScenarioError``)."""
     m0 = np.asarray(m0, dtype=float)
     if m0.shape != sgrid.shape:
         raise ScenarioError("initial_density", "m0 does not match the space grid")
     mass = integrate(m0, sgrid)
     if not abs(mass - 1.0) <= MASS_TOLERANCE:
         raise ScenarioError("initial_density", f"initial density mass {mass} deviates from 1 beyond {MASS_TOLERANCE}")
+    low = float(m0.min())
+    if low < 0.0:
+        raise ScenarioError("initial_density", f"m0 has a cell at {low:.3e}, below 0")
     return m0
 
 
 def _check_density_slice(m: np.ndarray, time_node: int) -> np.ndarray:
-    """Clamp roundoff negativity to zero; blow up on real scheme failure."""
+    """``m``, which must be finite with no cell below 0 by any margin, as the scheme keeps it (``DivergenceError``)."""
     if not np.isfinite(m).all():
         raise DivergenceError("density slice is not finite", time_node)
     low = float(m.min())
-    if low < -NEGATIVITY_HARD_LIMIT:
-        raise DivergenceError(f"density negativity {low:.3e} beyond roundoff", time_node)
     if low < 0.0:
-        m = np.maximum(m, 0.0)
+        raise DivergenceError(f"density slice has a cell at {low:.3e}, below 0", time_node)
     return m
 
 
 def _check_price(price, tgrid: TimeGrid) -> np.ndarray:
-    """``price`` as a float array, which must hold one value per node of ``tgrid`` (``ValueError``)."""
+    """``price`` as a float array of one value per node of ``tgrid`` (``ValueError``), all finite (``DivergenceError``)."""
     price = np.asarray(price, dtype=float)
     if price.shape != (tgrid.n_nodes,):
         found = f"{len(price)} values" if price.ndim == 1 else f"shape {price.shape}"
         raise ValueError(f"price series has {found}, expected {tgrid.n_nodes}: one per time node")
+    bad = np.flatnonzero(~np.isfinite(price))
+    if bad.size:
+        raise DivergenceError("non-finite price", int(bad[0]))
     return price
 
 
@@ -346,11 +351,7 @@ def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid, o
     slopes = _face_buffers(sgrid.shape, range(len(sgrid.shape)))
     (dx, at), d = geometry[0], slopes[0]  # a game's diffusion acts along axis 0, the battery's one axis
     dx2 = dx ** 2
-    # step i reads the price at node i + 1; the sweep stops at the first step it reaches that reads a
-    # non-finite one, as its plan would, before the Hamiltonian turns that price into numpy warnings
-    unpriced = np.flatnonzero(~np.isfinite(p[1:]))
-    stop = int(unpriced[-1]) if unpriced.size else -1
-    for i in range(tgrid.n_steps - 1, stop, -1):
+    for i in range(tgrid.n_steps - 1, -1, -1):
         j = i + 1
         axes, running, _, diff = game.step(p, j)
         cur = v[j]
@@ -372,8 +373,6 @@ def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid, o
         if not np.isfinite(cur).all():
             raise DivergenceError("value slice is not finite", i)
         v[i] = cur
-    if stop >= 0:
-        raise DivergenceError("non-finite coefficients in backward sweep", stop)
     for out, a in zip(control, _hamiltonian_sum(v[0], game.hamiltonian(p, 0), geometry, slopes)[1]):
         out[0] = a
     return v, control
@@ -422,7 +421,7 @@ def fpk_forward_sweep(alpha, m0: np.ndarray, params: _SeriesParams, sgrid: Space
         raise ValueError(f"control needs one field of shape {shape} per axis, got {[np.shape(a) for a in alpha]}")
     game = params.game(sgrid.meshes())
     m = np.empty(shape) if out is None else out
-    m[0] = _check_density_slice(_check_initial_density(m0, sgrid), 0)
+    m[0] = _check_initial_density(m0, sgrid)
     geometry = _geometry(sgrid)
     dx = sgrid.spacing(0)
     dx2 = dx ** 2
@@ -493,6 +492,7 @@ def ev_cost(alpha: np.ndarray, m: np.ndarray, p: np.ndarray, params: EvParams, s
     if alpha.shape != m.shape or len(p) != m.shape[0]:
         raise ValueError("alpha, m and p shapes are inconsistent")
     tgrid = params.tgrid
+    p = _check_price(p, tgrid)
     game = params.game(sgrid.meshes())
     total = 0.0
     for i in range(tgrid.n_steps):
@@ -513,10 +513,6 @@ class _Problem:
 
     def __post_init__(self) -> None:
         self.m0 = _check_initial_density(self.m0, self.sgrid)
-        low = float(self.m0.min())
-        if low < -NEGATIVITY_HARD_LIMIT:
-            raise ScenarioError("initial_density",
-                                f"m0 has a cell at {low:.3e}, below the roundoff limit -{NEGATIVITY_HARD_LIMIT:g}")
 
     @property
     def tgrid(self) -> TimeGrid:

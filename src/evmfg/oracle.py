@@ -269,10 +269,11 @@ def mc_population(
     ``np.interp`` does. ``tgrid`` must be ``params.tgrid``: perfbench's trace
     reads the step count from it.
 
-    Both fields must be finite (``ValueError``). Agents are exchangeable, so
-    the population is one sorted array of positions, starting from
-    ``sample_density``. The affine tables below come for a block of
-    ``CONTROL_BLOCK_CELLS // (2 * n_cells)`` steps at once. Each step:
+    Both fields must be finite and ``m0`` nonnegative (``ValueError``).
+    Agents are exchangeable, so the population is one sorted array of
+    positions, starting from ``sample_density``. The affine tables below come
+    for a block of ``CONTROL_BLOCK_CELLS // (2 * n_cells)`` steps at once.
+    Each step:
 
     - drifts every agent by x + dt (interp(x) - g), as the affine map
       scale[k] x + offset[k] of its half cell k (``_half_cell_step``; one
@@ -314,10 +315,12 @@ def mc_population(
             f"control field must have shape (n_nodes, n_cells) = {expected}, found {control.shape}"
         )
     m0 = np.asarray(m0, dtype=float)
-    for name, field in (("control field", control), ("initial density", m0)):
-        bad = np.argwhere(~np.isfinite(field))
+    for name, field, rule, breach in (("control field", control, "finite", ~np.isfinite(control)),
+                                      ("initial density", m0, "finite", ~np.isfinite(m0)),
+                                      ("initial density", m0, "nonnegative", m0 < 0.0)):
+        bad = np.argwhere(breach)
         if len(bad):
-            raise ValueError(f"{name} must be finite, found {field[tuple(bad[0])]} at index {tuple(bad[0].tolist())}")
+            raise ValueError(f"{name} must be {rule}, found {field[tuple(bad[0])]} at index {tuple(bad[0].tolist())}")
     rng = np.random.default_rng(seed)
     nodes = sgrid.nodes(0)
     edges = np.linspace(0.0, 1.0, n_cells + 1)

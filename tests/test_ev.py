@@ -24,6 +24,7 @@ from evmfg import (
     optimal_control,
     space_mean,
 )
+from evmfg.oracle import ev_mdp
 from evmfg.numerics import SUBSTEP_SAFETY, axis_index, diffuse, face_velocities
 from reference_stencils import diff2, diff_upwind
 
@@ -355,18 +356,18 @@ def test_non_finite_m0_is_rejected():
 
 
 def test_a_negative_initial_density_is_an_input_error_not_a_divergence():
+    # one rule for both entries: a cell below 0 by any margin
     tgrid, sgrid = TimeGrid(1.0, 5), SpaceGrid((20,))
     params = make_params(tgrid)
-    limit = ev_module.NEGATIVITY_HARD_LIMIT
-    m0 = tent_density(sgrid, 0.5, 0.2)
-    m0[0], m0[10] = -0.5, m0[10] + 0.5  # unit mass, one cell at -0.5
-    with pytest.raises(ScenarioError) as err:
-        EvProblem(params, sgrid, m0)
-    assert err.value.field == "initial_density"
-    assert str(err.value) == "initial_density: m0 has a cell at -5.000e-01, below the roundoff limit -1e-08"
-    m0 = tent_density(sgrid, 0.5, 0.2)
-    m0[0], m0[10] = -limit, m0[10] + limit  # roundoff, which the forward sweep clamps
-    assert EvProblem(params, sgrid, m0).m0[0] == -limit
+    for low in (-0.5, -1e-300):
+        m0 = tent_density(sgrid, 0.5, 0.2)
+        m0[0], m0[10] = low, m0[10] - low  # unit mass, one cell at low
+        for build in (lambda: EvProblem(params, sgrid, m0),
+                      lambda: fpk_forward_sweep((np.zeros((6, 20)),), m0, params, sgrid)):
+            with pytest.raises(ScenarioError) as err:
+                build()
+            assert err.value.field == "initial_density"
+            assert str(err.value) == f"initial_density: m0 has a cell at {low:.3e}, below 0"
 
 
 def test_an_initial_density_of_another_grid_is_rejected():
@@ -381,25 +382,21 @@ def test_an_initial_density_of_another_grid_is_rejected():
         assert str(err.value) == "initial_density: m0 does not match the space grid"
 
 
-def test_a_density_slice_beyond_roundoff_is_a_divergence_and_roundoff_is_clamped():
+def test_a_density_slice_that_is_not_finite_or_has_a_negative_cell_is_a_divergence():
     check = ev_module._check_density_slice
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(DivergenceError) as err:
             check(np.array([0.5, bad, 0.5]), 3)
         assert str(err.value) == "density slice is not finite (time node 3)"
         assert err.value.time_node == 3
-    with pytest.raises(DivergenceError) as err:
-        check(np.array([1.0, -2e-8, 1.0]), 5)
-    assert str(err.value) == "density negativity -2.000e-08 beyond roundoff (time node 5)"
-    limit = ev_module.NEGATIVITY_HARD_LIMIT
-    assert np.array_equal(check(np.array([1.0, -limit, 1.0]), 5), [1.0, 0.0, 1.0])
-    # the forward sweep checks its initial slice too: unit mass, but a cell below roundoff
-    tgrid, sgrid = TimeGrid(1.0, 5), SpaceGrid((20,))
-    m0 = tent_density(sgrid, 0.5, 0.2)
-    m0[0], m0[-1] = -1e-6, 1e-6
-    with pytest.raises(DivergenceError) as err:
-        fpk_forward_sweep((np.zeros((6, 20)),), m0, make_params(tgrid), sgrid)
-    assert str(err.value) == "density negativity -1.000e-06 beyond roundoff (time node 0)"
+    # the scheme keeps every cell nonnegative, so no margin is roundoff: the check clamps nothing
+    for low in (-2e-8, -1e-300):
+        with pytest.raises(DivergenceError) as err:
+            check(np.array([1.0, low, 1.0]), 5)
+        assert str(err.value) == f"density slice has a cell at {low:.3e}, below 0 (time node 5)"
+        assert err.value.time_node == 5
+    slice_ = np.array([1.0, 0.0, -0.0, 1.0])
+    assert check(slice_, 5) is slice_
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +742,7 @@ def test_fpk_keeps_unit_mass_with_exact_diffusion():
 
 def test_exact_diffusion_leaves_no_negative_density_to_clamp(monkeypatch):
     # diffuse's kernel is positive, so no slice of the stiff 400-cell solve
-    # reaches _check_density_slice with a negative cell to clamp.
+    # reaches _check_density_slice with a negative cell, which it would reject.
     config = evmfg.apply_overrides(
         evmfg.load_scenario("ev_weekend"), ["space.cells=400", "series.H=3.0", "price.exponent=4.0"])
     problem, options, _ = evmfg.build_problem(config)
@@ -981,19 +978,40 @@ def test_the_value_sweeps_substep_rate_is_the_controls_largest_move(scenario, se
         assert any(want) and np.allclose(rates, want, rtol=4 * np.finfo(float).eps, atol=0.0), (node, rates, want)
 
 
+def _price_entries(tgrid, sgrid, params):
+    """Each entry that reads a price series, as a function of the price."""
+    fields = np.zeros((tgrid.n_nodes,) + sgrid.shape)
+    return {
+        "hjb_backward_sweep": lambda p: hjb_backward_sweep(p, params, sgrid),
+        "optimal_control": lambda p: optimal_control(fields, p, params, sgrid),
+        "ev_cost": lambda p: ev_cost(fields, fields, p, params, sgrid),
+        "ev_mdp": lambda p: ev_mdp(params, p),
+    }
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_a_non_finite_price_stops_the_value_sweep_at_the_step_that_reads_it(bad):
-    # node j's price enters the step from j to j - 1; the rate must carry a NaN to the step plan
+@pytest.mark.parametrize("node", [0, 4])
+@pytest.mark.parametrize("entry", ["hjb_backward_sweep", "optimal_control", "ev_cost", "ev_mdp"])
+def test_a_non_finite_price_is_a_divergence_at_its_node_on_every_entry(entry, node, bad):
+    # one rule for every node, node 0 too, checked before any step turns the price into numpy warnings
     tgrid, sgrid = TimeGrid(1.0, 6), SpaceGrid((20,))
     params = make_params(tgrid, sigma=0.2, f_cost=lambda t, x: (1.0 - x) ** 2, kappa=lambda x: (1.0 - x) ** 2)
     p = np.full(tgrid.n_nodes, 0.5)
-    p[4] = bad
+    p[node] = bad
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way to the error
+        warnings.simplefilter("error")  # no warning on the way to the error
         with pytest.raises(DivergenceError) as err:
-            hjb_backward_sweep(p, params, sgrid)
-    assert str(err.value) == "non-finite coefficients in backward sweep (time node 3)"
-    assert err.value.time_node == 3
+            _price_entries(tgrid, sgrid, params)[entry](p)
+    assert str(err.value) == f"non-finite price (time node {node})"
+    assert err.value.time_node == node
+
+
+def test_the_price_rule_names_the_first_non_finite_node():
+    tgrid, sgrid = TimeGrid(1.0, 6), SpaceGrid((20,))
+    p = np.full(tgrid.n_nodes, 0.5)
+    p[[2, 5]] = np.inf, np.nan
+    with pytest.raises(DivergenceError, match=r"^non-finite price \(time node 2\)$"):
+        hjb_backward_sweep(p, make_params(tgrid), sgrid)
 
 
 @pytest.mark.parametrize("shape", [(30,), (12, 16)])

@@ -1048,10 +1048,13 @@ def test_half_cell_tables_of_a_block_of_steps_are_each_steps_tables_bit_for_bit(
         assert np.array_equal(scale[r], row_scale) and np.array_equal(offset[r], row_offset)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("field", ["control", "initial density"])
+@pytest.mark.parametrize("field, bad", [
+    *itertools.product(["control", "initial density"], [np.nan, np.inf, -np.inf]),
+    ("initial density", -0.5),
+])
 def test_mc_names_a_non_finite_control_or_initial_density(field, bad):
-    # a NaN at control[3, 7] used to carry 15.6% of the mass into the last cell
+    # a NaN at control[3, 7] used to carry 15.6% of the mass into the last cell,
+    # and a negative m0 cell ran unnoticed against another population
     tg = TimeGrid(t1=0.2, n_steps=10)
     sg = SpaceGrid((20,))
     control, m0 = _constant_field(tg, sg, 0.3), _tent_density(sg)
@@ -1060,7 +1063,8 @@ def test_mc_names_a_non_finite_control_or_initial_density(field, bad):
         expected = f"control field must be finite, found {bad} at index (3, 7)"
     else:
         m0[5] = bad
-        expected = f"initial density must be finite, found {bad} at index (5,)"
+        rule = "finite" if not np.isfinite(bad) else "nonnegative"
+        expected = f"initial density must be {rule}, found {bad} at index (5,)"
     with pytest.raises(ValueError, match=re.escape(expected)):
         mc_population(control, m0, _ev_params(tg), tg, sg, n_agents=100, seed=0)
 

@@ -309,12 +309,16 @@ def test_phev_non_finite_m0_is_rejected():
 
 
 def test_phev_negative_m0_is_an_input_error_not_a_divergence():
-    sgrid = SpaceGrid((12, 12))
+    tgrid, sgrid = TimeGrid(1.0, 4), SpaceGrid((12, 12))
+    params = make_params(tgrid)
     m0 = gaussian_density(sgrid, (0.5, 0.5), 0.02)
     m0[0, 0], m0[6, 6] = -0.5, m0[6, 6] + m0[0, 0] + 0.5  # unit mass, one cell at -0.5
-    with pytest.raises(ScenarioError) as err:
-        PhevProblem(make_params(TimeGrid(1.0, 4)), sgrid, m0)
-    assert str(err.value) == "initial_density: m0 has a cell at -5.000e-01, below the roundoff limit -1e-08"
+    shape = (tgrid.n_nodes, 12, 12)
+    for build in (lambda: PhevProblem(params, sgrid, m0),
+                  lambda: fpk_forward_sweep((np.zeros(shape), np.zeros(shape)), m0, params, sgrid)):
+        with pytest.raises(ScenarioError) as err:
+            build()
+        assert str(err.value) == "initial_density: m0 has a cell at -5.000e-01, below 0"
 
 
 def test_conservative_form_matches_expanded_form():

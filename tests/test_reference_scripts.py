@@ -77,7 +77,7 @@ def test_substeps_counts_each_sweep_of_the_solve(tmp_path):
     assert [line.split(":")[0] for line in out] == [
         "hjb substeps", "fpk substeps", "density slices with a negative cell", "density slice mass"]
     negative, slices = out[2].split(": ")[1].split(" of ")
-    assert negative == "0" and int(slices) % 25 == 0  # 24 steps and the initial slice per sweep, none negative
+    assert negative == "0" and int(slices) % 24 == 0  # one slice per step, 24 per sweep, none negative
     # the worst slice's mass defect, over the same slices: conservation to roundoff
     defect, over = out[3].split("| ")[1].split(" over ")
     assert float(defect) <= 1e-12 and over == f"{slices} slices"
