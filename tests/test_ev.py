@@ -24,8 +24,8 @@ from evmfg import (
     optimal_control,
     space_mean,
 )
-from evmfg.oracle import ev_mdp
 from evmfg.numerics import SUBSTEP_SAFETY, axis_index, diffuse, face_velocities
+from evmfg.oracle import ev_mdp
 from reference_stencils import diff2, diff_upwind
 
 ZERO = staticmethod(lambda t, x: np.zeros_like(x))

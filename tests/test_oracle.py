@@ -1063,7 +1063,7 @@ def test_mc_names_a_non_finite_control_or_initial_density(field, bad):
         expected = f"control field must be finite, found {bad} at index (3, 7)"
     else:
         m0[5] = bad
-        rule = "finite" if not np.isfinite(bad) else "nonnegative"
+        rule = "nonnegative" if np.isfinite(bad) else "finite"
         expected = f"initial density must be {rule}, found {bad} at index (5,)"
     with pytest.raises(ValueError, match=re.escape(expected)):
         mc_population(control, m0, _ev_params(tg), tg, sg, n_agents=100, seed=0)

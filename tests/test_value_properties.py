@@ -5,10 +5,14 @@ nondecreasing function of the values it reads (Achdou & Capuzzo-Dolcetta,
 SIAM J. Numer. Anal. 48(3), 2010; Barles & Souganidis, Asymptotic Anal.
 4(3), 1991), and the exact diffusion's kernel is positive. So a
 nonnegative bump added to the terminal cost never lowers the value at any
-node. The property holds for any price, drain, noise and cost, so it checks
-a scheme change without pinning the bits it produces. It reads the value
-within ``ROUNDOFF`` of the value's size: each substep rounds both sweeps,
-and where the bump is 0 they may part by an ulp a substep.
+node, provided both sweeps take one step plan: each step takes the larger of
+their two substep counts (``assert_comparison``). With its own plan a
+steeper terminal cost takes shorter substeps, a different scheme, and its
+value may read lower by the difference of their time errors. The property
+holds for any price, drain, noise and cost, so it checks a scheme change
+without pinning the bits it produces. It reads the value within
+``ROUNDOFF`` of the value's size: each substep rounds both sweeps, and where
+the bump is 0 they may part by an ulp a substep.
 
 The 1D cases cover both diffusion branches: noise whose explicit rate dt
 sigma^2 g^2 / dx^2 stays under ``SUBSTEP_SAFETY`` joins the substeps, and
