@@ -34,18 +34,26 @@ backward one where it is negative, and the wall ghost cells copy their
 neighbour, so a drift into a wall moves nothing and the walls reflect as in
 the zero-flux density sweep.
 
-At 100-400 cells a numpy call costs more than its arithmetic. The density
-sweep plans ``CONTROL_BLOCK_CELLS`` cells' worth of steps in one pass (drains,
-diffusion, ``face_velocities``, outflow rates), then each step only diffuses,
-substeps and checks its slice. A density substep (``_density_substep``) is
-one face flux per axis, advection and explicit diffusion together, and one
-divergence per axis: the finite-volume form, in which no mass crosses a
-wall. ``_hamiltonian`` takes the two branches in closed form on the cells,
-from one array of face differences, and gives the value step all it reads
-besides: the control, the move |a - g| that sets the substep rate, and the
-differences whose own differences are the explicit diffusion term. Neither
-sweep calls a difference stencil of ``numerics``. Temporaries stay per block, as
-whole-run ones cost 2D memory.
+At 100-400 cells a numpy call costs more than its arithmetic, so a sweep
+step makes few of them. The density sweep plans
+``CONTROL_BLOCK_CELLS`` cells' worth of steps in one pass (drains,
+diffusion, ``face_velocities``, outflow rates), then each step only
+diffuses, substeps and checks its slice. A density substep
+(``_density_substep``) is one face flux per axis, advection and explicit
+diffusion together, and one divergence per axis: the finite-volume form, in
+which no mass crosses a wall. It writes through buffers allocated once per
+sweep; two slices alternate, because in 2D both axes' fluxes read the
+entering slice, and the last substep writes m[i + 1]. The value sweep reads
+its running cost and its steps' (p, g, h) and diffusion once per block of
+as many nodes (at least two), as floats where a node's value is one number.
+``_hamiltonian`` takes the two branches in closed form on the cells, from
+one array of face differences, and gives the value step all it reads
+besides: the control, written into the control field, the move |a - g| that
+sets the substep rate, and the differences whose own differences are the
+explicit diffusion term. The running cost and that term accumulate into the
+Hamiltonian's fresh result, which scaled by the substep lands in v[i].
+Neither sweep calls a difference stencil of ``numerics``. Temporaries stay
+per block, as whole-run ones cost 2D memory.
 
 The sweeps and the control below serve the two-pack model in ``phev`` too:
 they read a model only through the per-axis ``Game`` its params build.
@@ -166,7 +174,15 @@ class Game(NamedTuple):
     costs on the points. ``transport(i)`` gives the per-axis drains g_k, the
     noise sigma g and the diffusion sigma^2 g^2 at node i, and
     ``axes(p, j, drains)`` the per-axis ``(p, g, h)`` terms of
-    ``_hamiltonian_sum`` from ``transport(j)``'s drains.
+    ``_hamiltonian_sum`` from ``transport(j)``'s drains. A node index may
+    be a column of nodes, one per leading row against the points: the
+    sweeps and the control read a block of nodes in one call. So a running
+    cost must broadcast over a column of times, and it gives each node's
+    bits only if its arithmetic rounds the same on an array as on one
+    node's scalar: a scalar power of t calls C ``pow`` on one node and may
+    round otherwise than ``x * x`` on a column (the battery's diffusion
+    takes ``np.float_power`` for that reason). A cost that ignores t may
+    return one slice for the whole column.
     """
 
     terminal: Callable[[], np.ndarray]
@@ -179,7 +195,7 @@ class Game(NamedTuple):
         return self.axes(p, j, self.transport(j)[0])
 
     def step(self, p, j) -> tuple:
-        """(Hamiltonian terms, running cost, noise, diffusion) at node j: what a value-sweep or DP step reads."""
+        """(Hamiltonian terms, running cost, noise, diffusion) at node j: what a DP step and ``ev_cost`` read."""
         drains, noise, diffusion = self.transport(j)
         return self.axes(p, j, drains), self.running(j), noise, diffusion
 
@@ -200,9 +216,10 @@ def _check_initial_density(m0: np.ndarray, sgrid) -> np.ndarray:
 
 def _check_density_slice(m: np.ndarray, time_node: int) -> np.ndarray:
     """``m``, which must be finite with no cell below 0 by any margin, as the scheme keeps it (``DivergenceError``)."""
-    if not np.isfinite(m).all():
+    # a NaN gives both NaN; the ufuncs' own reductions skip the ndarray methods' Python call
+    low, high = float(np.minimum.reduce(m, None)), float(np.maximum.reduce(m, None))
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise DivergenceError("density slice is not finite", time_node)
-    low = float(m.min())
     if low < 0.0:
         raise DivergenceError(f"density slice has a cell at {low:.3e}, below 0", time_node)
     return m
@@ -249,7 +266,7 @@ def _face_buffers(shape: tuple[int, ...], axes) -> list[np.ndarray]:
     return [np.zeros([n + (k == axis) for k, n in enumerate(shape)]) for axis in axes]
 
 
-def _hamiltonian(v, p, g, h, dx: float, at: AxisIndex, slopes: np.ndarray, minimiser: bool = True):
+def _hamiltonian(v, p, g, h, dx: float, at: AxisIndex, slopes: np.ndarray, out=None):
     """Monotone upwind Hamiltonian along the axis ``at`` indexes: (F, its minimiser or None, the move w).
 
     F = min_a [(a-g)+ D+v + (a-g)- D-v + a p + h a^2 / 2]. ``slopes`` (a
@@ -263,10 +280,11 @@ def _hamiltonian(v, p, g, h, dx: float, at: AxisIndex, slopes: np.ndarray, minim
     g p + h g^2 / 2 by h e^2 / 2, so F takes the larger move w =
     max(e1, -e0) and the minimiser is g + e1 where e1 > -e0, else
     g + e0 (a tie takes D-v), so w is |a - g| up to the rounding of a.
-    The coefficients broadcast against ``v``.
+    The coefficients broadcast against ``v``. F is a fresh array; the
+    minimiser is written into ``out`` where one is given, else not computed.
     """
-    np.subtract(v[at.hi], v[at.lo], out=slopes[at.inner])
-    slopes[at.inner] /= dx
+    inner = np.subtract(v[at.hi], v[at.lo], out=slopes[at.inner])
+    inner /= dx
     c = slopes + p
     c /= -h  # the bits of -(d + p) / h
     up = c[at.hi] - g  # e1 before its clip
@@ -277,24 +295,26 @@ def _hamiltonian(v, p, g, h, dx: float, at: AxisIndex, slopes: np.ndarray, minim
     f = w * w
     f *= half_h
     np.subtract(g * p + half_h * (g * g), f, out=f)
-    if not minimiser:
+    if out is None:
         return f, None, w
     down -= up  # its sign picks the branch: negative for e1, else e0 = -w
-    return f, g - np.copysign(w, down, out=down), w
+    return f, np.subtract(g, np.copysign(w, down, out=down), out=out), w
 
 
-def _hamiltonian_sum(v, axes, geometry, slopes, minimisers: bool = True) -> tuple[np.ndarray, list, list]:
+def _hamiltonian_sum(v, axes, geometry, slopes, out=None) -> tuple[np.ndarray, list]:
     """Sum of ``_hamiltonian`` over the axes (a ``(p, g, h)``, a ``_geometry`` entry and a slopes buffer each).
 
-    Also per axis its minimiser and its move w; ``slopes`` holds each axis's face differences after the call.
+    Also per axis its move w. Where ``out`` holds one array per axis, each
+    axis's minimiser goes into its own; without it none is computed. The
+    sum is a fresh array, and ``slopes`` holds each axis's face differences
+    after the call.
     """
-    ham, controls, moves = None, [], []
-    for (p, g, h), (dx, at), d in zip(axes, geometry, slopes):
-        f, a, w = _hamiltonian(v, p, g, h, dx, at, d, minimisers)
-        ham = f if ham is None else ham + f
-        controls.append(a)
+    ham, moves = None, []
+    for (p, g, h), (dx, at), d, a in zip(axes, geometry, slopes, out or [None] * len(axes)):
+        f, _, w = _hamiltonian(v, p, g, h, dx, at, d, a)
+        ham = f if ham is None else np.add(ham, f, out=ham)
         moves.append(w)
-    return ham, controls, moves
+    return ham, moves
 
 
 def _step_plan(dt: float, diff: float, dx2: float, rates, what: str, node: int) -> tuple[int, float, float, float]:
@@ -321,6 +341,14 @@ def _step_plan(dt: float, diff: float, dx2: float, rates, what: str, node: int) 
     return n_sub, dt / n_sub, half_diff, diffusion_time
 
 
+def _per_node(c, n: int) -> list:
+    """A coefficient of a block of n nodes, per node: a float where a node's value is one number, else its slice."""
+    c = np.asarray(c)
+    if c.ndim == 0:
+        return [c.item()] * n
+    return c.ravel().tolist() if c.size == n else list(c)
+
+
 def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid, out=None):
     """Backward value sweep of either game, v(T, .) = the terminal cost: (v, control).
 
@@ -333,7 +361,10 @@ def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid, o
     ``optimal_control(v, p, params, sgrid)``: one field per axis, (alpha,)
     for the battery and (mu1, mu2) for the packs. An earlier sweep's
     (v, control) on the same grid, passed as ``out``, is overwritten and
-    returned instead of new arrays.
+    returned instead of new arrays. The running cost and the steps'
+    coefficients are read per block of nodes (``Game``), so the running
+    cost must broadcast over a column of times; the update lands in
+    ``v[i]`` and the minimiser in ``control[k][j]`` in place.
     """
     tgrid = params.tgrid
     p = _check_price(p, tgrid)
@@ -350,36 +381,51 @@ def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid, o
     geometry = _geometry(sgrid)
     slopes = _face_buffers(sgrid.shape, range(len(sgrid.shape)))
     (dx, at), d = geometry[0], slopes[0]  # a game's diffusion acts along axis 0, the battery's one axis
-    dx2 = dx ** 2
-    for i in range(tgrid.n_steps - 1, -1, -1):
-        j = i + 1
-        axes, running, _, diff = game.step(p, j)
-        cur = v[j]
-        ham, minimisers, moves = _hamiltonian_sum(cur, axes, geometry, slopes)
-        for out, a in zip(control, minimisers):
-            out[j] = a
-        rates = (float(w.max()) / spacing for w, (spacing, _) in zip(moves, geometry))
-        n_sub, dt_sub, half_diff, diffusion_time = _step_plan(
-            tgrid.dt, diff, dx2, rates, "coefficients in backward sweep", i)
-        for k in range(n_sub):
-            if k:
-                ham, _, _ = _hamiltonian_sum(cur, axes, geometry, slopes, minimisers=False)
-            upd = ham + running
-            if half_diff > 0.0:
-                upd = upd + half_diff * ((d[at.hi] - d[at.lo]) / dx)  # the Neumann second difference of cur
-            cur = cur + dt_sub * upd
-        if diffusion_time:
-            cur = diffuse(cur, diffusion_time, sgrid)
-        if not np.isfinite(cur).all():
-            raise DivergenceError("value slice is not finite", i)
-        v[i] = cur
-    for out, a in zip(control, _hamiltonian_sum(v[0], game.hamiltonian(p, 0), geometry, slopes)[1]):
-        out[0] = a
+    dt, dx2 = tgrid.dt, dx ** 2
+    second = np.empty(sgrid.shape)  # a substep's explicit second difference
+    # A block of nodes, at least two, reads its running cost and its steps' coefficients in one call each:
+    # a call per node cost more than its arithmetic.
+    rows = max(2, CONTROL_BLOCK_CELLS // v[0].size)
+    nodes = np.arange(tgrid.n_nodes).reshape((-1,) + (1,) * len(sgrid.shape))
+    for stop in range(tgrid.n_nodes, 1, -rows):
+        start = max(1, stop - rows)
+        block = nodes[start:stop]
+        running = np.broadcast_to(game.running(block), (len(block),) + sgrid.shape)
+        drains, _, diffs = game.transport(block)
+        diffs = _per_node(diffs, len(block))
+        # per node of the block: its (p, g, h) per axis, and its slice of each control
+        terms = [zip(*(_per_node(c, len(block)) for c in axis)) for axis in game.axes(p, block, drains)]
+        node_axes, node_controls = list(zip(*terms)), list(zip(*(a[start:stop] for a in control)))
+        for row in range(len(block) - 1, -1, -1):
+            j = start + row
+            i, axes, cur = j - 1, node_axes[row], v[j]
+            ham, moves = _hamiltonian_sum(cur, axes, geometry, slopes, node_controls[row])
+            # the ufuncs' own reductions: the ndarray methods add a Python call to each
+            rates = (float(np.maximum.reduce(w, None)) / spacing for w, (spacing, _) in zip(moves, geometry))
+            n_sub, dt_sub, half_diff, diffusion_time = _step_plan(
+                dt, diffs[row], dx2, rates, "coefficients in backward sweep", i)
+            for k in range(n_sub):
+                if k:
+                    ham, _ = _hamiltonian_sum(cur, axes, geometry, slopes)
+                ham += running[row]
+                if half_diff > 0.0:  # the Neumann second difference of cur
+                    np.subtract(d[at.hi], d[at.lo], out=second)
+                    second /= dx
+                    second *= half_diff
+                    ham += second
+                ham *= dt_sub
+                cur = np.add(cur, ham, out=v[i])
+            if diffusion_time:
+                cur = v[i] = diffuse(cur, diffusion_time, sgrid)
+            if not np.logical_and.reduce(np.isfinite(cur), None):
+                raise DivergenceError("value slice is not finite", i)
+    _hamiltonian_sum(v[0], game.hamiltonian(p, 0), geometry, slopes, [a[0] for a in control])
     return v, control
 
 
-def _density_substep(m: np.ndarray, faces, scales, fluxes, geometry) -> np.ndarray:
-    """One explicit density substep: m - (dt_sub / dx)(F[hi] - F[lo]) summed over the axes, F the face flux.
+def _density_substep(m: np.ndarray, faces, scales, fluxes, geometry, products, div: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
+    """One explicit density substep into ``out``: m - (dt_sub / dx)(F[hi] - F[lo]) summed over the axes, F the face flux.
 
     Per axis, ``faces`` stacks u+ + k and u- - k on the interior faces, u+
     and u- the split ``face_velocities`` and k the explicit diffusion
@@ -387,16 +433,19 @@ def _density_substep(m: np.ndarray, faces, scales, fluxes, geometry) -> np.ndarr
     dt_sub / dx. The face flux F = (u+ + k) m[lo] + (u- - k) m[hi] takes
     the upwind cell and the diffusive difference at once. It fills that
     axis's ``_face_buffers`` array in ``fluxes``, whose walls stay 0, so
-    the cell sum telescopes.
+    the cell sum telescopes. ``products`` holds a buffer of each axis's
+    interior faces for the second product, ``div`` one of the slice's
+    shape for the divergence. ``out`` must not be ``m``: every axis's flux
+    reads the entering slice.
     """
     new = m
-    for u, scale, flux, (_, at) in zip(faces, scales, fluxes, geometry):
+    for u, scale, flux, product, (_, at) in zip(faces, scales, fluxes, products, geometry):
         inner = flux[at.inner]
-        np.multiply(u[0], m[at.lo], out=inner)
-        inner += u[1] * m[at.hi]
-        div = flux[at.hi] - flux[at.lo]
+        np.multiply(u[0], m[at.lo], inner)
+        inner += np.multiply(u[1], m[at.hi], product)
+        np.subtract(flux[at.hi], flux[at.lo], div)
         div *= scale
-        new = new - div
+        new = np.subtract(new, div, out)
     return new
 
 
@@ -423,9 +472,13 @@ def fpk_forward_sweep(alpha, m0: np.ndarray, params: _SeriesParams, sgrid: Space
     m = np.empty(shape) if out is None else out
     m[0] = _check_initial_density(m0, sgrid)
     geometry = _geometry(sgrid)
-    dx = sgrid.spacing(0)
+    dt, dx = tgrid.dt, sgrid.spacing(0)
     dx2 = dx ** 2
     fluxes = _face_buffers(sgrid.shape, range(len(sgrid.shape)))
+    products = [np.empty_like(flux[at.inner]) for flux, (_, at) in zip(fluxes, geometry)]
+    div = np.empty(sgrid.shape)
+    # a substep's own slice: two alternate, so that no substep writes the slice it reads, and the last writes m[i + 1]
+    slices = (np.empty(sgrid.shape), np.empty(sgrid.shape))
     # at least two steps a block: a one-step block pays the block's set-up for one step
     rows = max(2, CONTROL_BLOCK_CELLS // m[0].size)
     steps = np.arange(tgrid.n_steps).reshape((-1,) + (1,) * len(sgrid.shape))
@@ -447,12 +500,13 @@ def fpk_forward_sweep(alpha, m0: np.ndarray, params: _SeriesParams, sgrid: Space
             k = (0.5 * np.array(diffs) / dx).reshape(block.shape)
             diffusive = [np.stack((faces[0][0] + k, faces[0][1] - k))] + faces[1:]
         for i, diff, *rates in zip(range(start, start + len(block)), diffs, *outflow):
-            n_sub, dt_sub, half_diff, diffusion_time = _step_plan(tgrid.dt, diff, dx2, rates, "drift in forward sweep", i + 1)
+            n_sub, dt_sub, half_diff, diffusion_time = _step_plan(dt, diff, dx2, rates, "drift in forward sweep", i + 1)
             step_faces = [u[:, i - start] for u in (diffusive if half_diff else faces)]
             scales = [dt_sub / spacing for spacing, _ in geometry]
             cur = diffuse(m[i], diffusion_time, sgrid) if diffusion_time else m[i]
-            for _ in range(n_sub):
-                cur = _density_substep(cur, step_faces, scales, fluxes, geometry)
+            for left in range(n_sub - 1, -1, -1):  # the substeps left after this one
+                cur = _density_substep(cur, step_faces, scales, fluxes, geometry, products, div,
+                                       slices[left % 2] if left else m[i + 1])
             m[i + 1] = _check_density_slice(cur, i + 1)
     return m
 
@@ -480,10 +534,11 @@ def optimal_control(v: np.ndarray, p: np.ndarray, params: _SeriesParams, sgrid: 
     nodes = np.arange(len(v)).reshape((-1,) + (1,) * len(sgrid.shape))
     geometry = [(sgrid.spacing(axis), axis_index(axis + 1)) for axis in range(len(sgrid.shape))]
     control = tuple(np.empty_like(v) for _ in sgrid.shape)
+    slopes = None
     for block in (slice(start, start + rows) for start in range(0, len(v), rows)):
-        slopes = _face_buffers(v[block].shape, range(1, v.ndim))
-        for out, a in zip(control, _hamiltonian_sum(v[block], game.hamiltonian(p, nodes[block]), geometry, slopes)[1]):
-            out[block] = a
+        if slopes is None or slopes[0].shape[0] != len(v[block]):  # the first block, and a shorter last one
+            slopes = _face_buffers(v[block].shape, range(1, v.ndim))
+        _hamiltonian_sum(v[block], game.hamiltonian(p, nodes[block]), geometry, slopes, [a[block] for a in control])
     return control
 
 

@@ -108,8 +108,13 @@ class _YAML_LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """The safe loader, libyaml's where PyYAML was built with it: the same documents, parsed in C."""
 
 
-class _YAML_DUMPER(yaml.SafeDumper):
-    """The safe dumper, which quotes a string that ``_YAML_LOADER`` would read as another type."""
+class _YAML_DUMPER(getattr(yaml, "CSafeDumper", yaml.SafeDumper)):
+    """The safe dumper, libyaml's where PyYAML was built with it, which quotes a string ``_YAML_LOADER`` reads as another type.
+
+    libyaml's emitter writes PyYAML's document for every ASCII scenario, but
+    it folds a long double-quoted non-ASCII string otherwise, so the
+    ``scenario_hash`` of a scenario with such a name depends on the build.
+    """
 
 
 # YAML 1.1 reads an exponent without a decimal point or exponent sign (1e-5, 2.5e3) as a string;

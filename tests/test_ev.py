@@ -1,5 +1,7 @@
 """EV model: price law, control formula, HJB/FPK sweeps, and cost functional."""
 
+import functools
+import math
 import warnings
 
 import numpy as np
@@ -411,7 +413,9 @@ def _substep(m, drift, sgrid, dt_sub, half_diff=0.0):
         k = half_diff / sgrid.spacing(0)
         faces[0] = faces[0] + np.array([k, -k]).reshape((2,) + (1,) * m.ndim)
     fluxes = ev_module._face_buffers(sgrid.shape, range(m.ndim))
-    new = ev_module._density_substep(m, faces, [dt_sub / dx for dx, _ in geometry], fluxes, geometry)
+    products = [np.empty_like(flux[at.inner]) for flux, (_, at) in zip(fluxes, geometry)]
+    new = ev_module._density_substep(m, faces, [dt_sub / dx for dx, _ in geometry], fluxes, geometry, products,
+                                     np.empty(m.shape), np.empty(m.shape))
     for flux, (_, at) in zip(fluxes, geometry):
         assert not flux[at.first].any() and not flux[at.last].any()  # no flux through a wall
     return new
@@ -536,19 +540,72 @@ def _stencil_fpk_sweep(alpha, m0, params, sgrid):
     return m
 
 
+def _reference_hjb_sweep(p, params, sgrid):
+    """(v, control, (substeps, diffusion time) per step): the value sweep with each node's step read on its own.
+
+    Each step reads ``game.step(p, j)``, the running cost of its node too, and updates out of place:
+    cur + dt_sub * (F + f + (diff / 2) D2 cur), the second difference taken from the Hamiltonian's face differences.
+    """
+    tgrid = params.tgrid
+    game = params.game(sgrid.meshes())
+    v = np.empty((tgrid.n_nodes,) + sgrid.shape)
+    control = tuple(np.empty_like(v) for _ in sgrid.shape)
+    v[-1] = game.terminal()
+    geometry = ev_module._geometry(sgrid)
+    slopes = ev_module._face_buffers(sgrid.shape, range(len(sgrid.shape)))
+    (dx, at), d = geometry[0], slopes[0]
+
+    def hamiltonian(cur, axes, minimiser):
+        terms = [ev_module._hamiltonian(cur, *axis, spacing, index, buffer, np.empty(cur.shape) if minimiser else None)
+                 for axis, (spacing, index), buffer in zip(axes, geometry, slopes)]
+        forms = [f for f, _, _ in terms]
+        return sum(forms[1:], forms[0]), [a for _, a, _ in terms], [w for _, _, w in terms]
+
+    plans = []
+    for i in range(tgrid.n_steps - 1, -1, -1):
+        j = i + 1
+        axes, running, _, diff = game.step(p, j)
+        cur = v[j]
+        ham, minimisers, moves = hamiltonian(cur, axes, True)
+        for out, a in zip(control, minimisers):
+            out[j] = a
+        rates = [float(w.max()) / spacing for w, (spacing, _) in zip(moves, geometry)]
+        n_sub, dt_sub, half_diff, diffusion_time = ev_module._step_plan(
+            tgrid.dt, diff, dx ** 2, rates, "coefficients in backward sweep", i)
+        plans.append((n_sub, diffusion_time))
+        for k in range(n_sub):
+            if k:
+                ham = hamiltonian(cur, axes, False)[0]
+            upd = ham + running
+            if half_diff > 0.0:
+                upd = upd + half_diff * ((d[at.hi] - d[at.lo]) / dx)
+            cur = cur + dt_sub * upd
+        v[i] = diffuse(cur, diffusion_time, sgrid) if diffusion_time else cur
+    for out, a in zip(control, hamiltonian(v[0], game.hamiltonian(p, 0), True)[1]):
+        out[0] = a
+    return v, control, plans[::-1]
+
+
 _SWEEP_RUNS = {
     "ev_weekend": ("ev_weekend", []),
     "ev_stiff_fine": ("ev_weekend", ["space.cells=400", "series.H=3.0", "price.exponent=4.0"]),
     "phev_8x8": ("phev_flat", ["space.cells=[8,8]"]),
     "phev_64x64": ("phev_flat", ["space.cells=[64,64]", "time_steps=47"]),
+    "phev_64x64_substeps": ("phev_flat", ["space.cells=[64,64]", "time_steps=12"]),
+    "phev_32x32_substeps": ("phev_flat", ["space.cells=[32,32]", "time_steps=4"]),
 }
+
+
+@functools.cache
+def _solved_sweep_run(run):
+    scenario, overrides = _SWEEP_RUNS[run]
+    problem, options, _ = evmfg.build_problem(evmfg.apply_overrides(evmfg.load_scenario(scenario), overrides))
+    return problem, evmfg.solve_mfe(problem, options)
 
 
 @pytest.mark.parametrize("run", list(_SWEEP_RUNS))
 def test_the_blocked_density_sweep_is_the_per_step_sweep_bit_for_bit(run):
-    scenario, overrides = _SWEEP_RUNS[run]
-    problem, options, _ = evmfg.build_problem(evmfg.apply_overrides(evmfg.load_scenario(scenario), overrides))
-    sol = evmfg.solve_mfe(problem, options)
+    problem, sol = _solved_sweep_run(run)
     m, plans = _reference_fpk_sweep(sol.alpha, problem.m0, problem.params, problem.sgrid)
     assert np.array_equal(problem.fpk(sol.alpha), m)
     # the face flux against the stencil form it replaced: the same scheme up to roundoff
@@ -562,8 +619,79 @@ def test_the_blocked_density_sweep_is_the_per_step_sweep_bit_for_bit(run):
         "ev_stiff_fine": max(substeps) > 1 and max(diffusion) > 0.0,  # steps that diffuse exactly, steps that substep
         "phev_8x8": rows >= n_steps > 1,  # all steps in one block
         "phev_64x64": rows == 2 and problem.m0.size == ev_module.CONTROL_BLOCK_CELLS,  # the smallest block
+        "phev_64x64_substeps": max(substeps) > 1,  # 2D substeps, through the alternating slice buffers
+        "phev_32x32_substeps": max(substeps) > 1,
     }
     assert covers[run], (rows, n_steps, max(substeps), min(diffusion))
+
+
+@pytest.mark.parametrize("run", list(_SWEEP_RUNS))
+def test_the_value_sweep_is_the_per_node_sweep_bit_for_bit(run):
+    # the running cost per block of nodes, the update in place and the minimiser written into the control
+    problem, sol = _solved_sweep_run(run)
+    v, control, plans = _reference_hjb_sweep(sol.p, problem.params, problem.sgrid)
+    got_v, got_control = problem.hjb(sol.p)
+    assert np.array_equal(got_v, v)
+    assert len(got_control) == len(control) and all(map(np.array_equal, got_control, control))
+    # what each run covers: a running-cost block is CONTROL_BLOCK_CELLS // cells nodes long, and at least 2
+    rows, n_steps = max(2, ev_module.CONTROL_BLOCK_CELLS // problem.m0.size), problem.tgrid.n_steps
+    substeps, diffusion = zip(*plans)
+    covers = {
+        "ev_weekend": rows > 1 and n_steps % rows != 0,  # a short last block
+        "ev_stiff_fine": max(substeps) > 1 and max(diffusion) > 0.0,  # steps that diffuse exactly, steps that substep
+        "phev_8x8": rows >= n_steps > 1,  # all nodes in one block
+        "phev_64x64": rows == 2 and n_steps % rows != 0,  # the smallest block, and a short last one
+        "phev_64x64_substeps": rows == 2 and n_steps % rows == 0,  # blocks that end on the last node
+        "phev_32x32_substeps": max(substeps) > 1,  # 2D substeps, each updating v[i] in place
+    }
+    assert covers[run], (rows, n_steps, max(substeps), max(diffusion))
+
+
+class _CountingCost:
+    """A running cost that counts its calls."""
+
+    def __init__(self, cost):
+        self.cost, self.calls = cost, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.cost(*args)
+
+
+# Costs without a scalar power: a column of times may round t ** k otherwise than one node's t (C pow against x * x).
+_RUNNING_COSTS = {
+    ("ev", "time_dependent"): lambda t, x: (1.0 - x) ** 2 * (1.0 + t),
+    ("ev", "time_free"): lambda t, x: (1.0 - x) ** 2,
+    ("phev", "time_dependent"): lambda t, z1, z2: (1.0 - z1) ** 2 * (1.0 + t) + z2 * t,
+    ("phev", "time_free"): lambda t, z1, z2: (1.0 - z1) ** 2 + z2,
+}
+
+
+@pytest.mark.parametrize("cost", ["time_dependent", "time_free"])
+@pytest.mark.parametrize("model", ["ev", "phev"])
+def test_the_value_sweep_reads_the_running_cost_once_a_block(model, cost):
+    # 256 cells: blocks of 16 nodes, so 50 steps take 4 calls, the last block short
+    tgrid = TimeGrid(1.0, 50)
+    n = tgrid.n_nodes
+    if model == "ev":
+        sgrid = SpaceGrid((256,))
+        params = make_params(tgrid, sigma=0.3, kappa=lambda x: 2.0 * (1.0 - x) ** 2)
+        params.f = _CountingCost(_RUNNING_COSTS[model, cost])
+    else:
+        sgrid = SpaceGrid((16, 16))
+        params = evmfg.PhevParams(tgrid=tgrid, g=np.full(n, 0.2), Q1=np.full(n, 20.0), Q2=np.full(n, 30.0), r2=0.7,
+                                  s=_CountingCost(_RUNNING_COSTS[model, cost]), xi=lambda z1, z2: (1.0 - z1) * z2)
+    counter = params.f if model == "ev" else params.s
+    rows = max(2, ev_module.CONTROL_BLOCK_CELLS // math.prod(sgrid.shape))
+    assert rows == 16
+    price = np.linspace(0.3, 1.2, n)
+    v, control = hjb_backward_sweep(price, params, sgrid)
+    assert counter.calls == math.ceil(tgrid.n_steps / rows) == 4
+    counter.calls = 0
+    want_v, want_control, _ = _reference_hjb_sweep(price, params, sgrid)
+    assert counter.calls == tgrid.n_steps  # the reference evaluates it one node at a time
+    assert np.array_equal(v, want_v)
+    assert all(map(np.array_equal, control, want_control))
 
 
 def test_a_non_finite_drift_late_in_a_block_stops_the_sweep_at_its_time_node():
@@ -895,7 +1023,8 @@ def _two_branch_hamiltonian(v, p, g, h, dx, at):
 def _hamiltonian_on(v, p, g, h, sgrid, axis, minimiser=True):
     """``_hamiltonian`` along ``axis`` of ``sgrid`` with a fresh slopes buffer: (F, minimiser, move, slopes)."""
     (slopes,) = ev_module._face_buffers(v.shape, [axis])
-    return (*ev_module._hamiltonian(v, p, g, h, sgrid.spacing(axis), axis_index(axis), slopes, minimiser), slopes)
+    a = np.empty(v.shape) if minimiser else None
+    return (*ev_module._hamiltonian(v, p, g, h, sgrid.spacing(axis), axis_index(axis), slopes, a), slopes)
 
 
 def _assert_closed_form_hamiltonian_is_the_reference(v, p, g, h, sgrid, axis):

@@ -192,6 +192,21 @@ def test_canonical_yaml_is_sorted_and_parseable():
     assert keys == sorted(keys)
 
 
+_TRICKY_ASCII = {"name": "1e-5", "quoted": ["yes", "no", "1e5", "", "x: y", "a" * 200], "inf": float("inf"),
+                 "-inf": float("-inf"), "nan": float("nan"), "nested": [[1, 2.5e-300], {"key": None, "on": True}]}
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"), reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("name", bundled_scenarios() + ["tricky_ascii"])
+def test_libyamls_emitter_writes_the_pure_python_emitters_document(name):
+    class PythonDumper(yaml.SafeDumper):
+        yaml_implicit_resolvers = scenario._YAML_DUMPER.yaml_implicit_resolvers  # the same float rule
+
+    assert issubclass(scenario._YAML_DUMPER, yaml.CSafeDumper)
+    data = _TRICKY_ASCII if name == "tricky_ascii" else load_scenario(name).data
+    assert canonical_yaml(data) == yaml.dump(data, Dumper=PythonDumper, sort_keys=True, default_flow_style=False)
+
+
 # ---------------------------------------------------------------------------
 # validation errors name the offending field
 
