@@ -45,15 +45,18 @@ which no mass crosses a wall. It writes through buffers allocated once per
 sweep; two slices alternate, because in 2D both axes' fluxes read the
 entering slice, and the last substep writes m[i + 1]. The value sweep reads
 its running cost and its steps' (p, g, h) and diffusion once per block of
-as many nodes (at least two), as floats where a node's value is one number.
+nodes (``_value_blocks``), as floats where a node's value is one number. A
+block holds at most ``CONTROL_BLOCK_CELLS`` values in each array that grows
+with it, and a number per node grows by one value, so a battery sweep
+whose running cost ignores t reads them once.
 ``_hamiltonian`` takes the two branches in closed form on the cells, from
 one array of face differences, and gives the value step all it reads
 besides: the control, written into the control field, the move |a - g| that
 sets the substep rate, and the differences whose own differences are the
 explicit diffusion term. The running cost and that term accumulate into the
 Hamiltonian's fresh result, which scaled by the substep lands in v[i].
-Neither sweep calls a difference stencil of ``numerics``. Temporaries stay
-per block, as whole-run ones cost 2D memory.
+Neither sweep calls a difference stencil of ``numerics``. A temporary with a
+slice per node stays within a block's bound, as whole-run ones cost 2D memory.
 
 The sweeps and the control below serve the two-pack model in ``phev`` too:
 they read a model only through the per-axis ``Game`` its params build.
@@ -349,6 +352,40 @@ def _per_node(c, n: int) -> list:
     return c.ravel().tolist() if c.size == n else list(c)
 
 
+def _value_blocks(game: Game, p: np.ndarray, n_nodes: int, shape: tuple[int, ...]):
+    """The value sweep's blocks of nodes 1 .. n_nodes - 1, the last first: (start, stop, running cost, diffusion, axes).
+
+    A block reads its running cost, ``transport`` and ``axes`` in one call
+    each, as a call per node costs more than its arithmetic. It is at
+    least two nodes long (the last block may be shorter) and holds at most
+    ``CONTROL_BLOCK_CELLS`` values in each array that grows with it, unless
+    two nodes' slices exceed that. A number per node (the battery's
+    coefficients, the price) grows by one value a node and a slice per node
+    (the packs' drains, a running cost of t) by a slice. A running cost
+    that ignores t, one slice with no node axis, does not grow: it is read
+    once and serves every block. The last nodes are read first, as many as
+    if every array held a slice per node; what they give sets the block
+    length, and where that length differs they are read again as a block
+    of it (the running cost only if it grows).
+    """
+    nodes = np.arange(n_nodes).reshape((-1,) + (1,) * len(shape))
+    top = max(1, n_nodes - max(2, CONTROL_BLOCK_CELLS // math.prod(shape)))
+    first = nodes[top:]
+    running = game.running(first)
+    fixed = np.ndim(running) <= len(shape)
+    drains, _, diffs = game.transport(first)
+    held = [*drains, diffs, *(c for axis in game.axes(p, first, drains) for c in axis)] + ([] if fixed else [running])
+    per_node = max([np.size(c) // len(first) for c in held if np.ndim(c) > len(shape)] + [1])
+    rows = max(2, CONTROL_BLOCK_CELLS // per_node)
+    for stop in range(n_nodes, 1, -rows):
+        start = max(1, stop - rows)
+        block = nodes[start:stop]
+        if not fixed and (start, stop) != (top, n_nodes):
+            running = game.running(block)
+        drains, _, diffs = game.transport(block)
+        yield start, stop, running, diffs, game.axes(p, block, drains)
+
+
 def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid, out=None):
     """Backward value sweep of either game, v(T, .) = the terminal cost: (v, control).
 
@@ -363,7 +400,9 @@ def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid, o
     (v, control) on the same grid, passed as ``out``, is overwritten and
     returned instead of new arrays. The running cost and the steps'
     coefficients are read per block of nodes (``Game``), so the running
-    cost must broadcast over a column of times; the update lands in
+    cost must broadcast over a column of times. A block is as long as
+    ``_value_blocks`` lets the values per node it holds be: the whole sweep
+    for the battery with a cost that ignores t. The update lands in
     ``v[i]`` and the minimiser in ``control[k][j]`` in place.
     """
     tgrid = params.tgrid
@@ -383,20 +422,14 @@ def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid, o
     (dx, at), d = geometry[0], slopes[0]  # a game's diffusion acts along axis 0, the battery's one axis
     dt, dx2 = tgrid.dt, dx ** 2
     second = np.empty(sgrid.shape)  # a substep's explicit second difference
-    # A block of nodes, at least two, reads its running cost and its steps' coefficients in one call each:
-    # a call per node cost more than its arithmetic.
-    rows = max(2, CONTROL_BLOCK_CELLS // v[0].size)
-    nodes = np.arange(tgrid.n_nodes).reshape((-1,) + (1,) * len(sgrid.shape))
-    for stop in range(tgrid.n_nodes, 1, -rows):
-        start = max(1, stop - rows)
-        block = nodes[start:stop]
-        running = np.broadcast_to(game.running(block), (len(block),) + sgrid.shape)
-        drains, _, diffs = game.transport(block)
-        diffs = _per_node(diffs, len(block))
+    for start, stop, running, diffs, block_axes in _value_blocks(game, p, tgrid.n_nodes, sgrid.shape):
+        n = stop - start
+        running = np.broadcast_to(running, (n,) + sgrid.shape)
+        diffs = _per_node(diffs, n)
         # per node of the block: its (p, g, h) per axis, and its slice of each control
-        terms = [zip(*(_per_node(c, len(block)) for c in axis)) for axis in game.axes(p, block, drains)]
+        terms = [zip(*(_per_node(c, n) for c in axis)) for axis in block_axes]
         node_axes, node_controls = list(zip(*terms)), list(zip(*(a[start:stop] for a in control)))
-        for row in range(len(block) - 1, -1, -1):
+        for row in range(n - 1, -1, -1):
             j = start + row
             i, axes, cur = j - 1, node_axes[row], v[j]
             ham, moves = _hamiltonian_sum(cur, axes, geometry, slopes, node_controls[row])

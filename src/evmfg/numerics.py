@@ -14,6 +14,9 @@ no-flux (reflecting) walls of the model:
   Neumann ghost cells, as one positive unit-sum convolution on the even
   reflection of the slice, which keeps constants, the cell sum and
   nonnegativity; the sweeps take it when diffusion breaks the explicit bound.
+  Its taps are a palindrome, so one ``np.correlate`` per line takes the
+  convolution's dot products in its order, without the reversed copy of the
+  taps that ``np.convolve`` makes on every call.
 
 The sweeps in ``ev`` take their differences inline, as face arrays along
 one axis: the value sweep's upwind Hamiltonian and the density sweep's
@@ -130,9 +133,12 @@ def diffuse(f: np.ndarray, kappa: float, grid, axis: int | None = None) -> np.nd
 
     The even extension [f, reversed f] turns the Neumann walls into a period
     of 2n cells, on which D2 is circulant: one reflected ``take``, then one
-    ``np.convolve`` per line with the cached ``_heat_kernel``, whose positive
-    unit-sum taps keep a slice nonnegative and, at kappa = 0, its bits. A
-    kappa that is not finite and nonnegative raises ``ValueError``.
+    ``np.correlate`` per line (one call for a one-axis slice) with the cached
+    ``_heat_kernel``, whose positive unit-sum taps keep a slice nonnegative
+    and, at kappa = 0, its bits. The taps are a palindrome, so the
+    correlation takes the dot products of the convolution, which reverses
+    them, in the same order and to the same bits. A kappa that is not finite
+    and nonnegative raises ``ValueError``.
     """
     f = np.asarray(f, dtype=float)
     ax, dx = _resolve_axis(f.shape, grid, axis)
@@ -142,10 +148,12 @@ def diffuse(f: np.ndarray, kappa: float, grid, axis: int | None = None) -> np.nd
     taps = _heat_kernel(n, dx, float(kappa))
     w = len(taps) // 2
     ext = f.take(_reflected_index(n)[n - w:2 * n + w], axis=ax)
+    if f.ndim == 1:
+        return np.correlate(ext, taps, "valid")
     out = np.empty_like(f)
     for cell in itertools.product(*map(range, f.shape[:ax] + f.shape[ax + 1:])):
         line = cell[:ax] + (slice(None),) + cell[ax:]
-        out[line] = np.convolve(ext[line], taps, "valid")
+        out[line] = np.correlate(ext[line], taps, "valid")
     return out
 
 

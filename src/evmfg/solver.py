@@ -175,7 +175,7 @@ def _least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     A column that is numerically dependent on the earlier ones gets g = 0.
     Elementwise numpy on purpose: the package makes no LAPACK call (its one
-    BLAS use is the dot product inside ``np.convolve``), and the first one
+    BLAS use is the dot product inside ``np.correlate``), and the first one
     (``np.linalg.lstsq`` here) adds about 1 MB of resident memory.
     """
     n = a.shape[1]

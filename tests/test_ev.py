@@ -633,29 +633,32 @@ def test_the_value_sweep_is_the_per_node_sweep_bit_for_bit(run):
     got_v, got_control = problem.hjb(sol.p)
     assert np.array_equal(got_v, v)
     assert len(got_control) == len(control) and all(map(np.array_equal, got_control, control))
-    # what each run covers: a running-cost block is CONTROL_BLOCK_CELLS // cells nodes long, and at least 2
-    rows, n_steps = max(2, ev_module.CONTROL_BLOCK_CELLS // problem.m0.size), problem.tgrid.n_steps
+    # what each run covers: the nodes per block, which hold at most CONTROL_BLOCK_CELLS values per growing array
+    game, n_steps = problem.params.game(problem.sgrid.meshes()), problem.tgrid.n_steps
+    blocks = [stop - start for start, stop, *_ in ev_module._value_blocks(game, sol.p, n_steps + 1, problem.sgrid.shape)]
     substeps, diffusion = zip(*plans)
     covers = {
-        "ev_weekend": rows > 1 and n_steps % rows != 0,  # a short last block
+        "ev_weekend": blocks == [n_steps],  # numbers per node and a cost that ignores t: the whole sweep in one block
         "ev_stiff_fine": max(substeps) > 1 and max(diffusion) > 0.0,  # steps that diffuse exactly, steps that substep
-        "phev_8x8": rows >= n_steps > 1,  # all nodes in one block
-        "phev_64x64": rows == 2 and n_steps % rows != 0,  # the smallest block, and a short last one
-        "phev_64x64_substeps": rows == 2 and n_steps % rows == 0,  # blocks that end on the last node
+        "phev_8x8": blocks == [n_steps] and n_steps > 1,  # the packs' drains, a slice per node, in one block
+        "phev_64x64": set(blocks[:-1]) == {2} and blocks[-1] == 1,  # the smallest block, and a short last one
+        "phev_64x64_substeps": set(blocks) == {2},  # blocks that end on the last node
         "phev_32x32_substeps": max(substeps) > 1,  # 2D substeps, each updating v[i] in place
     }
-    assert covers[run], (rows, n_steps, max(substeps), max(diffusion))
+    assert covers[run], (blocks, max(substeps), max(diffusion))
 
 
 class _CountingCost:
-    """A running cost that counts its calls."""
+    """A running cost that counts its calls and records each call's times and result."""
 
     def __init__(self, cost):
-        self.cost, self.calls = cost, 0
+        self.cost, self.calls, self.reads = cost, 0, []
 
-    def __call__(self, *args):
+    def __call__(self, t, *points):
         self.calls += 1
-        return self.cost(*args)
+        out = self.cost(t, *points)
+        self.reads.append((np.ravel(t).tolist(), np.shape(out)))
+        return out
 
 
 # Costs without a scalar power: a column of times may round t ** k otherwise than one node's t (C pow against x * x).
@@ -670,7 +673,8 @@ _RUNNING_COSTS = {
 @pytest.mark.parametrize("cost", ["time_dependent", "time_free"])
 @pytest.mark.parametrize("model", ["ev", "phev"])
 def test_the_value_sweep_reads_the_running_cost_once_a_block(model, cost):
-    # 256 cells: blocks of 16 nodes, so 50 steps take 4 calls, the last block short
+    # 256 cells: a slice per node makes blocks of 16 nodes, so 50 steps take 4 calls, the last block short.
+    # A cost that ignores t is one slice, read once a sweep; the battery's other coefficients are numbers per node.
     tgrid = TimeGrid(1.0, 50)
     n = tgrid.n_nodes
     if model == "ev":
@@ -686,7 +690,15 @@ def test_the_value_sweep_reads_the_running_cost_once_a_block(model, cost):
     assert rows == 16
     price = np.linspace(0.3, 1.2, n)
     v, control = hjb_backward_sweep(price, params, sgrid)
-    assert counter.calls == math.ceil(tgrid.n_steps / rows) == 4
+    assert math.ceil(tgrid.n_steps / rows) == 4
+    assert counter.calls == (1 if cost == "time_free" else 4)
+    # a result with a node axis holds at most CONTROL_BLOCK_CELLS values, and the blocks read each node once
+    grown = [(times, shape) for times, shape in counter.reads if len(shape) > len(sgrid.shape)]
+    assert all(math.prod(shape) <= ev_module.CONTROL_BLOCK_CELLS for _, shape in grown)
+    if cost == "time_dependent":
+        assert sorted(t for times, _ in grown for t in times) == tgrid.nodes[1:].tolist()
+    else:
+        assert not grown
     counter.calls = 0
     want_v, want_control, _ = _reference_hjb_sweep(price, params, sgrid)
     assert counter.calls == tgrid.n_steps  # the reference evaluates it one node at a time

@@ -1,5 +1,7 @@
 """Finite-difference operators: exactness, conservation, and convergence order."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -270,6 +272,36 @@ def test_diffuse_has_the_same_bits_from_a_cold_and_a_warm_cache():
     warm = [diffuse(f, kappa, sg).tobytes() for kappa in kappas]
     assert cold == warm
     assert numerics._heat_kernel.cache_info().hits == len(kappas)
+
+
+def _convolved(f: np.ndarray, kappa: float, sg: SpaceGrid, axis: int) -> np.ndarray:
+    """``diffuse`` as a convolution: the reflected ``take``, then ``np.convolve`` per line with the cached kernel."""
+    n, dx = f.shape[axis], sg.spacing(axis)
+    taps = numerics._heat_kernel(n, dx, float(kappa))
+    w = len(taps) // 2
+    ext = f.take(numerics._reflected_index(n)[n - w:2 * n + w], axis=axis)
+    out = np.empty_like(f)
+    for cell in itertools.product(*map(range, f.shape[:axis] + f.shape[axis + 1:])):
+        line = cell[:axis] + (slice(None),) + cell[axis:]
+        out[line] = np.convolve(ext[line], taps, "valid")
+    return out
+
+
+@pytest.mark.parametrize("shape, axis", [((40,), 0), ((100,), 0), ((400,), 0), ((800,), 0), ((30, 50), 0), ((30, 50), 1)],
+                         ids=["40", "100", "400", "800", "30x50-axis0", "30x50-axis1"])
+def test_diffuse_is_the_convolution_bit_for_bit(shape, axis):
+    # np.convolve reverses its taps; diffuse correlates with them, which is the same only for a palindrome
+    sg = SpaceGrid(shape)
+    f = np.random.default_rng(shape[axis]).random(shape)
+    n, dx = shape[axis], sg.spacing(axis)
+    widths = []
+    for ratio in DIFFUSION_RATIOS:
+        kappa = ratio * dx ** 2
+        taps = numerics._heat_kernel(n, dx, kappa)
+        assert taps.tobytes() == taps[::-1].tobytes()
+        assert diffuse(f, kappa, sg, axis=axis).tobytes() == _convolved(f, kappa, sg, axis).tobytes()
+        widths.append(len(taps) // 2)
+    assert 0 < min(w for w in widths if w) < n == max(widths)  # cut kernels and the uncut one
 
 
 @pytest.mark.parametrize("kappa", [-1e-6, float("nan"), float("inf"), -float("inf")])
