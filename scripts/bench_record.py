@@ -25,6 +25,16 @@ median, quartiles and n over all passes of all rounds together with each
 round's own median (``rounds``), so the i-th entries of two files that ran
 in one invocation form the i-th pair. Per-layer metrics are medians per run
 already, so their n counts runs.
+
+When one invocation writes two records, the script also prints, per
+workload and end-to-end metric of the first checkout's ``BENCHMARK.json``
+(which it only reads), the verdict of the claim rule on the rounds as
+pairs: both sides' medians of the round medians, the first side's spread
+between the quartiles of its round medians, the pairs the second side won
+(ties count for neither) and one of ``gain`` (at least nine tenths of the
+pairs won and a median gap larger than that spread), ``worse beyond
+bound`` (the second median worse than the first by more than the metric's
+relative ``bound``) or ``flat``.
 """
 
 from __future__ import annotations
@@ -112,6 +122,44 @@ def bench_record(rounds: list[dict[str, dict]], seed: int, seconds: float, trace
     }
 
 
+def verdict(first: list[float], second: list[float], better: str, bound: float) -> dict:
+    """The claim rule on one metric's round medians, the i-th of each side forming the i-th pair.
+
+    ``better`` is "lower" or "higher"; ``bound`` is the relative worsening
+    the benchmark allows. Gives both medians, the first side's quartile
+    spread, the pairs the second side won and the verdict.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    won = sum(sign * (a - b) > 0.0 for a, b in zip(first, second))
+    pairs = min(len(first), len(second))
+    base = _stats(first)
+    spread = base["q3"] - base["q1"]
+    medians = base["median"], statistics.median(second)
+    gain = sign * (medians[0] - medians[1])  # > 0 where the second side is better
+    if won >= 0.9 * pairs and gain > spread:
+        outcome = "gain"
+    elif -gain > bound * abs(medians[0]):
+        outcome = "worse beyond bound"
+    else:
+        outcome = "flat"
+    return {"medians": medians, "spread": spread, "won": won, "pairs": pairs, "verdict": outcome}
+
+
+def verdict_lines(first: dict, second: dict, benchmark: dict) -> list[str]:
+    """One line per workload and end-to-end metric of ``benchmark`` (a ``BENCHMARK.json``) found in both records."""
+    lines = []
+    for name, workload in first["workloads"].items():
+        other = second["workloads"].get(name, {}).get("end_to_end", {})
+        for metric in benchmark["end_to_end"]:
+            a, b = workload["end_to_end"].get(metric["name"]), other.get(metric["name"])
+            if not (a and b):
+                continue
+            v = verdict(a["rounds"], b["rounds"], metric["better"], metric["bound"])
+            lines.append(f"{name} {metric['name']}: {v['medians'][0]:.6g} -> {v['medians'][1]:.6g} {metric['unit']}, "
+                         f"first IQR {v['spread']:.3g}, second won {v['won']}/{v['pairs']}: {v['verdict']}")
+    return lines
+
+
 def run_benchmark(checkout: Path, seed: int, seconds: float, trace: int) -> str:
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", "all", "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", str(trace)]
@@ -141,6 +189,9 @@ def main(argv: list[str] | None = None) -> int:
     for k, ((_, path), record) in enumerate(zip(args.record, records)):
         record["alternated_with"] = commits[:k] + commits[k + 1:]
         Path(path).write_text(json.dumps(record, indent=1) + "\n")
+    if len(records) == 2:
+        benchmark = json.loads((checkouts[0] / "BENCHMARK.json").read_text())
+        print("\n".join(verdict_lines(*records, benchmark)))
     return 0 if all(w["correct"] for r in records for w in r["workloads"].values()) else 1
 
 

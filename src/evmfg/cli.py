@@ -174,7 +174,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     n_agents = mc_agents(problem.sgrid.shape[0]) if args.agents is None else args.agents
     hist = mc_population(sol.alpha[0], problem.m0, problem.params, problem.tgrid, problem.sgrid,
                          n_agents=n_agents, seed=args.seed)
-    mc_dist = _sup_l1(hist, sol.m, problem.sgrid.cell_volume)
+    mc_dist = _sup_l1(hist, sol.m, problem.sgrid.cell_volume, out=hist)
     print(f"mc density distance: {mc_dist:.6g} (threshold {MC_THRESHOLD}, {n_agents} agents)")
     return 0 if dp_dev <= DP_THRESHOLD and mc_dist <= MC_THRESHOLD and reach <= span else 1
 

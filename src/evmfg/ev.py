@@ -55,8 +55,10 @@ besides: the control, written into the control field, the move |a - g| that
 sets the substep rate, and the differences whose own differences are the
 explicit diffusion term. The running cost and that term accumulate into the
 Hamiltonian's fresh result, which scaled by the substep lands in v[i].
-Neither sweep calls a difference stencil of ``numerics``. A temporary with a
-slice per node stays within a block's bound, as whole-run ones cost 2D memory.
+Where only the minimiser is read (``optimal_control``, and the sweep at
+node 0) the same stencil skips the Hamiltonian's value. Neither sweep calls
+a difference stencil of ``numerics``. A temporary with a slice per node
+stays within a block's bound, as whole-run ones cost 2D memory.
 
 The sweeps and the control below serve the two-pack model in ``phev`` too:
 they read a model only through the per-axis ``Game`` its params build.
@@ -269,8 +271,8 @@ def _face_buffers(shape: tuple[int, ...], axes) -> list[np.ndarray]:
     return [np.zeros([n + (k == axis) for k, n in enumerate(shape)]) for axis in axes]
 
 
-def _hamiltonian(v, p, g, h, dx: float, at: AxisIndex, slopes: np.ndarray, out=None):
-    """Monotone upwind Hamiltonian along the axis ``at`` indexes: (F, its minimiser or None, the move w).
+def _hamiltonian(v, p, g, h, dx: float, at: AxisIndex, slopes: np.ndarray, out=None, value: bool = True):
+    """Monotone upwind Hamiltonian along the axis ``at`` indexes: (F or None, its minimiser or None, the move w).
 
     F = min_a [(a-g)+ D+v + (a-g)- D-v + a p + h a^2 / 2]. ``slopes`` (a
     ``_face_buffers`` array) gets the face differences d, zero at the
@@ -283,8 +285,10 @@ def _hamiltonian(v, p, g, h, dx: float, at: AxisIndex, slopes: np.ndarray, out=N
     g p + h g^2 / 2 by h e^2 / 2, so F takes the larger move w =
     max(e1, -e0) and the minimiser is g + e1 where e1 > -e0, else
     g + e0 (a tie takes D-v), so w is |a - g| up to the rounding of a.
-    The coefficients broadcast against ``v``. F is a fresh array; the
-    minimiser is written into ``out`` where one is given, else not computed.
+    The coefficients broadcast against ``v``. F is a fresh array, computed
+    only where ``value`` is set: the control alone needs the face
+    differences, the candidates and w, not F. The minimiser is written into
+    ``out`` where one is given, else not computed.
     """
     inner = np.subtract(v[at.hi], v[at.lo], out=slopes[at.inner])
     inner /= dx
@@ -294,28 +298,31 @@ def _hamiltonian(v, p, g, h, dx: float, at: AxisIndex, slopes: np.ndarray, out=N
     down = g - c[at.lo]  # -e0 before its clip
     w = np.maximum(up, down)
     np.maximum(w, 0.0, out=w)
-    half_h = 0.5 * h
-    f = w * w
-    f *= half_h
-    np.subtract(g * p + half_h * (g * g), f, out=f)
+    f = None
+    if value:
+        half_h = 0.5 * h
+        f = w * w
+        f *= half_h
+        np.subtract(g * p + half_h * (g * g), f, out=f)
     if out is None:
         return f, None, w
     down -= up  # its sign picks the branch: negative for e1, else e0 = -w
     return f, np.subtract(g, np.copysign(w, down, out=down), out=out), w
 
 
-def _hamiltonian_sum(v, axes, geometry, slopes, out=None) -> tuple[np.ndarray, list]:
+def _hamiltonian_sum(v, axes, geometry, slopes, out=None, value: bool = True) -> tuple[np.ndarray | None, list]:
     """Sum of ``_hamiltonian`` over the axes (a ``(p, g, h)``, a ``_geometry`` entry and a slopes buffer each).
 
     Also per axis its move w. Where ``out`` holds one array per axis, each
     axis's minimiser goes into its own; without it none is computed. The
-    sum is a fresh array, and ``slopes`` holds each axis's face differences
-    after the call.
+    sum is a fresh array, or None where ``value`` is off and no axis
+    computes its F. ``slopes`` holds each axis's face differences after the
+    call.
     """
     ham, moves = None, []
     for (p, g, h), (dx, at), d, a in zip(axes, geometry, slopes, out or [None] * len(axes)):
-        f, _, w = _hamiltonian(v, p, g, h, dx, at, d, a)
-        ham = f if ham is None else np.add(ham, f, out=ham)
+        f, _, w = _hamiltonian(v, p, g, h, dx, at, d, a, value)
+        ham = f if ham is None else np.add(ham, f, out=ham)  # without F, f and so ham stay None
         moves.append(w)
     return ham, moves
 
@@ -452,7 +459,7 @@ def hjb_backward_sweep(p: np.ndarray, params: _SeriesParams, sgrid: SpaceGrid, o
                 cur = v[i] = diffuse(cur, diffusion_time, sgrid)
             if not np.logical_and.reduce(np.isfinite(cur), None):
                 raise DivergenceError("value slice is not finite", i)
-    _hamiltonian_sum(v[0], game.hamiltonian(p, 0), geometry, slopes, [a[0] for a in control])
+    _hamiltonian_sum(v[0], game.hamiltonian(p, 0), geometry, slopes, [a[0] for a in control], value=False)
     return v, control
 
 
@@ -550,7 +557,9 @@ def optimal_control(v: np.ndarray, p: np.ndarray, params: _SeriesParams, sgrid: 
     Away from the walls pack k's rate is -(dv/dz_k + p_k) / h_k, taken from
     the side its drift points to. In a wall cell a drift into the wall
     moves no charge, so that branch is -p_k / h_k (at the empty wall of the
-    battery, the selling rate -p / H).
+    battery, the selling rate -p / H). Only the minimiser is computed
+    (``_hamiltonian`` without F): it takes the face differences, the
+    candidates and the moves, and has the bits of the value sweep's control.
     """
     v = np.asarray(v, dtype=float)
     if v.shape[1:] != sgrid.shape:
@@ -571,7 +580,8 @@ def optimal_control(v: np.ndarray, p: np.ndarray, params: _SeriesParams, sgrid: 
     for block in (slice(start, start + rows) for start in range(0, len(v), rows)):
         if slopes is None or slopes[0].shape[0] != len(v[block]):  # the first block, and a shorter last one
             slopes = _face_buffers(v[block].shape, range(1, v.ndim))
-        _hamiltonian_sum(v[block], game.hamiltonian(p, nodes[block]), geometry, slopes, [a[block] for a in control])
+        _hamiltonian_sum(v[block], game.hamiltonian(p, nodes[block]), geometry, slopes, [a[block] for a in control],
+                         value=False)
     return control
 
 

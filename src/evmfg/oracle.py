@@ -30,9 +30,9 @@ its mean and variance. The density it is compared on is a weak quantity,
 so the audit keeps its meaning. Agents are exchangeable, so the population
 is one sorted array: each step gives the +-eps increments by rank,
 alternating, with one random phase bit, restores the order with one stable
-sort and bins it with ``searchsorted`` on the cell edges, exactly as
-``np.histogram`` bins (array-RQMC; L'Ecuyer, Lecot & Tuffin, Oper. Res.
-56(4), 2008). Neighbours move apart, so the histogram carries almost no
+sort and bins it by the cell edges among the half-cell edges that the
+next drift step searches anyway, exactly as ``np.histogram`` bins
+(array-RQMC; L'Ecuyer, Lecot & Tuffin, Oper. Res. 56(4), 2008). Neighbours move apart, so the histogram carries almost no
 sampling noise, and its distance to the PDE density reads the PDE's own
 discretization error. It projects onto [0, 1] as the DP does. The control
 is linear on each half cell, so the drift step is one affine map per half
@@ -295,10 +295,14 @@ def mc_population(
       sort, a full sort, restores the order. On the reference runs the
       smallest scale is 0.985 (400 cells, H=3) to 0.9998. The sort is about
       half of a step: 0.34 of 0.65 ms at 100k agents on 100 cells;
-    - clips to [0, 1], which on the sorted finite array sets its two ends,
-      and counts each cell [edge_j, edge_(j+1)) of ``np.linspace(0, 1,
-      n_cells + 1)``, the last closed, by ``searchsorted``: the bins of
-      ``np.histogram(x, n_cells, (0, 1))`` exactly.
+    - clips to [0, 1], which on the sorted finite array sets its two ends.
+
+    Each cell [edge_j, edge_(j+1)) of ``np.linspace(0, 1, n_cells + 1)``,
+    the last closed, is counted from the half-cell search of the next step
+    (one more search after the last step): the inner cell edges are every
+    other inner half-cell edge, so the cells' runs of agents are every other
+    half-cell bound. These are the bins of ``np.histogram(x, n_cells, (0,
+    1))`` exactly.
 
     The result depends only on (inputs, n_agents, seed). Histogram slices
     have unit mass exactly (integer counts over n_agents).
@@ -335,12 +339,13 @@ def mc_population(
     bounds = np.zeros(2 * n_cells + 1, dtype=np.intp)  # half cell k's run of agents is x[bounds[k]:bounds[k + 1]]
     bounds[-1], runs = n_agents, np.empty(2 * n_cells, dtype=np.intp)
 
-    def bin_population(x, out):
-        at = np.searchsorted(x, edges)
-        at[-1] = n_agents  # the last cell is closed: every clipped position is <= 1
-        np.divide(np.diff(at), n_agents * sgrid.spacing(0), out=out)
+    def search_and_bin(x, out):
+        # the inner cell edges are every other inner half-cell edge, so the
+        # cells' runs are every other bound: bounds[0] = 0, as no agent lies
+        # below 0, and bounds[-1] = n_agents closes the last cell
+        bounds[1:-1] = x.searchsorted(half_edges)
+        np.divide(np.diff(bounds[::2]), n_agents * sgrid.spacing(0), out=out)
 
-    bin_population(x, hist[0])
     sqrt_dt = math.sqrt(tgrid.dt)
     game = params.game((nodes,))
     rows = max(1, CONTROL_BLOCK_CELLS // (2 * n_cells))
@@ -350,7 +355,7 @@ def mc_population(
         (g,), noises, _ = game.transport(block)
         scales, offsets = _half_cell_step(nodes, control[start:start + len(block)], g, tgrid.dt)
         for r, i in enumerate(range(start, start + len(block))):
-            bounds[1:-1] = x.searchsorted(half_edges)
+            search_and_bin(x, hist[i])
             np.subtract(bounds[1:], bounds[:-1], out=runs)
             np.multiply(x, np.repeat(scales[r], runs), out=x)
             np.add(x, np.repeat(offsets[r], runs), out=x)
@@ -363,7 +368,7 @@ def mc_population(
             # clip to [0, 1]: x is sorted and finite, so only its two ends can lie outside
             x[:x.searchsorted(0.0)] = 0.0
             x[x.searchsorted(1.0, "right"):] = 1.0
-            bin_population(x, hist[i + 1])
+    search_and_bin(x, hist[-1])
     return hist
 
 

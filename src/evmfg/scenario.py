@@ -24,8 +24,11 @@ is the one that writes and reads a run directory's format.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import math
 import operator
+import os
 import re
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import reduce
@@ -402,12 +405,15 @@ def apply_overrides(config: ScenarioConfig, overrides: list[str]) -> ScenarioCon
     return ScenarioConfig(data=validate_config(data, name_default=config.name), base_dir=config.base_dir)
 
 
-def _load_csv(path: Path, fld: str, **loadtxt_kwargs) -> np.ndarray:
-    """``np.loadtxt`` of the CSV ``path``; a missing or unparsable file raises ``ScenarioError`` on ``fld``."""
-    if not path.exists():
+def _load_csv(path: Path, fld: str, data: bytes | None = None, **loadtxt_kwargs) -> np.ndarray:
+    """``np.loadtxt`` of the CSV ``path``, or of its bytes ``data`` where the caller has read them.
+
+    A missing or unparsable file raises ``ScenarioError`` on ``fld``.
+    """
+    if data is None and not path.exists():
         raise ScenarioError(fld, f"file not found: {path}")
     try:
-        return np.loadtxt(path, delimiter=",", **loadtxt_kwargs)
+        return np.loadtxt(path if data is None else io.BytesIO(data), delimiter=",", **loadtxt_kwargs)
     except ValueError as exc:
         raise ScenarioError(fld, f"could not parse {path}: {exc}") from exc
 
@@ -499,8 +505,8 @@ def build_problem(config: ScenarioConfig):
     return problem, options, resampled
 
 
-class _HashingWriter:
-    """A binary file handle that hashes (sha256) every byte written through it."""
+class _HashingFile:
+    """A binary file handle that hashes (sha256) every byte written or read through it."""
 
     def __init__(self, handle):
         self.handle = handle
@@ -509,6 +515,11 @@ class _HashingWriter:
     def write(self, data) -> int:
         self.sha256.update(data)
         return self.handle.write(data)
+
+    def read(self, size: int = -1) -> bytes:
+        data = self.handle.read(size)
+        self.sha256.update(data)
+        return data
 
 
 def _write_csv(path: Path, header: str, columns: list[np.ndarray]) -> str:
@@ -526,7 +537,7 @@ def _write_csv(path: Path, header: str, columns: list[np.ndarray]) -> str:
 def _write_npy(path: Path, values: np.ndarray) -> str:
     """Save ``values`` as a float64 ``.npy`` file without pickles; returns its sha256, hashed as it is written."""
     with open(path, "wb") as handle:
-        out = _HashingWriter(handle)
+        out = _HashingFile(handle)
         np.save(out, np.asarray(values, dtype=float), allow_pickle=False)
     return out.sha256.hexdigest()
 
@@ -637,6 +648,10 @@ def _export_phev(sol: MfeSolution, problem: PhevProblem, out: Path) -> dict[str,
     return {"control_sections.csv": _write_csv(out / "control_sections.csv", "z2,z1,mu1,mu2", columns)}
 
 
+def _unreadable(path: Path, exc: OSError) -> ScenarioError:
+    return ScenarioError(path.name, f"could not read {path}: {exc.strerror or exc}")
+
+
 def _sha256_file(path: Path) -> str:
     """The sha256 of a run file or an input CSV, read through one 1 MiB buffer so that it is never held whole."""
     digest, buffer = hashlib.sha256(), bytearray(1 << 20)
@@ -645,15 +660,47 @@ def _sha256_file(path: Path) -> str:
             while size := handle.readinto(buffer):
                 digest.update(memoryview(buffer)[:size])
     except OSError as exc:
-        raise ScenarioError(path.name, f"could not read {path}: {exc.strerror or exc}") from exc
+        raise _unreadable(path, exc) from exc
     return digest.hexdigest()
 
 
-def _check_sha256(path: Path, digests: dict[str, str]) -> None:
-    """Raise ``ScenarioError`` naming the run file ``path`` unless its bytes match its sha256 in ``digests``."""
-    if digests.get(path.name) != _sha256_file(path):
+def _check_sha256(path: Path, digests: dict[str, str], digest: str | None = None) -> None:
+    """Raise ``ScenarioError`` naming the run file ``path`` unless its bytes match its sha256 in ``digests``.
+
+    ``digest`` is the sha256 of the bytes the caller read; without it the file is hashed here.
+    """
+    if digests.get(path.name) != (digest or _sha256_file(path)):
         raise ScenarioError(path.name, f"{path} does not match its sha256 in manifest.json "
                                        "(changed or cut since export)")
+
+
+# the .npy header readers of the format versions np.save writes a float64 field in
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _read_npy_once(handle, shape: tuple[int, ...]) -> tuple[np.ndarray, str] | None:
+    """(the field, the sha256 of every byte read) of the ``.npy`` file open in ``handle``, read once; or None.
+
+    The header is read and hashed first. Only where it declares ``shape``,
+    C order and float64, and the file's size is the header's plus that
+    array's, is the array allocated and read straight into its own memory,
+    then any byte that follows it; else None, and nothing is allocated by a
+    header that no hash has checked.
+    """
+    hashed = _HashingFile(handle)
+    try:
+        read_header = _NPY_HEADERS.get(np.lib.format.read_magic(hashed))
+        if read_header is None or read_header(hashed) != (tuple(shape), False, np.dtype(float)):
+            return None
+    except ValueError:  # no .npy header, or one cut short
+        return None
+    if os.fstat(handle.fileno()).st_size != handle.tell() + np.dtype(float).itemsize * math.prod(shape):
+        return None
+    values = np.empty(shape)
+    memory = memoryview(values).cast("B")
+    hashed.sha256.update(memory[:handle.readinto(memory)])  # a file cut since its size was taken fails the hash
+    hashed.read()  # and so does one that grew
+    return values, hashed.sha256.hexdigest()
 
 
 def read_field_csv(path: str | Path, shape: tuple[int, ...], digests: dict[str, str]) -> np.ndarray:
@@ -661,11 +708,24 @@ def read_field_csv(path: str | Path, shape: tuple[int, ...], digests: dict[str, 
 
     A changed, cut or missing byte, against the file's sha256 in ``digests``
     (the manifest's ``sha256``), is an error naming it, and so is another
-    shape. The name is older than the ``.npy`` layout. It stays because the
-    benchmark's read spans rebind it by name and size each read from
-    ``path`` (ROADMAP item 9).
+    shape. The bytes hashed are the bytes loaded: one read gives the hash
+    and the array (``_read_npy_once``). A file whose header or size does not
+    fit ``shape`` is hashed by a streamed read first, and only a file that
+    matches its hash is loaded, so each error keeps its message. The name
+    is older than the ``.npy`` layout. It stays because the benchmark's
+    read spans rebind it by name and size each read from ``path`` (ROADMAP
+    item 9).
     """
     path = Path(path)
+    try:
+        with open(path, "rb") as handle:
+            once = _read_npy_once(handle, shape)
+    except OSError:  # missing or unreadable: the streamed hash names it
+        once = None
+    if once is not None:
+        values, digest = once
+        _check_sha256(path, digests, digest)
+        return values
     _check_sha256(path, digests)
     values = np.load(path, allow_pickle=False)
     if values.shape != shape:
@@ -674,10 +734,17 @@ def read_field_csv(path: str | Path, shape: tuple[int, ...], digests: dict[str, 
 
 
 def read_series_csv(path: str | Path, n_nodes: int, digests: dict[str, str]) -> np.ndarray:
-    """The ``n_nodes`` values of the series CSV ``path`` (columns t, value), hash-checked as a field is."""
+    """The ``n_nodes`` values of the series CSV ``path`` (columns t, value), hash-checked as a field is.
+
+    One read gives the bytes that are hashed and then parsed.
+    """
     path = Path(path)
-    _check_sha256(path, digests)
-    values = _load_csv(path, path.name, skiprows=1, usecols=1, ndmin=1)
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise _unreadable(path, exc) from exc
+    _check_sha256(path, digests, hashlib.sha256(data).hexdigest())
+    values = _load_csv(path, path.name, data, skiprows=1, usecols=1, ndmin=1)
     if values.shape != (n_nodes,):
         raise ScenarioError(path.name, f"{path} holds {values.size} values, expected {n_nodes}")
     return values

@@ -95,9 +95,13 @@ class VerifyReport:
         )
 
 
-def _sup_l1(a: np.ndarray, b: np.ndarray, cell_volume: float) -> float:
-    """Time-sup of the per-slice L1 distance between two density fields."""
-    diff = np.asarray(a) - np.asarray(b)
+def _sup_l1(a: np.ndarray, b: np.ndarray, cell_volume: float, out=None) -> float:
+    """Time-sup of the per-slice L1 distance between two density fields.
+
+    ``|a - b|`` lands in ``out`` where given (``a`` itself, when the caller
+    owns it and reads it no more), else in one fresh field.
+    """
+    diff = np.subtract(a, b, out=out)
     np.abs(diff, out=diff)  # in place: one field-sized temporary, not two
     return float(diff.reshape(a.shape[0], -1).sum(axis=1).max() * cell_volume)
 
@@ -205,15 +209,17 @@ def verify_solution(sol: MfeSolution, model) -> VerifyReport:
     stored value and recomputed price, and one density pass from that
     control; reports the max deviations against the stored fields. Passes
     iff every deviation is within 10x the solve tolerance. The recomputed
-    control holds |a - b| at the end, so ``model.control`` must return
-    fresh arrays.
+    control, computed without the Hamiltonian's value, holds |a - b| at the
+    end and the recomputed density |m_re - m|, so ``model.control`` and
+    ``model.fpk`` must return fresh arrays: the audit holds no field-sized
+    temporary besides them.
     """
     threshold = 10.0 * sol.tol
     p_re = model.price(sol.m)
     price_dev = float(np.abs(p_re - sol.p).max())
     alpha_re = model.control(sol.v, p_re)
     m_re = model.fpk(alpha_re)
-    density_dev = _sup_l1(m_re, sol.m, model.cell_volume)
+    density_dev = _sup_l1(m_re, sol.m, model.cell_volume, out=m_re)
     for a, b in zip(alpha_re, sol.alpha, strict=True):  # in place, once the density pass has read it
         np.abs(np.subtract(a, b, out=a), out=a)
     control_dev = float(np.max([a.max() for a in alpha_re]))

@@ -110,3 +110,32 @@ def test_a_broken_gate_is_recorded_as_incorrect():
         assert weekend["correct"] is False
         assert weekend["end_to_end"]["oracle_s"]["rounds"] == [0.187272]
     assert weekend["attempted"] == 9 and weekend["failed"] == 0
+
+
+@pytest.mark.parametrize("second, won, expected", [
+    ([0.90, 0.91, 0.89, 0.92, 0.90, 0.88, 0.91, 0.90, 0.89, 1.10], 9, "gain"),
+    ([0.90, 0.91, 0.89, 0.92, 0.90, 0.88, 0.91, 0.90, 1.10, 1.10], 8, "flat"),  # one pair too few won
+    ([0.95, 0.97, 0.99, 1.01, 1.03, 0.96, 0.99, 1.02, 0.99, 0.97], 10, "flat"),  # every pair, by less than the spread
+    ([1.20, 1.21, 1.19, 1.22, 1.20, 1.18, 1.21, 1.20, 1.19, 1.20], 0, "flat"),  # worse, within the 0.25 bound
+    ([1.30, 1.31, 1.29, 1.32, 1.30, 1.28, 1.31, 1.30, 1.29, 1.30], 0, "worse beyond bound"),
+])
+def test_verdict_of_the_claim_rule_on_synthetic_rounds(second, won, expected):
+    # the first side's round medians: median 1.0, quartiles 0.98 and 1.015
+    first = [0.96, 0.98, 1.0, 1.02, 1.04, 0.97, 1.0, 1.03, 1.0, 0.98]
+    got = _bench_record().verdict(first, second, "lower", 0.25)
+    assert (got["won"], got["pairs"], got["verdict"]) == (won, 10, expected)
+    assert got["medians"] == (statistics.median(first), statistics.median(second))
+    assert got["spread"] == pytest.approx(1.015 - 0.98)
+    # a higher-is-better metric reads the same rounds the other way round
+    mirrored = _bench_record().verdict([-x for x in first], [-x for x in second], "higher", 0.25)
+    assert (mirrored["won"], mirrored["verdict"]) == (won, expected)
+
+
+def test_two_records_print_one_verdict_line_per_workload_and_benchmark_metric():
+    bench = _bench_record()
+    parsed = bench.parse_run_output(_recorded(0))
+    first = bench.bench_record([parsed] * 3, seed=11, seconds=1.0, trace=0)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    lines = bench.verdict_lines(first, first, benchmark)
+    assert len(lines) == len(WORKLOADS) * len(benchmark["end_to_end"])
+    assert lines[0].startswith("ev_weekend setup_s: ") and all(line.endswith("won 0/3: flat") for line in lines)

@@ -143,12 +143,14 @@ def test_short_series_csv_is_named(quick_run, tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["verify", "oracle"])
 def test_a_field_without_one_value_is_named(request, tmp_path, capsys, command):
-    # eight bytes, one float64, cut from the end or the middle of the value field
-    for run_dir, where in (("quick_run", "last"), ("quick_run", "middle"), ("phev_run_dir", "middle")):
+    # eight bytes, one float64, cut from the end or the middle of the value
+    # field, or appended after its array, where no header counts them
+    for run_dir, where in (("quick_run", "last"), ("quick_run", "middle"), ("phev_run_dir", "middle"),
+                           ("quick_run", "appended"), ("phev_run_dir", "appended")):
         copy = _copy_run(request.getfixturevalue(run_dir), tmp_path / f"{run_dir}_{where}")
         data = (copy / "v.npy").read_bytes()
         k = len(data) - 8 if where == "last" else len(data) // 2
-        (copy / "v.npy").write_bytes(data[:k] + data[k + 8:])
+        (copy / "v.npy").write_bytes(data + data[-8:] if where == "appended" else data[:k] + data[k + 8:])
         capsys.readouterr()  # what a fixture's first run printed
         code = cli.main([command, str(copy), *(["--states", "5"] if command == "oracle" else [])])
         captured = capsys.readouterr()

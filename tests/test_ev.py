@@ -15,6 +15,7 @@ from evmfg import (
     DivergenceError,
     EvParams,
     EvProblem,
+    PhevParams,
     ScenarioError,
     SpaceGrid,
     TimeGrid,
@@ -152,22 +153,36 @@ def test_hjb_terminal_condition_exact():
     assert np.array_equal(v[-1], (1.0 - sgrid.nodes(0)) ** 2)
 
 
-@pytest.mark.parametrize(
-    "sigma,H,n_steps", [(0.0, 30.0, 12), (1.0, 0.5, 12), (0.0, 30.0, 120)], ids=["smooth", "substepped", "blocks"])
-def test_hjb_sweep_control_is_optimal_control(sigma, H, n_steps):
+@pytest.mark.parametrize("sigma,H,n_steps,cells", [
+    (0.0, 30.0, 12, (100,)), (1.0, 0.5, 12, (100,)), (0.0, 30.0, 120, (100,)), (0.0, 30.0, 47, (16, 12)),
+], ids=["smooth", "substepped", "blocks", "two_packs"])
+def test_hjb_sweep_control_is_optimal_control(sigma, H, n_steps, cells):
     # the sweep's control at node j is the minimiser it evaluates on v[j],
-    # exactly what optimal_control recomputes from the returned value, also
-    # when a step takes many substeps (sigma = 1 on 100 cells) and when the
-    # recomputation takes several blocks of nodes (121 nodes of 100 cells)
+    # exactly what optimal_control recomputes from the returned value
+    # without the Hamiltonian's value, also when a step takes many substeps
+    # (sigma = 1 on 100 cells), when the recomputation takes several blocks
+    # of nodes (121 nodes of 100 cells), and on the two packs' game, whose
+    # 48 nodes of 192 cells take blocks of 21, 21 and 6 nodes
     tgrid = TimeGrid(1.0, n_steps)
-    sgrid = SpaceGrid((100,))
-    params = make_params(
-        tgrid, g=0.4, sigma=sigma, H=H,
-        f_cost=lambda t, x: 3.0 * (1.0 - x) ** 2 * (1.0 + t), kappa=lambda x: 2.0 * (1.0 - x) ** 2,
-    )
+    sgrid = SpaceGrid(cells)
+    if len(cells) == 1:
+        params = make_params(
+            tgrid, g=0.4, sigma=sigma, H=H,
+            f_cost=lambda t, x: 3.0 * (1.0 - x) ** 2 * (1.0 + t), kappa=lambda x: 2.0 * (1.0 - x) ** 2,
+        )
+    else:
+        n = tgrid.n_nodes
+        params = PhevParams(
+            tgrid=tgrid, g=np.full(n, 0.4), Q1=np.full(n, H), Q2=np.full(n, 2.0 * H), r2=0.7,
+            s=lambda t, z1, z2: 3.0 * (2.0 - z1 - z2) ** 2 * (1.0 + t), xi=lambda z1, z2: 2.0 * (1.0 - z1 * z2),
+        )
+        assert (ev_module.CONTROL_BLOCK_CELLS // sgrid.shape[0] // sgrid.shape[1], n) == (21, 48)
     p = 1.0 + 0.5 * np.sin(2.0 * np.pi * tgrid.nodes)
     v, alpha = hjb_backward_sweep(p, params, sgrid)
-    assert np.array_equal(alpha, optimal_control(v, p, params, sgrid))
+    recomputed = optimal_control(v, p, params, sgrid)
+    assert len(recomputed) == len(cells)
+    for swept, again in zip(alpha, recomputed, strict=True):
+        assert swept.tobytes() == again.tobytes()
 
 
 def closed_form_error(n_steps, n_cells, k=0.5, f0=0.3, p0=1.2, H=2.0, T=1.0):

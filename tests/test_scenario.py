@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import io
 import json
 import re
 from pathlib import Path
@@ -797,6 +798,50 @@ def test_readers_reject_a_file_that_no_longer_matches_its_hash(ev_run_dir, tmp_p
         with pytest.raises(ScenarioError, match=f"{name} does not match its sha256 in manifest.json") as err:
             read(tmp_path / name)
         assert err.value.field == name
+
+
+def _npy_with_header(header: dict, body: bytes) -> bytes:
+    """The bytes of a ``.npy`` file of format 1.0 whose header is ``header``, followed by ``body``."""
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(out, header)
+    return out.getvalue() + body
+
+
+def test_a_field_header_of_another_shape_is_named_by_shape_only_when_its_hash_matches(ev_run_dir, tmp_path):
+    # the value field's bytes under a header that declares them as (100, 144)
+    source = Path(ev_run_dir) / "v.npy"
+    values = np.load(source, allow_pickle=False)
+    path = tmp_path / "v.npy"
+    np.save(path, values.reshape(100, 144), allow_pickle=False)
+    assert path.stat().st_size == source.stat().st_size
+    rehashed = {"v.npy": hashlib.sha256(path.read_bytes()).hexdigest()}
+    with pytest.raises(ScenarioError, match=re.escape(f"{path} holds shape (100, 144), expected (144, 100)")):
+        read_field_csv(path, (144, 100), rehashed)
+    with pytest.raises(ScenarioError, match="v.npy does not match its sha256 in manifest.json"):
+        read_field_csv(path, (144, 100), _digests(ev_run_dir))
+
+
+@pytest.mark.parametrize("shape", [(10 ** 6, 10 ** 6), (144, 100)], ids=["as_expected", "other"])
+def test_a_field_header_that_declares_a_trillion_values_allocates_nothing(tmp_path, shape):
+    # eight bytes of data under a header of 10^12 float64 values: the size
+    # the file should have is checked before anything is allocated for it
+    path = tmp_path / "v.npy"
+    header = {"descr": "<f8", "fortran_order": False, "shape": (10 ** 6, 10 ** 6)}
+    path.write_bytes(_npy_with_header(header, bytes(8)))
+    with pytest.raises(ScenarioError, match="v.npy does not match its sha256 in manifest.json"):
+        read_field_csv(path, shape, {"v.npy": "0" * 64})
+
+
+def test_a_run_file_that_matches_its_hash_is_read_once(ev_run, ev_run_dir, monkeypatch):
+    # the hash comes from the bytes the readers load, so no second, streamed pass reads the file
+    def streamed(path):
+        raise AssertionError(f"{path} was hashed by a second read")
+
+    monkeypatch.setattr(scenario, "_sha256_file", streamed)
+    sol, out = ev_run["solution"], Path(ev_run_dir)
+    digests = _digests(out)
+    assert read_field_csv(out / "v.npy", sol.v.shape, digests).tobytes() == sol.v.tobytes()
+    assert read_series_csv(out / "price.csv", sol.p.size, digests).tobytes() == sol.p.tobytes()
 
 
 @pytest.mark.parametrize("run, stale, files", [
