@@ -17,8 +17,10 @@ byte-identical files. The run manifest records the scenario (resolved
 form, hash and directory), solver version, grid sizes, convergence
 history, the sha256 of every exported file and wall time; the wall time
 necessarily varies between runs, so bit-reproducibility is a property of
-the other files. ``read_manifest`` reads the manifest back, so this module
-is the one that writes and reads a run directory's format.
+the other files. ``read_manifest``, ``read_field_csv`` and
+``read_series_csv`` read them back, each file in one read whose bytes are
+hash-checked before they are parsed (a field is a read-only view of them),
+so this module is the one that writes and reads a run directory's format.
 """
 
 from __future__ import annotations
@@ -26,9 +28,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import math
 import operator
-import os
 import re
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import reduce
@@ -506,7 +506,7 @@ def build_problem(config: ScenarioConfig):
 
 
 class _HashingFile:
-    """A binary file handle that hashes (sha256) every byte written or read through it."""
+    """A binary file handle that hashes (sha256) every byte written through it."""
 
     def __init__(self, handle):
         self.handle = handle
@@ -515,11 +515,6 @@ class _HashingFile:
     def write(self, data) -> int:
         self.sha256.update(data)
         return self.handle.write(data)
-
-    def read(self, size: int = -1) -> bytes:
-        data = self.handle.read(size)
-        self.sha256.update(data)
-        return data
 
 
 def _write_csv(path: Path, header: str, columns: list[np.ndarray]) -> str:
@@ -548,16 +543,18 @@ def export_results(
     config: ScenarioConfig,
     out_dir: str | Path,
     wall_time: float = 0.0,
-    resampled: list[str] | None = None,
+    *,
+    resampled: list[str],
 ) -> list[str]:
     """Write the ``RUN_LAYOUT`` files, the model's summaries and the run manifest.
 
-    Returns the file names. The manifest's ``sha256`` maps every file but
-    itself to the sha256 of its bytes, and ``input_sha256`` each input CSV
-    of the scenario (``scenario_inputs``, by its path relative to
-    ``scenario_dir``) to the sha256 of its bytes. The model's field CSVs
-    and price ``.npy`` of the older layout are deleted from ``out_dir``
-    where present, so they cannot pass for this run's files.
+    Returns the file names. The manifest's ``resampled_series`` lists
+    ``resampled``, the series that ``build_problem`` resampled. Its
+    ``sha256`` maps every file but itself to the sha256 of its bytes, and
+    ``input_sha256`` each input CSV of the scenario (``scenario_inputs``, by
+    its path relative to ``scenario_dir``) to the sha256 of its bytes. The
+    model's field CSVs and price ``.npy`` of the older layout are deleted
+    from ``out_dir`` where present, so they cannot pass for this run's files.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -584,7 +581,7 @@ def export_results(
             "tol": sol.tol,
             "residuals": [float(r) for r in sol.residuals],
         },
-        "resampled_series": sorted(resampled or []),
+        "resampled_series": sorted(resampled),
         "sha256": digests,
         "input_sha256": {name: _sha256_file(Path(config.base_dir) / name)
                          for name in scenario_inputs(config.data).values()},
@@ -648,88 +645,55 @@ def _export_phev(sol: MfeSolution, problem: PhevProblem, out: Path) -> dict[str,
     return {"control_sections.csv": _write_csv(out / "control_sections.csv", "z2,z1,mu1,mu2", columns)}
 
 
-def _unreadable(path: Path, exc: OSError) -> ScenarioError:
-    return ScenarioError(path.name, f"could not read {path}: {exc.strerror or exc}")
+def _read_bytes(path: Path) -> bytes:
+    """The bytes of a run file or an input CSV, read whole; ``ScenarioError`` naming it where it cannot be read."""
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise ScenarioError(path.name, f"could not read {path}: {exc.strerror or exc}") from exc
 
 
 def _sha256_file(path: Path) -> str:
-    """The sha256 of a run file or an input CSV, read through one 1 MiB buffer so that it is never held whole."""
-    digest, buffer = hashlib.sha256(), bytearray(1 << 20)
-    try:
-        with open(path, "rb") as handle:
-            while size := handle.readinto(buffer):
-                digest.update(memoryview(buffer)[:size])
-    except OSError as exc:
-        raise _unreadable(path, exc) from exc
-    return digest.hexdigest()
+    """The sha256 of an input CSV, hashed from the bytes of one read."""
+    return hashlib.sha256(_read_bytes(path)).hexdigest()
 
 
-def _check_sha256(path: Path, digests: dict[str, str], digest: str | None = None) -> None:
-    """Raise ``ScenarioError`` naming the run file ``path`` unless its bytes match its sha256 in ``digests``.
-
-    ``digest`` is the sha256 of the bytes the caller read; without it the file is hashed here.
-    """
-    if digests.get(path.name) != (digest or _sha256_file(path)):
+def _read_checked(path: Path, digests: dict[str, str]) -> bytes:
+    """The bytes of the run file ``path``, read once; ``ScenarioError`` unless they match its sha256 in ``digests``."""
+    data = _read_bytes(path)
+    if digests.get(path.name) != hashlib.sha256(data).hexdigest():
         raise ScenarioError(path.name, f"{path} does not match its sha256 in manifest.json "
                                        "(changed or cut since export)")
+    return data
 
 
 # the .npy header readers of the format versions np.save writes a float64 field in
 _NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
 
 
-def _read_npy_once(handle, shape: tuple[int, ...]) -> tuple[np.ndarray, str] | None:
-    """(the field, the sha256 of every byte read) of the ``.npy`` file open in ``handle``, read once; or None.
-
-    The header is read and hashed first. Only where it declares ``shape``,
-    C order and float64, and the file's size is the header's plus that
-    array's, is the array allocated and read straight into its own memory,
-    then any byte that follows it; else None, and nothing is allocated by a
-    header that no hash has checked.
-    """
-    hashed = _HashingFile(handle)
-    try:
-        read_header = _NPY_HEADERS.get(np.lib.format.read_magic(hashed))
-        if read_header is None or read_header(hashed) != (tuple(shape), False, np.dtype(float)):
-            return None
-    except ValueError:  # no .npy header, or one cut short
-        return None
-    if os.fstat(handle.fileno()).st_size != handle.tell() + np.dtype(float).itemsize * math.prod(shape):
-        return None
-    values = np.empty(shape)
-    memory = memoryview(values).cast("B")
-    hashed.sha256.update(memory[:handle.readinto(memory)])  # a file cut since its size was taken fails the hash
-    hashed.read()  # and so does one that grew
-    return values, hashed.sha256.hexdigest()
-
-
 def read_field_csv(path: str | Path, shape: tuple[int, ...], digests: dict[str, str]) -> np.ndarray:
     """The field in the run file ``path`` (``<stem>.npy``), of ``shape`` (n_nodes, *cells).
 
-    A changed, cut or missing byte, against the file's sha256 in ``digests``
-    (the manifest's ``sha256``), is an error naming it, and so is another
-    shape. The bytes hashed are the bytes loaded: one read gives the hash
-    and the array (``_read_npy_once``). A file whose header or size does not
-    fit ``shape`` is hashed by a streamed read first, and only a file that
-    matches its hash is loaded, so each error keeps its message. The name
-    is older than the ``.npy`` layout. It stays because the benchmark's
-    read spans rebind it by name and size each read from ``path`` (ROADMAP
-    item 9).
+    The file is read once (``_read_checked``), so a changed, cut or missing
+    byte against its sha256 in ``digests`` (the manifest's ``sha256``) is an
+    error naming it before any header is parsed, and so is a file that holds
+    no float64 C-order array, or one of another shape. The field is a
+    read-only view of exactly the bytes that were hashed. The name is older
+    than the ``.npy`` layout; the benchmark's read spans rebind it by name
+    and size each read from ``path`` (ROADMAP item 9).
     """
     path = Path(path)
+    data = _read_checked(path, digests)
+    stream = io.BytesIO(data)
     try:
-        with open(path, "rb") as handle:
-            once = _read_npy_once(handle, shape)
-    except OSError:  # missing or unreadable: the streamed hash names it
-        once = None
-    if once is not None:
-        values, digest = once
-        _check_sha256(path, digests, digest)
-        return values
-    _check_sha256(path, digests)
-    values = np.load(path, allow_pickle=False)
-    if values.shape != shape:
-        raise ScenarioError(path.name, f"{path} holds shape {values.shape}, expected {shape}")
+        declared, fortran_order, dtype = _NPY_HEADERS[np.lib.format.read_magic(stream)](stream)
+        if fortran_order or dtype != np.float64:
+            raise ValueError("not a C-order float64 array")
+        values = np.frombuffer(data, offset=stream.tell()).reshape(declared)
+    except (KeyError, ValueError) as exc:  # no header, another version, dtype or order, or a body of another size
+        raise ScenarioError(path.name, f"{path} holds no float64 C-order .npy array") from exc
+    if declared != shape:  # compared as declared, where reshape would have filled in a -1
+        raise ScenarioError(path.name, f"{path} holds shape {declared}, expected {shape}")
     return values
 
 
@@ -739,12 +703,7 @@ def read_series_csv(path: str | Path, n_nodes: int, digests: dict[str, str]) -> 
     One read gives the bytes that are hashed and then parsed.
     """
     path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise _unreadable(path, exc) from exc
-    _check_sha256(path, digests, hashlib.sha256(data).hexdigest())
-    values = _load_csv(path, path.name, data, skiprows=1, usecols=1, ndmin=1)
+    values = _load_csv(path, path.name, _read_checked(path, digests), skiprows=1, usecols=1, ndmin=1)
     if values.shape != (n_nodes,):
         raise ScenarioError(path.name, f"{path} holds {values.size} values, expected {n_nodes}")
     return values

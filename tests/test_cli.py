@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import hashlib
+import io
 import json
 import os
 import re
@@ -192,6 +193,45 @@ def test_a_field_of_another_grid_is_named(quick_run, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: m.npy: {copy / 'm.npy'} holds shape (25, 40), expected (25, 41)\n"
+
+
+def _npy_bytes(values) -> bytes:
+    out = io.BytesIO()
+    np.save(out, values, allow_pickle=False)
+    return out.getvalue()
+
+
+# a value field that matches the hash recorded for it but holds no float64 C-order array of the grid's shape
+NOT_FLOAT64_FIELDS = {
+    "text": lambda v: "\n".join(map(repr, v.ravel().tolist())).encode(),
+    "float32": lambda v: _npy_bytes(v.astype(np.float32)),
+    "fortran_order": lambda v: _npy_bytes(np.asfortranarray(v)),
+}
+
+
+@pytest.mark.parametrize("kind", list(NOT_FLOAT64_FIELDS))
+def test_a_hash_matching_field_that_holds_no_float64_array_is_named(quick_run, tmp_path, capsys, kind):
+    copy = _copy_run(quick_run, tmp_path / kind)
+    values = np.load(copy / "v.npy", allow_pickle=False)
+    (copy / "v.npy").write_bytes(NOT_FLOAT64_FIELDS[kind](values))
+    manifest = json.loads((copy / "manifest.json").read_text())
+    manifest["sha256"]["v.npy"] = hashlib.sha256((copy / "v.npy").read_bytes()).hexdigest()
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    for command in ("verify", "oracle"):
+        assert cli.main([command, str(copy), *(["--states", "5"] if command == "oracle" else [])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: v.npy: {copy / 'v.npy'} holds no float64 C-order .npy array\n", command
+
+
+def test_a_missing_series_csv_is_named(quick_run, tmp_path, capsys):
+    copy = _copy_run(quick_run, tmp_path / "missing")
+    (copy / "price.csv").unlink()
+    for command in ("verify", "oracle"):
+        assert cli.main([command, str(copy), *(["--states", "5"] if command == "oracle" else [])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: price.csv: could not read {copy / 'price.csv'}: "), command
 
 
 def test_verify_missing_dir_exit_1(tmp_path, capsys):

@@ -821,6 +821,16 @@ def test_a_field_header_of_another_shape_is_named_by_shape_only_when_its_hash_ma
         read_field_csv(path, (144, 100), _digests(ev_run_dir))
 
 
+def test_a_field_header_that_leaves_a_length_to_be_inferred_is_named_by_shape(ev_run_dir, tmp_path):
+    # the value field's bytes, whole, under a header of shape (-1, 100), which reshape alone would accept
+    data = np.load(Path(ev_run_dir) / "v.npy", allow_pickle=False).tobytes()
+    path = tmp_path / "v.npy"
+    path.write_bytes(_npy_with_header({"descr": "<f8", "fortran_order": False, "shape": (-1, 100)}, data))
+    rehashed = {"v.npy": hashlib.sha256(path.read_bytes()).hexdigest()}
+    with pytest.raises(ScenarioError, match=re.escape(f"{path} holds shape (-1, 100), expected (144, 100)")):
+        read_field_csv(path, (144, 100), rehashed)
+
+
 @pytest.mark.parametrize("shape", [(10 ** 6, 10 ** 6), (144, 100)], ids=["as_expected", "other"])
 def test_a_field_header_that_declares_a_trillion_values_allocates_nothing(tmp_path, shape):
     # eight bytes of data under a header of 10^12 float64 values: the size
@@ -844,6 +854,19 @@ def test_a_run_file_that_matches_its_hash_is_read_once(ev_run, ev_run_dir, monke
     assert read_series_csv(out / "price.csv", sol.p.size, digests).tobytes() == sol.p.tobytes()
 
 
+def test_a_field_is_a_read_only_view_of_the_bytes_after_its_header(ev_run_dir):
+    path = Path(ev_run_dir) / "v.npy"
+    field = read_field_csv(path, (144, 100), _digests(ev_run_dir))
+    assert not field.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        field[0, 0] = 0.0
+    data = path.read_bytes()
+    stream = io.BytesIO(data)
+    assert np.lib.format.read_magic(stream) == (1, 0)
+    np.lib.format.read_array_header_1_0(stream)
+    assert field.tobytes() == data[stream.tell():]
+
+
 @pytest.mark.parametrize("run, stale, files", [
     ("ev_run", ("m.csv", "price.npy"), EV_FILES),
     ("phev_run", ("mu2.csv", "r1.npy"), PHEV_FILES),
@@ -854,9 +877,19 @@ def test_export_deletes_the_field_csvs_and_price_twin_of_the_old_layout(run, sta
     bundled = request.getfixturevalue(run)
     for name in stale:
         (tmp_path / name).write_text("stale\n")
-    names = export_results(bundled["solution"], bundled["problem"], bundled["config"], tmp_path)
+    names = export_results(bundled["solution"], bundled["problem"], bundled["config"], tmp_path,
+                           resampled=bundled["resampled"])
     digests = _digests(tmp_path)
     assert {p.name for p in tmp_path.iterdir()} == set(digests) | {"manifest.json"} == set(names) == files
+
+
+def test_export_takes_the_resampled_series_from_its_caller(ev_run, tmp_path):
+    # no default, which once recorded [] for a scenario whose g and d are resampled
+    from evmfg import export_results
+
+    with pytest.raises(TypeError, match="resampled"):
+        export_results(ev_run["solution"], ev_run["problem"], ev_run["config"], tmp_path)
+    assert ev_run["resampled"] == ["g", "d"]
 
 
 def test_purchases_series_definition(ev_run, ev_run_dir):
@@ -972,7 +1005,7 @@ def test_export_bytes_match_per_number_format(name, overrides, tmp_path):
     from evmfg import MfeSolution, export_results
 
     config = apply_overrides(load_scenario(name), overrides)
-    problem, _, _ = build_problem(config)
+    problem, _, resampled = build_problem(config)
     shape = (problem.tgrid.n_nodes,) + problem.sgrid.shape
     n = problem.tgrid.n_nodes
     if config.model == "ev":
@@ -980,7 +1013,7 @@ def test_export_bytes_match_per_number_format(name, overrides, tmp_path):
     else:
         alpha = (_awkward(shape, 2), _awkward(shape, 5))
     sol = MfeSolution(v=_awkward(shape, 1), m=_awkward(shape), p=_awkward(n, 3), alpha=alpha, converged=True)
-    export_results(sol, problem, config, tmp_path)
+    export_results(sol, problem, config, tmp_path, resampled=resampled)
     _check_export(sol, problem, config.model, tmp_path)
 
 
@@ -998,11 +1031,11 @@ def test_export_bytes_match_on_values_of_every_notation(name, overrides, tmp_pat
     from evmfg import MfeSolution, export_results
 
     config = apply_overrides(load_scenario(name), overrides)
-    problem, _, _ = build_problem(config)
+    problem, _, resampled = build_problem(config)
     shape = (problem.tgrid.n_nodes,) + problem.sgrid.shape
     rng = np.random.default_rng(29)
     alpha = tuple(_spread_field(shape, rng) for _ in problem.sgrid.shape)
     sol = MfeSolution(v=_spread_field(shape, rng), m=_spread_field(shape, rng),
                       p=_spread_field(problem.tgrid.n_nodes, rng), alpha=alpha, converged=True)
-    export_results(sol, problem, config, tmp_path)
+    export_results(sol, problem, config, tmp_path, resampled=resampled)
     _check_export(sol, problem, config.model, tmp_path)
