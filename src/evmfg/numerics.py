@@ -14,25 +14,27 @@ no-flux (reflecting) walls of the model:
   Neumann ghost cells, as one positive unit-sum convolution on the even
   reflection of the slice, which keeps constants, the cell sum and
   nonnegativity; the sweeps take it when diffusion breaks the explicit bound.
-  Its taps are a palindrome, so one ``np.correlate`` per line takes the
-  convolution's dot products in its order, without the reversed copy of the
-  taps that ``np.convolve`` makes on every call.
+  Its taps are a palindrome, so one ``np.correlate`` takes the convolution's
+  dot products in its order, without the reversed copy of the taps that
+  ``np.convolve`` makes on every call. It takes a slice of a one-axis grid
+  only: the battery's is the one game with noise, as the packs are
+  deterministic.
 
 The sweeps in ``ev`` take their differences inline, as face arrays along
 one axis: the value sweep's upwind Hamiltonian and the density sweep's
 face flux (``ev._density_substep``), which carries advection and explicit
-diffusion at once. An operator here takes any axis of the grid (``axis=k``;
-on the 2D grid 0 is z1 and 1 is z2), and the axis may be left out only on a
-one-axis grid. It reads its neighbours along the axis through the index
-tuples of ``axis_index`` (``[:-1]``, ``[1:]``, ``[1:-1]``, ... along that
-axis, full slices before it), built once per axis and shared with the
-sweeps in ``ev``. It never moves the axis to the front.
+diffusion at once. The other operators here take any axis of the grid
+(``axis=k``; on the 2D grid 0 is z1 and 1 is z2), and the axis may be left
+out only on a one-axis grid. Each reads its neighbours along the axis
+through the index tuples of ``axis_index`` (``[:-1]``, ``[1:]``,
+``[1:-1]``, ... along that axis, full slices before it), built once per
+axis and shared with the sweeps in ``ev``. None moves the axis to the
+front.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import NamedTuple
 
@@ -128,33 +130,28 @@ def _reflected_index(n: int) -> np.ndarray:
     return index
 
 
-def diffuse(f: np.ndarray, kappa: float, grid, axis: int | None = None) -> np.ndarray:
-    """The slice after diffusion for time ``kappa``: ``exp(kappa * D2) f``, D2 the Neumann 3-point second difference.
+def diffuse(f: np.ndarray, kappa: float, grid) -> np.ndarray:
+    """The one-axis slice after diffusion for time ``kappa``: ``exp(kappa * D2) f``, D2 the Neumann 3-point second difference.
 
     The even extension [f, reversed f] turns the Neumann walls into a period
     of 2n cells, on which D2 is circulant: one reflected ``take``, then one
-    ``np.correlate`` per line (one call for a one-axis slice) with the cached
-    ``_heat_kernel``, whose positive unit-sum taps keep a slice nonnegative
-    and, at kappa = 0, its bits. The taps are a palindrome, so the
-    correlation takes the dot products of the convolution, which reverses
-    them, in the same order and to the same bits. A kappa that is not finite
-    and nonnegative raises ``ValueError``.
+    ``np.correlate`` with the cached ``_heat_kernel``, whose positive
+    unit-sum taps keep a slice nonnegative and, at kappa = 0, its bits. The
+    taps are a palindrome, so the correlation takes the dot products of the
+    convolution, which reverses them, in the same order and to the same
+    bits. A kappa that is not finite and nonnegative raises ``ValueError``,
+    and so does a slice of a grid with more than one axis.
     """
     f = np.asarray(f, dtype=float)
-    ax, dx = _resolve_axis(f.shape, grid, axis)
+    if len(grid.shape) != 1:
+        raise ValueError(f"diffuse takes a slice of a one-axis grid, got grid {grid.shape}")
+    _, dx = _resolve_axis(f.shape, grid, 0)
     if not 0.0 <= kappa < math.inf:
         raise ValueError(f"diffusion time must be finite and nonnegative, got {kappa}")
-    n = f.shape[ax]
+    n = len(f)
     taps = _heat_kernel(n, dx, float(kappa))
     w = len(taps) // 2
-    ext = f.take(_reflected_index(n)[n - w:2 * n + w], axis=ax)
-    if f.ndim == 1:
-        return np.correlate(ext, taps, "valid")
-    out = np.empty_like(f)
-    for cell in itertools.product(*map(range, f.shape[:ax] + f.shape[ax + 1:])):
-        line = cell[:ax] + (slice(None),) + cell[ax:]
-        out[line] = np.correlate(ext[line], taps, "valid")
-    return out
+    return np.correlate(f.take(_reflected_index(n)[n - w:2 * n + w]), taps, "valid")
 
 
 def integrate(f: np.ndarray, grid) -> float:

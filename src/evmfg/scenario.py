@@ -8,10 +8,12 @@ endogenous quadratic price) and ``phev_flat`` (constant consumption, two
 battery packs).
 
 A run directory stores each solved field (density, value and the controls)
-once, as ``<stem>.npy`` (``np.save`` without pickles): the float64 bits
-themselves, of shape (time node, *cells). The per-node series (the price,
-on the 1D model the purchase and load curves) and the 2D model's control
-sections are small CSVs whose every value is ``"%.17g"``, 17 significant
+once, as ``<stem>.npy``: the ``.npy`` format-1.0 header, byte for byte
+``np.save``'s, then the C-order float64 bits themselves, of shape (time
+node, *cells). ``_write_npy`` writes and hashes those bytes, and
+``read_field_csv`` reads that one version and no other. The per-node
+series (the price, on the 1D model the purchase and load curves) and the
+2D model's control sections are small CSVs whose every value is ``"%.17g"``, 17 significant
 digits that give the float64 back exactly, so identical runs produce
 byte-identical files. The run manifest records the scenario (resolved
 form, hash and directory), solver version, grid sizes, convergence
@@ -505,18 +507,6 @@ def build_problem(config: ScenarioConfig):
     return problem, options, resampled
 
 
-class _HashingFile:
-    """A binary file handle that hashes (sha256) every byte written through it."""
-
-    def __init__(self, handle):
-        self.handle = handle
-        self.sha256 = hashlib.sha256()
-
-    def write(self, data) -> int:
-        self.sha256.update(data)
-        return self.handle.write(data)
-
-
 def _write_csv(path: Path, header: str, columns: list[np.ndarray]) -> str:
     """Write ``header``, then one row of the equal-length ``columns`` per line; returns the file's sha256.
 
@@ -530,11 +520,21 @@ def _write_csv(path: Path, header: str, columns: list[np.ndarray]) -> str:
 
 
 def _write_npy(path: Path, values: np.ndarray) -> str:
-    """Save ``values`` as a float64 ``.npy`` file without pickles; returns its sha256, hashed as it is written."""
+    """Write ``values`` as a C-order float64 ``.npy`` file of format 1.0; returns its sha256.
+
+    The header is byte for byte ``np.save``'s; the array's own memory
+    follows it, hashed and written with no copy.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    stream = io.BytesIO()
+    np.lib.format.write_array_header_1_0(stream, np.lib.format.header_data_from_array_1_0(values))
+    header = stream.getvalue()
+    sha256 = hashlib.sha256(header)
+    sha256.update(values)
     with open(path, "wb") as handle:
-        out = _HashingFile(handle)
-        np.save(out, np.asarray(values, dtype=float), allow_pickle=False)
-    return out.sha256.hexdigest()
+        handle.write(header)
+        handle.write(values)
+    return sha256.hexdigest()
 
 
 def export_results(
@@ -667,10 +667,6 @@ def _read_checked(path: Path, digests: dict[str, str]) -> bytes:
     return data
 
 
-# the .npy header readers of the format versions np.save writes a float64 field in
-_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
-
-
 def read_field_csv(path: str | Path, shape: tuple[int, ...], digests: dict[str, str]) -> np.ndarray:
     """The field in the run file ``path`` (``<stem>.npy``), of ``shape`` (n_nodes, *cells).
 
@@ -686,11 +682,13 @@ def read_field_csv(path: str | Path, shape: tuple[int, ...], digests: dict[str, 
     data = _read_checked(path, digests)
     stream = io.BytesIO(data)
     try:
-        declared, fortran_order, dtype = _NPY_HEADERS[np.lib.format.read_magic(stream)](stream)
+        if np.lib.format.read_magic(stream) != (1, 0):
+            raise ValueError("not the format-1.0 header that _write_npy writes")
+        declared, fortran_order, dtype = np.lib.format.read_array_header_1_0(stream)
         if fortran_order or dtype != np.float64:
             raise ValueError("not a C-order float64 array")
         values = np.frombuffer(data, offset=stream.tell()).reshape(declared)
-    except (KeyError, ValueError) as exc:  # no header, another version, dtype or order, or a body of another size
+    except ValueError as exc:  # no header, another version, dtype or order, or a body of another size
         raise ScenarioError(path.name, f"{path} holds no float64 C-order .npy array") from exc
     if declared != shape:  # compared as declared, where reshape would have filled in a -1
         raise ScenarioError(path.name, f"{path} holds shape {declared}, expected {shape}")

@@ -195,17 +195,20 @@ def test_a_field_of_another_grid_is_named(quick_run, tmp_path, capsys):
     assert captured.err == f"error: m.npy: {copy / 'm.npy'} holds shape (25, 40), expected (25, 41)\n"
 
 
-def _npy_bytes(values) -> bytes:
+def _npy_bytes(values, version=None) -> bytes:
+    """``values`` as ``np.save`` writes them, or under the header of format ``version``."""
     out = io.BytesIO()
-    np.save(out, values, allow_pickle=False)
+    np.lib.format.write_array(out, values, version=version, allow_pickle=False)
     return out.getvalue()
 
 
 # a value field that matches the hash recorded for it but holds no float64 C-order array of the grid's shape
+# under the format-1.0 header, the one .npy version that export writes
 NOT_FLOAT64_FIELDS = {
     "text": lambda v: "\n".join(map(repr, v.ravel().tolist())).encode(),
     "float32": lambda v: _npy_bytes(v.astype(np.float32)),
     "fortran_order": lambda v: _npy_bytes(np.asfortranarray(v)),
+    "format_2_0": lambda v: _npy_bytes(v, (2, 0)),
 }
 
 

@@ -867,6 +867,17 @@ def test_a_field_is_a_read_only_view_of_the_bytes_after_its_header(ev_run_dir):
     assert field.tobytes() == data[stream.tell():]
 
 
+@pytest.mark.parametrize("shape", [(144, 100), (48, 64, 64)], ids=["1d_field", "2d_field"])
+def test_write_npy_writes_and_hashes_the_bytes_of_np_save(tmp_path, shape):
+    values = np.random.default_rng(len(shape)).standard_normal(shape)
+    saved = io.BytesIO()
+    np.save(saved, values, allow_pickle=False)
+    path = tmp_path / "field.npy"
+    digest = scenario._write_npy(path, values)
+    assert path.read_bytes() == saved.getvalue()
+    assert digest == hashlib.sha256(saved.getvalue()).hexdigest()
+
+
 @pytest.mark.parametrize("run, stale, files", [
     ("ev_run", ("m.csv", "price.npy"), EV_FILES),
     ("phev_run", ("mu2.csv", "r1.npy"), PHEV_FILES),
